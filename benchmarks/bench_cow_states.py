@@ -40,7 +40,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
 
-from bench_util import emit, emit_json, reset
+from bench_util import emit, reset
 
 from helpers import ManualDagBuilder
 from repro.dag.blockdag import BlockDag
@@ -187,19 +187,6 @@ def run(smoke: bool = False) -> dict:
         "scenario_arms": run_scenario_arm(smoke),
     }
     emit(EXPERIMENT, json.dumps(result, indent=2))
-    emit_json(
-        EXPERIMENT,
-        scenario=result["scenario"],
-        metrics={
-            "cow_steady_state_growth": result["cow_steady_state_growth"],
-            "oracle_steady_state_growth": result["oracle_steady_state_growth"],
-            "steady_state_speedup_at_max": result["steady_state_speedup_at_max"],
-        },
-        wall_clock={
-            "cow_steady_state_us": last["cow"]["steady_state_us"],
-            "oracle_steady_state_us": last["oracle"]["steady_state_us"],
-        },
-    )
     return result
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bench_util import emit, emit_json, reset
+from bench_util import emit, reset
 
 from repro.scenario import ScenarioRunner, StorageSpec, registry
 
@@ -129,11 +129,6 @@ def run(smoke: bool = False) -> dict:
         },
     }
     emit(EXPERIMENT, json.dumps(result, indent=2))
-    emit_json(
-        EXPERIMENT,
-        scenario=result["scenario"],
-        metrics=dict(result["summary"]),
-    )
     return result
 
 

@@ -32,7 +32,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
 
-from bench_util import emit, emit_json, reset
+from bench_util import emit, reset
 
 from helpers import ManualDagBuilder
 from repro.interpret.interpreter import Interpreter
@@ -267,22 +267,6 @@ def run(smoke: bool = False) -> dict:
         f"{MAX_OFF_OVERHEAD} of per-block cost"
     )
     emit(EXPERIMENT, json.dumps(result, indent=2))
-    emit_json(
-        EXPERIMENT,
-        scenario=f"incremental-vs-rescan ({result['mode']})",
-        metrics={
-            "speedup_at_max": result["speedup_at_max"],
-            "steady_state_speedup_at_max": result["steady_state_speedup_at_max"],
-            "incremental_per_block_growth": result["incremental_per_block_growth"],
-            "tracing_off_overhead_fraction": result["tracing"][
-                "off_overhead_fraction"
-            ],
-        },
-        wall_clock={
-            "steady_state_incremental_us": last["steady_state_incremental_us"],
-            "incremental_us_per_block": last["incremental_us_per_block"],
-        },
-    )
     return result
 
 

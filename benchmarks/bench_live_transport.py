@@ -31,33 +31,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bench_util import emit, emit_json, reset
+from bench_util import emit, reset
 
 from repro.obs.export import read_jsonl
-from repro.obs.lifecycle import LifecycleIndex
+from repro.obs.lifecycle import LifecycleIndex, StageSummary
 from repro.scenario import registry
 from repro.scenario.runner import ScenarioRunner
 from repro.types import ServerId
 
 EXPERIMENT = "LIVE_TRANSPORT"
-
-
-def _percentiles(samples: list[float]) -> dict[str, float]:
-    if not samples:
-        return {"count": 0}
-    values = sorted(samples)
-
-    def at(fraction: float) -> float:
-        rank = max(0, min(len(values) - 1, round(fraction * (len(values) - 1))))
-        return values[rank]
-
-    return {
-        "count": len(values),
-        "p50": round(at(0.50), 6),
-        "p90": round(at(0.90), 6),
-        "p99": round(at(0.99), 6),
-        "max": round(values[-1], 6),
-    }
 
 
 def _live_seal_to_first_receive(trace_dir: Path, servers: list[str]) -> list[float]:
@@ -91,9 +73,12 @@ def run_arm(smoke: bool, live: bool) -> dict[str, object]:
             "wire_bytes": result.wire.bytes,
         }
         if live:
-            arm["seal_to_first_receive_wall_s"] = _percentiles(
+            stage = StageSummary.from_samples(
                 _live_seal_to_first_receive(trace_root, servers)
             )
+            arm["seal_to_first_receive_wall_s"] = {
+                key: round(value, 6) for key, value in stage.as_dict().items()
+            }
         else:
             assert result.lifecycle is not None
             arm["seal_to_first_receive_virtual_t"] = (
@@ -138,21 +123,6 @@ def run(smoke: bool = False) -> dict[str, object]:
     assert live["total_blocks"] == sim["total_blocks"]
     stage = live["seal_to_first_receive_wall_s"]
     assert stage["count"] > 0, "live traces produced no transport samples"  # type: ignore[index]
-    emit_json(
-        EXPERIMENT,
-        scenario="live-smoke" + (" (smoke)" if smoke else ""),
-        metrics={
-            "sim_wire_bytes": sim["wire_bytes"],
-            "live_wire_bytes": live["wire_bytes"],
-            "total_blocks": live["total_blocks"],
-            "requests_delivered": live["requests_delivered"],
-        },
-        wall_clock={
-            "sim_wall_seconds": sim["wall_seconds"],
-            "live_wall_seconds": live["wall_seconds"],
-            "live_seal_to_first_receive_s": stage,
-        },
-    )
     return report
 
 

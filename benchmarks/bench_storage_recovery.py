@@ -29,7 +29,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bench_util import emit, emit_json, reset
+from bench_util import emit, reset
 
 from repro.dag import codec
 from repro.protocols.brb import Broadcast, brb_protocol
@@ -198,21 +198,6 @@ def run(instances: int = INSTANCES, rounds: int = ROUNDS) -> dict:
             "wal_append_throughput": wal_throughput(root, full_shim.dag.blocks()),
         }
         emit(EXPERIMENT, json.dumps(result, indent=2))
-        emit_json(
-            EXPERIMENT,
-            scenario=f"storage-recovery (instances={instances}, rounds={rounds})",
-            metrics={
-                "dag_blocks": dag_blocks,
-                "speedup": result["speedup"],
-                "blocks_replayed_full": full_shim.recovery.blocks_replayed,
-                "blocks_replayed_ckpt": ckpt_shim.recovery.blocks_replayed,
-                "wal_segments_dropped": segments_dropped,
-            },
-            wall_clock={
-                "full_reinterpretation_s": round(t_full, 6),
-                "restart_from_checkpoint_s": round(t_ckpt, 6),
-            },
-        )
         return result
     finally:
         shutil.rmtree(root, ignore_errors=True)

@@ -1,6 +1,6 @@
 """THM51 — Theorem 5.1 as an experiment: trace equivalence between
 ``shim(P)`` and ``P`` over direct links, across protocols and faults,
-with side-by-side cost accounting.
+with side-by-side wire-message and indication counts.
 """
 
 import sys
@@ -10,7 +10,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from bench_util import emit, reset
 
-from repro.analysis.metrics import collect_cluster_costs, collect_direct_costs
 from repro.analysis.reporting import format_table, shape_check
 from repro.protocols.bcb import BcbBroadcast, bcb_protocol
 from repro.protocols.brb import Broadcast, brb_protocol
@@ -46,6 +45,10 @@ def run_equivalence(protocol, request, faulty=False):
     )
 
 
+def _indications(runtime) -> int:
+    return sum(len(events) for events in runtime.trace().indications.values())
+
+
 SCENARIOS = [
     ("brb", brb_protocol, Broadcast("v"), False),
     ("brb +silent byz", brb_protocol, Broadcast("v"), True),
@@ -62,16 +65,14 @@ def test_theorem51_across_protocols(benchmark):
     for name, protocol, request, faulty in SCENARIOS:
         equal, direct, cluster = run_equivalence(protocol, request, faulty)
         all_equal &= equal
-        dag_costs = collect_cluster_costs(cluster)
-        direct_costs = collect_direct_costs(direct)
         rows.append(
             {
                 "scenario": name,
                 "traces equal": "yes" if equal else "NO",
-                "dag wire": dag_costs.wire_messages,
-                "direct wire": direct_costs.wire_messages,
-                "dag inds": dag_costs.indications,
-                "direct inds": direct_costs.indications,
+                "dag wire": cluster.sim.metrics.messages,
+                "direct wire": direct.sim.metrics.messages,
+                "dag inds": _indications(cluster),
+                "direct inds": _indications(direct),
             }
         )
     emit(

@@ -2,15 +2,12 @@
 
 Every experiment prints its reproduced table/series *and* appends it to
 ``benchmarks/results/<experiment>.txt`` so EXPERIMENTS.md can quote the
-artefacts verbatim even when pytest captures stdout.  Machine-readable
-twins land beside them as ``benchmarks/results/BENCH_<experiment>.json``
-(:func:`emit_json`) so CI gates and dashboards parse numbers instead of
-scraping tables.
+artefacts verbatim even when pytest captures stdout.  The committed,
+machine-readable performance record is ``benchmarks/ledger/baseline.json``.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -24,34 +21,6 @@ def emit(experiment: str, text: str) -> None:
     with path.open("a", encoding="utf-8") as handle:
         handle.write(text)
         handle.write("\n\n")
-
-
-def emit_json(
-    experiment: str,
-    *,
-    scenario: str | None = None,
-    metrics: dict[str, object] | None = None,
-    wall_clock: dict[str, object] | None = None,
-) -> Path:
-    """Write the machine-readable result document for one experiment.
-
-    Fixed schema — ``scenario`` (what ran), ``metrics`` (the
-    experiment's own numbers), ``wall_clock`` (latency percentiles in
-    seconds where the experiment measured any) — written whole each
-    run (last run wins, unlike the append-only ``.txt`` artefact).
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    document = {
-        "experiment": experiment,
-        "scenario": scenario,
-        "metrics": metrics or {},
-        "wall_clock": wall_clock or {},
-    }
-    path = RESULTS_DIR / f"BENCH_{experiment}.json"
-    path.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
 
 
 def reset(experiment: str) -> None:

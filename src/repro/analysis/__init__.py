@@ -1,7 +1,5 @@
 """Measurement & analysis tooling for the reproduction experiments.
 
-* :mod:`repro.analysis.metrics` — cost models and counters pulled from
-  the simulator, gossip, interpreter and signature layers.
 * :mod:`repro.analysis.compression` — the message-compression accounting
   behind CLM-COMPRESS (messages materialized vs. sent).
 * :mod:`repro.analysis.reporting` — plain-text tables/series the
@@ -9,14 +7,10 @@
 """
 
 from repro.analysis.compression import CompressionReport, compression_report
-from repro.analysis.metrics import CostSummary, collect_cluster_costs, collect_direct_costs
 from repro.analysis.reporting import format_series, format_table
 
 __all__ = [
     "CompressionReport",
-    "CostSummary",
-    "collect_cluster_costs",
-    "collect_direct_costs",
     "compression_report",
     "format_series",
     "format_table",

@@ -43,10 +43,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence  # noqa: F401 - Sequence used in signatures
 
 from repro.crypto.keys import KeyRing
-
-# The sanctioned wall-clock conduit (lint: no-wall-clock): sig-verify
-# timings feed HotPathTimers only, never trace identity.
-from repro.obs.timers import perf_counter
 from repro.obs.trace import NULL_RECORDER
 from repro.dag.block import Block, BlockBuilder
 from repro.dag.blockdag import BlockDag, Validator, Validity
@@ -125,10 +121,6 @@ class Gossip:
         Optional :class:`~repro.obs.trace.TraceRecorder` — every seal,
         admission, condemnation and buffering emits a typed event
         stamped with virtual time.  Defaults to the no-op recorder.
-    timers:
-        Optional :class:`~repro.obs.timers.HotPathTimers` — wall-clock
-        histograms (signature verification here), never visible in the
-        trace, so timing cannot perturb determinism.
     """
 
     def __init__(
@@ -143,7 +135,6 @@ class Gossip:
         on_batch_end: Callable[[], None] | None = None,
         horizon: object | None = None,
         tracer: object | None = None,
-        timers: object | None = None,
     ) -> None:
         self.server = server
         self.keyring = keyring
@@ -156,10 +147,8 @@ class Gossip:
         self.horizon = horizon
         #: Flight recorder (``repro.obs``); the shared no-op recorder
         #: when tracing is off, so emission sites cost one attribute
-        #: check.  ``timers`` holds wall-clock hot-path histograms and
-        #: stays strictly outside trace identity.
+        #: check.
         self.tracer = tracer if tracer is not None else NULL_RECORDER
-        self.timers = timers
         #: Inserts since the last batch-end notification.
         self._batch_inserts = 0
         self.builder = BlockBuilder(server)
@@ -214,14 +203,7 @@ class Gossip:
         if block.ref in self.dag or block.ref in self.blks:
             self.metrics.duplicate_blocks += 1
             return
-        timers = self.timers
-        if timers is not None:
-            started = perf_counter()
-            verified = self.keyring.verify(block.n, block.signing_payload(), block.sigma)
-            timers.observe("sig-verify", perf_counter() - started)  # type: ignore[attr-defined]
-        else:
-            verified = self.keyring.verify(block.n, block.signing_payload(), block.sigma)
-        if not verified:
+        if not self.keyring.verify(block.n, block.signing_payload(), block.sigma):
             # Ingress signature check: a badly signed copy is treated as
             # never received, so it can neither occupy the buffer slot of
             # the honest copy (they share a ref) nor waste FWD traffic.

@@ -67,10 +67,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.dag.block import Block, parent_of
-
-# The sanctioned wall-clock conduit (lint: no-wall-clock): interpret-block
-# timings feed HotPathTimers only, never trace identity.
-from repro.obs.timers import perf_counter
 from repro.obs.trace import NULL_RECORDER
 from repro.dag.blockdag import BlockDag
 from repro.dag.traversal import eligible_frontier
@@ -155,7 +151,6 @@ class Interpreter:
         incremental: bool = True,
         cow: bool = True,
         tracer: object | None = None,
-        timers: object | None = None,
     ) -> None:
         self.dag = dag
         self.protocol = protocol
@@ -165,10 +160,8 @@ class Interpreter:
         self.cow = cow
         #: Flight recorder (``repro.obs``) — the no-op recorder when
         #: tracing is off, so the per-block emission site costs one
-        #: attribute check.  ``timers`` (wall-clock histograms) stays
-        #: outside trace identity.
+        #: attribute check.
         self.tracer = tracer if tracer is not None else NULL_RECORDER
-        self.timers = timers
         self.interpreted: set[BlockRef] = set()
         #: Refs whose states were pruned below the stable frontier; they
         #: stay in ``interpreted`` but their annotations are gone.
@@ -234,8 +227,6 @@ class Interpreter:
             def _forward(block: Block) -> None:
                 interpreter = self_ref()
                 if interpreter is not None:
-                    # Inline of notify_inserted (incremental is known
-                    # True here): one call less on the per-insert path.
                     interpreter._track(block)
                 else:
                     dag.remove_insert_listener(_forward)
@@ -329,17 +320,6 @@ class Interpreter:
 
     # -- incremental scheduling ------------------------------------------------
 
-    def notify_inserted(self, block: Block) -> None:
-        """Index a newly inserted block (registered as a DAG insert
-        listener in incremental mode).
-
-        O(|preds|): counts the block's uninterpreted distinct
-        predecessors; a count of zero sends it straight to the ready
-        queue (or to the below-horizon set if a predecessor's state was
-        already pruned)."""
-        if self.incremental:
-            self._track(block)
-
     def resync_schedule(self) -> None:
         """Rebuild the scheduler's pending/ready structures from the
         DAG and the current ``interpreted`` set.
@@ -360,6 +340,13 @@ class Interpreter:
             self._track(block)
 
     def _track(self, block: Block) -> None:
+        """Index a newly inserted block (the DAG insert listener in
+        incremental mode).
+
+        O(|preds|): counts the block's uninterpreted distinct
+        predecessors; a count of zero sends it straight to the ready
+        queue (or to the below-horizon set if a predecessor's state was
+        already pruned)."""
         ref = block.ref
         if ref in self._tracked:
             return
@@ -602,9 +589,6 @@ class Interpreter:
         self, block: Block, preds: list[Block]
     ) -> list[IndicationEvent]:
         """Algorithm 2 lines 4–14 proper, eligibility already assured."""
-        timers = self.timers
-        if timers is not None:
-            _started = perf_counter()
         state = BlockState()
         parent = parent_of(block, preds)
         if parent is not None:
@@ -726,17 +710,9 @@ class Interpreter:
             self.tracer.emit(  # type: ignore[attr-defined]
                 "interpreted", block=block.ref, n=str(block.n), k=block.k
             )
-        if timers is not None:
-            timers.observe("interpret-block", perf_counter() - _started)  # type: ignore[attr-defined]
         return new_events
 
     # -- internals ------------------------------------------------------------
-
-    def _parent_of(self, block: Block, preds: list[Block]) -> Block | None:
-        """The unique parent (same builder, sequence k-1) among preds —
-        the shared rule of :func:`repro.dag.block.parent_of`, which the
-        checkpoint delta encoding must agree with."""
-        return parent_of(block, preds)
 
     # lint: effect() — `action` is one of the two step closures built in
     # _execute (pi.step_request / pi.step_message), both of which land in

@@ -15,7 +15,7 @@ Shipped rules (see the ``rules_*`` modules for the full contracts):
 
 ``no-wall-clock``
     ``time``/``datetime`` clock reads are forbidden outside
-    :mod:`repro.obs.timers` (the one sanctioned conduit) and the
+    :mod:`repro.obs.metrics` (the one sanctioned conduit) and the
     scenario runner.
 ``seeded-randomness-only``
     ``random.Random(seed)`` is fine; module-level ``random.*``,

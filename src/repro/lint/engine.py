@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.lint.registry import ProgramRule, Rule, all_rules
-from repro.obs.timers import perf_counter
+from repro.obs.metrics import perf_counter
 
 #: ``# lint: allow(RULE-A, RULE-B) — reason``, lowercased in real use
 #: (reason optional at the regex level; its absence becomes a

@@ -26,28 +26,26 @@ def _imports(tree: ast.Module) -> Iterator[ast.Import | ast.ImportFrom]:
 
 @register
 class NoWallClock(Rule):
-    """Wall-clock reads are confined to :mod:`repro.obs.timers`.
+    """Wall-clock reads are confined to :mod:`repro.obs.metrics`.
 
     Virtual time (the simulator's clock) is data and therefore
     deterministic; wall time is not, and PR 6's guarantee is that
     traces stay byte-identical whether or not timing is on.  The rule
     bans importing ``time``/``datetime`` at all: sanctioned wall-clock
-    use imports ``perf_counter`` *from* ``repro.obs.timers`` or
-    ``repro.obs.metrics`` — the greppable conduits whose use the
-    tracing-overhead CI guard audits (``metrics`` is the live-arm
-    telemetry registry, also kept strictly outside trace identity).
+    use imports ``perf_counter`` *from* ``repro.obs.metrics`` — the
+    one greppable conduit (the telemetry registry, kept strictly
+    outside trace identity) whose use the tracing-overhead CI guard
+    audits.
     The scenario runner is the other allowed module — it reports the
     run's wall duration, which lives outside trace identity by
     construction.
     """
 
     name = "no-wall-clock"
-    summary = "time/datetime confined to repro.obs.timers/metrics + scenario runner"
+    summary = "time/datetime confined to repro.obs.metrics + scenario runner"
 
     #: Modules allowed to touch the wall clock directly.
-    ALLOWED_MODULES = frozenset(
-        {"repro.obs.timers", "repro.obs.metrics", "repro.scenario.runner"}
-    )
+    ALLOWED_MODULES = frozenset({"repro.obs.metrics", "repro.scenario.runner"})
     #: Clock-reading (or clock-dependent) names in the ``time`` module.
     CLOCK_NAMES = frozenset(
         {
@@ -79,7 +77,7 @@ class NoWallClock(Rule):
                             ctx,
                             node,
                             f"imports the wall clock ({alias.name!r}); "
-                            "route timing through repro.obs.timers",
+                            "route timing through repro.obs.metrics",
                         )
             elif node.module in ("time", "datetime") and node.level == 0:
                 names = {alias.name for alias in node.names}
@@ -91,7 +89,7 @@ class NoWallClock(Rule):
                         ctx,
                         node,
                         f"imports {', '.join(sorted(banned))!s} from "
-                        f"{node.module!r}; route timing through repro.obs.timers",
+                        f"{node.module!r}; route timing through repro.obs.metrics",
                     )
         aliases = module_aliases(ctx.tree, frozenset({"time", "datetime"}))
         for node, base, attr in attribute_calls(ctx.tree):

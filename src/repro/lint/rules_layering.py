@@ -99,7 +99,7 @@ ARCHITECTURE: dict[str, frozenset[str]] = {
             "types",
         }
     ),
-    "analysis": frozenset({"crypto", "dag", "errors", "runtime", "types"}),
+    "analysis": frozenset({"errors", "runtime", "types"}),
     # The live single-server entrypoint (`python -m repro.node`): pure
     # assembly over the runtime and the scenario registry's protocol
     # catalogue, nothing below that.
@@ -119,7 +119,7 @@ ARCHITECTURE: dict[str, frozenset[str]] = {
         }
     ),
     # The linter itself may read the observability layer: ``repro.obs.
-    # timers.perf_counter`` is the sanctioned wall-clock conduit the
+    # metrics.perf_counter`` is the sanctioned wall-clock conduit the
     # ``--stats`` per-rule timings go through.
     "lint": frozenset({"obs"}),
 }

@@ -1,5 +1,5 @@
 """Observability: deterministic flight recorder, lifecycle latencies,
-hot-path timers, and trace diffing.
+wall-clock metrics, and trace diffing.
 
 The paper's central property — interpretation is a pure function of
 the block DAG (Lemma 4.2) — means every server's observable behaviour
@@ -11,10 +11,10 @@ that stream:
 - :mod:`repro.obs.export` — JSONL export/load of recorded traces.
 - :mod:`repro.obs.lifecycle` — joins events into per-(block, server)
   seal→receive→validate→interpret latencies with percentile summaries.
-- :mod:`repro.obs.timers` — wall-clock hot-path histograms, kept
-  strictly *outside* trace identity so traces stay seed-deterministic.
-- :mod:`repro.obs.metrics` — typed live-arm metrics (counters, gauges,
-  log2 histograms) with associative snapshot merge and canonical JSONL.
+- :mod:`repro.obs.metrics` — the one wall-clock sink: typed metrics
+  (counters, gauges, log2 histograms) with associative snapshot merge
+  and canonical JSONL, kept strictly *outside* trace identity so
+  traces stay seed-deterministic.
 - :mod:`repro.obs.diverge` — first-divergence finder over two traces.
 """
 
@@ -34,7 +34,6 @@ from repro.obs.metrics import (
     MetricsReport,
     MetricsSnapshot,
 )
-from repro.obs.timers import HotPathTimers
 from repro.obs.trace import (
     NULL_RECORDER,
     ClusterTracer,
@@ -49,7 +48,6 @@ __all__ = [
     "Counter",
     "Divergence",
     "Gauge",
-    "HotPathTimers",
     "LifecycleIndex",
     "LifecycleStats",
     "MetricPoint",

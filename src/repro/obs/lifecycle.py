@@ -14,7 +14,7 @@ finish interpreting it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import TraceEvent
@@ -28,12 +28,13 @@ _RECV = "wire-recv"
 _INTERPRETED = "interpreted"
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile over an ascending list (0 when empty)."""
+def percentile(sorted_values: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile of an ascending-sorted, non-empty list —
+    the one exact percentile (histograms use ``quantile_us``)."""
     if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, max(0, round(fraction * (len(sorted_values) - 1))))
-    return sorted_values[index]
+        raise ValueError("percentile of an empty series")
+    rank = max(0, min(len(sorted_values) - 1, round(fraction * (len(sorted_values) - 1))))
+    return float(sorted_values[rank])
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,9 @@ class StageSummary:
         ordered = sorted(samples)
         return cls(
             count=len(ordered),
-            p50=_percentile(ordered, 0.50),
-            p90=_percentile(ordered, 0.90),
-            p99=_percentile(ordered, 0.99),
+            p50=percentile(ordered, 0.50),
+            p90=percentile(ordered, 0.90),
+            p99=percentile(ordered, 0.99),
             max=ordered[-1],
         )
 
@@ -179,7 +180,8 @@ class LifecycleIndex:
 
     def commit_latency(self, fraction: float) -> float:
         """One percentile of commit latency (0.0 when no samples)."""
-        return _percentile(sorted(self.commit_latencies()), fraction)
+        samples = sorted(self.commit_latencies())
+        return percentile(samples, fraction) if samples else 0.0
 
     def stats(self) -> LifecycleStats:
         return LifecycleStats(

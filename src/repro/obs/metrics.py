@@ -5,9 +5,9 @@ virtual time; the live arm runs real processes over real sockets and
 needs *wall-clock* answers: how deep did a peer queue get, how long did
 a reconnect take, what is the seal→interpret latency in milliseconds.
 :class:`MetricsRegistry` holds those answers as typed instruments —
-counters, gauges, and log2-µs histograms reusing the
-:class:`~repro.obs.timers.Histogram` shape — and is never consulted by
-the trace recorder, so enabling metrics cannot perturb a trace's bytes.
+counters, gauges, and log2-µs histograms (:class:`Histogram`) — and is
+never consulted by the trace recorder, so enabling metrics cannot
+perturb a trace's bytes.
 
 Snapshots are value objects with an *associative, commutative* merge:
 
@@ -20,9 +20,10 @@ Exports are canonical JSONL (sorted points, sorted keys, no
 timestamps): for a fixed seed on the simulated arm the export is
 byte-identical run to run.
 
-This module is the sanctioned wall-clock conduit for live telemetry —
-the ``no-wall-clock`` lint rule allows exactly ``repro.obs.timers``,
-``repro.obs.metrics``, and the scenario runner's wall-clock summary.
+This module is the one sanctioned wall-clock conduit — the
+``no-wall-clock`` lint rule allows exactly ``repro.obs.metrics`` and
+the scenario runner's wall-clock summary; instrumented sites import
+``perf_counter`` from here and observe into a registry histogram.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from time import perf_counter
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ReproError
-from repro.obs.timers import _BUCKETS, Histogram
 
 __all__ = [
     "Counter",
     "Gauge",
+    "Histogram",
     "MetricPoint",
     "MetricsError",
     "MetricsRegistry",
@@ -50,6 +51,9 @@ __all__ = [
 ]
 
 _KINDS = ("counter", "gauge", "histogram")
+
+#: Histogram buckets: bucket ``i`` covers durations < 2**i microseconds.
+_BUCKETS = 40
 
 
 class MetricsError(ReproError):
@@ -90,6 +94,72 @@ class Gauge:
 
     def add(self, delta: float) -> None:
         self.set(self.value + delta)
+
+
+def _bucket_quantile_us(
+    buckets: Iterable[tuple[int, int]], count: int, fraction: float
+) -> float:
+    """Upper bucket edge (µs) containing the quantile, over ascending
+    ``(bucket index, count)`` pairs — the one log2-bucket quantile."""
+    if count == 0:
+        return 0.0
+    target = max(1, math.ceil(fraction * count))
+    seen = 0
+    for index, bucket in buckets:
+        seen += bucket
+        if seen >= target:
+            return float(2**index)
+    return float(2 ** (_BUCKETS - 1))
+
+
+def _folded_buckets(
+    pairs: Iterable[tuple[int, int]],
+) -> tuple[tuple[int, int], ...]:
+    """Sparse buckets in canonical form — ascending, one entry per
+    index — which is what :func:`_bucket_quantile_us` walks."""
+    folded: dict[int, int] = {}
+    for index, count in pairs:
+        index = int(index)
+        if not 0 <= index < _BUCKETS:
+            raise MetricsError(f"histogram bucket index {index} out of range")
+        folded[index] = folded.get(index, 0) + int(count)
+    return tuple(sorted(folded.items()))
+
+
+class Histogram:
+    """A log2 histogram over microseconds with exact count/total/max."""
+
+    __slots__ = ("counts", "count", "total", "max")
+
+    def __init__(self) -> None:
+        self.counts = [0] * _BUCKETS
+        self.count = 0
+        self.total = 0.0
+        self.max = 0.0
+
+    def observe(self, seconds: float) -> None:
+        us = seconds * 1e6
+        index = 0 if us < 1.0 else min(_BUCKETS - 1, int(math.log2(us)) + 1)
+        self.counts[index] += 1
+        self.count += 1
+        self.total += seconds
+        if seconds > self.max:
+            self.max = seconds
+
+    def quantile_us(self, fraction: float) -> float:
+        """Upper bucket edge (µs) containing the given quantile."""
+        return _bucket_quantile_us(enumerate(self.counts), self.count, fraction)
+
+    def summary(self) -> dict[str, float]:
+        mean_us = (self.total / self.count * 1e6) if self.count else 0.0
+        return {
+            "count": float(self.count),
+            "total_s": self.total,
+            "mean_us": mean_us,
+            "p50_us": self.quantile_us(0.50),
+            "p99_us": self.quantile_us(0.99),
+            "max_us": self.max * 1e6,
+        }
 
 
 class MetricsRegistry:
@@ -209,28 +279,17 @@ class MetricPoint:
                 value=self.value + other.value,
                 high_water=max(self.high_water, other.high_water),
             )
-        folded = dict(self.buckets)
-        for index, count in other.buckets:
-            folded[index] = folded.get(index, 0) + count
         return replace(
             self,
             count=self.count + other.count,
             total=self.total + other.total,
             max=max(self.max, other.max),
-            buckets=tuple(sorted(folded.items())),
+            buckets=_folded_buckets(self.buckets + other.buckets),
         )
 
     def quantile_us(self, fraction: float) -> float:
         """Upper bucket edge (µs) containing the quantile — histogram only."""
-        if self.count == 0:
-            return 0.0
-        target = max(1, math.ceil(fraction * self.count))
-        seen = 0
-        for index, count in self.buckets:
-            seen += count
-            if seen >= target:
-                return float(2**index)
-        return float(2 ** (_BUCKETS - 1))
+        return _bucket_quantile_us(self.buckets, self.count, fraction)
 
     def to_dict(self) -> dict[str, object]:
         doc: dict[str, object] = {
@@ -265,10 +324,9 @@ class MetricPoint:
                 count=int(doc.get("count", 0)),  # type: ignore[arg-type]
                 total=float(doc.get("total", 0.0)),  # type: ignore[arg-type]
                 max=float(doc.get("max", 0.0)),  # type: ignore[arg-type]
-                buckets=tuple(
-                    (int(index), int(count))
-                    for index, count in doc.get("buckets", ())  # type: ignore[union-attr]
-                ),
+                # Outside input: a foreign document need not keep the
+                # buckets ascending or unique.
+                buckets=_folded_buckets(doc.get("buckets", ())),  # type: ignore[arg-type]
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise MetricsError(f"malformed metric point: {exc}") from exc

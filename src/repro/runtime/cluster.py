@@ -28,7 +28,6 @@ from repro.net.faults import FaultPlan
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.simulator import NetworkSimulator
 from repro.net.transport import RevocableTransport, SimTransport
-from repro.obs.timers import HotPathTimers
 from repro.obs.trace import DEFAULT_CAPACITY, ClusterTracer
 from repro.protocols.base import ProtocolSpec, Trace
 from repro.runtime.adversary import Adversary
@@ -130,9 +129,6 @@ class ClusterConfig:
     trace: bool = False
     #: Ring-buffer capacity per server when tracing is on.
     trace_capacity: int = DEFAULT_CAPACITY
-    #: Optional wall-clock hot-path histograms, shared by all servers.
-    #: Independent of ``trace`` — timers never enter trace identity.
-    timers: HotPathTimers | None = None
 
 
 class Cluster:
@@ -239,7 +235,6 @@ class Cluster:
             storage=storage,
             cow=self.config.cow,
             tracer=self.tracer.recorder(server) if self.tracer is not None else None,
-            timers=self.config.timers,
         )
 
     # -- convenience ------------------------------------------------------------
@@ -507,17 +502,6 @@ class Cluster:
                 totals["blocks_replayed"] += shim.recovery.blocks_replayed
         return StorageSnapshot(**{k: int(v) for k, v in totals.items()})
 
-    def interpreter_metrics(self) -> dict[str, object]:
-        """Aggregated interpretation counters across correct servers
-        (dict view of :meth:`interpreter_snapshot`)."""
-        return self.interpreter_snapshot().as_dict()
-
-    def storage_metrics(self) -> dict[str, float]:
-        """Aggregated persistence counters across live correct servers
-        (float-dict view of :meth:`storage_snapshot`, all zero when no
-        ``storage_dir`` is configured)."""
-        return {k: float(v) for k, v in self.storage_snapshot().as_dict().items()}
-
 
 def quick_cluster(
     protocol: ProtocolSpec,
@@ -533,7 +517,6 @@ def quick_cluster(
     storage: StorageConfig | None = None,
     trace: bool = False,
     trace_capacity: int = DEFAULT_CAPACITY,
-    timers: HotPathTimers | None = None,
 ) -> Cluster:
     """A fault-free n-server cluster with default wiring (examples/tests).
 
@@ -553,6 +536,5 @@ def quick_cluster(
         storage=storage if storage is not None else StorageConfig(),
         trace=trace,
         trace_capacity=trace_capacity,
-        timers=timers,
     )
     return Cluster(protocol, n=n, config=config)

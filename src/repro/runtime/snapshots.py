@@ -6,9 +6,9 @@ persistence costs (per-shim storage).  Historically each was a loose
 ``dict[str, number]``; these frozen dataclasses give them a schema so
 the scenario layer (and anything else that serializes results) gets
 typos caught at attribute access and a stable JSON shape.
-
-The dict-returning :class:`~repro.runtime.cluster.Cluster` methods
-survive as thin views over these snapshots for existing callers.
+:meth:`Cluster.wire_snapshot <repro.runtime.cluster.Cluster.wire_snapshot>`,
+``interpreter_snapshot`` and ``storage_snapshot`` are the one way to
+read those counters.
 """
 
 from __future__ import annotations

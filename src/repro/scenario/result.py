@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.errors import ScenarioError
-from repro.obs.lifecycle import LifecycleStats
+from repro.obs.lifecycle import LifecycleStats, percentile
 from repro.obs.metrics import MetricsError, MetricsReport
 from repro.runtime.snapshots import (
     InterpreterSnapshot,
@@ -24,14 +24,6 @@ from repro.runtime.snapshots import (
     WireSnapshot,
 )
 from repro.scenario.slo import SloReport
-
-
-def percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted, non-empty list."""
-    if not sorted_values:
-        raise ValueError("percentile of an empty series")
-    rank = max(0, min(len(sorted_values) - 1, round(fraction * (len(sorted_values) - 1))))
-    return float(sorted_values[rank])
 
 
 @dataclass(frozen=True)

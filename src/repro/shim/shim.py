@@ -91,10 +91,6 @@ class Shim:
         recorder for this server, threaded into gossip, interpreter,
         horizon tracker and storage.  Defaults to the shared no-op
         recorder (tracing off).
-    timers:
-        Optional :class:`~repro.obs.timers.HotPathTimers` — wall-clock
-        hot-path histograms, threaded alongside the tracer but never
-        visible in trace identity.
     """
 
     def __init__(
@@ -109,7 +105,6 @@ class Shim:
         storage: ServerStorage | None = None,
         cow: bool = True,
         tracer: object | None = None,
-        timers: object | None = None,
     ) -> None:
         self.server = server
         self.protocol = protocol
@@ -118,12 +113,10 @@ class Shim:
         self.on_indication = on_indication
         self.storage = storage
         self.tracer = tracer if tracer is not None else NULL_RECORDER
-        self.timers = timers
         if storage is not None:
-            # Before any recovery below: replayed WAL decodes and
-            # flushes should land in the same histograms as live ones.
+            # Before any recovery below, so the storage events it emits
+            # are traced too.
             storage.tracer = self.tracer
-            storage.timers = timers
         self.rqsts = RequestBuffer()  # line 2
         self.dag = BlockDag()  # line 3
         #: Coordinated GC is active when storage is configured with
@@ -147,7 +140,6 @@ class Shim:
             on_batch_end=self._on_batch_end,
             horizon=self.horizon if self.coordinated_gc else None,
             tracer=self.tracer,
-            timers=timers,
         )
         self.interpreter = Interpreter(  # line 5
             self.dag,
@@ -156,7 +148,6 @@ class Shim:
             on_indication=self._on_event,
             cow=cow,
             tracer=self.tracer,
-            timers=timers,
         )
         if self.coordinated_gc:
             self.interpreter.rehydrator = self._rehydrate_state

@@ -25,8 +25,8 @@ from repro.dag import codec
 from repro.dag.block import Block
 from repro.errors import StorageError
 # The sanctioned wall-clock conduit (lint: no-wall-clock): timings taken
-# here feed HotPathTimers only, never trace identity.
-from repro.obs.timers import perf_counter
+# here feed the attached MetricsRegistry only, never trace identity.
+from repro.obs.metrics import perf_counter
 from repro.obs.trace import NULL_RECORDER
 from repro.storage.checkpoint import Checkpoint, CheckpointManager
 from repro.storage.wal import WriteAheadLog
@@ -113,11 +113,10 @@ class ServerStorage:
             retain=self.config.checkpoints_retained,
         )
         self.metrics = StorageMetrics()
-        #: Flight recorder / wall-clock timers (``repro.obs``) — set by
-        #: the shim when tracing is on; the no-op defaults keep the
-        #: write path at one attribute check each.
+        #: Flight recorder (``repro.obs``) — set by the shim when
+        #: tracing is on; the no-op default keeps the write path at one
+        #: attribute check.
         self.tracer = NULL_RECORDER
-        self.timers = None
         #: Live-arm :class:`~repro.obs.metrics.MetricsRegistry` — set by
         #: the live node so WAL-flush / checkpoint-write latency lands
         #: in its exported snapshots (``storage.*`` histograms).
@@ -175,9 +174,8 @@ class ServerStorage:
         under the GC horizon."""
         if not self._pending:
             return
-        timers = self.timers
         live_metrics = self.live_metrics
-        if timers is not None or live_metrics is not None:
+        if live_metrics is not None:
             _started = perf_counter()
         pending, self._pending = self._pending, []
         start = 0
@@ -201,12 +199,10 @@ class ServerStorage:
                         chain=str(run[0].n),
                     )
                 start = i
-        if timers is not None or live_metrics is not None:
-            _elapsed = perf_counter() - _started
-            if timers is not None:
-                timers.observe("wal-flush", _elapsed)
-            if live_metrics is not None:
-                live_metrics.histogram("storage.wal-flush").observe(_elapsed)
+        if live_metrics is not None:
+            live_metrics.histogram("storage.wal-flush").observe(
+                perf_counter() - _started
+            )
 
     def write_checkpoint(self, checkpoint: Checkpoint) -> None:
         """Persist a checkpoint, then GC WAL segments it fully covers.
@@ -220,20 +216,14 @@ class ServerStorage:
         # shim flushes before interpreting, so this is normally a
         # no-op; it makes direct callers safe too.
         self.flush_wal()
-        timers = self.timers
         live_metrics = self.live_metrics
-        if timers is not None or live_metrics is not None:
+        if live_metrics is not None:
             _started = perf_counter()
-            self.checkpoints.write(checkpoint)
-            _elapsed = perf_counter() - _started
-            if timers is not None:
-                timers.observe("checkpoint-write", _elapsed)
-            if live_metrics is not None:
-                live_metrics.histogram("storage.checkpoint-write").observe(
-                    _elapsed
-                )
-        else:
-            self.checkpoints.write(checkpoint)
+        self.checkpoints.write(checkpoint)
+        if live_metrics is not None:
+            live_metrics.histogram("storage.checkpoint-write").observe(
+                perf_counter() - _started
+            )
         if self.config.prune:
             try:
                 self.checkpoints.load(checkpoint.seq)
@@ -268,14 +258,8 @@ class ServerStorage:
         """
         blocks: list[Block] = []
         segment_refs: dict[int, list[str]] = {}
-        timers = self.timers
         for index, payload in self.wal.replay():
-            if timers is not None:
-                _started = perf_counter()
-                value = codec.decode(payload)
-                timers.observe("codec-decode", perf_counter() - _started)
-            else:
-                value = codec.decode(payload)
+            value = codec.decode(payload)
             # A record is either one block (legacy framing) or a chain
             # frame: a tuple of consecutive same-builder blocks.
             frame = (value,) if isinstance(value, Block) else value

@@ -1,76 +1,12 @@
-"""Unit tests for the analysis layer — cost summaries, compression, tables."""
+"""Unit tests for the analysis layer — compression accounting, tables."""
 
 from repro.analysis.compression import CompressionReport, compression_report
-from repro.analysis.metrics import (
-    CostSummary,
-    collect_cluster_costs,
-    collect_direct_costs,
-    ratio,
-)
 from repro.analysis.reporting import format_series, format_table, shape_check
-from repro.crypto.signatures import CountingScheme, HmacScheme
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.runtime.cluster import Cluster
-from repro.runtime.direct import DirectRuntime
-from repro.types import Label, make_servers
+from repro.types import Label
 
 L = Label("l")
-
-
-class TestCostSummary:
-    def test_signature_ops_total(self):
-        summary = CostSummary(runtime="x", signatures_signed=3, signatures_verified=7)
-        assert summary.signature_ops() == 10
-
-    def test_as_row_keys_stable(self):
-        row = CostSummary(runtime="x").as_row()
-        assert row["runtime"] == "x"
-        assert set(row) == {
-            "runtime",
-            "wire msgs",
-            "wire bytes",
-            "sig ops",
-            "materialized",
-            "blocks",
-            "indications",
-            "t_virt",
-            "below horizon",
-            "rehydrated",
-            "condemned",
-        }
-
-    def test_collect_cluster_costs(self):
-        scheme = CountingScheme(HmacScheme())
-        cluster = Cluster(brb_protocol, n=4, scheme=scheme)
-        cluster.request(cluster.servers[0], L, Broadcast(1))
-        cluster.run_until(lambda c: c.all_delivered(L))
-        costs = collect_cluster_costs(cluster)
-        assert costs.wire_messages == cluster.sim.metrics.messages
-        assert costs.signatures_signed > 0
-        assert costs.indications == 4
-        assert costs.blocks == cluster.total_blocks()
-
-    def test_collect_direct_costs(self):
-        scheme = CountingScheme(HmacScheme())
-        direct = DirectRuntime(brb_protocol, servers=make_servers(4), scheme=scheme)
-        direct.request(direct.servers[0], L, Broadcast(1))
-        direct.run()
-        costs = collect_direct_costs(direct)
-        assert costs.wire_messages == direct.sim.metrics.messages
-        assert costs.protocol_messages_materialized >= costs.wire_messages
-        assert costs.indications == 4
-
-    def test_ratio(self):
-        dag = CostSummary(runtime="dag", wire_messages=10, wire_bytes=100)
-        direct = CostSummary(runtime="direct", wire_messages=40, wire_bytes=300)
-        ratios = ratio(dag, direct)
-        assert ratios["wire_messages"] == 4.0
-        assert ratios["wire_bytes"] == 3.0
-
-    def test_ratio_handles_zero_denominator(self):
-        dag = CostSummary(runtime="dag")
-        direct = CostSummary(runtime="direct", wire_messages=5)
-        assert ratio(dag, direct)["wire_messages"] == float("inf")
 
 
 class TestCompressionReport:

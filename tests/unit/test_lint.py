@@ -61,7 +61,7 @@ class TestNoWallClock:
     def test_silent_on_the_sanctioned_conduit(self):
         report = lint(
             """
-            from repro.obs.timers import perf_counter
+            from repro.obs.metrics import perf_counter
 
             def timed():
                 return perf_counter()
@@ -70,11 +70,13 @@ class TestNoWallClock:
         )
         assert rules_of(report) == []
 
-    def test_allowed_inside_timers_module(self):
-        report = lint(
-            "from time import perf_counter\n", module="repro.obs.timers"
-        )
-        assert rules_of(report) == []
+    def test_exactly_two_modules_may_read_the_clock(self):
+        from repro.lint.rules_determinism import NoWallClock
+
+        assert NoWallClock.ALLOWED_MODULES == {
+            "repro.obs.metrics",
+            "repro.scenario.runner",
+        }
 
     def test_allowed_inside_scenario_runner(self):
         report = lint("import time\n", module="repro.scenario.runner")
@@ -100,6 +102,24 @@ class TestNoWallClock:
             module="repro.net.live.fake",
         )
         assert rules_of(report).count("no-wall-clock") == 2  # import + call
+
+    def test_one_obs_module_reads_the_clock_and_the_core_reads_none(self):
+        import ast
+
+        def clock_importers(package: str) -> list[str]:
+            hits = []
+            for path in sorted((REPO_ROOT / "src/repro" / package).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        names = {a.name for a in node.names}
+                        names.add(getattr(node, "module", None))
+                        if names & {"time", "datetime", "perf_counter"}:
+                            hits.append(path.name)
+            return hits
+
+        assert clock_importers("obs") == ["metrics.py"]
+        assert clock_importers("interpret") == []
+        assert clock_importers("gossip") == []
 
     def test_submodule_of_allowed_package_still_fires(self):
         report = lint("from time import perf_counter\n", module="repro.obs.other")
@@ -1081,7 +1101,7 @@ _PROTO = dict(module="repro.protocols.fake", path="src/repro/protocols/fake.py")
 FIXTURES: dict[str, tuple[dict, dict]] = {
     "no-wall-clock": (
         dict(source="import time\nnow = time.time()\n"),
-        dict(source="from repro.obs.timers import perf_counter\n"),
+        dict(source="from repro.obs.metrics import perf_counter\n"),
     ),
     "seeded-randomness-only": (
         dict(source="import random\nx = random.random()\n"),

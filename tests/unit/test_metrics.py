@@ -16,12 +16,13 @@ import pytest
 
 from repro.errors import ScenarioError
 from repro.obs.metrics import (
+    Histogram,
+    MetricPoint,
     MetricsError,
     MetricsRegistry,
     MetricsReport,
     MetricsSnapshot,
 )
-from repro.obs.timers import Histogram
 from repro.runtime.live.node import NodeStatus
 from repro.scenario.slo import SloReport, SloSpec
 
@@ -73,7 +74,7 @@ class TestRegistry:
         with pytest.raises(MetricsError):
             registry.gauge("x")
 
-    def test_histogram_is_the_timers_shape(self):
+    def test_histogram_instrument_type(self):
         registry = MetricsRegistry()
         assert isinstance(registry.histogram("h"), Histogram)
 
@@ -82,6 +83,16 @@ class TestRegistry:
         with registry.timed("span"):
             pass
         assert registry.histogram("span").count == 1
+
+    def test_snapshot_point_and_live_histogram_share_one_quantile(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h")
+        for us in (1, 3, 3, 70, 900, 900, 15_000):
+            histogram.observe(us / 1e6)
+        point = registry.snapshot().get("h")
+        for fraction in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
+            assert point.quantile_us(fraction) == histogram.quantile_us(fraction)
+        assert histogram.quantile_us(0.5) == 128.0  # 70 µs: bucket < 2**7
 
 
 # ---------------------------------------------------------------- merge algebra
@@ -166,6 +177,21 @@ class TestCanonicalExport:
             MetricsSnapshot.from_jsonl('{"kind": "counter"}\nnot json\n')
         with pytest.raises(MetricsError):
             MetricsReport.from_dict({"merged": {"points": [{"kind": "wat"}]}})
+
+    def test_foreign_bucket_order_is_canonicalised(self):
+        doc = {"name": "h", "kind": "histogram", "count": 2, "buckets": [[5, 1], [1, 1]]}
+        point = MetricPoint.from_dict(doc)
+        assert point.buckets == ((1, 1), (5, 1))
+        assert point.quantile_us(0.50) == 2.0
+        assert point.quantile_us(0.99) == 32.0
+        doc["buckets"] = [[5, 1], [1, 1], [5, 2]]
+        assert MetricPoint.from_dict(doc).buckets == ((1, 1), (5, 3))
+
+    @pytest.mark.parametrize("index", [-1, 40])
+    def test_out_of_range_bucket_index_rejected(self, index):
+        doc = {"name": "h", "kind": "histogram", "count": 1, "buckets": [[index, 1]]}
+        with pytest.raises(MetricsError):
+            MetricPoint.from_dict(doc)
 
 
 # ---------------------------------------------------------------- slo

@@ -1,5 +1,5 @@
 """Unit tests for the flight recorder (``repro.obs``): ring-buffer
-bounds, canonical JSONL export, lifecycle joins, hot-path timers and
+bounds, canonical JSONL export, lifecycle joins, the log2 histogram and
 the first-divergence finder on hand-built traces."""
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ import json
 from repro.obs import (
     NULL_RECORDER,
     ClusterTracer,
-    HotPathTimers,
     LifecycleIndex,
     StageSummary,
     TraceEvent,
@@ -21,7 +20,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.export import event_to_line
-from repro.obs.timers import Histogram
+from repro.obs.metrics import Histogram
 from repro.obs.trace import KINDS
 from repro.types import ServerId
 
@@ -156,7 +155,7 @@ class TestLifecycleIndex:
         assert tracer.lifecycle.sealed == {"b": 4.0}
 
 
-class TestHotPathTimers:
+class TestHistogram:
     def test_histogram_counts_and_quantiles(self):
         hist = Histogram()
         for us in (1, 2, 4, 1000):
@@ -166,14 +165,6 @@ class TestHotPathTimers:
         summary = hist.summary()
         assert summary["count"] == 4
         assert summary["max_us"] >= 1000
-
-    def test_timed_context_records(self):
-        timers = HotPathTimers()
-        with timers.timed("interpret-block"):
-            pass
-        assert timers.histogram("interpret-block").count == 1
-        assert "interpret-block" in timers.names()
-        assert "interpret-block" in timers.render()
 
 
 class TestDivergence:

@@ -307,16 +307,6 @@ class TestTypedSnapshots:
         assert storage.any_activity()
         assert not StorageSnapshot().any_activity()
 
-    def test_cluster_dict_methods_mirror_snapshots(self):
-        cluster = quick_cluster(counter_protocol, n=3)
-        cluster.run_rounds(2)
-        assert cluster.interpreter_metrics() == (
-            cluster.interpreter_snapshot().as_dict()
-        )
-        assert cluster.storage_metrics() == {
-            k: float(v) for k, v in cluster.storage_snapshot().as_dict().items()
-        }
-
 
 class TestLatencyStats:
     def test_percentiles(self):
@@ -331,6 +321,15 @@ class TestLatencyStats:
         assert stats.count == 0 and stats.p50 is None
         with pytest.raises(ValueError):
             percentile([], 0.5)
+
+    def test_one_exact_percentile_serves_requests_and_lifecycle(self):
+        from repro.obs import lifecycle
+
+        assert percentile is lifecycle.percentile
+        samples = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+        stage = lifecycle.StageSummary.from_samples(samples)
+        stats = LatencyStats.from_samples(samples)
+        assert (stage.p50, stage.p90, stage.p99) == (stats.p50, stats.p90, stats.p99)
 
     def test_result_round_trip(self):
         result = ScenarioResult(

@@ -114,9 +114,9 @@ class TestCluster:
         cluster = Cluster(counter_protocol, n=4)
         cluster.request(cluster.servers[0], L, Inc(1))
         cluster.run_rounds(3)
-        metrics = cluster.interpreter_metrics()
-        assert metrics["blocks_interpreted"] == 4 * cluster.total_blocks()
-        assert metrics["request_steps"] == 4  # one request seen by 4 shims
+        metrics = cluster.interpreter_snapshot()
+        assert metrics.blocks_interpreted == 4 * cluster.total_blocks()
+        assert metrics.request_steps == 4  # one request seen by 4 shims
 
     def test_stagger_offsets_dissemination(self):
         config = ClusterConfig(stagger=0.5)

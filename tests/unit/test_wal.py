@@ -228,3 +228,51 @@ class TestServerStorageChainFrames:
         del storage
         survivor = ServerStorage(tmp_path, StorageConfig())
         assert survivor.load_blocks() == blocks[:2]
+
+
+class TestServerStorageTelemetry:
+    """The one telemetry handle: an attached MetricsRegistry gets the
+    wall-clock histograms; without one the clock is never read."""
+
+    def _storage(self, tmp_path):
+        from repro.storage.blockstore import ServerStorage, StorageConfig
+
+        return ServerStorage(tmp_path, StorageConfig())
+
+    def _checkpoint(self, seq):
+        from repro.storage.checkpoint import Checkpoint
+
+        return Checkpoint(seq=seq, refs=frozenset(), states={}, active={})
+
+    def test_registry_sees_one_observation_per_flush_and_checkpoint(self, tmp_path):
+        from repro.obs.metrics import MetricsRegistry
+
+        storage = self._storage(tmp_path)
+        storage.live_metrics = registry = MetricsRegistry()
+        blocks = TestServerStorageChainFrames()._blocks()
+        storage.flush_wal()  # empty: not an observation
+        for block in blocks[:2]:
+            storage.append_block(block)
+        storage.flush_wal()
+        storage.append_block(blocks[2])
+        storage.flush_wal()
+        assert registry.histogram("storage.wal-flush").count == 2
+        storage.write_checkpoint(self._checkpoint(1))
+        storage.write_checkpoint(self._checkpoint(2))
+        assert registry.histogram("storage.checkpoint-write").count == 2
+        # write_checkpoint's defensive flush had nothing pending.
+        assert registry.histogram("storage.wal-flush").count == 2
+
+    def test_no_registry_never_reads_the_clock(self, tmp_path, monkeypatch):
+        def no_clock():
+            raise AssertionError("wall clock read with no registry attached")
+
+        monkeypatch.setattr("repro.storage.blockstore.perf_counter", no_clock)
+        storage = self._storage(tmp_path)
+        blocks = TestServerStorageChainFrames()._blocks()
+        for block in blocks:
+            storage.append_block(block)
+        storage.flush_wal()
+        storage.write_checkpoint(self._checkpoint(1))
+        assert storage.load_blocks() == blocks
+        assert storage.checkpoints.load(1).seq == 1
