@@ -38,13 +38,28 @@ _TAG_SET = b"S"
 _TAG_DATACLASS = b"D"
 
 
+class Canonical:
+    """A value standing for bytes that already *are* its canonical
+    encoding: :func:`encode` splices ``data`` in verbatim wherever the
+    value would have gone.  The caller vouches that ``data`` came from
+    :func:`encode`; a cache of encoded parts (checkpoint entries) can
+    then be re-framed without this module's container layout leaking
+    out of it."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+
 def encode(value: Any) -> bytes:
     """Canonically encode ``value``.
 
     Supported: ``None``, ``bool``, ``int``, ``str``, ``bytes``,
     ``list``, ``tuple``, ``dict`` (keys sorted by their encoding),
-    ``set``/``frozenset`` (elements sorted by their encoding), and
-    frozen dataclasses.  Anything else raises :class:`CodecError`.
+    ``set``/``frozenset`` (elements sorted by their encoding), frozen
+    dataclasses, and :class:`Canonical` (spliced as is).  Anything else
+    raises :class:`CodecError`.
     """
     out = bytearray()
     _encode_into(value, out)
@@ -127,6 +142,9 @@ def _encode_into(value: Any, out: bytearray) -> None:
         out += len(name).to_bytes(4, "big")
         out += name
         _encode_into(fields, out)
+        return
+    if type(value) is Canonical:
+        out += value.data
         return
     raise CodecError(f"cannot canonically encode {type(value).__name__}: {value!r}")
 

@@ -16,7 +16,7 @@ and measure progress ("delivered after k rounds").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -466,41 +466,26 @@ class Cluster:
     def storage_snapshot(self) -> StorageSnapshot:
         """Typed aggregate of persistence counters across live correct
         servers (all zero when no ``storage_dir`` is configured)."""
-        totals = dict.fromkeys(
-            (
-                "wal_appends",
-                "wal_bytes",
-                "wal_segments",
-                "checkpoints_written",
-                "checkpoint_bytes",
-                "checkpoint_age_max",
-                "states_released",
-                "payloads_dropped",
-                "wal_segments_dropped",
-                "blocks_recovered",
-                "blocks_replayed",
-            ),
-            0,
-        )
+        totals = dict.fromkeys((f.name for f in fields(StorageSnapshot)), 0)
+        # Summed straight off each server's StorageMetrics; the other
+        # three fields come from the shim.
+        summed = [
+            name for name in totals
+            if name not in ("checkpoint_age_max", "blocks_recovered", "blocks_replayed")
+        ]
         for shim in self.shims.values():
             if shim.storage is None:
                 continue
             metrics = shim.storage.metrics_snapshot()
-            totals["wal_appends"] += metrics.wal_appends
-            totals["wal_bytes"] += metrics.wal_bytes
-            totals["wal_segments"] += metrics.wal_segments
-            totals["checkpoints_written"] += metrics.checkpoints_written
-            totals["checkpoint_bytes"] += metrics.checkpoint_bytes
+            for name in summed:
+                totals[name] += getattr(metrics, name)
             totals["checkpoint_age_max"] = max(
                 totals["checkpoint_age_max"], shim.checkpoint_age()
             )
-            totals["states_released"] += metrics.states_released
-            totals["payloads_dropped"] += metrics.payloads_dropped
-            totals["wal_segments_dropped"] += metrics.wal_segments_dropped
             if shim.recovery is not None:
                 totals["blocks_recovered"] += shim.recovery.blocks_recovered
                 totals["blocks_replayed"] += shim.recovery.blocks_replayed
-        return StorageSnapshot(**{k: int(v) for k, v in totals.items()})
+        return StorageSnapshot(**totals)
 
 
 def quick_cluster(

@@ -139,6 +139,8 @@ class StorageSnapshot:
     wal_segments: int = 0
     checkpoints_written: int = 0
     checkpoint_bytes: int = 0
+    checkpoint_entries_written: int = 0
+    checkpoint_entries_reused: int = 0
     checkpoint_age_max: int = 0
     states_released: int = 0
     payloads_dropped: int = 0

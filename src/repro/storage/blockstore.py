@@ -69,7 +69,8 @@ class StorageConfig:
     #: ``0`` releases as aggressively as the rules allow (the old
     #: behavior).
     pin_recent_checkpoints: int = 2
-    #: fsync WAL appends (off: simulated crashes never lose the page cache).
+    #: fsync WAL appends and checkpoint files (off: simulated crashes
+    #: never lose the page cache).
     fsync: bool = False
 
 
@@ -82,6 +83,8 @@ class StorageMetrics:
     wal_segments: int = 0
     checkpoints_written: int = 0
     checkpoint_bytes: int = 0
+    checkpoint_entries_written: int = 0
+    checkpoint_entries_reused: int = 0
     blocks_recovered: int = 0
     blocks_replayed: int = 0
     states_restored: int = 0
@@ -111,6 +114,7 @@ class ServerStorage:
         self.checkpoints = CheckpointManager(
             self.directory / "checkpoints",
             retain=self.config.checkpoints_retained,
+            fsync=self.config.fsync,
         )
         self.metrics = StorageMetrics()
         #: Flight recorder (``repro.obs``) — set by the shim when
@@ -144,6 +148,8 @@ class ServerStorage:
         self.metrics.wal_segments = len(self.wal.segments())
         self.metrics.checkpoints_written = self.checkpoints.writes
         self.metrics.checkpoint_bytes = self.checkpoints.bytes_written
+        self.metrics.checkpoint_entries_written = self.checkpoints.entries_written
+        self.metrics.checkpoint_entries_reused = self.checkpoints.entries_reused
         self.metrics.torn_bytes_truncated = self.wal.stats.torn_bytes_truncated
         self.metrics.wal_segments_dropped = self.wal.stats.segments_dropped
         return self.metrics
@@ -207,10 +213,12 @@ class ServerStorage:
     def write_checkpoint(self, checkpoint: Checkpoint) -> None:
         """Persist a checkpoint, then GC WAL segments it fully covers.
 
-        The just-written file is read back and integrity-checked before
-        any segment is dropped: once those records are gone, this
-        checkpoint's skeletons are the only copy of the pruned prefix,
-        so GC must never act on a write the disk garbled.
+        The just-written file is read back and compared, byte for
+        byte, with the frame that was written before any segment is
+        dropped: once those records are gone, this checkpoint's
+        skeletons are the only copy of the pruned prefix, so GC must
+        never act on a write the disk garbled.  A mismatch keeps the
+        WAL; the next checkpoint retries.
         """
         # Invariant: a checkpoint never covers an unflushed block.  The
         # shim flushes before interpreting, so this is normally a
@@ -219,16 +227,13 @@ class ServerStorage:
         live_metrics = self.live_metrics
         if live_metrics is not None:
             _started = perf_counter()
-        self.checkpoints.write(checkpoint)
+        intact = self.checkpoints.write(checkpoint)
         if live_metrics is not None:
+            # Write plus read-back: the whole cost of making it durable.
             live_metrics.histogram("storage.checkpoint-write").observe(
                 perf_counter() - _started
             )
-        if self.config.prune:
-            try:
-                self.checkpoints.load(checkpoint.seq)
-            except (StorageError, OSError):
-                return  # keep the WAL; the next checkpoint retries
+        if intact and self.config.prune:
             self._drop_covered_segments(checkpoint)
 
     def _drop_covered_segments(self, checkpoint: Checkpoint) -> None:

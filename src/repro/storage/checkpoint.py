@@ -41,10 +41,20 @@ checkpoint size proportional to work done, not blocks × labels.
 
 Files are written atomically (temp + rename) with a CRC-protected frame
 and the canonical codec — no pickle, same guarantees as the WAL.
+
+A checkpoint costs what changed since the last one.  An annotation is
+a pure function of the DAG (Lemma 4.2), so a state entry, once written,
+is written the same way for as long as its ``base`` stands: capture
+takes such entries over from the previous checkpoint instead of
+re-freezing them, and each entry's canonical bytes are kept on the
+``Checkpoint`` object (``encoded``) and spliced into the next file, so
+an entry is encoded once per ``(ref, base)``.  The file is then read
+back and compared byte for byte with the frame just written.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -53,7 +63,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.dag import codec
 from repro.dag.block import Block, parent_of
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, CodecError
 from repro.storage.state_codec import restore_process, snapshot_process
 from repro.types import BlockRef, Label, ServerId
 
@@ -65,6 +75,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 _FRAME = struct.Struct(">II")
 _PREFIX = "ckpt-"
 _SUFFIX = ".bin"
+_TMP_SUFFIX = ".tmp"
 
 
 @dataclass(frozen=True)
@@ -107,6 +118,21 @@ class Checkpoint:
     skeletons: dict[BlockRef, BlockSkeleton] = field(default_factory=dict)
     events: tuple[tuple[Label, Any, ServerId, BlockRef], ...] = ()
     counters: dict[str, int] = field(default_factory=dict)
+    #: Canonical bytes of ``states`` entries, by ref — a memo, not part
+    #: of the snapshot.  An entry never changes once written (Lemma
+    #: 4.2), so a capture that takes an entry over from ``previous``
+    #: takes its bytes too and the entry is encoded once in its life.
+    #: Lives and dies with this object; a loaded checkpoint has none.
+    encoded: dict[BlockRef, bytes] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def state_bytes(self, ref: BlockRef) -> bytes:
+        """Canonical encoding of ``states[ref]``, encoded at most once."""
+        data = self.encoded.get(ref)
+        if data is None:
+            data = self.encoded[ref] = codec.encode(self.states[ref])
+        return data
 
 
 def _parent_ref(dag: "BlockDag", ref: BlockRef) -> BlockRef | None:
@@ -167,6 +193,12 @@ def capture_checkpoint(
     retires them for good.  Entries for payload-pruned blocks become
     skeletons, and any carried entry whose delta base was just retired
     is materialized in full first.
+
+    ``previous`` also bounds the work: a live block whose entry is in
+    ``previous.states`` with the same ``base`` is not frozen again —
+    the entry object, and with it the bytes ``previous`` memoised for
+    it, is taken over.  Only refs interpreted since ``previous`` and
+    refs whose base just left the checkpoint are snapshotted.
     """
     live = [
         ref for ref in interpreter.interpreted
@@ -182,10 +214,17 @@ def capture_checkpoint(
     states: dict[BlockRef, dict[str, Any]] = {}
     active: dict[BlockRef, tuple[Label, ...]] = {}
     for ref in live:
-        state = interpreter.state_of(ref)
-        own = interpreter.own_labels(ref)
         parent = _parent_ref(dag, ref)
         base = parent if (parent is not None and parent in planned) else None
+        entry = None if previous is None else previous.states.get(ref)
+        if entry is not None and entry.get("base") == base:
+            # Interpreted once, annotated for good: the entry written
+            # last time is the entry a re-freeze would produce.
+            states[ref] = entry
+            active[ref] = previous.active[ref]  # type: ignore[union-attr]
+            continue
+        state = interpreter.state_of(ref)
+        own = interpreter.own_labels(ref)
         labels = own if base is not None else state.pis.keys()
         # Raw slot read: ``state.ms`` would materialize the lazily
         # allocated buffers for every message-less block on every
@@ -214,6 +253,16 @@ def capture_checkpoint(
             entry = _materialize_entry(previous.states, ref)  # type: ignore[union-attr]
         states[ref] = entry
         active[ref] = previous.active[ref]  # type: ignore[union-attr]
+    # An entry taken over as the same object brings its bytes along.
+    encoded = (
+        {}
+        if previous is None
+        else {
+            ref: data
+            for ref, data in previous.encoded.items()
+            if states.get(ref) is previous.states[ref]
+        }
+    )
     skeletons = {
         ref: BlockSkeleton(
             n=block.n, k=block.k, preds=block.preds,
@@ -235,6 +284,7 @@ def capture_checkpoint(
         released=frozenset(interpreter.released),
         skeletons=skeletons,
         events=events,
+        encoded=encoded,
         counters={
             "blocks_interpreted": interpreter.blocks_interpreted,
             "messages_delivered": interpreter.messages_delivered,
@@ -371,17 +421,31 @@ class CheckpointManager:
     ``retain`` bounds disk use: after a successful write, all but the
     newest ``retain`` checkpoints are deleted.  Writes are atomic
     (temp file + rename), so a crash mid-checkpoint leaves the previous
-    checkpoint intact and recovery simply uses it.
+    checkpoint intact and recovery simply uses it; the temp file such a
+    crash leaves behind is removed the next time the directory is
+    opened.  With ``fsync`` the temp file is synced before the rename
+    and the directory after it, so the rename is durable before anyone
+    deletes WAL records on the strength of the new file.
     """
 
-    def __init__(self, directory: str | Path, retain: int = 2) -> None:
+    def __init__(
+        self, directory: str | Path, retain: int = 2, fsync: bool = False
+    ) -> None:
         if retain < 1:
             raise ValueError(f"must retain at least one checkpoint, got {retain}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.retain = retain
+        self.fsync = fsync
         self.writes = 0
         self.bytes_written = 0
+        #: ``states`` entries written, and how many of them arrived
+        #: with their bytes already encoded (taken over from the
+        #: previous checkpoint).
+        self.entries_written = 0
+        self.entries_reused = 0
+        for stale in self.directory.glob(f"{_PREFIX}*{_TMP_SUFFIX}"):
+            stale.unlink(missing_ok=True)
 
     def _path(self, seq: int) -> Path:
         return self.directory / f"{_PREFIX}{seq:08d}{_SUFFIX}"
@@ -401,22 +465,64 @@ class CheckpointManager:
         sequences = self.sequences()
         return (sequences[-1] + 1) if sequences else 1
 
-    def write(self, checkpoint: Checkpoint) -> Path:
-        """Persist a checkpoint atomically; prunes old ones after."""
+    def write(self, checkpoint: Checkpoint) -> bool:
+        """Persist a checkpoint atomically and read it back.
+
+        Returns whether the file holds exactly the frame that was
+        written.  Only then are older checkpoints pruned — and only
+        then may the caller treat the file as durable.
+        """
+        reused = len(checkpoint.encoded)
         payload = codec.encode(_to_wire(checkpoint))
-        frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+        header = _FRAME.pack(len(payload), zlib.crc32(payload))
         path = self._path(checkpoint.seq)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(frame)
+        tmp = path.with_suffix(_TMP_SUFFIX)
+        with open(tmp, "wb") as handle:
+            handle.write(header)
+            handle.write(payload)
+            if self.fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
         tmp.replace(path)
+        if self.fsync:
+            self._sync_directory()
         self.writes += 1
-        self.bytes_written += len(frame)
+        self.bytes_written += len(header) + len(payload)
+        self.entries_written += len(checkpoint.states)
+        self.entries_reused += reused
+        if not self._reads_back(path, header, payload):
+            return False
         for seq in self.sequences()[: -self.retain]:
             self._path(seq).unlink(missing_ok=True)
-        return path
+        return True
+
+    def _sync_directory(self) -> None:
+        fd = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    @staticmethod
+    def _reads_back(path: Path, header: bytes, payload: bytes) -> bool:
+        """Whether ``path`` holds ``header + payload`` and nothing else.
+
+        The header carries the payload's length and CRC, so equal bytes
+        are a frame :meth:`load` accepts; comparing them catches any
+        write the disk garbled without decoding anything."""
+        try:
+            with open(path, "rb") as handle:
+                return handle.read(len(header)) == header and handle.read() == payload
+        except OSError:
+            return False
 
     def load(self, seq: int) -> Checkpoint:
-        """Read and verify one checkpoint."""
+        """Read and verify one checkpoint.
+
+        Every way the file can fail to yield a checkpoint — torn,
+        failing its CRC, or intact bytes that do not decode in this
+        process — is a :class:`CheckpointError`, so :meth:`latest` can
+        fall back to an older one."""
         data = self._path(seq).read_bytes()
         if len(data) < _FRAME.size:
             raise CheckpointError(f"checkpoint {seq} truncated")
@@ -424,7 +530,10 @@ class CheckpointManager:
         payload = data[_FRAME.size : _FRAME.size + length]
         if len(payload) != length or zlib.crc32(payload) != crc:
             raise CheckpointError(f"checkpoint {seq} failed its integrity check")
-        return _from_wire(codec.decode(payload))
+        try:
+            return _from_wire(codec.decode(payload))
+        except (CodecError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint {seq} does not decode: {exc}") from exc
 
     def latest(self) -> Checkpoint | None:
         """The newest *intact* checkpoint, or ``None``.
@@ -444,7 +553,12 @@ def _to_wire(checkpoint: Checkpoint) -> dict[str, Any]:
     return {
         "seq": checkpoint.seq,
         "refs": sorted(checkpoint.refs),
-        "states": {str(k): v for k, v in checkpoint.states.items()},
+        # Spliced from the per-entry memo: an entry taken over from the
+        # previous checkpoint is not encoded again.
+        "states": {
+            str(ref): codec.Canonical(checkpoint.state_bytes(ref))
+            for ref in checkpoint.states
+        },
         "active": {str(k): tuple(str(l) for l in v) for k, v in checkpoint.active.items()},
         "released": sorted(checkpoint.released),
         "skeletons": {

@@ -136,3 +136,19 @@ def fresh_interpreter(builder: ManualDagBuilder, protocol, **kwargs):
     from repro.interpret.interpreter import Interpreter
 
     return Interpreter(builder.dag, protocol, builder.servers, **kwargs)
+
+
+def flip_before_read_back(monkeypatch):
+    """From now on the disk garbles every checkpoint between the write
+    and the read-back: one payload byte of the file is flipped."""
+    from repro.storage.checkpoint import CheckpointManager
+
+    real = CheckpointManager._reads_back
+
+    def garbled(path, header, payload):
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        path.write_bytes(bytes(data))
+        return real(path, header, payload)
+
+    monkeypatch.setattr(CheckpointManager, "_reads_back", staticmethod(garbled))

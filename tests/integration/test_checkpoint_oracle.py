@@ -1,0 +1,276 @@
+"""Checkpoints cost what changed — and land on disk exactly as before.
+
+``capture_checkpoint`` takes unchanged entries over from the previous
+checkpoint and ``CheckpointManager.write`` splices their memoised
+bytes; neither may change a byte of the file.  The oracle here is the
+capture it replaced, kept in this module: after *every* checkpoint of a
+scenario run it re-snapshots the shim from scratch — every live entry
+re-frozen, every entry re-encoded through the plain dict path — and
+demands the file on disk equal that frame.
+"""
+
+import zlib
+from typing import Any
+
+import pytest
+
+from helpers import ManualDagBuilder, fresh_interpreter
+from repro.dag import codec
+from repro.protocols.brb import Broadcast, brb_protocol
+from repro.scenario import (
+    CrashFault,
+    FaultSchedule,
+    OpenLoopWorkload,
+    RoundsElapsed,
+    Scenario,
+    registry,
+)
+from repro.scenario.runner import run_scenario
+from repro.scenario.spec import StorageSpec, Topology
+from repro.shim.shim import Shim
+from repro.storage.blockstore import ServerStorage
+from repro.storage.checkpoint import (
+    _FRAME,
+    BlockSkeleton,
+    Checkpoint,
+    _materialize_entry,
+    _parent_ref,
+    _to_wire,
+    capture_checkpoint,
+)
+from repro.storage.gc import prune
+from repro.storage.state_codec import snapshot_process
+from repro.types import Label
+
+
+def reference_capture(seq, interpreter, dag, owner, previous) -> Checkpoint:
+    """The from-scratch snapshot: nothing of a live block is taken from
+    ``previous``; released blocks (whose state is gone from memory) are
+    carried from it, materialized when their base just left."""
+    live = [r for r in interpreter.interpreted if r not in interpreter.released]
+    carried = []
+    if previous is not None:
+        carried = [
+            r for r in interpreter.released
+            if r in previous.states and not dag.payload_pruned(r)
+        ]
+    planned = set(live) | set(carried)
+    states: dict[Any, dict[str, Any]] = {}
+    active = {}
+    for ref in live:
+        state = interpreter.state_of(ref)
+        own = interpreter.own_labels(ref)
+        parent = _parent_ref(dag, ref)
+        base = parent if (parent is not None and parent in planned) else None
+        labels = own if base is not None else state.pis.keys()
+        buffers = (
+            state._ms.snapshot() if state._ms is not None else {"in": {}, "out": {}}
+        )
+        states[ref] = {
+            "pis": {str(l): snapshot_process(state.pis[l]) for l in sorted(labels)},
+            "in": {str(l): tuple(sorted(m, key=codec.encode))
+                   for l, m in buffers["in"].items()},
+            "out": {str(l): tuple(sorted(m, key=codec.encode))
+                    for l, m in buffers["out"].items()},
+            "own": tuple(sorted(str(l) for l in own)),
+            "base": base,
+        }
+        active[ref] = tuple(sorted(interpreter.active_labels(ref)))
+    for ref in carried:
+        entry = previous.states[ref]
+        if entry.get("base") is not None and entry["base"] not in planned:
+            entry = _materialize_entry(previous.states, ref)
+        states[ref] = entry
+        active[ref] = previous.active[ref]
+    return Checkpoint(
+        seq=seq,
+        refs=frozenset(interpreter.interpreted),
+        states=states,
+        active=active,
+        released=frozenset(interpreter.released),
+        skeletons={
+            ref: BlockSkeleton(
+                n=b.n, k=b.k, preds=b.preds, sigma=bytes(b.sigma), hz=b.hz
+            )
+            for ref in dag.pruned_payloads
+            for b in (dag.require(ref),)
+        },
+        events=tuple(
+            (e.label, e.indication, e.server, e.block_ref)
+            for e in interpreter.events
+            if e.block_ref not in interpreter.released or e.server == owner
+        ),
+        counters={
+            name: getattr(interpreter, name)
+            for name in (
+                "blocks_interpreted", "messages_delivered",
+                "messages_materialized", "request_steps", "rehydrated",
+                "chain_runs", "chain_blocks",
+            )
+        },
+    )
+
+
+def framed(wire: dict[str, Any]) -> bytes:
+    payload = codec.encode(wire)
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def reference_frame(checkpoint: Checkpoint) -> bytes:
+    wire = _to_wire(checkpoint)
+    # Plain entries through the ordinary dict path, not the splice.
+    wire["states"] = {str(ref): entry for ref, entry in checkpoint.states.items()}
+    return framed(wire)
+
+
+class CheckpointOracle:
+    """Checks every checkpoint any shim takes while installed."""
+
+    def __init__(self, monkeypatch) -> None:
+        #: The oracle's own previous snapshot per shim object.
+        self.previous: dict[Shim, Checkpoint] = {}
+        self.checked = 0
+        self.after_restart = 0
+        self.kept_without_memo = 0
+        self.decodes_in_write = 0
+        self._in_write = False
+        real_now = Shim.checkpoint_now
+        real_write = ServerStorage.write_checkpoint
+        real_decode = codec.decode
+        oracle = self
+
+        def checkpoint_now(shim: Shim) -> None:
+            if shim.storage is None:
+                return real_now(shim)
+            previous = oracle.previous.get(shim)
+            # First checkpoint of a recovered shim: its ``previous`` came
+            # off the disk and has no memo.  Load our own copy of it.
+            loaded = None if shim in oracle.previous else shim._last_checkpoint
+            if loaded is not None:
+                assert not loaded.encoded
+                previous = shim.storage.checkpoints.load(loaded.seq)
+                oracle.after_restart += 1
+            real_now(shim)
+            written = shim._last_checkpoint
+            if loaded is not None:
+                oracle.kept_without_memo += sum(
+                    1 for ref, entry in written.states.items()
+                    if loaded.states.get(ref) is entry
+                )
+            reference = reference_capture(
+                written.seq, shim.interpreter, shim.dag, shim.server, previous
+            )
+            oracle.previous[shim] = reference
+            on_disk = shim.storage.checkpoints._path(written.seq).read_bytes()
+            assert on_disk == reference_frame(reference), (
+                f"{shim.server} checkpoint {written.seq} differs from the "
+                f"from-scratch snapshot"
+            )
+            oracle.checked += 1
+
+        def write_checkpoint(storage: ServerStorage, checkpoint: Checkpoint) -> None:
+            oracle._in_write = True
+            try:
+                real_write(storage, checkpoint)
+            finally:
+                oracle._in_write = False
+
+        def decode(data: bytes) -> Any:
+            oracle.decodes_in_write += oracle._in_write
+            return real_decode(data)
+
+        monkeypatch.setattr(Shim, "checkpoint_now", checkpoint_now)
+        monkeypatch.setattr(ServerStorage, "write_checkpoint", write_checkpoint)
+        monkeypatch.setattr(codec, "decode", decode)
+
+
+def durable_ledger() -> Scenario:
+    """The ``live-durable`` shape on the simulator: one shared ledger
+    label, four requests a round, pruning checkpoints — plus a crash
+    and restart-from-disk so a loaded ``previous`` is exercised."""
+    rounds = 14
+    return Scenario(
+        name="durable-ledger",
+        protocol="ledger",
+        seed=3,
+        topology=Topology(
+            n=4, storage=StorageSpec(checkpoint_interval=8, prune=True)
+        ),
+        workload=OpenLoopWorkload(
+            rate=4, rounds=rounds, sender="random", shared_label="ledger"
+        ),
+        faults=FaultSchedule(
+            (CrashFault(server="s2", crash_round=6, restart_round=9),)
+        ),
+        stop=RoundsElapsed(rounds + 6),
+        max_rounds=rounds + 6,
+    )
+
+
+SCENARIOS = {
+    "mixed-faults": lambda: registry.get("mixed-faults"),
+    "durable-ledger": durable_ledger,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_checkpoint_file_equals_the_from_scratch_snapshot(
+    name, monkeypatch, tmp_path
+):
+    oracle = CheckpointOracle(monkeypatch)
+    result = run_scenario(SCENARIOS[name](), storage_root=tmp_path)
+    assert result.requests_delivered == result.requests_issued
+    assert oracle.checked >= 8
+    assert result.restarts == 1
+    # (d) the restarted server checkpointed again from a ``previous``
+    # that was loaded (no memo), kept entries of it, and still matched.
+    assert oracle.after_restart >= 1
+    assert oracle.kept_without_memo > 0
+    # (c) nothing is decoded to verify a write.
+    assert oracle.decodes_in_write == 0
+    assert 0 < result.storage.checkpoint_entries_reused
+    assert (
+        result.storage.checkpoint_entries_reused
+        <= result.storage.checkpoint_entries_written
+    )
+
+
+def test_mixed_faults_smoke_reuses_at_least_half_its_entries(monkeypatch):
+    oracle = CheckpointOracle(monkeypatch)
+    result = run_scenario(registry.get("mixed-faults", smoke=True))
+    assert oracle.checked > 0 and oracle.decodes_in_write == 0
+    storage = result.storage
+    assert storage.checkpoint_entries_written > 0
+    assert storage.checkpoint_entries_reused / storage.checkpoint_entries_written >= 0.5
+
+
+@pytest.mark.parametrize("horizon", [None, 10, 1])
+def test_entries_whose_base_left_are_rebuilt_not_kept(horizon):
+    """The three ways an entry meets its second checkpoint: kept as is
+    (same base), carried but materialized (released, base retired) and
+    — with the legacy no-horizon prune, where a live tip's parent loses
+    its payload at once — re-frozen in full because the base left."""
+    builder = ManualDagBuilder(3)
+    for i in range(5):
+        builder.round_all(
+            rs_for={builder.servers[i % 3]: [(Label(f"l{i}"), Broadcast(i))]}
+        )
+    interpreter = fresh_interpreter(builder, brb_protocol)
+    interpreter.run()
+    previous = capture_checkpoint(1, interpreter, builder.dag)
+    _to_wire(previous)  # as after a write: every entry has its bytes
+    assert previous.encoded.keys() == previous.states.keys()
+    prune(
+        builder.dag, interpreter, frozenset(previous.states),
+        horizon=None if horizon is None else dict.fromkeys(builder.servers, horizon),
+    )
+    checkpoint = capture_checkpoint(2, interpreter, builder.dag, previous=previous)
+    reference = reference_capture(2, interpreter, builder.dag, None, previous)
+    rebased = [
+        ref for ref, entry in checkpoint.states.items()
+        if entry["base"] != previous.states[ref]["base"]
+    ]
+    assert rebased and not any(ref in checkpoint.encoded for ref in rebased)
+    if horizon is None:
+        assert any(ref not in interpreter.released for ref in rebased)
+    assert framed(_to_wire(checkpoint)) == reference_frame(reference)

@@ -1,8 +1,15 @@
 """Unit tests for interpreter checkpoints: capture, persist, install."""
 
+import os
+import stat
+import struct
+import zlib
+from pathlib import Path
+
 import pytest
 
-from helpers import ManualDagBuilder, fresh_interpreter
+from helpers import ManualDagBuilder, flip_before_read_back, fresh_interpreter
+from repro.dag import codec
 from repro.errors import CheckpointError
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.brb import Broadcast, brb_protocol
@@ -22,6 +29,11 @@ from repro.storage.state_codec import (
 from repro.types import Label
 
 L = Label("l")
+
+_EMPTY_WIRE = {
+    "seq": 3, "refs": [], "states": {}, "active": {}, "released": [],
+    "skeletons": {}, "events": (), "counters": {},
+}
 
 
 def interpreted_dag(protocol=brb_protocol, rounds=3, request=Broadcast("v")):
@@ -140,6 +152,43 @@ class TestManager:
         newest.write_bytes(newest.read_bytes()[:10])  # truncate
         assert manager.latest().seq == 1
 
+    def test_latest_skips_newest_that_does_not_decode(self, tmp_path, monkeypatch):
+        """CRC-intact bytes can still fail to yield a checkpoint — here
+        an indication class this process never registered.  Recovery
+        must fall back, not abort."""
+        early_builder, early = interpreted_dag(rounds=1)
+        builder, interpreter = interpreted_dag(rounds=4)
+        assert interpreter.events and not early.events
+        manager = CheckpointManager(tmp_path, retain=3)
+        manager.write(capture_checkpoint(1, early, early_builder.dag))
+        manager.write(capture_checkpoint(2, interpreter, builder.dag))
+        assert manager.latest().seq == 2
+        indication = type(interpreter.events[0].indication)
+        monkeypatch.delitem(codec._DATACLASS_REGISTRY, indication.__qualname__)
+        with pytest.raises(CheckpointError, match="does not decode"):
+            manager.load(2)
+        assert manager.latest().seq == 1
+
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            {"seq": 3},                                  # KeyError
+            ["not", "a", "dict"],                        # TypeError
+            {**_EMPTY_WIRE, "skeletons": {"r": (1, 2)}}, # ValueError (unpack)
+        ],
+    )
+    def test_latest_skips_newest_with_a_foreign_shape(self, tmp_path, wire):
+        builder, interpreter = interpreted_dag()
+        manager = CheckpointManager(tmp_path, retain=3)
+        manager.write(capture_checkpoint(1, interpreter, builder.dag))
+        payload = codec.encode(wire)
+        (tmp_path / "ckpt-00000003.bin").write_bytes(
+            struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+        )
+        with pytest.raises(CheckpointError):
+            manager.load(3)
+        assert manager.latest().seq == 1
+
     def test_latest_none_when_empty(self, tmp_path):
         assert CheckpointManager(tmp_path).latest() is None
 
@@ -151,6 +200,72 @@ class TestManager:
         manager.write(capture_checkpoint(2, interpreter, builder.dag))
         # Retention dropped seq 1, but numbering never goes backwards.
         assert manager.next_seq() == 3
+
+    def test_write_reports_a_garbled_file_and_keeps_older_checkpoints(
+        self, tmp_path, monkeypatch
+    ):
+        builder, interpreter = interpreted_dag()
+        manager = CheckpointManager(tmp_path, retain=1)
+        assert manager.write(capture_checkpoint(1, interpreter, builder.dag)) is True
+        flip_before_read_back(monkeypatch)
+        assert manager.write(capture_checkpoint(2, interpreter, builder.dag)) is False
+        # Retention did not act on the strength of a file that is not
+        # what was written; recovery falls back to the intact one.
+        assert manager.sequences() == [1, 2]
+        assert manager.latest().seq == 1
+
+    def test_read_back_rejects_trailing_and_missing_bytes(self, tmp_path):
+        path = tmp_path / "f"
+        path.write_bytes(b"HEADpayload")
+        assert CheckpointManager._reads_back(path, b"HEAD", b"payload")
+        assert not CheckpointManager._reads_back(path, b"HEAD", b"payloa")
+        assert not CheckpointManager._reads_back(path, b"HEAD", b"payload!")
+        assert not CheckpointManager._reads_back(path, b"HEAX", b"payload")
+        assert not CheckpointManager._reads_back(tmp_path / "gone", b"HEAD", b"payload")
+
+    def test_fsync_orders_file_rename_directory(self, tmp_path, monkeypatch):
+        builder, interpreter = interpreted_dag()
+        events = []
+        real_fsync, real_replace = os.fsync, Path.replace
+
+        def fsync(fd):
+            events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+
+        def replace(self, target):
+            events.append("rename")
+            return real_replace(self, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(Path, "replace", replace)
+        CheckpointManager(tmp_path / "off").write(
+            capture_checkpoint(1, interpreter, builder.dag)
+        )
+        assert events == ["rename"]
+        del events[:]
+        manager = CheckpointManager(tmp_path / "on", fsync=True)
+        assert manager.write(capture_checkpoint(1, interpreter, builder.dag))
+        assert events == ["file", "rename", "dir"]
+        assert manager.load(1).seq == 1
+
+    def test_server_storage_hands_its_fsync_flag_to_checkpoints(self, tmp_path):
+        from repro.storage.blockstore import ServerStorage, StorageConfig
+
+        assert ServerStorage(tmp_path / "a", StorageConfig(fsync=True)).checkpoints.fsync
+        assert not ServerStorage(tmp_path / "b", StorageConfig()).checkpoints.fsync
+
+    def test_stale_temp_files_are_removed_on_open(self, tmp_path):
+        builder, interpreter = interpreted_dag()
+        CheckpointManager(tmp_path).write(
+            capture_checkpoint(1, interpreter, builder.dag)
+        )
+        stale = tmp_path / "ckpt-00000002.tmp"  # crash between write and rename
+        stale.write_bytes(b"half a checkpoint")
+        unrelated = tmp_path / "notes.tmp"
+        unrelated.write_bytes(b"not ours")
+        manager = CheckpointManager(tmp_path)
+        assert not stale.exists() and unrelated.exists()
+        assert manager.sequences() == [1] and manager.latest().seq == 1
 
     def test_counter_protocol_checkpoint(self, tmp_path):
         builder = ManualDagBuilder(4)

@@ -276,3 +276,100 @@ class TestServerStorageTelemetry:
         storage.write_checkpoint(self._checkpoint(1))
         assert storage.load_blocks() == blocks
         assert storage.checkpoints.load(1).seq == 1
+
+    def test_checkpoint_observation_covers_the_read_back(self, tmp_path, monkeypatch):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.storage.checkpoint import CheckpointManager
+
+        storage = self._storage(tmp_path)
+        storage.live_metrics = registry = MetricsRegistry()
+        seen_during_read_back = []
+        real = CheckpointManager._reads_back
+
+        def watched(path, header, payload):
+            seen_during_read_back.append(
+                registry.histogram("storage.checkpoint-write").count
+            )
+            return real(path, header, payload)
+
+        monkeypatch.setattr(CheckpointManager, "_reads_back", staticmethod(watched))
+        storage.write_checkpoint(self._checkpoint(1))
+        # Not yet observed while verifying; observed once after.
+        assert seen_during_read_back == [0]
+        assert registry.histogram("storage.checkpoint-write").count == 1
+
+    def test_entry_counters_tell_reused_from_encoded(self, tmp_path):
+        from repro.storage.checkpoint import Checkpoint
+
+        storage = self._storage(tmp_path)
+        entry = {"pis": {}, "in": {}, "out": {}, "own": (), "base": None}
+        first = Checkpoint(
+            seq=1, refs=frozenset(), states={"a": entry, "b": entry}, active={}
+        )
+        storage.write_checkpoint(first)
+        assert first.encoded.keys() == {"a", "b"}
+        second = Checkpoint(
+            seq=2, refs=frozenset(), states={"a": entry, "c": entry}, active={},
+            encoded={"a": first.encoded["a"]},
+        )
+        storage.write_checkpoint(second)
+        metrics = storage.metrics_snapshot()
+        assert metrics.checkpoint_entries_written == 4
+        assert metrics.checkpoint_entries_reused == 1
+
+
+class TestCheckpointGatesSegmentGc:
+    """WAL records are deleted on the strength of a checkpoint file only
+    after that file read back byte-equal to what was written."""
+
+    def _filled(self, tmp_path):
+        from helpers import ManualDagBuilder
+        from repro.storage.blockstore import ServerStorage, StorageConfig
+        from repro.storage.checkpoint import BlockSkeleton, Checkpoint
+
+        storage = ServerStorage(tmp_path, StorageConfig(segment_max_bytes=256))
+        builder = ManualDagBuilder(3)
+        for _ in range(4):
+            for block in builder.round_all():
+                storage.append_block(block)
+            storage.flush_wal()
+        blocks = builder.dag.blocks()
+        skeletons = {
+            b.ref: BlockSkeleton(
+                n=b.n, k=b.k, preds=b.preds, sigma=bytes(b.sigma), hz=b.hz
+            )
+            for b in blocks
+        }
+
+        def checkpoint(seq):
+            return Checkpoint(
+                seq=seq, refs=frozenset(skeletons), states={}, active={},
+                skeletons=skeletons,
+            )
+
+        assert len(storage.wal.segments()) > 2
+        return storage, checkpoint
+
+    def test_intact_checkpoint_drops_covered_segments(self, tmp_path):
+        storage, checkpoint = self._filled(tmp_path)
+        before = len(storage.wal.segments())
+        storage.write_checkpoint(checkpoint(1))
+        assert len(storage.wal.segments()) < before
+
+    def test_garbled_checkpoint_keeps_every_segment_and_the_next_retries(
+        self, tmp_path, monkeypatch
+    ):
+        from helpers import flip_before_read_back
+
+        storage, checkpoint = self._filled(tmp_path)
+        segments = [s.index for s in storage.wal.segments()]
+        with monkeypatch.context() as patch:
+            flip_before_read_back(patch)
+            storage.write_checkpoint(checkpoint(1))
+        assert [s.index for s in storage.wal.segments()] == segments
+        assert storage.wal.stats.segments_dropped == 0
+        assert all(s.path.exists() for s in storage.wal.segments())
+        # The disk behaves again: the next checkpoint does the GC.
+        storage.write_checkpoint(checkpoint(2))
+        assert len(storage.wal.segments()) < len(segments)
+        assert storage.checkpoints.latest().seq == 2
