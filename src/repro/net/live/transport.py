@@ -207,6 +207,10 @@ class LiveTransport(Transport):
         self._queues: dict[ServerId, deque[Envelope]] = {}
         self._wakeups: dict[ServerId, asyncio.Event] = {}
         self._writers: dict[ServerId, asyncio.StreamWriter] = {}
+        #: Accepted connections: closing the listener does not close
+        #: them, and a stopped transport must not keep reading frames
+        #: its peers meant for whoever binds the address next.
+        self._inbound: set[asyncio.StreamWriter] = set()
         self._tasks: list[asyncio.Task] = []
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -299,6 +303,8 @@ class LiveTransport(Transport):
         for writer in list(self._writers.values()):
             writer.close()
         self._writers.clear()
+        for writer in list(self._inbound):
+            writer.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -349,6 +355,7 @@ class LiveTransport(Transport):
         src: ServerId | None = None
         meters = self._ingress("unknown")
         damage_seen = (0, 0, 0, 0)
+        self._inbound.add(writer)
         try:
             while True:
                 chunk = await reader.read(65536)
@@ -392,6 +399,7 @@ class LiveTransport(Transport):
             self.frames_damaged += (
                 decoder.stats.crc_failures + decoder.stats.decode_failures
             )
+            self._inbound.discard(writer)
             writer.close()
 
     # -- egress ----------------------------------------------------------------

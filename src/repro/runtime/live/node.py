@@ -27,20 +27,30 @@ Liveness across kill -9: a periodic *tip beacon* re-broadcasts this
 server's latest block.  A restarted peer that recovered from disk
 buffers the beacon block and FWD-chases the whole missed range; peers'
 outbound queues additionally retain traffic queued while it was down.
+
+Publication: the status file is rewritten after **every** seal (the
+launcher's crash schedule and completion poll act on ``tick``,
+``ticks_done`` and ``complete``), so a publication must cost what
+changed since the last one, not what the node has ever seen.  Delivery
+counts and the number of still-unmet labels are kept from the shim's
+``on_indication`` callback, the DAG fingerprint is folded per admitted
+block, and the metrics snapshot — whose cost grows with the registry —
+is published on the ``status_interval`` timer, after settling and at
+shutdown, not per tick.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import os
 import signal
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.crypto.keys import KeyRing
+from repro.dag.block import Block
 from repro.gossip.module import GossipConfig
 from repro.net.live.transport import LiveTransport
 from repro.net.message import BlockEnvelope, Envelope
@@ -50,7 +60,21 @@ from repro.obs.trace import TraceRecorder
 from repro.protocols.base import ProtocolSpec
 from repro.shim.shim import Shim
 from repro.storage.blockstore import ServerStorage
-from repro.types import Label, Request, ServerId
+from repro.types import BlockRef, Indication, Label, Request, ServerId
+
+_FOLD_MASK = (1 << 64) - 1
+
+
+def fold_refs(refs: Iterable[BlockRef], fold: int = 0) -> int:
+    """Add ``refs`` into a DAG fingerprint: the sum of each ref's
+    leading 64 bits mod 2**64.  Refs are SHA-256 digests, so two
+    different ref sets share a sum with probability 2**-64 — what the
+    sorted-and-rehashed 16-hex digest it replaces offered — while the
+    sum is independent of admission order and updates in O(1) per
+    block."""
+    for ref in refs:
+        fold += int(ref[:16], 16)
+    return fold & _FOLD_MASK
 
 
 @dataclass(frozen=True)
@@ -157,8 +181,9 @@ class NodeStatus:
     wire_bytes: int = 0
     dropped_overflow: int = 0
     reconnects: int = 0
-    #: Monotonic version of the metrics snapshot published beside this
-    #: status — pollers and scrapers skip files whose seq is unchanged.
+    #: Version of the newest metrics snapshot on disk (0 = none yet) —
+    #: scrapers skip files whose seq is unchanged.  Snapshots follow
+    #: the status timer, so this moves slower than ``tick``.
     metrics_seq: int = 0
 
     def to_json_dict(self) -> dict[str, object]:
@@ -194,6 +219,7 @@ class LiveNode:
         self._metrics_seq = 0
         self._gate_wait = self.metrics.histogram("node.gate-wait")
         self._seal_to_wire = self.metrics.histogram("node.seal-to-wire-out")
+        self._status_write = self.metrics.histogram("node.status-write")
         self._held_gauge = self.metrics.gauge("node.ingress-held")
         self._beacon_rounds = self.metrics.counter("node.beacon-rounds")
         self._gate_timeout_count = self.metrics.counter("node.gate-timeouts")
@@ -207,6 +233,17 @@ class LiveNode:
         self._schedule: dict[int, list[tuple[str, int]]] = {}
         for tick, label, index in config.workload:
             self._schedule.setdefault(tick, []).append((label, index))
+        #: Per expected label: the delivery target, the deliveries seen
+        #: so far, and how many labels are still short of their target.
+        self._minimum: dict[str, int] = {}
+        for label, minimum in config.expected:
+            self._minimum[label] = max(minimum, self._minimum.get(label, minimum))
+        self._delivered: dict[str, int] = dict.fromkeys(self._minimum, 0)
+        self._unmet = sum(1 for minimum in self._minimum.values() if minimum > 0)
+        #: :func:`fold_refs` over every block in the DAG.
+        self._ref_fold = 0
+        #: ``(tmp, target)`` of the atomic status rewrite.
+        self._status_paths: tuple[Path, Path] | None = None
 
     # -- assembly --------------------------------------------------------------
 
@@ -215,6 +252,10 @@ class LiveNode:
         self._progress = asyncio.Event()
         self._stop_event = asyncio.Event()
         config = self.config
+        if config.status_path is not None:
+            target = Path(config.status_path)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            self._status_paths = (target.with_name(target.name + ".tmp"), target)
         if config.trace_path is not None:
             self.recorder = TraceRecorder(
                 self.server, clock=loop.time, capacity=config.trace_capacity
@@ -248,17 +289,26 @@ class LiveNode:
             storage=storage,
             tracer=self.recorder,
         )
+        # Seed the running status from whatever recovery rebuilt (the
+        # restored indications never fire the callback), then keep it
+        # current from the two hooks below.
+        for label, indication in self.shim.indications:
+            self._on_indication(label, indication)
+        self.shim.on_indication = self._on_indication
+        self._ref_fold = fold_refs(self.shim.dag.refs)
         # Chain the DAG-insert hook: the shim installed its WAL append;
-        # the tick gate additionally needs a wakeup on every admission.
+        # the tick gate additionally needs a wakeup on every admission,
+        # and the fingerprint its ref.
         inner = self.shim.gossip.on_insert
         progress = self._progress
 
-        def on_insert(block: object) -> None:
+        def on_insert(block: Block) -> None:
             if inner is not None:
-                inner(block)  # type: ignore[arg-type]
+                inner(block)
+            self._ref_fold = fold_refs((block.ref,), self._ref_fold)
             progress.set()
 
-        self.shim.gossip.on_insert = on_insert  # type: ignore[assignment]
+        self.shim.gossip.on_insert = on_insert
         for src, envelope in self._pre_shim:
             self._on_network(src, envelope)
         self._pre_shim.clear()
@@ -370,17 +420,25 @@ class LiveNode:
 
     # -- completion ------------------------------------------------------------
 
+    def _on_indication(self, label: Label, indication: Indication) -> None:
+        """Shim callback: count one delivery against its target."""
+        minimum = self._minimum.get(label)
+        if minimum is None:
+            return
+        count = self._delivered[label] = self._delivered[label] + 1
+        if count == minimum:
+            self._unmet -= 1
+
     def _complete(self) -> bool:
-        """All chains at final height here, all expected deliveries in."""
+        """All expected deliveries in, all chains at final height here."""
+        if self._unmet:
+            return False
         shim = self.shim
         assert shim is not None
         final = self.config.max_ticks - 1
         for server in self.servers:
             tip = shim.dag.tip(server)
             if tip is None or tip.k < final:
-                return False
-        for label, minimum in self.config.expected:
-            if len(shim.indications_for(Label(label))) < minimum:
                 return False
         return True
 
@@ -416,26 +474,20 @@ class LiveNode:
     async def _status_loop(self) -> None:
         while True:
             await asyncio.sleep(self.config.status_interval)
-            self._write_status()
+            self._publish()
 
     # -- status ----------------------------------------------------------------
 
     def status(self) -> NodeStatus:
         shim, transport = self.shim, self.transport
         assert shim is not None and transport is not None
-        fingerprint = hashlib.sha256(
-            "\n".join(sorted(str(r) for r in shim.dag.refs)).encode("ascii")
-        ).hexdigest()[:16]
         return NodeStatus(
             server=str(self.server),
             pid=os.getpid(),
             tick=int(shim.gossip.builder.next_seq),
             blocks=len(shim.dag),
-            fingerprint=fingerprint,
-            delivered={
-                label: len(shim.indications_for(Label(label)))
-                for label, _ in self.config.expected
-            },
+            fingerprint=format(self._ref_fold, "016x"),
+            delivered=dict(self._delivered),
             ticks_done=shim.gossip.builder.next_seq >= self.config.max_ticks,
             complete=self._complete(),
             recovered=shim.recovery is not None,
@@ -448,25 +500,30 @@ class LiveNode:
             metrics_seq=self._metrics_seq,
         )
 
-    def _write_status(self) -> None:
-        path = self.config.status_path
-        if path is None or self.shim is None:
-            return
-        # The metrics file goes first so that by the time a scraper sees
-        # this seq in the status file, the matching snapshot is on disk.
-        self._metrics_seq += 1
-        if self.config.metrics_path is not None:
-            self.metrics.snapshot(seq=self._metrics_seq).write_jsonl(
-                self.config.metrics_path
+    def _write_status(self) -> NodeStatus:
+        """Publish :meth:`status` (atomically, when a path is set)."""
+        clock = asyncio.get_running_loop().time
+        started = clock()
+        status = self.status()
+        if self._status_paths is not None:
+            tmp, target = self._status_paths
+            tmp.write_text(
+                json.dumps(status.to_json_dict(), sort_keys=True),
+                encoding="utf-8",
             )
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + ".tmp")
-        tmp.write_text(
-            json.dumps(self.status().to_json_dict(), sort_keys=True),
-            encoding="utf-8",
-        )
-        os.replace(tmp, target)
+            os.replace(tmp, target)
+        self._status_write.observe(clock() - started)
+        return status
+
+    def _publish(self) -> NodeStatus:
+        """Metrics snapshot, then the status naming it.  The metrics
+        file goes first and the seq moves only once it is written, so a
+        published seq always names a snapshot on disk."""
+        if self.config.metrics_path is not None:
+            seq = self._metrics_seq + 1
+            self.metrics.snapshot(seq=seq).write_jsonl(self.config.metrics_path)
+            self._metrics_seq = seq
+        return self._write_status()
 
     def _export_trace(self) -> None:
         if self.recorder is not None and self.config.trace_path is not None:
@@ -493,7 +550,7 @@ class LiveNode:
         try:
             await self._tick_loop()
             await self._settle()
-            self._write_status()
+            self._publish()
             # Stay up (serving FWD requests and beacons for peers that
             # are still settling) until the launcher says stop.
             await self._stop_event.wait()
@@ -503,8 +560,7 @@ class LiveNode:
             if background:
                 await asyncio.gather(*background, return_exceptions=True)
             self._export_trace()
-            final = self.status()
-            self._write_status()
+            final = self._publish()
             await self.transport.stop()
         return final
 

@@ -151,8 +151,11 @@ class Shim:
         )
         if self.coordinated_gc:
             self.interpreter.rehydrator = self._rehydrate_state
-        #: Indications delivered to the user of ``P`` at this server.
+        #: Indications delivered to the user of ``P`` at this server, in
+        #: delivery order, and the same indications grouped by label.
+        #: :meth:`_deliver` is the only writer of both.
         self.indications: list[tuple[Label, Indication]] = []
+        self._by_label: dict[Label, list[Indication]] = {}
         #: Report of the restart-from-disk performed at construction,
         #: or ``None`` if this shim started fresh.
         self.recovery: RecoveryReport | None = None
@@ -201,7 +204,7 @@ class Shim:
         """Lines 8–9: surface only the interpretation of *ourselves*."""
         if event.server != self.server:
             return
-        self.indications.append((event.label, event.indication))
+        self._deliver(event.label, event.indication)
         if self.tracer.enabled:
             self.tracer.emit(  # type: ignore[attr-defined]
                 "indication",
@@ -211,6 +214,17 @@ class Shim:
             )
         if self.on_indication is not None:
             self.on_indication(event.label, event.indication)
+
+    def _deliver(self, label: Label, indication: Indication) -> None:
+        """Record one indication of this server in the history and its
+        per-label index, without firing ``on_indication`` (recovery
+        restores checkpointed indications through here: they were
+        delivered to the user before the crash)."""
+        self.indications.append((label, indication))
+        bucket = self._by_label.get(label)
+        if bucket is None:
+            bucket = self._by_label[label] = []
+        bucket.append(indication)
 
     # -- choreography (lines 10–11 and the dotted line of Figure 1) ----------------
 
@@ -367,8 +381,10 @@ class Shim:
     # -- introspection --------------------------------------------------------------
 
     def indications_for(self, label: Label) -> list[Indication]:
-        """This server's indications for one protocol instance."""
-        return [i for (l, i) in self.indications if l == label]
+        """This server's indications for one protocol instance, in
+        delivery order — a fresh list (O(its length), not a scan of the
+        history), so no caller holds a handle into the index."""
+        return list(self._by_label.get(label, ()))
 
     def backlog(self) -> int:
         """Buffered user requests not yet in a block."""

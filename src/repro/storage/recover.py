@@ -110,7 +110,9 @@ def recover_shim_state(shim: "Shim") -> RecoveryReport:
         )
         for label, indication, server, _ in checkpoint.events:
             if server == shim.server:
-                shim.indications.append((label, indication))
+                # Restored, not re-fired: the user saw these before the
+                # crash (only the replayed suffix below re-fires).
+                shim._deliver(label, indication)
                 report.indications_restored += 1
 
     # 3. Replay only the suffix (new indications flow to the shim's

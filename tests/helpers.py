@@ -152,3 +152,47 @@ def flip_before_read_back(monkeypatch):
         return real(path, header, payload)
 
     monkeypatch.setattr(CheckpointManager, "_reads_back", staticmethod(garbled))
+
+
+def scan_indications(shim, label):
+    """``Shim.indications_for`` as it was before the per-label index: a
+    scan of the whole delivery history."""
+    return [i for (l, i) in shim.indications if l == label]
+
+
+def reference_status(node):
+    """What ``LiveNode.status()`` must publish, recomputed from scratch
+    the way it was before the node kept running totals: delivery counts
+    and completion by scanning ``shim.indications`` once per expected
+    label, the fingerprint by a fresh fold over every ref in the DAG."""
+    import os
+
+    from repro.runtime.live.node import NodeStatus
+
+    shim, transport, config = node.shim, node.transport, node.config
+    delivered = {
+        label: len(scan_indications(shim, label)) for label, _ in config.expected
+    }
+    tips = [shim.dag.tip(server) for server in node.servers]
+    complete = all(
+        tip is not None and tip.k >= config.max_ticks - 1 for tip in tips
+    ) and all(delivered[label] >= minimum for label, minimum in config.expected)
+    fold = sum(int(ref[:16], 16) for ref in shim.dag.refs) % 2**64
+    return NodeStatus(
+        server=str(node.server),
+        pid=os.getpid(),
+        tick=int(shim.gossip.builder.next_seq),
+        blocks=len(shim.dag),
+        fingerprint=f"{fold:016x}",
+        delivered=delivered,
+        ticks_done=shim.gossip.builder.next_seq >= config.max_ticks,
+        complete=complete,
+        recovered=shim.recovery is not None,
+        gate_timeouts=node.gate_timeouts,
+        held=len(node._held),
+        wire_messages=transport.metrics.messages,
+        wire_bytes=transport.metrics.bytes,
+        dropped_overflow=transport.dropped_overflow,
+        reconnects=transport.reconnects,
+        metrics_seq=node._metrics_seq,
+    )

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import scan_indications
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
@@ -142,6 +143,23 @@ class TestCrashRestartConvergence:
         assert {
             (lbl, ind.value) for lbl, ind in recovered.indications
         } == {(lbl, ind.value) for lbl, ind in peer.indications}
+
+    def test_recovered_index_matches_history(self, tmp_path):
+        """Checkpoint-restored and replayed indications both reach the
+        per-label index through the shim's one delivery method: after a
+        restart from disk, ``indications_for`` answers what a scan of
+        the history answers, for every label."""
+        plan = CrashPlan.crash_restart("s1", crash_round=4, restart_round=7)
+        cluster = crash_cluster(tmp_path, plan, interval=4)
+        labels = workload(cluster)
+        run_to_convergence(cluster, labels)
+        recovered = cluster.shim("s1")
+        assert recovered.recovery.indications_restored > 0
+        for label in labels:
+            assert recovered.indications_for(label) == scan_indications(
+                recovered, label
+            )
+            assert recovered.indications_for(label), label
 
 
 class TestRecoveryMechanics:
