@@ -1,4 +1,4 @@
-"""COW-STATES — structurally-shared instance states vs the deepcopy oracle.
+"""COW-STATES — structurally-shared instance states vs the deepcopy reference.
 
 The PR 5 acceptance measurement.  The paper's footnote 1 (§4) observes
 that a real implementation would avoid the per-block annotation-copy
@@ -8,10 +8,11 @@ append-only ledger whose per-instance state *grows with every applied
 entry* (the registry's ``cow-state-growth`` scenario, protocol
 ``ledger``):
 
-* ``cow=True``  — ``fork()`` + write barrier: per-block cost stays
-  **flat** as the ledger grows (only the touched bucket is copied);
-* ``cow=False`` — the ``copy.deepcopy`` oracle: per-block cost grows
-  with total ledger size, because every ownership copy walks the whole
+* ``cow``    — ``Interpreter``: ``fork()`` + write barrier, per-block
+  cost stays **flat** as the ledger grows (only the touched bucket is
+  copied);
+* ``oracle`` — ``tests/reference.py``: per-block cost grows with total
+  ledger size, because line 4's ``copy.deepcopy`` walks the whole
   instance.
 
 Because the workload is a registry scenario, the end-to-end run is
@@ -29,7 +30,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_cow_states.py [--smoke]
   or: PYTHONPATH=src python -m pytest benchmarks/bench_cow_states.py -q
 """
 
-import dataclasses
 import gc
 import json
 import statistics
@@ -43,6 +43,7 @@ sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
 from bench_util import emit, reset
 
 from helpers import ManualDagBuilder
+from reference import ReferenceInterpreter
 from repro.dag.blockdag import BlockDag
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.ledger import Append, ledger_protocol
@@ -77,10 +78,10 @@ def build_workload(n_servers: int, n_blocks: int):
     return builder, builder.dag.blocks()
 
 
-def replay(blocks, servers, cow: bool):
+def replay(blocks, servers, make):
     """Steady-state gossip shape: insert one block, run, repeat."""
     dag = BlockDag()
-    interp = Interpreter(dag, ledger_protocol, servers, cow=cow)
+    interp = make(dag, ledger_protocol, servers)
     per_insert = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -124,22 +125,16 @@ def run_scenario_arm(smoke: bool) -> dict:
     """The end-to-end registry-scenario view of the same workload."""
     from repro.scenario import ScenarioRunner, registry
 
-    arms = {}
-    for cow in (True, False):
-        scenario = registry.get("cow-state-growth", smoke=smoke)
-        scenario = dataclasses.replace(
-            scenario,
-            topology=dataclasses.replace(scenario.topology, cow=cow),
-        )
-        result = ScenarioRunner(scenario).run()
-        arms["cow" if cow else "oracle"] = {
+    result = ScenarioRunner(registry.get("cow-state-growth", smoke=smoke)).run()
+    return {
+        "cow": {
             "stopped_by": result.stopped_by,
             "rounds_run": result.rounds_run,
             "delivered": result.requests_delivered,
             "issued": result.requests_issued,
             "wall_seconds": round(result.wall_seconds, 4),
         }
-    return arms
+    }
 
 
 def run(smoke: bool = False) -> dict:
@@ -150,8 +145,8 @@ def run(smoke: bool = False) -> dict:
     series = []
     for size in sizes:
         prefix = blocks[:size]
-        cow = replay(prefix, builder.servers, cow=True)
-        oracle = replay(prefix, builder.servers, cow=False)
+        cow = replay(prefix, builder.servers, Interpreter)
+        oracle = replay(prefix, builder.servers, ReferenceInterpreter)
         series.append(
             {
                 "blocks": size,
@@ -173,7 +168,7 @@ def run(smoke: bool = False) -> dict:
         "series": series,
         # Flatness: steady-state per-block growth from the smallest to
         # the largest ledger.  ~1.0 for cow; the oracle grows with
-        # state size — the deepcopy floor this PR retires.
+        # state size — the deepcopy floor PR 5 retired.
         "cow_steady_state_growth": round(
             last["cow"]["steady_state_us"] / first["cow"]["steady_state_us"], 2
         ),
@@ -221,7 +216,7 @@ def test_cow_states_flat_while_oracle_grows():
         > result["cow_steady_state_growth"]
     )
     assert result["steady_state_speedup_at_max"] >= 2.5
-    # The end-to-end scenario arms both converged.
+    # The end-to-end scenario arm converged.
     for arm in result["scenario_arms"].values():
         assert arm["stopped_by"] == "stop-condition"
         assert arm["delivered"] == arm["issued"]

@@ -1,21 +1,19 @@
-"""GC-HORIZON — coordinated-horizon GC vs the seed pruner vs no pruning.
+"""GC-HORIZON — coordinated-horizon GC vs no pruning.
 
 The PR 4 acceptance measurement.  One fault-laden long-run scenario
 (the registry's ``gc-horizon-soak``: an equivocator seat plus a
 crash + restart-from-disk over a replicated ledger) is executed through
-three storage configurations:
+two storage configurations:
 
 * ``unpruned``    — ``prune=False``: resident annotations grow linearly
   with the run (the memory problem pruning exists to solve);
-* ``seed-pruner`` — ``prune=True, horizon_gc=False``: the Lemma-A.6
-  full-reference rule.  Under these faults it either stalls
-  interpretation (``below_horizon`` > 0: a byzantine re-reference hits
-  a pruned annotation and every honest descendant is stuck) or stalls
-  GC (a non-referencing seat blocks every release, so residency tracks
-  the unpruned run);
-* ``coordinated`` — ``prune=True, horizon_gc=True``: claims + the
-  ``n - f`` agreed horizon + checkpoint rehydration (PR 4).  Residency
-  stays bounded *and* every honest block is interpreted everywhere.
+* ``coordinated`` — ``prune=True``: claims + the ``n - f`` agreed
+  horizon + checkpoint rehydration (PR 4).  Residency stays bounded
+  *and* every honest block is interpreted everywhere.
+
+``--smoke`` is the CI gate: it exits non-zero unless the coordinated
+arm kept interpretation intact, released states, and stayed below the
+unpruned arm's resident peak and final figure.
 
 Because the workload is a registry scenario, the exact run is
 replayable from the CLI:
@@ -43,13 +41,8 @@ ARMS = {
     "unpruned": StorageSpec(
         checkpoint_interval=8, segment_max_bytes=8192, prune=False
     ),
-    "seed-pruner": StorageSpec(
-        checkpoint_interval=8, segment_max_bytes=8192, prune=True,
-        horizon_gc=False,
-    ),
     "coordinated": StorageSpec(
-        checkpoint_interval=8, segment_max_bytes=8192, prune=True,
-        horizon_gc=True,
+        checkpoint_interval=8, segment_max_bytes=8192, prune=True
     ),
 }
 
@@ -132,16 +125,13 @@ def run(smoke: bool = False) -> dict:
     return result
 
 
-def test_coordinated_horizon_bounds_memory_without_stalls():
-    result = run(smoke=True)
-    arms = result["arms"]
-    coordinated, unpruned, seed = (
-        arms["coordinated"], arms["unpruned"], arms["seed-pruner"]
-    )
+def check(result: dict) -> None:
+    """The acceptance gate (the test below and ``--smoke`` in CI)."""
+    coordinated = result["arms"]["coordinated"]
+    unpruned = result["arms"]["unpruned"]
     # The whole point: coordinated GC keeps every honest block
     # interpreted everywhere...
-    assert coordinated["below_horizon"] == 0
-    assert coordinated["honest_blocks_uninterpreted_max"] == 0
+    assert result["summary"]["interpretation_intact"], coordinated
     assert coordinated["delivered"] == coordinated["issued"]
     # ...while actually bounding resident annotations below the
     # unpruned run (peak and final).
@@ -153,15 +143,15 @@ def test_coordinated_horizon_bounds_memory_without_stalls():
         coordinated["resident_states_final"]
         < unpruned["resident_states_final"]
     )
-    # The seed pruner under the same faults shows the hazard this PR
-    # fixes: interpretation stalls (below_horizon) or GC stalls (it
-    # releases less than the coordinated run manages).
-    assert (
-        seed["below_horizon"] > 0
-        or seed["honest_blocks_uninterpreted_max"] > 0
-        or seed["states_released"] < coordinated["states_released"]
-    )
+
+
+def test_coordinated_horizon_bounds_memory_without_stalls():
+    check(run(smoke=True))
 
 
 if __name__ == "__main__":
-    print(json.dumps(run(smoke="--smoke" in sys.argv[1:]), indent=2))
+    smoke = "--smoke" in sys.argv[1:]
+    outcome = run(smoke=smoke)
+    if smoke:
+        check(outcome)
+    print(json.dumps(outcome, indent=2))

@@ -7,12 +7,14 @@ incremental scheduler replaces it with a pending-in-degree map and a
 ready queue fed by DAG insert listeners: O(|preds|) per insertion,
 O(out-degree) per interpreted block, O(edges) total.
 
-This benchmark replays the same steady-state shape for both modes —
-insert one block, run the interpreter, repeat — over identical DAGs of
+This benchmark replays the same steady-state shape for the scheduler
+and for the reference interpreter of ``tests/reference.py`` (frontier
+rescan per step, ``copy.deepcopy`` of the parent's ``PIs``) — insert
+one block, run the interpreter, repeat — over identical DAGs of
 growing size and reports, as JSON (same conventions as the storage
 bench):
 
-* total interpretation wall-time per mode and the speedup;
+* total interpretation wall-time per interpreter and the speedup;
 * per-block cost per DAG size (flat for the scheduler, growing for the
   rescan);
 * per-insert cost by quartile of the largest run (flat within a run).
@@ -35,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
 from bench_util import emit, reset
 
 from helpers import ManualDagBuilder
+from reference import ReferenceInterpreter
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.counter import Inc, counter_protocol
 from repro.types import Label
@@ -64,36 +67,15 @@ def build_workload(n_servers: int, n_blocks: int):
     return builder, builder.dag.blocks()
 
 
-class SeedRescanInterpreter(Interpreter):
-    """Faithful seed baseline.
-
-    ``incremental=False`` restores the frontier rescan per ``run()``
-    step and ``cow=False`` the ``copy.deepcopy`` ownership copy; on top
-    of that, the seed's ``BlockDag.refs`` property copied the whole key
-    set on *every* membership check, and ``interpret_block`` consulted
-    it once per block — reproduced here so the baseline pays what the
-    seed actually paid on this path.
-    """
-
-    def interpret_block(self, block):
-        if block.ref not in set(self.dag.refs):  # seed: set(self._store)
-            raise AssertionError("replay order broke topology")
-        return super().interpret_block(block)
-
-
-def replay(blocks, servers, incremental: bool, tracer=None):
+def replay(blocks, servers, make=Interpreter):
     """Steady-state gossip shape: insert one block into a fresh DAG,
-    run the interpreter, repeat.  Returns (total_s, per-insert seconds).
+    run the interpreter ``make`` builds over it, repeat.  Returns
+    (total_s, per-insert seconds).
     """
     from repro.dag.blockdag import BlockDag
 
     dag = BlockDag()
-    if incremental:
-        interp = Interpreter(dag, counter_protocol, servers, tracer=tracer)
-    else:
-        interp = SeedRescanInterpreter(
-            dag, counter_protocol, servers, incremental=False, cow=False
-        )
+    interp = make(dag, counter_protocol, servers)
     per_insert = []
     gc_was_enabled = gc.isenabled()
     gc.disable()  # keep collector pauses out of per-insert samples
@@ -171,8 +153,10 @@ def tracing_metrics(blocks, servers, steady_state_incremental_us: float) -> dict
 
     guard_ns = measure_guard_ns()
     recorder = TraceRecorder(ServerId("bench"), clock=lambda: 0.0)
-    traced_s, _ = replay(blocks, servers, incremental=True, tracer=recorder)
-    untraced_s, _ = replay(blocks, servers, incremental=True)
+    traced_s, _ = replay(
+        blocks, servers, lambda *args: Interpreter(*args, tracer=recorder)
+    )
+    untraced_s, _ = replay(blocks, servers)
     off_fraction = (
         GUARD_SITES_PER_BLOCK * guard_ns / 1000.0
     ) / steady_state_incremental_us
@@ -207,8 +191,10 @@ def run(smoke: bool = False) -> dict:
     series = []
     for size in sizes:
         prefix = blocks[:size]
-        rescan_s, rescan_steps = replay(prefix, builder.servers, incremental=False)
-        incr_s, per_insert = replay(prefix, builder.servers, incremental=True)
+        rescan_s, rescan_steps = replay(
+            prefix, builder.servers, ReferenceInterpreter
+        )
+        incr_s, per_insert = replay(prefix, builder.servers)
         tail = max(1, len(prefix) // 10)
         # Median over the tail window: robust against stray scheduler /
         # allocator hiccups that a mean would smear into the signal.
@@ -273,12 +259,11 @@ def run(smoke: bool = False) -> dict:
 def test_incremental_scheduler_scales():
     result = run()
     last = result["series"][-1]
-    # Acceptance criteria: ≥5× over the seed rescan path at 2,000
+    # Acceptance criteria: ≥5× over the rescan reference at 2,000
     # blocks / 8 servers.  The steady-state (marginal per-insert)
-    # speedup is the robust signal (measured ~13× with the median tail
-    # metric and GC paused); the cumulative whole-run speedup (measured
-    # 5.1–6.0×) gets a noise margin so a loaded CI host does not flake
-    # the build.
+    # speedup is the robust signal; the cumulative whole-run speedup
+    # gets a noise margin so a loaded CI host does not flake the
+    # build.
     assert last["blocks"] == 2000 and last["servers"] == 8
     assert last["steady_state_speedup"] >= 5.0
     assert last["speedup"] >= 4.5

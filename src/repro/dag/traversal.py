@@ -28,7 +28,7 @@ def eligible_frontier(dag: BlockDag, interpreted: set[BlockRef]) -> list[Block]:
     This scans the whole DAG — O(N) per call.  The interpreter's
     incremental ready-queue scheduler replaces it on the hot path; this
     function survives as the specification-shaped oracle that property
-    tests compare the scheduler against (``incremental=False`` mode).
+    tests compare the scheduler against (``tests/reference.py``).
     """
     frontier = [
         block

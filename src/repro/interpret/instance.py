@@ -20,11 +20,7 @@ import copy
 from typing import Any
 
 from repro.interpret.buffers import MessageBuffers
-from repro.protocols.base import (
-    INTERNAL_STATE_ATTRS,
-    Context,
-    ProcessInstance,
-)
+from repro.protocols.base import INTERNAL_STATE_ATTRS, ProcessInstance
 from repro.types import Label
 
 
@@ -56,20 +52,6 @@ class BlockState:
         if buffers is None:
             buffers = self._ms = MessageBuffers()
         return buffers
-
-    def copy_pis_from(self, parent: "BlockState") -> None:
-        """``B.PIs ≔ copy B.parent.PIs`` (Algorithm 2 line 4), in the
-        paper's literal copy-everything form.
-
-        A deep copy: sibling blocks of an equivocating builder must not
-        share mutable state — the fork splits the simulated server into
-        two 'versions' (§4, byzantine discussion).  The interpreter
-        itself realizes line 4 copy-on-write instead (pointer-sharing
-        plus :meth:`~repro.protocols.base.ProcessInstance.fork` on
-        first step); this method is the oracle semantics both must stay
-        observationally equal to.
-        """
-        self.pis = copy.deepcopy(parent.pis)
 
 
 def snapshot_instance(instance: ProcessInstance) -> dict[str, Any]:
@@ -103,8 +85,3 @@ def snapshot_instance(instance: ProcessInstance) -> dict[str, Any]:
     }
     state["__class__"] = type(instance).__qualname__
     return state
-
-
-def fresh_context_like(ctx: Context) -> Context:
-    """A new, empty context with the same static identity (test helper)."""
-    return Context(ctx.servers, ctx.self_id, ctx.label)

@@ -27,26 +27,24 @@ predecessors are still uninterpreted) and a ready queue of blocks whose
 count has dropped to zero.  Inserting a block costs O(|preds|);
 interpreting one costs O(out-degree) scheduler work — so steady-state
 gossip does O(edges) total scheduling instead of rescanning the whole
-DAG per insertion.  The original scan-the-world frontier
-(:func:`~repro.dag.traversal.eligible_frontier`) survives behind
-``incremental=False`` as a debug/verification mode; property tests
-assert both modes produce byte-identical annotations.
+DAG per insertion.  The scan-the-world frontier
+(:func:`~repro.dag.traversal.eligible_frontier`) is what the literal
+transcription of Algorithm 2 in ``tests/reference.py`` uses; property
+tests assert this scheduler produces byte-identical annotations.
 
 State copying is copy-on-write at **two** granularities.  At instance
 granularity, block states share untouched instances with their
 ancestors and an instance is copied the first time a given block steps
-it.  At container granularity (``cow=True``, the default), that
-per-block copy is a structural :meth:`~repro.protocols.base.ProcessInstance.fork`
-— O(fields), sharing every unmutated container with the ancestor —
-and the protocol's own write barrier copies only the containers a step
-actually touches.  ``cow=False`` restores the original
-``copy.deepcopy`` ownership copy and is kept as the executable oracle:
-property tests assert both modes produce byte-identical annotations
-and event traces, the same convention as ``incremental=False``.
+it.  At container granularity, that per-block copy is a structural
+:meth:`~repro.protocols.base.ProcessInstance.fork` — O(fields), sharing
+every unmutated container with the ancestor — and the protocol's own
+write barrier copies only the containers a step actually touches.
 Observable annotations are identical to the paper's copy-everything
-formulation either way (any block that would mutate shared state
-copies first), including the state *split* at equivocation forks — two
-children of the same parent each copy before stepping.
+formulation (any block that would mutate shared state copies first),
+including the state *split* at equivocation forks — two children of
+the same parent each copy before stepping; property tests assert
+byte-identical annotations and event traces against the reference's
+``copy.deepcopy`` of the parent's whole ``PIs``.
 
 ``run()`` additionally drains **builder chains in batches**: when
 interpreting a block leaves exactly one newly ready block (the shape a
@@ -60,7 +58,6 @@ record per drained chain.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import weakref
 from dataclasses import dataclass
@@ -69,7 +66,6 @@ from typing import Callable, Iterable, Sequence
 from repro.dag.block import Block, parent_of
 from repro.obs.trace import NULL_RECORDER
 from repro.dag.blockdag import BlockDag
-from repro.dag.traversal import eligible_frontier
 from repro.errors import PrunedStateError, SimulationError
 from repro.interpret.instance import BlockState
 from repro.interpret.order import ordered
@@ -124,22 +120,6 @@ class Interpreter:
         for each of them).
     on_indication:
         Optional callback fired for every indication event, in order.
-    incremental:
-        ``True`` (default) uses the event-driven ready-queue scheduler:
-        blocks already in ``dag`` are indexed at construction and every
-        later insertion is picked up through the DAG's insert-listener
-        hook.  ``False`` falls back to rescanning the whole DAG for the
-        eligible frontier on every :meth:`eligible` call — the original
-        (O(N) per interpreted block) behavior, kept as a verification
-        oracle for tests and benchmarks.
-    cow:
-        ``True`` (default) makes :meth:`_step`'s ownership copy a
-        structurally-shared :meth:`~repro.protocols.base.ProcessInstance.fork`
-        (O(fields); mutation copies only touched containers through the
-        protocol's write barrier).  ``False`` restores the
-        ``copy.deepcopy`` discipline — the executable oracle the
-        cow-vs-oracle property tests compare against, mirroring the
-        ``incremental=False`` convention.
     """
 
     def __init__(
@@ -148,16 +128,12 @@ class Interpreter:
         protocol: ProtocolSpec,
         servers: Sequence[ServerId],
         on_indication: Callable[[IndicationEvent], None] | None = None,
-        incremental: bool = True,
-        cow: bool = True,
         tracer: object | None = None,
     ) -> None:
         self.dag = dag
         self.protocol = protocol
         self.servers = tuple(servers)
         self.on_indication = on_indication
-        self.incremental = incremental
-        self.cow = cow
         #: Flight recorder (``repro.obs``) — the no-op recorder when
         #: tracing is off, so the per-block emission site costs one
         #: attribute check.
@@ -189,8 +165,7 @@ class Interpreter:
         #: which checkpoints persist to delta-encode annotations and
         #: rehydration uses to rebuild a pruned chain's ``PIs``.
         self._own_labels: dict[BlockRef, frozenset[Label]] = {}
-        # Incremental scheduler state (unused when incremental=False):
-        # per-uninterpreted-block count of uninterpreted distinct preds,
+        # Scheduler state: per-uninterpreted-block count of uninterpreted distinct preds,
         # the ready set plus a canonical-order heap over it (stale heap
         # entries are skipped lazily), and the refs known to either side.
         self._pending: dict[BlockRef, int] = {}
@@ -216,22 +191,21 @@ class Interpreter:
         #: Released annotations reconstructed from the covering
         #: checkpoint on demand (coordinated-GC subsystem).
         self.rehydrated = 0
-        if incremental:
-            self.resync_schedule()
-            # Register weakly: throwaway interpreters built over a
-            # long-lived DAG (offline verification, analysis) must not
-            # be kept alive by the DAG's listener list.  The wrapper
-            # unsubscribes itself once its interpreter is collected.
-            self_ref = weakref.ref(self)
+        self.resync_schedule()
+        # Register weakly: throwaway interpreters built over a
+        # long-lived DAG (offline verification, analysis) must not
+        # be kept alive by the DAG's listener list.  The wrapper
+        # unsubscribes itself once its interpreter is collected.
+        self_ref = weakref.ref(self)
 
-            def _forward(block: Block) -> None:
-                interpreter = self_ref()
-                if interpreter is not None:
-                    interpreter._track(block)
-                else:
-                    dag.remove_insert_listener(_forward)
+        def _forward(block: Block) -> None:
+            interpreter = self_ref()
+            if interpreter is not None:
+                interpreter._track(block)
+            else:
+                dag.remove_insert_listener(_forward)
 
-            dag.add_insert_listener(_forward)
+        dag.add_insert_listener(_forward)
 
     # -- queries ------------------------------------------------------------
 
@@ -276,23 +250,12 @@ class Interpreter:
         full-reference rule holds — are excluded rather than raised on,
         and counted in :attr:`below_horizon`.
         """
-        if self.incremental:
-            # The ready set *is* the eligible frontier: pruned-pred
-            # blocks were diverted to the horizon at ready time.
-            return sorted(
-                (self.dag.require(ref) for ref in self._ready),
-                key=lambda b: b.ref,
-            )
-        frontier = eligible_frontier(self.dag, self.interpreted)
-        if not self.released:
-            return frontier
-        usable = []
-        for block in frontier:
-            if self._restore_released_preds(block):
-                usable.append(block)
-            else:
-                self._horizon.add(block.ref)
-        return usable
+        # The ready set *is* the eligible frontier: pruned-pred
+        # blocks were diverted to the horizon at ready time.
+        return sorted(
+            (self.dag.require(ref) for ref in self._ready),
+            key=lambda b: b.ref,
+        )
 
     def active_labels(self, ref: BlockRef) -> frozenset[Label]:
         """Labels with a request in the block's strict causal past — the
@@ -328,20 +291,17 @@ class Interpreter:
         :meth:`interpret_block` — installing a recovery checkpoint marks
         a whole prefix interpreted at once, invalidating the pending
         counts computed while the DAG was being rebuilt.  One O(N + E)
-        pass; a no-op in rescan mode."""
+        pass."""
         self._pending.clear()
         self._ready.clear()
         self._ready_heap.clear()
         self._tracked.clear()
         self._horizon.clear()
-        if not self.incremental:
-            return
         for block in self.dag:
             self._track(block)
 
     def _track(self, block: Block) -> None:
-        """Index a newly inserted block (the DAG insert listener in
-        incremental mode).
+        """Index a newly inserted block (the DAG insert listener).
 
         O(|preds|): counts the block's uninterpreted distinct
         predecessors; a count of zero sends it straight to the ready
@@ -456,15 +416,14 @@ class Interpreter:
         self._active_labels.pop(ref, None)
         self._own_labels.pop(ref, None)
         self.released.add(ref)
-        if self.incremental:
-            # Any already-ready successor lost an input it would read;
-            # divert it below the horizon (its stale heap entry is
-            # skipped lazily).  Pending successors are checked against
-            # ``released`` when they become ready.
-            for succ_ref in self.dag.graph.successors(ref):
-                if succ_ref in self._ready:
-                    self._ready.discard(succ_ref)
-                    self._horizon.add(succ_ref)
+        # Any already-ready successor lost an input it would read;
+        # divert it below the horizon (its stale heap entry is
+        # skipped lazily).  Pending successors are checked against
+        # ``released`` when they become ready.
+        for succ_ref in self.dag.graph.successors(ref):
+            if succ_ref in self._ready:
+                self._ready.discard(succ_ref)
+                self._horizon.add(succ_ref)
 
     # -- execution ------------------------------------------------------------
 
@@ -477,10 +436,10 @@ class Interpreter:
         verify that.
         """
         start = len(self.events)
-        if self.incremental and choose is None:
+        if choose is None:
             # Hot path: pop the canonically smallest ready ref straight
-            # off the heap — the exact schedule the frontier rescan
-            # produced (it always picked the smallest eligible ref),
+            # off the heap — the exact schedule a frontier rescan
+            # produces (it always picks the smallest eligible ref),
             # without materializing the frontier each step.  A
             # singleton ready set (the steady-state gossip shape) is
             # trivially the smallest choice and skips the heap
@@ -523,7 +482,7 @@ class Interpreter:
                     # left exactly one ready block, it is the only
                     # canonical choice — follow it directly instead of
                     # round-tripping through the heap.  The schedule is
-                    # identical to the rescan oracle's; a gossip
+                    # identical to the rescan reference's; a gossip
                     # catch-up drain (one builder's chain unblocking
                     # link by link) rides this path end to end.
                     if len(ready) != 1:
@@ -551,16 +510,15 @@ class Interpreter:
             frontier = self.eligible()
             if not frontier:
                 break
-            block = choose(frontier) if choose is not None else frontier[0]
-            self.interpret_block(block)
+            self.interpret_block(choose(frontier))
         return self.events[start:]
 
     def interpret_block(self, block: Block) -> list[IndicationEvent]:
         """Interpret one eligible block (Algorithm 2 lines 4–14).
 
         Checks eligibility first — this is the public entry point for
-        callers driving their own schedules (tests, the rescan mode).
-        The incremental hot loop calls :meth:`_execute` directly: a
+        callers driving their own schedules (tests, ``run(choose=)``).
+        The hot loop calls :meth:`_execute` directly: a
         block popped from the ready queue has these guards discharged
         by construction."""
         if block.ref in self.interpreted:
@@ -581,8 +539,7 @@ class Interpreter:
                 f"{[p.ref[:8] for p in pruned]}"
             )
         events = self._execute(block, preds)
-        if self.incremental:
-            self._on_interpreted(block.ref)
+        self._on_interpreted(block.ref)
         return events
 
     def _execute(
@@ -728,18 +685,17 @@ class Interpreter:
         """Apply ``action`` to the builder's process for ``label``,
         copying shared state first (copy-on-write discipline).
 
-        With ``cow=True`` the ownership copy is a structural fork —
-        O(fields), containers shared until the step's own write barrier
-        touches them; with ``cow=False`` it is the oracle's full
-        ``copy.deepcopy``.  Either way the parent block's instance is
-        never mutated, so annotations stay per-block."""
+        The ownership copy is a structural fork — O(fields), containers
+        shared until the step's own write barrier touches them.  The
+        parent block's instance is never mutated, so annotations stay
+        per-block."""
         instance = state.pis.get(label)
         if instance is None:
             instance = self.protocol.create(self.servers, block.n, label)
             state.pis[label] = instance
             owned.add(label)
         elif label not in owned:
-            instance = instance.fork() if self.cow else copy.deepcopy(instance)
+            instance = instance.fork()
             state.pis[label] = instance
             owned.add(label)
         return action(instance)

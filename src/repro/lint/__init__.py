@@ -6,7 +6,7 @@ further invariants on top of that purity: copy-on-write write barriers
 in every protocol, byte-identical trace exports, wall-clock strictly
 outside trace identity, and a layered architecture that keeps the
 interpreter clean of wire concerns.  Until now those invariants were
-enforced only by *runtime* oracles (``cow=False`` trace equality, the
+enforced only by *runtime* oracles (deepcopy trace equality, the
 trace-determinism CI job) which catch a violation after it has already
 corrupted a run.  This package proves the cheap-to-prove half of each
 invariant **at parse time**, before any code executes.

@@ -8,7 +8,7 @@ privatizes the touched container via
 :meth:`~repro.protocols.base.ProcessInstance._writable_entry`.  A
 direct ``self._votes.add(x)`` writes through into sibling forks and
 silently corrupts the paper's §4 equivocation-split semantics — the
-``cow=False`` oracle catches it only when a test happens to fork over
+deepcopy reference catches it only when a test happens to fork over
 the mutated container.  This rule proves the discipline at parse time.
 
 What counts as a violation (inside ``repro.protocols`` classes derived

@@ -39,8 +39,8 @@ original, and every mutation goes through a **write barrier**
 (:meth:`~ProcessInstance._writable` / :meth:`~ProcessInstance._writable_entry`)
 that copies only the touched container the first time the owning
 generation touches it.  Observable state is byte-identical to the
-deep-copy formulation — the interpreter keeps that formulation alive as
-the ``cow=False`` oracle and property tests assert trace equality.
+deep-copy formulation — ``tests/reference.py`` keeps that formulation
+alive as the oracle and property tests assert trace equality.
 
 Rules for protocol authors:
 
@@ -211,7 +211,7 @@ class ProcessInstance(ABC):
     attributes; the framework *forks* instances along parent chains
     (Algorithm 2 line 4) with structural sharing — see the module
     docstring — while ``copy.deepcopy`` remains valid (and is the
-    ``cow=False`` oracle's copy discipline): a deep copy clones ``_gen``
+    reference interpreter's copy discipline): a deep copy clones ``_gen``
     and ``_cells`` together, so the clone owns exactly what the original
     owned, over containers that are now private anyway.
     """

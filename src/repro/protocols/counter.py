@@ -48,7 +48,7 @@ class CounterProtocol(ProcessInstance):
     protocol-author rules in :mod:`repro.protocols.base`.  The
     ``cow-barrier`` lint rule encodes the same convention (bare-
     attribute augmented assignment is a scalar rebind by contract),
-    and the ``cow=True`` vs ``cow=False`` trace-equality test in
+    and the fork-vs-reference-deepcopy trace-equality test in
     ``tests/unit/test_cow.py`` proves the exemption holds at runtime.
     Adding any *container* attribute here obligates a barrier.
     """

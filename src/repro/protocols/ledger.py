@@ -7,7 +7,7 @@ command grows the state that Algorithm 2's line-4 copy has to carry to
 the next block.  This protocol makes that cost model explicit — and is
 the workload behind ``benchmarks/bench_cow_states.py``, which shows the
 structurally-shared state layer keeping per-block cost flat while the
-``copy.deepcopy`` oracle's cost grows with ledger size.
+cost of the reference's ``copy.deepcopy`` grows with ledger size.
 
 Interface::
 

@@ -115,9 +115,6 @@ class ClusterConfig:
     gossip: GossipConfig = field(default_factory=GossipConfig)
     #: Interpret incrementally on insertion (False = off-line mode).
     auto_interpret: bool = True
-    #: Structurally-shared instance states (False = the deepcopy
-    #: oracle, for cow-vs-oracle equivalence runs).
-    cow: bool = True
     #: Root directory for per-server durable storage (``<dir>/<server>``).
     #: ``None`` (default) keeps everything in RAM, as before.
     storage_dir: str | Path | None = None
@@ -233,7 +230,6 @@ class Cluster:
             config=self.config.gossip,
             auto_interpret=self.config.auto_interpret,
             storage=storage,
-            cow=self.config.cow,
             tracer=self.tracer.recorder(server) if self.tracer is not None else None,
         )
 

@@ -252,8 +252,7 @@ def _cow_state_growth(smoke: bool) -> Scenario:
         description="Replicated append-only ledger under sustained "
         "load: per-instance state grows with every applied entry, the "
         "workload the structurally-shared state layer keeps cheap "
-        "(the scenario behind benchmarks/bench_cow_states.py; run it "
-        "with topology.cow=false for the deepcopy-oracle arm).",
+        "(the scenario behind benchmarks/bench_cow_states.py).",
         workload=OpenLoopWorkload(
             rate=4 if smoke else 8,
             rounds=8 if smoke else 16,

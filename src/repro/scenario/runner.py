@@ -181,7 +181,6 @@ class ScenarioRunner:
             latency=topology.latency.build(),
             seed=scenario.seed,
             auto_interpret=topology.auto_interpret,
-            cow=topology.cow,
             storage_dir=storage_dir,
             storage=(
                 storage_spec.build() if storage_spec is not None else StorageConfig()

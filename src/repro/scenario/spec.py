@@ -115,20 +115,26 @@ class StorageSpec:
     checkpoint_interval: int = 32
     segment_max_bytes: int = 64 * 1024
     prune: bool = True
-    #: Coordinated-horizon GC (claims + agreed horizon + rehydration).
-    #: ``False`` = the seed's Lemma-A.6 full-reference pruner, kept as
-    #: the comparison arm for ``bench_gc_horizon``.
-    horizon_gc: bool = True
     #: Memory release exempts the last this-many checkpoints' cone
     #: (anti-thrash pin window; ``0`` = release as eagerly as allowed).
     pin_recent_checkpoints: int = 2
+
+    def __post_init__(self) -> None:
+        if (
+            self.checkpoint_interval < 1
+            or self.segment_max_bytes < 1
+            or self.pin_recent_checkpoints < 0
+        ):
+            raise ScenarioError(
+                "storage spec needs checkpoint_interval ≥ 1, "
+                f"segment_max_bytes ≥ 1, pin_recent_checkpoints ≥ 0; got {self}"
+            )
 
     def build(self) -> StorageConfig:
         return StorageConfig(
             checkpoint_interval=self.checkpoint_interval,
             segment_max_bytes=self.segment_max_bytes,
             prune=self.prune,
-            horizon_gc=self.horizon_gc,
             pin_recent_checkpoints=self.pin_recent_checkpoints,
         )
 
@@ -137,7 +143,6 @@ class StorageSpec:
             "checkpoint_interval": self.checkpoint_interval,
             "segment_max_bytes": self.segment_max_bytes,
             "prune": self.prune,
-            "horizon_gc": self.horizon_gc,
             "pin_recent_checkpoints": self.pin_recent_checkpoints,
         }
 
@@ -159,11 +164,6 @@ class Topology:
     latency: LatencySpec = field(default_factory=LatencySpec)
     auto_interpret: bool = True
     storage: StorageSpec | None = None
-    #: Structurally-shared instance states.  ``False`` runs every shim
-    #: on the ``copy.deepcopy`` oracle path — the comparison arm of the
-    #: cow-vs-oracle property tests (same convention as
-    #: ``incremental=False``).
-    cow: bool = True
     #: Record per-server flight-recorder traces (``repro.obs``): typed,
     #: virtual-time-stamped event streams plus block-lifecycle latency
     #: percentiles in the result.  Off by default — the hot path then
@@ -185,7 +185,6 @@ class Topology:
             "latency": self.latency.to_json_dict(),
             "auto_interpret": self.auto_interpret,
             "storage": None if self.storage is None else self.storage.to_json_dict(),
-            "cow": self.cow,
             "trace": self.trace,
         }
 

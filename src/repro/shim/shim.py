@@ -82,10 +82,6 @@ class Shim:
         Indications replayed for the post-checkpoint suffix re-fire the
         ``on_indication`` callback: delivery is at-least-once across a
         crash, exactly like any durable-log system.
-    cow:
-        Structurally-shared instance states (the default).  ``False``
-        restores the ``copy.deepcopy`` ownership copy — the executable
-        oracle convention, like ``Interpreter(..., incremental=False)``.
     tracer:
         Optional :class:`~repro.obs.trace.TraceRecorder` — the flight
         recorder for this server, threaded into gossip, interpreter,
@@ -103,7 +99,6 @@ class Shim:
         on_indication: IndicationHandler | None = None,
         auto_interpret: bool = True,
         storage: ServerStorage | None = None,
-        cow: bool = True,
         tracer: object | None = None,
     ) -> None:
         self.server = server
@@ -119,13 +114,11 @@ class Shim:
             storage.tracer = self.tracer
         self.rqsts = RequestBuffer()  # line 2
         self.dag = BlockDag()  # line 3
-        #: Coordinated GC is active when storage is configured with
-        #: ``horizon_gc`` (the default): claims are stamped, pruning
-        #: follows the agreed horizon, and below-horizon arrivals are
-        #: condemned.  Without storage the tracker still observes peer
-        #: claims (it is cheap and keeps the horizon view comparable
-        #: across servers) but drives nothing.
-        self.coordinated_gc = storage is not None and storage.config.horizon_gc
+        #: Coordinated GC is active when storage is configured: claims
+        #: are stamped, pruning follows the agreed horizon, and
+        #: below-horizon arrivals are condemned.  Without storage the
+        #: tracker still observes peer claims (it is cheap and keeps the
+        #: horizon view comparable across servers) but drives nothing.
         self.horizon = HorizonTracker(
             keyring.servers, dag=self.dag, tracer=self.tracer
         )
@@ -138,7 +131,7 @@ class Shim:
             config=config,
             on_insert=self._on_insert,
             on_batch_end=self._on_batch_end,
-            horizon=self.horizon if self.coordinated_gc else None,
+            horizon=self.horizon if storage is not None else None,
             tracer=self.tracer,
         )
         self.interpreter = Interpreter(  # line 5
@@ -146,10 +139,9 @@ class Shim:
             protocol,
             keyring.servers,
             on_indication=self._on_event,
-            cow=cow,
             tracer=self.tracer,
         )
-        if self.coordinated_gc:
+        if storage is not None:
             self.interpreter.rehydrator = self._rehydrate_state
         #: Indications delivered to the user of ``P`` at this server, in
         #: delivery order, and the same indications grouped by label.
@@ -184,7 +176,6 @@ class Shim:
                 self._recent_frontiers.append(
                     frozenset(self._last_checkpoint.refs)
                 )
-            if self.coordinated_gc and self._last_checkpoint is not None:
                 # Resume claiming where the previous incarnation left
                 # off: the recovered checkpoint is our durable frontier.
                 self.gossip.builder.set_claim(
@@ -287,16 +278,16 @@ class Shim:
         skeletons — so (latest checkpoint + remaining WAL) always
         reconstructs the full state.
 
-        With coordinated GC the pruner follows the agreed horizon
-        (memory released above it stays rehydratable from the carried
-        checkpoint entries; payloads/WAL/checkpoint data retire only
-        below it), and the freshly written checkpoint's frontier is
+        The pruner follows the agreed horizon (memory released above
+        it stays rehydratable from the carried checkpoint entries;
+        payloads/WAL/checkpoint data retire only below it), and the
+        freshly written checkpoint's frontier is
         stamped as this server's claim into every block sealed from now
         on — which is how the next horizon agreement forms.
         """
         if self.storage is None:
             return
-        horizon = self.horizon.horizon if self.coordinated_gc else None
+        horizon = self.horizon.horizon
         if self.storage.config.prune and self._last_checkpoint is not None:
             durable = frozenset(self._last_checkpoint.states)
             # Destroying data (payloads → skeletons → WAL segments) is
@@ -344,10 +335,9 @@ class Shim:
         self._last_checkpoint = checkpoint
         self._recent_frontiers.append(frozenset(checkpoint.refs))
         self._interpreted_at_checkpoint = self.interpreter.blocks_interpreted
-        if self.coordinated_gc:
-            self.gossip.builder.set_claim(
-                durable_frontier(self.dag, self.keyring.servers, checkpoint.refs)
-            )
+        self.gossip.builder.set_claim(
+            durable_frontier(self.dag, self.keyring.servers, checkpoint.refs)
+        )
 
     def _pinned_recent(self) -> frozenset[BlockRef]:
         """The recent cone the pruner must not release: everything

@@ -48,16 +48,9 @@ class StorageConfig:
     checkpoints_retained: int = 2
     #: Whether to GC states/payloads/segments below the stable frontier.
     prune: bool = True
-    #: Coordinate GC through the agreed horizon (:mod:`repro.horizon`):
-    #: stamp durable-frontier claims into sealed blocks, prune against
-    #: the ``n - f`` agreed horizon, condemn below-horizon references,
-    #: and rehydrate released states from the covering checkpoint.
-    #: ``False`` reverts to the seed's Lemma-A.6 full-reference rule
-    #: (kept as the comparison arm for ``bench_gc_horizon``).
-    horizon_gc: bool = True
     #: Checkpoint passes a block must stay destruction-eligible before
-    #: its payload/WAL/checkpoint data is actually destroyed (horizon
-    #: GC only).  Hysteresis against the admission race: a delayed fork
+    #: its payload/WAL/checkpoint data is actually destroyed.
+    #: Hysteresis against the admission race: a delayed fork
     #: sibling's vouching references get a couple of checkpoint cycles
     #: to surface before the data they need is gone.
     destruction_delay: int = 2

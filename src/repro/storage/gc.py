@@ -47,8 +47,6 @@ gossip validity rule, and full reference means no *restarting* correct
 server still needs the block over FWD (a server that crashed before
 referencing it must be able to fetch the full block when it comes
 back — data destruction waits for it, memory release does not).
-Without a horizon (legacy callers), payload dropping follows the
-release as before.
 """
 
 from __future__ import annotations
@@ -75,14 +73,14 @@ def prunable_refs(
     dag: BlockDag,
     interpreter: Interpreter,
     durable: frozenset[BlockRef],
-    horizon: Mapping[ServerId, SeqNum] | None = None,
+    horizon: Mapping[ServerId, SeqNum],
     pinned: frozenset[BlockRef] = frozenset(),
 ) -> list[BlockRef]:
     """Refs safe to release, in topological (prefix-first) order.
 
     ``durable`` is the set of refs whose annotations the latest written
     checkpoint holds (rule 1); ``horizon`` is the agreed horizon vector
-    (rule 2's coordinated arm; ``None`` = legacy full-reference only);
+    (rule 2's coordinated arm; ``{}`` = nothing agreed yet);
     the graph rules are evaluated against the current DAG.  ``pinned``
     refs are exempt from release even when every rule holds — the
     shim pins the last few checkpoints' cone, because a block released
@@ -106,8 +104,7 @@ def prunable_refs(
         successors = dag.graph.successors(ref)
         if not all(s in interpreter.interpreted for s in successors):
             continue
-        covered = horizon is not None and block.k <= horizon.get(block.n, -1)
-        if not covered:
+        if block.k > horizon.get(block.n, -1):
             referencing = {dag.require(s).n for s in successors}
             if referencing < servers:
                 continue
@@ -122,7 +119,7 @@ def prune(
     dag: BlockDag,
     interpreter: Interpreter,
     durable: frozenset[BlockRef],
-    horizon: Mapping[ServerId, SeqNum] | None = None,
+    horizon: Mapping[ServerId, SeqNum],
     allow_destruction: bool = True,
     protected: frozenset[BlockRef] = frozenset(),
     destruction_delay: int = 0,
@@ -134,9 +131,9 @@ def prune(
     stable frontier.  WAL segment dropping is the storage layer's job
     (it needs the *next* checkpoint to cover the skeletons first).
 
-    With a ``horizon``, payloads are dropped only for blocks that are
-    below the agreed horizon *and* fully referenced — a released block
-    that fails either test keeps its ``rs`` so a late reference can
+    Payloads are dropped only for blocks that are below the agreed
+    ``horizon`` *and* fully referenced — a released block that fails
+    either test keeps its ``rs`` so a late reference can
     still be interpreted (state rehydrated from the covering
     checkpoint, payload read from the DAG) and a restarting server can
     still FWD-fetch the full block.  The payload-pruned region
@@ -181,9 +178,7 @@ def prune(
     ):
         interpreter.release_state(ref)
         report.states_released += 1
-        if horizon is None:
-            _drop_payload(dag, ref, report)
-    if horizon is not None and allow_destruction:
+    if allow_destruction:
         # Payload sweep: earlier passes may have released blocks that
         # only now satisfy the destruction rule.  Candidates are exactly
         # the released-but-not-yet-destroyed refs (the carried set —
@@ -246,7 +241,10 @@ def prune(
                 if not all(p in payload_dropped for p in set(block.preds)):
                     remaining.append(block)
                     continue
-                _drop_payload(dag, ref, report)
+                freed = dag.drop_payload(ref)
+                if freed is not None:
+                    report.payloads_dropped += 1
+                    report.payload_bytes_dropped += freed
                 payload_dropped.add(ref)
                 if streaks is not None:
                     streaks.pop(ref, None)
@@ -262,10 +260,3 @@ def prune(
                 bytes=report.payload_bytes_dropped,
             )
     return report
-
-
-def _drop_payload(dag: BlockDag, ref: BlockRef, report: PruneReport) -> None:
-    freed = dag.drop_payload(ref)
-    if freed is not None:
-        report.payloads_dropped += 1
-        report.payload_bytes_dropped += freed

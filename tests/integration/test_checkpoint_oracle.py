@@ -244,12 +244,12 @@ def test_mixed_faults_smoke_reuses_at_least_half_its_entries(monkeypatch):
     assert storage.checkpoint_entries_reused / storage.checkpoint_entries_written >= 0.5
 
 
-@pytest.mark.parametrize("horizon", [None, 10, 1])
+@pytest.mark.parametrize("horizon", [3, 10, 1])
 def test_entries_whose_base_left_are_rebuilt_not_kept(horizon):
     """The three ways an entry meets its second checkpoint: kept as is
     (same base), carried but materialized (released, base retired) and
-    — with the legacy no-horizon prune, where a live tip's parent loses
-    its payload at once — re-frozen in full because the base left."""
+    — with a horizon covering the live tips' parents, which lose their
+    payloads at once — re-frozen in full because the base left."""
     builder = ManualDagBuilder(3)
     for i in range(5):
         builder.round_all(
@@ -262,7 +262,7 @@ def test_entries_whose_base_left_are_rebuilt_not_kept(horizon):
     assert previous.encoded.keys() == previous.states.keys()
     prune(
         builder.dag, interpreter, frozenset(previous.states),
-        horizon=None if horizon is None else dict.fromkeys(builder.servers, horizon),
+        horizon=dict.fromkeys(builder.servers, horizon),
     )
     checkpoint = capture_checkpoint(2, interpreter, builder.dag, previous=previous)
     reference = reference_capture(2, interpreter, builder.dag, None, previous)
@@ -271,6 +271,6 @@ def test_entries_whose_base_left_are_rebuilt_not_kept(horizon):
         if entry["base"] != previous.states[ref]["base"]
     ]
     assert rebased and not any(ref in checkpoint.encoded for ref in rebased)
-    if horizon is None:
+    if horizon == 3:
         assert any(ref not in interpreter.released for ref in rebased)
     assert framed(_to_wire(checkpoint)) == reference_frame(reference)

@@ -12,15 +12,27 @@ Figure 4 shows ``Ms[in, ℓ1]`` / ``Ms[out, ℓ1]`` for an execution of
 None of these messages is ever sent over the network — the test also
 asserts that (zero wire messages; the DAG is built by hand exactly as a
 gossip execution would).
+
+Every case runs for the production ``Interpreter`` and for the
+``ReferenceInterpreter`` the suites judge it by: the figure anchors the
+oracle to the paper, not only to the implementation.
 """
 
+import pytest
+
+from repro.interpret.interpreter import Interpreter
 from repro.protocols.brb import Broadcast, Deliver, Echo, Ready, brb_protocol
 from repro.types import Label, ServerId
 
-from helpers import ManualDagBuilder, fresh_interpreter
+from helpers import ManualDagBuilder
+from reference import ReferenceInterpreter
 
 S1, S2, S3, S4 = (ServerId(f"s{i}") for i in range(1, 5))
 L1 = Label("l1")
+
+pytestmark = pytest.mark.parametrize(
+    "interpreter_class", [Interpreter, ReferenceInterpreter]
+)
 
 
 def build_figure4():
@@ -36,9 +48,9 @@ def build_figure4():
 
 
 class TestFigure4Buffers:
-    def test_b1_emits_echo_to_everyone(self):
+    def test_b1_emits_echo_to_everyone(self, interpreter_class):
         builder, b1, *_ = build_figure4()
-        interp = fresh_interpreter(builder, brb_protocol)
+        interp = interpreter_class(builder.dag, brb_protocol, builder.servers)
         interp.run()
         state = interp.state_of(b1.ref)
         assert state.ms.incoming(L1) == []  # in = ∅
@@ -47,9 +59,9 @@ class TestFigure4Buffers:
         assert all(m.payload == Echo(42) for m in out)
         assert all(m.sender == S1 for m in out)
 
-    def test_layer1_receives_echo_from_s1_and_echoes(self):
+    def test_layer1_receives_echo_from_s1_and_echoes(self, interpreter_class):
         builder, b1, genesis_rest, layer1, *_ = build_figure4()
-        interp = fresh_interpreter(builder, brb_protocol)
+        interp = interpreter_class(builder.dag, brb_protocol, builder.servers)
         interp.run()
         for block in layer1:
             state = interp.state_of(block.ref)
@@ -65,9 +77,9 @@ class TestFigure4Buffers:
                 assert {m.receiver for m in out} == {S1, S2, S3, S4}
                 assert all(m.payload == Echo(42) for m in out)
 
-    def test_layer2_reaches_echo_quorum_and_readies(self):
+    def test_layer2_reaches_echo_quorum_and_readies(self, interpreter_class):
         builder, b1, genesis_rest, layer1, layer2, _ = build_figure4()
-        interp = fresh_interpreter(builder, brb_protocol)
+        interp = interpreter_class(builder.dag, brb_protocol, builder.servers)
         interp.run()
         for block in layer2:
             state = interp.state_of(block.ref)
@@ -86,9 +98,9 @@ class TestFigure4Buffers:
             assert {m.receiver for m in out_ready} == {S1, S2, S3, S4}
             assert all(m.payload == Ready(42) for m in out_ready)
 
-    def test_layer3_delivers_42_everywhere(self):
+    def test_layer3_delivers_42_everywhere(self, interpreter_class):
         builder, b1, genesis_rest, layer1, layer2, layer3 = build_figure4()
-        interp = fresh_interpreter(builder, brb_protocol)
+        interp = interpreter_class(builder.dag, brb_protocol, builder.servers)
         interp.run()
         delivered = {
             e.server: e.indication
@@ -102,21 +114,21 @@ class TestFigure4Buffers:
             if isinstance(event.indication, Deliver):
                 assert event.block_ref in layer3_refs
 
-    def test_no_protocol_message_ever_on_wire(self):
+    def test_no_protocol_message_ever_on_wire(self, interpreter_class):
         # The DAG was built without a network at all; everything in the
         # buffers was derived by interpretation (the §4/§5 compression
         # claim at its sharpest: the messages exist only as annotations).
         builder, *_ = build_figure4()
-        interp = fresh_interpreter(builder, brb_protocol)
+        interp = interpreter_class(builder.dag, brb_protocol, builder.servers)
         interp.run()
         assert interp.messages_materialized > 0
 
-    def test_same_buffers_for_every_interpreting_server(self):
+    def test_same_buffers_for_every_interpreting_server(self, interpreter_class):
         # 'Every server interpreting this block DAG can use interpret in
         # Algorithm 2 to replay … and get the same picture.'
         builder, b1, *_ = build_figure4()
-        a = fresh_interpreter(builder, brb_protocol)
-        b = fresh_interpreter(builder, brb_protocol)
+        a = interpreter_class(builder.dag, brb_protocol, builder.servers)
+        b = interpreter_class(builder.dag, brb_protocol, builder.servers)
         a.run()
         b.run(choose=lambda frontier: frontier[-1])  # different schedule
         for block in builder.dag.blocks():
@@ -127,7 +139,7 @@ class TestFigure4Buffers:
 
 
 class TestFigure4SecondInstance:
-    def test_parallel_instance_on_same_blocks(self):
+    def test_parallel_instance_on_same_blocks(self, interpreter_class):
         """§5: 'B1.rs may hold more requests such as broadcast(21) for
         ℓ2, and all the messages of all these requests could be
         materialized in the same manner — without any messages, or even
@@ -139,7 +151,7 @@ class TestFigure4SecondInstance:
             builder.block(s)
         for _ in range(3):
             builder.round_all()
-        interp = fresh_interpreter(builder, brb_protocol)
+        interp = interpreter_class(builder.dag, brb_protocol, builder.servers)
         interp.run()
         delivered = {}
         for event in interp.events:

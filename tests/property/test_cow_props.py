@@ -1,16 +1,20 @@
 """Property test: structural sharing is observationally invisible.
 
-``cow=True`` (fork + write barrier) must be trace-equal to the
-``cow=False`` ``copy.deepcopy`` oracle — the same convention the
-incremental scheduler established with ``incremental=False``.  Sampled
-over composed fault schedules (equivocator fork x crash/restart x
-healing partition) and both GC arms (``horizon_gc`` on/off), the two
-arms must produce
+A cluster of production shims (fork + write barrier, ready-queue
+scheduler, rehydration) must be trace-equal to the reference
+interpreter of ``tests/reference.py`` (rescan, ``copy.deepcopy``).
+Sampled over composed fault schedules (equivocator fork x
+crash/restart x healing partition), with and without pruning, every
+correct server must hold
 
 * byte-identical annotations (``annotation_fingerprint`` covers the
   ``snapshot_instance``-visible state: ``PIs``, ``Ms`` and active
-  labels) for every block resident in both, on every live server, and
-* identical per-server indication traces, in order.
+  labels) for every block still resident, and
+* the reference's indication trace for that server, in order.
+
+Refs are content hashes, so an equal ref means an equal causal past and
+(Lemma 4.2) an equal annotation: the reference may judge a pruned run
+on any payload-complete DAG that contains the ref.
 """
 
 import pytest
@@ -31,14 +35,16 @@ from repro.scenario import (
     StorageSpec,
     Topology,
 )
+from repro.dag.blockdag import BlockDag
 from repro.storage.state_codec import annotation_fingerprint
+
+from reference import ReferenceInterpreter
 
 N = 5
 BYZANTINE = "s5"
 
 
-def build_scenario(partition_start, crash_round, equivocate_at, seed,
-                   horizon_gc, cow):
+def build_scenario(partition_start, crash_round, equivocate_at, seed, prune):
     faults = [
         ByzantineFault(
             server=BYZANTINE, behaviour="equivocator",
@@ -62,16 +68,7 @@ def build_scenario(partition_start, crash_round, equivocate_at, seed,
         seed=seed,
         topology=Topology(
             n=N,
-            cow=cow,
-            # The legacy arm runs prune=False: the seed pruner under a
-            # partition-delayed fork has a *known* permanent stall (the
-            # PR 3 hazard PR 4 closed with the agreed horizon), which
-            # would fail convergence for reasons unrelated to cow.
-            storage=StorageSpec(
-                checkpoint_interval=6,
-                prune=horizon_gc,
-                horizon_gc=horizon_gc,
-            ),
+            storage=StorageSpec(checkpoint_interval=6, prune=prune),
         ),
         workload=OpenLoopWorkload(rate=1, rounds=4),
         faults=FaultSchedule(tuple(faults)),
@@ -80,7 +77,7 @@ def build_scenario(partition_start, crash_round, equivocate_at, seed,
     )
 
 
-@pytest.mark.parametrize("horizon_gc", [True, False])
+@pytest.mark.parametrize("prune", [True, False])
 @given(
     partition_start=st.integers(min_value=1, max_value=2),
     crash_round=st.integers(min_value=2, max_value=4),
@@ -89,40 +86,44 @@ def build_scenario(partition_start, crash_round, equivocate_at, seed,
 )
 @settings(max_examples=4, deadline=None)
 def test_cow_trace_equals_deepcopy_oracle(
-    horizon_gc, partition_start, crash_round, equivocate_at, seed
+    prune, partition_start, crash_round, equivocate_at, seed
 ):
-    runners = {}
-    for cow in (True, False):
-        scenario = build_scenario(
-            partition_start, crash_round, equivocate_at, seed,
-            horizon_gc, cow,
-        )
-        runner = ScenarioRunner(scenario)
-        result = runner.run()
-        assert result.stopped_by == "stop-condition", (
-            f"cow={cow} arm failed to converge"
-        )
-        runners[cow] = runner
+    runner = ScenarioRunner(
+        build_scenario(partition_start, crash_round, equivocate_at, seed, prune)
+    )
+    cluster = runner.cluster
+    # Gossip admits only full blocks, and admits a block after its
+    # predecessors: first sight across the fleet is a payload-complete
+    # DAG in topological order, whatever the pruner destroys later.
+    complete = {}
+    for shim in cluster.shims.values():
+        shim.dag.add_insert_listener(lambda b: complete.setdefault(b.ref, b))
+    result = runner.run()
+    assert result.stopped_by == "stop-condition", "cluster failed to converge"
 
-    fast, oracle = runners[True].cluster, runners[False].cluster
-    assert set(fast.shims) == set(oracle.shims)
+    dag = BlockDag()
+    for block in complete.values():
+        dag.insert(block)
+    oracle = ReferenceInterpreter(dag, runner.entry.spec, cluster.servers)
+    oracle.run()
+
     compared = 0
-    for server, fast_shim in fast.shims.items():
-        oracle_shim = oracle.shims[server]
-        # Identical user-visible history, in order (Algorithm 3 line 8).
-        assert fast_shim.indications == oracle_shim.indications, (
-            f"{server}: indication traces diverge between cow and oracle"
-        )
-        fi, oi = fast_shim.interpreter, oracle_shim.interpreter
-        assert fi.interpreted == oi.interpreted
-        # Byte-identical annotations over every block both arms still
-        # hold in memory (GC may release different-but-overlapping
-        # windows; released entries have no bytes to compare).
-        for ref in sorted(fi.interpreted):
-            if ref in fi.released or ref in oi.released:
-                continue
-            assert annotation_fingerprint(fi, ref) == annotation_fingerprint(
-                oi, ref
-            ), f"{server}: annotation diverged at {ref[:8]}"
+    for server, shim in cluster.shims.items():
+        # Identical user-visible history, in order (Algorithm 3 line 8):
+        # a correct server's blocks are a chain, so every eligible
+        # schedule emits its events in the same order.
+        assert shim.indications == [
+            (e.label, e.indication) for e in oracle.events if e.server == server
+        ], f"{server}: indication trace diverges from the reference"
+        interpreter = shim.interpreter
+        assert interpreter.interpreted == oracle.interpreted
+        # Byte-identical annotations over every block the server still
+        # holds in memory (released entries have no bytes to compare).
+        for ref in sorted(interpreter.interpreted - interpreter.released):
+            assert annotation_fingerprint(
+                interpreter, ref
+            ) == annotation_fingerprint(oracle, ref), (
+                f"{server}: annotation diverged at {ref[:8]}"
+            )
             compared += 1
-    assert compared > 0, "no resident annotations overlapped; test is vacuous"
+    assert compared > 0, "no resident annotations to compare; test is vacuous"

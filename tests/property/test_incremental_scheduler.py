@@ -2,8 +2,8 @@
 
 The interpreter's event-driven scheduler (pending-in-degree counts plus
 a ready queue, fed by DAG insert listeners) must be observationally
-identical to the original scan-the-world eligibility check that
-survives as ``incremental=False``: byte-identical per-block annotations,
+identical to the scan-the-world eligibility check of the reference
+interpreter (``tests/reference.py``): byte-identical per-block annotations,
 identical active-label sets, identical indication multisets, identical
 metrics — on any DAG, including equivocation forks and blocks stranded
 below the pruning horizon.
@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.interpret.instance import snapshot_instance
-from repro.interpret.interpreter import Interpreter
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
 from repro.storage.gc import prune
 from repro.types import Label
 
 from helpers import ManualDagBuilder, fresh_interpreter
+from reference import ReferenceInterpreter
 
 L = Label("l")
 
@@ -109,8 +109,8 @@ class TestIncrementalMatchesRescan:
         for action in actions:
             apply_action(builder, action, "counter")
             live.run()
-        oracle = Interpreter(
-            builder.dag, counter_protocol, builder.servers, incremental=False
+        oracle = ReferenceInterpreter(
+            builder.dag, counter_protocol, builder.servers
         )
         oracle.run()
         assert_observationally_equal(builder.dag, live, oracle)
@@ -123,8 +123,8 @@ class TestIncrementalMatchesRescan:
         for action in actions:
             apply_action(builder, action, "brb")
             live.run()
-        oracle = Interpreter(
-            builder.dag, brb_protocol, builder.servers, incremental=False
+        oracle = ReferenceInterpreter(
+            builder.dag, brb_protocol, builder.servers
         )
         oracle.run()
         assert_observationally_equal(builder.dag, live, oracle)
@@ -151,9 +151,8 @@ class TestIncrementalMatchesRescan:
             fresh_interpreter(builder, counter_protocol), seed
         )
         rescan = scheduled(
-            Interpreter(
-                builder.dag, counter_protocol, builder.servers,
-                incremental=False,
+            ReferenceInterpreter(
+                builder.dag, counter_protocol, builder.servers
             ),
             seed,
         )
@@ -176,14 +175,15 @@ class TestPrunedPredecessorHorizon:
         builder = self._layered()
         live = fresh_interpreter(builder, brb_protocol)
         live.run()
-        oracle = Interpreter(
-            builder.dag, brb_protocol, builder.servers, incremental=False
+        oracle = ReferenceInterpreter(
+            builder.dag, brb_protocol, builder.servers
         )
         oracle.run()
 
-        # Prune below the stable frontier in both interpreters (shared
-        # DAG: payload drops are idempotent, state release is per-side).
-        report = prune(builder.dag, live, frozenset(live.interpreted))
+        # Prune below the stable frontier in both interpreters: with
+        # nothing agreed yet (``{}``) that releases the fully referenced
+        # states on each side and destroys no payload.
+        report = prune(builder.dag, live, frozenset(live.interpreted), {})
         assert report.states_released > 0
         for ref in sorted(live.released):
             oracle.release_state(ref)

@@ -25,6 +25,7 @@ from repro.storage.state_codec import (
 from repro.types import Indication, Label, Request, ServerId, make_servers
 
 from helpers import ManualDagBuilder
+from reference import ReferenceInterpreter
 
 SERVERS = make_servers(4)
 L = Label("l")
@@ -121,7 +122,7 @@ class TestBookkeepingStaysInvisible:
         assert instance_fingerprint(a) == instance_fingerprint(b)
 
     def test_deepcopy_still_valid(self):
-        # The cow=False oracle deep-copies instances; the clone owns
+        # The reference interpreter deep-copies instances; the clone owns
         # its (private) containers and keeps mutating correctly.
         instance = brb_instance()
         instance.step_message(echo("s2"))
@@ -144,8 +145,8 @@ class TestInterpreterCowOracle:
     def test_cow_annotations_equal_deepcopy_oracle(self):
         builder = self._dag_with_fork()
         fast = Interpreter(BlockDag(), brb_protocol, builder.servers)
-        oracle = Interpreter(
-            BlockDag(), brb_protocol, builder.servers, cow=False
+        oracle = ReferenceInterpreter(
+            BlockDag(), brb_protocol, builder.servers
         )
         for interp in (fast, oracle):
             for block in builder.dag.blocks():
@@ -161,7 +162,7 @@ class TestInterpreterCowOracle:
     def test_counter_cow_equals_deepcopy_oracle(self):
         # The COW-audit exemption for counter (ISSUE 7): scalar-only
         # state needs no write barrier because rebinds are fork-private.
-        # Prove it end to end — cow and the deepcopy oracle must agree
+        # Prove it end to end — fork and the deepcopy reference must agree
         # byte-for-byte on annotations and on the indication trace,
         # including across an equivocation fork.
         builder = ManualDagBuilder(4)
@@ -170,8 +171,8 @@ class TestInterpreterCowOracle:
         builder.fork(builder.servers[3], rs=[(L, Inc(11))])
         builder.round_all()
         fast = Interpreter(BlockDag(), counter_protocol, builder.servers)
-        oracle = Interpreter(
-            BlockDag(), counter_protocol, builder.servers, cow=False
+        oracle = ReferenceInterpreter(
+            BlockDag(), counter_protocol, builder.servers
         )
         for interp in (fast, oracle):
             for block in builder.dag.blocks():
@@ -201,8 +202,8 @@ class TestInterpreterCowOracle:
                 rs_for={s: [(L, PkAdvance())] for s in builder.servers}
             )
         fast = Interpreter(BlockDag(), phase_king_protocol, builder.servers)
-        oracle = Interpreter(
-            BlockDag(), phase_king_protocol, builder.servers, cow=False
+        oracle = ReferenceInterpreter(
+            BlockDag(), phase_king_protocol, builder.servers
         )
         for interp in (fast, oracle):
             for block in builder.dag.blocks():
@@ -297,9 +298,8 @@ class TestMetricAtomicity:
             rs_for = {builder.servers[r % 4]: [(L, Inc(r + 1))]}
             builder.round_all(rs_for=rs_for)
         a = Interpreter(BlockDag(), counter_protocol, builder.servers)
-        b = Interpreter(
-            BlockDag(), counter_protocol, builder.servers,
-            incremental=False, cow=False,
+        b = ReferenceInterpreter(
+            BlockDag(), counter_protocol, builder.servers
         )
         for interp in (a, b):
             for block in builder.dag.blocks():

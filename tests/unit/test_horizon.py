@@ -156,7 +156,7 @@ class TestHorizonPruning:
     def test_horizon_releases_where_full_reference_stalls(self):
         builder, interpreter, layers = self.stalled_dag()
         durable = frozenset(interpreter.interpreted)
-        assert prunable_refs(builder.dag, interpreter, durable) == []
+        assert prunable_refs(builder.dag, interpreter, durable, {}) == []
         horizon = {s: 1 for s in builder.servers}
         released = set(
             prunable_refs(builder.dag, interpreter, durable, horizon=horizon)
@@ -581,20 +581,3 @@ class TestShimIntegration:
         assert shim.gossip.builder.claim  # claims are being stamped
         assert any(k >= 0 for k in shim.horizon.horizon.values())
         assert horizons_agree(cluster.shims)
-
-    def test_legacy_mode_stamps_no_claims(self, tmp_path):
-        from repro.runtime.cluster import Cluster, ClusterConfig
-        from repro.storage.blockstore import StorageConfig
-
-        config = ClusterConfig(
-            storage_dir=tmp_path,
-            storage=StorageConfig(
-                checkpoint_interval=4, prune=True, horizon_gc=False
-            ),
-        )
-        cluster = Cluster(brb_protocol, n=4, config=config)
-        cluster.request(cluster.servers[0], L, Broadcast(1))
-        cluster.run_rounds(8)
-        shim = cluster.shim(cluster.servers[0])
-        assert not shim.gossip.builder.claim
-        assert all(k == -1 for k in shim.horizon.horizon.values())

@@ -14,6 +14,7 @@ from repro.protocols.counter import Add, Inc, Total, counter_protocol
 from repro.types import Label, ServerId
 
 from helpers import ManualDagBuilder, fresh_interpreter
+from reference import ReferenceInterpreter
 
 S1, S2, S3, S4 = (ServerId(f"s{i}") for i in range(1, 5))
 L = Label("l")
@@ -290,9 +291,8 @@ class TestIncrementalScheduler:
         incremental = Interpreter(
             dag_builder.dag, counter_protocol, dag_builder.servers
         )
-        rescan = Interpreter(
-            dag_builder.dag, counter_protocol, dag_builder.servers,
-            incremental=False,
+        rescan = ReferenceInterpreter(
+            dag_builder.dag, counter_protocol, dag_builder.servers
         )
         incremental.run()
         rescan.run()
@@ -322,9 +322,8 @@ class TestIncrementalScheduler:
         incremental = Interpreter(
             dag_builder.dag, counter_protocol, dag_builder.servers
         )
-        rescan = Interpreter(
-            dag_builder.dag, counter_protocol, dag_builder.servers,
-            incremental=False,
+        rescan = ReferenceInterpreter(
+            dag_builder.dag, counter_protocol, dag_builder.servers
         )
         order_inc, order_res = [], []
         incremental.on_indication = None
@@ -370,9 +369,8 @@ class TestIncrementalScheduler:
         dag_builder.round_all()
         dag_builder.round_all()
         interp.run()
-        fresh = Interpreter(
-            dag_builder.dag, counter_protocol, dag_builder.servers,
-            incremental=False,
+        fresh = ReferenceInterpreter(
+            dag_builder.dag, counter_protocol, dag_builder.servers
         )
         fresh.run()
         for block in dag_builder.dag.blocks():
@@ -386,9 +384,8 @@ class TestIncrementalScheduler:
         # interpreted behind the scheduler's back, then resync.
         a = dag_builder.block(S1, rs=[(L, Inc(1))])
         child = dag_builder.block(S2, refs=[a])
-        donor = Interpreter(
-            dag_builder.dag, counter_protocol, dag_builder.servers,
-            incremental=False,
+        donor = ReferenceInterpreter(
+            dag_builder.dag, counter_protocol, dag_builder.servers
         )
         donor.interpret_block(a)
         interp = fresh_interpreter(dag_builder, counter_protocol)

@@ -3,6 +3,7 @@
 import pytest
 
 from helpers import ManualDagBuilder, fresh_interpreter
+from reference import ReferenceInterpreter
 from repro.errors import PrunedStateError
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.storage.gc import prunable_refs, prune
@@ -23,15 +24,23 @@ def layered_dag(rounds=4):
     return builder, interpreter, layers
 
 
+def prefix_horizon(builder, layers):
+    """An agreed horizon covering exactly the fully referenced prefix
+    (every layer but the tips), so both tiers of ``storage/gc.py`` act
+    on the same blocks: released because fully referenced, destroyed
+    because also below the horizon.  The tip layer is neither."""
+    return dict.fromkeys(builder.servers, len(layers) - 2)
+
+
 class TestStableFrontier:
     def test_nothing_prunable_without_durability(self):
         builder, interpreter, _ = layered_dag()
-        assert prunable_refs(builder.dag, interpreter, frozenset()) == []
+        assert prunable_refs(builder.dag, interpreter, frozenset(), {}) == []
 
     def test_old_layers_prunable_new_layers_not(self):
         builder, interpreter, layers = layered_dag(rounds=4)
         durable = frozenset(interpreter.interpreted)
-        prunable = set(prunable_refs(builder.dag, interpreter, durable))
+        prunable = set(prunable_refs(builder.dag, interpreter, durable, {}))
         # Genesis and middle layers: every server references them.
         for block in layers[0] + layers[1] + layers[2]:
             assert block.ref in prunable
@@ -42,7 +51,7 @@ class TestStableFrontier:
     def test_prunable_order_is_prefix_first(self):
         builder, interpreter, _ = layered_dag()
         durable = frozenset(interpreter.interpreted)
-        order = prunable_refs(builder.dag, interpreter, durable)
+        order = prunable_refs(builder.dag, interpreter, durable, {})
         seen = set(interpreter.released)
         for ref in order:
             block = builder.dag.require(ref)
@@ -61,14 +70,16 @@ class TestStableFrontier:
         interpreter = fresh_interpreter(builder, brb_protocol)
         interpreter.run()
         durable = frozenset(interpreter.interpreted)
-        assert prunable_refs(builder.dag, interpreter, durable) == []
+        assert prunable_refs(builder.dag, interpreter, durable, {}) == []
 
 
 class TestPruneEffects:
     def test_states_released_and_payloads_dropped(self):
         builder, interpreter, layers = layered_dag()
         durable = frozenset(interpreter.interpreted)
-        report = prune(builder.dag, interpreter, durable)
+        report = prune(
+            builder.dag, interpreter, durable, prefix_horizon(builder, layers)
+        )
         assert report.states_released > 0
         assert report.payloads_dropped == report.states_released
         genesis_ref = layers[0][0].ref
@@ -84,22 +95,28 @@ class TestPruneEffects:
     def test_prune_is_idempotent(self):
         builder, interpreter, _ = layered_dag()
         durable = frozenset(interpreter.interpreted)
-        first = prune(builder.dag, interpreter, durable)
-        second = prune(builder.dag, interpreter, durable)
+        first = prune(builder.dag, interpreter, durable, {})
+        second = prune(builder.dag, interpreter, durable, {})
         assert first.states_released > 0
         assert second.states_released == 0
 
     def test_stub_signature_still_verifies(self):
         builder, interpreter, layers = layered_dag()
-        prune(builder.dag, interpreter, frozenset(interpreter.interpreted))
+        prune(
+            builder.dag, interpreter, frozenset(interpreter.interpreted),
+            prefix_horizon(builder, layers),
+        )
         stub = builder.dag.require(layers[0][0].ref)
         assert builder.keyring.verify(
             stub.n, stub.signing_payload(), stub.sigma
         )
 
     def test_interpretation_continues_above_the_frontier(self):
-        builder, interpreter, _ = layered_dag()
-        prune(builder.dag, interpreter, frozenset(interpreter.interpreted))
+        builder, interpreter, layers = layered_dag()
+        prune(
+            builder.dag, interpreter, frozenset(interpreter.interpreted),
+            prefix_horizon(builder, layers),
+        )
         builder.round_all()  # new layer references only the latest tips
         events_before = len(interpreter.events)
         interpreter.run()
@@ -108,7 +125,10 @@ class TestPruneEffects:
 
     def test_block_referencing_pruned_ref_is_below_horizon(self):
         builder, interpreter, layers = layered_dag()
-        prune(builder.dag, interpreter, frozenset(interpreter.interpreted))
+        prune(
+            builder.dag, interpreter, frozenset(interpreter.interpreted),
+            prefix_horizon(builder, layers),
+        )
         # A (byzantine-style) block naming a pruned block as predecessor.
         ancient = layers[0][1]  # pruned, not the builder's own parent
         block = builder.block(builder.servers[1], refs=[ancient])
@@ -119,7 +139,10 @@ class TestPruneEffects:
 
     def test_below_horizon_metric_is_stable(self):
         builder, interpreter, layers = layered_dag()
-        prune(builder.dag, interpreter, frozenset(interpreter.interpreted))
+        prune(
+            builder.dag, interpreter, frozenset(interpreter.interpreted),
+            prefix_horizon(builder, layers),
+        )
         ancient = layers[0][1]
         builder.block(builder.servers[1], refs=[ancient])
         interpreter.run()
@@ -138,14 +161,13 @@ class TestPruneEffects:
         assert interpreter.below_horizon == 2
 
     def test_below_horizon_matches_rescan_mode(self):
-        from repro.interpret.interpreter import Interpreter
-
         builder, interpreter, layers = layered_dag()
-        rescan = Interpreter(
-            builder.dag, brb_protocol, builder.servers, incremental=False
-        )
+        rescan = ReferenceInterpreter(builder.dag, brb_protocol, builder.servers)
         rescan.run()
-        prune(builder.dag, interpreter, frozenset(interpreter.interpreted))
+        prune(
+            builder.dag, interpreter, frozenset(interpreter.interpreted),
+            prefix_horizon(builder, layers),
+        )
         for ref in list(interpreter.released):
             rescan.release_state(ref)
         builder.block(builder.servers[1], refs=[layers[0][1]])

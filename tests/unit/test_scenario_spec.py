@@ -164,6 +164,34 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="unknown latency model"):
             LatencySpec(model="wormhole")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("checkpoint_interval", 0),
+            ("checkpoint_interval", -3),
+            ("segment_max_bytes", 0),
+            ("pin_recent_checkpoints", -1),
+        ],
+    )
+    def test_out_of_range_storage_spec_rejected(self, field, value):
+        with pytest.raises(ScenarioError, match=f"{field}={value}\\b"):
+            StorageSpec(**{field: value})
+        with pytest.raises(ScenarioError, match=f"{field}={value}\\b"):
+            StorageSpec.from_json_dict({field: value})
+
+    @pytest.mark.parametrize(
+        "section, key", [("topology", "cow"), ("storage", "horizon_gc")]
+    )
+    def test_retired_scenario_keys_rejected(self, section, key):
+        document = registry.get("crash-restart").to_json_dict()
+        target = document["topology"]
+        if section == "storage":
+            target = target["storage"]
+        assert key not in target
+        target[key] = True
+        with pytest.raises(ScenarioError, match=f"'{key}'"):
+            Scenario.from_json(json.dumps(document))
+
     def test_unknown_registry_name_rejected(self):
         with pytest.raises(ScenarioError, match="unknown scenario"):
             registry.get("does-not-exist")
