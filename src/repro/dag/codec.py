@@ -160,8 +160,9 @@ def encoding_key(value: Any) -> bytes:
     """Sort key realizing the paper's arbitrary-but-fixed total order ``<_M``.
 
     Lexicographic order over injective encodings is a total order on
-    encodable values; ``interpret`` uses it to feed messages to process
-    instances in an order every server reproduces (Algorithm 2 line 10).
+    encodable values.  ``interpret.order`` feeds messages to process
+    instances in this order (Algorithm 2 line 10) without calling it
+    per message; protocols and ``runtime.compare`` key values by it.
     """
     return encode(value)
 

@@ -10,31 +10,38 @@ builders) is delivered once, and duplicate emissions collapse.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from repro.interpret.order import ordered
 from repro.protocols.base import Message
 from repro.types import Label
 
 
+#: What :meth:`MessageBuffers.outgoing_to` answers for a receiver the
+#: block emitted nothing to.
+_NOTHING: Mapping[Label, set[Message]] = MappingProxyType({})
+
+
 class MessageBuffers:
     """The ``Ms`` annotation of one block: in/out message sets per label.
 
     Alongside the canonical out-sets, the buffers maintain a
-    *receiver index* (``label -> receiver -> messages``): Algorithm 2's
-    line-9 gather runs once per (successor, label) pair over every
-    predecessor, so filtering ``m.receiver = B.n`` by scanning the full
-    out-set made each emitted message be re-examined by every
-    referencing block.  The index is derived state — rebuilt by
-    ``add_out`` wherever the buffers are reconstructed (checkpoint
-    restore, rehydration) and never serialized."""
+    *receiver index* (``receiver -> label -> messages``): Algorithm 2's
+    line-9 gather asks every direct predecessor for the messages with
+    ``m.receiver = B.n``, so one probe per predecessor returns exactly
+    the labels that have something for ``B.n`` — a successor's cost
+    follows what it receives, not the number of labels ever requested
+    nor the messages addressed to others.  The index is derived state
+    — rebuilt by ``add_out`` wherever the buffers are reconstructed
+    (checkpoint restore, rehydration) and never serialized."""
 
     __slots__ = ("_in", "_out", "_out_rcv")
 
     def __init__(self) -> None:
         self._in: dict[Label, set[Message]] = {}
         self._out: dict[Label, set[Message]] = {}
-        self._out_rcv: dict[Label, dict[object, set[Message]]] = {}
+        self._out_rcv: dict[object, dict[Label, set[Message]]] = {}
 
     # -- writes (Algorithm 2 lines 6, 9, 11) -------------------------------------
 
@@ -45,11 +52,14 @@ class MessageBuffers:
     def add_out(self, label: Label, messages: Iterable[Message]) -> None:
         """``Ms[out, ℓ] ∪= messages`` (lines 6, 11)."""
         self._out.setdefault(label, set()).update(messages)
-        by_receiver = self._out_rcv.setdefault(label, {})
+        out_rcv = self._out_rcv
         for message in messages:
-            bucket = by_receiver.get(message.receiver)
+            by_label = out_rcv.get(message.receiver)
+            if by_label is None:
+                by_label = out_rcv[message.receiver] = {}
+            bucket = by_label.get(label)
             if bucket is None:
-                by_receiver[message.receiver] = {message}
+                by_label[label] = {message}
             else:
                 bucket.add(message)
 
@@ -63,16 +73,12 @@ class MessageBuffers:
         """``Ms[out, ℓ]`` ordered by ``<_M`` (for line 9 at successor blocks)."""
         return ordered(self._out.get(label, ()))
 
-    def outgoing_to(self, label: Label, receiver: object) -> Iterable[Message]:
-        """``{m ∈ Ms[out, ℓ] | m.receiver = receiver}`` unordered, via
-        the receiver index — the line 9 gather without scanning the
-        other receivers' messages.  Callers must not mutate the
-        returned collection.  (The interpreter's hot loop inlines this
-        body over the raw ``_out_rcv`` slot; keep the two in sync.)"""
-        by_receiver = self._out_rcv.get(label)
-        if by_receiver is None:
-            return ()
-        return by_receiver.get(receiver, ())
+    def outgoing_to(self, receiver: object) -> Mapping[Label, set[Message]]:
+        """``ℓ ↦ {m ∈ Ms[out, ℓ] | m.receiver = receiver}`` for every
+        label with such a message, unordered — one block's whole
+        contribution to the line 9 gather at a successor built by
+        ``receiver``.  Callers must not mutate what is returned."""
+        return self._out_rcv.get(receiver, _NOTHING)
 
     def outgoing_for(self, label: Label, receiver: object) -> list[Message]:
         """``{m ∈ Ms[out, ℓ] | m.receiver = receiver}`` — the line 9 filter."""

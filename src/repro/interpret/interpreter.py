@@ -12,7 +12,11 @@ per block ``B``:
    (line 7), collects from each direct predecessor's out-buffer the
    messages addressed to ``B.n`` (lines 8–9) and feeds them to the
    builder's process in ``<_M`` order, unioning the responses into the
-   out-buffer (lines 10–11);
+   out-buffer (lines 10–11).  The gather is receiver-first: buffers
+   index their out-sets by receiver, so one probe per predecessor
+   yields the labels that hold something for ``B.n`` and only those
+   are ordered and visited — a block costs what it receives, however
+   many labels were ever requested;
 4. marks ``B`` interpreted (line 12) and surfaces any indications the
    process raised (lines 13–14).
 
@@ -607,35 +611,33 @@ class Interpreter:
             frozen = frozenset(gathered)
             active = self._active_pool.setdefault(frozen, frozen)
 
+        # Lines 8–9: gather the messages addressed to B.n from the direct
+        # predecessors' out-buffers through their receiver-first index —
+        # one probe per predecessor, answered with the labels that hold
+        # something for B.n.  The unions are unordered; <_M is applied
+        # once per label below (line 10).
         states = self._states
-        pred_states = [states[p.ref] for p in preds]
         receiver = block.n
+        arrived: dict[Label, set[Message]] = {}
+        for p in preds:
+            buffers = states[p.ref]._ms
+            if buffers is None:
+                continue  # block emitted nothing at all
+            for message_label, messages in buffers.outgoing_to(receiver).items():
+                union = arrived.get(message_label)
+                if union is None:
+                    arrived[message_label] = set(messages)
+                else:
+                    union.update(messages)
         # The canonical label order only matters when there is a choice.
-        label_order = active if len(active) < 2 else sorted(active)
-        for message_label in label_order:
-            # Lines 8–9: gather messages addressed to B.n from direct
-            # predecessors' out-buffers, through the receiver index —
-            # each emitted message is examined by the one successor
-            # label/receiver pair it is for, not by every referencing
-            # block.  Raw index reads (see MessageBuffers.outgoing_to —
-            # a method call per (pred, label) pair was measurable
-            # here); the union is unordered, <_M is applied once below
-            # (line 10).
-            incoming: set[Message] | None = None
-            for pred_state in pred_states:
-                buffers = pred_state._ms
-                if buffers is None:
-                    continue  # block emitted nothing at all
-                by_receiver = buffers._out_rcv.get(message_label)
-                if by_receiver:
-                    messages = by_receiver.get(receiver)
-                    if messages:
-                        if incoming is None:
-                            incoming = set(messages)
-                        else:
-                            incoming.update(messages)
-            if incoming is None:
+        for message_label in arrived if len(arrived) < 2 else sorted(arrived):
+            if message_label not in active:
+                # Line 7, literally.  Never taken: a predecessor emits
+                # for a label only when stepped for it — by a request
+                # (joined `active` above) or by a message (the label
+                # was active there already; active sets only grow).
                 continue
+            incoming = arrived[message_label]
             state.ms.add_in(message_label, incoming)
             # Lines 10–11: feed in <_M order; union the responses.
             for message in ordered(incoming):

@@ -542,7 +542,8 @@ class LiveNode:
         for signum in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(signum, self.request_stop)
         await self._assemble()
-        assert self._stop_event is not None and self.transport is not None
+        transport = self.transport
+        assert self._stop_event is not None and transport is not None
         background = [
             loop.create_task(self._beacon_loop()),
             loop.create_task(self._status_loop()),
@@ -555,13 +556,18 @@ class LiveNode:
             # are still settling) until the launcher says stop.
             await self._stop_event.wait()
         finally:
+            # Shutdown starts here, not inside transport.stop(): a
+            # beacon queued for a peer that stopped first fails while
+            # the tasks below are awaited, before the final publication
+            # — teardown, not a disturbance to count against the peer.
+            transport.closing = True
             for task in background:
                 task.cancel()
             if background:
                 await asyncio.gather(*background, return_exceptions=True)
             self._export_trace()
             final = self._publish()
-            await self.transport.stop()
+            await transport.stop()
         return final
 
 

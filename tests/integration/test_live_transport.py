@@ -37,6 +37,7 @@ from pathlib import Path
 import pytest
 
 from helpers import reference_status
+from repro.net.message import BlockEnvelope
 from repro.obs.diverge import first_chain_divergence
 from repro.obs.export import read_jsonl
 from repro.obs.metrics import MetricsSnapshot
@@ -297,3 +298,51 @@ def test_every_publication_of_a_node_restarted_from_disk(
     # tick_interval × rounds outlasts status_interval: the timer fired.
     assert reborn.published[-1].metrics_seq > 2
     assert count_indications_for == []
+
+
+def test_a_peer_gone_before_shutdown_is_lost_and_one_found_gone_during_it_is_not(
+    tmp_path,
+):
+    # ``transport.conn-lost`` attributes a disturbance to a peer; a
+    # fleet shutdown is not one.  A node told to stop may still hold a
+    # beacon for a peer that stopped first: the write fails while
+    # ``run()`` winds down — after the stop, before the final snapshot.
+    # Timers off, so after convergence a node writes to a peer only
+    # when this test queues something.
+    configs = {
+        str(server): replace(config, status_interval=3600.0, beacon_interval=3600.0)
+        for server, config in compile_live_configs(
+            oracle_scenario(rounds=8, rate=1), tmp_path
+        ).items()
+    }
+    nodes = {name: CheckedNode(config) for name, config in configs.items()}
+    running, stopping, gone = nodes["s1"], nodes["s2"], ServerId("s4")
+
+    def lost(node: CheckedNode) -> int:
+        return node.metrics.counter("transport.conn-lost", peer=str(gone)).value
+
+    async def drive() -> None:
+        tasks = {name: asyncio.ensure_future(node.run()) for name, node in nodes.items()}
+        try:
+            await until(lambda: converged(list(nodes.values())), list(tasks.values()))
+            await stop([nodes[str(gone)]], [tasks.pop(str(gone))])
+            beacon = BlockEnvelope(running.shim.dag.tip(running.server))
+            # Idle pumps do not read, so nobody has noticed yet.
+            assert lost(running) == lost(stopping) == 0
+            running.transport.send(gone, beacon)
+            await until(lambda: lost(running) == 1, list(tasks.values()))
+            stopping.transport.send(gone, beacon)
+            await stop([stopping], [tasks.pop("s2")])
+            assert stopping.transport.queued(gone) == 1  # tried, not delivered
+        finally:
+            await stop(list(nodes.values()), list(tasks.values()))
+
+    asyncio.run(drive())
+    final = {
+        name: MetricsSnapshot.read_jsonl(config.metrics_path)
+        for name, config in configs.items()
+    }
+    assert final["s2"].total("transport.conn-lost") == 0
+    assert final["s1"].total("transport.conn-lost") == 1
+    assert final["s1"].total("transport.conn-lost", peer=str(gone)) == 1
+    assert final["s3"].total("transport.conn-lost") == 0

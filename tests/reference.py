@@ -4,7 +4,8 @@ Lemma 4.2 and Theorem 5.1 make interpretation a pure function of the
 block DAG, so a literal reading of Algorithm 2 judges any optimised
 interpreter: rescan the DAG for the eligible frontier before every step
 (line 3), ``copy.deepcopy`` the parent's whole ``PIs`` (line 4), gather
-and deliver in ``<_M`` order (lines 7–11).  There is no scheduler
+and deliver in ``<_M`` order — the whole message's canonical encoding
+as the sort key (lines 7–11).  There is no scheduler
 state, no structural sharing and no rehydration here — a block whose
 predecessor's annotation was released is stranded for good, which is
 what :attr:`ReferenceInterpreter.below_horizon` counts.
@@ -14,11 +15,11 @@ from __future__ import annotations
 
 import copy
 
+from repro.dag import codec
 from repro.dag.block import parent_of
 from repro.dag.traversal import eligible_frontier
 from repro.interpret.instance import BlockState
 from repro.interpret.interpreter import IndicationEvent
-from repro.interpret.order import ordered
 
 
 class ReferenceInterpreter:
@@ -90,7 +91,7 @@ class ReferenceInterpreter:
             if not incoming:
                 continue  # Ms[in, ℓ] ∪= ∅ leaves no entry behind
             state.ms.add_in(label, incoming)
-            for message in ordered(incoming):  # lines 10–11
+            for message in sorted(incoming, key=codec.encode):  # lines 10–11
                 self.messages_delivered += 1
                 self._step(block, state, label, lambda pi: pi.step_message(message))
         self._states[block.ref] = state

@@ -155,6 +155,72 @@ class TestMessageDelivery:
         assert totals == totals2
 
 
+class _CountingLabel(str):
+    """A label that counts how often it is compared for order — what a
+    sort over labels costs, whatever sorts them."""
+
+    comparisons = 0
+
+    def __lt__(self, other):
+        _CountingLabel.comparisons += 1
+        return str.__lt__(self, other)
+
+
+class _CountingIndex(dict):
+    """A receiver index that counts the lookups made in it."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        _CountingIndex.probes += 1
+        return dict.get(self, key, default)
+
+    def __getitem__(self, key):
+        _CountingIndex.probes += 1
+        return dict.__getitem__(self, key)
+
+
+class TestCostFollowsWhatArrives:
+    """Lines 7–9 per block cost what the block receives: one index
+    probe per direct predecessor, and an order over the labels that
+    have incoming messages — not over every label ever requested."""
+
+    @pytest.mark.parametrize("live", [1, 2])
+    def test_dormant_labels_cost_nothing(self, dag_builder, live):
+        dormant = [_CountingLabel(f"dormant-{i:03d}") for i in range(500)]
+        dag_builder.block(S1, rs=[(label, Inc(1)) for label in dormant])
+        for server in (S2, S3, S4):
+            dag_builder.block(server)
+        # Everyone takes delivery, then the 500 instances fall silent.
+        for _ in range(3):
+            dag_builder.round_all()
+        woken = dormant[100 : 100 + live]
+        dag_builder.round_all({S1: [(label, Inc(2)) for label in woken]})
+        interp = fresh_interpreter(dag_builder, counter_protocol)
+        interp.run()
+
+        late = dag_builder.block(
+            S2, refs=[dag_builder.dag.tip(s) for s in (S1, S3, S4)]
+        )
+        preds = dag_builder.dag.predecessors(late)
+        assert len(preds) == 4
+        for pred in preds:
+            buffers = interp.state_of(pred.ref).ms
+            buffers._out_rcv = _CountingIndex(buffers._out_rcv)
+        _CountingIndex.probes = _CountingLabel.comparisons = 0
+        delivered = interp.messages_delivered
+        interp.run()
+
+        assert interp.is_interpreted(late.ref)
+        assert len(interp.active_labels(late.ref)) == 500
+        assert set(interp.state_of(late.ref).ms.labels_in()) == set(woken)
+        assert interp.messages_delivered - delivered == live
+        assert _CountingIndex.probes == len(preds)
+        # Sorting k labels takes k - 1 comparisons at k <= 2; sorting
+        # the 500 active ones would take at least 499.
+        assert _CountingLabel.comparisons == live - 1
+
+
 class TestEligibilityAndErrors:
     def test_interpret_requires_eligibility(self, dag_builder):
         dag_builder.block(S1)

@@ -1,7 +1,10 @@
 """Unit tests for the <_M order and the per-block message buffers."""
 
+from itertools import permutations
+
+from repro.dag import codec
 from repro.interpret.buffers import MessageBuffers
-from repro.interpret.order import message_less, message_sort_key, ordered
+from repro.interpret.order import ordered
 from repro.protocols.base import Message
 from repro.protocols.brb import Echo, Ready
 from repro.types import Label, ServerId
@@ -22,25 +25,60 @@ class TestMessageOrder:
             msg(sender=S2, receiver=S1, value=1),
             msg(kind=Ready, value=1),
         ]
-        keys = [message_sort_key(m) for m in messages]
-        assert len(set(keys)) == len(messages)
+        # One order whatever the input order: no two of them tie.
+        assert len({tuple(ordered(p)) for p in permutations(messages)}) == 1
 
     def test_fixed_across_runs(self):
         # The order is 'arbitrary but fixed' (§2): content-derived, so
-        # reconstructing equal messages yields equal keys.
-        assert message_sort_key(msg(value=7)) == message_sort_key(msg(value=7))
+        # reconstructing equal messages yields the same sequence.
+        assert ordered([msg(value=7), msg(value=3)]) == ordered(
+            [msg(value=3), msg(value=7)]
+        )
 
     def test_strictness(self):
         a, b = msg(value=1), msg(value=2)
-        assert message_less(a, b) != message_less(b, a)
-        assert not message_less(a, a)
+        assert ordered([a, b]) == ordered([b, a]) == [a, b]
+        assert codec.encode(a) < codec.encode(b)
 
     def test_ordered_is_sorted_and_stable(self):
-        messages = [msg(value=v) for v in (3, 1, 2)]
+        # Pinned to the codec, not to ``ordered`` itself: senders whose
+        # ids order differently as text ("s10" < "s2") and as encodings,
+        # and a (sender, receiver) tie only the payload can break.
+        s10 = ServerId("s10")
+        messages = [
+            msg(sender=s10, value=1),
+            msg(sender=S2, value=3),
+            msg(sender=S2, value=1, kind=Ready),
+            msg(sender=S2, value=2),
+            msg(sender=S1, receiver=s10),
+            msg(sender=S1, receiver=S2),
+        ]
         result = ordered(messages)
-        assert [message_sort_key(m) for m in result] == sorted(
-            message_sort_key(m) for m in messages
-        )
+        assert result == sorted(messages, key=codec.encode)
+        assert result.index(msg(sender=S2, value=3)) < result.index(msg(sender=s10))
+
+    def test_endpoints_that_are_equal_as_dict_keys_do_not_alias(self):
+        # ``1 == True`` and they hash alike, but they encode differently
+        # (int / bool tags): a memo keyed by the endpoint value would
+        # hand one of them the other's key.  Both call orders, so that
+        # whichever is seen first cannot poison the second.
+        for first, second in ((1, True), (True, 1)):
+            warm = [msg(sender=first, value=1), msg(sender=first, value=2)]
+            assert ordered(warm) == sorted(warm, key=codec.encode)
+            mixed = [
+                msg(sender=second, value=1),
+                msg(sender=first, value=1),
+                msg(sender=S1, receiver=second),
+                msg(sender=S1, receiver=first),
+            ]
+            result = ordered(mixed)
+            assert [codec.encode(m) for m in result] == sorted(
+                codec.encode(m) for m in mixed
+            )
+
+    def test_batches_of_zero_and_one_come_back_as_lists(self):
+        assert ordered(()) == []
+        assert ordered({msg()}) == [msg()]
 
     def test_ordered_accepts_any_iterable(self):
         assert ordered(iter([msg(value=2), msg(value=1)]))[0].payload.value == 1
@@ -82,6 +120,23 @@ class TestMessageBuffers:
         buffers.add_out(L, [to_s1, to_s2])
         assert buffers.outgoing_for(L, S1) == [to_s1]
         assert buffers.outgoing_for(L, S2) == [to_s2]
+
+    def test_outgoing_to_is_the_filter_for_every_label_at_once(self):
+        # The receiver-first index answers exactly what the per-label
+        # line 9 filter answers, for the labels that have an answer.
+        buffers = MessageBuffers()
+        other, quiet = Label("other"), Label("quiet")
+        buffers.add_out(L, [msg(value=1), msg(value=2), msg(receiver=S1)])
+        buffers.add_out(other, [msg(value=3)])
+        buffers.add_out(L, [msg(value=1)])  # a duplicate emission collapses
+        buffers.add_out(quiet, [])
+        for receiver in (S1, S2, ServerId("s3")):
+            assert buffers.outgoing_to(receiver) == {
+                label: set(buffers.outgoing_for(label, receiver))
+                for label in (L, other, quiet)
+                if buffers.outgoing_for(label, receiver)
+            }
+        assert set(buffers.outgoing_to(S2)) == {L, other}
 
     def test_counts(self):
         buffers = MessageBuffers()
