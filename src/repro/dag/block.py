@@ -97,16 +97,21 @@ class Block:
         """The bytes a server signs: the block reference."""
         return self.ref.encode("ascii")
 
-    def wire_size(self) -> int:
-        """Approximate serialized size in bytes (for the metrics layer).
-
-        Reference hashes count 32 bytes each, the signature 64, plus the
-        canonical encoding of the payload fields.
-        """
+    @cached_property
+    def _wire_size(self) -> int:
         payload = len(codec.encode(list(self.rs)))
         header = len(codec.encode(str(self.n))) + len(codec.encode(self.k))
         claim = len(codec.encode([(str(s), k) for s, k in self.hz]))
         return header + 32 * len(self.preds) + payload + claim + 64
+
+    def wire_size(self) -> int:
+        """Approximate serialized size in bytes (for the metrics layer),
+        computed once per block: the transports ask per destination.
+
+        Reference hashes count 32 bytes each, the signature 64, plus the
+        canonical encoding of the payload fields.
+        """
+        return self._wire_size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Block):
@@ -242,6 +247,9 @@ class BlockBuilder:
             sigma=sign(unsigned.signing_payload()),
             hz=unsigned.hz,
         )
+        # ``ref(B)`` does not cover ``σ``: the hash just signed is the
+        # sealed block's too.
+        sealed.__dict__["ref"] = unsigned.ref
         self._k += 1
         self._preds = [sealed.ref]
         self._seen_preds = {sealed.ref}

@@ -42,9 +42,10 @@ class Canonical:
     """A value standing for bytes that already *are* its canonical
     encoding: :func:`encode` splices ``data`` in verbatim wherever the
     value would have gone.  The caller vouches that ``data`` came from
-    :func:`encode`; a cache of encoded parts (checkpoint entries) can
-    then be re-framed without this module's container layout leaking
-    out of it."""
+    :func:`encode`; a cache of encoded parts (checkpoint entries, and
+    inside a new entry the state containers ``storage.state_codec``
+    froze once per object) can then be re-framed without this module's
+    container layout leaking out of it."""
 
     __slots__ = ("data",)
 

@@ -48,8 +48,15 @@ is written the same way for as long as its ``base`` stands: capture
 takes such entries over from the previous checkpoint instead of
 re-freezing them, and each entry's canonical bytes are kept on the
 ``Checkpoint`` object (``encoded``) and spliced into the next file, so
-an entry is encoded once per ``(ref, base)``.  The file is then read
-back and compared byte for byte with the frame just written.
+an entry is encoded once per ``(ref, base)``.  A *new* entry costs what
+its block wrote: a state container (``list``/``dict``/``set``) of an
+interpreted block never changes again, so it is frozen and encoded once
+per object (``frozen``, see :mod:`repro.storage.state_codec`) and every
+entry sharing it splices those bytes.  That memo lives on the
+``Checkpoint`` too; a capture falls back to the previous one's and keeps
+what it reached, so the containers of the last two captures stay pinned
+and a builder silent for longer is encoded afresh once.  The file is
+then read back and compared byte for byte with the frame just written.
 """
 
 from __future__ import annotations
@@ -64,7 +71,8 @@ from typing import TYPE_CHECKING, Any
 from repro.dag import codec
 from repro.dag.block import Block, parent_of
 from repro.errors import CheckpointError, CodecError
-from repro.storage.state_codec import restore_process, snapshot_process
+from repro.interpret.order import ordered
+from repro.storage.state_codec import ContainerMemo, restore_process, snapshot_process
 from repro.types import BlockRef, Label, ServerId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -125,6 +133,14 @@ class Checkpoint:
     #: Lives and dies with this object; a loaded checkpoint has none.
     encoded: dict[BlockRef, bytes] = field(
         default_factory=dict, repr=False, compare=False
+    )
+    #: The state containers this capture reached, frozen and encoded, by
+    #: object identity — sound because an interpreted block's containers
+    #: are never written again, bounded because the next capture takes
+    #: only what it still reaches and this object is then dropped.
+    #: Never serialized; empty on a loaded checkpoint.
+    frozen: ContainerMemo = field(
+        default_factory=ContainerMemo, repr=False, compare=False
     )
 
     def state_bytes(self, ref: BlockRef) -> bytes:
@@ -198,7 +214,8 @@ def capture_checkpoint(
     ``previous.states`` with the same ``base`` is not frozen again —
     the entry object, and with it the bytes ``previous`` memoised for
     it, is taken over.  Only refs interpreted since ``previous`` and
-    refs whose base just left the checkpoint are snapshotted.
+    refs whose base just left the checkpoint are snapshotted, and of
+    those only the containers ``previous.frozen`` has not seen.
     """
     live = [
         ref for ref in interpreter.interpreted
@@ -211,6 +228,7 @@ def capture_checkpoint(
             if ref in previous.states and not dag.payload_pruned(ref)
         ]
     planned = set(live) | set(carried)
+    frozen = ContainerMemo(None if previous is None else previous.frozen)
     states: dict[BlockRef, dict[str, Any]] = {}
     active: dict[BlockRef, tuple[Label, ...]] = {}
     for ref in live:
@@ -236,12 +254,12 @@ def capture_checkpoint(
         )
         states[ref] = {
             "pis": {
-                str(lbl): snapshot_process(state.pis[lbl])
+                str(lbl): snapshot_process(state.pis[lbl], frozen)
                 for lbl in sorted(labels)
             },
-            "in": {str(lbl): tuple(sorted(msgs, key=codec.encode))
+            "in": {str(lbl): tuple(ordered(msgs))
                    for lbl, msgs in buffers["in"].items()},
-            "out": {str(lbl): tuple(sorted(msgs, key=codec.encode))
+            "out": {str(lbl): tuple(ordered(msgs))
                     for lbl, msgs in buffers["out"].items()},
             "own": tuple(sorted(str(lbl) for lbl in own)),
             "base": base,
@@ -253,6 +271,9 @@ def capture_checkpoint(
             entry = _materialize_entry(previous.states, ref)  # type: ignore[union-attr]
         states[ref] = entry
         active[ref] = previous.active[ref]  # type: ignore[union-attr]
+    # The fallback served this capture only: unlinked, each memo dies
+    # with its checkpoint instead of chaining back to the first.
+    frozen.older = None
     # An entry taken over as the same object brings its bytes along.
     encoded = (
         {}
@@ -285,6 +306,7 @@ def capture_checkpoint(
         skeletons=skeletons,
         events=events,
         encoded=encoded,
+        frozen=frozen,
         counters={
             "blocks_interpreted": interpreter.blocks_interpreted,
             "messages_delivered": interpreter.messages_delivered,

@@ -15,6 +15,20 @@ indications) pass through as atoms: the codec round-trips them via its
 dataclass registry, and being frozen they never need the mutability
 distinction.
 
+With a :class:`ContainerMemo`, ``freeze`` freezes *and encodes* a
+``list``/``dict``/``set`` once per object: in its place the wire form
+holds a :class:`~repro.dag.codec.Canonical` with the bytes of the
+container's wire form, shared by every parent and every later state
+entry that holds the same object.  Identity is a sound key because an
+annotation is immutable once its block is interpreted (Algorithm 2 line
+12) — a later block forks the instance and the write barrier copies a
+container before its first write, which the ``cow-barrier`` lint rule
+and ``tests/property/test_cow_props.py`` guard — and because the memo
+holds the object, so its ``id`` is not reused.  Tuples and frozensets
+are immutable but unshared, and stay plain.  Such a wire form exists in
+memory only and encodes to the bytes of the plain one; what
+``CheckpointManager.load`` returns never contains a ``Canonical``.
+
 No pickle anywhere: like the rest of the library, persistence is
 independent of Python memory layout, and a checkpoint written by one
 process restores in another as long as the protocol modules are
@@ -44,27 +58,59 @@ _SET = "s"
 _FROZENSET = "f"
 
 
-def freeze(value: Any) -> Any:
-    """Rewrite ``value`` into the tagged, codec-encodable wire form."""
+class ContainerMemo(dict):
+    """``id(container) -> (container, Canonical)`` for the containers one
+    capture froze.  A miss falls back to ``older`` — the previous
+    capture's memo — and promotes what it finds, so a memo holds what
+    its own capture reached and nothing else."""
+
+    def __init__(self, older: "ContainerMemo | None" = None) -> None:
+        super().__init__()
+        self.older = older
+
+    def __missing__(self, key: int) -> tuple[Any, codec.Canonical]:
+        if self.older is None:
+            raise KeyError(key)
+        found = self[key] = self.older[key]
+        return found
+
+
+def freeze(value: Any, memo: ContainerMemo | None = None) -> Any:
+    """Rewrite ``value`` into the tagged, codec-encodable wire form —
+    with a ``memo``, mutable containers as their encoded wire form, each
+    object frozen and encoded once."""
+    shared = memo is not None and isinstance(value, (list, dict, set))
+    if shared:
+        try:
+            return memo[id(value)][1]
+        except KeyError:
+            pass
     if isinstance(value, (list, tuple)):
         tag = _LIST if isinstance(value, list) else _TUPLE
-        return (tag, tuple(freeze(v) for v in value))
-    if isinstance(value, dict):
-        return (
+        wire = (tag, tuple(freeze(v, memo) for v in value))
+    elif isinstance(value, dict):
+        wire = (
             _DICT,
-            tuple((freeze(k), freeze(v)) for k, v in value.items()),
+            tuple((freeze(k, memo), freeze(v, memo)) for k, v in value.items()),
         )
-    if isinstance(value, (set, frozenset)):
+    elif isinstance(value, (set, frozenset)):
         tag = _SET if isinstance(value, set) else _FROZENSET
         # Sort by canonical encoding so equal sets freeze identically.
-        items = sorted((freeze(v) for v in value), key=codec.encode)
-        return (tag, tuple(items))
-    # Scalars and frozen dataclasses: the codec handles them natively.
-    return (_ATOM, value)
+        items = sorted((freeze(v, memo) for v in value), key=codec.encode)
+        wire = (tag, tuple(items))
+    else:
+        # Scalars and frozen dataclasses: the codec handles them natively.
+        return (_ATOM, value)
+    if shared:
+        wire = codec.Canonical(codec.encode(wire))
+        memo[id(value)] = (value, wire)
+    return wire
 
 
 def thaw(wire: Any) -> Any:
     """Invert :func:`freeze`."""
+    if type(wire) is codec.Canonical:
+        wire = codec.decode(wire.data)
     try:
         tag, payload = wire
     except (TypeError, ValueError) as exc:
@@ -107,11 +153,14 @@ def _instance_attrs(instance: ProcessInstance) -> dict[str, Any]:
     return attrs
 
 
-def snapshot_process(instance: ProcessInstance) -> dict[str, Any]:
+def snapshot_process(
+    instance: ProcessInstance, memo: ContainerMemo | None = None
+) -> dict[str, Any]:
     """Serializable snapshot of one process instance.
 
     Captures the class name (for a sanity check on restore), the static
-    context identity, and every attribute in frozen wire form.
+    context identity, and every attribute in frozen wire form
+    (:func:`freeze` with the same ``memo``).
     """
     ctx = instance.ctx
     return {
@@ -119,7 +168,7 @@ def snapshot_process(instance: ProcessInstance) -> dict[str, Any]:
         "self_id": str(ctx.self_id),
         "label": str(ctx.label),
         "attrs": {
-            name: freeze(value)
+            name: freeze(value, memo)
             for name, value in sorted(_instance_attrs(instance).items())
         },
     }
@@ -191,6 +240,7 @@ def annotation_fingerprint(interpreter: Any, ref: Any) -> bytes:
 
 
 __all__ = [
+    "ContainerMemo",
     "annotation_fingerprint",
     "freeze",
     "thaw",

@@ -15,7 +15,12 @@ from repro.dag.blockdag import BlockDag
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.storage.blockstore import ServerStorage, StorageConfig
-from repro.storage.state_codec import annotation_fingerprint, freeze, thaw
+from repro.storage.state_codec import (
+    ContainerMemo,
+    annotation_fingerprint,
+    freeze,
+    thaw,
+)
 from repro.storage.wal import WriteAheadLog
 from repro.types import Label
 
@@ -160,3 +165,64 @@ class TestFreezeThaw:
         thawed = thaw(codec.decode(codec.encode(freeze(value))))
         assert thawed == value
         assert type(thawed) is type(value)
+
+
+@st.composite
+def trees_sharing_containers(draw):
+    """Successive values to freeze, in which the *same* ``list``/``dict``/
+    ``set`` objects turn up under several parents and in several of the
+    values — the sharing copy-on-write forks leave between annotations."""
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.lists(mutable_trees(1), max_size=3),
+                st.dictionaries(st.text(max_size=4), mutable_trees(1), max_size=3),
+                st.sets(st.integers(), max_size=4),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    tree = st.recursive(
+        st.one_of(scalars, st.sampled_from(pool)),
+        lambda sub: st.one_of(
+            st.lists(sub, max_size=3),
+            st.lists(sub, max_size=3).map(tuple),
+            st.dictionaries(st.text(max_size=4), sub, max_size=3),
+        ),
+        max_leaves=8,
+    )
+    return draw(st.lists(tree, min_size=2, max_size=4))
+
+
+def assert_same_containers(thawed, value):
+    """Equal, and of the same container type at every level (``==``
+    alone lets a ``frozenset`` pass for a ``set``)."""
+    assert type(thawed) is type(value) and thawed == value
+    if isinstance(value, (list, tuple)):
+        for ours, theirs in zip(thawed, value):
+            assert_same_containers(ours, theirs)
+    elif isinstance(value, dict):
+        for key in value:
+            assert_same_containers(thawed[key], value[key])
+
+
+class TestFreezeOncePerContainer:
+    @given(trees_sharing_containers())
+    @settings(max_examples=150)
+    def test_the_memo_changes_no_byte(self, values):
+        memo = ContainerMemo()
+        for value in values:
+            wire = freeze(value, memo)
+            assert codec.encode(wire) == codec.encode(freeze(value))
+            assert_same_containers(thaw(wire), value)
+        # Every memoised container is held, so no id can be reused.
+        assert all(id(held) == key for key, (held, _) in memo.items())
+
+        chained = ContainerMemo(memo)
+        for value in values:
+            assert codec.encode(freeze(value, chained)) == codec.encode(freeze(value))
+        # Nothing was encoded afresh: all the second memo holds are the
+        # first one's entries, promoted.
+        assert chained.keys() <= memo.keys()
+        assert all(chained[key] is memo[key] for key in chained)

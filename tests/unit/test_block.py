@@ -3,6 +3,8 @@
 import pytest
 
 from repro.crypto.keys import KeyRing
+from repro.dag import block as block_module
+from repro.dag import codec
 from repro.dag.block import Block, BlockBuilder, genesis_block
 from repro.protocols.brb import Broadcast
 from repro.types import Label, ServerId, make_servers
@@ -62,6 +64,38 @@ class TestBlockDefinition31:
         with_requests = genesis_block(S1, [(Label("l"), Broadcast(42))])
         assert more_preds.wire_size() > small.wire_size()
         assert with_requests.wire_size() > small.wire_size()
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            genesis_block(S1),
+            Block(n=S1, k=1, preds=("p" * 8, "q" * 8), rs=()),
+            genesis_block(S1, [(Label("l"), Broadcast(42))]),
+            Block(
+                n=S2, k=3, preds=("p" * 8,),
+                rs=((Label("l"), Broadcast(1)), (Label("m"), Broadcast(2))),
+                hz=((S1, 2), (S2, 1)),
+            ),
+        ],
+        ids=["bare", "preds", "rs", "rs+hz"],
+    )
+    def test_wire_size_is_the_formula_computed_once(self, block, monkeypatch):
+        expected = (
+            len(codec.encode(str(block.n)))
+            + len(codec.encode(block.k))
+            + 32 * len(block.preds)
+            + len(codec.encode(list(block.rs)))
+            + len(codec.encode([(str(s), k) for s, k in block.hz]))
+            + 64
+        )
+        assert block.wire_size() == expected
+        calls = []
+        real = codec.encode
+        monkeypatch.setattr(
+            codec, "encode", lambda value: calls.append(value) or real(value)
+        )
+        assert block.wire_size() == expected
+        assert calls == []
 
     def test_repr_is_compact(self):
         assert "k=0" in repr(genesis_block(S1))
@@ -145,6 +179,29 @@ class TestBlockBuilder:
         builder = BlockBuilder(S1)
         block = builder.seal([], self._sign_fn(ring, S1))
         assert ring.verify(S1, block.signing_payload(), block.sigma)
+
+    def test_sealed_block_takes_the_unsigned_ref_without_rehashing(
+        self, ring, monkeypatch
+    ):
+        hashed = []
+        real = block_module.hash_fields
+        monkeypatch.setattr(
+            block_module,
+            "hash_fields",
+            lambda fields, domain: hashed.append(domain) or real(fields, domain=domain),
+        )
+        builder = BlockBuilder(S1)
+        builder.set_claim(((S2, 4),))
+        requests = [(Label("l1"), Broadcast(42))]
+        sealed = builder.seal(requests, self._sign_fn(ring, S1))
+        assert len(hashed) == 1
+        unsigned = Block(
+            n=S1, k=0, preds=(), rs=tuple(requests), hz=((S2, 4),)
+        )
+        assert sealed.ref == unsigned.ref
+        assert len(hashed) == 2  # the comparison's own hash, none for ``sealed``
+        assert builder.pending_preds == (sealed.ref,)
+        assert ring.verify(S1, sealed.signing_payload(), sealed.sigma)
 
     def test_next_seq_tracks(self, ring):
         builder = BlockBuilder(S1)

@@ -1,5 +1,6 @@
 """Unit tests for interpreter checkpoints: capture, persist, install."""
 
+import itertools
 import os
 import stat
 import struct
@@ -14,6 +15,7 @@ from repro.errors import CheckpointError
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
+from repro.protocols.ledger import Append, ledger_protocol
 from repro.storage.checkpoint import (
     CheckpointManager,
     capture_checkpoint,
@@ -284,3 +286,55 @@ class TestManager:
             assert annotation_fingerprint(
                 fresh, block.ref
             ) == annotation_fingerprint(interpreter, block.ref)
+
+
+class _CountedValue(str):
+    """A ledger value that counts how often the codec encodes it."""
+
+    encodes = 0
+
+    def encode(self, *args, **kwargs):
+        _CountedValue.encodes += 1
+        return super().encode(*args, **kwargs)
+
+
+class TestNewEntryCost:
+    """A state entry new in a checkpoint costs what its block wrote —
+    one bucket of the ledger — not what the ledger holds."""
+
+    @staticmethod
+    def value_encodes_of_second_capture(entries: int) -> int:
+        builder = ManualDagBuilder(3)
+        values = (_CountedValue(f"v{i}") for i in range(entries + 4))
+        requesters = itertools.cycle(builder.servers)
+
+        def round_with(appends: int) -> None:
+            requests = [(L, Append(next(values))) for _ in range(appends)]
+            builder.round_all(rs_for={next(requesters): requests})
+
+        for _ in range(entries // 8):
+            round_with(8)
+        for _ in range(2):  # every replica applies every entry
+            builder.round_all()
+        interpreter = fresh_interpreter(builder, ledger_protocol)
+        interpreter.run()
+        tip = interpreter.state_of(builder.dag.tip(builder.servers[0]).ref)
+        assert tip.pis[L].count == entries
+        first = capture_checkpoint(1, interpreter, builder.dag)
+        for ref in first.states:
+            first.state_bytes(ref)
+
+        for _ in range(4):
+            round_with(1)
+        interpreter.run()
+        _CountedValue.encodes = 0
+        second = capture_checkpoint(2, interpreter, builder.dag, previous=first)
+        assert len(second.states) == len(first.states) + 12
+        for ref in second.states:
+            second.state_bytes(ref)
+        return _CountedValue.encodes
+
+    def test_flat_in_the_ledger_size(self):
+        small = self.value_encodes_of_second_capture(64)
+        assert small > 0
+        assert self.value_encodes_of_second_capture(256) <= small
