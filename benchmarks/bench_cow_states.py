@@ -24,7 +24,8 @@ replayable from the CLI:
 cow steady-state per-block cost must stay within 2x of the committed
 baseline (``baseline_cow_states.json``), after scaling the threshold by
 a machine-speed calibration loop so a slower CI host does not fail the
-build for being slow.
+build for being slow.  Either way the result is one JSON document on
+stdout.
 
 Run:  PYTHONPATH=src python benchmarks/bench_cow_states.py [--smoke]
   or: PYTHONPATH=src python -m pytest benchmarks/bench_cow_states.py -q
@@ -37,10 +38,7 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
-
-from bench_util import emit, reset
 
 from helpers import ManualDagBuilder
 from reference import ReferenceInterpreter
@@ -138,7 +136,6 @@ def run_scenario_arm(smoke: bool) -> dict:
 
 
 def run(smoke: bool = False) -> dict:
-    reset(EXPERIMENT)
     n_servers = SMOKE_SERVERS if smoke else SERVERS
     sizes = SMOKE_SIZES if smoke else SIZES
     builder, blocks = build_workload(n_servers, max(sizes))
@@ -181,7 +178,6 @@ def run(smoke: bool = False) -> dict:
         "calibration_seconds": round(calibrate(), 6),
         "scenario_arms": run_scenario_arm(smoke),
     }
-    emit(EXPERIMENT, json.dumps(result, indent=2))
     return result
 
 

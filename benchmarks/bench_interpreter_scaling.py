@@ -11,8 +11,7 @@ This benchmark replays the same steady-state shape for the scheduler
 and for the reference interpreter of ``tests/reference.py`` (frontier
 rescan per step, ``copy.deepcopy`` of the parent's ``PIs``) — insert
 one block, run the interpreter, repeat — over identical DAGs of
-growing size and reports, as JSON (same conventions as the storage
-bench):
+growing size and prints, as one JSON document on stdout:
 
 * total interpretation wall-time per interpreter and the speedup;
 * per-block cost per DAG size (flat for the scheduler, growing for the
@@ -31,10 +30,7 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parents[1] / "tests"))
-
-from bench_util import emit, reset
 
 from helpers import ManualDagBuilder
 from reference import ReferenceInterpreter
@@ -184,7 +180,6 @@ def quartile_means_us(per_insert):
 
 
 def run(smoke: bool = False) -> dict:
-    reset(EXPERIMENT)
     n_servers = SMOKE_SERVERS if smoke else SERVERS
     sizes = SMOKE_SIZES if smoke else SIZES
     builder, blocks = build_workload(n_servers, max(sizes))
@@ -252,7 +247,6 @@ def run(smoke: bool = False) -> dict:
         f"{result['tracing']['off_overhead_fraction']:.4f} ≥ "
         f"{MAX_OFF_OVERHEAD} of per-block cost"
     )
-    emit(EXPERIMENT, json.dumps(result, indent=2))
     return result
 
 

@@ -14,10 +14,10 @@ path** (``Shim`` construction over existing storage) for each:
   frontier: recovery = window restore + suffix replay.
 
 It also measures raw WAL append throughput over real encoded blocks,
-and emits everything as JSON via the bench_util conventions.
+and prints everything as one JSON document on stdout.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_storage_recovery.py -q
-  or: PYTHONPATH=src python benchmarks/bench_storage_recovery.py
+  or: PYTHONPATH=src python benchmarks/bench_storage_recovery.py [--smoke]
 """
 
 import json
@@ -26,10 +26,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-
-from bench_util import emit, reset
 
 from repro.dag import codec
 from repro.protocols.brb import Broadcast, brb_protocol
@@ -109,7 +105,6 @@ def wal_throughput(root: Path, blocks, repeats=3):
 
 
 def run(instances: int = INSTANCES, rounds: int = ROUNDS) -> dict:
-    reset(EXPERIMENT)
     root = Path(tempfile.mkdtemp(prefix="bench-storage-"))
     try:
         # Baseline: WAL only, no checkpoints ever written → restart
@@ -197,7 +192,6 @@ def run(instances: int = INSTANCES, rounds: int = ROUNDS) -> dict:
             "wal_segments_dropped": segments_dropped,
             "wal_append_throughput": wal_throughput(root, full_shim.dag.blocks()),
         }
-        emit(EXPERIMENT, json.dumps(result, indent=2))
         return result
     finally:
         shutil.rmtree(root, ignore_errors=True)

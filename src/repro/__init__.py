@@ -4,8 +4,8 @@ A full reproduction of Schett & Danezis (PODC 2021, arXiv:2102.09594):
 the block DAG framework (``gossip`` + ``interpret`` + ``shim``), several
 deterministic BFT protocols to embed (reliable broadcast, consistent
 broadcast, PBFT-style consensus, phase king), the network and key-value
-store substrates they run on, a direct-messaging baseline, and the
-analysis tooling behind the paper's efficiency claims.
+store substrates they run on, and the direct-messaging baseline the
+paper's efficiency claims are measured against.
 
 Quickstart::
 
@@ -16,8 +16,8 @@ Quickstart::
     cluster.run_until(lambda c: c.all_delivered(label("tx-1")))
     print(cluster.shim(cluster.servers[1]).indications_for(label("tx-1")))
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+README.md maps each package to the paper; the paper's figures, lemmas
+and efficiency claims are tier-1 tests under ``tests/integration/``.
 """
 
 from repro.accountability import EquivocationEvidence, audit, collect_evidence, verify_evidence

@@ -15,8 +15,8 @@ protocol behaviour, so the scheme is pluggable:
 * :class:`NullScheme` — accepts everything; isolates signature *counts*
   from signature *cost* in benchmarks.
 * :class:`CountingScheme` — decorator adding operation counters to any
-  scheme; the benchmark harness uses it to reproduce the paper's batch
-  signature claim (CLM-SIG in DESIGN.md).
+  scheme; ``TestBatchSignatures`` (tier-1) checks the paper's batch
+  signature claim (CLM-SIG) with it.
 """
 
 from __future__ import annotations

@@ -99,7 +99,6 @@ ARCHITECTURE: dict[str, frozenset[str]] = {
             "types",
         }
     ),
-    "analysis": frozenset({"errors", "runtime", "types"}),
     # The live single-server entrypoint (`python -m repro.node`): pure
     # assembly over the runtime and the scenario registry's protocol
     # catalogue, nothing below that.

@@ -8,12 +8,12 @@ the simulated network, but every protocol message is
 * serialized and sent as its own envelope, and
 * individually signed by its sender and verified by its receiver.
 
-Benchmarks compare this runtime against the block DAG embedding to
-reproduce the paper's efficiency claims: message compression
-(CLM-COMPRESS), batch signatures (CLM-SIG), free parallel instances
-(CLM-PARALLEL) and throughput shape (CLM-THROUGHPUT).  Correctness
-experiments (Theorem 5.1) compare the *traces* of both runtimes: the
-embedding must produce the same per-server indications.
+``tests/integration/test_offline_and_parallel.py`` holds the embedding
+against it for CLM-COMPRESS (``TestCompression``), CLM-SIG
+(``TestBatchSignatures``), CLM-PARALLEL (``TestParallelInstances``) and
+CLM-THROUGHPUT (``TestThroughput``); ``test_theorem51.py`` compares the
+*traces* of both runtimes (Theorem 5.1): the embedding must produce the
+same per-server indications.
 """
 
 from __future__ import annotations

@@ -209,8 +209,8 @@ def _gc_horizon_soak(smoke: bool) -> Scenario:
         description="Long-run ledger soak under an equivocator and a "
         "crash/restart with coordinated-horizon GC: resident "
         "annotations and WAL stay bounded while every honest block is "
-        "interpreted everywhere (the scenario behind "
-        "benchmarks/bench_gc_horizon.py).",
+        "interpreted everywhere (checked against prune=False by "
+        "tests/integration/test_gc_pinning.py).",
         topology=Topology(
             n=7,
             storage=StorageSpec(

@@ -1,6 +1,9 @@
 """Gossip convergence — Lemma 3.6, Lemma 3.7 and the FWD machinery
 under adverse network schedules."""
 
+import pytest
+
+from repro.gossip.module import GossipConfig
 from repro.net.faults import FaultPlan, HealingPartition
 from repro.net.latency import JitterLatency
 from repro.protocols.brb import Broadcast, brb_protocol
@@ -106,15 +109,20 @@ def brb_req():
 
 
 class TestForwardingRecovery:
-    def test_withheld_blocks_recovered_via_fwd(self):
+    @pytest.mark.parametrize(
+        "retry", [GossipConfig().fwd_retry_interval, 1.5, 9.0]
+    )
+    def test_withheld_blocks_recovered_via_fwd(self, retry):
         """A withholding adversary shows blocks to one peer only; the
         FWD mechanism (asking the *referencing* block's builder) spreads
-        them to everyone."""
+        them to everyone — at the default Δ_B' (FWD retry interval) and
+        at half and three times it."""
         servers = make_servers(4)
         byz = servers[3]
         cluster = Cluster(
             brb_protocol,
             servers=servers,
+            config=ClusterConfig(gossip=GossipConfig(fwd_retry_interval=retry)),
             adversaries={byz: WithholdingAdversary},
         )
         adversary = cluster.adversaries[byz]

@@ -5,6 +5,9 @@ The counter protocol makes the link observable: every Add message a
 process receives bumps its total exactly once, so totals count
 deliveries."""
 
+import pytest
+
+from repro.protocols.brb import Broadcast, brb_protocol
 from repro.protocols.counter import Add, Inc, counter_protocol
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.net.latency import JitterLatency
@@ -33,8 +36,10 @@ class TestReliableDelivery:
             finals.append(state.pis[L].total)
         assert finals == [12, 12, 12, 12]
 
-    def test_delivery_survives_network_jitter(self):
-        config = ClusterConfig(latency=JitterLatency(0.2, 3.0), seed=9)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_delivery_survives_network_jitter(self, seed):
+        """Exactly-once delivery over randomized gossip schedules."""
+        config = ClusterConfig(latency=JitterLatency(0.2, 3.0), seed=seed)
         cluster = Cluster(counter_protocol, n=4, config=config)
         cluster.request(cluster.servers[2], L, Inc(3))
         cluster.run_rounds(6)
@@ -44,6 +49,17 @@ class TestReliableDelivery:
             shim = cluster.shim(server)
             tip = shim.dag.tip(server)
             assert shim.interpreter.state_of(tip.ref).pis[L].total == 3
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_brb_delivers_within_eight_rounds_under_jitter(self, seed):
+        """The 'eventually' of reliable delivery made quantitative: one
+        BRB broadcast reaches every server within eight rounds on every
+        jittered schedule."""
+        config = ClusterConfig(latency=JitterLatency(0.2, 2.0), seed=seed)
+        cluster = Cluster(brb_protocol, n=4, config=config)
+        cluster.request(cluster.servers[0], L, Broadcast("x"))
+        rounds = cluster.run_until(lambda c: c.all_delivered(L), max_rounds=20)
+        assert rounds <= 8, rounds
 
 
 class TestNoDuplication:

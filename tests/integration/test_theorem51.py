@@ -117,6 +117,25 @@ class TestBcbEquivalence:
 
         assert equivalent_traces(direct.trace(), cluster.trace())
 
+    def test_with_silent_byzantine(self):
+        servers = make_servers(4)
+        byz = servers[3]
+        direct = DirectRuntime(bcb_protocol, servers=servers, silent=[byz])
+        direct.request(servers[0], L, BcbBroadcast("pay"))
+        direct.run()
+
+        cluster = Cluster(
+            bcb_protocol, servers=servers, adversaries={byz: SilentAdversary}
+        )
+        cluster.request(servers[0], L, BcbBroadcast("pay"))
+        cluster.run_until(lambda c: c.all_delivered(L), max_rounds=20)
+
+        assert equivalent_traces(
+            direct.trace(), cluster.trace(), servers=servers[:3]
+        )
+        # Delivered, not vacuously equal on two empty traces.
+        assert all(cluster.trace().per_label(s, L) for s in servers[:3])
+
     def test_multiple_senders_different_instances(self):
         servers = make_servers(4)
         direct = DirectRuntime(bcb_protocol, servers=servers)
