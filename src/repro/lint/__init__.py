@@ -2,12 +2,11 @@
 
 The embedding is sound only because interpretation is a *pure,
 deterministic function of the DAG* (§2, §4), and the later PRs stacked
-further invariants on top of that purity: copy-on-write write barriers
-in every protocol, byte-identical trace exports, wall-clock strictly
-outside trace identity, and a layered architecture that keeps the
-interpreter clean of wire concerns.  Until now those invariants were
-enforced only by *runtime* oracles (deepcopy trace equality, the
-trace-determinism CI job) which catch a violation after it has already
+further invariants on top of that purity: byte-identical trace
+exports, wall-clock strictly outside trace identity, and a layered
+architecture that keeps the interpreter clean of wire concerns.
+Runtime oracles alone (deepcopy trace equality, the
+trace-determinism CI job) catch a violation only after it has
 corrupted a run.  This package proves the cheap-to-prove half of each
 invariant **at parse time**, before any code executes.
 
@@ -20,9 +19,6 @@ Shipped rules (see the ``rules_*`` modules for the full contracts):
 ``seeded-randomness-only``
     ``random.Random(seed)`` is fine; module-level ``random.*``,
     ``os.urandom``, ``secrets`` and friends are not.
-``cow-barrier``
-    Inside :mod:`repro.protocols`, mutations of ``self.<attr>``
-    containers must go through ``_writable`` / ``_writable_entry``.
 ``no-pickle``
     Persistence is canonical-codec only (PR 1's design guarantee).
 ``deterministic-iteration``
@@ -34,8 +30,8 @@ Shipped rules (see the ``rules_*`` modules for the full contracts):
     ``net``/``storage``/``scenario``, ``obs`` never imports
     ``scenario``, ...).
 ``no-thread-no-asyncio``
-    No threads, executors or event loops in the deterministic core
-    until the transport seam lands.
+    No threads, executors or event loops outside the live transport
+    seam (``repro.net.live`` / ``repro.runtime.live``).
 
 Whole-program rules (engine phase two: one shared module index, call
 graph and effect fixpoint over every linted file — see
@@ -55,39 +51,25 @@ Async-hazard rules for the live layer (per file):
 ``async-hazard-stale-write``
     ``self`` state assigned across an ``await`` without re-validation.
 ``async-hazard-blocking-call``
-    ``time.sleep`` / ``subprocess`` / sync socket I/O in ``async def``.
+    A call the effect table marks ``blocks`` in an ``async def``.
 ``async-hazard-task-leak``
-    ``create_task``/``ensure_future`` results dropped on the floor.
+    A ``spawns-task`` call whose result is dropped on the floor.
 
-Findings are suppressed per line with::
-
-    something_flagged()  # lint: allow(rule-name) — why this is sound
-
-A suppression without a reason is itself a finding (``bare-allow``),
-and a suppression that suppresses nothing is too (``unused-allow``) —
-annotations must stay load-bearing.  A committed baseline file
-(``lint-baseline.json``, kept **empty**) exists so that any future
-grandfathering is an explicit, reviewed diff.
+Every rule that judges a stdlib call reads one table,
+:data:`repro.lint.effects._EXTERNAL`, through one import resolver
+(:func:`repro.lint.callgraph._harvest_imports`).  The only exceptions
+are each rule's reviewed ``ALLOWED_MODULES`` and the committed, empty
+``lint-baseline.json``; there are no per-line suppressions.
 
 Run it with ``python -m repro.lint src/repro`` (formats: ``text``,
-``json``, ``github``).
+``github``).
 """
 
 from __future__ import annotations
 
 from repro.lint.baseline import Baseline
-from repro.lint.engine import FileContext, Finding, LintEngine, LintReport
-from repro.lint.registry import Rule, all_rules, rule_names
-
-# Importing the rule modules registers every shipped rule.
-from repro.lint import (  # noqa: F401  (imported for registration side effect)
-    rules_async,
-    rules_cow,
-    rules_determinism,
-    rules_iteration,
-    rules_layering,
-    rules_purity,
-)
+from repro.lint.engine import FileContext, Finding, LintEngine, LintReport, Rule
+from repro.lint.registry import RULES, rule_names
 
 __all__ = [
     "Baseline",
@@ -95,7 +77,7 @@ __all__ = [
     "Finding",
     "LintEngine",
     "LintReport",
+    "RULES",
     "Rule",
-    "all_rules",
     "rule_names",
 ]

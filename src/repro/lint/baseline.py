@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.lint.engine import Finding
 
@@ -29,7 +29,6 @@ class Baseline:
     """A set of grandfathered findings."""
 
     entries: set[tuple[str, str, int]] = field(default_factory=set)
-    path: Path | None = None
 
     @classmethod
     def load(cls, path: Path) -> "Baseline":
@@ -40,7 +39,7 @@ class Baseline:
             (entry["rule"], entry["path"], int(entry["line"]))
             for entry in document.get("findings", [])
         }
-        return cls(entries=entries, path=path)
+        return cls(entries=entries)
 
     @classmethod
     def discover(cls, start: Path) -> "Baseline":
@@ -72,14 +71,3 @@ class Baseline:
                 new.append(finding)
         stale = sorted(self.entries - seen)
         return new, stale
-
-    @staticmethod
-    def write(path: Path, findings: Iterable[Finding]) -> None:
-        document = {
-            "version": 1,
-            "findings": [
-                {"rule": f.rule, "path": f.path, "line": f.line}
-                for f in sorted(findings)
-            ],
-        }
-        path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")

@@ -19,8 +19,10 @@ Resolution semantics (deliberately simple, documented, conservative):
 * ``self.attr.m()`` resolves through the attribute-type map harvested
   from ``__init__`` (annotated parameters, ``self.x = ClassName(...)``,
   class-level annotations); an unknown attribute type makes the call
-  an effect-free *value operation* — same for method calls on locals,
-  parameters and call results (``self._writable("x").add(...)``);
+  a *value operation* — same for method calls on locals, parameters
+  and call results (``self._writable("x").add(...)``) — charged only
+  what the effect table lists for that method on any receiver
+  (``loop.create_task`` spawns a task);
 * resolved edges into ``repro.obs.*`` contribute nothing: observability
   is the sanctioned wall-clock conduit and is strictly outside trace
   identity (see PR 6), so charging its effects to callers would make
@@ -42,7 +44,7 @@ import ast
 import builtins
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import FileContext
@@ -157,16 +159,24 @@ def _dotted(node: ast.AST) -> list[str] | None:
     return None
 
 
-def _walk_pruned(node: ast.AST) -> Iterator[ast.AST]:
-    """``ast.walk`` that does not descend into nested class bodies."""
+#: Nodes that open a new function scope.
+FUNCTION_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _walk_pruned(
+    node: ast.AST, prune: tuple[type, ...] = (ast.ClassDef,)
+) -> Iterator[ast.AST]:
+    """``ast.walk`` that neither yields nor descends into ``prune``
+    children (by default: nested class bodies)."""
     stack = [node]
     while stack:
         current = stack.pop()
         yield current
-        for child in ast.iter_child_nodes(current):
-            if isinstance(child, ast.ClassDef):
-                continue
-            stack.append(child)
+        stack.extend(
+            child
+            for child in ast.iter_child_nodes(current)
+            if not isinstance(child, prune)
+        )
 
 
 def _resolve_relative(module: str, node: ast.ImportFrom) -> str:
@@ -183,6 +193,9 @@ def _resolve_relative(module: str, node: ast.ImportFrom) -> str:
 
 
 def _harvest_imports(tree: ast.Module, module: str) -> dict[str, str]:
+    """Local name -> dotted target for every import in ``tree``, at any
+    scope (a function-local ``import time`` still binds a clock).  The
+    linter's only import resolver."""
     imports: dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -200,6 +213,37 @@ def _harvest_imports(tree: ast.Module, module: str) -> dict[str, str]:
                 local = alias.asname or alias.name
                 imports[local] = f"{base}.{alias.name}" if base else alias.name
     return imports
+
+
+def external_name(func: ast.expr, imports: dict[str, str]) -> str | None:
+    """The dotted name a callee denotes outside this file, for lookup
+    in the effect table.
+
+    ``t.sleep`` after ``import time as t`` -> ``"time.sleep"``; a bare
+    builtin -> its name; a method on a receiver whose type is unknown
+    (a local, a parameter, ``self.x``, a call result) -> ``".method"``,
+    which the table matches as that method on any receiver.  ``None``
+    for a bare name that is neither imported nor a builtin.
+    """
+    parts = _dotted(func)
+    if parts is not None and parts[0] in imports:
+        return ".".join([imports[parts[0]]] + parts[1:])
+    if isinstance(func, ast.Attribute):
+        return "." + func.attr
+    if isinstance(func, ast.Name) and func.id in _BUILTIN_NAMES:
+        return func.id
+    return None
+
+
+def external_calls(
+    nodes: Iterable[ast.AST], imports: dict[str, str]
+) -> Iterator[tuple[ast.Call, str]]:
+    """Every call among ``nodes`` with its :func:`external_name`."""
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            dotted = external_name(node.func, imports)
+            if dotted is not None:
+                yield node, dotted
 
 
 def _effect_annotation(
@@ -304,6 +348,24 @@ def _harvest_attr_types(
     return types
 
 
+def _function_info(
+    ctx: "FileContext",
+    node: ast.FunctionDef | ast.AsyncFunctionDef,
+    class_name: str | None,
+) -> FunctionInfo:
+    declared, reason, line = _effect_annotation(node, ctx.lines)
+    owner = f"{class_name}." if class_name else ""
+    return FunctionInfo(
+        qualname=f"{ctx.module}:{owner}{node.name}",
+        module=ctx.module,
+        class_name=class_name,
+        node=node,
+        declared_effects=declared,
+        declared_reason=reason,
+        declared_line=line,
+    )
+
+
 def build_module_info(ctx: "FileContext") -> ModuleInfo:
     """Index one parsed file."""
     info = ModuleInfo(name=ctx.module, display_path=ctx.display_path)
@@ -313,16 +375,7 @@ def build_module_info(ctx: "FileContext") -> ModuleInfo:
     }
     for stmt in ctx.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            declared, reason, line = _effect_annotation(stmt, ctx.lines)
-            info.functions[stmt.name] = FunctionInfo(
-                qualname=f"{ctx.module}:{stmt.name}",
-                module=ctx.module,
-                class_name=None,
-                node=stmt,
-                declared_effects=declared,
-                declared_reason=reason,
-                declared_line=line,
-            )
+            info.functions[stmt.name] = _function_info(ctx, stmt, None)
         elif isinstance(stmt, ast.ClassDef):
             bases = []
             for base in stmt.bases:
@@ -344,16 +397,7 @@ def build_module_info(ctx: "FileContext") -> ModuleInfo:
             )
             for member in stmt.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    declared, reason, line = _effect_annotation(member, ctx.lines)
-                    cls.methods[member.name] = FunctionInfo(
-                        qualname=f"{ctx.module}:{stmt.name}.{member.name}",
-                        module=ctx.module,
-                        class_name=stmt.name,
-                        node=member,
-                        declared_effects=declared,
-                        declared_reason=reason,
-                        declared_line=line,
-                    )
+                    cls.methods[member.name] = _function_info(ctx, member, stmt.name)
             info.classes[stmt.name] = cls
         elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             targets = (
@@ -389,10 +433,9 @@ class Program:
     """The whole-program view: index + class hierarchy + call graph."""
 
     def __init__(self, contexts: Sequence["FileContext"]) -> None:
-        self.contexts = list(contexts)
-        self.modules: dict[str, ModuleInfo] = {}
-        for ctx in self.contexts:
-            self.modules[ctx.module] = build_module_info(ctx)
+        self.modules: dict[str, ModuleInfo] = {
+            ctx.module: build_module_info(ctx) for ctx in contexts
+        }
         #: dotted class name -> ClassInfo
         self.class_index: dict[str, ClassInfo] = {}
         for module in self.modules.values():
@@ -477,8 +520,6 @@ class Program:
 
     def call_sites(self, function: FunctionInfo) -> list[CallSite]:
         """Every call out of ``function``, resolved (cached per run)."""
-        from repro.lint.effects import external_effects
-
         module = self.modules[function.module]
         cls = module.classes.get(function.class_name or "")
         nested: set[str] = set()
@@ -492,9 +533,7 @@ class Program:
         for node in _walk_pruned(function.node):
             if not isinstance(node, ast.Call):
                 continue
-            site = self._resolve_call(
-                node, function, module, cls, nested, external_effects
-            )
+            site = self._resolve_call(node, module, cls, nested)
             if site is not None:
                 sites.append(site)
         return sites
@@ -518,109 +557,78 @@ class Program:
     def _resolve_call(
         self,
         node: ast.Call,
-        function: FunctionInfo,
         module: ModuleInfo,
         cls: ClassInfo | None,
         nested: set[str],
-        external_effects,
     ) -> CallSite | None:
         func = node.func
         line = node.lineno
+        if not isinstance(func, (ast.Name, ast.Attribute)):
+            return None  # subscript / call-result callee: value op
+        parts = _dotted(func)
         if isinstance(func, ast.Name):
             name = func.id
-            if name in nested:
-                return None  # body already folded into this function
+            if name in nested or name in module.newtypes:
+                return None  # body already folded in / identity cast
             if name in module.functions:
                 return self._edge(module.functions[name], line)
             if name in module.classes:
                 return self._constructor_site(f"{module.name}.{name}", line)
-            if name in module.newtypes:
-                return None  # identity cast
-            if name in module.imports:
-                return self._resolve_dotted(
-                    module.imports[name], line, external_effects
-                )
-            if name in _BUILTIN_NAMES:
-                effects = external_effects(name)
-                if effects:
-                    return CallSite(
-                        kind="external", line=line, target=name, effects=effects
-                    )
+        elif (
+            isinstance(func.value, ast.Call)
+            and isinstance(func.value.func, ast.Name)
+            and func.value.func.id == "super"
+        ):
+            if cls is None:
                 return None
+            target = self.resolve_method(cls, func.attr, skip_self=True)
+            if target is None:
+                return CallSite(
+                    kind="dynamic",
+                    line=line,
+                    target=f"super().{func.attr} not found in indexed bases",
+                )
+            return self._edge(target, line)
+        elif parts is not None and parts[0] == "self":
+            if cls is None:
+                return CallSite(
+                    kind="dynamic", line=line, target="self call outside a class"
+                )
+            if len(parts) == 2:  # self.m()
+                target = self.resolve_method(cls, func.attr)
+                if target is not None:
+                    return self._edge(target, line)
+                _order, complete = self.linearize(cls)
+                if not complete:
+                    # The method may live on a base outside this lint
+                    # run (test fixtures subclassing the real
+                    # ProcessInstance): assume effect-free — the base
+                    # itself is certified by the full-tree run.
+                    return None
+                return CallSite(
+                    kind="dynamic",
+                    line=line,
+                    target=f"self.{func.attr} is not a method of any indexed base",
+                )
+            attr_cls = self.attr_type(cls, parts[1]) if len(parts) == 3 else None
+            if attr_cls is not None:  # self.attr.m() on a known type
+                target = self.resolve_method(attr_cls, func.attr)
+                return None if target is None else self._edge(target, line)
+        elif parts is not None and len(parts) == 2 and parts[0] in module.classes:
+            target = self.resolve_method(module.classes[parts[0]], func.attr)
+            return None if target is None else self._edge(target, line)
+        dotted = external_name(func, module.imports)
+        if dotted is None:
             return CallSite(
                 kind="dynamic",
                 line=line,
-                target=f"call through unresolved name {name!r}",
+                target=f"call through unresolved name {ast.unparse(func)!r}",
             )
-        if isinstance(func, ast.Attribute):
-            receiver = func.value
-            method = func.attr
-            # super().m()
-            if (
-                isinstance(receiver, ast.Call)
-                and isinstance(receiver.func, ast.Name)
-                and receiver.func.id == "super"
-            ):
-                if cls is None:
-                    return None
-                target = self.resolve_method(cls, method, skip_self=True)
-                if target is None:
-                    return CallSite(
-                        kind="dynamic",
-                        line=line,
-                        target=f"super().{method} not found in indexed bases",
-                    )
-                return self._edge(target, line)
-            parts = _dotted(func)
-            if parts is None:
-                return None  # call-result / subscript receiver: value op
-            head = parts[0]
-            if head == "self":
-                if cls is None:
-                    return CallSite(
-                        kind="dynamic",
-                        line=line,
-                        target="self call outside a class",
-                    )
-                if len(parts) == 2:  # self.m()
-                    target = self.resolve_method(cls, method)
-                    if target is not None:
-                        return self._edge(target, line)
-                    _order, complete = self.linearize(cls)
-                    if not complete:
-                        # The method may live on a base outside this
-                        # lint run (test fixtures subclassing the real
-                        # ProcessInstance): assume effect-free — the
-                        # base itself is certified by the full-tree run.
-                        return None
-                    return CallSite(
-                        kind="dynamic",
-                        line=line,
-                        target=f"self.{method} is not a method of any indexed base",
-                    )
-                if len(parts) == 3:  # self.attr.m()
-                    attr_cls = self.attr_type(cls, parts[1])
-                    if attr_cls is None:
-                        return None  # unknown attribute type: value op
-                    target = self.resolve_method(attr_cls, method)
-                    if target is None:
-                        return None
-                    return self._edge(target, line)
-                return None  # deeper self chains: value op
-            if head in module.imports:
-                dotted = ".".join([module.imports[head]] + parts[1:])
-                return self._resolve_dotted(dotted, line, external_effects)
-            if head in module.classes and len(parts) == 2:
-                target = self.resolve_method(module.classes[head], method)
-                if target is not None:
-                    return self._edge(target, line)
-                return None
-            return None  # method on a local/parameter: value op
-        return None
+        return self._resolve_dotted(dotted, line)
 
-    def _resolve_dotted(
-        self, dotted: str, line: int, external_effects
-    ) -> CallSite | None:
+    def _resolve_dotted(self, dotted: str, line: int) -> CallSite | None:
+        from repro.lint.effects import external_effects
+
         if dotted.startswith("repro.obs"):
             return None  # sanctioned conduit
         if dotted.startswith("repro."):

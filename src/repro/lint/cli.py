@@ -3,34 +3,31 @@
 Formats:
 
 * ``text`` (default) — ``path:line:col: rule message`` plus a summary;
-* ``json`` — a machine-readable document (findings + counts);
 * ``github`` — ``::error`` workflow commands, so a CI lint step
   annotates the offending lines inline in the pull request diff.
 
-Exit status: 0 when the tree is clean (after suppressions and the
-baseline), 1 when findings remain, 2 on usage errors.
+Exit status: 0 when the tree is clean (after the baseline), 1 when
+findings remain, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
-import json
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from repro.lint.baseline import Baseline
-from repro.lint.engine import Finding, LintEngine, LintReport
-from repro.lint.registry import all_rules, get_rule, rule_names
+from repro.lint.engine import Finding, LintEngine
+from repro.lint.registry import BY_NAME, RULES
 
 #: ``--profile relaxed`` — benchmarks, examples and tests may read the
 #: wall clock and print, but persistence, randomness and concurrency
 #: discipline still hold (plus the async-hazard family, which only
 #: fires on ``async def`` / spawned tasks anyway).
 PROFILES: dict[str, tuple[str, ...] | None] = {
-    "strict": None,  # every registered rule
+    "strict": None,  # every shipped rule
     "relaxed": (
         "no-pickle",
         "seeded-randomness-only",
@@ -55,7 +52,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "github"),
+        choices=("text", "github"),
         default="text",
         help="output format (github emits ::error workflow commands)",
     )
@@ -76,44 +73,21 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--stats",
-        action="store_true",
-        help=(
-            "emit per-rule wall time and finding counts (and append a "
-            "markdown table to $GITHUB_STEP_SUMMARY when set)"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="baseline file (default: discover lint-baseline.json upward)",
-    )
-    parser.add_argument(
         "--no-baseline",
         action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write current findings as the new baseline and exit 0",
+        help="ignore lint-baseline.json (default: discover it upward)",
     )
     parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="list registered rules and exit",
+        help="list the shipped rules and exit",
     )
     return parser
-
-
-def _default_paths() -> list[str]:
-    return ["src/repro"] if Path("src/repro").is_dir() else ["."]
 
 
 def _render_text(
     findings: Sequence[Finding],
     *,
-    suppressed: int,
     baselined: int,
     stale: Sequence[tuple[str, str, int]],
     files: int,
@@ -126,43 +100,10 @@ def _render_text(
         )
     lines.append(
         f"{len(findings)} finding{'s' if len(findings) != 1 else ''} "
-        f"({suppressed} suppressed, {baselined} baselined) "
+        f"({baselined} baselined) "
         f"across {files} file{'s' if files != 1 else ''}"
     )
     return "\n".join(lines)
-
-
-def _stats_table(report: LintReport, findings: Sequence[Finding]) -> str:
-    """Per-rule wall time + finding counts as a markdown table."""
-    counts: dict[str, int] = {}
-    for finding in findings:
-        counts[finding.rule] = counts.get(finding.rule, 0) + 1
-    rows = sorted(
-        report.timings.items(), key=lambda item: item[1], reverse=True
-    )
-    lines = [
-        "| rule | findings | wall ms |",
-        "| --- | ---: | ---: |",
-    ]
-    for name, seconds in rows:
-        lines.append(f"| {name} | {counts.pop(name, 0)} | {seconds * 1e3:.1f} |")
-    for name in sorted(counts):  # meta rules: findings without timings
-        lines.append(f"| {name} | {counts[name]} | — |")
-    total = sum(report.timings.values())
-    lines.append(
-        f"| **total** | **{len(findings)}** | **{total * 1e3:.1f}** |"
-    )
-    return "\n".join(lines)
-
-
-def _emit_stats(report: LintReport, findings: Sequence[Finding]) -> None:
-    table = _stats_table(report, findings)
-    print(table)
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path:
-        with open(summary_path, "a", encoding="utf-8") as handle:
-            handle.write("### repro.lint per-rule stats\n\n")
-            handle.write(table + "\n")
 
 
 def _render_github(findings: Sequence[Finding]) -> str:
@@ -184,89 +125,42 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
 
     if args.list_rules:
-        width = max((len(r.name) for r in all_rules()), default=0)
-        for rule in all_rules():
+        width = max(len(name) for name in BY_NAME)
+        for rule in RULES:
             print(f"{rule.name:<{width}}  {rule.summary}")
         return 0
 
-    rules = None
+    names = PROFILES[args.profile]
     if args.select:
-        selected = []
-        for raw in args.select.split(","):
-            name = raw.strip()
-            try:
-                selected.append(get_rule(name))
-            except KeyError:
-                known = rule_names()
-                close = difflib.get_close_matches(name, known, n=1)
+        names = tuple(name.strip() for name in args.select.split(","))
+        for name in names:
+            if name not in BY_NAME:
+                close = difflib.get_close_matches(name, list(BY_NAME), n=1)
                 hint = f" (did you mean {close[0]!r}?)" if close else ""
                 print(
-                    f"unknown rule {name!r}{hint}; known: {', '.join(known)}",
+                    f"unknown rule {name!r}{hint}; known: {', '.join(BY_NAME)}",
                     file=sys.stderr,
                 )
                 return 2
-        rules = selected
-    elif PROFILES[args.profile] is not None:
-        rules = [get_rule(name) for name in PROFILES[args.profile]]
+    rules = None if names is None else [BY_NAME[name] for name in names]
 
-    paths = args.paths or _default_paths()
+    paths = args.paths or (["src/repro"] if Path("src/repro").is_dir() else ["."])
     report = LintEngine(rules).run(paths)
 
-    if args.write_baseline:
-        Baseline.write(Path(args.write_baseline), report.findings)
-        print(
-            f"wrote {len(report.findings)} finding(s) to {args.write_baseline}"
-        )
-        return 0
-
-    if args.no_baseline:
-        baseline = Baseline()
-    elif args.baseline:
-        baseline = Baseline.load(Path(args.baseline))
-    else:
-        baseline = Baseline.discover(Path(paths[0]))
+    baseline = Baseline() if args.no_baseline else Baseline.discover(Path(paths[0]))
     findings, stale = baseline.split(report.findings)
-    baselined = len(report.findings) - len(findings)
 
-    if args.format == "json":
-        document: dict[str, object] = {
-            "findings": [f.as_dict() for f in findings],
-            "counts": {
-                "findings": len(findings),
-                "suppressed": report.suppressed,
-                "baselined": baselined,
-                "stale_baseline": len(stale),
-                "files": report.files,
-            },
-        }
-        if args.stats:
-            rule_counts: dict[str, int] = {}
-            for finding in findings:
-                rule_counts[finding.rule] = rule_counts.get(finding.rule, 0) + 1
-            document["stats"] = {
-                name: {
-                    "findings": rule_counts.get(name, 0),
-                    "ms": round(seconds * 1e3, 3),
-                }
-                for name, seconds in sorted(report.timings.items())
-            }
-        print(json.dumps(document, indent=2))
-    elif args.format == "github":
+    if args.format == "github":
         print(_render_github(findings))
-        if args.stats:
-            _emit_stats(report, findings)
     else:
         print(
             _render_text(
                 findings,
-                suppressed=report.suppressed,
-                baselined=baselined,
+                baselined=len(report.findings) - len(findings),
                 stale=stale,
                 files=report.files,
             )
         )
-        if args.stats:
-            _emit_stats(report, findings)
     return 1 if findings else 0
 
 

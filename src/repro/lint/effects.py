@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 from repro.lint.callgraph import Program, _dotted, _walk_pruned
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.callgraph import FunctionInfo, ModuleInfo
+    from repro.lint.callgraph import FunctionInfo
 
 #: The concrete effect lattice (a powerset; order is display order).
 EFFECTS = (
@@ -54,8 +54,10 @@ _WALL_CLOCK = frozenset({"wall-clock"})
 _RANDOM = frozenset({"randomness"})
 _IO_BLOCKS = frozenset({"io", "blocks"})
 
-#: Exact dotted-name -> effects.  This is the linter's model of the
-#: stdlib; anything absent is assumed effect-free.
+#: Exact dotted-name -> effects.  This is the linter's one model of the
+#: stdlib: the effect fixpoint and every per-file rule that judges a
+#: call (clock, randomness, blocking, task spawning) read it through
+#: :func:`external_effects`; anything absent is assumed effect-free.
 _EXTERNAL: dict[str, frozenset[str]] = {
     "time.time": _WALL_CLOCK,
     "time.time_ns": _WALL_CLOCK,
@@ -65,11 +67,18 @@ _EXTERNAL: dict[str, frozenset[str]] = {
     "time.perf_counter_ns": _WALL_CLOCK,
     "time.process_time": _WALL_CLOCK,
     "time.process_time_ns": _WALL_CLOCK,
+    "time.thread_time": _WALL_CLOCK,
+    "time.thread_time_ns": _WALL_CLOCK,
+    "time.clock_gettime": _WALL_CLOCK,
+    "time.clock_gettime_ns": _WALL_CLOCK,
     "time.sleep": frozenset({"wall-clock", "blocks"}),
     "datetime.datetime.now": _WALL_CLOCK,
     "datetime.datetime.utcnow": _WALL_CLOCK,
     "datetime.datetime.today": _WALL_CLOCK,
     "datetime.date.today": _WALL_CLOCK,
+    # local-timezone conversion reads host state
+    "datetime.datetime.fromtimestamp": _WALL_CLOCK,
+    "datetime.date.fromtimestamp": _WALL_CLOCK,
     "os.urandom": _RANDOM,
     "uuid.uuid1": _RANDOM,
     "uuid.uuid4": _RANDOM,
@@ -84,10 +93,13 @@ _EXTERNAL: dict[str, frozenset[str]] = {
     "subprocess.Popen": _IO_BLOCKS,
     "asyncio.create_task": frozenset({"spawns-task"}),
     "asyncio.ensure_future": frozenset({"spawns-task"}),
+    # a leading dot: that method on any receiver the resolver cannot
+    # type (``loop.create_task``, ``group.create_task``)
+    ".create_task": frozenset({"spawns-task"}),
     "asyncio.run": frozenset({"blocks"}),
     "threading.Thread": frozenset({"spawns-task"}),
     "socket.socket": frozenset({"io"}),
-    "socket.create_connection": frozenset({"io"}),
+    "socket.create_connection": _IO_BLOCKS,
     # builtins
     "open": frozenset({"io"}),
     "print": frozenset({"io"}),
@@ -100,7 +112,7 @@ def external_effects(dotted: str) -> frozenset[str]:
     exact = _EXTERNAL.get(dotted)
     if exact is not None:
         return exact
-    if dotted.startswith("secrets."):
+    if dotted.split(".")[0] == "secrets":
         return _RANDOM
     if dotted.startswith("random.") and not dotted.startswith("random.Random"):
         return _RANDOM
@@ -131,8 +143,9 @@ MUTATORS = frozenset(
 )
 
 
-def _local_names(node: ast.AST) -> set[str]:
-    """Names bound locally inside a function (shadowing filter)."""
+def _local_names(node: ast.AST) -> tuple[set[str], set[str]]:
+    """(names bound locally inside a function — the shadowing filter —,
+    names it declares ``global``)."""
     names: set[str] = set()
     declared_global: set[str] = set()
     for child in _walk_pruned(node):
@@ -151,7 +164,7 @@ def _local_names(node: ast.AST) -> set[str]:
                 + ([child.args.kwarg] if child.args.kwarg else [])
             ):
                 names.add(arg.arg)
-    return names - declared_global
+    return names - declared_global, declared_global
 
 
 class EffectAnalysis:
@@ -194,12 +207,8 @@ class EffectAnalysis:
         }
         if not tracked:
             return witness
-        locals_ = _local_names(fn.node)
+        locals_, declared_global = _local_names(fn.node)
         tracked -= locals_
-        declared_global: set[str] = set()
-        for node in _walk_pruned(fn.node):
-            if isinstance(node, ast.Global):
-                declared_global.update(node.names)
         tracked |= declared_global & set(module.mutable_globals)
 
         for node in _walk_pruned(fn.node):

@@ -1,110 +1,40 @@
-"""The rule registry: one place that knows every shipped invariant.
+"""The shipped rules: one place that knows every invariant.
 
-A rule is a named, documented AST check.  Rules self-register at
-definition time via :func:`register`, the same pattern the codec uses
-for dataclasses — importing a ``rules_*`` module is what ships its
-rules.  The registry is what the CLI's ``--list-rules`` and
-``--select`` read, and what the engine iterates per file.
+The CLI's ``--list-rules``, ``--select`` and ``--profile`` read this
+tuple, and the engine runs it when no rule set is given.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import TYPE_CHECKING, Iterable, Iterator
+from repro.lint.engine import Rule
+from repro.lint.rules_async import AsyncBlockingCall, AsyncStaleWrite, AsyncTaskLeak
+from repro.lint.rules_determinism import (
+    NoPickle,
+    NoThreadNoAsyncio,
+    NoWallClock,
+    SeededRandomnessOnly,
+)
+from repro.lint.rules_iteration import DeterministicIteration
+from repro.lint.rules_layering import ImportLayering
+from repro.lint.rules_purity import EffectAnnotation, HandlerPurity
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.callgraph import Program
-    from repro.lint.engine import FileContext, Finding
+RULES: tuple[Rule, ...] = (
+    NoWallClock(),
+    SeededRandomnessOnly(),
+    NoPickle(),
+    DeterministicIteration(),
+    ImportLayering(),
+    NoThreadNoAsyncio(),
+    HandlerPurity(),
+    EffectAnnotation(),
+    AsyncStaleWrite(),
+    AsyncBlockingCall(),
+    AsyncTaskLeak(),
+)
 
-
-class Rule:
-    """One invariant check over a parsed file.
-
-    Subclasses set :attr:`name` (the kebab-case id used in findings,
-    suppressions and the baseline) and :attr:`summary` (one line for
-    ``--list-rules``), and implement :meth:`check`.
-    """
-
-    #: Kebab-case rule identifier.
-    name: str = ""
-    #: One-line description shown by ``--list-rules``.
-    summary: str = ""
-
-    def check(self, ctx: "FileContext") -> Iterable["Finding"]:
-        """Yield findings for ``ctx``; the engine handles suppression."""
-        raise NotImplementedError
-
-    # -- helpers shared by every rule -----------------------------------------
-
-    def finding(self, ctx: "FileContext", node: ast.AST, message: str) -> "Finding":
-        """Build a finding anchored at ``node``."""
-        from repro.lint.engine import Finding
-
-        return Finding(
-            rule=self.name,
-            path=ctx.display_path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            message=message,
-        )
-
-
-class ProgramRule(Rule):
-    """An invariant check over the *whole program*.
-
-    Program rules run in the engine's second phase, after every file
-    has been parsed and per-file rules have walked each tree: they see
-    a :class:`repro.lint.callgraph.Program` (shared module index, call
-    graph, effect fixpoint) instead of one file.  Findings still anchor
-    to a (path, line), so suppressions and the baseline work unchanged.
-    """
-
-    def check(self, ctx: "FileContext") -> Iterable["Finding"]:
-        return ()
-
-    def check_program(self, program: "Program") -> Iterable["Finding"]:
-        """Yield findings over the indexed program."""
-        raise NotImplementedError
-
-    def finding_at(
-        self, *, path: str, line: int, col: int = 1, message: str
-    ) -> "Finding":
-        from repro.lint.engine import Finding
-
-        return Finding(
-            rule=self.name, path=path, line=line, col=col, message=message
-        )
-
-
-#: name -> rule instance, in registration order.
-_REGISTRY: dict[str, Rule] = {}
-
-
-def register(cls: type[Rule]) -> type[Rule]:
-    """Class decorator: instantiate and register a rule.
-
-    Registration is idempotent per name so re-imports (e.g. under
-    pytest's module reloading) do not duplicate rules — but two
-    *different* classes claiming one name is a programming error.
-    """
-    rule = cls()
-    if not rule.name:
-        raise ValueError(f"rule class {cls.__name__} has no name")
-    existing = _REGISTRY.get(rule.name)
-    if existing is not None and type(existing) is not cls:
-        raise ValueError(f"duplicate rule name {rule.name!r}")
-    _REGISTRY[rule.name] = rule
-    return cls
-
-
-def all_rules() -> Iterator[Rule]:
-    """Every registered rule, in registration order."""
-    return iter(_REGISTRY.values())
+#: Rule name -> rule, in :data:`RULES` order.
+BY_NAME: dict[str, Rule] = {rule.name: rule for rule in RULES}
 
 
 def rule_names() -> list[str]:
-    return list(_REGISTRY)
-
-
-def get_rule(name: str) -> Rule:
-    return _REGISTRY[name]
+    return list(BY_NAME)

@@ -20,14 +20,14 @@ garbage-collected mid-flight and swallows its exceptions.
     excluded from the merge; loop bodies are analyzed for one pass.
 
 ``async-hazard-blocking-call``
-    Flags synchronous blocking calls (``time.sleep``, the
-    ``subprocess`` family, ``os.system``/``os.popen``,
-    ``socket.create_connection``, ``input``) directly inside an
-    ``async def`` body.
+    Flags calls the effect table marks ``blocks`` (``time.sleep``,
+    the ``subprocess`` family, ``socket.create_connection``, ...)
+    directly inside an ``async def`` body.
 
 ``async-hazard-task-leak``
-    Flags ``create_task(...)`` / ``ensure_future(...)`` whose result
-    is dropped on the floor (a bare expression statement).  Assigning,
+    Flags a call the effect table marks ``spawns-task``
+    (``create_task``, ``ensure_future``) whose result is dropped on
+    the floor (a bare expression statement).  Assigning,
     appending, awaiting or chaining ``add_done_callback`` all retain
     the task.
 """
@@ -38,54 +38,25 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.lint.callgraph import _dotted, _harvest_imports
-from repro.lint.registry import Rule, register
+from repro.lint.callgraph import (
+    FUNCTION_SCOPES,
+    _harvest_imports,
+    _walk_pruned,
+    external_calls,
+)
+from repro.lint.effects import external_effects
+from repro.lint.engine import Rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import FileContext, Finding
 
 _TERMINATORS = (ast.Raise, ast.Return, ast.Continue, ast.Break)
 
-#: Synchronous calls that stall the event loop.
-_BLOCKING = frozenset(
-    {
-        "time.sleep",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "subprocess.getoutput",
-        "subprocess.getstatusoutput",
-        "subprocess.Popen",
-        "os.system",
-        "os.popen",
-        "socket.create_connection",
-        "input",
-    }
-)
-
-_SPAWNERS = frozenset({"create_task", "ensure_future"})
-
 
 def _async_functions(tree: ast.Module) -> Iterator[ast.AsyncFunctionDef]:
     for node in ast.walk(tree):
         if isinstance(node, ast.AsyncFunctionDef):
             yield node
-
-
-def _direct_body_nodes(fn: ast.AsyncFunctionDef) -> Iterator[ast.AST]:
-    """Walk ``fn``'s own body, pruning nested function/class scopes."""
-    stack: list[ast.AST] = list(fn.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-            ):
-                continue
-            stack.append(child)
 
 
 # -- stale-write dataflow -----------------------------------------------------
@@ -103,23 +74,12 @@ class _State:
         return _State(level=self.level, last_read=dict(self.last_read))
 
 
-def _expr_nodes(node: ast.AST) -> Iterator[ast.AST]:
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        for child in ast.iter_child_nodes(current):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            stack.append(child)
-
-
 def _count_awaits(node: ast.AST) -> int:
-    return sum(1 for n in _expr_nodes(node) if isinstance(n, ast.Await))
+    return sum(1 for n in _walk_pruned(node, FUNCTION_SCOPES) if isinstance(n, ast.Await))
 
 
 def _self_attr_loads(node: ast.AST, exclude: set[int]) -> Iterator[ast.Attribute]:
-    for n in _expr_nodes(node):
+    for n in _walk_pruned(node, FUNCTION_SCOPES):
         if (
             isinstance(n, ast.Attribute)
             and isinstance(n.value, ast.Name)
@@ -264,7 +224,6 @@ class _StaleWriteAnalyzer:
         state.last_read = merged
 
 
-@register
 class AsyncStaleWrite(Rule):
     name = "async-hazard-stale-write"
     summary = (
@@ -279,7 +238,6 @@ class AsyncStaleWrite(Rule):
         return analyzer.findings
 
 
-@register
 class AsyncBlockingCall(Rule):
     name = "async-hazard-blocking-call"
     summary = "synchronous blocking call inside an async def stalls the loop"
@@ -287,20 +245,9 @@ class AsyncBlockingCall(Rule):
     def check(self, ctx: "FileContext") -> Iterable["Finding"]:
         imports = _harvest_imports(ctx.tree, ctx.module)
         for fn in _async_functions(ctx.tree):
-            for node in _direct_body_nodes(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                parts = _dotted(node.func)
-                if parts is None:
-                    continue
-                head = parts[0]
-                if head in imports:
-                    dotted = ".".join([imports[head]] + parts[1:])
-                elif len(parts) == 1:
-                    dotted = parts[0]
-                else:
-                    continue
-                if dotted in _BLOCKING:
+            body = _walk_pruned(fn, FUNCTION_SCOPES + (ast.ClassDef,))
+            for node, dotted in external_calls(body, imports):
+                if "blocks" in external_effects(dotted):
                     yield self.finding(
                         ctx,
                         node,
@@ -312,7 +259,6 @@ class AsyncBlockingCall(Rule):
                     )
 
 
-@register
 class AsyncTaskLeak(Rule):
     name = "async-hazard-task-leak"
     summary = (
@@ -322,27 +268,17 @@ class AsyncTaskLeak(Rule):
 
     def check(self, ctx: "FileContext") -> Iterable["Finding"]:
         imports = _harvest_imports(ctx.tree, ctx.module)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Expr):
-                continue
-            call = node.value
-            if not isinstance(call, ast.Call):
-                continue
-            name: str | None = None
-            if isinstance(call.func, ast.Attribute):
-                if call.func.attr in _SPAWNERS:
-                    name = call.func.attr
-            elif isinstance(call.func, ast.Name):
-                dotted = imports.get(call.func.id, "")
-                if dotted in ("asyncio.create_task", "asyncio.ensure_future"):
-                    name = dotted.split(".")[-1]
-            if name is not None:
+        dropped = (
+            node.value for node in ast.walk(ctx.tree) if isinstance(node, ast.Expr)
+        )
+        for call, dotted in external_calls(dropped, imports):
+            if "spawns-task" in external_effects(dotted):
                 yield self.finding(
                     ctx,
                     call,
                     (
-                        f"{name}(...) result is discarded; retain the "
-                        "task (assign/append) or chain "
+                        f"{dotted.lstrip('.')}(...) result is discarded; "
+                        "retain the task (assign/append) or chain "
                         "add_done_callback so failures surface"
                     ),
                 )

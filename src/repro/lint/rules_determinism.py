@@ -3,9 +3,12 @@
 Interpretation must be a pure function of the DAG (§2, §4): a replica
 that reads a clock, flips a coin or depends on thread scheduling can
 disagree with its peers byte-for-byte while both are "correct".  These
-four rules ban the ambient-nondeterminism entry points outright; the
-handful of sanctioned exceptions are named modules, not annotations,
-so the allowlist itself is reviewed code.
+four rules ban the ambient-nondeterminism entry points outright.  Each
+is an :class:`ImportBan`: one import walk, one reviewed
+``ALLOWED_MODULES`` list — the only exceptions there are — and, for
+the clock and randomness rules, every call the effect table
+(:mod:`repro.lint.effects`) charges with ``wall-clock`` or
+``randomness``.
 """
 
 from __future__ import annotations
@@ -13,19 +16,52 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.lint._ast_util import attribute_calls, module_aliases
-from repro.lint.engine import FileContext, Finding
-from repro.lint.registry import Rule, register
+from repro.lint.callgraph import _harvest_imports, external_calls
+from repro.lint.effects import external_effects
+from repro.lint.engine import FileContext, Finding, Rule
 
 
-def _imports(tree: ast.Module) -> Iterator[ast.Import | ast.ImportFrom]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
+class ImportBan(Rule):
+    """A rule that bans importing some modules or names outside
+    :attr:`ALLOWED_MODULES` (each an exact module or package prefix)."""
+
+    ALLOWED_MODULES: frozenset[str] = frozenset()
+    #: Top-level modules whose import (of anything) is banned.
+    BANNED: frozenset[str] = frozenset()
+
+    def banned(self, dotted: str) -> bool:
+        """Whether importing ``dotted`` (``time``, ``time.sleep``) is
+        banned."""
+        return dotted.split(".")[0] in self.BANNED
+
+    def import_message(self, names: list[str]) -> str:
+        raise NotImplementedError
+
+    def check_calls(
+        self, ctx: FileContext, imports: dict[str, str]
+    ) -> Iterator[Finding]:
+        return iter(())
+
+    def check(self, ctx: FileContext) -> Iterable[Finding]:
+        if any(
+            ctx.module == allowed or ctx.module.startswith(allowed + ".")
+            for allowed in self.ALLOWED_MODULES
+        ):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            banned = sorted(name for name in names if self.banned(name))
+            if banned:
+                yield self.finding(ctx, node, self.import_message(banned))
+        yield from self.check_calls(ctx, _harvest_imports(ctx.tree, ctx.module))
 
 
-@register
-class NoWallClock(Rule):
+class NoWallClock(ImportBan):
     """Wall-clock reads are confined to :mod:`repro.obs.metrics`.
 
     Virtual time (the simulator's clock) is data and therefore
@@ -44,68 +80,30 @@ class NoWallClock(Rule):
     name = "no-wall-clock"
     summary = "time/datetime confined to repro.obs.metrics + scenario runner"
 
-    #: Modules allowed to touch the wall clock directly.
     ALLOWED_MODULES = frozenset({"repro.obs.metrics", "repro.scenario.runner"})
-    #: Clock-reading (or clock-dependent) names in the ``time`` module.
-    CLOCK_NAMES = frozenset(
-        {
-            "time",
-            "time_ns",
-            "perf_counter",
-            "perf_counter_ns",
-            "monotonic",
-            "monotonic_ns",
-            "process_time",
-            "process_time_ns",
-            "clock_gettime",
-            "clock_gettime_ns",
-            "sleep",
-            "*",
-        }
-    )
-    DATETIME_CALLS = frozenset({"now", "utcnow", "today", "fromtimestamp"})
 
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if ctx.module in self.ALLOWED_MODULES:
-            return
-        for node in _imports(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    top = alias.name.split(".")[0]
-                    if top in ("time", "datetime"):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"imports the wall clock ({alias.name!r}); "
-                            "route timing through repro.obs.metrics",
-                        )
-            elif node.module in ("time", "datetime") and node.level == 0:
-                names = {alias.name for alias in node.names}
-                banned = (
-                    names & self.CLOCK_NAMES if node.module == "time" else names
-                )
-                if banned:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"imports {', '.join(sorted(banned))!s} from "
-                        f"{node.module!r}; route timing through repro.obs.metrics",
-                    )
-        aliases = module_aliases(ctx.tree, frozenset({"time", "datetime"}))
-        for node, base, attr in attribute_calls(ctx.tree):
-            target = aliases.get(base)
-            if target == "time" and attr in self.CLOCK_NAMES:
-                yield self.finding(
-                    ctx, node, f"reads the wall clock (time.{attr}())"
-                )
-            elif target == "datetime" and attr in self.DATETIME_CALLS:
-                yield self.finding(
-                    ctx, node, f"reads the wall clock (datetime.{attr}())"
-                )
+    def banned(self, dotted: str) -> bool:
+        return (
+            dotted in ("time", "time.*", "datetime")
+            or dotted.startswith("datetime.")
+            or "wall-clock" in external_effects(dotted)
+        )
+
+    def import_message(self, names: list[str]) -> str:
+        return (
+            f"imports the wall clock ({', '.join(names)}); "
+            "route timing through repro.obs.metrics"
+        )
+
+    def check_calls(
+        self, ctx: FileContext, imports: dict[str, str]
+    ) -> Iterator[Finding]:
+        for node, dotted in external_calls(ast.walk(ctx.tree), imports):
+            if "wall-clock" in external_effects(dotted):
+                yield self.finding(ctx, node, f"reads the wall clock ({dotted}())")
 
 
-@register
-class SeededRandomnessOnly(Rule):
+class SeededRandomnessOnly(ImportBan):
     """All randomness flows from an explicitly seeded ``random.Random``.
 
     The simulator derives every latency sample, loss coin and workload
@@ -119,69 +117,33 @@ class SeededRandomnessOnly(Rule):
     name = "seeded-randomness-only"
     summary = "random.Random(seed) only; no module-level random/urandom/secrets"
 
-    _RANDOM_OK = frozenset({"Random"})
+    def banned(self, dotted: str) -> bool:
+        return "randomness" in external_effects(dotted)
 
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in _imports(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = {alias.name for alias in node.names}
-                if node.module == "random":
-                    banned = names - self._RANDOM_OK
-                    if banned:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"imports {', '.join(sorted(banned))} from 'random'; "
-                            "only the seeded random.Random class is allowed",
-                        )
-                elif node.module == "os" and "urandom" in names:
-                    yield self.finding(
-                        ctx, node, "imports os.urandom (ambient entropy)"
-                    )
-                elif node.module == "secrets":
-                    yield self.finding(
-                        ctx, node, "imports from 'secrets' (ambient entropy)"
-                    )
-                elif node.module == "uuid" and names & {"uuid1", "uuid4"}:
-                    yield self.finding(
-                        ctx, node, "imports a nondeterministic uuid constructor"
-                    )
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] == "secrets":
-                        yield self.finding(
-                            ctx, node, "imports 'secrets' (ambient entropy)"
-                        )
-        aliases = module_aliases(
-            ctx.tree, frozenset({"random", "os", "uuid"})
+    def import_message(self, names: list[str]) -> str:
+        return (
+            f"imports {', '.join(names)} (ambient entropy); only the "
+            "seeded random.Random class is allowed"
         )
-        for node, base, attr in attribute_calls(ctx.tree):
-            target = aliases.get(base)
-            if target == "random":
-                if attr == "Random":
-                    if not node.args and not node.keywords:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "unseeded random.Random(); pass an explicit seed",
-                        )
-                else:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"module-level random.{attr}() uses hidden global "
-                        "state; use a seeded random.Random instance",
-                    )
-            elif target == "os" and attr == "urandom":
-                yield self.finding(ctx, node, "os.urandom() is ambient entropy")
-            elif target == "uuid" and attr in ("uuid1", "uuid4"):
+
+    def check_calls(
+        self, ctx: FileContext, imports: dict[str, str]
+    ) -> Iterator[Finding]:
+        for node, dotted in external_calls(ast.walk(ctx.tree), imports):
+            if dotted == "random.Random" and not node.args and not node.keywords:
                 yield self.finding(
-                    ctx, node, f"uuid.{attr}() is nondeterministic"
+                    ctx, node, "unseeded random.Random(); pass an explicit seed"
+                )
+            elif "randomness" in external_effects(dotted):
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"{dotted}() draws ambient entropy or hidden global "
+                    "state; use a seeded random.Random instance",
                 )
 
 
-@register
-class NoPickle(Rule):
+class NoPickle(ImportBan):
     """Persistence is canonical-codec only — pickle never appears.
 
     PR 1's design guarantee: everything durable (WAL records,
@@ -200,26 +162,14 @@ class NoPickle(Rule):
         {"pickle", "cPickle", "_pickle", "dill", "cloudpickle", "shelve", "marshal"}
     )
 
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        for node in _imports(ctx.tree):
-            if isinstance(node, ast.Import):
-                names = {alias.name.split(".")[0] for alias in node.names}
-            elif node.level == 0 and node.module is not None:
-                names = {node.module.split(".")[0]}
-            else:
-                names = set()
-            banned = names & self.BANNED
-            if banned:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"imports {', '.join(sorted(banned))}; persistence goes "
-                    "through the canonical codec (repro.dag.codec), never pickle",
-                )
+    def import_message(self, names: list[str]) -> str:
+        return (
+            f"imports {', '.join(names)}; persistence goes through the "
+            "canonical codec (repro.dag.codec), never pickle"
+        )
 
 
-@register
-class NoThreadNoAsyncio(Rule):
+class NoThreadNoAsyncio(ImportBan):
     """No threads, executors or event loops in the deterministic core.
 
     Scheduling order is invisible nondeterminism: two replicas running
@@ -230,8 +180,7 @@ class NoThreadNoAsyncio(Rule):
     loop, and *nothing else* — the protocol/gossip/interpreter core
     they drive stays the same single-threaded code the simulator runs,
     which is what makes ``trace diff --mode chains`` between the two
-    arms meaningful.  Growing ``ALLOWED_MODULES`` is a reviewed diff;
-    there are deliberately no per-line suppressions for this rule.
+    arms meaningful.  Growing ``ALLOWED_MODULES`` is a reviewed diff.
     """
 
     name = "no-thread-no-asyncio"
@@ -240,9 +189,7 @@ class NoThreadNoAsyncio(Rule):
     BANNED = frozenset(
         {"threading", "_thread", "asyncio", "concurrent", "multiprocessing", "queue"}
     )
-    #: The transport seam: these prefixes (and their submodules) may
-    #: import asyncio.  Everything else stays single-threaded.
-    ALLOWED_MODULES: frozenset[str] = frozenset(
+    ALLOWED_MODULES = frozenset(
         {
             "repro.net.live",
             "repro.runtime.live",
@@ -253,25 +200,9 @@ class NoThreadNoAsyncio(Rule):
         }
     )
 
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if any(
-            ctx.module == allowed or ctx.module.startswith(allowed + ".")
-            for allowed in self.ALLOWED_MODULES
-        ):
-            return
-        for node in _imports(ctx.tree):
-            if isinstance(node, ast.Import):
-                names = {alias.name.split(".")[0] for alias in node.names}
-            elif node.level == 0 and node.module is not None:
-                names = {node.module.split(".")[0]}
-            else:
-                names = set()
-            banned = names & self.BANNED
-            if banned:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"imports {', '.join(sorted(banned))}; the deterministic "
-                    "core is single-threaded — event loops live only in "
-                    "repro.net.live / repro.runtime.live",
-                )
+    def import_message(self, names: list[str]) -> str:
+        return (
+            f"imports {', '.join(names)}; the deterministic core is "
+            "single-threaded — event loops live only in "
+            "repro.net.live / repro.runtime.live"
+        )

@@ -30,8 +30,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.lint.engine import FileContext, Finding
-from repro.lint.registry import Rule, register
+from repro.lint.callgraph import FUNCTION_SCOPES, _walk_pruned
+from repro.lint.engine import FileContext, Finding, Rule
 
 #: Calls whose result does not depend on the argument's iteration order.
 ORDER_INSENSITIVE = frozenset(
@@ -66,27 +66,6 @@ def _is_set_expr(node: ast.expr, tracked: set[str]) -> bool:
     return False
 
 
-def _scoped_walk(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``scope`` without descending into nested function scopes.
-
-    Each function is analyzed against *its own* locals; letting a
-    parent scope see a child's ``x = set(...)`` would flag unrelated
-    ``x``s in sibling functions.  Class bodies are descended (their
-    statements execute in definition order at the enclosing level);
-    the methods inside are separate scopes again.
-    """
-    stack: list[ast.AST] = [scope]
-    while stack:
-        node = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            stack.append(child)
-            yield child
-
-
 def _tracked_locals(scope: ast.AST) -> set[str]:
     """Names assigned a syntactic set expression in ``scope`` itself.
 
@@ -99,7 +78,8 @@ def _tracked_locals(scope: ast.AST) -> set[str]:
     """
     tracked: set[str] = set()
     for _ in range(2):
-        for node in _scoped_walk(scope):
+        # Each function is analysed against its own locals only.
+        for node in _walk_pruned(scope, FUNCTION_SCOPES):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name) and _is_set_expr(
@@ -117,7 +97,6 @@ def _scopes(tree: ast.Module) -> Iterator[ast.AST]:
             yield node
 
 
-@register
 class DeterministicIteration(Rule):
     """Unsorted set iteration must not feed order-sensitive output."""
 
@@ -136,14 +115,14 @@ class DeterministicIteration(Rule):
         for scope in _scopes(ctx.tree):
             tracked = _tracked_locals(scope)
             exempt = self._exempt_comprehensions(scope)
-            for node in _scoped_walk(scope):
+            for node in _walk_pruned(scope, FUNCTION_SCOPES):
                 yield from self._check_node(ctx, node, tracked, exempt)
 
     @staticmethod
     def _exempt_comprehensions(scope: ast.AST) -> set[int]:
         """Comprehensions passed directly to order-insensitive reducers."""
         exempt: set[int] = set()
-        for node in _scoped_walk(scope):
+        for node in _walk_pruned(scope, FUNCTION_SCOPES):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)

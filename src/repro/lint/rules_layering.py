@@ -29,8 +29,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.lint.engine import FileContext, Finding
-from repro.lint.registry import Rule, register
+from repro.lint.callgraph import _resolve_relative
+from repro.lint.engine import FileContext, Finding, Rule
 
 #: component -> components it may import at module level.  ``errors``
 #: and ``types`` are implicit leaves everyone may use, listed anyway so
@@ -117,10 +117,7 @@ ARCHITECTURE: dict[str, frozenset[str]] = {
             "types",
         }
     ),
-    # The linter itself may read the observability layer: ``repro.obs.
-    # metrics.perf_counter`` is the sanctioned wall-clock conduit the
-    # ``--stats`` per-rule timings go through.
-    "lint": frozenset({"obs"}),
+    "lint": frozenset(),
 }
 
 
@@ -152,7 +149,6 @@ def _is_type_checking(test: ast.expr) -> bool:
     )
 
 
-@register
 class ImportLayering(Rule):
     """Module-level imports must follow the architecture DAG."""
 
@@ -160,11 +156,11 @@ class ImportLayering(Rule):
     summary = "enforce the component DAG (protocols never import net/storage/...)"
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        component = ctx.component
         # The root facade (repro/__init__) re-exports everything by
         # design; modules outside the package are out of scope.
-        if component is None or not ctx.module.startswith("repro."):
+        if not ctx.module.startswith("repro."):
             return
+        component = ctx.module.split(".")[1]
         allowed = ARCHITECTURE.get(component)
         for node in _module_level_imports(ctx.tree):
             for target in self._repro_targets(node, ctx.module):
@@ -209,13 +205,7 @@ class ImportLayering(Rule):
                     continue
                 yield parts[1] if len(parts) > 1 else "__facade__"
             return
-        # ImportFrom: resolve relative imports against this module.
-        if node.level:
-            base = module.split(".")[: -node.level]
-            absolute = ".".join(base + ([node.module] if node.module else []))
-        else:
-            absolute = node.module or ""
-        parts = absolute.split(".")
+        parts = _resolve_relative(module, node).split(".")
         if not parts or parts[0] != "repro":
             return
         if len(parts) > 1:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.lint.effects import ALL_EFFECTS, DYNAMIC, EFFECTS
-from repro.lint.registry import ProgramRule, register
+from repro.lint.engine import ProgramRule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.callgraph import FunctionInfo, Program
@@ -73,7 +73,6 @@ def _certified_functions(
             yield f"interpreter core {core_class}.{core_method}", fn
 
 
-@register
 class HandlerPurity(ProgramRule):
     name = "handler-purity"
     summary = (
@@ -114,7 +113,6 @@ class HandlerPurity(ProgramRule):
                 )
 
 
-@register
 class EffectAnnotation(ProgramRule):
     name = "effect-annotation"
     summary = (

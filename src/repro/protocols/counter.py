@@ -46,10 +46,9 @@ class CounterProtocol(ProcessInstance):
     scalar (``self.total += x`` rebinds — int ``+=`` allocates a new
     object) is automatically private to the writing fork, per the
     protocol-author rules in :mod:`repro.protocols.base`.  The
-    ``cow-barrier`` lint rule encodes the same convention (bare-
-    attribute augmented assignment is a scalar rebind by contract),
-    and the fork-vs-reference-deepcopy trace-equality test in
-    ``tests/unit/test_cow.py`` proves the exemption holds at runtime.
+    fork-vs-reference-deepcopy trace-equality tests in
+    ``tests/unit/test_cow.py`` and ``tests/property/test_cow_props.py``
+    prove the exemption holds at runtime.
     Adding any *container* attribute here obligates a barrier.
     """
 

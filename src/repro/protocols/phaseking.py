@@ -84,8 +84,8 @@ class PhaseKing(ProcessInstance):
     rebinding, which is fork-private without a barrier (see
     :mod:`repro.protocols.base`).  ``_end_round_one``/``_end_round_two``
     only *read* ``_received`` (``dict.get``), which never needs a
-    barrier.  The ``cow-barrier`` lint rule checks this discipline at
-    parse time.
+    barrier.  The deepcopy oracle in ``tests/property/test_cow_props.py``
+    checks this discipline at runtime.
     """
 
     def __init__(self, ctx: Context) -> None:

@@ -22,8 +22,8 @@ container's wire form, shared by every parent and every later state
 entry that holds the same object.  Identity is a sound key because an
 annotation is immutable once its block is interpreted (Algorithm 2 line
 12) — a later block forks the instance and the write barrier copies a
-container before its first write, which the ``cow-barrier`` lint rule
-and ``tests/property/test_cow_props.py`` guard — and because the memo
+container before its first write, which the deepcopy oracle in
+``tests/property/test_cow_props.py`` guards — and because the memo
 holds the object, so its ``id`` is not reused.  Tuples and frozensets
 are immutable but unshared, and stay plain.  Such a wire form exists in
 memory only and encodes to the bytes of the plain one; what

@@ -1,9 +1,9 @@
 """``repro.lint`` — every rule proven on a violating/clean fixture pair.
 
 Each rule gets at least one snippet it must fire on and the idiomatic
-fix it must stay silent on; the engine's suppression protocol,
-baseline, CLI formats, and the meta-test that the shipped tree lints
-clean (tier-1) are covered at the bottom.
+fix it must stay silent on; the engine, baseline, CLI formats, and the
+meta-test that the shipped tree lints clean (tier-1) are covered at
+the bottom.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ import sys
 from pathlib import Path
 from textwrap import dedent
 
+import pytest
+
 from repro.lint import Baseline, LintEngine
-from repro.lint.engine import Finding, module_name_for
+from repro.lint.engine import module_name_for
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -177,93 +179,6 @@ class TestSeededRandomnessOnly:
             def sample(rng: random.Random) -> float:
                 return rng.random()
             """
-        )
-        assert rules_of(report) == []
-
-
-# ------------------------------------------------------------------ cow-barrier
-
-
-class TestCowBarrier:
-    VIOLATING = """
-        from repro.protocols.base import ProcessInstance
-
-        class Fake(ProcessInstance):
-            def __init__(self, ctx):
-                super().__init__(ctx)
-                self._votes = {}
-                self._senders = set()
-
-            def on_request(self, request):
-                self._senders.add(request.sender)
-
-            def on_message(self, message):
-                self._votes[message.sender] = message.payload
-                del self._votes[None]
-                self._votes[message.sender].append(1)
-        """
-
-    def test_fires_on_direct_mutations(self):
-        report = lint(self.VIOLATING, module="repro.protocols.fake")
-        cow = [f for f in report.findings if f.rule == "cow-barrier"]
-        # .add, subscript store, subscript delete, nested .append — and
-        # nothing from __init__ (pre-fork construction is exempt).
-        assert len(cow) == 4
-        assert all(f.line >= 10 for f in cow)
-
-    def test_silent_on_barrier_idiom(self):
-        report = lint(
-            """
-            from repro.protocols.base import ProcessInstance
-
-            class Fake(ProcessInstance):
-                def __init__(self, ctx):
-                    super().__init__(ctx)
-                    self.total = 0
-                    self._votes = {}
-
-                def on_request(self, request):
-                    self.total += 1  # scalar rebind: fork-private
-
-                def on_message(self, message):
-                    self._writable("_votes")[message.sender] = 1
-                    slot = self._writable_entry("_votes", message.sender, set)
-                    slot.add(message.payload)
-            """,
-            module="repro.protocols.fake",
-        )
-        assert rules_of(report) == []
-
-    def test_scoped_to_protocols_package(self):
-        report = lint(self.VIOLATING, module="repro.interpret.fake")
-        assert rules_of(report) == []
-
-    def test_transitive_subclass_is_checked(self):
-        report = lint(
-            """
-            from repro.protocols.base import ProcessInstance
-
-            class Base(ProcessInstance):
-                pass
-
-            class Leaf(Base):
-                def on_message(self, message):
-                    self._log.append(message)
-            """,
-            module="repro.protocols.fake",
-        )
-        assert rules_of(report) == ["cow-barrier"]
-
-    def test_framework_bookkeeping_exempt(self):
-        report = lint(
-            """
-            from repro.protocols.base import ProcessInstance
-
-            class Fake(ProcessInstance):
-                def on_message(self, message):
-                    self._cells["x"] = 1
-            """,
-            module="repro.protocols.fake",
         )
         assert rules_of(report) == []
 
@@ -499,48 +414,6 @@ class TestNoThreadNoAsyncio:
             assert "no-thread-no-asyncio" in rules_of(report), module
 
 
-# ------------------------------------------------------- suppression protocol
-
-
-class TestSuppressions:
-    def test_allow_with_reason_suppresses(self):
-        report = lint(
-            "import time  # lint: allow(no-wall-clock) — fixture proves the rule\n"
-        )
-        assert rules_of(report) == []
-        assert report.suppressed == 1
-
-    def test_allow_without_reason_is_bare_allow(self):
-        report = lint("import time  # lint: allow(no-wall-clock)\n")
-        assert rules_of(report) == ["bare-allow"]
-        assert report.suppressed == 1
-
-    def test_unused_allow_is_flagged(self):
-        report = lint("x = 1  # lint: allow(no-pickle) — stale excuse\n")
-        assert rules_of(report) == ["unused-allow"]
-
-    def test_allow_only_covers_named_rule(self):
-        report = lint(
-            "import pickle  # lint: allow(no-wall-clock) — wrong rule\n"
-        )
-        assert "no-pickle" in rules_of(report)
-        assert "unused-allow" in rules_of(report)
-
-    def test_docstring_examples_are_inert(self):
-        report = lint(
-            '''
-            def helper():
-                """Suppress with ``# lint: allow(no-pickle) — reason``."""
-                return 1
-            '''
-        )
-        assert rules_of(report) == []
-
-    def test_parse_error_is_a_finding(self):
-        report = lint("def broken(:\n")
-        assert rules_of(report) == ["parse-error"]
-
-
 # ----------------------------------------------------------------- baseline
 
 
@@ -556,16 +429,6 @@ class TestBaseline:
         new, stale = baseline.split([])
         assert new == [] and stale == [("no-pickle", "src/repro/gone.py", 9)]
 
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "lint-baseline.json"
-        finding = Finding(
-            rule="no-pickle", path="a.py", line=3, col=1, message="m"
-        )
-        Baseline.write(path, [finding])
-        loaded = Baseline.load(path)
-        assert loaded.entries == {("no-pickle", "a.py", 3)}
-
-
 # ----------------------------------------------------------------- engine/CLI
 
 
@@ -580,6 +443,10 @@ class TestEngine:
     def test_findings_sort_deterministically(self):
         report = lint("import pickle\nimport threading\nimport time\n")
         assert report.findings == sorted(report.findings)
+
+    def test_parse_error_is_a_finding(self):
+        report = lint("def broken(:\n")
+        assert rules_of(report) == ["parse-error"]
 
 
 def _run_cli(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
@@ -621,17 +488,6 @@ class TestCli:
         assert "no-wall-clock" in result.stdout
         assert f"line=2" in result.stdout  # the time.time() read itself
 
-    def test_json_format(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import pickle\n", encoding="utf-8")
-        result = _run_cli(
-            str(bad), "--format", "json", "--no-baseline", cwd=tmp_path
-        )
-        document = json.loads(result.stdout)
-        assert result.returncode == 1
-        assert document["counts"]["findings"] == 1
-        assert document["findings"][0]["rule"] == "no-pickle"
-
     def test_select_runs_only_named_rules(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import pickle\nimport threading\n", encoding="utf-8")
@@ -646,18 +502,12 @@ class TestCli:
         assert "no-pickle" in result.stdout
         assert "no-thread-no-asyncio" not in result.stdout
 
-    def test_list_rules_names_all_seven(self):
+    def test_list_rules_names_every_rule(self):
+        from repro.lint import RULES
+
         result = _run_cli("--list-rules", cwd=REPO_ROOT)
-        for name in (
-            "no-wall-clock",
-            "seeded-randomness-only",
-            "cow-barrier",
-            "no-pickle",
-            "deterministic-iteration",
-            "import-layering",
-            "no-thread-no-asyncio",
-        ):
-            assert name in result.stdout
+        listed = [line.split()[0] for line in result.stdout.splitlines()]
+        assert listed == [rule.name for rule in RULES]
 
 
 # -------------------------------------------------------------- handler-purity
@@ -694,6 +544,41 @@ class TestHandlerPurity:
         assert "wall-clock" in message
         assert "on_request → _helper → _deep" in message
         assert "time.time" in message
+
+    @pytest.mark.parametrize(
+        "call, effect",
+        [
+            ("time.clock_gettime(time.CLOCK_MONOTONIC)", "wall-clock"),
+            ("time.clock_gettime_ns(time.CLOCK_MONOTONIC)", "wall-clock"),
+            ("time.thread_time()", "wall-clock"),
+            ("time.thread_time_ns()", "wall-clock"),
+            ("socket.create_connection(('localhost', 1))", "blocks"),
+        ],
+    )
+    def test_every_tabled_stdlib_effect_is_impure(self, call, effect):
+        # The effect table is the one model of the stdlib: a call that
+        # no-wall-clock / async-hazard-blocking-call would flag must be
+        # just as impure in a handler.
+        report = lint(
+            f"""
+            import socket
+            import time
+
+            from repro.protocols.base import ProcessInstance
+
+            class Fake(ProcessInstance):
+                def on_request(self, request):
+                    self.deadline = {call}
+
+                def on_message(self, message):
+                    pass
+            """,
+            module="repro.protocols.fake",
+        )
+        messages = [
+            f.message for f in report.findings if f.rule == "handler-purity"
+        ]
+        assert any(f"{effect} via" in m and call.split("(")[0] in m for m in messages)
 
     def test_silent_on_pure_handlers(self):
         report = lint(
@@ -1107,26 +992,6 @@ FIXTURES: dict[str, tuple[dict, dict]] = {
         dict(source="import random\nx = random.random()\n"),
         dict(source="import random\nrng = random.Random(7)\n"),
     ),
-    "cow-barrier": (
-        dict(
-            source=(
-                "from repro.protocols.base import ProcessInstance\n"
-                "class Fake(ProcessInstance):\n"
-                "    def on_message(self, message):\n"
-                "        self.votes[message.sender] = 1\n"
-            ),
-            **_PROTO,
-        ),
-        dict(
-            source=(
-                "from repro.protocols.base import ProcessInstance\n"
-                "class Fake(ProcessInstance):\n"
-                "    def on_message(self, message):\n"
-                "        self._writable('votes')[message.sender] = 1\n"
-            ),
-            **_PROTO,
-        ),
-    ),
     "no-pickle": (
         dict(source="import pickle\n"),
         dict(source="from repro.dag.codec import encode\n"),
@@ -1317,62 +1182,6 @@ class TestCliSatellites:
         )
         assert result.returncode == 1
         assert "no-wall-clock" in result.stdout
-
-    def test_stats_table_text(self, tmp_path):
-        good = tmp_path / "ok.py"
-        good.write_text("x = 1\n", encoding="utf-8")
-        result = _run_cli(
-            str(good), "--stats", "--no-baseline", cwd=tmp_path
-        )
-        assert result.returncode == 0
-        assert "| rule | findings | wall ms |" in result.stdout
-        assert "| handler-purity |" in result.stdout
-        assert "| whole-program-index |" in result.stdout
-
-    def test_stats_json(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import pickle\n", encoding="utf-8")
-        result = _run_cli(
-            str(bad),
-            "--stats",
-            "--format",
-            "json",
-            "--no-baseline",
-            cwd=tmp_path,
-        )
-        document = json.loads(result.stdout)
-        assert document["stats"]["no-pickle"]["findings"] == 1
-        assert "ms" in document["stats"]["no-pickle"]
-
-    def test_stats_appends_github_step_summary(self, tmp_path):
-        good = tmp_path / "ok.py"
-        good.write_text("x = 1\n", encoding="utf-8")
-        summary = tmp_path / "summary.md"
-        env = dict(os.environ)
-        src = str(REPO_ROOT / "src")
-        env["PYTHONPATH"] = src + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        env["GITHUB_STEP_SUMMARY"] = str(summary)
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.lint",
-                str(good),
-                "--stats",
-                "--format",
-                "github",
-                "--no-baseline",
-            ],
-            cwd=tmp_path,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0
-        assert "| rule | findings | wall ms |" in summary.read_text()
 
     def test_relaxed_profile_passes_on_shipped_extras(self):
         # The CI arm: benchmarks, examples and tests hold the relaxed
