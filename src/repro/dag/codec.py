@@ -16,12 +16,19 @@ as their class name plus the tuple of field values, so distinct message
 types never collide.  No pickling — the format is independent of Python
 memory layout and stable across runs, which the determinism argument
 (Lemma 4.2) relies on.
+
+:func:`encode` writes each value once, into one ``bytearray``: a table
+maps a value's exact type to its writer, and a dict value is written
+in place behind a length that is filled in afterwards.  Only dict keys
+and set members are encoded on their own, because they are sorted by
+their bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
+from operator import itemgetter
+from typing import Any, Callable
 
 from repro.errors import CodecError
 
@@ -62,99 +69,136 @@ def encode(value: Any) -> bytes:
     dataclasses, and :class:`Canonical` (spliced as is).  Anything else
     raises :class:`CodecError`.
     """
+    return bytes(_encoded(value))
+
+
+_Writer = Callable[[Any, bytearray], None]
+
+
+def _encoded(value: Any) -> bytearray:
     out = bytearray()
-    _encode_into(value, out)
-    return bytes(out)
+    (_WRITERS.get(type(value)) or _resolve(value))(value, out)
+    return out
 
 
-def _encode_into(value: Any, out: bytearray) -> None:
-    if value is None:
-        out += _TAG_NONE
-        return
-    if value is True:
-        out += _TAG_TRUE
-        return
-    if value is False:
-        out += _TAG_FALSE
-        return
-    if isinstance(value, int):
-        body = value.to_bytes((value.bit_length() + 8) // 8 + 1, "big", signed=True)
-        out += _TAG_INT
-        out += len(body).to_bytes(4, "big")
-        out += body
-        return
-    if isinstance(value, str):
-        body = value.encode("utf-8")
-        out += _TAG_STR
-        out += len(body).to_bytes(8, "big")
-        out += body
-        return
-    if isinstance(value, (bytes, bytearray)):
-        out += _TAG_BYTES
+def _write_singleton(value: bool | None, out: bytearray) -> None:
+    out += _TAG_NONE if value is None else _TAG_TRUE if value else _TAG_FALSE
+
+
+def _write_int(value: int, out: bytearray) -> None:
+    body = value.to_bytes((value.bit_length() + 8) // 8 + 1, "big", signed=True)
+    out += _TAG_INT
+    out += len(body).to_bytes(4, "big")
+    out += body
+
+
+def _write_str(value: str, out: bytearray) -> None:
+    body = value.encode()
+    out += _TAG_STR
+    out += len(body).to_bytes(8, "big")
+    out += body
+
+
+def _write_bytes(value: bytes | bytearray, out: bytearray) -> None:
+    out += _TAG_BYTES
+    out += len(value).to_bytes(8, "big")
+    out += value
+
+
+def _sequence_writer(tag: bytes) -> _Writer:
+    def write(value: Any, out: bytearray) -> None:
+        out += tag
         out += len(value).to_bytes(8, "big")
-        out += bytes(value)
-        return
-    if isinstance(value, list):
-        _encode_sequence(_TAG_LIST, value, out)
-        return
-    if isinstance(value, tuple):
-        _encode_sequence(_TAG_TUPLE, value, out)
-        return
-    if isinstance(value, dict):
-        items = sorted(
-            ((encode(k), encode(v)) for k, v in value.items()),
-            key=lambda kv: kv[0],
-        )
-        out += _TAG_DICT
-        out += len(items).to_bytes(8, "big")
-        for key_bytes, value_bytes in items:
-            out += len(key_bytes).to_bytes(8, "big")
-            out += key_bytes
-            out += len(value_bytes).to_bytes(8, "big")
-            out += value_bytes
-        return
-    if isinstance(value, (set, frozenset)):
-        encoded = sorted(encode(v) for v in value)
-        out += _TAG_SET
-        out += len(encoded).to_bytes(8, "big")
-        for item in encoded:
-            out += len(item).to_bytes(8, "big")
-            out += item
-        return
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        cls = type(value)
-        cached = _ENCODE_CACHE.get(cls)
-        if cached is None:
-            # Auto-register for decoding: anything encoded in-process
-            # can be decoded in-process (sufficient for the KV-store
-            # substrate).  Field introspection is cached per class —
-            # ``dataclasses.fields`` rebuilds a tuple of Field objects
-            # on every call, which dominated message ordering (``<_M``)
-            # on the interpretation hot path.
-            _DATACLASS_REGISTRY.setdefault(cls.__qualname__, cls)
-            cached = (
-                cls.__qualname__.encode("utf-8"),
-                tuple(f.name for f in dataclasses.fields(value)),
-            )
-            _ENCODE_CACHE[cls] = cached
-        name, field_names = cached
-        fields = tuple(getattr(value, f) for f in field_names)
-        out += _TAG_DATACLASS
-        out += len(name).to_bytes(4, "big")
-        out += name
-        _encode_into(fields, out)
-        return
-    if type(value) is Canonical:
-        out += value.data
-        return
-    raise CodecError(f"cannot canonically encode {type(value).__name__}: {value!r}")
+        for item in value:
+            (_WRITERS.get(type(item)) or _resolve(item))(item, out)
+
+    return write
 
 
-def _encode_sequence(tag: bytes, items: Any, out: bytearray) -> None:
-    out += tag
-    out += len(items).to_bytes(8, "big")
-    for item in items:
-        _encode_into(item, out)
+def _write_dict(value: dict, out: bytearray) -> None:
+    out += _TAG_DICT
+    out += len(value).to_bytes(8, "big")
+    for key, item in sorted([(_encoded(k), v) for k, v in value.items()], key=_first):
+        out += len(key).to_bytes(8, "big")
+        out += key
+        # The value goes straight into ``out`` behind a placeholder,
+        # which is then filled in with its length.
+        start = len(out) + 8
+        out += _LENGTH_PLACEHOLDER
+        (_WRITERS.get(type(item)) or _resolve(item))(item, out)
+        out[start - 8 : start] = (len(out) - start).to_bytes(8, "big")
+
+
+def _write_set(value: set | frozenset, out: bytearray) -> None:
+    out += _TAG_SET
+    out += len(value).to_bytes(8, "big")
+    for member in sorted([_encoded(v) for v in value]):
+        out += len(member).to_bytes(8, "big")
+        out += member
+
+
+def _write_canonical(value: Canonical, out: bytearray) -> None:
+    out += value.data
+
+
+def _dataclass_writer(cls: type) -> _Writer:
+    # Auto-register for decoding: anything encoded in-process can be
+    # decoded in-process (sufficient for the KV-store substrate).
+    _DATACLASS_REGISTRY.setdefault(cls.__qualname__, cls)
+    name = cls.__qualname__.encode("utf-8")
+    field_names = tuple(f.name for f in dataclasses.fields(cls))
+    # ``D | len | qualname``, then the field tuple's ``T | count``.
+    header = _TAG_DATACLASS + len(name).to_bytes(4, "big") + name
+    header += _TAG_TUPLE + len(field_names).to_bytes(8, "big")
+
+    def write(value: Any, out: bytearray) -> None:
+        out += header
+        for field_name in field_names:
+            item = getattr(value, field_name)
+            (_WRITERS.get(type(item)) or _resolve(item))(item, out)
+
+    return write
+
+
+def _resolve(value: Any) -> _Writer:
+    """The writer for a type missing from the table, cached there: a
+    subclass gets the writer of its first base in the format's
+    ``isinstance`` order, a dataclass a writer of its own."""
+    cls = type(value)
+    for base, writer in _BASE_WRITERS:
+        if isinstance(value, base):
+            break
+    else:
+        if not dataclasses.is_dataclass(cls):
+            raise CodecError(f"cannot canonically encode {cls.__name__}: {value!r}")
+        writer = _dataclass_writer(cls)
+    _WRITERS[cls] = writer
+    return writer
+
+
+_first = itemgetter(0)
+_LENGTH_PLACEHOLDER = bytes(8)
+
+#: The format's container and scalar types in ``isinstance`` order.
+_BASE_WRITERS: tuple[tuple[type, _Writer], ...] = (
+    (int, _write_int),
+    (str, _write_str),
+    (bytes, _write_bytes),
+    (bytearray, _write_bytes),
+    (list, _sequence_writer(_TAG_LIST)),
+    (tuple, _sequence_writer(_TAG_TUPLE)),
+    (dict, _write_dict),
+    (set, _write_set),
+    (frozenset, _write_set),
+)
+
+#: Exact type -> writer; a subclass or a dataclass joins on first encode.
+_WRITERS: dict[type, _Writer] = {  # lint: registry — per-type writer table; an entry is computed deterministically from the class and never changes
+    type(None): _write_singleton,
+    bool: _write_singleton,
+    Canonical: _write_canonical,
+    **dict(_BASE_WRITERS),
+}
 
 
 def encoding_key(value: Any) -> bytes:
@@ -178,9 +222,6 @@ def encoding_key(value: Any) -> bytes:
 
 _DATACLASS_REGISTRY: dict[str, type] = {}  # lint: registry — populated once at import time by register_dataclass; lookups after that are pure
 
-#: Per-class encode metadata: ``(qualname bytes, field names)``.
-_ENCODE_CACHE: dict[type, tuple[bytes, tuple[str, ...]]] = {}  # lint: registry — per-type memo of immutable metadata; an entry is computed deterministically from the class and never changes
-
 
 def register_dataclass(cls: type) -> type:
     """Register a dataclass for decoding; usable as a decorator."""
@@ -194,9 +235,15 @@ def decode(data: bytes) -> Any:
     """Decode a canonical encoding back into a value.
 
     Inverse of :func:`encode` up to two harmless canonicalizations:
-    sets decode as ``frozenset`` and byte-likes as ``bytes``.
+    sets decode as ``frozenset`` and byte-likes as ``bytes``.  Every
+    way ``data`` can fail to be an encoding — including well-framed
+    values a constructor refuses, unhashable keys and nesting too deep
+    to follow — raises :class:`CodecError`.
     """
-    value, offset = _decode_at(data, 0)
+    try:
+        value, offset = _decode_at(data, 0)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise CodecError(f"malformed encoding: {type(exc).__name__}: {exc}") from exc
     if offset != len(data):
         raise CodecError(f"{len(data) - offset} trailing bytes after value")
     return value
@@ -265,5 +312,7 @@ def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
         cls = _DATACLASS_REGISTRY.get(name)
         if cls is None:
             raise CodecError(f"dataclass not registered for decoding: {name}")
+        if type(fields) is not tuple:
+            raise CodecError(f"fields of {name} are a {type(fields).__name__}, not a tuple")
         return cls(*fields), offset
     raise CodecError(f"unknown tag byte: {tag!r}")

@@ -1,0 +1,128 @@
+"""The committed golden corpus pins every durable byte format.
+
+Regenerating ``tests/golden/`` must reproduce it byte for byte, and the
+*committed* bytes — WAL segments, the newest checkpoint, wire frames —
+must decode, re-encode to themselves and recover a server.  A
+deliberate format change reruns ``tests/golden_corpus.py`` and commits
+the diff.
+"""
+
+from __future__ import annotations
+
+import shutil
+
+import pytest
+
+from golden_corpus import GOLDEN_DIR, MANIFEST, SCENARIO, SERVER, build, corpus_files, manifest
+from repro.crypto.keys import KeyRing
+from repro.dag import codec
+from repro.dag.block import Block
+from repro.net.live.framing import FrameDecoder, Hello, encode_frame, register_wire_types
+from repro.net.message import BlockEnvelope, FwdRequestEnvelope
+from repro.net.simulator import NetworkSimulator
+from repro.net.transport import SimTransport
+from repro.scenario import registry
+from repro.scenario.spec import resolve_protocol
+from repro.shim.shim import Shim
+from repro.storage import ServerStorage
+from repro.storage.wal import WriteAheadLog
+from repro.types import Label, ServerId
+
+register_wire_types()
+
+NEWEST_CHECKPOINT = 3
+
+
+def committed(path: str) -> bytes:
+    return (GOLDEN_DIR / path).read_bytes()
+
+
+class TestRegeneration:
+    def test_manifest_matches_committed_files(self):
+        assert manifest(GOLDEN_DIR) == (GOLDEN_DIR / MANIFEST).read_text(encoding="utf-8")
+
+    def test_corpus_stays_small(self):
+        assert sum(p.stat().st_size for p in corpus_files(GOLDEN_DIR)) < 200 * 1024
+
+    def test_regenerated_corpus_is_byte_identical(self, tmp_path):
+        fresh = tmp_path / "golden"
+        fresh.mkdir()
+        build(fresh)
+        names = [p.relative_to(fresh) for p in corpus_files(fresh)]
+        assert names == [p.relative_to(GOLDEN_DIR) for p in corpus_files(GOLDEN_DIR)]
+        for name in names:
+            assert (fresh / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+        assert (fresh / MANIFEST).read_bytes() == (GOLDEN_DIR / MANIFEST).read_bytes()
+
+
+class TestCommittedBytesDecode:
+    def test_frames(self):
+        data = committed("frames.bin")
+        decoder = FrameDecoder()
+        values = decoder.feed(data)
+        assert decoder.stats.resyncs == decoder.stats.decode_failures == 0
+        assert decoder.pending_bytes() == 0
+        assert values[0] == Hello(SERVER)
+        assert isinstance(values[-1], FwdRequestEnvelope)
+        envelopes = values[1:-1]
+        assert envelopes and all(isinstance(v, BlockEnvelope) for v in envelopes)
+        assert values[-1].ref == envelopes[-1].block.ref
+        assert b"".join(encode_frame(v) for v in values) == data
+
+    def test_wal_records(self, tmp_path):
+        # Opening a log may repair its tail: never open the committed copy.
+        shutil.copytree(GOLDEN_DIR / SERVER / "wal", tmp_path / "wal")
+        wal = WriteAheadLog(tmp_path / "wal")
+        records = [payload for _, payload in wal.replay()]
+        assert records
+        for payload in records:
+            value = codec.decode(payload)
+            assert all(isinstance(b, Block) for b in (value if isinstance(value, tuple) else (value,)))
+            assert codec.encode(value) == payload
+
+    def test_checkpoint(self, tmp_path):
+        shutil.copytree(GOLDEN_DIR / SERVER, tmp_path / SERVER)
+        checkpoints = ServerStorage(tmp_path / SERVER).checkpoints
+        assert checkpoints.sequences() == [NEWEST_CHECKPOINT]
+        checkpoint = checkpoints.load(NEWEST_CHECKPOINT)
+        assert checkpoint.seq == NEWEST_CHECKPOINT
+        data = committed(f"{SERVER}/checkpoints/ckpt-{NEWEST_CHECKPOINT:08d}.bin")
+        payload = data[8:]  # after the length | CRC32 header
+        assert codec.encode(codec.decode(payload)) == payload
+
+
+class TestRecoveryFromCommittedFiles:
+    @pytest.fixture
+    def boot(self, tmp_path):
+        scenario = registry.get(SCENARIO, smoke=True)
+        config = scenario.topology.storage.build()
+        keyring = KeyRing(scenario.topology.servers())
+        protocol = resolve_protocol(scenario.protocol).spec
+        server = ServerId(SERVER)
+        directory = tmp_path / SERVER
+        shutil.copytree(GOLDEN_DIR / SERVER, directory)
+
+        def boot() -> Shim:
+            transport = SimTransport(NetworkSimulator(), server)
+            storage = ServerStorage(directory, config=config)
+            return Shim(server, protocol, keyring, transport, storage=storage)
+
+        return boot
+
+    def test_recovers_newest_checkpoint_and_ledger(self, boot):
+        shim = boot()
+        assert shim.recovery is not None
+        assert shim.recovery.checkpoint_seq == NEWEST_CHECKPOINT
+        assert shim.recovery.refs_trimmed == 0
+        assert shim.recovery.blocks_recovered == len(shim.dag)
+        totals = [i.value for i in shim.indications_for(Label("ledger"))]
+        assert totals == sorted(totals) and totals[-1] == 10
+
+    def test_checkpoint_written_after_recovery_recovers_again(self, boot):
+        first = boot()
+        first.checkpoint_now()
+        first.storage.close()
+        second = boot()
+        assert second.recovery.checkpoint_seq == NEWEST_CHECKPOINT + 1
+        assert set(second.dag.refs) == set(first.dag.refs)
+        assert second.indications == first.indications

@@ -1,12 +1,13 @@
 """Unit tests for the canonical codec — injectivity, round trips, <_M keys."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import pytest
 
 from repro.dag import codec
+from repro.dag.block import Block
 from repro.errors import CodecError
-from repro.types import Request
+from repro.types import Request, ServerId
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,65 @@ class TestDecode:
         with pytest.raises(CodecError):
             codec.decode(bytes(data))
 
+    def test_invalid_utf8_rejected(self):
+        with pytest.raises(CodecError):
+            codec.decode(b"s" + (1).to_bytes(8, "big") + b"\xff")
+
     def test_register_dataclass_requires_dataclass(self):
         with pytest.raises(CodecError):
             codec.register_dataclass(int)
+
+
+def framed(payload: bytes) -> bytes:
+    """``payload`` as one length-prefixed dict-key/set-member slot."""
+    return len(payload).to_bytes(8, "big") + payload
+
+
+def dataclass_of(name: bytes, field_tuple: bytes) -> bytes:
+    return b"D" + len(name).to_bytes(4, "big") + name + field_tuple
+
+
+def block_fields(**changes) -> bytes:
+    """The encoded field tuple of a genesis block, with ``changes``."""
+    block = Block(n=ServerId("s1"), k=0, preds=(), rs=())
+    values = {f.name: getattr(block, f.name) for f in fields(Block)}
+    values.update(changes)
+    return codec.encode(tuple(values.values()))
+
+
+ONE = (1).to_bytes(8, "big")
+
+
+class TestHostilePayloads:
+    """Well-framed bytes that are not a value raise :class:`CodecError`
+    and nothing else, so a frame decoder can drop them and go on."""
+
+    def test_list_as_dict_key(self):
+        data = b"d" + ONE + framed(codec.encode([1])) + framed(codec.encode(1))
+        with pytest.raises(CodecError):
+            codec.decode(data)
+
+    def test_list_as_set_member(self):
+        with pytest.raises(CodecError):
+            codec.decode(b"S" + ONE + framed(codec.encode([1])))
+
+    @pytest.mark.parametrize("not_a_tuple", [7, [1, 2]], ids=["int", "list"])
+    def test_dataclass_fields_not_a_tuple(self, not_a_tuple):
+        with pytest.raises(CodecError):
+            codec.decode(dataclass_of(b"Point", codec.encode(not_a_tuple)))
+
+    def test_dataclass_with_wrong_arity(self):
+        with pytest.raises(CodecError):
+            codec.decode(dataclass_of(b"Point", codec.encode((1,))))
+
+    def test_block_with_negative_sequence_number(self):
+        assert codec.decode(dataclass_of(b"Block", block_fields())).k == 0
+        with pytest.raises(CodecError):
+            codec.decode(dataclass_of(b"Block", block_fields(k=-1)))
+
+    def test_nesting_too_deep(self):
+        with pytest.raises(CodecError):
+            codec.decode((b"l" + ONE) * 5000 + b"N")
 
 
 class TestEncodingKey:

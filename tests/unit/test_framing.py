@@ -33,6 +33,16 @@ def sample_block(k: int = 0) -> Block:
     return Block(n=S1, k=k, preds=preds, rs=rs, sigma=b"sig")
 
 
+def raw_frame(payload: bytes) -> bytes:
+    """A well-framed, CRC-valid frame around arbitrary ``payload``."""
+    return (
+        MAGIC
+        + len(payload).to_bytes(4, "big")
+        + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "big")
+        + payload
+    )
+
+
 class TestRoundTrip:
     def test_hello_round_trips(self):
         decoder = FrameDecoder()
@@ -123,18 +133,32 @@ class TestResync:
         assert decoder.feed(encode_frame(Hello("s1"))) == [Hello("s1")]
 
     def test_crc_valid_but_undecodable_payload_dropped_whole(self):
-        payload = b"this is not a codec value"
-        frame = (
-            MAGIC
-            + len(payload).to_bytes(4, "big")
-            + (zlib.crc32(payload) & 0xFFFFFFFF).to_bytes(4, "big")
-            + payload
-        )
         decoder = FrameDecoder()
+        frame = raw_frame(b"this is not a codec value")
         assert decoder.feed(frame + encode_frame(Hello("s1"))) == [Hello("s1")]
         assert decoder.stats.decode_failures == 1
         # The framing was intact: no byte-by-byte resync happened.
         assert decoder.stats.crc_failures == 0
+
+    def test_hostile_payload_then_good_frame_in_one_chunk(self):
+        # CRC-valid, but a list as a dict key: the decoder must count
+        # the frame once and keep serving the rest of the chunk.
+        key, value = codec.encode([1]), codec.encode(1)
+        payload = b"".join(
+            (
+                b"d",
+                (1).to_bytes(8, "big"),
+                len(key).to_bytes(8, "big"),
+                key,
+                len(value).to_bytes(8, "big"),
+                value,
+            )
+        )
+        decoder = FrameDecoder()
+        assert decoder.feed(raw_frame(payload) + encode_frame(Hello("s1"))) == [Hello("s1")]
+        assert decoder.stats.decode_failures == 1
+        assert decoder.stats.frames_decoded == 1
+        assert decoder.stats.crc_failures == decoder.stats.resyncs == 0
 
     def test_magic_byte_dangling_at_chunk_boundary(self):
         # Garbage ending in the first magic byte: the decoder must keep
