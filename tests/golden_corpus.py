@@ -8,6 +8,12 @@ leaves behind, so "the bytes did not move" is a test and not a ritual:
 * ``s3/checkpoints/ckpt-*.bin`` — that server's newest checkpoint;
 * ``frames.bin`` — wire frames (``repro.net.live.framing``): a
   handshake, a few block envelopes taken from the WAL and a FWD request;
+* ``docs/`` — the JSON documents that cross a process boundary:
+  ``scenario.json`` (``show crash-restart --smoke``), ``result.json``
+  (its simulated result without the wall clock), ``metrics.jsonl``
+  (that result's merged metrics snapshot), ``node-config.json`` (``s1``
+  of the live-smoke smoke's node configs under a fixed relative run
+  directory) and ``node-status.json`` (a fixed node status);
 * ``MANIFEST.sha256`` — ``sha256sum -c``-compatible sums of the above.
 
 ``tests/integration/test_golden_corpus.py`` regenerates the corpus and
@@ -21,6 +27,7 @@ commits the diff::
 from __future__ import annotations
 
 import hashlib
+import json
 import shutil
 import sys
 import tempfile
@@ -28,7 +35,9 @@ from pathlib import Path
 
 from repro.net.live.framing import Hello, encode_frame
 from repro.net.message import BlockEnvelope, FwdRequestEnvelope
+from repro.runtime.live.node import NodeStatus
 from repro.scenario import registry, run_scenario
+from repro.scenario.live import compile_live_configs
 from repro.storage import ServerStorage
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -37,13 +46,35 @@ SERVER = "s3"
 MANIFEST = "MANIFEST.sha256"
 #: Blocks from the WAL shipped as wire frames.
 FRAMED_BLOCKS = 4
+LIVE_SCENARIO = "live-smoke"
+#: Run directory of the committed node config (relative: no host path).
+LIVE_RUN_DIR = "run"
+#: The committed node status.
+STATUS = NodeStatus(
+    server="s2",
+    pid=4242,
+    tick=6,
+    blocks=24,
+    fingerprint="00c0ffee00c0ffee",
+    delivered={"tx-0": 1, "tx-1": 1, "tx-2": 0},
+    ticks_done=True,
+    recovered=True,
+    gate_timeouts=1,
+    held=2,
+    wire_messages=96,
+    wire_bytes=40960,
+    dropped_overflow=3,
+    reconnects=1,
+    metrics_seq=7,
+)
 
 
 def build(dest: Path) -> None:
     """Write the whole corpus (manifest included) under ``dest``."""
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch) / "storage"
-        run_scenario(registry.get(SCENARIO, smoke=True), storage_root=root)
+        scenario = registry.get(SCENARIO, smoke=True)
+        result = run_scenario(scenario, storage_root=root)
         source = root / SERVER
         wal = dest / SERVER / "wal"
         wal.mkdir(parents=True)
@@ -58,6 +89,19 @@ def build(dest: Path) -> None:
     frames += [encode_frame(BlockEnvelope(block)) for block in blocks]
     frames.append(encode_frame(FwdRequestEnvelope(blocks[-1].ref)))
     (dest / "frames.bin").write_bytes(b"".join(frames))
+    config = compile_live_configs(
+        registry.get(LIVE_SCENARIO, smoke=True), Path(LIVE_RUN_DIR)
+    )["s1"]
+    docs = dest / "docs"
+    docs.mkdir()
+    for name, text in (
+        ("scenario.json", scenario.to_json(indent=2) + "\n"),
+        ("result.json", result.to_json(include_wall_clock=False, indent=2) + "\n"),
+        ("metrics.jsonl", result.metrics.merged.to_jsonl()),
+        ("node-config.json", config.to_json() + "\n"),
+        ("node-status.json", json.dumps(STATUS.to_json_dict(), sort_keys=True)),
+    ):
+        (docs / name).write_text(text, encoding="utf-8")
     (dest / MANIFEST).write_text(manifest(dest), encoding="utf-8")
 
 

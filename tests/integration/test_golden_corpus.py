@@ -1,14 +1,16 @@
 """The committed golden corpus pins every durable byte format.
 
 Regenerating ``tests/golden/`` must reproduce it byte for byte, and the
-*committed* bytes — WAL segments, the newest checkpoint, wire frames —
-must decode, re-encode to themselves and recover a server.  A
+*committed* bytes — WAL segments, the newest checkpoint, wire frames,
+JSON documents — must decode, re-encode to themselves and recover a
+server.  A
 deliberate format change reruns ``tests/golden_corpus.py`` and commits
 the diff.
 """
 
 from __future__ import annotations
 
+import json
 import shutil
 
 import pytest
@@ -21,7 +23,9 @@ from repro.net.live.framing import FrameDecoder, Hello, encode_frame, register_w
 from repro.net.message import BlockEnvelope, FwdRequestEnvelope
 from repro.net.simulator import NetworkSimulator
 from repro.net.transport import SimTransport
-from repro.scenario import registry
+from repro.obs.metrics import MetricsSnapshot
+from repro.runtime.live.node import NodeConfig, NodeStatus
+from repro.scenario import Scenario, ScenarioResult, registry
 from repro.scenario.spec import resolve_protocol
 from repro.shim.shim import Shim
 from repro.storage import ServerStorage
@@ -89,6 +93,27 @@ class TestCommittedBytesDecode:
         data = committed(f"{SERVER}/checkpoints/ckpt-{NEWEST_CHECKPOINT:08d}.bin")
         payload = data[8:]  # after the length | CRC32 header
         assert codec.encode(codec.decode(payload)) == payload
+
+
+#: document -> its decode-then-encode round trip.
+DOCUMENTS = {
+    "scenario.json": lambda text: Scenario.from_json(text).to_json(indent=2) + "\n",
+    "result.json": lambda text: ScenarioResult.from_json(text).to_json(
+        include_wall_clock=False, indent=2
+    )
+    + "\n",
+    "metrics.jsonl": lambda text: MetricsSnapshot.from_jsonl(text).to_jsonl(),
+    "node-config.json": lambda text: NodeConfig.from_json(text).to_json() + "\n",
+    "node-status.json": lambda text: json.dumps(
+        NodeStatus.from_json_dict(json.loads(text)).to_json_dict(), sort_keys=True
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_committed_document_reencodes_to_itself(name):
+    text = committed(f"docs/{name}").decode("utf-8")
+    assert DOCUMENTS[name](text) == text
 
 
 class TestRecoveryFromCommittedFiles:
