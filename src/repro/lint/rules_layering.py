@@ -13,8 +13,8 @@ at module level, only the components listed for it below.  Highlights:
 * ``protocols`` never imports ``net``/``storage``/``scenario`` — the
   protocol black box stays pure;
 * ``obs`` never imports ``scenario`` (or anything else above
-  ``types``) — observability hangs off every layer, so it must sit
-  below all of them;
+  ``types`` but the ``jsonvalue`` leaf) — observability hangs off
+  every layer, so it must sit below all of them;
 * ``scenario`` and ``runtime`` are the composition roots.
 
 Only *module-level* imports constrain layering: imports inside an
@@ -38,8 +38,12 @@ from repro.lint.engine import FileContext, Finding, Rule
 ARCHITECTURE: dict[str, frozenset[str]] = {
     "errors": frozenset(),
     "types": frozenset({"errors"}),
+    # The one JSON mapping of every document class (scenario, result,
+    # node config and status): a leaf, so obs, runtime and scenario
+    # can all import it.
+    "jsonvalue": frozenset({"errors"}),
     "crypto": frozenset({"errors", "types"}),
-    "obs": frozenset({"errors", "types"}),
+    "obs": frozenset({"errors", "jsonvalue", "types"}),
     "requests": frozenset({"errors", "types"}),
     "dag": frozenset({"crypto", "errors", "types"}),
     "protocols": frozenset({"dag", "errors", "types"}),
@@ -90,6 +94,7 @@ ARCHITECTURE: dict[str, frozenset[str]] = {
             "gossip",
             "horizon",
             "interpret",
+            "jsonvalue",
             "net",
             "obs",
             "protocols",
@@ -108,6 +113,7 @@ ARCHITECTURE: dict[str, frozenset[str]] = {
             "crypto",
             "dag",
             "errors",
+            "jsonvalue",
             "net",
             "obs",
             "protocols",

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from repro.errors import ScenarioError
 from repro.runtime.live.node import NodeConfig, run_node
 from repro.scenario.spec import resolve_protocol
 
@@ -31,11 +31,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = NodeConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+    try:
+        config = NodeConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+    except (ScenarioError, OSError) as exc:
+        print(f"node config error: {exc}", file=sys.stderr)
+        return 2
     entry = resolve_protocol(config.protocol)
     status = run_node(config, entry.spec, entry.make_request)
     if args.print_status:
-        print(json.dumps(status.to_json_dict(), indent=2, sort_keys=True))
+        print(status.to_json(indent=2))
     return 0 if status.complete else 1
 
 

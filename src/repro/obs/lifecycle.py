@@ -14,7 +14,9 @@ finish interpreting it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
+
+from repro.jsonvalue import JsonDocument
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import TraceEvent
@@ -38,8 +40,9 @@ def percentile(sorted_values: Sequence[float], fraction: float) -> float:
 
 
 @dataclass(frozen=True)
-class StageSummary:
-    """Percentile summary of one lifecycle stage's latency samples."""
+class StageSummary(JsonDocument):
+    """Percentile summary of one series of latency samples (a lifecycle
+    stage, or request delivery latency); all zeros when it is empty."""
 
     count: int = 0
     p50: float = 0.0
@@ -48,10 +51,10 @@ class StageSummary:
     max: float = 0.0
 
     @classmethod
-    def from_samples(cls, samples: list[float]) -> "StageSummary":
+    def from_samples(cls, samples: Sequence[float]) -> "StageSummary":
         if not samples:
             return cls()
-        ordered = sorted(samples)
+        ordered = sorted(float(v) for v in samples)
         return cls(
             count=len(ordered),
             p50=percentile(ordered, 0.50),
@@ -60,28 +63,9 @@ class StageSummary:
             max=ordered[-1],
         )
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "count": self.count,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p99": self.p99,
-            "max": self.max,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "StageSummary":
-        return cls(
-            count=int(payload.get("count", 0)),  # type: ignore[arg-type]
-            p50=float(payload.get("p50", 0.0)),  # type: ignore[arg-type]
-            p90=float(payload.get("p90", 0.0)),  # type: ignore[arg-type]
-            p99=float(payload.get("p99", 0.0)),  # type: ignore[arg-type]
-            max=float(payload.get("max", 0.0)),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
-class LifecycleStats:
+class LifecycleStats(JsonDocument):
     """The four stage summaries a run surfaces.
 
     ``seal_to_interpret`` is end-to-end commit latency; the other three
@@ -92,26 +76,6 @@ class LifecycleStats:
     receive_to_validate: StageSummary
     validate_to_interpret: StageSummary
     seal_to_interpret: StageSummary
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "seal_to_first_receive": self.seal_to_first_receive.as_dict(),
-            "receive_to_validate": self.receive_to_validate.as_dict(),
-            "validate_to_interpret": self.validate_to_interpret.as_dict(),
-            "seal_to_interpret": self.seal_to_interpret.as_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, object]) -> "LifecycleStats":
-        def stage(key: str) -> StageSummary:
-            return StageSummary.from_dict(payload.get(key, {}))  # type: ignore[arg-type]
-
-        return cls(
-            seal_to_first_receive=stage("seal_to_first_receive"),
-            receive_to_validate=stage("receive_to_validate"),
-            validate_to_interpret=stage("validate_to_interpret"),
-            seal_to_interpret=stage("seal_to_interpret"),
-        )
 
 
 class LifecycleIndex:

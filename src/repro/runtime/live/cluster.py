@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, ScenarioError
 from repro.obs.metrics import MetricsError, MetricsReport, MetricsSnapshot
 from repro.runtime.live.node import NodeConfig, NodeStatus
 from repro.types import ServerId
@@ -108,7 +108,7 @@ class LiveCluster:
             if config.status_path is None:
                 raise NetworkError(f"node {server} has no status_path")
             self.config_path(server).write_text(
-                config.to_json(), encoding="utf-8"
+                config.to_json(indent=2), encoding="utf-8"
             )
 
     # -- paths -----------------------------------------------------------------
@@ -200,8 +200,8 @@ class LiveCluster:
         except OSError:
             return None
         try:
-            status = NodeStatus.from_json_dict(json.loads(text))
-        except (ValueError, TypeError):
+            status = NodeStatus.from_dict(json.loads(text))
+        except (ScenarioError, ValueError):
             return None  # torn read of a non-atomic filesystem
         self.status_parses += 1
         self._status_cache[server] = (signature, status)

@@ -42,7 +42,6 @@ shutdown, not per tick.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 from dataclasses import dataclass, field
@@ -52,6 +51,7 @@ from typing import Callable, Iterable
 from repro.crypto.keys import KeyRing
 from repro.dag.block import Block
 from repro.gossip.module import GossipConfig
+from repro.jsonvalue import JsonDocument
 from repro.net.live.transport import LiveTransport
 from repro.net.message import BlockEnvelope, Envelope
 from repro.obs.export import write_jsonl
@@ -78,7 +78,7 @@ def fold_refs(refs: Iterable[BlockRef], fold: int = 0) -> int:
 
 
 @dataclass(frozen=True)
-class NodeConfig:
+class NodeConfig(JsonDocument):
     """Everything one node process needs, JSON-round-trippable.
 
     ``workload`` is the compiled injection schedule for *this* server:
@@ -114,56 +114,9 @@ class NodeConfig:
     metrics_path: str | None = None
     trace_capacity: int = 262144
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "server": self.server,
-            "servers": list(self.servers),
-            "protocol": self.protocol,
-            "addresses": dict(self.addresses),
-            "seed": self.seed,
-            "max_ticks": self.max_ticks,
-            "tick_timeout": self.tick_timeout,
-            "settle_timeout": self.settle_timeout,
-            "tick_interval": self.tick_interval,
-            "status_interval": self.status_interval,
-            "beacon_interval": self.beacon_interval,
-            "fwd_retry_interval": self.fwd_retry_interval,
-            "max_requests_per_block": self.max_requests_per_block,
-            "lockstep": self.lockstep,
-            "workload": [list(entry) for entry in self.workload],
-            "expected": [list(entry) for entry in self.expected],
-            "storage_dir": self.storage_dir,
-            "trace_path": self.trace_path,
-            "status_path": self.status_path,
-            "metrics_path": self.metrics_path,
-            "trace_capacity": self.trace_capacity,
-        }
-
-    @staticmethod
-    def from_json_dict(data: dict[str, object]) -> "NodeConfig":
-        payload = dict(data)
-        payload["servers"] = tuple(payload.get("servers", ()))  # type: ignore[arg-type]
-        payload["addresses"] = dict(payload.get("addresses", {}))  # type: ignore[arg-type]
-        payload["workload"] = tuple(
-            (int(t), str(label), int(index))
-            for t, label, index in payload.get("workload", ())  # type: ignore[union-attr]
-        )
-        payload["expected"] = tuple(
-            (str(label), int(minimum))
-            for label, minimum in payload.get("expected", ())  # type: ignore[union-attr]
-        )
-        return NodeConfig(**payload)  # type: ignore[arg-type]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "NodeConfig":
-        return NodeConfig.from_json_dict(json.loads(text))
-
 
 @dataclass
-class NodeStatus:
+class NodeStatus(JsonDocument):
     """What a node periodically publishes (atomic JSON file)."""
 
     server: str
@@ -185,13 +138,6 @@ class NodeStatus:
     #: scrapers skip files whose seq is unchanged.  Snapshots follow
     #: the status timer, so this moves slower than ``tick``.
     metrics_seq: int = 0
-
-    def to_json_dict(self) -> dict[str, object]:
-        return dict(self.__dict__, delivered=dict(self.delivered))
-
-    @staticmethod
-    def from_json_dict(data: dict[str, object]) -> "NodeStatus":
-        return NodeStatus(**data)  # type: ignore[arg-type]
 
 
 class LiveNode:
@@ -507,10 +453,7 @@ class LiveNode:
         status = self.status()
         if self._status_paths is not None:
             tmp, target = self._status_paths
-            tmp.write_text(
-                json.dumps(status.to_json_dict(), sort_keys=True),
-                encoding="utf-8",
-            )
+            tmp.write_text(status.to_json(), encoding="utf-8")
             os.replace(tmp, target)
         self._status_write.observe(clock() - started)
         return status

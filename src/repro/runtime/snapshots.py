@@ -13,11 +13,13 @@ read those counters.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+
+from repro.jsonvalue import JsonDocument
 
 
 @dataclass(frozen=True)
-class WireSnapshot:
+class WireSnapshot(JsonDocument):
     """What crossed the simulated wire during a run."""
 
     messages: int = 0
@@ -27,42 +29,9 @@ class WireSnapshot:
     by_kind: dict[str, int] = field(default_factory=dict)
     bytes_by_kind: dict[str, int] = field(default_factory=dict)
 
-    def as_dict(self) -> dict[str, object]:
-        """JSON-able dict with deterministically ordered kind maps."""
-        return {
-            "messages": self.messages,
-            "bytes": self.bytes,
-            "delivered": self.delivered,
-            "dropped": self.dropped,
-            "by_kind": {k: self.by_kind[k] for k in sorted(self.by_kind)},
-            "bytes_by_kind": {
-                k: self.bytes_by_kind[k] for k in sorted(self.bytes_by_kind)
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "WireSnapshot":
-        return cls(
-            messages=int(data["messages"]),  # type: ignore[arg-type]
-            bytes=int(data["bytes"]),  # type: ignore[arg-type]
-            delivered=int(data.get("delivered", 0)),  # type: ignore[arg-type]
-            dropped=int(data.get("dropped", 0)),  # type: ignore[arg-type]
-            # Coerce the per-kind counts: a document that passed through
-            # a serializer with float/str numbers must round-trip to the
-            # same snapshot value it came from.
-            by_kind={
-                str(k): int(v)  # type: ignore[call-overload]
-                for k, v in dict(data.get("by_kind", {})).items()  # type: ignore[arg-type]
-            },
-            bytes_by_kind={
-                str(k): int(v)  # type: ignore[call-overload]
-                for k, v in dict(data.get("bytes_by_kind", {})).items()  # type: ignore[arg-type]
-            },
-        )
-
 
 @dataclass(frozen=True)
-class InterpreterSnapshot:
+class InterpreterSnapshot(JsonDocument):
     """Interpretation counters aggregated across live correct servers.
 
     The three GC-health counters are additionally broken out
@@ -97,39 +66,9 @@ class InterpreterSnapshot:
     #: Per-server ``{below_horizon, rehydrated, condemned_below_horizon}``.
     by_server: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "blocks_interpreted": self.blocks_interpreted,
-            "messages_delivered": self.messages_delivered,
-            "messages_materialized": self.messages_materialized,
-            "request_steps": self.request_steps,
-            "below_horizon": self.below_horizon,
-            "rehydrated": self.rehydrated,
-            "condemned_below_horizon": self.condemned_below_horizon,
-            "chain_runs": self.chain_runs,
-            "chain_blocks": self.chain_blocks,
-            "by_server": {
-                server: {k: counters[k] for k in sorted(counters)}
-                for server, counters in sorted(self.by_server.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "InterpreterSnapshot":
-        scalars = {
-            f.name: int(data.get(f.name, 0))  # type: ignore[arg-type]
-            for f in fields(cls)
-            if f.name != "by_server"
-        }
-        by_server = {
-            str(server): {str(k): int(v) for k, v in counters.items()}  # type: ignore[union-attr]
-            for server, counters in dict(data.get("by_server", {})).items()  # type: ignore[arg-type]
-        }
-        return cls(by_server=by_server, **scalars)
-
 
 @dataclass(frozen=True)
-class StorageSnapshot:
+class StorageSnapshot(JsonDocument):
     """Persistence counters aggregated across live correct servers.
 
     All-zero when the run had no ``storage_dir`` configured."""
@@ -151,10 +90,3 @@ class StorageSnapshot:
     def any_activity(self) -> bool:
         """Whether the run touched durable storage at all."""
         return any(getattr(self, f.name) for f in fields(self))
-
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "StorageSnapshot":
-        return cls(**{f.name: int(data.get(f.name, 0)) for f in fields(cls)})  # type: ignore[arg-type]

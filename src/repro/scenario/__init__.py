@@ -32,7 +32,8 @@ from repro.scenario.faults import (
     PartitionFault,
 )
 from repro.scenario.probes import PROBES
-from repro.scenario.result import LatencyStats, ScenarioResult, percentile
+from repro.obs.lifecycle import percentile
+from repro.scenario.result import ScenarioResult
 from repro.scenario.runner import ScenarioRunner, run_scenario
 from repro.scenario.slo import SloReport, SloSpec, SloVerdict
 from repro.scenario.spec import (
@@ -69,7 +70,6 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "LatencySpec",
-    "LatencyStats",
     "LinkLossFault",
     "OpenLoopWorkload",
     "Or",

@@ -52,6 +52,32 @@ def _flatten(data: Mapping[str, object], prefix: str = "") -> dict[str, object]:
     return flat
 
 
+def _print_differing(
+    flat_a: Mapping[str, object],
+    flat_b: Mapping[str, object],
+    title: str,
+    label_a: str,
+    label_b: str,
+) -> bool:
+    """Print every key whose value differs between two flat documents;
+    return whether any did."""
+    differing = [
+        key
+        for key in sorted(set(flat_a) | set(flat_b))
+        if flat_a.get(key) != flat_b.get(key)
+    ]
+    if not differing:
+        return False
+    width = max(len(key) for key in [title, *differing])
+    print(f"{title.ljust(width)}  {label_a}  ->  {label_b}")
+    for key in differing:
+        print(
+            f"{key.ljust(width)}  {flat_a.get(key, '<absent>')}  ->  "
+            f"{flat_b.get(key, '<absent>')}"
+        )
+    return True
+
+
 def _summary_lines(result: ScenarioResult) -> list[str]:
     latency = result.latency_rounds
     lines = [
@@ -158,7 +184,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.json:
         print(
             json.dumps(
-                {"results": [r.to_json_dict() for r in results]},
+                {"results": [r.as_dict() for r in results]},
                 indent=2,
                 sort_keys=True,
             )
@@ -180,25 +206,12 @@ def cmd_diff(args: argparse.Namespace) -> int:
     result_b = run_scenario(
         scenario_b, storage_root=_fresh_storage_root(args.storage_dir, args.name_b)
     )
-    flat_a = _flatten(result_a.to_json_dict(include_wall_clock=False))
-    flat_b = _flatten(result_b.to_json_dict(include_wall_clock=False))
+    flat_a = _flatten(result_a.as_dict(include_wall_clock=False))
+    flat_b = _flatten(result_b.as_dict(include_wall_clock=False))
     label_a = f"{args.name_a}@{scenario_a.seed}"
     label_b = f"{args.name_b}@{scenario_b.seed}"
-    differing = [
-        key
-        for key in sorted(set(flat_a) | set(flat_b))
-        if flat_a.get(key) != flat_b.get(key)
-    ]
-    if not differing:
+    if not _print_differing(flat_a, flat_b, "field", label_a, label_b):
         print(f"{label_a} and {label_b}: results identical")
-        return 0
-    width = max(len(key) for key in differing)
-    print(f"{'field'.ljust(width)}  {label_a}  ->  {label_b}")
-    for key in differing:
-        print(
-            f"{key.ljust(width)}  {flat_a.get(key, '<absent>')}  ->  "
-            f"{flat_b.get(key, '<absent>')}"
-        )
     return 0
 
 
@@ -265,23 +278,12 @@ def cmd_metrics_diff(args: argparse.Namespace) -> int:
             out[name] = p.count if p.kind == "histogram" else p.value
         return out
 
-    flat_a, flat_b = flat(report_a), flat(report_b)
-    differing = [
-        key
-        for key in sorted(set(flat_a) | set(flat_b))
-        if flat_a.get(key) != flat_b.get(key)
-    ]
-    if not differing:
-        print("metrics identical")
-        return 0
-    width = max(len(key) for key in differing)
-    print(f"{'metric'.ljust(width)}  {args.file_a}  ->  {args.file_b}")
-    for key in differing:
-        print(
-            f"{key.ljust(width)}  {flat_a.get(key, '<absent>')}  ->  "
-            f"{flat_b.get(key, '<absent>')}"
-        )
-    return 1
+    if _print_differing(
+        flat(report_a), flat(report_b), "metric", args.file_a, args.file_b
+    ):
+        return 1
+    print("metrics identical")
+    return 0
 
 
 def cmd_trace_diff(args: argparse.Namespace) -> int:

@@ -18,12 +18,12 @@ is built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from repro.errors import ScenarioError
+from repro.jsonvalue import JsonDocument
 from repro.net.faults import FaultPlan, HealingPartition, LinkFaults
-from repro.scenario._kinds import decode_kind
 from repro.runtime.adversary import (
     Adversary,
     CrashAdversary,
@@ -34,8 +34,6 @@ from repro.runtime.adversary import (
 )
 from repro.runtime.cluster import CrashEvent, CrashPlan
 from repro.types import ServerId
-
-_FAULT_KINDS: dict[str, type["FaultEvent"]] = {}
 
 #: Byzantine behaviours a scenario can seat, by name.
 BEHAVIOURS: dict[str, Callable[..., Adversary]] = {
@@ -48,35 +46,13 @@ BEHAVIOURS: dict[str, Callable[..., Adversary]] = {
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(JsonDocument):
     """Base class of the declarative fault events."""
 
-    kind = "fault"
-
-    def __init_subclass__(cls, **kwargs: object) -> None:
-        super().__init_subclass__(**kwargs)
-        # Abstract intermediaries (no own `kind`) are not decodable.
-        if "kind" in cls.__dict__:
-            _FAULT_KINDS[cls.kind] = cls
+    kind: ClassVar[str]
 
     def validate(self, servers: Sequence[ServerId]) -> None:
         """Check the event against the configured server set."""
-
-    def to_json_dict(self) -> dict[str, object]:
-        data: dict[str, object] = {"kind": self.kind}
-        data.update(self._payload())
-        return data
-
-    def _payload(self) -> dict[str, object]:
-        return {}
-
-    @staticmethod
-    def from_json_dict(data: dict[str, object]) -> "FaultEvent":
-        return decode_kind(_FAULT_KINDS, FaultEvent, data, "fault")
-
-    @classmethod
-    def _from_payload(cls, data: dict[str, object]) -> "FaultEvent":
-        return cls(**data)  # type: ignore[arg-type]
 
     def _check_server(self, server: str, servers: Sequence[ServerId]) -> None:
         if server not in servers:
@@ -105,21 +81,13 @@ class PartitionFault(FaultEvent):
             )
         if set(self.group_a) & set(self.group_b):
             raise ScenarioError("partition groups must be disjoint")
-        # JSON hands us lists; normalize to tuples so Scenario stays hashable.
+        # Callers may pass lists; normalize to tuples so Scenario stays hashable.
         object.__setattr__(self, "group_a", tuple(self.group_a))
         object.__setattr__(self, "group_b", tuple(self.group_b))
 
     def validate(self, servers: Sequence[ServerId]) -> None:
         for server in (*self.group_a, *self.group_b):
             self._check_server(server, servers)
-
-    def _payload(self) -> dict[str, object]:
-        return {
-            "start_round": self.start_round,
-            "heal_round": self.heal_round,
-            "group_a": list(self.group_a),
-            "group_b": list(self.group_b),
-        }
 
 
 @dataclass(frozen=True)
@@ -135,13 +103,6 @@ class CrashFault(FaultEvent):
 
     def validate(self, servers: Sequence[ServerId]) -> None:
         self._check_server(self.server, servers)
-
-    def _payload(self) -> dict[str, object]:
-        return {
-            "server": self.server,
-            "crash_round": self.crash_round,
-            "restart_round": self.restart_round,
-        }
 
 
 @dataclass(frozen=True)
@@ -175,13 +136,6 @@ class ByzantineFault(FaultEvent):
     def validate(self, servers: Sequence[ServerId]) -> None:
         self._check_server(self.server, servers)
 
-    def _payload(self) -> dict[str, object]:
-        return {
-            "server": self.server,
-            "behaviour": self.behaviour,
-            "equivocate_at": list(self.equivocate_at),
-        }
-
 
 @dataclass(frozen=True)
 class LinkLossFault(FaultEvent):
@@ -205,9 +159,6 @@ class LinkLossFault(FaultEvent):
     def validate(self, servers: Sequence[ServerId]) -> None:
         self._check_server(self.server, servers)
 
-    def _payload(self) -> dict[str, object]:
-        return {"server": self.server, "probability": self.probability}
-
 
 @dataclass(frozen=True)
 class DuplicationFault(FaultEvent):
@@ -224,9 +175,6 @@ class DuplicationFault(FaultEvent):
                 f"duplication probability out of range: {self.probability}"
             )
 
-    def _payload(self) -> dict[str, object]:
-        return {"probability": self.probability}
-
 
 @dataclass(frozen=True)
 class CompiledFaults:
@@ -241,7 +189,7 @@ class CompiledFaults:
 
 
 @dataclass(frozen=True)
-class FaultSchedule:
+class FaultSchedule(JsonDocument):
     """An ordered, composable timeline over all three fault families."""
 
     events: tuple[FaultEvent, ...] = ()
@@ -340,15 +288,4 @@ class FaultSchedule:
             crash_plan=crash_plan,
             adversaries=adversaries,
             equivocation_cues=tuple(sorted(cues)),
-        )
-
-    # -- JSON -----------------------------------------------------------------
-
-    def to_json_list(self) -> list[dict[str, object]]:
-        return [event.to_json_dict() for event in self.events]
-
-    @staticmethod
-    def from_json_list(data: Sequence[dict[str, object]]) -> "FaultSchedule":
-        return FaultSchedule(
-            events=tuple(FaultEvent.from_json_dict(d) for d in data)
         )

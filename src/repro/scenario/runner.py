@@ -24,7 +24,7 @@ from pathlib import Path
 
 from repro.errors import ScenarioError
 from repro.obs.export import read_jsonl
-from repro.obs.lifecycle import LifecycleIndex, LifecycleStats
+from repro.obs.lifecycle import LifecycleIndex, LifecycleStats, StageSummary
 from repro.obs.metrics import MetricsRegistry, MetricsReport
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.runtime.snapshots import (
@@ -34,7 +34,7 @@ from repro.runtime.snapshots import (
 )
 from repro.storage.blockstore import StorageConfig
 from repro.scenario.probes import resolve_probe
-from repro.scenario.result import LatencyStats, ScenarioResult
+from repro.scenario.result import ScenarioResult
 from repro.scenario.spec import Scenario, resolve_protocol
 from repro.scenario.workload import WorkloadDriver
 from repro.types import Label, ServerId
@@ -418,8 +418,8 @@ class ScenarioRunner:
             throughput=(
                 round(delivered / virtual_time, 6) if virtual_time else 0.0
             ),
-            latency_rounds=LatencyStats.from_samples(driver.latencies_rounds()),
-            latency_time=LatencyStats.from_samples(driver.latencies_time()),
+            latency_rounds=StageSummary.from_samples(driver.latencies_rounds()),
+            latency_time=StageSummary.from_samples(driver.latencies_time()),
             wire=wire,
             interpreter=interpreter,
             storage=storage,

@@ -18,10 +18,10 @@ on the simulated arm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
 
 from repro.errors import ScenarioError
+from repro.jsonvalue import JsonDocument
 from repro.obs.lifecycle import LifecycleStats
 from repro.obs.metrics import MetricsReport
 
@@ -29,7 +29,7 @@ __all__ = ["SloReport", "SloSpec", "SloVerdict"]
 
 
 @dataclass(frozen=True)
-class SloSpec:
+class SloSpec(JsonDocument):
     """Bounds a live run must meet; ``None`` means "not bounded".
 
     - ``commit_p99_ms`` — p99 of the wall-clock seal→interpret stage
@@ -110,51 +110,9 @@ class SloSpec:
             return float(metrics.merged.total("transport.reconnects"))
         raise ScenarioError(f"unknown SLO bound {name!r}")
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {name: bound for name, bound in self.bounds()}
-
-    @staticmethod
-    def from_json_dict(data: Mapping[str, object]) -> "SloSpec":
-        known = {
-            "commit_p99_ms",
-            "receive_p99_ms",
-            "max_queue_drops",
-            "max_reconnects",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ScenarioError(
-                f"unknown SLO field(s): {', '.join(sorted(unknown))}"
-            )
-        try:
-            return SloSpec(
-                commit_p99_ms=(
-                    None
-                    if data.get("commit_p99_ms") is None
-                    else float(data["commit_p99_ms"])  # type: ignore[arg-type]
-                ),
-                receive_p99_ms=(
-                    None
-                    if data.get("receive_p99_ms") is None
-                    else float(data["receive_p99_ms"])  # type: ignore[arg-type]
-                ),
-                max_queue_drops=(
-                    None
-                    if data.get("max_queue_drops") is None
-                    else int(data["max_queue_drops"])  # type: ignore[arg-type]
-                ),
-                max_reconnects=(
-                    None
-                    if data.get("max_reconnects") is None
-                    else int(data["max_reconnects"])  # type: ignore[arg-type]
-                ),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"malformed SLO spec: {exc}") from exc
-
 
 @dataclass(frozen=True)
-class SloVerdict:
+class SloVerdict(JsonDocument):
     """One bound's outcome.  ``observed is None`` means the telemetry
     that would prove the bound never arrived — which fails it."""
 
@@ -163,54 +121,17 @@ class SloVerdict:
     observed: float | None
     ok: bool
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "bound": self.bound,
-            "observed": self.observed,
-            "ok": self.ok,
-        }
-
-    @staticmethod
-    def from_json_dict(data: Mapping[str, object]) -> "SloVerdict":
-        try:
-            observed = data.get("observed")
-            return SloVerdict(
-                name=str(data["name"]),
-                bound=float(data["bound"]),  # type: ignore[arg-type]
-                observed=None if observed is None else float(observed),  # type: ignore[arg-type]
-                ok=bool(data["ok"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"malformed SLO verdict: {exc}") from exc
-
 
 @dataclass(frozen=True)
-class SloReport:
+class SloReport(JsonDocument):
     """Every verdict from one evaluation; the gate checks ``passed``."""
 
     verdicts: tuple[SloVerdict, ...] = ()
+    #: Derived from ``verdicts``; written to the document for the gate.
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return all(v.ok for v in self.verdicts)
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "passed": self.passed,
-            "verdicts": [v.to_json_dict() for v in self.verdicts],
-        }
-
-    @staticmethod
-    def from_json_dict(data: Mapping[str, object]) -> "SloReport":
-        try:
-            return SloReport(
-                verdicts=tuple(
-                    SloVerdict.from_json_dict(v) for v in data.get("verdicts", ())  # type: ignore[union-attr]
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"malformed SLO report: {exc}") from exc
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", all(v.ok for v in self.verdicts))
 
     def render(self) -> str:
         lines = []

@@ -13,11 +13,11 @@ replays to an identical :class:`~repro.scenario.result.ScenarioResult`.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.errors import ScenarioError
+from repro.jsonvalue import JsonDocument
 from repro.net.latency import FixedLatency, JitterLatency, LatencyModel
 from repro.protocols.base import ProtocolSpec
 from repro.protocols.bcb import BcbBroadcast, bcb_protocol
@@ -74,7 +74,7 @@ def resolve_protocol(name: str) -> ProtocolEntry:
 
 
 @dataclass(frozen=True)
-class LatencySpec:
+class LatencySpec(JsonDocument):
     """Declarative latency model: ``fixed`` (``delay``) or ``jitter``
     (uniform in ``[low, high]``)."""
 
@@ -95,21 +95,9 @@ class LatencySpec:
             return FixedLatency(self.delay)
         return JitterLatency(self.low, self.high)
 
-    def to_json_dict(self) -> dict[str, object]:
-        if self.model == "fixed":
-            return {"model": "fixed", "delay": self.delay}
-        return {"model": "jitter", "low": self.low, "high": self.high}
-
-    @staticmethod
-    def from_json_dict(data: Mapping[str, object]) -> "LatencySpec":
-        try:
-            return LatencySpec(**data)  # type: ignore[arg-type]
-        except TypeError as exc:
-            raise ScenarioError(f"bad latency spec: {exc}") from exc
-
 
 @dataclass(frozen=True)
-class StorageSpec:
+class StorageSpec(JsonDocument):
     """Declarative persistence knobs (presence = storage on)."""
 
     checkpoint_interval: int = 32
@@ -138,24 +126,9 @@ class StorageSpec:
             pin_recent_checkpoints=self.pin_recent_checkpoints,
         )
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "checkpoint_interval": self.checkpoint_interval,
-            "segment_max_bytes": self.segment_max_bytes,
-            "prune": self.prune,
-            "pin_recent_checkpoints": self.pin_recent_checkpoints,
-        }
-
-    @staticmethod
-    def from_json_dict(data: Mapping[str, object]) -> "StorageSpec":
-        try:
-            return StorageSpec(**data)  # type: ignore[arg-type]
-        except TypeError as exc:
-            raise ScenarioError(f"bad storage spec: {exc}") from exc
-
 
 @dataclass(frozen=True)
-class Topology:
+class Topology(JsonDocument):
     """Cluster shape and cadence."""
 
     n: int = 4
@@ -177,45 +150,12 @@ class Topology:
     def servers(self) -> list[ServerId]:
         return make_servers(self.n)
 
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "n": self.n,
-            "round_duration": self.round_duration,
-            "stagger": self.stagger,
-            "latency": self.latency.to_json_dict(),
-            "auto_interpret": self.auto_interpret,
-            "storage": None if self.storage is None else self.storage.to_json_dict(),
-            "trace": self.trace,
-        }
-
-    @staticmethod
-    def from_json_dict(data: Mapping[str, object]) -> "Topology":
-        payload = dict(data)
-        latency = payload.pop("latency", None)
-        storage = payload.pop("storage", None)
-        try:
-            return Topology(
-                latency=(
-                    LatencySpec()
-                    if latency is None
-                    else LatencySpec.from_json_dict(latency)  # type: ignore[arg-type]
-                ),
-                storage=(
-                    None
-                    if storage is None
-                    else StorageSpec.from_json_dict(storage)  # type: ignore[arg-type]
-                ),
-                **payload,  # type: ignore[arg-type]
-            )
-        except TypeError as exc:
-            raise ScenarioError(f"bad topology: {exc}") from exc
-
 
 # -- the scenario itself -------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(JsonDocument):
     """One declarative, seed-deterministic description of a whole run."""
 
     name: str
@@ -272,72 +212,3 @@ class Scenario:
 
     def needs_storage(self) -> bool:
         return self.topology.storage is not None or self.faults.needs_storage()
-
-    # -- JSON ------------------------------------------------------------------
-
-    def to_json_dict(self) -> dict[str, object]:
-        return {
-            "name": self.name,
-            "protocol": self.protocol,
-            "description": self.description,
-            "seed": self.seed,
-            "topology": self.topology.to_json_dict(),
-            "workload": self.workload.to_json_dict(),
-            "faults": self.faults.to_json_list(),
-            "stop": self.stop.to_json_dict(),
-            "probes": list(self.probes),
-            "max_rounds": self.max_rounds,
-            "settle_rounds": self.settle_rounds,
-            "slo": None if self.slo is None else self.slo.to_json_dict(),
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
-
-    @staticmethod
-    def from_json_dict(data: Mapping[str, object]) -> "Scenario":
-        payload = dict(data)
-        try:
-            topology = payload.pop("topology", None)
-            workload = payload.pop("workload", None)
-            faults = payload.pop("faults", None)
-            stop = payload.pop("stop", None)
-            probes = payload.pop("probes", ())
-            slo = payload.pop("slo", None)
-            return Scenario(
-                topology=(
-                    Topology()
-                    if topology is None
-                    else Topology.from_json_dict(topology)  # type: ignore[arg-type]
-                ),
-                workload=(
-                    OpenLoopWorkload()
-                    if workload is None
-                    else Workload.from_json_dict(workload)  # type: ignore[arg-type]
-                ),
-                faults=(
-                    FaultSchedule()
-                    if faults is None
-                    else FaultSchedule.from_json_list(faults)  # type: ignore[arg-type]
-                ),
-                stop=(
-                    AllDelivered()
-                    if stop is None
-                    else StopCondition.from_json_dict(stop)  # type: ignore[arg-type]
-                ),
-                probes=tuple(probes),  # type: ignore[arg-type]
-                slo=None if slo is None else SloSpec.from_json_dict(slo),  # type: ignore[arg-type]
-                **payload,  # type: ignore[arg-type]
-            )
-        except TypeError as exc:
-            raise ScenarioError(f"bad scenario document: {exc}") from exc
-
-    @staticmethod
-    def from_json(text: str) -> "Scenario":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ScenarioError("scenario JSON must be an object")
-        return Scenario.from_json_dict(data)

@@ -12,49 +12,23 @@ exactly what the result should surface).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.errors import ScenarioError
-from repro.scenario._kinds import decode_kind
+from repro.jsonvalue import JsonDocument
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenario.runner import ScenarioRunner
 
-_STOP_KINDS: dict[str, type["StopCondition"]] = {}
-
 
 @dataclass(frozen=True)
-class StopCondition:
+class StopCondition(JsonDocument):
     """Base class of the declarative stop conditions."""
 
-    kind = "stop"
-
-    def __init_subclass__(cls, **kwargs: object) -> None:
-        super().__init_subclass__(**kwargs)
-        # Only classes declaring their own kind are decodable; abstract
-        # intermediaries (e.g. the And/Or base) inherit `kind` and must
-        # not be reachable from JSON.
-        if "kind" in cls.__dict__:
-            _STOP_KINDS[cls.kind] = cls
+    kind: ClassVar[str]
 
     def satisfied(self, runner: "ScenarioRunner") -> bool:
         raise NotImplementedError
-
-    def to_json_dict(self) -> dict[str, object]:
-        data: dict[str, object] = {"kind": self.kind}
-        data.update(self._payload())
-        return data
-
-    def _payload(self) -> dict[str, object]:
-        return {}
-
-    @staticmethod
-    def from_json_dict(data: dict[str, object]) -> "StopCondition":
-        return decode_kind(_STOP_KINDS, StopCondition, data, "stop-condition")
-
-    @classmethod
-    def _from_payload(cls, data: dict[str, object]) -> "StopCondition":
-        return cls(**data)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -80,9 +54,6 @@ class DagsConverged(StopCondition):
     def satisfied(self, runner: "ScenarioRunner") -> bool:
         return runner.cluster.dags_converged(live_only=self.live_only)
 
-    def _payload(self) -> dict[str, object]:
-        return {"live_only": self.live_only}
-
 
 @dataclass(frozen=True)
 class RoundsElapsed(StopCondition):
@@ -99,9 +70,6 @@ class RoundsElapsed(StopCondition):
     def satisfied(self, runner: "ScenarioRunner") -> bool:
         return runner.rounds_run >= self.rounds
 
-    def _payload(self) -> dict[str, object]:
-        return {"rounds": self.rounds}
-
 
 @dataclass(frozen=True)
 class _Composite(StopCondition):
@@ -111,18 +79,6 @@ class _Composite(StopCondition):
         object.__setattr__(self, "conditions", tuple(self.conditions))
         if not self.conditions:
             raise ScenarioError(f"{self.kind} needs at least one condition")
-
-    def _payload(self) -> dict[str, object]:
-        return {"conditions": [c.to_json_dict() for c in self.conditions]}
-
-    @classmethod
-    def _from_payload(cls, data: dict[str, object]) -> "StopCondition":
-        raw = data.get("conditions")
-        if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
-            raise ScenarioError(f"{cls.kind} needs a list of conditions")
-        return cls(
-            conditions=tuple(StopCondition.from_json_dict(d) for d in raw)
-        )
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,11 @@ the per-request latency records the result layer summarizes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, ClassVar
 
 from repro.errors import ScenarioError
-from repro.scenario._kinds import decode_kind
+from repro.jsonvalue import JsonDocument
 from repro.types import Label, Request, ServerId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -37,11 +37,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Deterministic request factory provided by the protocol registry.
 RequestFactory = Callable[[int], Request]
 
-_WORKLOAD_KINDS: dict[str, type["Workload"]] = {}
-
 
 @dataclass(frozen=True)
-class Workload:
+class Workload(JsonDocument):
     """Common declarative surface of all workload generators.
 
     ``sender`` selects the server a request enters at: ``round-robin``
@@ -54,17 +52,11 @@ class Workload:
     ``<label_prefix><i>``.
     """
 
-    kind = "workload"
+    kind: ClassVar[str]
 
     sender: str = "round-robin"
     label_prefix: str = "tx-"
     shared_label: str | None = None
-
-    def __init_subclass__(cls, **kwargs: object) -> None:
-        super().__init_subclass__(**kwargs)
-        # Abstract intermediaries (no own `kind`) are not decodable.
-        if "kind" in cls.__dict__:
-            _WORKLOAD_KINDS[cls.kind] = cls
 
     # -- declarative schedule -------------------------------------------------
 
@@ -76,32 +68,6 @@ class Workload:
         """How many new requests to issue before ``round_index`` given
         ``issued`` so far and ``in_flight`` not yet delivered."""
         raise NotImplementedError
-
-    # -- JSON -----------------------------------------------------------------
-
-    def to_json_dict(self) -> dict[str, object]:
-        data: dict[str, object] = {"kind": self.kind}
-        data.update(
-            {
-                "sender": self.sender,
-                "label_prefix": self.label_prefix,
-                "shared_label": self.shared_label,
-            }
-        )
-        data.update(self._payload())
-        return data
-
-    def _payload(self) -> dict[str, object]:
-        return {}
-
-    @classmethod
-    def _from_payload(cls, data: dict[str, object]) -> "Workload":
-        return cls(**data)  # type: ignore[arg-type]
-
-    @staticmethod
-    def from_json_dict(data: dict[str, object]) -> "Workload":
-        return decode_kind(_WORKLOAD_KINDS, Workload, data, "workload")
-
 
 @dataclass(frozen=True)
 class OpenLoopWorkload(Workload):
@@ -133,15 +99,6 @@ class OpenLoopWorkload(Workload):
             return 0
         return min(self.rate, self.planned_total() - issued)
 
-    def _payload(self) -> dict[str, object]:
-        return {
-            "rate": self.rate,
-            "rounds": self.rounds,
-            "period": self.period,
-            "start_round": self.start_round,
-        }
-
-
 @dataclass(frozen=True)
 class ClosedLoopWorkload(Workload):
     """``clients`` requests kept in flight until ``total`` issued."""
@@ -165,10 +122,6 @@ class ClosedLoopWorkload(Workload):
         budget = self.total - issued
         slots = self.clients - in_flight
         return max(0, min(budget, slots))
-
-    def _payload(self) -> dict[str, object]:
-        return {"clients": self.clients, "total": self.total}
-
 
 @dataclass
 class RequestRecord:

@@ -27,7 +27,6 @@ commits the diff::
 from __future__ import annotations
 
 import hashlib
-import json
 import shutil
 import sys
 import tempfile
@@ -98,8 +97,8 @@ def build(dest: Path) -> None:
         ("scenario.json", scenario.to_json(indent=2) + "\n"),
         ("result.json", result.to_json(include_wall_clock=False, indent=2) + "\n"),
         ("metrics.jsonl", result.metrics.merged.to_jsonl()),
-        ("node-config.json", config.to_json() + "\n"),
-        ("node-status.json", json.dumps(STATUS.to_json_dict(), sort_keys=True)),
+        ("node-config.json", config.to_json(indent=2) + "\n"),
+        ("node-status.json", STATUS.to_json()),
     ):
         (docs / name).write_text(text, encoding="utf-8")
     (dest / MANIFEST).write_text(manifest(dest), encoding="utf-8")

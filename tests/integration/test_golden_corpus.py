@@ -10,7 +10,6 @@ the diff.
 
 from __future__ import annotations
 
-import json
 import shutil
 
 import pytest
@@ -103,10 +102,9 @@ DOCUMENTS = {
     )
     + "\n",
     "metrics.jsonl": lambda text: MetricsSnapshot.from_jsonl(text).to_jsonl(),
-    "node-config.json": lambda text: NodeConfig.from_json(text).to_json() + "\n",
-    "node-status.json": lambda text: json.dumps(
-        NodeStatus.from_json_dict(json.loads(text)).to_json_dict(), sort_keys=True
-    ),
+    "node-config.json": lambda text: NodeConfig.from_json(text).to_json(indent=2)
+    + "\n",
+    "node-status.json": lambda text: NodeStatus.from_json(text).to_json(),
 }
 
 

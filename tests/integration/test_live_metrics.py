@@ -100,7 +100,7 @@ class TestScrapeSkipsUnchangedFiles:
         )
         path = config.status_path
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(status.to_json_dict(), handle)
+            json.dump(status.as_dict(), handle)
         # Force a distinct stat signature even on coarse-mtime
         # filesystems: the cache keys on (mtime_ns, size).
         os.utime(path, ns=(seq * 1_000_000, seq * 1_000_000))

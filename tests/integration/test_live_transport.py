@@ -150,8 +150,8 @@ class CheckedNode(LiveNode):
 
     def status(self) -> NodeStatus:
         status = super().status()
-        ours = status.to_json_dict()
-        for name, expected in reference_status(self).to_json_dict().items():
+        ours = status.as_dict()
+        for name, expected in reference_status(self).as_dict().items():
             assert ours[name] == expected, (name, len(self.published))
         metrics_path = Path(self.config.metrics_path)
         if status.metrics_seq:

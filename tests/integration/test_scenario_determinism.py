@@ -70,8 +70,8 @@ class TestSameSeedSameResult:
 
     def test_wall_clock_is_the_only_nondeterministic_field(self):
         scenario = registry.get("fault-free", smoke=True)
-        a = run_scenario(scenario).to_json_dict()
-        b = run_scenario(scenario).to_json_dict()
+        a = run_scenario(scenario).as_dict()
+        b = run_scenario(scenario).as_dict()
         a.pop("wall_seconds")
         b.pop("wall_seconds")
         assert a == b

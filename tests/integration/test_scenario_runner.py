@@ -141,7 +141,7 @@ class TestScenarioCli:
     def test_show_emits_the_scenario_json(self, capsys):
         assert cli_main(["show", "fault-free", "--smoke"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert Scenario.from_json_dict(document) == registry.get(
+        assert Scenario.from_dict(document) == registry.get(
             "fault-free", smoke=True
         )
 
@@ -150,7 +150,8 @@ class TestScenarioCli:
             ["run", "fault-free", "partition-heal", "--smoke", "--json"]
         ) == 0
         document = json.loads(capsys.readouterr().out)
-        results = [ScenarioResult.from_json_dict(d) for d in document["results"]]
+        results = [ScenarioResult.from_dict(d) for d in document["results"]]
+        assert [r.as_dict() for r in results] == document["results"]
         assert [r.scenario for r in results] == ["fault-free", "partition-heal"]
         assert all(r.stopped_by == "stop-condition" for r in results)
 
@@ -282,8 +283,8 @@ class TestReviewHardening:
         from repro.errors import ScenarioError
         from repro.scenario import StopCondition
 
-        with pytest.raises(ScenarioError, match="unknown stop-condition"):
-            StopCondition.from_json_dict(
+        with pytest.raises(ScenarioError, match="unknown kind 'stop'"):
+            StopCondition.from_dict(
                 {"kind": "stop", "conditions": [{"kind": "all-delivered"}]}
             )
 

@@ -200,12 +200,12 @@ class TestCanonicalExport:
 class TestSlo:
     def test_spec_roundtrip(self):
         spec = SloSpec(commit_p99_ms=500.0, max_queue_drops=0)
-        again = SloSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))
+        again = SloSpec.from_dict(json.loads(json.dumps(spec.as_dict())))
         assert again == spec
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ScenarioError):
-            SloSpec.from_json_dict({"commit_p99_msec": 1.0})
+            SloSpec.from_dict({"commit_p99_msec": 1.0})
 
     def test_non_positive_bound_rejected(self):
         with pytest.raises(ScenarioError):
@@ -235,8 +235,8 @@ class TestSlo:
         registry = MetricsRegistry(server="s1")
         metrics = MetricsReport.from_snapshots({"s1": registry.snapshot()})
         report = SloSpec(max_queue_drops=0).evaluate(None, metrics)
-        again = SloReport.from_json_dict(
-            json.loads(json.dumps(report.to_json_dict()))
+        again = SloReport.from_dict(
+            json.loads(json.dumps(report.as_dict()))
         )
         assert again == report
         assert report.passed
@@ -250,8 +250,8 @@ class TestNodeStatusSeq:
         status = NodeStatus(
             server="s1", pid=1, tick=3, blocks=9, fingerprint="ab", metrics_seq=5
         )
-        data = json.loads(json.dumps(status.to_json_dict()))
-        assert NodeStatus.from_json_dict(data).metrics_seq == 5
+        data = json.loads(json.dumps(status.as_dict()))
+        assert NodeStatus.from_dict(data).metrics_seq == 5
 
     def test_metrics_seq_defaults_to_zero(self):
         status = NodeStatus(server="s1", pid=1, tick=0, blocks=0, fingerprint="")

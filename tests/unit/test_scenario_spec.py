@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ScenarioError
 from repro.net.faults import FaultPlan
 from repro.net.latency import FixedLatency, JitterLatency
+from repro.obs.lifecycle import StageSummary
 from repro.protocols.counter import counter_protocol
 from repro.runtime.cluster import quick_cluster
 from repro.runtime.snapshots import (
@@ -26,7 +27,6 @@ from repro.scenario import (
     DuplicationFault,
     FaultSchedule,
     LatencySpec,
-    LatencyStats,
     LinkLossFault,
     OpenLoopWorkload,
     Or,
@@ -109,8 +109,8 @@ class TestScenarioJsonRoundTrip:
         scenario = registry.get("fault-free")
         reseeded = scenario.with_seed(99)
         assert reseeded.seed == 99
-        assert {**reseeded.to_json_dict(), "seed": scenario.seed} == (
-            scenario.to_json_dict()
+        assert {**reseeded.as_dict(), "seed": scenario.seed} == (
+            scenario.as_dict()
         )
 
 
@@ -124,16 +124,18 @@ class TestScenarioValidation:
             Scenario(name="x", protocol="brb", probes=("cpu-temp",))
 
     def test_unknown_workload_kind_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown workload kind"):
-            Workload.from_json_dict({"kind": "sine-wave"})
+        with pytest.raises(ScenarioError, match="^kind: unknown kind 'sine-wave'"):
+            Workload.from_dict({"kind": "sine-wave"})
 
     def test_unknown_fault_kind_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown fault kind"):
-            FaultSchedule.from_json_list([{"kind": "meteor-strike"}])
+        with pytest.raises(
+            ScenarioError, match=r"^events\[0\]\.kind: unknown kind 'meteor-strike'"
+        ):
+            FaultSchedule.from_dict({"events": [{"kind": "meteor-strike"}]})
 
     def test_unknown_stop_kind_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown stop-condition"):
-            StopCondition.from_json_dict({"kind": "when-ready"})
+        with pytest.raises(ScenarioError, match="unknown kind 'when-ready'"):
+            StopCondition.from_dict({"kind": "when-ready"})
 
     def test_fault_naming_unknown_server_rejected(self):
         with pytest.raises(ScenarioError, match="unknown server"):
@@ -177,19 +179,20 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=f"{field}={value}\\b"):
             StorageSpec(**{field: value})
         with pytest.raises(ScenarioError, match=f"{field}={value}\\b"):
-            StorageSpec.from_json_dict({field: value})
+            StorageSpec.from_dict({field: value})
 
     @pytest.mark.parametrize(
         "section, key", [("topology", "cow"), ("storage", "horizon_gc")]
     )
     def test_retired_scenario_keys_rejected(self, section, key):
-        document = registry.get("crash-restart").to_json_dict()
+        document = registry.get("crash-restart").as_dict()
         target = document["topology"]
         if section == "storage":
             target = target["storage"]
         assert key not in target
         target[key] = True
-        with pytest.raises(ScenarioError, match=f"'{key}'"):
+        path = "topology" if section == "topology" else "topology.storage"
+        with pytest.raises(ScenarioError, match=f"^{path}.{key}: unknown key"):
             Scenario.from_json(json.dumps(document))
 
     def test_unknown_registry_name_rejected(self):
@@ -336,17 +339,17 @@ class TestTypedSnapshots:
         assert not StorageSnapshot().any_activity()
 
 
-class TestLatencyStats:
+class TestRequestLatency:
     def test_percentiles(self):
-        stats = LatencyStats.from_samples([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+        stats = StageSummary.from_samples([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
         assert stats.count == 10
         assert stats.p50 == 5.0  # nearest rank over 10 samples
-        assert stats.max == 10.0
-        assert stats.mean == 5.5
+        assert stats.max == 10.0 and type(stats.max) is float
 
     def test_empty_series(self):
-        stats = LatencyStats.from_samples([])
-        assert stats.count == 0 and stats.p50 is None
+        assert StageSummary.from_samples([]) == StageSummary(
+            count=0, p50=0.0, p90=0.0, p99=0.0, max=0.0
+        )
         with pytest.raises(ValueError):
             percentile([], 0.5)
 
@@ -354,17 +357,16 @@ class TestLatencyStats:
         from repro.obs import lifecycle
 
         assert percentile is lifecycle.percentile
-        samples = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
-        stage = lifecycle.StageSummary.from_samples(samples)
-        stats = LatencyStats.from_samples(samples)
-        assert (stage.p50, stage.p90, stage.p99) == (stats.p50, stats.p90, stats.p99)
+        assert ScenarioResult(scenario="x", protocol="brb", seed=1).latency_rounds == (
+            lifecycle.StageSummary()
+        )
 
     def test_result_round_trip(self):
         result = ScenarioResult(
             scenario="x", protocol="brb", seed=1, rounds_run=4,
             virtual_time=24.0, converged=True, requests_issued=3,
             requests_delivered=3, throughput=0.125,
-            latency_rounds=LatencyStats.from_samples([3, 3, 4]),
+            latency_rounds=StageSummary.from_samples([3, 3, 4]),
             probes={"total-blocks": (4.0, 8.0, 12.0, 16.0)},
             wall_seconds=0.5,
         )
