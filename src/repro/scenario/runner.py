@@ -20,6 +20,7 @@ import random
 import shutil
 import tempfile
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from repro.errors import ScenarioError
@@ -45,26 +46,20 @@ def _sim_metrics(
     interpreter: InterpreterSnapshot,
     storage: StorageSnapshot,
 ) -> MetricsReport:
-    """The simulated arm's metrics view: the deterministic run counters
-    re-expressed as one merged snapshot, so ``metrics report``/``diff``
-    work on either arm and the export is byte-identical per seed."""
+    """The simulated arm's metrics view: one counter per int field of
+    the three run snapshots (``<snapshot>.<field with - for _>``), so
+    ``metrics report``/``diff`` work on either arm and the export is
+    byte-identical per seed."""
     registry = MetricsRegistry(server="sim")
-    counters = {
-        "wire.messages": wire.messages,
-        "wire.bytes": wire.bytes,
-        "wire.delivered": wire.delivered,
-        "wire.dropped": wire.dropped,
-        "interpreter.blocks-interpreted": interpreter.blocks_interpreted,
-        "interpreter.messages-delivered": interpreter.messages_delivered,
-        "interpreter.request-steps": interpreter.request_steps,
-        "interpreter.below-horizon": interpreter.below_horizon,
-        "storage.wal-appends": storage.wal_appends,
-        "storage.wal-bytes": storage.wal_bytes,
-        "storage.checkpoints-written": storage.checkpoints_written,
-        "storage.checkpoint-bytes": storage.checkpoint_bytes,
-    }
-    for name, value in counters.items():
-        registry.counter(name).inc(int(value))
+    for prefix, snapshot in (
+        ("wire", wire),
+        ("interpreter", interpreter),
+        ("storage", storage),
+    ):
+        for f in fields(snapshot):
+            value = getattr(snapshot, f.name)
+            if type(value) is int:
+                registry.counter(f"{prefix}.{f.name.replace('_', '-')}").inc(value)
     return MetricsReport.from_snapshots({"sim": registry.snapshot()})
 
 
