@@ -223,7 +223,7 @@ class JsonDocument:
 
     @classmethod
     def from_dict(cls: type[T], data: object) -> T:
-        return _read_document(cls, _object(data, ""), "")
+        return read(cls, data)  # type: ignore[no-any-return]
 
     def to_json(self, indent: int | None = None, **options: Any) -> str:
         return json.dumps(self.as_dict(**options), indent=indent, sort_keys=True)
