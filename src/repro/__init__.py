@@ -3,9 +3,9 @@
 A full reproduction of Schett & Danezis (PODC 2021, arXiv:2102.09594):
 the block DAG framework (``gossip`` + ``interpret`` + ``shim``), several
 deterministic BFT protocols to embed (reliable broadcast, consistent
-broadcast, PBFT-style consensus, phase king), the network and key-value
-store substrates they run on, and the direct-messaging baseline the
-paper's efficiency claims are measured against.
+broadcast, PBFT-style consensus, phase king), the simulated and live
+networks they run on, and the direct-messaging baseline the paper's
+efficiency claims are measured against.
 
 Quickstart::
 

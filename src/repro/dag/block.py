@@ -206,6 +206,22 @@ class BlockBuilder:
         self._seen_preds.add(ref)
         return True
 
+    def continue_after(self, tip: Block | None) -> bool:
+        """Continue this server's chain after ``tip``, its highest block
+        recovered from disk: the next sealed block gets ``tip.k + 1``
+        and ``tip`` as its parent, so sequence numbers stay consecutive
+        across a restart (§7).
+
+        Returns ``False``, changing nothing, when there is no tip or the
+        builder is already past it.
+        """
+        if tip is None or self._k > tip.k:
+            return False
+        self._k = tip.k + 1
+        self._preds = [tip.ref]
+        self._seen_preds = {tip.ref}
+        return True
+
     def _canonical_preds(self) -> tuple[BlockRef, ...]:
         """The accumulated references in canonical seal order.
 

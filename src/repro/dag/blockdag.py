@@ -21,7 +21,7 @@ valid and only when all predecessors are already vertices, so the
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, Iterator, KeysView
+from typing import Callable, Iterator, KeysView
 
 from repro.crypto.signatures import Signature
 from repro.dag.block import Block
@@ -444,12 +444,3 @@ class BlockDag:
 
     def __repr__(self) -> str:
         return f"BlockDag(|blocks|={len(self._store)}, |edges|={self.graph.edge_count()})"
-
-
-def collect_blocks(dags: Iterable[BlockDag]) -> dict[BlockRef, Block]:
-    """All distinct blocks across several DAG views (test/analysis helper)."""
-    result: dict[BlockRef, Block] = {}
-    for dag in dags:
-        for block in dag:
-            result.setdefault(block.ref, block)
-    return result

@@ -143,7 +143,8 @@ def _write_canonical(value: Canonical, out: bytearray) -> None:
 
 def _dataclass_writer(cls: type) -> _Writer:
     # Auto-register for decoding: anything encoded in-process can be
-    # decoded in-process (sufficient for the KV-store substrate).
+    # decoded in-process.  Bytes read back from disk or the wire may
+    # come from another process, so those classes register explicitly.
     _DATACLASS_REGISTRY.setdefault(cls.__qualname__, cls)
     name = cls.__qualname__.encode("utf-8")
     field_names = tuple(f.name for f in dataclasses.fields(cls))
@@ -214,8 +215,8 @@ def encoding_key(value: Any) -> bytes:
 
 # -- decoding -----------------------------------------------------------------
 #
-# The key-value store substrate (repro.kvstore) stores blocks as real
-# bytes and reads them back, so the codec is bidirectional.  Dataclasses
+# The WAL, checkpoints and live wire frames store blocks and states as
+# real bytes and read them back, so the codec is bidirectional.  Dataclasses
 # round-trip through a registry keyed by qualified class name; protocol
 # payload/request/indication classes self-register via their marker base
 # classes, and Block/Message register explicitly.

@@ -58,15 +58,6 @@ class ProtocolError(ReproError):
     """A protocol implementation violated the deterministic black-box contract."""
 
 
-class NondeterminismError(ProtocolError):
-    """A protocol step attempted a non-deterministic operation.
-
-    The embedding requires ``P`` to be deterministic (§2); process
-    instances are sandboxed and raise this if they try to observe
-    ambient state such as wall clocks or random number generators.
-    """
-
-
 class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 

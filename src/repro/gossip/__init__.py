@@ -4,24 +4,17 @@
   validate, insert, build, disseminate.
 * :mod:`repro.gossip.forwarding` — FWD request bookkeeping with retry
   timers (the Δ_B' discipline of §3).
-* :mod:`repro.gossip.policy` — dissemination cadence policies used by
-  the cluster runtime (the 'repeatedly … disseminate' of Algorithm 3).
+
+FWD chasing is the only catch-up path: a server restarted from disk
+(:mod:`repro.storage.recover`) re-fetches what it missed through it.
 """
 
 from repro.gossip.forwarding import ForwardingState
 from repro.gossip.module import Gossip, GossipConfig, GossipMetrics
-from repro.gossip.policy import (
-    DisseminationPolicy,
-    EveryInterval,
-    OnRequestBacklog,
-)
 
 __all__ = [
-    "DisseminationPolicy",
-    "EveryInterval",
     "ForwardingState",
     "Gossip",
     "GossipConfig",
     "GossipMetrics",
-    "OnRequestBacklog",
 ]

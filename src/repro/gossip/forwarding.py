@@ -10,7 +10,9 @@ The paper notes an implementation must pace these requests ("a correct
 server waits a reasonable amount of time before (re-)issuing a forward
 request", §3).  :class:`ForwardingState` implements that: per missing
 reference it remembers whom to ask and when the next retry is due, and
-exposes the refs whose retry timers have expired.
+exposes the refs whose retry timers have expired.  Retries never give
+up: reliable delivery (Lemma 4.3) needs only patience against a correct
+builder, and a byzantine builder's blocks can stay pending harmlessly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from repro.types import BlockRef, ServerId
 class _Want:
     target: ServerId
     next_retry: float
-    attempts: int
 
 
 class ForwardingState:
@@ -35,20 +36,10 @@ class ForwardingState:
     retry_interval:
         Virtual-time gap between (re-)requests for the same reference —
         the paper's Δ_B', informed by the round-trip estimate.
-    max_attempts:
-        Upper bound on requests per reference; ``None`` retries forever
-        (the default — liveness against a correct builder needs only
-        patience, and a byzantine builder's blocks can stay pending
-        harmlessly).
     """
 
-    def __init__(
-        self,
-        retry_interval: float = 3.0,
-        max_attempts: int | None = None,
-    ) -> None:
+    def __init__(self, retry_interval: float = 3.0) -> None:
         self.retry_interval = retry_interval
-        self.max_attempts = max_attempts
         self._wants: dict[BlockRef, _Want] = {}
         self.requests_issued = 0
 
@@ -66,14 +57,11 @@ class ForwardingState:
         entry = self._wants.get(ref)
         if entry is None:
             self._wants[ref] = _Want(
-                target=target, next_retry=now + self.retry_interval, attempts=1
+                target=target, next_retry=now + self.retry_interval
             )
             self.requests_issued += 1
             return True
         if now >= entry.next_retry:
-            if self.max_attempts is not None and entry.attempts >= self.max_attempts:
-                return False
-            entry.attempts += 1
             entry.next_retry = now + self.retry_interval
             entry.target = target
             self.requests_issued += 1

@@ -59,8 +59,6 @@ class GossipConfig:
 
     #: Virtual-time gap between FWD retries for the same reference (Δ_B').
     fwd_retry_interval: float = 3.0
-    #: Max FWD attempts per reference (``None`` = unbounded).
-    fwd_max_attempts: int | None = None
     #: Max requests stamped into one block on disseminate.
     max_requests_per_block: int = 256
 
@@ -94,7 +92,7 @@ class Gossip:
     keyring:
         Key material for signing own blocks and verifying others'.
     transport:
-        Network facade (simulator- or kvstore-backed).
+        Network facade (simulator- or socket-backed).
     rqsts:
         Request buffer shared with the shim (labels + requests to stamp
         into the next block).
@@ -162,10 +160,7 @@ class Gossip:
         self._draining = False
         self.metrics = GossipMetrics()
         self.validator = Validator(verify=keyring.verify, resolve=self._resolve)
-        self.forwarding = ForwardingState(
-            retry_interval=self.config.fwd_retry_interval,
-            max_attempts=self.config.fwd_max_attempts,
-        )
+        self.forwarding = ForwardingState(retry_interval=self.config.fwd_retry_interval)
         # Any insertion — own sealed blocks included — may unblock
         # buffered descendants; the listener drains exactly those.
         self.dag.add_insert_listener(self._on_dag_insert)
@@ -420,10 +415,8 @@ class Gossip:
     def disseminate(self) -> Block:
         """Seal and send the current block to everyone; start the next.
 
-        Uses the transport's broadcast primitive (line 17), which the
-        KV-store substrate implements as one store write plus one
-        publication — the fan-out happens in the broker, not here.
-        Returns the sealed block (tests and adversaries use it)."""
+        Uses the transport's broadcast primitive (line 17).  Returns the
+        sealed block (tests and adversaries use it)."""
         block = self._seal_and_insert()
         self.transport.broadcast(self.keyring.servers, BlockEnvelope(block))
         return block
@@ -481,7 +474,8 @@ class Gossip:
 
     def blocks_behind(self) -> int:
         """Height gap between our chain tip and the most advanced peer's
-        (input to :class:`~repro.gossip.policy.WhenFallingBehind`)."""
+        — with :meth:`missing_predecessors`, the shim's signal to defer
+        data destruction while catching up."""
         own_tip = self.dag.tip(self.server)
         own_height = own_tip.k if own_tip is not None else -1
         best = own_height

@@ -17,12 +17,7 @@ locally-released-but-above-horizon predecessor states from the covering
 checkpoint instead of raising ``PrunedStateError``.
 """
 
-from repro.horizon.claims import (
-    claim_as_mapping,
-    durable_frontier,
-    format_horizon,
-    merge_claim,
-)
+from repro.horizon.claims import durable_frontier, format_horizon, merge_claim
 from repro.horizon.compare import (
     assert_horizons_converged,
     horizon_differences,
@@ -34,7 +29,6 @@ from repro.horizon.tracker import HorizonTracker
 __all__ = [
     "HorizonTracker",
     "assert_horizons_converged",
-    "claim_as_mapping",
     "durable_frontier",
     "format_horizon",
     "horizon_differences",

@@ -55,11 +55,6 @@ def durable_frontier(
     return tuple(claim)
 
 
-def claim_as_mapping(claim: HorizonClaim) -> dict[ServerId, SeqNum]:
-    """A claim as a frontier vector (missing servers are implicit -1)."""
-    return {ServerId(s): k for s, k in claim}
-
-
 def merge_claim(
     vector: dict[ServerId, SeqNum], claim: HorizonClaim
 ) -> bool:

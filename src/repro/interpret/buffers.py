@@ -88,10 +88,6 @@ class MessageBuffers:
         """Labels with any received message."""
         return iter(self._in)
 
-    def labels_out(self) -> Iterator[Label]:
-        """Labels with any emitted message."""
-        return iter(self._out)
-
     def in_count(self) -> int:
         """Total received messages across labels (metrics)."""
         return sum(len(v) for v in self._in.values())

@@ -55,13 +55,11 @@ ARCHITECTURE: dict[str, frozenset[str]] = {
         {"crypto", "dag", "errors", "net", "obs", "requests", "types"}
     ),
     "horizon": frozenset({"crypto", "dag", "errors", "obs", "types"}),
-    "kvstore": frozenset({"crypto", "dag", "errors", "net", "types"}),
     "storage": frozenset(
         {
             "crypto",
             "dag",
             "errors",
-            "gossip",
             "horizon",
             "interpret",
             "obs",

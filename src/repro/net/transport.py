@@ -3,8 +3,8 @@
 Gossip modules talk to a :class:`Transport`, never to the simulator
 directly.  That keeps Algorithm 1's code shaped like the paper's
 pseudocode ("send B to every s' ∈ Srvrs") and lets the same gossip
-implementation run over the discrete-event simulator or over the
-key-value-store substrate (:mod:`repro.kvstore.blockstore`) unchanged.
+implementation run over the discrete-event simulator or over real
+sockets (:mod:`repro.net.live.transport`) unchanged.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ class Transport(ABC):
 class RevocableTransport(Transport):
     """A transport that can be cut off — the egress half of a crash.
 
-    The cluster runtime wraps each correct server's transport in one of
-    these when a :class:`~repro.runtime.cluster.CrashPlan` is active.
-    Crashing a server revokes its transport: pending timer callbacks of
-    the dead incarnation (FWD retries heap-scheduled before the crash)
+    The cluster runtime wraps every correct server's transport in one
+    of these, whether or not its
+    :class:`~repro.runtime.cluster.CrashPlan` has events.  Crashing a
+    server revokes its transport: pending timer callbacks of the dead
+    incarnation (FWD retries heap-scheduled before the crash)
     may still fire, but anything they try to send or schedule is
     silently dropped, exactly as if the process were gone.
     """

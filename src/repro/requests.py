@@ -44,5 +44,5 @@ class RequestBuffer:
         return taken
 
     def peek_backlog(self) -> int:
-        """Queue length without consuming (dissemination policies)."""
+        """Queue length without consuming (``Shim.backlog``)."""
         return len(self._queue)

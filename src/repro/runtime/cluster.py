@@ -28,7 +28,7 @@ from repro.net.faults import FaultPlan
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.simulator import NetworkSimulator
 from repro.net.transport import RevocableTransport, SimTransport
-from repro.obs.trace import DEFAULT_CAPACITY, ClusterTracer
+from repro.obs.trace import ClusterTracer
 from repro.protocols.base import ProtocolSpec, Trace
 from repro.runtime.adversary import Adversary
 from repro.runtime.snapshots import (
@@ -124,8 +124,6 @@ class ClusterConfig:
     #: by default: every instrumentation site then holds the shared
     #: no-op recorder and pays one attribute check.
     trace: bool = False
-    #: Ring-buffer capacity per server when tracing is on.
-    trace_capacity: int = DEFAULT_CAPACITY
 
 
 class Cluster:
@@ -176,11 +174,7 @@ class Cluster:
         #: ``None`` when tracing is off.
         self.tracer: ClusterTracer | None = None
         if self.config.trace:
-            self.tracer = ClusterTracer(
-                self.servers,
-                clock=lambda: self.sim.now,
-                capacity=self.config.trace_capacity,
-            )
+            self.tracer = ClusterTracer(self.servers, clock=lambda: self.sim.now)
             self.sim.tracers = dict(self.tracer.recorders)
         self.shims: dict[ServerId, Shim] = {}
         self.adversaries: dict[ServerId, Adversary] = {}
@@ -497,7 +491,6 @@ def quick_cluster(
     storage_dir: str | Path | None = None,
     storage: StorageConfig | None = None,
     trace: bool = False,
-    trace_capacity: int = DEFAULT_CAPACITY,
 ) -> Cluster:
     """A fault-free n-server cluster with default wiring (examples/tests).
 
@@ -516,6 +509,5 @@ def quick_cluster(
         storage_dir=storage_dir,
         storage=storage if storage is not None else StorageConfig(),
         trace=trace,
-        trace_capacity=trace_capacity,
     )
     return Cluster(protocol, n=n, config=config)

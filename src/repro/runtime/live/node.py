@@ -112,7 +112,6 @@ class NodeConfig(JsonDocument):
     status_path: str | None = None
     #: Canonical-JSONL metrics snapshot, rewritten beside the status file.
     metrics_path: str | None = None
-    trace_capacity: int = 262144
 
 
 @dataclass
@@ -203,8 +202,9 @@ class LiveNode:
             target.parent.mkdir(parents=True, exist_ok=True)
             self._status_paths = (target.with_name(target.name + ".tmp"), target)
         if config.trace_path is not None:
+            # 4x the simulator's ring: a live node records until SIGTERM.
             self.recorder = TraceRecorder(
-                self.server, clock=loop.time, capacity=config.trace_capacity
+                self.server, clock=loop.time, capacity=262144
             )
         self.transport = LiveTransport(
             self.server,

@@ -78,12 +78,6 @@ class ScenarioResult(JsonDocument):
             {name: tuple(series) for name, series in self.probes.items()},
         )
 
-    def delivery_ratio(self) -> float:
-        """Delivered / issued (1.0 for an empty workload)."""
-        if not self.requests_issued:
-            return 1.0
-        return self.requests_delivered / self.requests_issued
-
     def as_dict(self, include_wall_clock: bool = True) -> dict[str, object]:
         data = super().as_dict()
         if not include_wall_clock:

@@ -311,7 +311,11 @@ class Shim:
                 horizon=horizon,
                 allow_destruction=not catching_up,
                 protected=frozenset(self.gossip.buffered_references()),
-                destruction_delay=self.storage.config.destruction_delay,
+                # Hysteresis against the admission race: a block stays
+                # destruction-eligible for two checkpoint passes before
+                # its data goes, so a delayed fork sibling's vouching
+                # references get a couple of cycles to surface.
+                destruction_delay=2,
                 streaks=self._destruction_streaks,
                 pinned=self._pinned_recent(),
                 tracer=self.tracer if self.tracer.enabled else None,

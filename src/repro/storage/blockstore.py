@@ -44,16 +44,8 @@ class StorageConfig:
     segment_max_bytes: int = 64 * 1024
     #: Blocks interpreted between checkpoints.
     checkpoint_interval: int = 32
-    #: Checkpoints kept on disk.
-    checkpoints_retained: int = 2
     #: Whether to GC states/payloads/segments below the stable frontier.
     prune: bool = True
-    #: Checkpoint passes a block must stay destruction-eligible before
-    #: its payload/WAL/checkpoint data is actually destroyed.
-    #: Hysteresis against the admission race: a delayed fork
-    #: sibling's vouching references get a couple of checkpoint cycles
-    #: to surface before the data they need is gone.
-    destruction_delay: int = 2
     #: Memory release exempts the last this-many checkpoints' cone
     #: (blocks interpreted since the K-th most recent checkpoint).
     #: Damps rehydration thrash: a block released the moment it is
@@ -104,10 +96,10 @@ class ServerStorage:
             segment_max_bytes=self.config.segment_max_bytes,
             fsync=self.config.fsync,
         )
+        # Two checkpoints on disk: recovery falls back to the older one
+        # when the newest does not load.
         self.checkpoints = CheckpointManager(
-            self.directory / "checkpoints",
-            retain=self.config.checkpoints_retained,
-            fsync=self.config.fsync,
+            self.directory / "checkpoints", retain=2, fsync=self.config.fsync
         )
         self.metrics = StorageMetrics()
         #: Flight recorder (``repro.obs``) — set by the shim when

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import StorageError
-from repro.gossip.recovery import adopt_chain_tip
 from repro.storage.checkpoint import Checkpoint, install_checkpoint
 from repro.types import BlockRef
 
@@ -124,7 +123,9 @@ def recover_shim_state(shim: "Shim") -> RecoveryReport:
     # 4. Resume the builder: own chain tip + still-unreferenced foreign
     #    blocks (in original insertion order, so the next sealed block
     #    references them exactly as the pre-crash block would have).
-    report.chain_resumed = adopt_chain_tip(shim.gossip)
+    report.chain_resumed = shim.gossip.builder.continue_after(
+        shim.dag.tip(shim.server)
+    )
     report.foreign_refs_readopted = _readopt_foreign_refs(shim, blocks)
     return report
 

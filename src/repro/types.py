@@ -90,8 +90,8 @@ class Request:
     Concrete protocols subclass this with frozen dataclasses so requests
     are hashable, comparable and canonically encodable.  Subclasses
     self-register with the codec at definition time, so requests stored
-    as bytes (the key-value substrate, the storage WAL) decode back to
-    the right class in any process that imported the protocol.
+    as bytes (the storage WAL, live wire frames) decode back to the
+    right class in any process that imported the protocol.
     """
 
     def __init_subclass__(cls, **kwargs: object) -> None:

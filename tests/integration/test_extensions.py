@@ -1,4 +1,7 @@
-"""Extension features from §6/§7: accountability and crash recovery."""
+"""Extension feature from §6: accountability for equivocation.
+
+Crash recovery (§7) is covered by ``test_crash_recovery.py``.
+"""
 
 import pytest
 
@@ -8,14 +11,8 @@ from repro.accountability import (
     collect_evidence,
     verify_evidence,
 )
-from repro.crypto.keys import KeyRing
 from repro.dag.block import Block
-from repro.gossip.module import Gossip
-from repro.gossip.recovery import RecoveringGossip, SyncResponse
-from repro.net.simulator import NetworkSimulator
-from repro.net.transport import SimTransport
 from repro.protocols.brb import Broadcast, brb_protocol
-from repro.requests import RequestBuffer
 from repro.runtime.adversary import EquivocatorAdversary
 from repro.runtime.cluster import Cluster
 from repro.types import Label, ServerId, make_servers
@@ -96,99 +93,3 @@ class TestAccountability:
         with pytest.raises(ValueError):
             EquivocationEvidence(culprit=S1, seq=0, block_a=a, block_b=a)
 
-
-def build_sync_pair():
-    """Two gossip nodes; the first has history, the second is blank."""
-    servers = make_servers(4)
-    ring = KeyRing(servers)
-    sim = NetworkSimulator()
-    nodes = {}
-    for server in servers:
-        transport = SimTransport(sim, server)
-        gossip = Gossip(server, ring, transport, RequestBuffer())
-        node = RecoveringGossip(gossip)
-        nodes[server] = node
-        sim.register(server, node.on_receive)
-    return sim, nodes, servers
-
-
-class TestCrashRecovery:
-    def test_blank_recovery(self):
-        sim, nodes, servers = build_sync_pair()
-        helper = nodes[servers[0]]
-        # Helper accumulates 30 blocks of history.
-        for _ in range(30):
-            helper.gossip.disseminate_to([])
-        recoverer = nodes[servers[1]]
-        recoverer.recover_from(servers[0])
-        sim.run_until_idle()
-        assert recoverer.is_caught_up_with(helper.gossip.dag)
-        assert len(recoverer.gossip.dag) == 30
-
-    def test_partial_recovery_ships_only_missing(self):
-        sim, nodes, servers = build_sync_pair()
-        helper = nodes[servers[0]]
-        blocks = [helper.gossip.disseminate_to([]) for _ in range(20)]
-        recoverer = nodes[servers[1]]
-        # The recoverer kept the first 10 blocks (persisted pre-crash).
-        for block in blocks[:10]:
-            recoverer.handle_sync_response(
-                servers[0], SyncResponse(blocks=tuple(blocks[:10]))
-            )
-            break
-        assert len(recoverer.gossip.dag) == 10
-        before_bytes = sim.metrics.bytes
-        recoverer.recover_from(servers[0])
-        sim.run_until_idle()
-        assert recoverer.is_caught_up_with(helper.gossip.dag)
-        # The response carried ~10 blocks, not 20 (cheap delta sync).
-        sync_bytes = sim.metrics.bytes - before_bytes
-        full_bytes = sum(b.wire_size() for b in blocks)
-        assert sync_bytes < full_bytes
-
-    def test_own_chain_resumes_consecutively(self):
-        """§7: a recovering server must not fork itself — after sync it
-        continues its own chain at the next sequence number."""
-        sim, nodes, servers = build_sync_pair()
-        crasher = nodes[servers[0]]
-        for _ in range(5):
-            crasher.gossip.disseminate()
-        sim.run_until_idle()
-        # Crash: lose all volatile state; keep only identity/keys.
-        ring = crasher.gossip.keyring
-        reborn_gossip = Gossip(
-            servers[0], ring, SimTransport(sim, servers[0]), RequestBuffer()
-        )
-        reborn = RecoveringGossip(reborn_gossip)
-        sim.replace_handler(servers[0], reborn.on_receive)
-        reborn.recover_from(servers[1])
-        sim.run_until_idle()
-        assert reborn.resume_own_chain()
-        block = reborn.gossip.disseminate()
-        assert block.k == 5  # consecutive with the recovered chain
-        sim.run_until_idle()
-        # Peers accept it: no equivocation, chain intact.
-        peer_dag = nodes[servers[1]].gossip.dag
-        assert block.ref in peer_dag.refs
-        assert peer_dag.forks() == {}
-
-    def test_recovered_dag_interprets_identically(self):
-        from repro.interpret.interpreter import Interpreter
-
-        sim, nodes, servers = build_sync_pair()
-        helper = nodes[servers[0]]
-        helper.gossip.rqsts.put(L, Broadcast("x"))
-        for _ in range(5):
-            for node in nodes.values():
-                node.gossip.disseminate()
-            sim.run(until=sim.now + 6.0)
-        # Fresh node recovers and interprets offline.
-        recoverer = nodes[servers[1]]
-        reference = helper.gossip.dag
-        a = Interpreter(reference, brb_protocol, servers)
-        a.run()
-        b = Interpreter(recoverer.gossip.dag, brb_protocol, servers)
-        b.run()
-        assert sorted(repr(e.indication) for e in a.events) == sorted(
-            repr(e.indication) for e in b.events
-        )

@@ -208,3 +208,35 @@ class TestBlockBuilder:
         assert builder.next_seq == 0
         builder.seal([], self._sign_fn(ring, S1))
         assert builder.next_seq == 1
+
+
+class TestContinueAfter:
+    """A builder restarted from disk resumes its own chain (§7)."""
+
+    @pytest.fixture
+    def ring(self):
+        return KeyRing(make_servers(4))
+
+    def test_no_history_returns_false(self):
+        builder = BlockBuilder(S1)
+        assert not builder.continue_after(None)
+        assert builder.next_seq == 0
+
+    def test_already_past_the_tip_returns_false(self, ring):
+        builder = BlockBuilder(S1)
+        tip = builder.seal([], lambda payload: ring.sign(S1, payload))
+        assert not builder.continue_after(tip)
+        assert builder.next_seq == 1
+        assert builder.pending_preds == (tip.ref,)
+
+    def test_adopted_tip_is_the_next_parent(self, ring):
+        old = BlockBuilder(S1)
+        sign = lambda payload: ring.sign(S1, payload)  # noqa: E731
+        for _ in range(3):
+            tip = old.seal([], sign)
+        restarted = BlockBuilder(S1)
+        assert restarted.continue_after(tip)
+        assert restarted.next_seq == tip.k + 1
+        assert restarted.pending_preds[0] == tip.ref
+        block = restarted.seal([], sign)
+        assert (block.k, block.preds) == (tip.k + 1, (tip.ref,))

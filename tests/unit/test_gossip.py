@@ -7,7 +7,6 @@ from repro.crypto.signatures import Signature
 from repro.dag.block import Block
 from repro.gossip.forwarding import ForwardingState
 from repro.gossip.module import Gossip, GossipConfig
-from repro.gossip.policy import EveryInterval, OnRequestBacklog, WhenFallingBehind
 from repro.net.message import BlockEnvelope, FwdRequestEnvelope
 from repro.net.simulator import NetworkSimulator
 from repro.net.transport import SimTransport
@@ -253,11 +252,14 @@ class TestForwardingMechanism:
         assert state.want("r1", S1, now=3.5)  # retry due
         assert state.requests_issued == 2
 
-    def test_fwd_retry_attempt_cap(self):
-        state = ForwardingState(retry_interval=1.0, max_attempts=2)
+    def test_fwd_retries_are_unbounded(self):
+        # Lemma 4.3 needs FWD re-issued until the builder answers.
+        state = ForwardingState(retry_interval=1.0)
         assert state.want("r1", S1, now=0.0)
-        assert state.want("r1", S1, now=1.0)
-        assert not state.want("r1", S1, now=2.0)
+        for expiry in range(1, 21):
+            assert state.want("r1", S1, now=float(expiry))
+        assert state.requests_issued == 21
+        assert "r1" in state
 
     def test_fwd_satisfied_clears(self):
         state = ForwardingState()
@@ -283,29 +285,6 @@ class TestBlocksBehind:
         assert nodes[S2].blocks_behind() == 3
         nodes[S2].disseminate()
         assert nodes[S2].blocks_behind() == 2
-
-
-class TestPolicies:
-    def test_every_interval(self):
-        policy = EveryInterval(period=2.0)
-        assert policy.should_disseminate(2.0, 0.0, 0, 0)
-        assert not policy.should_disseminate(1.0, 0.0, 0, 0)
-
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            EveryInterval(0)
-
-    def test_backlog_policy(self):
-        policy = OnRequestBacklog(threshold=3, max_quiet=10.0)
-        assert policy.should_disseminate(1.0, 0.0, 3, 0)
-        assert not policy.should_disseminate(1.0, 0.0, 2, 0)
-        assert policy.should_disseminate(11.0, 0.0, 0, 0)  # liveness backstop
-
-    def test_falling_behind_policy(self):
-        policy = WhenFallingBehind(lag=2, max_quiet=10.0)
-        assert policy.should_disseminate(1.0, 0.0, 0, 2)
-        assert not policy.should_disseminate(1.0, 0.0, 0, 1)
-        assert policy.should_disseminate(11.0, 0.0, 0, 0)
 
 
 class TestRequestBuffer:
