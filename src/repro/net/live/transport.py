@@ -18,7 +18,9 @@ for free:
   the node's tip beacon recover anything a drop loses).
 * **Reconnect with jittered exponential backoff.**  Dial failures back
   off up to ``reconnect_ceiling`` with per-link seeded jitter, so a
-  4-process cluster starting simultaneously does not stampede.
+  4-process cluster starting simultaneously does not stampede.  A
+  peer's Hello on an inbound connection cuts the backoff short: a
+  restarted peer that dials in is listening again.
 * **Backpressure.**  The pump awaits ``drain()`` after every write, so
   a slow peer's TCP window throttles its queue drain instead of
   buffering unboundedly in the kernel; the bounded deque caps what a
@@ -66,6 +68,10 @@ from repro.types import ServerId
 Handler = Callable[[ServerId, Envelope], None]
 
 _CONNECT_ERRORS = (ConnectionError, OSError, asyncio.IncompleteReadError)
+
+#: Seconds a stopping transport keeps its listener open for peers that
+#: are still connected to it (see :meth:`LiveTransport.stop`).
+SHUTDOWN_LINGER = 5.0
 
 
 class _PeerMeters:
@@ -202,10 +208,15 @@ class LiveTransport(Transport):
         #: Set when an orderly shutdown begins: connection losses during
         #: teardown are expected and must not count as disturbances.
         self.closing = False
+        #: Set by :meth:`stop`: inbound frames are read and dropped.
+        self._stopped = False
         self._peer_meters: dict[ServerId, _PeerMeters] = {}
         self._ingress_meters: dict[str, _IngressMeters] = {}
         self._queues: dict[ServerId, deque[Envelope]] = {}
         self._wakeups: dict[ServerId, asyncio.Event] = {}
+        #: Set when a peer's Hello arrives: it is listening again, so a
+        #: pump backing off from failed dials to it may dial at once.
+        self._redial: dict[ServerId, asyncio.Event] = {}
         self._writers: dict[ServerId, asyncio.StreamWriter] = {}
         #: Accepted connections: closing the listener does not close
         #: them, and a stopped transport must not keep reading frames
@@ -289,12 +300,23 @@ class LiveTransport(Transport):
                 continue
             self._queues[peer] = deque()
             self._wakeups[peer] = asyncio.Event()
+            self._redial[peer] = asyncio.Event()
             self._egress(peer)
             self._tasks.append(self._loop.create_task(self._pump(peer)))
 
     async def stop(self) -> None:
-        """Cancel pumps, close the listener and every open connection."""
+        """Cancel pumps, close the listener and every open connection.
+
+        Outgoing connections close first; the listener and the inbound
+        connections only once every peer still connected here has closed
+        its side, or after :data:`SHUTDOWN_LINGER` seconds.  A peer lets
+        go only from its own ``stop()``, after its ``closing`` is set, so
+        in a fleet shutdown no peer finds this one gone while it still
+        counts connection losses — however late it handles its own stop.
+        Frames that arrive meanwhile are dropped, as a crash would.
+        """
         self.closing = True
+        self._stopped = True
         for task in self._tasks:
             task.cancel()
         if self._tasks:
@@ -303,6 +325,10 @@ class LiveTransport(Transport):
         for writer in list(self._writers.values()):
             writer.close()
         self._writers.clear()
+        if self._loop is not None:
+            deadline = self._loop.time() + SHUTDOWN_LINGER
+            while self._inbound and self._loop.time() < deadline:
+                await asyncio.sleep(0.01)
         for writer in list(self._inbound):
             writer.close()
         if self._server is not None:
@@ -366,7 +392,12 @@ class LiveTransport(Transport):
                     if isinstance(value, Hello):
                         src = ServerId(value.server)
                         meters = self._ingress(str(src))
+                        redial = self._redial.get(src)
+                        if redial is not None:
+                            redial.set()
                     elif src is not None and isinstance(value, Envelope):
+                        if self._stopped:
+                            continue
                         meters.frames_in.inc()
                         self._deliver(src, value)
                     else:
@@ -421,6 +452,7 @@ class LiveTransport(Transport):
         backoff = self.reconnect_floor
         queue = self._queues[peer]
         wakeup = self._wakeups[peer]
+        redial = self._redial[peer]
         meters = self._egress(peer)
         writer: asyncio.StreamWriter | None = None
         lost_established = False
@@ -429,12 +461,19 @@ class LiveTransport(Transport):
             while True:
                 if writer is None:
                     dial_started = loop.time()
+                    redial.clear()
                     try:
                         writer = await self._connect(peer)
                     except _CONNECT_ERRORS:
                         self.reconnects += 1
                         meters.connect_retries.inc()
-                        await asyncio.sleep(backoff * (0.5 + rng.random()))
+                        # Back off, unless the peer dials in first.
+                        try:
+                            await asyncio.wait_for(
+                                redial.wait(), backoff * (0.5 + rng.random())
+                            )
+                        except asyncio.TimeoutError:
+                            pass
                         backoff = min(backoff * 2, self.reconnect_ceiling)
                         continue
                     meters.handshake.observe(loop.time() - dial_started)

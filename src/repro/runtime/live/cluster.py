@@ -262,12 +262,28 @@ class LiveCluster:
         statuses = self.statuses()
         if len(statuses) < len(self.configs):
             return False
+        # A fleet that finished before the launcher saw the victim's
+        # kill tick has not run the scenario yet: the crash is still due.
+        for crash in self.crashes:
+            budget = self.configs[ServerId(crash.server)].max_ticks
+            if crash.server not in self._killed_at and crash.kill_at_tick <= budget:
+                return False
+        for server, status in statuses.items():
+            # A killed node's last status stays on disk; it speaks for
+            # nobody until the respawned process publishes its own.
+            process = self.processes.get(ServerId(server))
+            if process is not None and (
+                process.returncode is not None or status.pid != process.pid
+            ):
+                return False
         if not all(s.complete for s in statuses.values()):
             return False
         return len({s.fingerprint for s in statuses.values()}) == 1
 
     async def wait_converged(self, timeout: float) -> bool:
-        """Poll statuses until every node is complete on one fingerprint."""
+        """Poll statuses until every node is complete on one fingerprint,
+        every crash due has fired, and each status comes from the node's
+        running process."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         while loop.time() < deadline:

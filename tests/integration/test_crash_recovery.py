@@ -24,6 +24,7 @@ from repro.protocols.counter import Inc, counter_protocol
 from repro.runtime.cluster import Cluster, ClusterConfig, CrashEvent, CrashPlan
 from repro.shim.shim import Shim
 from repro.runtime.compare import equivalent_traces, trace_differences
+from repro.scenario.spec import PROTOCOLS
 from repro.storage.blockstore import StorageConfig
 from repro.storage.state_codec import annotation_fingerprint
 from repro.types import Label, make_servers
@@ -378,3 +379,114 @@ class TestRecoveryMechanics:
             for s in cluster.correct_servers
         }
         assert finals == {s: 10 for s in cluster.servers}
+
+    def test_two_newest_checkpoints_kept_on_disk(self, tmp_path):
+        config = ClusterConfig(
+            storage_dir=tmp_path, storage=StorageConfig(checkpoint_interval=4)
+        )
+        cluster = Cluster(brb_protocol, n=4, config=config)
+        workload(cluster)
+        cluster.run_rounds(12)
+        manager = cluster.shim("s1").storage.checkpoints
+        written = manager.next_seq() - 1
+        assert written > 2
+        assert manager.sequences() == [written - 1, written]
+
+    def test_restart_falls_back_to_the_older_checkpoint(self, tmp_path):
+        """A newest checkpoint that does not load costs replay, not the
+        restart: recovery starts from the one before it and ends in the
+        same annotations as an uninterrupted peer."""
+        config = ClusterConfig(
+            storage_dir=tmp_path, storage=StorageConfig(checkpoint_interval=4)
+        )
+        cluster = Cluster(brb_protocol, n=4, config=config)
+        labels = workload(cluster)
+        cluster.run_rounds(8)
+        cluster.crash("s2")
+        older, newest = sorted((tmp_path / "s2" / "checkpoints").glob("ckpt-*.bin"))
+        newest.write_bytes(newest.read_bytes()[:10])
+        recovered = cluster.restart("s2")
+        assert recovered.recovery.checkpoint_seq == int(older.stem.split("-")[1])
+        catch_up(cluster, labels)
+        for ref, ours, theirs in shared_fingerprints(cluster, "s1", "s2"):
+            assert ours == theirs, f"annotation mismatch at {ref[:8]}…"
+
+
+#: Requests enter at the view-0 leader for PBFT, which decides only its
+#: proposal; phase king decides nothing without ``PkAdvance``, so its
+#: runs are judged on annotations alone.
+def catch_up(cluster, labels):
+    """Convergence after a crash and restart driven by hand."""
+    cluster.run_until(
+        lambda c: all(c.all_delivered(lbl) for lbl in labels) and c.dags_converged(),
+        max_rounds=48,
+    )
+
+
+def protocol_workload(cluster, name, count=6):
+    entry = PROTOCOLS[name]
+    for i in range(count):
+        server = cluster.servers[0] if name == "pbft" else cluster.servers[i % 4]
+        cluster.request(server, Label(f"{name}-{i}"), entry.make_request(i))
+
+
+class TestRecoveryAcrossProtocols:
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_recovered_dag_interprets_identically(self, tmp_path, name):
+        """For every protocol: the restarted server continues its own
+        chain, and its annotations equal both an uninterrupted peer's and
+        a from-scratch interpretation of its recovered DAG."""
+        spec = PROTOCOLS[name].spec
+        plan = CrashPlan.crash_restart("s2", crash_round=3, restart_round=6)
+        cluster = crash_cluster(tmp_path, plan, protocol=spec, interval=4, prune=False)
+        protocol_workload(cluster, name)
+        cluster.run_rounds(10)
+        cluster.run_until(lambda c: c.dags_converged(), max_rounds=24)
+        recovered = cluster.shim("s2")
+        assert recovered.recovery.blocks_recovered > 0
+
+        own = cluster.shim("s1").dag.by_server("s2")
+        assert [b.k for b in own] == list(range(len(own)))
+        # One block per round up: three rounds before the crash, then
+        # every round from the restart on.
+        assert len(own) == cluster.rounds_run - 3
+
+        scratch = Interpreter(recovered.dag, spec, cluster.servers)
+        scratch.run()
+        assert scratch.interpreted == recovered.interpreter.interpreted
+        for block in recovered.dag:
+            assert annotation_fingerprint(scratch, block.ref) == annotation_fingerprint(
+                recovered.interpreter, block.ref
+            )
+        for ref, ours, theirs in shared_fingerprints(cluster, "s1", "s2"):
+            assert ours == theirs, f"annotation mismatch at {ref[:8]}…"
+
+
+class TestCatchUpAfterRestart:
+    @pytest.mark.parametrize("down_rounds", [2, 4, 8])
+    def test_fwd_chases_only_what_the_disk_lacked(self, tmp_path, down_rounds):
+        """Restart from disk, then FWD chasing: the recovered server
+        holds exactly its pre-crash DAG, and every FWD it sends names a
+        block it did not have — nothing recovered is shipped again."""
+        cluster = crash_cluster(tmp_path, CrashPlan.none(), prune=False)
+        labels = workload(cluster)
+        cluster.run_rounds(3)
+        before = set(cluster.shim("s2").dag.refs)
+        cluster.crash("s2")
+        cluster.run_rounds(down_rounds)
+        recovered = cluster.restart("s2")
+        assert set(recovered.dag.refs) == before
+        assert recovered.recovery.blocks_recovered == len(before)
+
+        chased = []
+        send_fwd = recovered.gossip._send_fwd
+
+        def recording(ref, target):
+            chased.append(ref)
+            send_fwd(ref, target)
+
+        recovered.gossip._send_fwd = recording
+        catch_up(cluster, labels)
+        assert chased, "the gap was never chased"
+        assert before.isdisjoint(chased)
+        assert set(chased) <= set(recovered.dag.refs)

@@ -1,6 +1,6 @@
 """The live transport, end to end: real processes, real sockets.
 
-Four claims, in ascending order of ambition:
+Five claims, the first four in ascending order of ambition:
 
 1. a 4-server UDS cluster driven from a registry scenario reaches
    delivery-and-convergence (the live analogue of AllDelivered);
@@ -23,7 +23,11 @@ Four claims, in ascending order of ambition:
    The same runs pin the costs the totals bought: no
    ``Shim.indications_for`` call anywhere in a node's life, metrics
    snapshots off the tick path, and a published ``metrics_seq`` always
-   naming the snapshot on disk.
+   naming the snapshot on disk;
+5. the transport on its own: addresses, per-peer queues, and a stop
+   that keeps the listener open until the peers still connected let
+   go (at most ``SHUTDOWN_LINGER``), so a fleet shutdown costs no node
+   a counted connection loss however late it handles its own stop.
 
 Claims 1–3 spawn OS processes (``python -m repro.node``) and sleep on
 real sockets, so they are integration-priced: seconds, not
@@ -37,11 +41,14 @@ from pathlib import Path
 import pytest
 
 from helpers import reference_status
-from repro.net.message import BlockEnvelope
+from repro.errors import NetworkError
+from repro.net.live import transport as live
+from repro.net.live.transport import LiveTransport, parse_address
+from repro.net.message import BlockEnvelope, FwdRequestEnvelope
 from repro.obs.diverge import first_chain_divergence
 from repro.obs.export import read_jsonl
 from repro.obs.metrics import MetricsSnapshot
-from repro.runtime.live.cluster import LiveCluster
+from repro.runtime.live.cluster import LiveCluster, LiveCrash
 from repro.runtime.live.node import LiveNode, NodeConfig, NodeStatus
 from repro.scenario import registry
 from repro.scenario.live import compile_live_configs
@@ -133,6 +140,62 @@ class TestKillMinusNineRecovery:
         for status in statuses.values():
             assert status.delivered.get("ledger", 0) >= 2
         assert cluster.restarts == 1
+
+    def test_a_killed_node_is_not_converged_until_it_is_back(self, tmp_path):
+        # The victim dies after it completed: the status it left on disk
+        # still says complete, on the fleet's fingerprint.
+        scenario = Scenario(
+            name="live-late-kill",
+            protocol="counter",
+            description="kill -9 after completion",
+            topology=Topology(n=4, storage=StorageSpec(checkpoint_interval=4)),
+            workload=OpenLoopWorkload(rate=1, rounds=2, shared_label="ledger"),
+            stop=RoundsElapsed(6),
+            max_rounds=6,
+        )
+        run_dir = tmp_path / "run"
+        cluster = LiveCluster(compile_live_configs(scenario, run_dir), run_dir)
+        victim = ServerId("s2")
+
+        async def drive() -> None:
+            await cluster.start_all()
+            try:
+                assert await cluster.wait_converged(timeout=60.0)
+                cluster.kill(victim)
+                await cluster.processes[victim].wait()
+                assert cluster.status(victim).complete
+                assert not await cluster.wait_converged(timeout=0.5)
+                await cluster.start(victim)
+                assert await cluster.wait_converged(timeout=60.0)
+            finally:
+                await cluster.shutdown()
+
+        asyncio.run(drive())
+        status = cluster.statuses()[str(victim)]
+        assert status.recovered
+        assert status.pid == cluster.processes[victim].pid
+
+    @pytest.mark.parametrize("kill_at_tick, converged", [(2, False), (7, True)])
+    def test_a_crash_still_due_holds_convergence(
+        self, tmp_path, kill_at_tick, converged
+    ):
+        # No processes: every status says complete on one fingerprint and
+        # nobody has been killed.  A crash within the victim's six-tick
+        # budget is still due; one past it never fires.
+        configs = compile_live_configs(oracle_scenario(rounds=6, rate=1), tmp_path)
+        for server, config in configs.items():
+            status = NodeStatus(
+                server=str(server), pid=1, tick=6, blocks=0, fingerprint="f",
+                complete=True,
+            )
+            Path(config.status_path).write_text(status.to_json(), encoding="utf-8")
+        cluster = LiveCluster(
+            configs,
+            tmp_path,
+            crashes=(LiveCrash("s2", kill_at_tick=kill_at_tick, down_seconds=1.0),),
+        )
+        assert asyncio.run(cluster.wait_converged(timeout=0.3)) is converged
+        assert cluster.crashes_performed == 0
 
 
 # -- claim 4: every publication against the oracle ----------------------------
@@ -346,3 +409,267 @@ def test_a_peer_gone_before_shutdown_is_lost_and_one_found_gone_during_it_is_not
     assert final["s1"].total("transport.conn-lost") == 1
     assert final["s1"].total("transport.conn-lost", peer=str(gone)) == 1
     assert final["s3"].total("transport.conn-lost") == 0
+
+
+def test_a_node_stopping_first_is_not_lost_to_one_that_stops_late(tmp_path):
+    # A fleet shutdown reaches every node, but not at the same instant:
+    # a node that has not yet handled its stop may write to a peer that
+    # already finished its final snapshot.  The stopping peer holds its
+    # listener until the others let go of it, so the write lands and the
+    # late node counts no loss.
+    configs = {
+        str(server): replace(config, status_interval=3600.0, beacon_interval=3600.0)
+        for server, config in compile_live_configs(
+            oracle_scenario(rounds=8, rate=1), tmp_path
+        ).items()
+    }
+    nodes = {name: CheckedNode(config) for name, config in configs.items()}
+    late, first = nodes["s1"], nodes["s2"]
+
+    def moved(name: str) -> int:
+        peer = str(first.server)
+        return late.metrics.counter(name, peer=peer).value
+
+    async def drive() -> None:
+        tasks = {name: asyncio.ensure_future(node.run()) for name, node in nodes.items()}
+        try:
+            await until(lambda: converged(list(nodes.values())), list(tasks.values()))
+            published = len(first.published)
+            first.request_stop()
+            # The shutdown publication is the last thing before the
+            # transport stops.
+            await until(lambda: len(first.published) > published, list(tasks.values()))
+            sent = moved("transport.frames-out")
+            late.transport.send(first.server, BlockEnvelope(late.shim.dag.tip(late.server)))
+            await until(
+                lambda: moved("transport.frames-out") > sent
+                or moved("transport.conn-lost") > 0,
+                list(tasks.values()),
+            )
+            assert moved("transport.conn-lost") == 0
+            assert not tasks["s2"].done(), "s2 closed while s1 still held a link"
+        finally:
+            await stop(list(nodes.values()), list(tasks.values()))
+
+    asyncio.run(drive())
+    for name, config in configs.items():
+        final = MetricsSnapshot.read_jsonl(config.metrics_path)
+        assert final.total("transport.conn-lost") == 0, name
+        assert final.total("transport.reconnects") == 0, name
+
+
+# -- claim 5: the transport on its own ----------------------------------------
+
+A, B, C = ServerId("a"), ServerId("b"), ServerId("c")
+
+
+def fwd(n: int) -> FwdRequestEnvelope:
+    return FwdRequestEnvelope(ref=f"{n:064x}")
+
+
+def pair(tmp_path, **kwargs):
+    """A and B, each recording what it is handed."""
+    addresses = {s: f"unix:{tmp_path / (str(s) + '.sock')}" for s in (A, B)}
+    received = {A: [], B: []}
+    transports = {
+        s: LiveTransport(
+            s,
+            addresses,
+            handler=lambda src, env, s=s: received[s].append((src, env)),
+            **kwargs,
+        )
+        for s in (A, B)
+    }
+    return transports, received
+
+
+def meter(transport: LiveTransport, name: str, peer: ServerId) -> int:
+    return transport.live_metrics.counter(name, peer=str(peer)).value
+
+
+async def eventually(predicate, timeout: float = 10.0) -> None:
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.01)
+
+
+class TestAddresses:
+    def test_unix(self):
+        assert parse_address("unix:/run/s1.sock") == ("unix", "/run/s1.sock")
+
+    def test_tcp(self):
+        assert parse_address("tcp:127.0.0.1:9000") == ("tcp", ("127.0.0.1", 9000))
+
+    @pytest.mark.parametrize(
+        "address", ["unix:", "tcp:host", "tcp::80", "tcp:host:port", "udp:host:80"]
+    )
+    def test_malformed_rejected(self, address):
+        with pytest.raises(NetworkError):
+            parse_address(address)
+
+    def test_own_address_required(self, tmp_path):
+        with pytest.raises(NetworkError, match="no listen address"):
+            LiveTransport(A, {B: f"unix:{tmp_path / 'b.sock'}"})
+
+
+class TestSend:
+    def test_frames_reach_the_peer_attributed_to_the_sender(self, tmp_path):
+        transports, received = pair(tmp_path)
+
+        async def drive():
+            for t in transports.values():
+                await t.start()
+            transports[A].send(B, fwd(1))
+            await eventually(lambda: received[B])
+            await asyncio.gather(*(t.stop() for t in transports.values()))
+
+        asyncio.run(drive())
+        assert received[B] == [(A, fwd(1))]
+        assert transports[B].delivered_count == 1
+
+    def test_self_send_loops_back_after_send_returns(self, tmp_path):
+        transports, received = pair(tmp_path)
+
+        async def drive():
+            await transports[A].start()
+            transports[A].send(A, fwd(2))
+            assert received[A] == []
+            await asyncio.sleep(0)
+            assert received[A] == [(A, fwd(2))]
+            await transports[A].stop()
+
+        asyncio.run(drive())
+
+    def test_unknown_destination_raises(self, tmp_path):
+        transports, _ = pair(tmp_path)
+
+        async def drive():
+            await transports[A].start()
+            try:
+                with pytest.raises(NetworkError, match="unknown destination"):
+                    transports[A].send(C, fwd(3))
+            finally:
+                await transports[A].stop()
+
+        asyncio.run(drive())
+
+    def test_overflow_drops_the_oldest(self, tmp_path):
+        # B never listens: the queue only fills.
+        transports, _ = pair(tmp_path, max_queue=2)
+        sender = transports[A]
+
+        async def drive():
+            await sender.start()
+            for n in range(3):
+                sender.send(B, fwd(n))
+            assert list(sender._queues[B]) == [fwd(1), fwd(2)]
+            await sender.stop()
+
+        asyncio.run(drive())
+        assert sender.queued(B) == 2
+        assert sender.dropped_overflow == 1
+        assert meter(sender, "transport.queue-drops", B) == 1
+
+    def test_a_peer_dialing_in_cuts_the_backoff_short(self, tmp_path):
+        # Backoff of 15 s and more after the first failed dial: only the
+        # peer's Hello can bring the backlog over in time.
+        transports, received = pair(
+            tmp_path, reconnect_floor=30.0, reconnect_ceiling=30.0
+        )
+        early, late = transports[A], transports[B]
+
+        async def drive():
+            await early.start()
+            early.send(B, fwd(1))
+            await eventually(lambda: meter(early, "transport.connect-retries", B) == 1)
+            await late.start()
+            late.send(A, fwd(2))
+            await eventually(lambda: received[B], timeout=5.0)
+            await asyncio.gather(*(t.stop() for t in transports.values()))
+
+        asyncio.run(drive())
+        assert received[A] == [(B, fwd(2))]
+        assert received[B] == [(A, fwd(1))]
+        assert meter(early, "transport.connect-retries", B) == 1
+
+
+class TestStop:
+    def test_returns_at_once_when_no_peer_is_connected(self, tmp_path):
+        transports, _ = pair(tmp_path)
+
+        async def drive() -> float:
+            loop = asyncio.get_running_loop()
+            await transports[A].start()
+            started = loop.time()
+            await transports[A].stop()
+            return loop.time() - started
+
+        assert asyncio.run(drive()) < live.SHUTDOWN_LINGER / 2
+
+    def test_listener_stays_open_until_the_peer_lets_go(self, tmp_path):
+        transports, received = pair(tmp_path)
+        early, late = transports[B], transports[A]
+
+        async def drive():
+            for t in transports.values():
+                await t.start()
+            late.send(B, fwd(1))
+            await eventually(lambda: received[B])
+            stopping = asyncio.ensure_future(early.stop())
+            await asyncio.sleep(0.2)
+            assert not stopping.done()
+            # The late side still writes into the stopping peer's
+            # listener: no loss, no redial.
+            late.send(B, fwd(2))
+            await eventually(lambda: meter(late, "transport.frames-out", B) == 2)
+            assert meter(late, "transport.conn-lost", B) == 0
+            await late.stop()
+            await asyncio.wait_for(stopping, timeout=live.SHUTDOWN_LINGER / 2)
+
+        asyncio.run(drive())
+
+    def test_frames_arriving_while_stopping_are_dropped(self, tmp_path):
+        transports, received = pair(tmp_path)
+        early, late = transports[B], transports[A]
+
+        async def drive():
+            for t in transports.values():
+                await t.start()
+            late.send(B, fwd(1))
+            await eventually(lambda: received[B])
+            stopping = asyncio.ensure_future(early.stop())
+            await asyncio.sleep(0)
+            late.send(B, fwd(2))
+            await eventually(lambda: meter(late, "transport.frames-out", B) == 2)
+            await asyncio.sleep(0.05)
+            await late.stop()
+            await stopping
+
+        asyncio.run(drive())
+        assert received[B] == [(A, fwd(1))]
+        assert early.delivered_count == 1
+
+    def test_a_peer_that_holds_on_is_let_go_after_the_linger(
+        self, tmp_path, monkeypatch
+    ):
+        # A peer still running after the linger has not stopped with the
+        # fleet: this side goes, and the peer counts the loss.
+        monkeypatch.setattr(live, "SHUTDOWN_LINGER", 0.2)
+        transports, received = pair(tmp_path)
+        early, late = transports[B], transports[A]
+
+        async def drive():
+            for t in transports.values():
+                await t.start()
+            late.send(B, fwd(1))
+            await eventually(lambda: received[B])
+            await asyncio.wait_for(early.stop(), timeout=5.0)
+            late.send(B, fwd(2))
+            await eventually(lambda: meter(late, "transport.conn-lost", B) == 1)
+            await late.stop()
+
+        asyncio.run(drive())
+        assert meter(late, "transport.frames-out", B) == 1
+        assert late.queued(B) == 1

@@ -261,6 +261,16 @@ class TestForwardingMechanism:
         assert state.requests_issued == 21
         assert "r1" in state
 
+    def test_fwd_retry_asks_the_latest_builder(self):
+        # A retry goes to whichever builder last referenced the block;
+        # a premature sighting does not move the target.
+        state = ForwardingState(retry_interval=2.0)
+        state.want("r1", S1, now=0.0)
+        assert not state.want("r1", S2, now=1.0)
+        assert dict(state.due(now=2.0)) == {"r1": S1}
+        assert state.want("r1", S2, now=2.0)
+        assert dict(state.due(now=4.0)) == {"r1": S2}
+
     def test_fwd_satisfied_clears(self):
         state = ForwardingState()
         state.want("r1", S1, now=0.0)

@@ -9,7 +9,7 @@ from repro.net.faults import Disposition, FaultPlan, HealingPartition, LinkFault
 from repro.net.latency import FixedLatency, JitterLatency, PerLinkLatency
 from repro.net.message import FwdRequestEnvelope
 from repro.net.simulator import NetworkSimulator
-from repro.net.transport import SimTransport
+from repro.net.transport import RevocableTransport, SimTransport
 from repro.types import ServerId
 
 S1, S2, S3, S4 = (ServerId(f"s{i}") for i in range(1, 5))
@@ -247,3 +247,49 @@ class TestSimTransport:
         transport.schedule(1.0, lambda: fired.append(True))
         sim.run_until_idle()
         assert fired == [True]
+
+
+class TestRevocableTransport:
+    def _wrapped(self):
+        sim = NetworkSimulator(latency=FixedLatency(1.0))
+        received = []
+        sim.register(S1, lambda s, e: None)
+        sim.register(S2, lambda s, e: received.append(s))
+        sim.register(S3, lambda s, e: received.append(s))
+        return sim, received, RevocableTransport(SimTransport(sim, S1))
+
+    def test_passes_everything_through_until_revoked(self):
+        sim, received, transport = self._wrapped()
+        fired = []
+        transport.send(S2, envelope())
+        transport.broadcast([S1, S2, S3], envelope())
+        transport.schedule(0.5, lambda: fired.append(transport.now))
+        sim.run_until_idle()
+        assert transport.self_id == S1 and not transport.revoked
+        assert sorted(received) == [S1, S1, S1]
+        assert fired == [pytest.approx(0.5)]
+        assert sim.metrics.messages == 3
+
+    def test_revoked_sends_nothing_and_schedules_nothing(self):
+        # A crashed incarnation's FWD retry timers may still fire; what
+        # they try to send or schedule goes nowhere.
+        sim, received, transport = self._wrapped()
+        fired = []
+        transport.schedule(1.0, lambda: transport.send(S2, envelope()))
+        transport.revoke()
+        transport.send(S2, envelope())
+        transport.broadcast([S2, S3], envelope())
+        transport.schedule(0.5, lambda: fired.append(True))
+        sim.run_until_idle()
+        assert transport.revoked
+        assert received == [] and fired == []
+        assert sim.metrics.messages == 0
+
+    def test_every_correct_server_is_wrapped(self):
+        from repro.protocols.brb import brb_protocol
+        from repro.runtime.cluster import Cluster
+
+        cluster = Cluster(brb_protocol, n=4)
+        assert cluster.crash_plan.events == ()
+        for server in cluster.servers:
+            assert isinstance(cluster.shim(server).gossip.transport, RevocableTransport)
