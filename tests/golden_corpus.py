@@ -13,7 +13,11 @@ leaves behind, so "the bytes did not move" is a test and not a ritual:
   (its simulated result without the wall clock), ``metrics.jsonl``
   (that result's merged metrics snapshot), ``node-config.json`` (``s1``
   of the live-smoke smoke's node configs under a fixed relative run
-  directory) and ``node-status.json`` (a fixed node status);
+  directory), ``node-status.json`` (a fixed node status),
+  ``faults.json`` (a fault schedule with one event of each kind) and
+  ``mixed-faults-result.json`` (the mixed-faults smoke's simulated
+  result without the wall clock: one fork, one crash, one restart and
+  a healing partition);
 * ``MANIFEST.sha256`` — ``sha256sum -c``-compatible sums of the above.
 
 ``tests/integration/test_golden_corpus.py`` regenerates the corpus and
@@ -35,7 +39,16 @@ from pathlib import Path
 from repro.net.live.framing import Hello, encode_frame
 from repro.net.message import BlockEnvelope, FwdRequestEnvelope
 from repro.runtime.live.node import NodeStatus
-from repro.scenario import registry, run_scenario
+from repro.scenario import (
+    ByzantineFault,
+    CrashFault,
+    DuplicationFault,
+    FaultSchedule,
+    LinkLossFault,
+    PartitionFault,
+    registry,
+    run_scenario,
+)
 from repro.scenario.live import compile_live_configs
 from repro.storage import ServerStorage
 
@@ -66,6 +79,22 @@ STATUS = NodeStatus(
     reconnects=1,
     metrics_seq=7,
 )
+#: The committed fault schedule: one event of each kind.
+FAULTS = FaultSchedule(
+    (
+        ByzantineFault(server="s7", behaviour="equivocator", equivocate_at=(2, 5)),
+        CrashFault(server="s3", crash_round=3, restart_round=7),
+        PartitionFault(
+            start_round=2,
+            heal_round=5,
+            group_a=("s1", "s2", "s3"),
+            group_b=("s4", "s5", "s6", "s7"),
+        ),
+        LinkLossFault(server="s7", probability=0.25),
+        DuplicationFault(probability=0.125),
+    )
+)
+MIXED_SCENARIO = "mixed-faults"
 
 
 def build(dest: Path) -> None:
@@ -91,6 +120,7 @@ def build(dest: Path) -> None:
     config = compile_live_configs(
         registry.get(LIVE_SCENARIO, smoke=True), Path(LIVE_RUN_DIR)
     )["s1"]
+    mixed = run_scenario(registry.get(MIXED_SCENARIO, smoke=True))
     docs = dest / "docs"
     docs.mkdir()
     for name, text in (
@@ -99,6 +129,11 @@ def build(dest: Path) -> None:
         ("metrics.jsonl", result.metrics.merged.to_jsonl()),
         ("node-config.json", config.to_json(indent=2) + "\n"),
         ("node-status.json", STATUS.to_json()),
+        ("faults.json", FAULTS.to_json(indent=2) + "\n"),
+        (
+            "mixed-faults-result.json",
+            mixed.to_json(include_wall_clock=False, indent=2) + "\n",
+        ),
     ):
         (docs / name).write_text(text, encoding="utf-8")
     (dest / MANIFEST).write_text(manifest(dest), encoding="utf-8")

@@ -24,7 +24,7 @@ from repro.net.simulator import NetworkSimulator
 from repro.net.transport import SimTransport
 from repro.obs.metrics import MetricsSnapshot
 from repro.runtime.live.node import NodeConfig, NodeStatus
-from repro.scenario import Scenario, ScenarioResult, registry
+from repro.scenario import FaultSchedule, Scenario, ScenarioResult, registry
 from repro.scenario.spec import resolve_protocol
 from repro.shim.shim import Shim
 from repro.storage import ServerStorage
@@ -95,12 +95,19 @@ class TestCommittedBytesDecode:
 
 
 #: document -> its decode-then-encode round trip.
+def _result(text: str) -> str:
+    return (
+        ScenarioResult.from_json(text).to_json(include_wall_clock=False, indent=2)
+        + "\n"
+    )
+
+
 DOCUMENTS = {
     "scenario.json": lambda text: Scenario.from_json(text).to_json(indent=2) + "\n",
-    "result.json": lambda text: ScenarioResult.from_json(text).to_json(
-        include_wall_clock=False, indent=2
-    )
+    "result.json": _result,
+    "faults.json": lambda text: FaultSchedule.from_json(text).to_json(indent=2)
     + "\n",
+    "mixed-faults-result.json": _result,
     "metrics.jsonl": lambda text: MetricsSnapshot.from_jsonl(text).to_jsonl(),
     "node-config.json": lambda text: NodeConfig.from_json(text).to_json(indent=2)
     + "\n",
