@@ -32,13 +32,7 @@ from repro.dag import Block, BlockBuilder, BlockDag, Digraph, genesis_block
 from repro.dag.blockdag import Validator, Validity
 from repro.gossip import Gossip, GossipConfig
 from repro.interpret import Interpreter
-from repro.net import (
-    FaultPlan,
-    FixedLatency,
-    HealingPartition,
-    JitterLatency,
-    NetworkSimulator,
-)
+from repro.net import FixedLatency, JitterLatency, NetworkSimulator
 from repro.protocols import (
     Broadcast,
     Deliver,
@@ -52,10 +46,10 @@ from repro.protocols import (
 from repro.runtime import (
     Cluster,
     ClusterConfig,
-    CrashEvent,
-    CrashPlan,
+    CrashFault,
     DirectRuntime,
     EquivocatorAdversary,
+    FaultSchedule,
     InterpreterSnapshot,
     SilentAdversary,
     StorageSnapshot,
@@ -88,18 +82,16 @@ __all__ = [
     "Cluster",
     "ClusterConfig",
     "CountingScheme",
-    "CrashEvent",
-    "CrashPlan",
+    "CrashFault",
     "Deliver",
     "Digraph",
     "DirectRuntime",
     "Ed25519Scheme",
     "EquivocatorAdversary",
-    "FaultPlan",
+    "FaultSchedule",
     "FixedLatency",
     "Gossip",
     "GossipConfig",
-    "HealingPartition",
     "HmacScheme",
     "HorizonTracker",
     "durable_frontier",

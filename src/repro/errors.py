@@ -21,10 +21,6 @@ class UnknownKeyError(CryptoError):
     """No key material registered for the requested server."""
 
 
-class SignatureError(CryptoError):
-    """A signature failed verification."""
-
-
 class DagError(ReproError):
     """Violation of a graph or block DAG invariant."""
 
@@ -32,10 +28,6 @@ class DagError(ReproError):
 class CycleError(DagError):
     """An insertion would create a cycle (cannot happen for honest use;
     guards against direct misuse of the graph layer)."""
-
-
-class DuplicateVertexError(DagError):
-    """Attempt to insert a vertex in a way that conflicts with Def. 2.1."""
 
 
 class MissingPredecessorError(DagError):
@@ -52,10 +44,6 @@ class CodecError(ReproError):
 
 class NetworkError(ReproError):
     """Transport-level failure in the simulated network."""
-
-
-class ProtocolError(ReproError):
-    """A protocol implementation violated the deterministic black-box contract."""
 
 
 class SimulationError(ReproError):

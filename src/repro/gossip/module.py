@@ -39,7 +39,7 @@ incremental interpretation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence  # noqa: F401 - Sequence used in signatures
 
 from repro.crypto.keys import KeyRing
@@ -79,7 +79,6 @@ class GossipMetrics:
     fwd_requests_answered: int = 0
     fwd_requests_unanswerable: int = 0
     buffered_high_water: int = 0
-    extra: dict[str, int] = field(default_factory=dict)
 
 
 class Gossip:

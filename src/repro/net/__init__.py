@@ -9,12 +9,12 @@ forwarding machinery and the liveness arguments.
 
 * :mod:`repro.net.message` — wire envelopes (blocks and FWD requests).
 * :mod:`repro.net.latency` — pluggable latency models.
-* :mod:`repro.net.faults` — fault plans (loss, duplication, partitions).
+* :mod:`repro.net.faults` — link faults (loss, duplication, partitions).
 * :mod:`repro.net.simulator` — the event-driven core.
 * :mod:`repro.net.transport` — per-server transport facade.
 """
 
-from repro.net.faults import FaultPlan, HealingPartition, LinkFaults
+from repro.net.faults import LinkFaults
 from repro.net.latency import FixedLatency, JitterLatency, LatencyModel, PerLinkLatency
 from repro.net.message import BlockEnvelope, Envelope, FwdRequestEnvelope
 from repro.net.simulator import NetworkSimulator
@@ -23,10 +23,8 @@ from repro.net.transport import SimTransport, Transport
 __all__ = [
     "BlockEnvelope",
     "Envelope",
-    "FaultPlan",
     "FixedLatency",
     "FwdRequestEnvelope",
-    "HealingPartition",
     "JitterLatency",
     "LatencyModel",
     "LinkFaults",

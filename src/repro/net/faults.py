@@ -2,121 +2,52 @@
 
 Assumption 1 (reliable delivery) only constrains links between two
 *correct* servers: messages may be delayed, duplicated and reordered
-arbitrarily, but not lost forever.  A :class:`FaultPlan` encodes what a
-simulation is allowed to do:
+arbitrarily, but not lost forever.  :class:`LinkFaults` is what the
+simulator consults for every message it sends:
 
-* :class:`LinkFaults` — loss and duplication probabilities per link.
-  Loss is only legal on links touching a declared-byzantine server; the
-  constructor enforces this so no test can accidentally violate
-  Assumption 1 and then "disprove" a liveness lemma.
-* :class:`HealingPartition` — a partition between two server groups over
-  a time window; messages crossing the cut during the window are queued
-  and released at heal time (delayed, not dropped — Assumption 1 again).
+* per-link loss and duplication probabilities.  Loss is only legal on
+  links touching a declared-byzantine server; the constructor enforces
+  this so no test can accidentally violate Assumption 1 and then
+  "disprove" a liveness lemma;
+* partition windows between two server groups; messages crossing the
+  cut during a window are delivered no earlier than its heal time
+  (delayed, not dropped — Assumption 1 again).
+
+A cluster builds one from its
+:class:`~repro.runtime.faults.FaultSchedule` and round duration.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Mapping
 
 from repro.types import ServerId
 
+#: One partition window ``(start, heal, group_a, group_b)`` in virtual
+#: time: the cut between the groups holds during ``[start, heal)``.
+Partition = tuple[float, float, frozenset[ServerId], frozenset[ServerId]]
+
 
 @dataclass(frozen=True)
-class Disposition:
-    """What the fault layer decided for one message: drop it, deliver
-    ``copies`` times, with ``extra_delay`` added to the latency sample."""
-
-    drop: bool = False
-    copies: int = 1
-    extra_delay: float = 0.0
-
-
-@dataclass
-class HealingPartition:
-    """A partition separating ``group_a`` from ``group_b`` during
-    ``[start, heal)``.  Cross-cut messages sent in the window are
-    delivered no earlier than ``heal``."""
-
-    group_a: frozenset[ServerId]
-    group_b: frozenset[ServerId]
-    start: float
-    heal: float
-
-    def __post_init__(self) -> None:
-        if self.heal <= self.start:
-            raise ValueError("partition must heal strictly after it starts")
-        if self.group_a & self.group_b:
-            raise ValueError("partition groups must be disjoint")
-
-    def crosses(self, src: ServerId, dst: ServerId) -> bool:
-        """Whether the link ``src → dst`` crosses the cut."""
-        return (src in self.group_a and dst in self.group_b) or (
-            src in self.group_b and dst in self.group_a
-        )
-
-
-@dataclass
 class LinkFaults:
-    """Per-link loss/duplication probabilities.
-
-    ``loss`` entries are validated against ``byzantine``: dropping
-    traffic of a correct↔correct link would break Assumption 1, so it
-    is rejected at construction time.
-    """
+    """Per-link loss/duplication tables and partition windows."""
 
     byzantine: frozenset[ServerId] = frozenset()
-    loss: dict[tuple[ServerId, ServerId], float] = field(default_factory=dict)
-    duplication: dict[tuple[ServerId, ServerId], float] = field(default_factory=dict)
+    loss: Mapping[tuple[ServerId, ServerId], float] = field(default_factory=dict)
+    duplication: Mapping[tuple[ServerId, ServerId], float] = field(
+        default_factory=dict
+    )
+    partitions: tuple[Partition, ...] = ()
 
     def __post_init__(self) -> None:
         for (src, dst), probability in self.loss.items():
-            if not 0 <= probability <= 1:
-                raise ValueError(f"loss probability out of range: {probability}")
             if probability > 0 and src not in self.byzantine and dst not in self.byzantine:
                 raise ValueError(
                     f"loss on correct link {src}→{dst} violates Assumption 1; "
                     f"declare one endpoint byzantine"
                 )
-        for _, probability in self.duplication.items():
-            if not 0 <= probability <= 1:
-                raise ValueError(f"duplication probability out of range: {probability}")
-
-
-class FaultPlan:
-    """The complete fault schedule of one simulation run."""
-
-    def __init__(
-        self,
-        link_faults: LinkFaults | None = None,
-        partitions: Sequence[HealingPartition] = (),
-    ) -> None:
-        self.link_faults = link_faults if link_faults is not None else LinkFaults()
-        self.partitions = list(partitions)
-
-    @classmethod
-    def none(cls) -> "FaultPlan":
-        """A fault-free plan."""
-        return cls()
-
-    @classmethod
-    def lossy_byzantine(
-        cls,
-        byzantine: Iterable[ServerId],
-        peers: Iterable[ServerId],
-        probability: float,
-    ) -> "FaultPlan":
-        """Loss in both directions on every byzantine↔peer link."""
-        byz = frozenset(byzantine)
-        loss: dict[tuple[ServerId, ServerId], float] = {}
-        for bad in byz:
-            for peer in peers:
-                if peer == bad:
-                    continue
-                loss[(bad, peer)] = probability
-                loss[(peer, bad)] = probability
-        return cls(LinkFaults(byzantine=byz, loss=loss))
 
     def disposition(
         self,
@@ -124,18 +55,21 @@ class FaultPlan:
         dst: ServerId,
         now: float,
         rng: random.Random,
-    ) -> Disposition:
-        """Decide drop/duplicate/extra-delay for one message."""
-        faults = self.link_faults
-        loss_p = faults.loss.get((src, dst), 0.0)
+    ) -> tuple[int, float]:
+        """How many copies of one message to deliver (0 = drop it) and
+        the delay added to each copy's latency sample."""
+        loss_p = self.loss.get((src, dst), 0.0)
         if loss_p > 0 and rng.random() < loss_p:
-            return Disposition(drop=True)
+            return 0, 0.0
         copies = 1
-        dup_p = faults.duplication.get((src, dst), 0.0)
+        dup_p = self.duplication.get((src, dst), 0.0)
         while dup_p > 0 and rng.random() < dup_p and copies < 4:
             copies += 1
         extra = 0.0
-        for partition in self.partitions:
-            if partition.start <= now < partition.heal and partition.crosses(src, dst):
-                extra = max(extra, partition.heal - now)
-        return Disposition(copies=copies, extra_delay=extra)
+        for start, heal, group_a, group_b in self.partitions:
+            if start <= now < heal and (
+                (src in group_a and dst in group_b)
+                or (src in group_b and dst in group_a)
+            ):
+                extra = max(extra, heal - now)
+        return copies, extra

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import NetworkError
-from repro.net.faults import FaultPlan
+from repro.net.faults import LinkFaults
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.message import BlockEnvelope, Envelope, FwdRequestEnvelope
 from repro.types import ServerId
@@ -76,17 +76,17 @@ class NetworkSimulator:
     seed:
         Seed for the simulation RNG (latency jitter, fault coin flips).
     faults:
-        Fault plan; defaults to fault-free.
+        Link faults and partition windows; defaults to fault-free.
     """
 
     def __init__(
         self,
         latency: LatencyModel | None = None,
         seed: int = 0,
-        faults: FaultPlan | None = None,
+        faults: LinkFaults | None = None,
     ) -> None:
         self.latency = latency if latency is not None else FixedLatency()
-        self.faults = faults if faults is not None else FaultPlan.none()
+        self.faults = faults if faults is not None else LinkFaults()
         self.rng = random.Random(seed)
         self.now = 0.0
         self.metrics = WireMetrics()
@@ -117,7 +117,7 @@ class NetworkSimulator:
     # -- sending ---------------------------------------------------------------
 
     def send(self, src: ServerId, dst: ServerId, envelope: Envelope) -> None:
-        """Submit a message; the fault plan and latency model decide the
+        """Submit a message; the link faults and latency model decide the
         rest.  Self-sends are legal and go through the same path."""
         if dst not in self._handlers:
             raise NetworkError(f"unknown destination: {dst!r}")
@@ -132,12 +132,12 @@ class NetworkSimulator:
                     envelope=type(envelope).__name__,
                     bytes=envelope.wire_size(),
                 )
-        disposition = self.faults.disposition(src, dst, self.now, self.rng)
-        if disposition.drop:
+        copies, extra_delay = self.faults.disposition(src, dst, self.now, self.rng)
+        if not copies:
             self.dropped_count += 1
             return
-        for _ in range(disposition.copies):
-            delay = self.latency.sample(src, dst, self.rng) + disposition.extra_delay
+        for _ in range(copies):
+            delay = self.latency.sample(src, dst, self.rng) + extra_delay
             self._push(delay, lambda s=src, d=dst, e=envelope: self._deliver(s, d, e))
 
     def _deliver(self, src: ServerId, dst: ServerId, envelope: Envelope) -> None:
@@ -206,8 +206,8 @@ class NetworkSimulator:
             # The documented contract: the clock ends at exactly
             # ``until`` even when the heap drains early (but never
             # jumps past events a max_events break left pending).
-            # Round-driven callers — the cluster, fault timelines
-            # compiled from round indices — rely on round r spanning
+            # Round-driven callers — the cluster, fault schedules in
+            # round indices — rely on round r spanning
             # exactly [r·duration, (r+1)·duration) of virtual time.
             self.now = until
         return processed

@@ -49,10 +49,9 @@ class RevocableTransport(Transport):
     """A transport that can be cut off — the egress half of a crash.
 
     The cluster runtime wraps every correct server's transport in one
-    of these, whether or not its
-    :class:`~repro.runtime.cluster.CrashPlan` has events.  Crashing a
-    server revokes its transport: pending timer callbacks of the dead
-    incarnation (FWD retries heap-scheduled before the crash)
+    of these, whether or not its fault schedule holds crash events.
+    Crashing a server revokes its transport: pending timer callbacks of
+    the dead incarnation (FWD retries heap-scheduled before the crash)
     may still fire, but anything they try to send or schedule is
     silently dropped, exactly as if the process were gone.
     """

@@ -4,6 +4,8 @@
   round-driven dissemination, byzantine seats.
 * :mod:`repro.runtime.adversary` — byzantine behaviours (silence,
   crashes, equivocation, garbage, withholding).
+* :mod:`repro.runtime.faults` — the fault vocabulary: one schedule of
+  partition, crash, byzantine, loss and duplication events.
 * :mod:`repro.runtime.direct` — the baseline: the *same* protocol
   objects running over materialized, individually-signed point-to-point
   messages (what the paper's intro compares block DAGs against).
@@ -19,15 +21,10 @@ from repro.runtime.adversary import (
     SilentAdversary,
     WithholdingAdversary,
 )
-from repro.runtime.cluster import (
-    Cluster,
-    ClusterConfig,
-    CrashEvent,
-    CrashPlan,
-    quick_cluster,
-)
+from repro.runtime.cluster import Cluster, ClusterConfig, quick_cluster
 from repro.runtime.compare import equivalent_traces, summarize_trace
 from repro.runtime.direct import DirectRuntime, ProtocolMessageEnvelope
+from repro.runtime.faults import CrashFault, FaultSchedule
 from repro.runtime.snapshots import (
     InterpreterSnapshot,
     StorageSnapshot,
@@ -39,10 +36,10 @@ __all__ = [
     "Cluster",
     "ClusterConfig",
     "CrashAdversary",
-    "CrashEvent",
-    "CrashPlan",
+    "CrashFault",
     "DirectRuntime",
     "EquivocatorAdversary",
+    "FaultSchedule",
     "GarbageAdversary",
     "InterpreterSnapshot",
     "ProtocolMessageEnvelope",

@@ -24,13 +24,13 @@ from repro.crypto.keys import KeyRing
 from repro.crypto.signatures import SignatureScheme
 from repro.errors import SimulationError
 from repro.gossip.module import GossipConfig
-from repro.net.faults import FaultPlan
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.simulator import NetworkSimulator
 from repro.net.transport import RevocableTransport, SimTransport
 from repro.obs.trace import ClusterTracer
 from repro.protocols.base import ProtocolSpec, Trace
 from repro.runtime.adversary import Adversary
+from repro.runtime.faults import FaultSchedule
 from repro.runtime.snapshots import (
     InterpreterSnapshot,
     StorageSnapshot,
@@ -39,64 +39,6 @@ from repro.runtime.snapshots import (
 from repro.shim.shim import Shim
 from repro.storage.blockstore import ServerStorage, StorageConfig
 from repro.types import Label, Request, ServerId, make_servers
-
-
-@dataclass(frozen=True)
-class CrashEvent:
-    """One crash (and optional restart-from-disk) of a correct server.
-
-    ``crash_round``/``restart_round`` are round indices: the event fires
-    at the *start* of that round.  ``restart_round=None`` leaves the
-    server down for the rest of the run.
-    """
-
-    server: ServerId
-    crash_round: int
-    restart_round: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.crash_round < 0:
-            raise ValueError(f"crash_round must be ≥ 0, got {self.crash_round}")
-        if self.restart_round is not None and self.restart_round <= self.crash_round:
-            raise ValueError(
-                f"restart_round {self.restart_round} must come after "
-                f"crash_round {self.crash_round}"
-            )
-
-
-@dataclass(frozen=True)
-class CrashPlan:
-    """Schedule of crash faults for a cluster run.
-
-    The crash-fault counterpart of :class:`~repro.net.faults.FaultPlan`
-    (network faults) and the adversary map (byzantine faults): with a
-    ``storage_dir`` configured, a crashed server loses **all volatile
-    state** — DAG, annotations, request buffer, in-flight gossip — and
-    a restarted one rebuilds from its WAL + checkpoint alone, then
-    catches up over the network.  Theorem 5.1 is thereby testable
-    across a crash: the recovered server must converge to byte-identical
-    annotations.
-    """
-
-    events: tuple[CrashEvent, ...] = ()
-
-    @staticmethod
-    def none() -> "CrashPlan":
-        """No crashes (the default)."""
-        return CrashPlan()
-
-    @staticmethod
-    def crash_restart(
-        server: ServerId, crash_round: int, restart_round: int
-    ) -> "CrashPlan":
-        """One server crashing once and restarting from disk."""
-        return CrashPlan((CrashEvent(server, crash_round, restart_round),))
-
-    def crashes_at(self, round_index: int) -> list[CrashEvent]:
-        return [e for e in self.events if e.crash_round == round_index]
-
-    def restarts_at(self, round_index: int) -> list[CrashEvent]:
-        return [e for e in self.events if e.restart_round == round_index]
 
 
 @dataclass
@@ -135,6 +77,13 @@ class Cluster:
         The deterministic black box ``P``.
     servers:
         Explicit server ids, or use ``n`` to generate ``s1..sN``.
+    faults:
+        The fault schedule: crash and restart events fire at the start
+        of their rounds (a crashed server loses all volatile state and
+        restarts from its WAL + checkpoint, so they need
+        ``config.storage_dir``); partition, loss and duplication events
+        shape the simulated network.  Byzantine seats come from
+        ``adversaries``, not from the schedule.
     adversaries:
         Mapping of server id to adversary factory; those seats run the
         adversary instead of a correct shim.
@@ -147,9 +96,8 @@ class Cluster:
         servers: Sequence[ServerId] | None = None,
         scheme: SignatureScheme | None = None,
         config: ClusterConfig | None = None,
-        faults: FaultPlan | None = None,
+        faults: FaultSchedule | None = None,
         adversaries: Mapping[ServerId, Callable[..., Adversary]] | None = None,
-        crash_plan: CrashPlan | None = None,
     ) -> None:
         if servers is None:
             if n is None:
@@ -158,16 +106,19 @@ class Cluster:
         self.servers: tuple[ServerId, ...] = tuple(servers)
         self.protocol = protocol
         self.config = config if config is not None else ClusterConfig()
-        self.crash_plan = crash_plan if crash_plan is not None else CrashPlan.none()
-        if self.crash_plan.events and self.config.storage_dir is None:
+        self.faults = faults if faults is not None else FaultSchedule()
+        self.faults.validate(self.servers)
+        if self.faults.needs_storage() and self.config.storage_dir is None:
             raise SimulationError(
-                "a CrashPlan needs ClusterConfig.storage_dir: a crashed "
+                "a crash fault needs ClusterConfig.storage_dir: a crashed "
                 "server loses all volatile state and can only restart "
                 "from disk"
             )
         self.keyring = KeyRing(self.servers, scheme)
         self.sim = NetworkSimulator(
-            latency=self.config.latency, seed=self.config.seed, faults=faults
+            latency=self.config.latency,
+            seed=self.config.seed,
+            faults=self.faults.link_faults(self.servers, self.config.round_duration),
         )
         #: The flight recorder set, one recorder per seat (adversaries
         #: included — their wire traffic is part of the record), or
@@ -291,17 +242,17 @@ class Cluster:
         self.restarts_performed += 1
         return shim
 
-    def _apply_crash_plan(self) -> None:
-        for event in self.crash_plan.restarts_at(self.rounds_run):
-            self.restart(event.server)
-        for event in self.crash_plan.crashes_at(self.rounds_run):
-            self.crash(event.server)
+    def _apply_crash_faults(self) -> None:
+        for server in self.faults.restarts_at(self.rounds_run):
+            self.restart(ServerId(server))
+        for server in self.faults.crashes_at(self.rounds_run):
+            self.crash(ServerId(server))
 
     # -- driving ------------------------------------------------------------------
 
     def round(self) -> None:
         """One dissemination round plus ``round_duration`` of network time."""
-        self._apply_crash_plan()
+        self._apply_crash_faults()
         start = self.sim.now
         for index, server in enumerate(self.servers):
             offset = self.config.stagger * index
@@ -377,7 +328,7 @@ class Cluster:
         — quantify only over live servers, vacuously true when all
         correct servers are crashed — made
         ``run_until(lambda c: c.all_delivered(l))`` terminate spuriously
-        mid-``CrashPlan``; opt back in with ``live_only=True`` (e.g.
+        mid-schedule; opt back in with ``live_only=True`` (e.g.
         when a server is deliberately left down for the whole run)."""
         if not live_only and self.down:
             return False

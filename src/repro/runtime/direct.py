@@ -24,7 +24,6 @@ from typing import Sequence
 from repro.crypto.keys import KeyRing
 from repro.crypto.signatures import Signature, SignatureScheme
 from repro.dag import codec
-from repro.net.faults import FaultPlan
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.message import Envelope
 from repro.net.simulator import NetworkSimulator
@@ -148,7 +147,6 @@ class DirectRuntime:
         scheme: SignatureScheme | None = None,
         latency: LatencyModel | None = None,
         seed: int = 0,
-        faults: FaultPlan | None = None,
         silent: Sequence[ServerId] = (),
     ) -> None:
         if servers is None:
@@ -160,7 +158,6 @@ class DirectRuntime:
         self.sim = NetworkSimulator(
             latency=latency if latency is not None else FixedLatency(),
             seed=seed,
-            faults=faults,
         )
         self._trace = Trace()
         self.nodes: dict[ServerId, DirectNode] = {}

@@ -1,29 +1,32 @@
-"""The unified fault timeline — one ordered event stream for all three
-fault families.
+"""The fault vocabulary — one ordered event stream for every fault family.
 
-The runtime grew three incompatible fault knobs: network faults
-(:class:`~repro.net.faults.FaultPlan`, in virtual time), crash faults
-(:class:`~repro.runtime.cluster.CrashPlan`, in rounds) and byzantine
-seats (the ``adversaries`` constructor map).  A :class:`FaultSchedule`
-describes all of them declaratively in *round* units and compiles down
-to the three runtime artefacts in one place, so a "partition while a
-server is down and an equivocator is live" scenario is a single list of
-events instead of three coordinated objects.
+A :class:`FaultSchedule` lists declarative events in *round* units:
+partitions, crash/restart of correct servers, byzantine seats, and loss
+and duplication on links.  The same value drives both arms, read where
+each fault happens:
 
-Everything here is pure data and JSON round-trippable; Assumption 1
-validation (no message loss between correct servers) still happens in
-the :class:`~repro.net.faults.LinkFaults` constructor the compiled plan
-is built from.
+* :class:`~repro.runtime.cluster.Cluster` fires crash and restart
+  events at the start of their rounds and hands the simulator the
+  network events as :class:`~repro.net.faults.LinkFaults`
+  (:meth:`FaultSchedule.link_faults`);
+* the scenario runner seats each :class:`ByzantineFault` through
+  :data:`BEHAVIOURS` and injects its equivocation cues;
+* :class:`~repro.runtime.live.cluster.LiveCluster` SIGKILLs and respawns
+  node processes on :class:`CrashFault` events.
+
+Everything here is pure data and JSON round-trippable; each event checks
+its own fields on construction and :meth:`FaultSchedule.validate` checks
+the schedule against the configured server set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from repro.errors import ScenarioError
 from repro.jsonvalue import JsonDocument
-from repro.net.faults import FaultPlan, HealingPartition, LinkFaults
+from repro.net.faults import LinkFaults, Partition
 from repro.runtime.adversary import (
     Adversary,
     CrashAdversary,
@@ -32,7 +35,6 @@ from repro.runtime.adversary import (
     SilentAdversary,
     WithholdingAdversary,
 )
-from repro.runtime.cluster import CrashEvent, CrashPlan
 from repro.types import ServerId
 
 #: Byzantine behaviours a scenario can seat, by name.
@@ -64,7 +66,10 @@ class FaultEvent(JsonDocument):
 
 @dataclass(frozen=True)
 class PartitionFault(FaultEvent):
-    """A healing partition between two server groups, in round units."""
+    """A healing partition between two server groups, in round units.
+
+    Cross-cut messages sent during ``[start_round, heal_round)`` are
+    delivered no earlier than the heal (delayed, not dropped)."""
 
     kind = "partition"
 
@@ -92,14 +97,26 @@ class PartitionFault(FaultEvent):
 
 @dataclass(frozen=True)
 class CrashFault(FaultEvent):
-    """Crash a correct server at ``crash_round``; optionally restart it
-    from disk at ``restart_round`` (``None`` = down forever)."""
+    """Crash a correct server at the start of ``crash_round``: all its
+    volatile state is lost.  With ``restart_round`` it restarts from
+    disk at the start of that round (``None`` = down forever)."""
 
     kind = "crash"
 
     server: str = ""
     crash_round: int = 0
     restart_round: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.crash_round < 0:
+            raise ScenarioError(
+                f"crash_round must be ≥ 0, got {self.crash_round}"
+            )
+        if self.restart_round is not None and self.restart_round <= self.crash_round:
+            raise ScenarioError(
+                f"restart_round {self.restart_round} must come after "
+                f"crash_round {self.crash_round}"
+            )
 
     def validate(self, servers: Sequence[ServerId]) -> None:
         self._check_server(self.server, servers)
@@ -177,20 +194,8 @@ class DuplicationFault(FaultEvent):
 
 
 @dataclass(frozen=True)
-class CompiledFaults:
-    """The three runtime artefacts one schedule compiles into, plus the
-    equivocation cues the runner injects while driving."""
-
-    fault_plan: FaultPlan
-    crash_plan: CrashPlan
-    adversaries: Mapping[str, Callable[..., Adversary]]
-    #: (round, server) pairs at which an equivocator seat forks.
-    equivocation_cues: tuple[tuple[int, str], ...]
-
-
-@dataclass(frozen=True)
 class FaultSchedule(JsonDocument):
-    """An ordered, composable timeline over all three fault families."""
+    """An ordered, composable timeline over all fault families."""
 
     events: tuple[FaultEvent, ...] = ()
 
@@ -204,17 +209,27 @@ class FaultSchedule(JsonDocument):
 
     def byzantine_servers(self) -> set[str]:
         return {
-            e.server for e in self.events if isinstance(e, ByzantineFault)
-        } | {e.server for e in self.events if isinstance(e, LinkLossFault)}
+            e.server
+            for e in self.events
+            if isinstance(e, (ByzantineFault, LinkLossFault))
+        }
 
     def crash_events(self) -> list[CrashFault]:
         return [e for e in self.events if isinstance(e, CrashFault)]
 
+    def crashes_at(self, round_index: int) -> list[str]:
+        """Servers whose crash fires at the start of ``round_index``."""
+        return [e.server for e in self.crash_events() if e.crash_round == round_index]
+
+    def restarts_at(self, round_index: int) -> list[str]:
+        """Servers restarting from disk at the start of ``round_index``."""
+        return [
+            e.server for e in self.crash_events() if e.restart_round == round_index
+        ]
+
     def needs_storage(self) -> bool:
         """Crash faults wipe volatile state; restart requires a disk."""
         return bool(self.crash_events())
-
-    # -- validation + compilation ----------------------------------------------
 
     def validate(self, servers: Sequence[ServerId]) -> None:
         byz = self.byzantine_servers()
@@ -226,66 +241,38 @@ class FaultSchedule(JsonDocument):
                     f"crash-fault target; crash faults apply to correct servers"
                 )
 
-    def compile(
+    def link_faults(
         self, servers: Sequence[ServerId], round_duration: float
-    ) -> CompiledFaults:
-        """Lower the round-based timeline onto the runtime's fault knobs."""
-        self.validate(servers)
-        partitions: list[HealingPartition] = []
-        crash_events: list[CrashEvent] = []
-        adversaries: dict[ServerId, Callable[..., Adversary]] = {}
-        cues: list[tuple[int, str]] = []
-        byzantine: set[ServerId] = set()
+    ) -> LinkFaults:
+        """The partition, loss and duplication events as the simulator
+        reads them: per-link tables and partition windows in virtual
+        time (round ``r`` starts at ``r * round_duration``)."""
         loss: dict[tuple[ServerId, ServerId], float] = {}
         duplication: dict[tuple[ServerId, ServerId], float] = {}
+        partitions: list[Partition] = []
         for event in self.events:
             if isinstance(event, PartitionFault):
                 partitions.append(
-                    HealingPartition(
-                        group_a=frozenset(ServerId(s) for s in event.group_a),
-                        group_b=frozenset(ServerId(s) for s in event.group_b),
-                        start=event.start_round * round_duration,
-                        heal=event.heal_round * round_duration,
+                    (
+                        event.start_round * round_duration,
+                        event.heal_round * round_duration,
+                        frozenset(ServerId(s) for s in event.group_a),
+                        frozenset(ServerId(s) for s in event.group_b),
                     )
                 )
-            elif isinstance(event, CrashFault):
-                crash_events.append(
-                    CrashEvent(
-                        ServerId(event.server),
-                        event.crash_round,
-                        event.restart_round,
-                    )
-                )
-            elif isinstance(event, ByzantineFault):
-                adversaries[ServerId(event.server)] = BEHAVIOURS[event.behaviour]
-                byzantine.add(ServerId(event.server))
-                for round_index in event.equivocate_at:
-                    cues.append((round_index, event.server))
             elif isinstance(event, LinkLossFault):
                 bad = ServerId(event.server)
-                byzantine.add(bad)
                 for peer in servers:
-                    if peer == bad:
-                        continue
-                    loss[(bad, peer)] = event.probability
-                    loss[(peer, bad)] = event.probability
+                    if peer != bad:
+                        loss[(bad, peer)] = loss[(peer, bad)] = event.probability
             elif isinstance(event, DuplicationFault):
                 for src in servers:
                     for dst in servers:
                         if src != dst:
                             duplication[(src, dst)] = event.probability
-        fault_plan = FaultPlan(
-            link_faults=LinkFaults(
-                byzantine=frozenset(byzantine),
-                loss=loss,
-                duplication=duplication,
-            ),
-            partitions=partitions,
-        )
-        crash_plan = CrashPlan(events=tuple(crash_events))
-        return CompiledFaults(
-            fault_plan=fault_plan,
-            crash_plan=crash_plan,
-            adversaries=adversaries,
-            equivocation_cues=tuple(sorted(cues)),
+        return LinkFaults(
+            byzantine=frozenset(ServerId(s) for s in self.byzantine_servers()),
+            loss=loss,
+            duplication=duplication,
+            partitions=tuple(partitions),
         )

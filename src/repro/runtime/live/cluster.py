@@ -8,11 +8,16 @@ files and sockets, so killing a node with SIGKILL is exactly the crash
 the storage layer's recovery path is specified against.
 
 ``kill(server)`` / ``start(server)`` expose that crash surface to
-tests (the live twin of the simulated ``CrashPlan``); ``run()`` is the
-happy path: start everyone, drive the compiled crash schedule (if
-any), wait until every status reports ``complete`` with matching DAG
+tests; ``run()`` is the happy path: start everyone, fire the
+scenario's :class:`~repro.runtime.faults.CrashFault` events (if any),
+wait until every status reports ``complete`` with matching DAG
 fingerprints, then SIGTERM the fleet (nodes export their
 flight-recorder traces and final metrics snapshots on the way down).
+A crash event SIGKILLs its server once the server's own tick reaches
+``crash_round`` and respawns it :data:`DOWN_SECONDS_PER_ROUND` seconds
+per round of the crash→restart span later (never, without a
+``restart_round``): the wall-clock downtime stands in for the
+simulator's virtual one.
 
 Polling is cheap twice over: status files are re-parsed only when
 their stat signature changes, and metrics files are re-read only when
@@ -31,20 +36,23 @@ from typing import Sequence
 
 from repro.errors import NetworkError, ScenarioError
 from repro.obs.metrics import MetricsError, MetricsReport, MetricsSnapshot
+from repro.runtime.faults import CrashFault
 from repro.runtime.live.node import NodeConfig, NodeStatus
 from repro.types import ServerId
 
+#: Wall-clock downtime per virtual crash→restart round (seconds).  A
+#: restarted node recovers from disk and beacon-chases the gap, so the
+#: stand-in only needs to be long enough to be observable.
+DOWN_SECONDS_PER_ROUND = 1.0
+#: Seconds between two polls of the status files.
+POLL_INTERVAL = 0.1
 
-@dataclass(frozen=True)
-class LiveCrash:
-    """One compiled crash event: SIGKILL ``server`` once its own tick
-    reaches ``kill_at_tick``; respawn after ``down_seconds`` (never, if
-    ``None``).  The wall-clock downtime stands in for the simulator's
-    virtual crash→restart round span."""
 
-    server: str
-    kill_at_tick: int
-    down_seconds: float | None = None
+def down_seconds(crash: CrashFault) -> float | None:
+    """Wall-clock downtime of one crash (``None``: never restarted)."""
+    if crash.restart_round is None:
+        return None
+    return (crash.restart_round - crash.crash_round) * DOWN_SECONDS_PER_ROUND
 
 
 @dataclass
@@ -79,15 +87,13 @@ class LiveCluster:
         configs: dict[ServerId, NodeConfig],
         run_dir: str | Path,
         *,
-        poll_interval: float = 0.1,
-        crashes: Sequence[LiveCrash] = (),
+        crashes: Sequence[CrashFault] = (),
     ) -> None:
         if not configs:
             raise NetworkError("live cluster needs at least one server")
         self.configs = dict(configs)
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.poll_interval = poll_interval
         self.crashes = tuple(crashes)
         for crash in self.crashes:
             if ServerId(crash.server) not in self.configs:
@@ -266,7 +272,7 @@ class LiveCluster:
         # kill tick has not run the scenario yet: the crash is still due.
         for crash in self.crashes:
             budget = self.configs[ServerId(crash.server)].max_ticks
-            if crash.server not in self._killed_at and crash.kill_at_tick <= budget:
+            if crash.server not in self._killed_at and crash.crash_round <= budget:
                 return False
         for server, status in statuses.items():
             # A killed node's last status stays on disk; it speaks for
@@ -290,13 +296,13 @@ class LiveCluster:
             await self._drive_crashes()
             if self._all_complete():
                 return True
-            await asyncio.sleep(self.poll_interval)
+            await asyncio.sleep(POLL_INTERVAL)
         return self._all_complete()
 
     # -- crash schedule --------------------------------------------------------
 
     async def _drive_crashes(self) -> None:
-        """Advance the compiled crash schedule against live statuses."""
+        """Fire due crash events and respawns against live statuses."""
         loop = asyncio.get_running_loop()
         for crash in self.crashes:
             server = ServerId(crash.server)
@@ -305,7 +311,7 @@ class LiveCluster:
                 process = self.processes.get(server)
                 if (
                     status is not None
-                    and status.tick >= crash.kill_at_tick
+                    and status.tick >= crash.crash_round
                     and process is not None
                     and process.returncode is None
                 ):
@@ -317,13 +323,14 @@ class LiveCluster:
                     if crash.server not in self._killed_at:
                         self._killed_at[crash.server] = loop.time()
                         self.crashes_performed += 1
-            elif crash.down_seconds is not None:
+            else:
+                down = down_seconds(crash)
                 process = self.processes.get(server)
                 if (
-                    process is not None
+                    down is not None
+                    and process is not None
                     and process.returncode is not None
-                    and loop.time() - self._killed_at[crash.server]
-                    >= crash.down_seconds
+                    and loop.time() - self._killed_at[crash.server] >= down
                 ):
                     await self.start(server)
 

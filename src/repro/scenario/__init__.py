@@ -1,10 +1,10 @@
 """The Scenario API — one declarative, replayable description of a run.
 
-The run-facing redesign of the runtime: instead of coordinating
-``FaultPlan`` + ``CrashPlan`` + an adversaries map and hand-writing
+The run-facing layer over the runtime: instead of hand-writing
 ``cluster.request(...)`` / ``run_until`` loops, describe the whole run
 as one :class:`Scenario` value — protocol, topology, workload, a
-unified fault timeline, stop conditions and probes — and execute it
+:class:`FaultSchedule` (re-exported from :mod:`repro.runtime.faults`),
+stop conditions and probes — and execute it
 with :class:`ScenarioRunner` (or :func:`run_scenario`), getting back a
 typed :class:`ScenarioResult`.
 
@@ -22,7 +22,7 @@ Quickstart::
 """
 
 from repro.scenario import registry
-from repro.scenario.faults import (
+from repro.runtime.faults import (
     ByzantineFault,
     CrashFault,
     DuplicationFault,

@@ -19,11 +19,11 @@ half is the node's lockstep gate).
 Live runs support the crash-inclusive subset of the scenario language:
 partition, byzantine, link-loss and duplication faults need the
 simulator's ability to schedule drops and hijacks, but a
-:class:`~repro.scenario.faults.CrashFault` lowers onto the *real*
-crash surface — :func:`compile_live_crashes` turns it into a
-:class:`~repro.runtime.live.cluster.LiveCrash` (SIGKILL once the
-victim's own tick reaches ``crash_round``, respawn after a wall-clock
-downtime standing in for the virtual crash→restart span).  The stop
+:class:`~repro.runtime.faults.CrashFault` runs on the *real* crash
+surface — :class:`~repro.runtime.live.cluster.LiveCluster` takes the
+schedule's crash events as they are (SIGKILL once the victim's own
+tick reaches ``crash_round``, respawn after a wall-clock downtime
+standing in for the virtual crash→restart span).  The stop
 condition must contain a :class:`~repro.scenario.stop.RoundsElapsed`
 bound — a fixed tick budget is what makes the two arms' chain
 *lengths* comparable.
@@ -35,9 +35,8 @@ import random
 from pathlib import Path
 
 from repro.errors import ScenarioError
-from repro.runtime.live.cluster import LiveCrash
+from repro.runtime.faults import CrashFault, FaultSchedule
 from repro.runtime.live.node import NodeConfig
-from repro.scenario.faults import CrashFault
 from repro.scenario.spec import Scenario
 from repro.scenario.stop import RoundsElapsed, StopCondition, _Composite
 from repro.scenario.workload import WorkloadDriver
@@ -65,17 +64,12 @@ def _collect_rounds(stop: StopCondition) -> list[int]:
 class _RecordingStub:
     """Just enough of a ``Cluster`` for ``WorkloadDriver.before_round``."""
 
-    class _NoCrashes:
-        @staticmethod
-        def crashes_at(round_index: int) -> tuple:
-            return ()
-
     class _Sim:
         now = 0.0
 
     def __init__(self, servers: list[ServerId]) -> None:
         self.correct_servers = list(servers)
-        self.crash_plan = self._NoCrashes()
+        self.faults = FaultSchedule()
         self.sim = self._Sim()
         self.injected: list[tuple[ServerId, str, int]] = []
 
@@ -184,30 +178,3 @@ def compile_live_configs(
         )
     return configs
 
-
-#: Wall-clock downtime per virtual crash→restart round (seconds).  A
-#: restarted node recovers from disk and beacon-chases the gap, so the
-#: stand-in only needs to be long enough to be observable.
-DOWN_SECONDS_PER_ROUND = 1.0
-
-
-def compile_live_crashes(scenario: Scenario) -> tuple[LiveCrash, ...]:
-    """Lower the scenario's crash faults onto the real kill surface."""
-    crashes = []
-    for event in scenario.faults.crash_events():
-        if event.restart_round is None:
-            down: float | None = None
-        else:
-            down = max(
-                DOWN_SECONDS_PER_ROUND,
-                (event.restart_round - event.crash_round)
-                * DOWN_SECONDS_PER_ROUND,
-            )
-        crashes.append(
-            LiveCrash(
-                server=event.server,
-                kill_at_tick=event.crash_round,
-                down_seconds=down,
-            )
-        )
-    return tuple(crashes)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import ScenarioError
-from repro.scenario.faults import (
+from repro.runtime.faults import (
     ByzantineFault,
     CrashFault,
     FaultSchedule,

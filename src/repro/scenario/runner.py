@@ -2,10 +2,10 @@
 :class:`~repro.runtime.cluster.Cluster`.
 
 The runner is the only imperative piece of the scenario layer: it
-compiles the fault schedule onto the runtime's three fault knobs,
-builds the cluster, drives rounds while injecting the workload and the
-byzantine equivocation cues, evaluates the stop condition, samples
-probes, and folds everything into a typed
+builds the cluster over the scenario's fault schedule (seating each
+byzantine event's behaviour), drives rounds while injecting the
+workload and the byzantine equivocation cues, evaluates the stop
+condition, samples probes, and folds everything into a typed
 :class:`~repro.scenario.result.ScenarioResult`.
 
 Determinism: the cluster simulation derives all randomness from the
@@ -28,6 +28,7 @@ from repro.obs.export import read_jsonl
 from repro.obs.lifecycle import LifecycleIndex, LifecycleStats, StageSummary
 from repro.obs.metrics import MetricsRegistry, MetricsReport
 from repro.runtime.cluster import Cluster, ClusterConfig
+from repro.runtime.faults import BEHAVIOURS, ByzantineFault
 from repro.runtime.snapshots import (
     InterpreterSnapshot,
     StorageSnapshot,
@@ -83,8 +84,8 @@ class ScenarioRunner:
         When true, :meth:`run` executes the scenario on a
         :class:`~repro.runtime.live.cluster.LiveCluster` — one OS
         process per server over unix-domain sockets — instead of the
-        virtual-time simulator.  Only the fault-free subset of the
-        scenario language is supported (see
+        virtual-time simulator.  Only fault-free and crash-fault
+        scenarios are supported (see
         :func:`~repro.scenario.live.compile_live_configs`), and the
         result carries wall-clock figures rather than virtual time.
         No :attr:`cluster` is built in this mode.
@@ -121,8 +122,12 @@ class ScenarioRunner:
             # Live runs spawn subprocesses; nothing to assemble here.
             self.cluster = None  # type: ignore[assignment]
             return
-        self.compiled = scenario.faults.compile(
-            scenario.topology.servers(), scenario.topology.round_duration
+        #: (round, server) pairs at which an equivocator seat forks.
+        self.equivocation_cues = sorted(
+            (round_index, event.server)
+            for event in scenario.faults.events
+            if isinstance(event, ByzantineFault)
+            for round_index in event.equivocate_at
         )
         try:
             self.cluster = self._build_cluster()
@@ -186,12 +191,12 @@ class ScenarioRunner:
             self.entry.spec,
             servers=topology.servers(),
             config=config,
-            faults=self.compiled.fault_plan,
+            faults=scenario.faults,
             adversaries={
-                ServerId(s): factory
-                for s, factory in self.compiled.adversaries.items()
+                ServerId(event.server): BEHAVIOURS[event.behaviour]
+                for event in scenario.faults.events
+                if isinstance(event, ByzantineFault)
             },
-            crash_plan=self.compiled.crash_plan,
         )
 
     # -- byzantine cues --------------------------------------------------------
@@ -200,7 +205,7 @@ class ScenarioRunner:
         """Equivocator seats submit their conflicting request pair at
         the scheduled rounds: one value to each half of the network
         (Figure 3 made to happen on demand)."""
-        for cue_round, server in self.compiled.equivocation_cues:
+        for cue_round, server in self.equivocation_cues:
             if cue_round != round_index:
                 continue
             adversary = self.cluster.adversaries[ServerId(server)]
@@ -276,10 +281,9 @@ class ScenarioRunner:
         blocks, convergence); virtual-time figures stay zero and
         ``stopped_by`` reports ``live-complete`` / ``live-timeout``.
         """
-        from repro.runtime.live.cluster import LiveCluster
+        from repro.runtime.live.cluster import LiveCluster, down_seconds
         from repro.scenario.live import (
             compile_live_configs,
-            compile_live_crashes,
             compile_workload_schedule,
             live_rounds,
         )
@@ -288,7 +292,7 @@ class ScenarioRunner:
         rounds = live_rounds(scenario.stop, scenario.max_rounds)
         schedules, expected = compile_workload_schedule(scenario, rounds)
         issued = sum(len(entries) for entries in schedules.values())
-        crashes = compile_live_crashes(scenario)
+        crashes = scenario.faults.crash_events()
         run_dir = Path(tempfile.mkdtemp(prefix=f"live-{scenario.name}-"))
         live_lifecycle: LifecycleStats | None = None
         try:
@@ -302,7 +306,7 @@ class ScenarioRunner:
             # Worst case every tick stalls to its gate timeout, then the
             # fleet still needs the settle window; pad for process spawn
             # and for scheduled crash downtime.
-            down_budget = sum(c.down_seconds or 0.0 for c in crashes)
+            down_budget = sum(down_seconds(c) or 0.0 for c in crashes)
             timeout = (
                 15.0
                 + rounds * some.tick_timeout

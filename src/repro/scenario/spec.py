@@ -26,7 +26,7 @@ from repro.protocols.counter import Inc, counter_protocol
 from repro.protocols.ledger import Append, ledger_protocol
 from repro.protocols.pbft import Propose, pbft_protocol
 from repro.protocols.phaseking import PkPropose, phase_king_protocol
-from repro.scenario.faults import FaultSchedule
+from repro.runtime.faults import FaultSchedule
 from repro.scenario.probes import resolve_probe
 from repro.scenario.slo import SloSpec
 from repro.scenario.stop import AllDelivered, StopCondition

@@ -195,7 +195,7 @@ class WorkloadDriver:
         """Live correct servers not about to crash this very round — a
         request buffered into a server that dies before sealing it into
         a block is simply lost, which would deadlock AllDelivered."""
-        dying = {e.server for e in cluster.crash_plan.crashes_at(round_index)}
+        dying = set(cluster.faults.crashes_at(round_index))
         return [s for s in cluster.correct_servers if s not in dying]
 
     def _pick_sender(

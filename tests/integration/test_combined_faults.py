@@ -108,7 +108,7 @@ class TestCombinedFaultFamilies:
         runner, result = self._run(combined_run)
         assert result.crashes == 1 and result.restarts == 1
         assert result.forks_observed >= 1  # the equivocation happened
-        assert runner.compiled.fault_plan.partitions  # the cut existed
+        assert runner.cluster.sim.faults.partitions  # the cut existed
         assert result.stopped_by == "stop-condition"
         assert result.converged and result.down_at_end == ()
 

@@ -3,7 +3,7 @@
 The paper's §7 observes that crash-recovery is "a great match for the
 block DAG approach": the DAG is the durable log, so a recovering party
 re-synchronizes it and continues.  With the storage subsystem the
-repro makes that executable: a :class:`CrashPlan` kills a correct
+repro makes that executable: a :class:`CrashFault` kills a correct
 server mid-run (all volatile state gone), restarts it from its WAL +
 checkpoint, and the run must converge to
 
@@ -18,10 +18,12 @@ from pathlib import Path
 import pytest
 
 from helpers import scan_indications
+from repro.errors import SimulationError
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
-from repro.runtime.cluster import Cluster, ClusterConfig, CrashEvent, CrashPlan
+from repro.runtime.cluster import Cluster, ClusterConfig
+from repro.runtime.faults import CrashFault, FaultSchedule
 from repro.shim.shim import Shim
 from repro.runtime.compare import equivalent_traces, trace_differences
 from repro.scenario.spec import PROTOCOLS
@@ -32,12 +34,20 @@ from repro.types import Label, make_servers
 L = Label("l")
 
 
-def crash_cluster(tmp_path, plan, protocol=brb_protocol, n=4, interval=8, prune=True):
+def crash(server, crash_round, restart_round=None):
+    return CrashFault(
+        server=server, crash_round=crash_round, restart_round=restart_round
+    )
+
+
+def crash_cluster(
+    tmp_path, *crashes, protocol=brb_protocol, n=4, interval=8, prune=True
+):
     config = ClusterConfig(
         storage_dir=tmp_path,
         storage=StorageConfig(checkpoint_interval=interval, prune=prune),
     )
-    return Cluster(protocol, n=n, config=config, crash_plan=plan)
+    return Cluster(protocol, n=n, config=config, faults=FaultSchedule(crashes))
 
 
 def workload(cluster, count=6):
@@ -52,7 +62,8 @@ def workload(cluster, count=6):
 def run_to_convergence(cluster, labels, max_rounds=48):
     return cluster.run_until(
         lambda c: not c.down
-        and c.restarts_performed == len([e for e in c.crash_plan.events if e.restart_round is not None])
+        and c.restarts_performed
+        == len([e for e in c.faults.crash_events() if e.restart_round is not None])
         and all(c.all_delivered(lbl) for lbl in labels)
         and c.dags_converged(),
         max_rounds=max_rounds,
@@ -82,8 +93,7 @@ class TestCrashRestartConvergence:
     def test_restarted_server_annotations_byte_identical(self, tmp_path):
         """The acceptance-criteria scenario: crash + restart-from-disk
         of a correct server; annotations converge byte-identically."""
-        plan = CrashPlan.crash_restart("s2", crash_round=3, restart_round=6)
-        cluster = crash_cluster(tmp_path, plan)
+        cluster = crash_cluster(tmp_path, crash("s2", 3, 6))
         labels = workload(cluster)
         run_to_convergence(cluster, labels)
         assert cluster.crashes_performed == 1
@@ -98,8 +108,7 @@ class TestCrashRestartConvergence:
         """The recovered server's annotations equal an uninterrupted,
         from-scratch interpretation of the converged DAG — recovery is
         indistinguishable from never having crashed."""
-        plan = CrashPlan.crash_restart("s3", crash_round=2, restart_round=5)
-        cluster = crash_cluster(tmp_path, plan, prune=False)
+        cluster = crash_cluster(tmp_path, crash("s3", 2, 5), prune=False)
         labels = workload(cluster)
         run_to_convergence(cluster, labels)
         recovered = cluster.shim("s3")
@@ -116,8 +125,7 @@ class TestCrashRestartConvergence:
     def test_same_trace_as_uninterrupted_run(self, tmp_path):
         """Observable equivalence: a crash-and-recover run delivers the
         same per-instance indications as a run without the crash."""
-        plan = CrashPlan.crash_restart("s2", crash_round=3, restart_round=6)
-        crashed = crash_cluster(tmp_path / "crashed", plan)
+        crashed = crash_cluster(tmp_path / "crashed", crash("s2", 3, 6))
         labels = workload(crashed)
         run_to_convergence(crashed, labels)
 
@@ -135,8 +143,7 @@ class TestCrashRestartConvergence:
         """The restarted server re-reports its full pre-crash ledger:
         indications delivered before the crash come back from the
         checkpoint + WAL replay."""
-        plan = CrashPlan.crash_restart("s1", crash_round=4, restart_round=7)
-        cluster = crash_cluster(tmp_path, plan, interval=4)
+        cluster = crash_cluster(tmp_path, crash("s1", 4, 7), interval=4)
         labels = workload(cluster)
         run_to_convergence(cluster, labels)
         recovered = cluster.shim("s1")
@@ -150,8 +157,7 @@ class TestCrashRestartConvergence:
         per-label index through the shim's one delivery method: after a
         restart from disk, ``indications_for`` answers what a scan of
         the history answers, for every label."""
-        plan = CrashPlan.crash_restart("s1", crash_round=4, restart_round=7)
-        cluster = crash_cluster(tmp_path, plan, interval=4)
+        cluster = crash_cluster(tmp_path, crash("s1", 4, 7), interval=4)
         labels = workload(cluster)
         run_to_convergence(cluster, labels)
         recovered = cluster.shim("s1")
@@ -206,8 +212,7 @@ class TestRecoveryMechanics:
     def test_checkpoint_bounds_replay(self, tmp_path):
         """Restart replays only the suffix: with a small checkpoint
         interval, blocks replayed ≪ blocks recovered."""
-        plan = CrashPlan.crash_restart("s2", crash_round=6, restart_round=8)
-        cluster = crash_cluster(tmp_path, plan, interval=4)
+        cluster = crash_cluster(tmp_path, crash("s2", 6, 8), interval=4)
         labels = workload(cluster, count=8)
         run_to_convergence(cluster, labels)
         report = cluster.shim("s2").recovery
@@ -218,8 +223,7 @@ class TestRecoveryMechanics:
     def test_chain_resumes_without_sequence_gap(self, tmp_path):
         """The restarted server continues its own chain with consecutive
         sequence numbers and no equivocation (Lemma A.6 preserved)."""
-        plan = CrashPlan.crash_restart("s2", crash_round=3, restart_round=5)
-        cluster = crash_cluster(tmp_path, plan)
+        cluster = crash_cluster(tmp_path, crash("s2", 3, 5))
         labels = workload(cluster)
         run_to_convergence(cluster, labels)
         view = cluster.shim("s1").dag
@@ -228,8 +232,7 @@ class TestRecoveryMechanics:
         assert view.forks() == {}
 
     def test_server_left_down_does_not_block_the_rest(self, tmp_path):
-        plan = CrashPlan(events=(CrashEvent("s4", crash_round=2),))
-        cluster = crash_cluster(tmp_path, plan)
+        cluster = crash_cluster(tmp_path, crash("s4", 2))
         cluster.request(cluster.servers[0], L, Broadcast("x"))
         # s4 stays down forever, so the default all_delivered (which
         # quantifies over the *configured* correct set) can never hold;
@@ -241,24 +244,16 @@ class TestRecoveryMechanics:
         assert "s4" in cluster.down
         assert sorted(cluster.correct_servers) == ["s1", "s2", "s3"]
 
-    def test_crash_plan_requires_storage(self):
-        with pytest.raises(Exception):
-            Cluster(
-                brb_protocol,
-                n=4,
-                crash_plan=CrashPlan.crash_restart("s1", 1, 2),
-            )
+    def test_crash_fault_requires_storage(self):
+        with pytest.raises(SimulationError, match="storage_dir"):
+            Cluster(brb_protocol, n=4, faults=FaultSchedule((crash("s1", 1, 2),)))
 
     def test_double_crash_of_same_server(self, tmp_path):
         """Crash, recover, crash again, recover again — each recovery
         builds on the previous incarnation's log."""
-        plan = CrashPlan(
-            events=(
-                CrashEvent("s2", crash_round=2, restart_round=4),
-                CrashEvent("s2", crash_round=7, restart_round=9),
-            )
+        cluster = crash_cluster(
+            tmp_path, crash("s2", 2, 4), crash("s2", 7, 9), interval=4
         )
-        cluster = crash_cluster(tmp_path, plan, interval=4)
         labels = workload(cluster)
         run_to_convergence(cluster, labels)
         assert cluster.crashes_performed == 2
@@ -360,8 +355,7 @@ class TestRecoveryMechanics:
         assert result.stdout.startswith("OK")
 
     def test_counter_protocol_totals_survive_crash(self, tmp_path):
-        plan = CrashPlan.crash_restart("s3", crash_round=3, restart_round=5)
-        cluster = crash_cluster(tmp_path, plan, protocol=counter_protocol)
+        cluster = crash_cluster(tmp_path, crash("s3", 3, 5), protocol=counter_protocol)
         for amount, server in zip((1, 2, 3, 4), cluster.servers):
             cluster.request(server, L, Inc(amount))
         cluster.run_until(
@@ -437,8 +431,9 @@ class TestRecoveryAcrossProtocols:
         chain, and its annotations equal both an uninterrupted peer's and
         a from-scratch interpretation of its recovered DAG."""
         spec = PROTOCOLS[name].spec
-        plan = CrashPlan.crash_restart("s2", crash_round=3, restart_round=6)
-        cluster = crash_cluster(tmp_path, plan, protocol=spec, interval=4, prune=False)
+        cluster = crash_cluster(
+            tmp_path, crash("s2", 3, 6), protocol=spec, interval=4, prune=False
+        )
         protocol_workload(cluster, name)
         cluster.run_rounds(10)
         cluster.run_until(lambda c: c.dags_converged(), max_rounds=24)
@@ -468,7 +463,7 @@ class TestCatchUpAfterRestart:
         """Restart from disk, then FWD chasing: the recovered server
         holds exactly its pre-crash DAG, and every FWD it sends names a
         block it did not have — nothing recovered is shipped again."""
-        cluster = crash_cluster(tmp_path, CrashPlan.none(), prune=False)
+        cluster = crash_cluster(tmp_path, prune=False)
         labels = workload(cluster)
         cluster.run_rounds(3)
         before = set(cluster.shim("s2").dag.refs)

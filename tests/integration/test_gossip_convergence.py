@@ -4,12 +4,12 @@ under adverse network schedules."""
 import pytest
 
 from repro.gossip.module import GossipConfig
-from repro.net.faults import FaultPlan, HealingPartition
 from repro.net.latency import JitterLatency
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.protocols.counter import counter_protocol
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.runtime.adversary import WithholdingAdversary
+from repro.runtime.faults import DuplicationFault, FaultSchedule, PartitionFault
 from repro.types import Label, make_servers
 
 L = Label("l")
@@ -67,18 +67,16 @@ class TestLemma37JointDag:
 class TestHealingPartition:
     def test_convergence_after_partition_heals(self):
         servers = make_servers(4)
-        partition = HealingPartition(
-            group_a=frozenset(servers[:2]),
-            group_b=frozenset(servers[2:]),
-            start=0.0,
-            heal=25.0,
+        # Heals at round 5 (t = 30 with the default 6.0 round duration).
+        partition = PartitionFault(
+            start_round=0, heal_round=5, group_a=servers[:2], group_b=servers[2:]
         )
         config = ClusterConfig(seed=5)
         cluster = Cluster(
             counter_protocol,
             servers=servers,
             config=config,
-            faults=FaultPlan(partitions=[partition]),
+            faults=FaultSchedule((partition,)),
         )
         from repro.protocols.counter import Inc
 
@@ -89,16 +87,13 @@ class TestHealingPartition:
 
     def test_delivery_across_healed_partition(self):
         servers = make_servers(4)
-        partition = HealingPartition(
-            group_a=frozenset(servers[:2]),
-            group_b=frozenset(servers[2:]),
-            start=0.0,
-            heal=20.0,
+        partition = PartitionFault(
+            start_round=0, heal_round=4, group_a=servers[:2], group_b=servers[2:]
         )
         cluster = Cluster(
             brb_protocol,
             servers=servers,
-            faults=FaultPlan(partitions=[partition]),
+            faults=FaultSchedule((partition,)),
         )
         cluster.request(servers[0], L, brb_req())
         cluster.run_until(lambda c: c.all_delivered(L), max_rounds=24)
@@ -166,19 +161,12 @@ class TestForwardingRecovery:
 
 class TestDuplicateSuppression:
     def test_duplicated_links_do_not_duplicate_state(self):
-        from repro.net.faults import LinkFaults
-
         servers = make_servers(4)
-        dup = {}
-        for a in servers:
-            for b in servers:
-                if a != b:
-                    dup[(a, b)] = 0.5
         cluster = Cluster(
             brb_protocol,
             servers=servers,
             config=ClusterConfig(seed=3),
-            faults=FaultPlan(LinkFaults(duplication=dup)),
+            faults=FaultSchedule((DuplicationFault(probability=0.5),)),
         )
         cluster.request(servers[0], L, Broadcast(1))
         cluster.run_until(lambda c: c.all_delivered(L), max_rounds=12)

@@ -48,7 +48,8 @@ from repro.net.message import BlockEnvelope, FwdRequestEnvelope
 from repro.obs.diverge import first_chain_divergence
 from repro.obs.export import read_jsonl
 from repro.obs.metrics import MetricsSnapshot
-from repro.runtime.live.cluster import LiveCluster, LiveCrash
+from repro.runtime.faults import CrashFault
+from repro.runtime.live.cluster import LiveCluster
 from repro.runtime.live.node import LiveNode, NodeConfig, NodeStatus
 from repro.scenario import registry
 from repro.scenario.live import compile_live_configs
@@ -175,9 +176,9 @@ class TestKillMinusNineRecovery:
         assert status.recovered
         assert status.pid == cluster.processes[victim].pid
 
-    @pytest.mark.parametrize("kill_at_tick, converged", [(2, False), (7, True)])
+    @pytest.mark.parametrize("crash_round, converged", [(2, False), (7, True)])
     def test_a_crash_still_due_holds_convergence(
-        self, tmp_path, kill_at_tick, converged
+        self, tmp_path, crash_round, converged
     ):
         # No processes: every status says complete on one fingerprint and
         # nobody has been killed.  A crash within the victim's six-tick
@@ -192,7 +193,11 @@ class TestKillMinusNineRecovery:
         cluster = LiveCluster(
             configs,
             tmp_path,
-            crashes=(LiveCrash("s2", kill_at_tick=kill_at_tick, down_seconds=1.0),),
+            crashes=(
+                CrashFault(
+                    server="s2", crash_round=crash_round, restart_round=crash_round + 1
+                ),
+            ),
         )
         assert asyncio.run(cluster.wait_converged(timeout=0.3)) is converged
         assert cluster.crashes_performed == 0

@@ -4,12 +4,18 @@ import random
 
 import pytest
 
-from repro.errors import NetworkError
-from repro.net.faults import Disposition, FaultPlan, HealingPartition, LinkFaults
+from repro.errors import NetworkError, ScenarioError
+from repro.net.faults import LinkFaults
 from repro.net.latency import FixedLatency, JitterLatency, PerLinkLatency
 from repro.net.message import FwdRequestEnvelope
 from repro.net.simulator import NetworkSimulator
 from repro.net.transport import RevocableTransport, SimTransport
+from repro.runtime.faults import (
+    DuplicationFault,
+    FaultSchedule,
+    LinkLossFault,
+    PartitionFault,
+)
 from repro.types import ServerId
 
 S1, S2, S3, S4 = (ServerId(f"s{i}") for i in range(1, 5))
@@ -47,69 +53,75 @@ class TestLatencyModels:
         assert model.sample(S2, S1, rng) == 1.0
 
 
-class TestFaultPlans:
+def link_faults(*events, servers=(S1, S2, S3, S4), round_duration=1.0):
+    return FaultSchedule(events).link_faults(servers, round_duration)
+
+
+def partition(start_round, heal_round, group_a, group_b):
+    return PartitionFault(
+        start_round=start_round,
+        heal_round=heal_round,
+        group_a=group_a,
+        group_b=group_b,
+    )
+
+
+class TestLinkFaults:
     def test_default_is_faultless(self):
-        plan = FaultPlan.none()
-        d = plan.disposition(S1, S2, 0.0, random.Random(0))
-        assert d == Disposition(drop=False, copies=1, extra_delay=0.0)
+        rng = random.Random(0)
+        assert LinkFaults().disposition(S1, S2, 0.0, rng) == (1, 0.0)
+        assert link_faults().disposition(S1, S2, 0.0, rng) == (1, 0.0)
 
     def test_loss_on_correct_link_rejected(self):
         # Assumption 1 enforcement: loss requires a byzantine endpoint.
         with pytest.raises(ValueError):
             LinkFaults(loss={(S1, S2): 0.5})
 
-    def test_loss_with_byzantine_endpoint_allowed(self):
-        faults = LinkFaults(byzantine=frozenset({S1}), loss={(S1, S2): 1.0})
-        plan = FaultPlan(faults)
-        d = plan.disposition(S1, S2, 0.0, random.Random(0))
-        assert d.drop
-
-    def test_lossy_byzantine_factory(self):
-        plan = FaultPlan.lossy_byzantine([S1], [S1, S2, S3], probability=1.0)
-        assert plan.disposition(S1, S2, 0.0, random.Random(0)).drop
-        assert plan.disposition(S3, S1, 0.0, random.Random(0)).drop
-        assert not plan.disposition(S2, S3, 0.0, random.Random(0)).drop
+    def test_loss_event_drops_every_link_of_its_server(self):
+        faults = link_faults(LinkLossFault(server="s1", probability=1.0))
+        assert faults.byzantine == {S1}
+        assert faults.disposition(S1, S2, 0.0, random.Random(0))[0] == 0
+        assert faults.disposition(S3, S1, 0.0, random.Random(0))[0] == 0
+        assert faults.disposition(S2, S3, 0.0, random.Random(0))[0] == 1
 
     def test_duplication(self):
-        faults = LinkFaults(duplication={(S1, S2): 1.0})
-        plan = FaultPlan(faults)
-        d = plan.disposition(S1, S2, 0.0, random.Random(0))
-        assert d.copies > 1
+        faults = link_faults(DuplicationFault(probability=1.0))
+        copies, _ = faults.disposition(S1, S2, 0.0, random.Random(0))
+        assert copies > 1
+        # Self-sends are never duplicated.
+        assert faults.disposition(S1, S1, 0.0, random.Random(0)) == (1, 0.0)
 
     def test_probability_bounds_validated(self):
-        with pytest.raises(ValueError):
-            LinkFaults(byzantine=frozenset({S1}), loss={(S1, S2): 1.5})
-        with pytest.raises(ValueError):
-            LinkFaults(duplication={(S1, S2): -0.1})
+        with pytest.raises(ScenarioError):
+            LinkLossFault(server="s1", probability=1.5)
+        with pytest.raises(ScenarioError):
+            DuplicationFault(probability=-0.1)
 
     def test_partition_delays_cross_cut_messages(self):
-        partition = HealingPartition(
-            group_a=frozenset({S1}), group_b=frozenset({S2}), start=0.0, heal=10.0
-        )
-        plan = FaultPlan(partitions=[partition])
-        d = plan.disposition(S1, S2, 3.0, random.Random(0))
-        assert d.extra_delay == pytest.approx(7.0)
-        assert not d.drop
+        faults = link_faults(partition(0, 10, ("s1",), ("s2",)))
+        copies, extra = faults.disposition(S1, S2, 3.0, random.Random(0))
+        assert extra == pytest.approx(7.0)
+        assert copies == 1
+
+    def test_partition_window_is_in_rounds(self):
+        faults = link_faults(partition(1, 3, ("s1",), ("s2",)), round_duration=6.0)
+        assert faults.partitions == ((6.0, 18.0, {S1}, {S2}),)
+        assert faults.disposition(S2, S1, 5.0, random.Random(0)) == (1, 0.0)
+        assert faults.disposition(S2, S1, 6.0, random.Random(0)) == (1, 12.0)
 
     def test_partition_does_not_affect_same_side(self):
-        partition = HealingPartition(
-            group_a=frozenset({S1, S3}), group_b=frozenset({S2}), start=0.0, heal=10.0
-        )
-        plan = FaultPlan(partitions=[partition])
-        assert plan.disposition(S1, S3, 5.0, random.Random(0)).extra_delay == 0.0
+        faults = link_faults(partition(0, 10, ("s1", "s3"), ("s2",)))
+        assert faults.disposition(S1, S3, 5.0, random.Random(0))[1] == 0.0
 
     def test_partition_over_after_heal(self):
-        partition = HealingPartition(
-            group_a=frozenset({S1}), group_b=frozenset({S2}), start=0.0, heal=10.0
-        )
-        plan = FaultPlan(partitions=[partition])
-        assert plan.disposition(S1, S2, 10.0, random.Random(0)).extra_delay == 0.0
+        faults = link_faults(partition(0, 10, ("s1",), ("s2",)))
+        assert faults.disposition(S1, S2, 10.0, random.Random(0))[1] == 0.0
 
     def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            HealingPartition(frozenset({S1}), frozenset({S1}), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            HealingPartition(frozenset({S1}), frozenset({S2}), 5.0, 5.0)
+        with pytest.raises(ScenarioError):
+            partition(0, 1, ("s1",), ("s1",))
+        with pytest.raises(ScenarioError):
+            partition(5, 5, ("s1",), ("s2",))
 
 
 class TestSimulator:
@@ -152,8 +164,10 @@ class TestSimulator:
         assert sim.metrics.by_kind["FwdRequestEnvelope"] == 2
 
     def test_dropped_messages_counted(self):
-        plan = FaultPlan.lossy_byzantine([S1], [S1, S2], probability=1.0)
-        sim, inbox = self._pair(faults=plan)
+        faults = link_faults(
+            LinkLossFault(server="s1", probability=1.0), servers=(S1, S2)
+        )
+        sim, inbox = self._pair(faults=faults)
         sim.send(S1, S2, envelope())
         sim.run_until_idle()
         assert inbox[S2] == []
@@ -290,6 +304,6 @@ class TestRevocableTransport:
         from repro.runtime.cluster import Cluster
 
         cluster = Cluster(brb_protocol, n=4)
-        assert cluster.crash_plan.events == ()
+        assert not cluster.faults
         for server in cluster.servers:
             assert isinstance(cluster.shim(server).gossip.transport, RevocableTransport)

@@ -1,5 +1,5 @@
 """Unit tests for the declarative scenario layer: JSON round-trips,
-validation errors, workload schedules, fault-schedule compilation and
+validation errors, workload schedules, the fault schedule's views and
 the typed snapshot classes."""
 
 import json
@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import ScenarioError
-from repro.net.faults import FaultPlan
+from repro.net.faults import LinkFaults
 from repro.net.latency import FixedLatency, JitterLatency
 from repro.obs.lifecycle import StageSummary
 from repro.protocols.counter import counter_protocol
@@ -34,6 +34,7 @@ from repro.scenario import (
     RoundsElapsed,
     Scenario,
     ScenarioResult,
+    ScenarioRunner,
     StopCondition,
     StorageSpec,
     Topology,
@@ -158,6 +159,27 @@ class TestScenarioValidation:
                 ),
             )
 
+    @pytest.mark.parametrize(
+        "crash_round, restart_round, message",
+        [
+            (5, 3, "restart_round 3 must come after crash_round 5"),
+            (-2, None, "crash_round must be ≥ 0, got -2"),
+        ],
+        ids=["restart-before-crash", "negative-crash-round"],
+    )
+    def test_malformed_crash_fault_rejected(
+        self, crash_round, restart_round, message
+    ):
+        # Rejected where the document is read, before either arm runs it.
+        document = registry.get("crash-restart").as_dict()
+        document["faults"]["events"][0].update(
+            crash_round=crash_round, restart_round=restart_round
+        )
+        with pytest.raises(ScenarioError, match=f"^faults.events\\[0\\]: {message}"):
+            Scenario.from_json(json.dumps(document))
+        with pytest.raises(ScenarioError, match=message):
+            CrashFault(server="s3", crash_round=crash_round, restart_round=restart_round)
+
     def test_unknown_behaviour_rejected(self):
         with pytest.raises(ScenarioError, match="unknown byzantine behaviour"):
             ByzantineFault(server="s4", behaviour="chaotic-good")
@@ -242,8 +264,8 @@ class TestWorkloadSchedules:
             ClosedLoopWorkload(clients=0)
 
 
-class TestFaultScheduleCompilation:
-    def test_compiles_all_families(self):
+class TestFaultScheduleViews:
+    def test_views_cover_all_families(self, tmp_path):
         servers = make_servers(7)
         schedule = FaultSchedule(
             (
@@ -258,32 +280,32 @@ class TestFaultScheduleCompilation:
                 ),
             )
         )
-        compiled = schedule.compile(servers, round_duration=6.0)
-        [partition] = compiled.fault_plan.partitions
-        assert (partition.start, partition.heal) == (12.0, 30.0)
-        [crash] = compiled.crash_plan.events
-        assert (crash.server, crash.crash_round, crash.restart_round) == (
-            "s3", 3, 7,
-        )
-        assert set(compiled.adversaries) == {"s7"}
-        assert compiled.equivocation_cues == ((2, "s7"),)
+        [partition] = schedule.link_faults(servers, round_duration=6.0).partitions
+        assert partition[:2] == (12.0, 30.0)
+        assert (schedule.crashes_at(3), schedule.restarts_at(7)) == (["s3"], ["s3"])
+        assert schedule.crashes_at(7) == schedule.restarts_at(3) == []
+        assert schedule.byzantine_servers() == {"s7"}
         assert schedule.needs_storage()
+        scenario = Scenario(
+            name="x", protocol="brb", topology=Topology(n=7), faults=schedule
+        )
+        runner = ScenarioRunner(scenario, storage_root=tmp_path)
+        assert set(runner.cluster.adversaries) == {"s7"}
+        assert runner.equivocation_cues == [(2, "s7")]
 
     def test_link_loss_declares_byzantine(self):
         servers = make_servers(4)
         schedule = FaultSchedule((LinkLossFault(server="s4", probability=0.5),))
-        compiled = schedule.compile(servers, round_duration=1.0)
-        faults = compiled.fault_plan.link_faults
+        faults = schedule.link_faults(servers, round_duration=1.0)
         assert "s4" in faults.byzantine
         assert faults.loss[("s4", "s1")] == 0.5
         assert faults.loss[("s1", "s4")] == 0.5
 
-    def test_empty_schedule_compiles_to_fault_free(self):
-        compiled = FaultSchedule().compile(make_servers(4), 6.0)
-        assert isinstance(compiled.fault_plan, FaultPlan)
-        assert not compiled.fault_plan.partitions
-        assert not compiled.crash_plan.events
-        assert not compiled.adversaries
+    def test_empty_schedule_is_fault_free(self):
+        schedule = FaultSchedule()
+        assert schedule.link_faults(make_servers(4), 6.0) == LinkFaults()
+        assert not schedule.crash_events()
+        assert not schedule.byzantine_servers()
 
 
 class TestQuickClusterExplicitKwargs:

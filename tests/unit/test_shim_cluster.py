@@ -135,7 +135,7 @@ class TestCluster:
 
 
 class TestObservationsWithAllCorrectServersDown:
-    """Mid-CrashPlan a cluster can momentarily have zero live correct
+    """Mid-schedule a cluster can momentarily have zero live correct
     servers; the observation helpers must stay total (they used to
     raise IndexError / StopIteration)."""
 
@@ -160,7 +160,7 @@ class TestObservationsWithAllCorrectServersDown:
     def test_all_delivered_not_vacuous_with_everyone_down(self, tmp_path):
         """Regression: with every correct server crashed, the default
         all_delivered used to return True, terminating
-        run_until(all_delivered) spuriously mid-CrashPlan."""
+        run_until(all_delivered) spuriously mid-schedule."""
         cluster = self._downed_cluster(tmp_path)
         assert cluster.all_delivered(L) is False
         assert cluster.all_delivered(L, live_only=True) is True
