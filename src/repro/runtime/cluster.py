@@ -22,8 +22,9 @@ from typing import Callable, Mapping, Sequence
 
 from repro.crypto.keys import KeyRing
 from repro.crypto.signatures import SignatureScheme
-from repro.errors import SimulationError
+from repro.errors import ScenarioError, SimulationError
 from repro.gossip.module import GossipConfig
+from repro.jsonvalue import JsonDocument
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.simulator import NetworkSimulator
 from repro.net.transport import RevocableTransport, SimTransport
@@ -39,6 +40,40 @@ from repro.runtime.snapshots import (
 from repro.shim.shim import Shim
 from repro.storage.blockstore import ServerStorage, StorageConfig
 from repro.types import Label, Request, ServerId, make_servers
+
+
+@dataclass(frozen=True)
+class StorageSpec(JsonDocument):
+    """Declarative persistence knobs, the JSON form of
+    :class:`~repro.storage.blockstore.StorageConfig`: a scenario's
+    topology turns storage on by holding one, and a live node's config
+    carries it to the node's storage directory."""
+
+    checkpoint_interval: int = 32
+    segment_max_bytes: int = 64 * 1024
+    prune: bool = True
+    #: Memory release exempts the last this-many checkpoints' cone
+    #: (anti-thrash pin window; ``0`` = release as eagerly as allowed).
+    pin_recent_checkpoints: int = 2
+
+    def __post_init__(self) -> None:
+        if (
+            self.checkpoint_interval < 1
+            or self.segment_max_bytes < 1
+            or self.pin_recent_checkpoints < 0
+        ):
+            raise ScenarioError(
+                "storage spec needs checkpoint_interval ≥ 1, "
+                f"segment_max_bytes ≥ 1, pin_recent_checkpoints ≥ 0; got {self}"
+            )
+
+    def build(self) -> StorageConfig:
+        return StorageConfig(
+            checkpoint_interval=self.checkpoint_interval,
+            segment_max_bytes=self.segment_max_bytes,
+            prune=self.prune,
+            pin_recent_checkpoints=self.pin_recent_checkpoints,
+        )
 
 
 @dataclass

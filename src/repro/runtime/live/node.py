@@ -58,6 +58,7 @@ from repro.obs.export import write_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 from repro.protocols.base import ProtocolSpec
+from repro.runtime.cluster import StorageSpec
 from repro.shim.shim import Shim
 from repro.storage.blockstore import ServerStorage
 from repro.types import BlockRef, Indication, Label, Request, ServerId
@@ -108,6 +109,8 @@ class NodeConfig(JsonDocument):
     workload: tuple[tuple[int, str, int], ...] = ()
     expected: tuple[tuple[str, int], ...] = ()
     storage_dir: str | None = None
+    #: Persistence knobs, used when ``storage_dir`` is set.
+    storage: StorageSpec = StorageSpec()
     trace_path: str | None = None
     status_path: str | None = None
     #: Canonical-JSONL metrics snapshot, rewritten beside the status file.
@@ -218,7 +221,9 @@ class LiveNode:
         storage = None
         if config.storage_dir is not None:
             Path(config.storage_dir).mkdir(parents=True, exist_ok=True)
-            storage = ServerStorage(config.storage_dir)
+            storage = ServerStorage(
+                config.storage_dir, config=config.storage.build()
+            )
             storage.live_metrics = self.metrics
         # Shim construction *is* recovery when the directory holds a
         # previous incarnation's data (same seam the simulated cluster

@@ -37,7 +37,7 @@ from pathlib import Path
 from repro.errors import ScenarioError
 from repro.runtime.faults import CrashFault, FaultSchedule
 from repro.runtime.live.node import NodeConfig
-from repro.scenario.spec import Scenario
+from repro.scenario.spec import Scenario, StorageSpec
 from repro.scenario.stop import RoundsElapsed, StopCondition, _Composite
 from repro.scenario.workload import WorkloadDriver
 from repro.types import ServerId
@@ -151,6 +151,9 @@ def compile_live_configs(
     needs_storage = scenario.needs_storage()
     if needs_storage and storage_root is None:
         storage_root = run_dir / "storage"
+    storage = scenario.topology.storage
+    if storage is None:
+        storage = StorageSpec()
     trace = trace_dir is not None or scenario.topology.trace
     if trace and trace_dir is None:
         trace_dir = run_dir / "trace"
@@ -170,6 +173,7 @@ def compile_live_configs(
             storage_dir=(
                 str(Path(storage_root) / str(server)) if needs_storage else None  # type: ignore[arg-type]
             ),
+            storage=storage,
             trace_path=(
                 str(Path(trace_dir) / f"{server}.jsonl") if trace else None  # type: ignore[arg-type]
             ),

@@ -26,12 +26,12 @@ from repro.protocols.counter import Inc, counter_protocol
 from repro.protocols.ledger import Append, ledger_protocol
 from repro.protocols.pbft import Propose, pbft_protocol
 from repro.protocols.phaseking import PkPropose, phase_king_protocol
+from repro.runtime.cluster import StorageSpec
 from repro.runtime.faults import FaultSchedule
 from repro.scenario.probes import resolve_probe
 from repro.scenario.slo import SloSpec
 from repro.scenario.stop import AllDelivered, StopCondition
 from repro.scenario.workload import OpenLoopWorkload, Workload
-from repro.storage.blockstore import StorageConfig
 from repro.types import Request, ServerId, make_servers
 
 
@@ -94,37 +94,6 @@ class LatencySpec(JsonDocument):
         if self.model == "fixed":
             return FixedLatency(self.delay)
         return JitterLatency(self.low, self.high)
-
-
-@dataclass(frozen=True)
-class StorageSpec(JsonDocument):
-    """Declarative persistence knobs (presence = storage on)."""
-
-    checkpoint_interval: int = 32
-    segment_max_bytes: int = 64 * 1024
-    prune: bool = True
-    #: Memory release exempts the last this-many checkpoints' cone
-    #: (anti-thrash pin window; ``0`` = release as eagerly as allowed).
-    pin_recent_checkpoints: int = 2
-
-    def __post_init__(self) -> None:
-        if (
-            self.checkpoint_interval < 1
-            or self.segment_max_bytes < 1
-            or self.pin_recent_checkpoints < 0
-        ):
-            raise ScenarioError(
-                "storage spec needs checkpoint_interval ≥ 1, "
-                f"segment_max_bytes ≥ 1, pin_recent_checkpoints ≥ 0; got {self}"
-            )
-
-    def build(self) -> StorageConfig:
-        return StorageConfig(
-            checkpoint_interval=self.checkpoint_interval,
-            segment_max_bytes=self.segment_max_bytes,
-            prune=self.prune,
-            pin_recent_checkpoints=self.pin_recent_checkpoints,
-        )
 
 
 @dataclass(frozen=True)

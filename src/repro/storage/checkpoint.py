@@ -39,15 +39,12 @@ parent has no entry in the same checkpoint (chain start, or parent
 skeletonized below the horizon) are materialized in full.  This makes
 checkpoint size proportional to work done, not blocks × labels.
 
-Files are written atomically (temp + rename) with a CRC-protected frame
-and the canonical codec — no pickle, same guarantees as the WAL.
-
 A checkpoint costs what changed since the last one.  An annotation is
 a pure function of the DAG (Lemma 4.2), so a state entry, once written,
 is written the same way for as long as its ``base`` stands: capture
 takes such entries over from the previous checkpoint instead of
 re-freezing them, and each entry's canonical bytes are kept on the
-``Checkpoint`` object (``encoded``) and spliced into the next file, so
+``Checkpoint`` object (``encoded``) and spliced into the next frame, so
 an entry is encoded once per ``(ref, base)``.  A *new* entry costs what
 its block wrote: a state container (``list``/``dict``/``set``) of an
 interpreted block never changes again, so it is frozen and encoded once
@@ -55,8 +52,22 @@ per object (``frozen``, see :mod:`repro.storage.state_codec`) and every
 entry sharing it splices those bytes.  That memo lives on the
 ``Checkpoint`` too; a capture falls back to the previous one's and keeps
 what it reached, so the containers of the last two captures stay pinned
-and a builder silent for longer is encoded afresh once.  The file is
-then read back and compared byte for byte with the frame just written.
+and a builder silent for longer is encoded afresh once.
+
+On disk, too, a checkpoint costs what changed.  Each server's
+checkpoints form a log (:class:`CheckpointManager`): a CRC-framed full
+checkpoint in the canonical codec — no pickle, same guarantees as the
+WAL — followed by appended CRC-framed *deltas*.  A delta holds the new
+and rebased ``states`` entries (spliced from ``encoded``) with their
+``active`` rows, the refs whose entries left, the refs, released refs
+and skeletons that were added (and the released refs that were
+rehydrated since), an edit of ``events`` — the ones appended plus the
+ones the released filter dropped — and the ``counters``.  Reading the
+log folds the full frame and then every intact delta in order, and the
+fold encodes to exactly the full frame a from-scratch write would
+produce.  Once the deltas outgrow the full frame, the next checkpoint
+starts a new log with a full frame.  Every frame is read back and
+compared byte for byte with the bytes just written.
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.dag import codec
 from repro.dag.block import Block, parent_of
@@ -438,16 +449,32 @@ def install_checkpoint(
 
 
 class CheckpointManager:
-    """Writes, lists and loads checkpoint files in one directory.
+    """Keeps one server's checkpoints as append-only logs in one directory.
 
-    ``retain`` bounds disk use: after a successful write, all but the
-    newest ``retain`` checkpoints are deleted.  Writes are atomic
-    (temp file + rename), so a crash mid-checkpoint leaves the previous
-    checkpoint intact and recovery simply uses it; the temp file such a
-    crash leaves behind is removed the next time the directory is
-    opened.  With ``fsync`` the temp file is synced before the rename
-    and the directory after it, so the rename is durable before anyone
-    deletes WAL records on the strength of the new file.
+    A *generation* is one file, ``ckpt-<seq>.bin``, named after the
+    checkpoint its first frame holds.  Every frame is ``length | CRC32 |
+    payload``.  Frame 0 is a full checkpoint; each later frame is a
+    delta taking what the frames before it fold to onto the next
+    checkpoint (see the module docstring), appended in place.
+
+    *Compaction.*  Once the deltas appended to the newest generation
+    together outgrow its full frame, the next write starts a new
+    generation: a full frame written atomically (temp file + rename, so
+    a crash mid-write leaves the previous generation intact; the temp
+    file such a crash leaves behind is removed the next time the
+    directory is opened).  After it, all but the newest ``retain``
+    generations are deleted.  The first write of a manager is a full
+    frame too, so a delta is only ever taken against a checkpoint this
+    manager wrote and read back — never against one that recovery
+    folded, trimmed or fell back to.
+
+    Every frame is read back and compared with the bytes just written
+    before :meth:`write` reports it durable; a frame that fails the
+    comparison ends its generation, and the next write starts a new
+    one.  With ``fsync`` a full frame's temp file is synced before the
+    rename and the directory after it, and an appended frame is synced
+    in place, so the frame is durable before anyone deletes WAL records
+    on the strength of it.
     """
 
     def __init__(
@@ -459,13 +486,26 @@ class CheckpointManager:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.retain = retain
         self.fsync = fsync
+        #: Checkpoints written (full frames and deltas alike) and the
+        #: bytes actually written for them.
         self.writes = 0
         self.bytes_written = 0
-        #: ``states`` entries written, and how many of them arrived
-        #: with their bytes already encoded (taken over from the
-        #: previous checkpoint).
+        #: ``states`` entries of the checkpoints written, and how many
+        #: of them arrived with their bytes already encoded (taken over
+        #: from the previous checkpoint).
         self.entries_written = 0
         self.entries_reused = 0
+        #: The checkpoint the newest generation folds to, when this
+        #: manager wrote it and read it back — the next delta's base —
+        #: and that generation's file.
+        self._tip: Checkpoint | None = None
+        self._tip_path = self.directory
+        #: Size of that generation's full frame, and of the deltas
+        #: appended to it since.
+        self._base_bytes = 0
+        self._delta_bytes = 0
+        #: Highest sequence number written or folded here.
+        self._seq = 0
         for stale in self.directory.glob(f"{_PREFIX}*{_TMP_SUFFIX}"):
             stale.unlink(missing_ok=True)
 
@@ -473,7 +513,8 @@ class CheckpointManager:
         return self.directory / f"{_PREFIX}{seq:08d}{_SUFFIX}"
 
     def sequences(self) -> list[int]:
-        """Sequence numbers of stored checkpoints, oldest first."""
+        """Sequence numbers of the stored generations (each one's full
+        frame), oldest first."""
         result = []
         for path in self.directory.glob(f"{_PREFIX}*{_SUFFIX}"):
             try:
@@ -485,16 +526,32 @@ class CheckpointManager:
     def next_seq(self) -> int:
         """Sequence number the next written checkpoint should carry."""
         sequences = self.sequences()
-        return (sequences[-1] + 1) if sequences else 1
+        if sequences and self._seq < sequences[-1]:
+            # Nothing here wrote or folded the newest generation yet:
+            # its deltas may number past its name.
+            self.latest()
+        return max(self._seq, sequences[-1] if sequences else 0) + 1
 
     def write(self, checkpoint: Checkpoint) -> bool:
-        """Persist a checkpoint atomically and read it back.
+        """Persist a checkpoint — as a delta appended to the newest
+        generation, or as a full frame starting a new one — and read
+        the frame back.
 
         Returns whether the file holds exactly the frame that was
-        written.  Only then are older checkpoints pruned — and only
-        then may the caller treat the file as durable.
+        written.  Only then are older generations pruned — and only
+        then may the caller treat the checkpoint as durable.
         """
-        reused = len(checkpoint.encoded)
+        self.writes += 1
+        self.entries_written += len(checkpoint.states)
+        self.entries_reused += len(checkpoint.encoded)
+        tip, self._tip = self._tip, None
+        if tip is not None and self._delta_bytes <= self._base_bytes:
+            delta = _delta(tip, checkpoint)
+            if delta is not None:
+                return self._append(checkpoint, codec.encode(delta))
+        return self._write_full(checkpoint)
+
+    def _write_full(self, checkpoint: Checkpoint) -> bool:
         payload = codec.encode(_to_wire(checkpoint))
         header = _FRAME.pack(len(payload), zlib.crc32(payload))
         path = self._path(checkpoint.seq)
@@ -508,14 +565,44 @@ class CheckpointManager:
         tmp.replace(path)
         if self.fsync:
             self._sync_directory()
-        self.writes += 1
-        self.bytes_written += len(header) + len(payload)
-        self.entries_written += len(checkpoint.states)
-        self.entries_reused += reused
-        if not self._reads_back(path, header, payload):
+        if not self._commit(checkpoint, path, header, payload, 0):
             return False
+        self._base_bytes = len(header) + len(payload)
+        self._delta_bytes = 0
         for seq in self.sequences()[: -self.retain]:
             self._path(seq).unlink(missing_ok=True)
+        return True
+
+    def _append(self, checkpoint: Checkpoint, payload: bytes) -> bool:
+        header = _FRAME.pack(len(payload), zlib.crc32(payload))
+        path = self._tip_path
+        with open(path, "ab") as handle:
+            offset = handle.tell()
+            handle.write(header)
+            handle.write(payload)
+            if self.fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        if not self._commit(checkpoint, path, header, payload, offset):
+            return False
+        self._delta_bytes += len(header) + len(payload)
+        return True
+
+    def _commit(
+        self,
+        checkpoint: Checkpoint,
+        path: Path,
+        header: bytes,
+        payload: bytes,
+        offset: int,
+    ) -> bool:
+        """Count a frame just written and, when it reads back, make its
+        checkpoint the next delta's base."""
+        self.bytes_written += len(header) + len(payload)
+        self._seq = max(self._seq, checkpoint.seq)
+        if not self._reads_back(path, header, payload, offset):
+            return False
+        self._tip, self._tip_path = checkpoint, path
         return True
 
     def _sync_directory(self) -> None:
@@ -526,49 +613,263 @@ class CheckpointManager:
             os.close(fd)
 
     @staticmethod
-    def _reads_back(path: Path, header: bytes, payload: bytes) -> bool:
-        """Whether ``path`` holds ``header + payload`` and nothing else.
+    def _reads_back(
+        path: Path, header: bytes, payload: bytes, offset: int = 0
+    ) -> bool:
+        """Whether ``path`` holds ``header + payload`` from ``offset`` on
+        and nothing after it.
 
         The header carries the payload's length and CRC, so equal bytes
-        are a frame :meth:`load` accepts; comparing them catches any
-        write the disk garbled without decoding anything."""
+        are a frame the fold accepts; comparing them catches any write
+        the disk garbled without decoding anything."""
         try:
             with open(path, "rb") as handle:
+                handle.seek(offset)
                 return handle.read(len(header)) == header and handle.read() == payload
         except OSError:
             return False
 
-    def load(self, seq: int) -> Checkpoint:
-        """Read and verify one checkpoint.
+    def _fold(self, seq: int, until: int | None = None) -> tuple[Checkpoint, str]:
+        """Fold generation ``seq`` frame by frame, through the frame
+        holding checkpoint ``until`` or else through its last intact
+        frame.
 
-        Every way the file can fail to yield a checkpoint — torn,
-        failing its CRC, or intact bytes that do not decode in this
-        process — is a :class:`CheckpointError`, so :meth:`latest` can
-        fall back to an older one."""
+        Returns the fold and why the frames after it were not read
+        (``""`` when none were left).  Every way the *full* frame can
+        fail to yield a checkpoint — torn, failing its CRC, or intact
+        bytes that do not decode in this process — is a
+        :class:`CheckpointError`; a delta frame failing the same ways
+        ends the log instead."""
         data = self._path(seq).read_bytes()
-        if len(data) < _FRAME.size:
-            raise CheckpointError(f"checkpoint {seq} truncated")
-        length, crc = _FRAME.unpack_from(data, 0)
-        payload = data[_FRAME.size : _FRAME.size + length]
-        if len(payload) != length or zlib.crc32(payload) != crc:
-            raise CheckpointError(f"checkpoint {seq} failed its integrity check")
-        try:
-            return _from_wire(codec.decode(payload))
-        except (CodecError, KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"checkpoint {seq} does not decode: {exc}") from exc
+        payload, offset = _read_frame(data, 0, f"checkpoint {seq}")
+        checkpoint = _decoded(f"checkpoint {seq}", _from_wire, payload)
+        frame = 0
+        why = ""
+        while offset < len(data) and checkpoint.seq != until:
+            frame += 1
+            name = f"frame {frame} of checkpoint log {seq}"
+            try:
+                payload, offset = _read_frame(data, offset, name)
+                checkpoint = _decoded(name, _apply, payload, checkpoint)
+            except CheckpointError as exc:
+                why = str(exc)
+                break
+        self._seq = max(self._seq, checkpoint.seq)
+        return checkpoint, why
+
+    def load(self, seq: int) -> Checkpoint:
+        """Checkpoint ``seq``, folded from the generation that holds it.
+
+        A :class:`CheckpointError` when that generation's full frame
+        does not load or its log ends before ``seq``."""
+        bases = [base for base in self.sequences() if base <= seq]
+        if not bases:
+            raise CheckpointError(f"no checkpoint log holds checkpoint {seq}")
+        checkpoint, why = self._fold(bases[-1], until=seq)
+        if checkpoint.seq != seq:
+            raise CheckpointError(
+                f"checkpoint {seq} is not in its log ({why or 'the log ends first'})"
+            )
+        return checkpoint
 
     def latest(self) -> Checkpoint | None:
-        """The newest *intact* checkpoint, or ``None``.
+        """The newest generation folded through its last intact frame,
+        or ``None``.
 
-        A corrupt or torn newest file (crash mid-rename is impossible,
-        but disks happen) falls back to the next-newest.
+        A torn or CRC-failing delta ends the log, so a crash mid-append
+        yields the checkpoint before it; a newest generation whose full
+        frame does not load falls back to the next-newest.
         """
         for seq in reversed(self.sequences()):
             try:
-                return self.load(seq)
+                return self._fold(seq)[0]
             except CheckpointError:
                 continue
         return None
+
+
+def _read_frame(data: bytes, offset: int, name: str) -> tuple[bytes, int]:
+    """The payload of the frame at ``offset`` and the offset after it."""
+    if len(data) - offset < _FRAME.size:
+        raise CheckpointError(f"{name} truncated")
+    length, crc = _FRAME.unpack_from(data, offset)
+    start = offset + _FRAME.size
+    payload = data[start : start + length]
+    if len(payload) != length or zlib.crc32(payload) != crc:
+        raise CheckpointError(f"{name} failed its integrity check")
+    return payload, start + length
+
+
+def _decoded(
+    name: str, build: Callable[..., Checkpoint], payload: bytes, *args: Any
+) -> Checkpoint:
+    """``build(*args, wire)`` over a decoded payload; intact bytes that
+    do not decode into a checkpoint in this process are a
+    :class:`CheckpointError`."""
+    try:
+        return build(*args, codec.decode(payload))
+    except (CodecError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{name} does not decode: {exc}") from exc
+
+
+def _delta(old: Checkpoint, new: Checkpoint) -> dict[str, Any] | None:
+    """The delta frame taking ``old`` to ``new``, or ``None`` when
+    ``new`` lost a ref or a skeleton ``old`` had (only a full frame
+    says that).
+
+    Entries and ``active`` rows are compared by identity: a capture
+    takes unchanged ones over as the same objects.  A skeleton is a
+    function of its block, so only refs new to ``skeletons`` are
+    written."""
+    if not (
+        old.refs <= new.refs and old.skeletons.keys() <= new.skeletons.keys()
+    ):
+        return None
+    unreleased = old.released - new.released
+    return {
+        "seq": new.seq,
+        "states": {
+            str(ref): codec.Canonical(new.state_bytes(ref))
+            for ref, entry in new.states.items()
+            if old.states.get(ref) is not entry
+        },
+        "active": {
+            str(ref): _active_wire(row)
+            for ref, row in new.active.items()
+            if old.active.get(ref) is not row
+        },
+        "states_left": sorted(old.states.keys() - new.states.keys()),
+        "active_left": sorted(old.active.keys() - new.active.keys()),
+        "refs": sorted(new.refs - old.refs),
+        "released": sorted(new.released - old.released),
+        "unreleased": sorted(unreleased),
+        "skeletons": {
+            str(ref): _skeleton_wire(new.skeletons[ref])
+            for ref in new.skeletons.keys() - old.skeletons.keys()
+        },
+        "events": _event_edit(old.events, new.events, unreleased),
+        "counters": new.counters,
+    }
+
+
+def _event_edit(
+    before: tuple[Any, ...], after: tuple[Any, ...], unreleased: frozenset[BlockRef]
+) -> list[Any]:
+    """Ops taking ``before`` to ``after``: ``n > 0`` keeps the next
+    ``n`` events, ``n < 0`` skips ``-n`` of them and a tuple inserts
+    one event.
+
+    Exact for any two lists.  It is short for the lists two captures
+    make: ``after`` is ``before`` without the events whose blocks were
+    released since, with the events of blocks rehydrated since
+    (``unreleased``) back in place, and with the new events appended.
+    """
+    if after[: len(before)] == before:
+        ops: list[Any] = [len(before)] if before else []
+        ops.extend(_event_wire(event) for event in after[len(before) :])
+        return ops
+    ops = []
+
+    def run(n: int) -> None:
+        if ops and isinstance(ops[-1], int) and (ops[-1] > 0) == (n > 0):
+            ops[-1] += n
+        else:
+            ops.append(n)
+
+    i = 0
+    for event in after:
+        if event[3] not in unreleased:
+            while i < len(before) and before[i] != event:
+                run(-1)
+                i += 1
+        if i < len(before) and before[i] == event:
+            run(1)
+            i += 1
+        else:
+            ops.append(_event_wire(event))
+    if i < len(before):
+        run(i - len(before))
+    return ops
+
+
+def _apply(checkpoint: Checkpoint, delta: dict[str, Any]) -> Checkpoint:
+    """The checkpoint a delta frame takes ``checkpoint`` to — a new
+    object, so a delta that does not decode leaves the fold as it was."""
+    left = {BlockRef(ref) for ref in delta["states_left"]}
+    states = {r: e for r, e in checkpoint.states.items() if r not in left}
+    states.update((BlockRef(ref), entry) for ref, entry in delta["states"].items())
+    left = {BlockRef(ref) for ref in delta["active_left"]}
+    active = {r: a for r, a in checkpoint.active.items() if r not in left}
+    active.update(
+        (BlockRef(ref), _active_from_wire(row)) for ref, row in delta["active"].items()
+    )
+    released = checkpoint.released - {BlockRef(r) for r in delta["unreleased"]}
+    skeletons = dict(checkpoint.skeletons)
+    skeletons.update(
+        (BlockRef(ref), _skeleton_from_wire(s)) for ref, s in delta["skeletons"].items()
+    )
+    events: list[Any] = []
+    at = 0
+    for op in delta["events"]:
+        if isinstance(op, int):
+            if op > 0:
+                events.extend(checkpoint.events[at : at + op])
+            at += abs(op)
+        else:
+            events.append(_event_from_wire(op))
+    if at != len(checkpoint.events):
+        raise ValueError(
+            f"event edit covers {at} of {len(checkpoint.events)} events"
+        )
+    return Checkpoint(
+        seq=delta["seq"],
+        refs=checkpoint.refs | {BlockRef(r) for r in delta["refs"]},
+        states=states,
+        active=active,
+        released=released | {BlockRef(r) for r in delta["released"]},
+        skeletons=skeletons,
+        events=tuple(events),
+        counters=dict(delta["counters"]),
+    )
+
+
+def _active_wire(labels: tuple[Label, ...]) -> tuple[str, ...]:
+    return tuple(str(label) for label in labels)
+
+
+def _active_from_wire(labels: Any) -> tuple[Label, ...]:
+    return tuple(Label(label) for label in labels)
+
+
+def _skeleton_wire(s: BlockSkeleton) -> tuple[Any, ...]:
+    return (
+        str(s.n),
+        s.k,
+        tuple(str(p) for p in s.preds),
+        s.sigma,
+        tuple((str(sv), k) for sv, k in s.hz),
+    )
+
+
+def _skeleton_from_wire(wire: Any) -> BlockSkeleton:
+    n, k, preds, sigma, hz = wire
+    return BlockSkeleton(
+        n=ServerId(n),
+        k=k,
+        preds=tuple(BlockRef(p) for p in preds),
+        sigma=sigma,
+        hz=tuple((ServerId(sv), ck) for sv, ck in hz),
+    )
+
+
+def _event_wire(event: tuple[Label, Any, ServerId, BlockRef]) -> tuple[Any, ...]:
+    label, indication, server, block_ref = event
+    return (str(label), indication, str(server), str(block_ref))
+
+
+def _event_from_wire(wire: Any) -> tuple[Label, Any, ServerId, BlockRef]:
+    label, indication, server, block_ref = wire
+    return (Label(label), indication, ServerId(server), BlockRef(block_ref))
 
 
 def _to_wire(checkpoint: Checkpoint) -> dict[str, Any]:
@@ -581,22 +882,12 @@ def _to_wire(checkpoint: Checkpoint) -> dict[str, Any]:
             str(ref): codec.Canonical(checkpoint.state_bytes(ref))
             for ref in checkpoint.states
         },
-        "active": {str(k): tuple(str(l) for l in v) for k, v in checkpoint.active.items()},
+        "active": {str(k): _active_wire(v) for k, v in checkpoint.active.items()},
         "released": sorted(checkpoint.released),
         "skeletons": {
-            str(ref): (
-                str(s.n),
-                s.k,
-                tuple(str(p) for p in s.preds),
-                s.sigma,
-                tuple((str(sv), k) for sv, k in s.hz),
-            )
-            for ref, s in checkpoint.skeletons.items()
+            str(ref): _skeleton_wire(s) for ref, s in checkpoint.skeletons.items()
         },
-        "events": tuple(
-            (str(label), indication, str(server), str(block_ref))
-            for (label, indication, server, block_ref) in checkpoint.events
-        ),
+        "events": tuple(_event_wire(event) for event in checkpoint.events),
         "counters": checkpoint.counters,
     }
 
@@ -606,24 +897,12 @@ def _from_wire(wire: dict[str, Any]) -> Checkpoint:
         seq=wire["seq"],
         refs=frozenset(BlockRef(r) for r in wire["refs"]),
         states={BlockRef(k): v for k, v in wire["states"].items()},
-        active={
-            BlockRef(k): tuple(Label(l) for l in v)
-            for k, v in wire["active"].items()
-        },
+        active={BlockRef(k): _active_from_wire(v) for k, v in wire["active"].items()},
         released=frozenset(BlockRef(r) for r in wire["released"]),
         skeletons={
-            BlockRef(ref): BlockSkeleton(
-                n=ServerId(n),
-                k=k,
-                preds=tuple(BlockRef(p) for p in preds),
-                sigma=sigma,
-                hz=tuple((ServerId(sv), ck) for sv, ck in hz),
-            )
-            for ref, (n, k, preds, sigma, hz) in wire["skeletons"].items()
+            BlockRef(ref): _skeleton_from_wire(s)
+            for ref, s in wire["skeletons"].items()
         },
-        events=tuple(
-            (Label(label), indication, ServerId(server), BlockRef(block_ref))
-            for (label, indication, server, block_ref) in wire["events"]
-        ),
+        events=tuple(_event_from_wire(event) for event in wire["events"]),
         counters=dict(wire["counters"]),
     )

@@ -5,7 +5,8 @@ leaves behind, so "the bytes did not move" is a test and not a ritual:
 
 * ``s3/wal/wal-*.log`` — every WAL segment of the crash-restart smoke's
   crashed-and-restarted server (CRC-framed canonical chain frames);
-* ``s3/checkpoints/ckpt-*.bin`` — that server's newest checkpoint;
+* ``s3/checkpoints/ckpt-*.bin`` — that server's newest checkpoint log
+  (a full frame and the deltas appended to it);
 * ``frames.bin`` — wire frames (``repro.net.live.framing``): a
   handshake, a few block envelopes taken from the WAL and a FWD request;
 * ``docs/`` — the JSON documents that cross a process boundary:

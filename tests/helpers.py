@@ -139,17 +139,18 @@ def fresh_interpreter(builder: ManualDagBuilder, protocol, **kwargs):
 
 
 def flip_before_read_back(monkeypatch):
-    """From now on the disk garbles every checkpoint between the write
-    and the read-back: one payload byte of the file is flipped."""
+    """From now on the disk garbles every checkpoint frame between the
+    write and the read-back: one byte of the frame just written — a
+    full frame or an appended delta — is flipped."""
     from repro.storage.checkpoint import CheckpointManager
 
     real = CheckpointManager._reads_back
 
-    def garbled(path, header, payload):
+    def garbled(path, header, payload, offset=0):
         data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0x01
+        data[offset + (len(data) - offset) // 2] ^= 0x01
         path.write_bytes(bytes(data))
-        return real(path, header, payload)
+        return real(path, header, payload, offset)
 
     monkeypatch.setattr(CheckpointManager, "_reads_back", staticmethod(garbled))
 

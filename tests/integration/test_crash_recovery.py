@@ -383,8 +383,12 @@ class TestRecoveryMechanics:
         cluster.run_rounds(12)
         manager = cluster.shim("s1").storage.checkpoints
         written = manager.next_seq() - 1
-        assert written > 2
-        assert manager.sequences() == [written - 1, written]
+        # Two generations, each a full frame plus its deltas; the newer
+        # folds to the last checkpoint written.
+        older, newer = manager.sequences()
+        assert older < newer < written
+        assert manager.load(newer - 1).seq == newer - 1
+        assert manager.latest().seq == written
 
     def test_restart_falls_back_to_the_older_checkpoint(self, tmp_path):
         """A newest checkpoint that does not load costs replay, not the
@@ -400,7 +404,10 @@ class TestRecoveryMechanics:
         older, newest = sorted((tmp_path / "s2" / "checkpoints").glob("ckpt-*.bin"))
         newest.write_bytes(newest.read_bytes()[:10])
         recovered = cluster.restart("s2")
-        assert recovered.recovery.checkpoint_seq == int(older.stem.split("-")[1])
+        # The older generation folds through its last delta: the
+        # checkpoint written just before the newest full frame.
+        assert int(older.stem.split("-")[1]) < recovered.recovery.checkpoint_seq
+        assert recovered.recovery.checkpoint_seq == int(newest.stem.split("-")[1]) - 1
         catch_up(cluster, labels)
         for ref, ours, theirs in shared_fingerprints(cluster, "s1", "s2"):
             assert ours == theirs, f"annotation mismatch at {ref[:8]}…"

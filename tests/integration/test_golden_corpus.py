@@ -1,11 +1,10 @@
 """The committed golden corpus pins every durable byte format.
 
 Regenerating ``tests/golden/`` must reproduce it byte for byte, and the
-*committed* bytes — WAL segments, the newest checkpoint, wire frames,
-JSON documents — must decode, re-encode to themselves and recover a
-server.  A
-deliberate format change reruns ``tests/golden_corpus.py`` and commits
-the diff.
+*committed* bytes — WAL segments, the newest checkpoint log, wire
+frames, JSON documents — must decode, re-encode to themselves and
+recover a server.  A deliberate format change reruns
+``tests/golden_corpus.py`` and commits the diff.
 """
 
 from __future__ import annotations
@@ -28,11 +27,15 @@ from repro.scenario import FaultSchedule, Scenario, ScenarioResult, registry
 from repro.scenario.spec import resolve_protocol
 from repro.shim.shim import Shim
 from repro.storage import ServerStorage
+from repro.storage.checkpoint import _read_frame
 from repro.storage.wal import WriteAheadLog
 from repro.types import Label, ServerId
 
 register_wire_types()
 
+#: The newest checkpoint log: the full frame of checkpoint 2 (the first
+#: ``s3`` wrote after its restart) and the delta to checkpoint 3.
+NEWEST_GENERATION = 2
 NEWEST_CHECKPOINT = 3
 
 
@@ -86,12 +89,17 @@ class TestCommittedBytesDecode:
     def test_checkpoint(self, tmp_path):
         shutil.copytree(GOLDEN_DIR / SERVER, tmp_path / SERVER)
         checkpoints = ServerStorage(tmp_path / SERVER).checkpoints
-        assert checkpoints.sequences() == [NEWEST_CHECKPOINT]
-        checkpoint = checkpoints.load(NEWEST_CHECKPOINT)
-        assert checkpoint.seq == NEWEST_CHECKPOINT
-        data = committed(f"{SERVER}/checkpoints/ckpt-{NEWEST_CHECKPOINT:08d}.bin")
-        payload = data[8:]  # after the length | CRC32 header
-        assert codec.encode(codec.decode(payload)) == payload
+        assert checkpoints.sequences() == [NEWEST_GENERATION]
+        for seq in range(NEWEST_GENERATION, NEWEST_CHECKPOINT + 1):
+            assert checkpoints.load(seq).seq == seq
+        assert checkpoints.latest().seq == NEWEST_CHECKPOINT
+        data = committed(f"{SERVER}/checkpoints/ckpt-{NEWEST_GENERATION:08d}.bin")
+        offset = frames = 0
+        while offset < len(data):
+            payload, offset = _read_frame(data, offset, "golden checkpoint frame")
+            assert codec.encode(codec.decode(payload)) == payload
+            frames += 1
+        assert frames == NEWEST_CHECKPOINT - NEWEST_GENERATION + 1
 
 
 #: document -> its decode-then-encode round trip.

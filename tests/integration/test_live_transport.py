@@ -86,6 +86,35 @@ class TestLiveMatchesSimulated:
             assert divergence is None, f"{server}: {divergence}"
 
 
+class TestStorageLowering:
+    @pytest.mark.parametrize("name", ["metrics-soak", "crash-restart", "live-smoke"])
+    def test_a_lowered_config_round_trips_to_the_scenarios_storage(self, tmp_path, name):
+        scenario = registry.get(name, smoke=True)
+        expected = (scenario.topology.storage or StorageSpec()).build()
+        for config in compile_live_configs(scenario, tmp_path).values():
+            loaded = NodeConfig.from_json(config.to_json())
+            assert loaded == config
+            assert loaded.storage.build() == expected
+            assert (loaded.storage_dir is None) == (not scenario.needs_storage())
+
+    def test_a_live_node_builds_its_storage_from_the_spec(self, tmp_path):
+        scenario = registry.get("metrics-soak", smoke=True)
+        config = compile_live_configs(scenario, tmp_path)[ServerId("s1")]
+        entry = resolve_protocol(config.protocol)
+        node = LiveNode(config, entry.spec, entry.make_request)
+
+        async def drive() -> None:
+            task = asyncio.ensure_future(node.run())
+            await until(lambda: node.shim is not None, [task])
+            node.request_stop()
+            await asyncio.wait_for(task, timeout=DEADLINE)
+
+        asyncio.run(drive())
+        # Not the defaults (32 / 65536): the scenario's own knobs.
+        assert node.shim.storage.config == scenario.topology.storage.build()
+        assert node.shim.storage.config.checkpoint_interval == 6
+
+
 class TestKillMinusNineRecovery:
     def test_sigkill_one_node_restart_from_disk_converges(self, tmp_path):
         scenario = Scenario(

@@ -286,11 +286,11 @@ class TestServerStorageTelemetry:
         seen_during_read_back = []
         real = CheckpointManager._reads_back
 
-        def watched(path, header, payload):
+        def watched(*frame):
             seen_during_read_back.append(
                 registry.histogram("storage.checkpoint-write").count
             )
-            return real(path, header, payload)
+            return real(*frame)
 
         monkeypatch.setattr(CheckpointManager, "_reads_back", staticmethod(watched))
         storage.write_checkpoint(self._checkpoint(1))
