@@ -198,12 +198,13 @@ class ServerStorage:
     def write_checkpoint(self, checkpoint: Checkpoint) -> None:
         """Persist a checkpoint, then GC WAL segments it fully covers.
 
-        The just-written file is read back and compared, byte for
-        byte, with the frame that was written before any segment is
-        dropped: once those records are gone, this checkpoint's
-        skeletons are the only copy of the pruned prefix, so GC must
-        never act on a write the disk garbled.  A mismatch keeps the
-        WAL; the next checkpoint retries.
+        The frame just written — a full checkpoint, or a delta appended
+        to the checkpoint log — is read back and compared, byte for
+        byte, with what was written before any segment is dropped: once
+        those records are gone, this checkpoint's skeletons are the only
+        copy of the pruned prefix, so GC must never act on a write the
+        disk garbled.  A mismatch keeps the WAL; the next checkpoint
+        retries with a full frame in a new file.
         """
         # Invariant: a checkpoint never covers an unflushed block.  The
         # shim flushes before interpreting, so this is normally a

@@ -226,3 +226,48 @@ class TestFreezeOncePerContainer:
         # first one's entries, promoted.
         assert chained.keys() <= memo.keys()
         assert all(chained[key] is memo[key] for key in chained)
+
+
+#: Events over a small alphabet, so lists share, drop and repeat events.
+events_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b"]),
+        st.integers(0, 2),
+        st.sampled_from(["s1", "s2"]),
+        st.sampled_from(["r1", "r2", "r3"]),
+    ),
+    max_size=12,
+).map(tuple)
+
+
+class TestEventEdit:
+    """A delta's event edit takes the folded list to the new one exactly,
+    whatever the two lists — not only for the ones captures make."""
+
+    @given(
+        events_strategy,
+        events_strategy,
+        st.frozensets(st.sampled_from(["r1", "r2", "r3"])),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_applying_the_edit_yields_the_new_events(self, before, after, unreleased):
+        from repro.storage.checkpoint import Checkpoint, _apply, _event_edit
+
+        old = Checkpoint(seq=1, refs=frozenset(), states={}, active={}, events=before)
+        ops = _event_edit(before, after, unreleased)
+        delta = {
+            "seq": 2, "states": {}, "active": {}, "states_left": [],
+            "active_left": [], "refs": [], "released": [], "unreleased": [],
+            "skeletons": {}, "counters": {},
+            # Through the codec, as the fold reads it.
+            "events": codec.decode(codec.encode(ops)),
+        }
+        assert _apply(old, delta).events == after
+
+    @given(events_strategy, events_strategy)
+    @settings(max_examples=100, deadline=None)
+    def test_appending_costs_only_the_appended_events(self, before, tail):
+        from repro.storage.checkpoint import _event_edit
+
+        ops = _event_edit(before, before + tail, frozenset())
+        assert ops == ([len(before)] if before else []) + list(tail)
