@@ -159,6 +159,10 @@ def frame_of(checkpoint):
     return codec.encode(_to_wire(checkpoint))
 
 
+#: Bytes of a frame's ``length | CRC32`` header.
+HEADER = 8
+
+
 class TestManager:
     def test_retention(self, tmp_path):
         builder, interpreter = interpreted_dag()
@@ -192,7 +196,7 @@ class TestManager:
         outcomes = []
         for checkpoint in captures[1:]:
             newest = manager.sequences()[-1]
-            base = len(frame_of(manager.load(newest))) + 8
+            base = len(frame_of(manager.load(newest))) + HEADER
             deltas = (tmp_path / f"ckpt-{newest:08d}.bin").stat().st_size - base
             assert manager.write(checkpoint)
             appended = manager.sequences()[-1] == newest
@@ -324,12 +328,19 @@ class TestManager:
         assert manager.write(first)
         events = []
         real_fsync, real_replace = os.fsync, Path.replace
-        monkeypatch.setattr(os, "fsync", lambda fd: (events.append("fsync"), real_fsync(fd)))
-        monkeypatch.setattr(
-            Path, "replace", lambda self, target: (events.append("rename"), real_replace(self, target))[1]
-        )
+
+        def fsync(fd):
+            events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+
+        def replace(self, target):
+            events.append("rename")
+            return real_replace(self, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(Path, "replace", replace)
         assert manager.write(second)
-        assert events == ["fsync"] and manager.sequences() == [1]
+        assert events == ["file"] and manager.sequences() == [1]
 
     def test_server_storage_hands_its_fsync_flag_to_checkpoints(self, tmp_path):
         from repro.storage.blockstore import ServerStorage, StorageConfig
@@ -397,7 +408,7 @@ class TestLogCrashSafety:
         assert reopened.write(captures[3])
         assert reopened.sequences() == [1, 4]
         fresh = tmp_path / "ckpt-00000004.bin"
-        assert fresh.stat().st_size == len(frame_of(captures[3])) + 8
+        assert fresh.stat().st_size == len(frame_of(captures[3])) + HEADER
         assert frame_of(reopened.latest()) == frame_of(captures[3])
 
     def test_garbled_byte_in_a_middle_frame_ends_the_fold_there(self, tmp_path):
