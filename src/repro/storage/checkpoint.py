@@ -498,8 +498,7 @@ class CheckpointManager:
         #: The checkpoint the newest generation folds to, when this
         #: manager wrote it and read it back — the next delta's base —
         #: and that generation's file.
-        self._tip: Checkpoint | None = None
-        self._tip_path = self.directory
+        self._tip: tuple[Checkpoint, Path] | None = None
         #: Size of that generation's full frame, and of the deltas
         #: appended to it since.
         self._base_bytes = 0
@@ -546,9 +545,10 @@ class CheckpointManager:
         self.entries_reused += len(checkpoint.encoded)
         tip, self._tip = self._tip, None
         if tip is not None and self._delta_bytes <= self._base_bytes:
-            delta = _delta(tip, checkpoint)
+            previous, path = tip
+            delta = _delta(previous, checkpoint)
             if delta is not None:
-                return self._append(checkpoint, codec.encode(delta))
+                return self._append(checkpoint, path, codec.encode(delta))
         return self._write_full(checkpoint)
 
     def _write_full(self, checkpoint: Checkpoint) -> bool:
@@ -573,9 +573,8 @@ class CheckpointManager:
             self._path(seq).unlink(missing_ok=True)
         return True
 
-    def _append(self, checkpoint: Checkpoint, payload: bytes) -> bool:
+    def _append(self, checkpoint: Checkpoint, path: Path, payload: bytes) -> bool:
         header = _FRAME.pack(len(payload), zlib.crc32(payload))
-        path = self._tip_path
         with open(path, "ab") as handle:
             offset = handle.tell()
             handle.write(header)
@@ -602,7 +601,7 @@ class CheckpointManager:
         self._seq = max(self._seq, checkpoint.seq)
         if not self._reads_back(path, header, payload, offset):
             return False
-        self._tip, self._tip_path = checkpoint, path
+        self._tip = (checkpoint, path)
         return True
 
     def _sync_directory(self) -> None:
