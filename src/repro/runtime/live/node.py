@@ -37,11 +37,26 @@ counts and the number of still-unmet labels are kept from the shim's
 block, and the metrics snapshot — whose cost grows with the registry —
 is published on the ``status_interval`` timer, after settling and at
 shutdown, not per tick.
+
+Collector policy: Algorithm 2 only ever adds to what a node holds — the
+DAG, each block's ``PIs``/``Ms`` annotation, the gossip indexes — and
+the GC horizon drops it again by plain reference counting, so steady
+state makes no reference cycles for Python's cyclic collector to find;
+it would only re-walk the whole DAG, full collection after full
+collection.  :meth:`LiveNode.run` therefore collects once after
+assembly (recovery included), freezes the survivors, and freezes each
+tick's survivors at the end of the tick: the collector sees one tick's
+allocations at a time.  Every exit from ``run`` unfreezes, so a node
+run in-process hands its caller the heap back as it found it.  The
+``node.gc-pause`` histogram times every collection the process makes
+while the node runs — pauses the span ledger would otherwise charge to
+whichever span happened to allocate.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 import signal
 from dataclasses import dataclass, field
@@ -55,7 +70,7 @@ from repro.jsonvalue import JsonDocument
 from repro.net.live.transport import LiveTransport
 from repro.net.message import BlockEnvelope, Envelope
 from repro.obs.export import write_jsonl
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, perf_counter
 from repro.obs.trace import TraceRecorder
 from repro.protocols.base import ProtocolSpec
 from repro.runtime.cluster import StorageSpec
@@ -171,6 +186,8 @@ class LiveNode:
         self._held_gauge = self.metrics.gauge("node.ingress-held")
         self._beacon_rounds = self.metrics.counter("node.beacon-rounds")
         self._gate_timeout_count = self.metrics.counter("node.gate-timeouts")
+        self._gc_pause = self.metrics.histogram("node.gc-pause")
+        self._gc_started = 0.0
         #: Blocks held at the lockstep ingress gate, keyed by ref.
         self._held: dict[str, tuple[ServerId, BlockEnvelope]] = {}
         #: Ingress that arrived before the shim existed (a fast peer
@@ -368,6 +385,9 @@ class LiveNode:
             else:
                 # Yield so reader tasks can run between back-to-back ticks.
                 await asyncio.sleep(0)
+            # What the tick built outlives it; keep it out of the
+            # collector's reach (see "Collector policy" above).
+            gc.freeze()
 
     # -- completion ------------------------------------------------------------
 
@@ -485,18 +505,29 @@ class LiveNode:
         if self._progress is not None:
             self._progress.set()
 
+    def _on_gc(self, phase: str, info: dict[str, int]) -> None:
+        """``gc.callbacks`` hook: time each collection."""
+        if phase == "start":
+            self._gc_started = perf_counter()
+        else:
+            self._gc_pause.observe(perf_counter() - self._gc_started)
+
     async def run(self) -> NodeStatus:
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(signum, self.request_stop)
-        await self._assemble()
-        transport = self.transport
-        assert self._stop_event is not None and transport is not None
-        background = [
-            loop.create_task(self._beacon_loop()),
-            loop.create_task(self._status_loop()),
-        ]
+        gc.callbacks.append(self._on_gc)
+        background: list[asyncio.Task[None]] = []
+        final: NodeStatus | None = None
         try:
+            await self._assemble()
+            assert self._stop_event is not None
+            gc.collect()
+            gc.freeze()
+            background = [
+                loop.create_task(self._beacon_loop()),
+                loop.create_task(self._status_loop()),
+            ]
             await self._tick_loop()
             await self._settle()
             self._publish()
@@ -504,18 +535,27 @@ class LiveNode:
             # are still settling) until the launcher says stop.
             await self._stop_event.wait()
         finally:
+            gc.unfreeze()
+            gc.callbacks.remove(self._on_gc)
             # Shutdown starts here, not inside transport.stop(): a
             # beacon queued for a peer that stopped first fails while
             # the tasks below are awaited, before the final publication
             # — teardown, not a disturbance to count against the peer.
-            transport.closing = True
+            transport = self.transport
+            if transport is not None:
+                transport.closing = True
             for task in background:
                 task.cancel()
             if background:
                 await asyncio.gather(*background, return_exceptions=True)
-            self._export_trace()
-            final = self._publish()
-            await transport.stop()
+            if self.shim is not None:
+                self._export_trace()
+                final = self._publish()
+            # A failed assembly may already hold the listener and the
+            # peer pumps: release them before its exception leaves.
+            if transport is not None:
+                await transport.stop()
+        assert final is not None
         return final
 
 

@@ -27,7 +27,13 @@ Five claims, the first four in ascending order of ambition:
 5. the transport on its own: addresses, per-peer queues, and a stop
    that keeps the listener open until the peers still connected let
    go (at most ``SHUTDOWN_LINGER``), so a fleet shutdown costs no node
-   a counted connection loss however late it handles its own stop.
+   a counted connection loss however late it handles its own stop;
+6. the node's own lifecycle: a node keeps the cyclic collector off
+   what earlier ticks built (``gc.freeze``) and hands the heap back
+   unfrozen on every exit from ``run()``, which is sound because the
+   simulated runs of the fault-free scenarios leave no reference
+   cycle behind; and an assembly that fails releases the listener and
+   the peer pumps it had already started.
 
 Claims 1–3 spawn OS processes (``python -m repro.node``) and sleep on
 real sockets, so they are integration-priced: seconds, not
@@ -35,6 +41,7 @@ milliseconds.
 """
 
 import asyncio
+import gc
 from dataclasses import replace
 from pathlib import Path
 
@@ -53,7 +60,7 @@ from repro.runtime.live.cluster import LiveCluster
 from repro.runtime.live.node import LiveNode, NodeConfig, NodeStatus
 from repro.scenario import registry
 from repro.scenario.live import compile_live_configs
-from repro.scenario.runner import run_scenario
+from repro.scenario.runner import ScenarioRunner, run_scenario
 from repro.scenario.spec import Scenario, StorageSpec, Topology, resolve_protocol
 from repro.scenario.stop import RoundsElapsed
 from repro.scenario.workload import OpenLoopWorkload
@@ -707,3 +714,116 @@ class TestStop:
         asyncio.run(drive())
         assert meter(late, "transport.frames-out", B) == 1
         assert late.queued(B) == 1
+
+
+# -- claim 6: the node's lifecycle ----------------------------------------------
+
+
+def lone_node(tmp_path, make_request=None, **changes) -> LiveNode:
+    """s1 of a four-server brb fleet whose peers never start: no
+    lockstep gate, a short settle, one request per tick."""
+    entry = resolve_protocol("brb")
+    servers = ("s1", "s2", "s3", "s4")
+    config = NodeConfig(
+        server="s1",
+        servers=servers,
+        protocol="brb",
+        addresses={s: f"unix:{tmp_path / s}.sock" for s in servers},
+        max_ticks=3,
+        lockstep=False,
+        settle_timeout=0.05,
+        workload=tuple((tick, "x", tick) for tick in range(3)),
+        **changes,
+    )
+    return LiveNode(config, entry.spec, make_request or entry.make_request)
+
+
+class TestNodeLifecycle:
+    def test_a_ticking_node_is_frozen_and_a_returned_one_is_not(self, tmp_path):
+        assert gc.get_freeze_count() == 0
+        entry = resolve_protocol("brb")
+        frozen = []
+
+        def make_request(index):
+            frozen.append(gc.get_freeze_count())
+            return entry.make_request(index)
+
+        node = lone_node(tmp_path, make_request)
+
+        def ticked() -> bool:
+            return node.shim is not None and node.shim.gossip.builder.next_seq == 3
+
+        async def drive() -> NodeStatus:
+            task = asyncio.ensure_future(node.run())
+            await until(ticked, [task])
+            node.request_stop()
+            return await asyncio.wait_for(task, timeout=DEADLINE)
+
+        assert asyncio.run(drive()).ticks_done
+        assert len(frozen) == 3 and min(frozen) > 0
+        assert gc.get_freeze_count() == 0
+        # The post-assembly collection at least went through the hook,
+        # and the hook left with the node.
+        assert node.metrics.histogram("node.gc-pause").count >= 1
+        assert node._on_gc not in gc.callbacks
+
+    def test_a_tick_that_raises_unfreezes_too(self, tmp_path):
+        entry = resolve_protocol("brb")
+        frozen = []
+
+        def make_request(index):
+            if index == 1:
+                frozen.append(gc.get_freeze_count())
+                raise RuntimeError("no request at tick 1")
+            return entry.make_request(index)
+
+        node = lone_node(tmp_path, make_request)
+        with pytest.raises(RuntimeError, match="tick 1"):
+            asyncio.run(node.run())
+        assert frozen and frozen[0] > 0
+        assert gc.get_freeze_count() == 0
+        assert node._on_gc not in gc.callbacks
+
+    def test_a_failed_assembly_stops_the_transport(self, tmp_path):
+        # The storage directory is a regular file: mkdir fails after the
+        # transport bound its listener and started its peer pumps.
+        blocker = tmp_path / "storage"
+        blocker.write_text("not a directory", encoding="utf-8")
+        node = lone_node(tmp_path, storage_dir=str(blocker))
+
+        async def drive() -> None:
+            with pytest.raises(FileExistsError):
+                await node.run()
+            assert node.transport is not None and node.shim is None
+            assert asyncio.all_tasks() == {asyncio.current_task()}, "pumps left running"
+            with pytest.raises((ConnectionRefusedError, FileNotFoundError)):
+                await asyncio.open_unix_connection(str(tmp_path / "s1.sock"))
+
+        asyncio.run(drive())
+        assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize(
+    "name", ["fault-free", "pruning", "equivocator", "cow-state-growth", "live-smoke"]
+)
+def test_a_fault_free_run_leaves_no_reference_cycle(name):
+    """The premise of the node's freeze: with the collector off, a
+    fault-free run leaves nothing for it to find, so freezing a tick's
+    survivors keeps no garbage alive.
+
+    The crash scenarios are left out on purpose: ``crash-restart``,
+    ``metrics-soak``, ``gc-horizon-soak`` and ``mixed-faults`` leave
+    249–883 cyclic objects, all of them the wiring of the shim
+    ``Cluster.crash`` drops (shim, gossip, interpreter, DAG and
+    transport refer to one another).  A live crash ends the whole
+    process instead, so no live node ever holds such a cycle.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        runner = ScenarioRunner(registry.get(name, smoke=True))
+        runner.run()
+        assert gc.collect() == 0
+        assert runner.result is not None
+    finally:
+        gc.enable()
