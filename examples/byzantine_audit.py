@@ -13,13 +13,16 @@ Two of the paper's themes in one example:
 An equivocating server runs against honest peers; afterwards we hand
 one honest server's DAG to a fresh "auditor" process that never took
 part in the protocol.  The auditor re-derives every server's
-indications bit-for-bit and extracts signed fork evidence.
+indications bit-for-bit and prints the invariant catalogue's
+equivocation report: every fork slot whose blocks all carry the
+builder's signature.
 
 Run:  python examples/byzantine_audit.py
 """
 
 from repro import Cluster, brb_protocol, label
 from repro.interpret.interpreter import Interpreter
+from repro.invariants import equivocations
 from repro.protocols.brb import Broadcast, Deliver
 from repro.runtime.adversary import EquivocatorAdversary
 from repro.types import make_servers
@@ -62,17 +65,24 @@ def main() -> None:
         assert values == [delivered[server]], "audit mismatch!"
     print("audit matches the live run exactly (Lemma 4.2).")
 
-    # --- fork evidence ----------------------------------------------------
-    forks = evidence_dag.forks()
-    print(f"\nequivocations found: {len(forks)}")
-    for (owner, seq), blocks in sorted(forks.items()):
-        refs = ", ".join(str(b.ref)[:8] for b in blocks)
-        print(
-            f"  server {owner} signed {len(blocks)} distinct blocks at "
-            f"sequence {seq}: [{refs}] — both carry {owner}'s signature, "
-            f"which is transferable proof of equivocation"
-        )
-    assert any(owner == byz for (owner, _) in forks)
+    # --- the equivocation report -------------------------------------------
+    # The report re-checks every signature and drops a sibling that
+    # fails, so a corrupted copy of the DAG cannot frame a correct
+    # server.
+    report = equivocations(evidence_dag, cluster.keyring)
+    signed = sum(len(slots) for slots in report.values())
+    print(
+        f"\nequivocation report: {signed} of {len(evidence_dag.forks())} fork "
+        "slots hold two or more blocks that verify under the builder's key"
+    )
+    for owner, slots in report.items():
+        for seq, blocks in slots.items():
+            refs = ", ".join(str(b.ref)[:8] for b in blocks)
+            print(
+                f"  ({owner}, {seq}): {len(blocks)} blocks signed by {owner} "
+                f"[{refs}] — transferable proof of equivocation"
+            )
+    assert set(report) == {byz}
 
     print("\nthe DAG the auditor saw:\n")
     print(render_lanes(evidence_dag))

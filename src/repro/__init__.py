@@ -20,7 +20,6 @@ README.md maps each package to the paper; the paper's figures, lemmas
 and efficiency claims are tier-1 tests under ``tests/integration/``.
 """
 
-from repro.accountability import EquivocationEvidence, audit, collect_evidence, verify_evidence
 from repro.crypto import (
     CountingScheme,
     Ed25519Scheme,
@@ -54,10 +53,9 @@ from repro.runtime import (
     SilentAdversary,
     StorageSnapshot,
     WireSnapshot,
-    equivalent_traces,
     quick_cluster,
 )
-from repro.horizon import HorizonTracker, durable_frontier, horizons_agree
+from repro.horizon import HorizonTracker, durable_frontier
 from repro.scenario import (
     Scenario,
     ScenarioResult,
@@ -72,10 +70,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "Block",
-    "EquivocationEvidence",
-    "audit",
-    "collect_evidence",
-    "verify_evidence",
     "BlockBuilder",
     "BlockDag",
     "Broadcast",
@@ -95,7 +89,6 @@ __all__ = [
     "HmacScheme",
     "HorizonTracker",
     "durable_frontier",
-    "horizons_agree",
     "Interpreter",
     "JitterLatency",
     "KeyRing",
@@ -120,7 +113,6 @@ __all__ = [
     "bcb_protocol",
     "brb_protocol",
     "counter_protocol",
-    "equivalent_traces",
     "genesis_block",
     "label",
     "make_servers",

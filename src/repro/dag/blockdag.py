@@ -258,8 +258,8 @@ class BlockDag:
     def forks(self) -> dict[tuple[ServerId, SeqNum], list[Block]]:
         """Equivocations: ``(n, k)`` pairs carrying two or more distinct
         blocks (Example 3.5 / Figure 3).  Detection, not prevention —
-        the framework tolerates forks; this supports the §6
-        accountability discussion.
+        the framework tolerates forks; the §6 equivocation report
+        (:func:`repro.invariants.equivocations`) reads them off here.
         """
         result: dict[tuple[ServerId, SeqNum], list[Block]] = {}
         for server, chains in self._by_server.items():

@@ -208,7 +208,7 @@ def encoding_key(value: Any) -> bytes:
     Lexicographic order over injective encodings is a total order on
     encodable values.  ``interpret.order`` feeds messages to process
     instances in this order (Algorithm 2 line 10) without calling it
-    per message; protocols and ``runtime.compare`` key values by it.
+    per message; protocols and :mod:`repro.invariants` key values by it.
     """
     return encode(value)
 

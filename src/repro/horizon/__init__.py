@@ -7,7 +7,8 @@ The subsystem that makes pruning byzantine-safe (ROADMAP hazard, PR 4):
 * :mod:`repro.horizon.tracker` — the agreed horizon: the frontier that
   ``n - f`` distinct claimers cover, a deterministic, monotone function
   of the DAG alone;
-* :mod:`repro.horizon.compare` — cross-server convergence assertions.
+* :mod:`repro.horizon.compare` — the cross-server convergence check,
+  listed in the invariant catalogue (:mod:`repro.invariants`).
 
 Consumers: :mod:`repro.storage.gc` prunes against the agreed horizon
 instead of the Lemma-A.6 full-reference rule, gossip condemns arriving
@@ -18,21 +19,13 @@ checkpoint instead of raising ``PrunedStateError``.
 """
 
 from repro.horizon.claims import durable_frontier, format_horizon, merge_claim
-from repro.horizon.compare import (
-    assert_horizons_converged,
-    horizon_differences,
-    horizon_views,
-    horizons_agree,
-)
+from repro.horizon.compare import horizon_differences
 from repro.horizon.tracker import HorizonTracker
 
 __all__ = [
     "HorizonTracker",
-    "assert_horizons_converged",
     "durable_frontier",
     "format_horizon",
     "horizon_differences",
-    "horizon_views",
-    "horizons_agree",
     "merge_claim",
 ]

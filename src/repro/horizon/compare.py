@@ -3,10 +3,8 @@
 The agreed horizon is a pure function of the DAG, so any two correct
 servers holding the same DAG must compute the *same* horizon vector
 (and as gossip converges their DAGs, their horizon sequences converge
-too).  These helpers are the :mod:`repro.runtime.compare`-style
-assertion for that property: tests call
-:func:`assert_horizons_converged` after a run settles, and scenario
-assertions use :func:`horizons_agree` as the boolean form.
+too).  :func:`horizon_differences` is that check, listed in the
+invariant catalogue (:mod:`repro.invariants`).
 """
 
 from __future__ import annotations
@@ -14,31 +12,18 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping
 
 from repro.horizon.claims import format_horizon
-from repro.types import SeqNum, ServerId
+from repro.types import ServerId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.shim.shim import Shim
 
-#: Canonical per-server horizon rendering: sorted ``(server, seq)``.
-HorizonView = tuple[tuple[ServerId, SeqNum], ...]
-
-
-def horizon_views(shims: Mapping[ServerId, "Shim"]) -> dict[ServerId, HorizonView]:
-    """Each live correct server's agreed-horizon vector, canonicalized."""
-    return {
-        server: shim.horizon.frontier_key() for server, shim in shims.items()
-    }
-
-
-def horizons_agree(shims: Mapping[ServerId, "Shim"]) -> bool:
-    """Whether all given servers computed identical agreed horizons."""
-    views = list(horizon_views(shims).values())
-    return all(view == views[0] for view in views[1:])
-
 
 def horizon_differences(shims: Mapping[ServerId, "Shim"]) -> list[str]:
-    """Human-readable per-server divergences (test diagnostics)."""
-    views = horizon_views(shims)
+    """Each server whose agreed horizon differs from the first
+    server's, rendered side by side; empty when all agree."""
+    views = {
+        server: shim.horizon.frontier_key() for server, shim in shims.items()
+    }
     if not views:
         return []
     reference_server, reference = next(iter(views.items()))
@@ -50,9 +35,3 @@ def horizon_differences(shims: Mapping[ServerId, "Shim"]) -> list[str]:
                 f"{reference_server}: {format_horizon(dict(reference))}"
             )
     return problems
-
-
-def assert_horizons_converged(shims: Mapping[ServerId, "Shim"]) -> None:
-    """Raise ``AssertionError`` naming the divergent servers, if any."""
-    problems = horizon_differences(shims)
-    assert not problems, "agreed horizons diverge: " + "; ".join(problems)

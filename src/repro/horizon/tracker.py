@@ -11,8 +11,8 @@ with missing values counting as -1.  Because the fold is an
 element-wise max and the quantile is over the resulting vectors, ``H``
 is a pure, order-independent, monotone function of the DAG's contents —
 two correct servers holding the same DAG compute the *same* horizon
-(the cross-server assertion in :mod:`repro.horizon.compare` checks
-exactly this), and as their DAGs converge so do their horizons.
+(:func:`repro.invariants.horizon_differences` checks exactly this), and
+as their DAGs converge so do their horizons.
 
 Why ``n - f`` makes pruning byzantine-safe where Lemma A.6 is not: a
 correct claimer's claim covering position ``(s, k)`` implies it holds

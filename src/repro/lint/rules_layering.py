@@ -47,7 +47,6 @@ ARCHITECTURE: dict[str, frozenset[str]] = {
     "requests": frozenset({"errors", "types"}),
     "dag": frozenset({"crypto", "errors", "types"}),
     "protocols": frozenset({"dag", "errors", "types"}),
-    "accountability": frozenset({"crypto", "dag", "errors", "types"}),
     "net": frozenset({"dag", "errors", "obs", "types"}),
     "viz": frozenset({"dag", "errors", "types"}),
     "interpret": frozenset({"dag", "errors", "obs", "protocols", "types"}),
@@ -55,6 +54,11 @@ ARCHITECTURE: dict[str, frozenset[str]] = {
         {"crypto", "dag", "errors", "net", "obs", "requests", "types"}
     ),
     "horizon": frozenset({"crypto", "dag", "errors", "obs", "types"}),
+    # The invariant catalogue: pure checks over finished DAGs, traces
+    # and horizons, importing nothing that runs a server.
+    "invariants": frozenset(
+        {"crypto", "dag", "errors", "horizon", "protocols", "types"}
+    ),
     "storage": frozenset(
         {
             "crypto",
@@ -85,7 +89,6 @@ ARCHITECTURE: dict[str, frozenset[str]] = {
     ),
     "runtime": frozenset(
         {
-            "accountability",
             "crypto",
             "dag",
             "errors",

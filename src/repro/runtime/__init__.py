@@ -8,9 +8,8 @@
   partition, crash, byzantine, loss and duplication events.
 * :mod:`repro.runtime.direct` — the baseline: the *same* protocol
   objects running over materialized, individually-signed point-to-point
-  messages (what the paper's intro compares block DAGs against).
-* :mod:`repro.runtime.compare` — trace summaries and the equivalence
-  check used by the Theorem 5.1 experiments.
+  messages (what the paper's intro compares block DAGs against;
+  :func:`repro.invariants.same_indications` is the comparison).
 """
 
 from repro.runtime.adversary import (
@@ -22,7 +21,6 @@ from repro.runtime.adversary import (
     WithholdingAdversary,
 )
 from repro.runtime.cluster import Cluster, ClusterConfig, quick_cluster
-from repro.runtime.compare import equivalent_traces, summarize_trace
 from repro.runtime.direct import DirectRuntime, ProtocolMessageEnvelope
 from repro.runtime.faults import CrashFault, FaultSchedule
 from repro.runtime.snapshots import (
@@ -47,7 +45,5 @@ __all__ = [
     "StorageSnapshot",
     "WireSnapshot",
     "WithholdingAdversary",
-    "equivalent_traces",
     "quick_cluster",
-    "summarize_trace",
 ]

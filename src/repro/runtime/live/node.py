@@ -551,6 +551,8 @@ class LiveNode:
             if self.shim is not None:
                 self._export_trace()
                 final = self._publish()
+                if self.shim.storage is not None:
+                    self.shim.storage.close()
             # A failed assembly may already hold the listener and the
             # peer pumps: release them before its exception leaves.
             if transport is not None:

@@ -1,5 +1,6 @@
 """Byzantine scenarios — §4's enumeration of what ˇs can do, end to end."""
 
+from repro.invariants import agreement
 from repro.protocols.brb import Broadcast, Deliver, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
 from repro.runtime.adversary import (
@@ -130,12 +131,7 @@ class TestEquivocator:
 
     def test_brb_consistency_survives(self):
         cluster, _ = self._run()
-        values = {
-            i.value
-            for s in cluster.correct_servers
-            for i in cluster.shim(s).indications_for(L)
-        }
-        assert len(values) == 1
+        assert agreement(cluster.trace(), L) == []
 
     def test_split_state_versions_exist(self):
         cluster, byz = self._run()
@@ -176,9 +172,4 @@ class TestMixedAdversaries:
             lambda c: all(c.all_delivered(lbl) for lbl in labels), max_rounds=24
         )
         for lbl in labels:
-            values = {
-                i.value
-                for s in cluster.correct_servers
-                for i in cluster.shim(s).indications_for(lbl)
-            }
-            assert len(values) == 1
+            assert agreement(cluster.trace(), lbl) == []

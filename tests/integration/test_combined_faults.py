@@ -13,10 +13,14 @@ families at once.
 
 import pytest
 
-from repro.horizon import assert_horizons_converged
-from repro.protocols.base import Trace
+from repro.invariants import (
+    agreement,
+    complete_interpretation,
+    horizon_differences,
+    same_indications,
+    same_interpreted,
+)
 from repro.protocols.brb import Broadcast, brb_protocol
-from repro.runtime.compare import equivalent_traces, trace_differences
 from repro.runtime.direct import DirectRuntime
 from repro.scenario import (
     AllDelivered,
@@ -75,18 +79,6 @@ def combined_scenario(seed: int = 0) -> Scenario:
     )
 
 
-def _filter_trace(trace: Trace, labels: set) -> Trace:
-    """Restrict a trace to the workload's instances (the byzantine
-    seat's own equivocation instances exist only in the embedding, so
-    equivalence is stated over the labels both runtimes executed)."""
-    filtered = Trace()
-    for server, events in trace.indications.items():
-        for label, indication in events:
-            if label in labels:
-                filtered.record(server, label, indication)
-    return filtered
-
-
 @pytest.fixture(scope="module")
 def combined_run(tmp_path_factory):
     """One shared execution of the combined-fault scenario: every test
@@ -129,13 +121,15 @@ class TestCombinedFaultFamilies:
             direct.request(record.server, record.label, Broadcast(record.index))
         direct.run()
 
-        correct = [s for s in servers if s != BYZANTINE]
-        workload_labels = {record.label for record in runner.driver.records}
-        embedded = _filter_trace(runner.cluster.trace(), workload_labels)
-        baseline = _filter_trace(direct.trace(), workload_labels)
-        assert equivalent_traces(embedded, baseline, servers=correct), (
-            trace_differences(baseline, embedded)
-        )
+        # The byzantine seat's own equivocation instances exist only in
+        # the embedding, so equivalence is stated over the labels both
+        # runtimes executed.
+        assert same_indications(
+            direct.trace(),
+            runner.cluster.trace(),
+            servers=[s for s in servers if s != BYZANTINE],
+            labels={record.label for record in runner.driver.records},
+        ) == []
 
     def test_equivocation_instance_stays_consistent(self, combined_run):
         """BRB consistency on the byzantine seat's own instance: the
@@ -144,12 +138,7 @@ class TestCombinedFaultFamilies:
         split below quorum) but any that deliver must agree."""
         runner, _ = self._run(combined_run)
         cue_label = "byz-s7-2"  # the scheduled equivocation cue
-        values = {
-            indication.value
-            for shim in runner.cluster.shims.values()
-            for indication in shim.indications_for(cue_label)
-        }
-        assert len(values) <= 1, f"consistency violated on {cue_label}"
+        assert agreement(runner.cluster.trace(), cue_label) == []
         # The fork itself must exist in every correct DAG regardless.
         for server in runner.cluster.correct_servers:
             assert runner.cluster.shim(server).dag.forks()
@@ -172,25 +161,10 @@ class TestCombinedFaultFamilies:
         runner, result = self._run(combined_run)
         cluster = runner.cluster
         assert result.storage.states_released > 0, "pruning never fired"
-        for server, shim in cluster.shims.items():
-            assert shim.interpreter.below_horizon == 0, (
-                f"{server} stalled below the horizon"
-            )
-            missing = [
-                block.ref
-                for block in shim.dag
-                if block.n != BYZANTINE
-                and block.ref not in shim.interpreter.interpreted
-            ]
-            assert not missing, f"{server} left honest blocks uninterpreted"
+        assert complete_interpretation(cluster.shims, exempt={BYZANTINE}) == []
         # Live servers and the restart-from-disk server agree on what is
         # interpretable — the divergence mixed-faults used to measure.
-        interpreted = {
-            server: set(shim.interpreter.interpreted)
-            for server, shim in cluster.shims.items()
-        }
-        reference = interpreted["s1"]
-        assert all(view == reference for view in interpreted.values())
+        assert same_interpreted(cluster.shims) == []
 
     def test_agreed_horizon_identical_across_correct_servers(self, combined_run):
         """The horizon is a pure function of the DAG, so once the DAGs
@@ -198,7 +172,7 @@ class TestCombinedFaultFamilies:
         — and it must have actually advanced (claims flowed)."""
         runner, result = self._run(combined_run)
         cluster = runner.cluster
-        assert_horizons_converged(cluster.shims)
+        assert horizon_differences(cluster.shims) == []
         horizon = cluster.shim("s1").horizon.horizon
         assert any(k >= 0 for k in horizon.values()), "horizon never advanced"
         # The per-server GC-health counters are surfaced in the result.

@@ -20,12 +20,12 @@ import pytest
 from helpers import scan_indications
 from repro.errors import SimulationError
 from repro.interpret.interpreter import Interpreter
+from repro.invariants import same_indications
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.runtime.faults import CrashFault, FaultSchedule
 from repro.shim.shim import Shim
-from repro.runtime.compare import equivalent_traces, trace_differences
 from repro.scenario.spec import PROTOCOLS
 from repro.storage.blockstore import StorageConfig
 from repro.storage.state_codec import annotation_fingerprint
@@ -135,9 +135,7 @@ class TestCrashRestartConvergence:
         smooth.run_until(
             lambda c: all(c.all_delivered(lbl) for lbl in labels), max_rounds=24
         )
-        assert equivalent_traces(smooth.trace(), crashed.trace()), (
-            trace_differences(smooth.trace(), crashed.trace())
-        )
+        assert same_indications(smooth.trace(), crashed.trace()) == []
 
     def test_recovered_indication_history_complete(self, tmp_path):
         """The restarted server re-reports its full pre-crash ledger:

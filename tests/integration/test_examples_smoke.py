@@ -39,3 +39,12 @@ class TestCrashRecoveryExample:
         module = load_example("quickstart")
         module.main()
         assert "delivered at all servers" in capsys.readouterr().out
+
+
+class TestByzantineAuditExample:
+    def test_prints_the_equivocation_report(self, capsys):
+        module = load_example("byzantine_audit")
+        module.main()
+        out = capsys.readouterr().out
+        assert "equivocation report: 1 of 1 fork slots" in out
+        assert "(s4, 0): 2 blocks signed by s4" in out

@@ -784,6 +784,33 @@ class TestNodeLifecycle:
         assert gc.get_freeze_count() == 0
         assert node._on_gc not in gc.callbacks
 
+    @pytest.mark.parametrize("fail_at", [None, 1], ids=["returns", "raises"])
+    def test_a_node_closes_its_storage_on_exit(self, tmp_path, fail_at):
+        entry = resolve_protocol("brb")
+        handles = []
+
+        def make_request(index):
+            handles.append(node.shim.storage.wal._handle)
+            if index == fail_at:
+                raise RuntimeError(f"no request at tick {index}")
+            return entry.make_request(index)
+
+        node = lone_node(tmp_path, make_request, storage_dir=str(tmp_path / "storage"))
+
+        async def drive() -> None:
+            task = asyncio.ensure_future(node.run())
+            await until(lambda: len(handles) == 3, [task])
+            node.request_stop()
+            await asyncio.wait_for(task, timeout=DEADLINE)
+
+        if fail_at is None:
+            asyncio.run(drive())
+        else:
+            with pytest.raises(RuntimeError, match="tick 1"):
+                asyncio.run(node.run())
+        # Tick 0's block opened the WAL segment; the exit closed it.
+        assert handles[-1] is not None and handles[-1].closed
+
     def test_a_failed_assembly_stops_the_transport(self, tmp_path):
         # The storage directory is a regular file: mkdir fails after the
         # transport bound its listener and started its peer pumps.

@@ -7,16 +7,22 @@ the observable traces (per-server, per-instance indications).  Fault
 scenarios compare the correct servers only.
 """
 
+from dataclasses import replace
+
+from repro.invariants import agreement, same_indications
+from repro.protocols.base import Trace
 from repro.protocols.bcb import BcbBroadcast, bcb_protocol
 from repro.protocols.brb import Broadcast, Deliver, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
+from repro.protocols.ledger import Append, ledger_protocol
 from repro.protocols.pbft import Decide, Propose, Tick, pbft_protocol
-from repro.runtime.cluster import Cluster, ClusterConfig
-from repro.runtime.compare import (
-    agreement_on,
-    equivalent_traces,
-    trace_differences,
+from repro.protocols.phaseking import (
+    PkAdvance,
+    PkDecide,
+    PkPropose,
+    phase_king_protocol,
 )
+from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.runtime.direct import DirectRuntime
 from repro.runtime.adversary import SilentAdversary
 from repro.net.latency import JitterLatency
@@ -36,9 +42,7 @@ class TestBrbEquivalence:
         cluster.request(servers[0], L, Broadcast(42))
         cluster.run_until(lambda c: c.all_delivered(L))
 
-        assert equivalent_traces(direct.trace(), cluster.trace()), (
-            trace_differences(direct.trace(), cluster.trace())
-        )
+        assert same_indications(direct.trace(), cluster.trace()) == []
 
     def test_many_instances_many_senders(self):
         servers = make_servers(4)
@@ -56,9 +60,7 @@ class TestBrbEquivalence:
             lambda c: all(c.all_delivered(lbl) for (_, lbl, _) in workload),
             max_rounds=24,
         )
-        assert equivalent_traces(direct.trace(), cluster.trace()), (
-            trace_differences(direct.trace(), cluster.trace())
-        )
+        assert same_indications(direct.trace(), cluster.trace()) == []
 
     def test_with_silent_byzantine(self):
         servers = make_servers(4)
@@ -74,9 +76,7 @@ class TestBrbEquivalence:
         cluster.request(servers[0], L, Broadcast("x"))
         cluster.run_until(lambda c: c.all_delivered(L), max_rounds=16)
 
-        assert equivalent_traces(
-            direct.trace(), cluster.trace(), servers=list(correct)
-        )
+        assert same_indications(direct.trace(), cluster.trace(), servers=correct) == []
 
     def test_equivalence_under_network_jitter(self):
         servers = make_servers(4)
@@ -91,7 +91,7 @@ class TestBrbEquivalence:
         cluster.request(servers[1], L, Broadcast("jitter"))
         cluster.run_until(lambda c: c.all_delivered(L), max_rounds=16)
 
-        assert equivalent_traces(direct.trace(), cluster.trace())
+        assert same_indications(direct.trace(), cluster.trace()) == []
 
     def test_seven_servers(self):
         servers = make_servers(7)
@@ -101,7 +101,7 @@ class TestBrbEquivalence:
         cluster = Cluster(brb_protocol, servers=servers)
         cluster.request(servers[2], L, Broadcast("seven"))
         cluster.run_until(lambda c: c.all_delivered(L), max_rounds=16)
-        assert equivalent_traces(direct.trace(), cluster.trace())
+        assert same_indications(direct.trace(), cluster.trace()) == []
 
 
 class TestBcbEquivalence:
@@ -115,7 +115,7 @@ class TestBcbEquivalence:
         cluster.request(servers[0], L, BcbBroadcast("pay"))
         cluster.run_until(lambda c: c.all_delivered(L), max_rounds=16)
 
-        assert equivalent_traces(direct.trace(), cluster.trace())
+        assert same_indications(direct.trace(), cluster.trace()) == []
 
     def test_with_silent_byzantine(self):
         servers = make_servers(4)
@@ -130,9 +130,7 @@ class TestBcbEquivalence:
         cluster.request(servers[0], L, BcbBroadcast("pay"))
         cluster.run_until(lambda c: c.all_delivered(L), max_rounds=20)
 
-        assert equivalent_traces(
-            direct.trace(), cluster.trace(), servers=servers[:3]
-        )
+        assert same_indications(direct.trace(), cluster.trace(), servers=servers[:3]) == []
         # Delivered, not vacuously equal on two empty traces.
         assert all(cluster.trace().per_label(s, L) for s in servers[:3])
 
@@ -149,7 +147,7 @@ class TestBcbEquivalence:
             lambda c: all(c.all_delivered(Label(f"pay-{i}")) for i in range(4)),
             max_rounds=16,
         )
-        assert equivalent_traces(direct.trace(), cluster.trace())
+        assert same_indications(direct.trace(), cluster.trace()) == []
 
 
 class TestCounterEquivalence:
@@ -186,8 +184,8 @@ class TestPbftEquivalence:
         cluster.request(servers[0], L, Propose("block-A"))
         cluster.run_until(lambda c: c.all_delivered(L), max_rounds=16)
 
-        assert equivalent_traces(direct.trace(), cluster.trace())
-        assert len(agreement_on(cluster.trace(), L)) == 1
+        assert same_indications(direct.trace(), cluster.trace()) == []
+        assert agreement(cluster.trace(), L) == []
 
     def test_view_change_with_silent_leader(self):
         """Leader s1 silent: everyone else proposes and ticks; view
@@ -224,6 +222,103 @@ class TestPbftEquivalence:
         }
         assert all(d == [Decide("B")] for d in direct_decisions.values())
         assert cluster_decisions == direct_decisions
+
+
+def interpreted_past(cluster, batch) -> bool:
+    """Whether every correct server has interpreted an own block that
+    follows every block in ``batch``.  A server's next block refers to
+    every block it admitted, so by then it has received each message
+    those blocks sent."""
+    for server in cluster.correct_servers:
+        shim = cluster.shim(server)
+        tip = shim.dag.tip(server)
+        if tip.ref not in shim.interpreter.interpreted:
+            return False
+        if not batch <= shim.dag.graph.ancestors(tip.ref):
+            return False
+    return True
+
+
+class TestPhaseKingEquivalence:
+    """Phase king is synchronous: each ``PkAdvance`` is issued only once
+    every correct server holds the round's messages.  In the direct run
+    that is after the network drained; in the embedding, once every
+    correct server interpreted a block past the round's blocks."""
+
+    def _run(self, proposals, silent=()):
+        servers = make_servers(5)
+        correct = [s for s in servers if s not in silent]
+        direct = DirectRuntime(phase_king_protocol, servers=servers, silent=silent)
+        cluster = Cluster(
+            phase_king_protocol,
+            servers=servers,
+            adversaries=dict.fromkeys(silent, SilentAdversary),
+        )
+        # n = 5 tolerates f = 1: two phases of two rounds each.
+        batches = [dict(zip(correct, map(PkPropose, proposals)))]
+        batches += [dict.fromkeys(correct, PkAdvance())] * 4
+        for batch in batches:
+            for server, request in batch.items():
+                direct.request(server, L, request)
+                cluster.request(server, L, request)
+            direct.run()
+            cluster.run_rounds(1)  # seals the batch, one block per server
+            sealed = {cluster.shim(s).dag.tip(s).ref for s in correct}
+            cluster.run_until(lambda c: interpreted_past(c, sealed), max_rounds=8)
+        return direct, cluster, correct
+
+    def test_unanimous_start(self):
+        direct, cluster, correct = self._run(["v"] * 5)
+        assert same_indications(direct.trace(), cluster.trace(), servers=correct) == []
+        assert all(cluster.trace().per_label(s, L) == [PkDecide("v")] for s in correct)
+
+    def test_mixed_start_with_a_silent_seat(self):
+        direct, cluster, correct = self._run([0, 1, 1, 0], silent=["s5"])
+        assert same_indications(direct.trace(), cluster.trace(), servers=correct) == []
+        assert all(len(cluster.trace().per_label(s, L)) == 1 for s in correct)
+        assert agreement(cluster.trace(), L) == []
+
+
+def applied_values(trace: Trace) -> Trace:
+    """``trace`` with each ``Applied``'s ledger position dropped."""
+    values = Trace()
+    for server, events in trace.indications.items():
+        for label, applied in events:
+            values.record(server, label, replace(applied, seq=None))
+    return values
+
+
+class TestLedgerEquivalence:
+    def test_one_append_per_label(self):
+        servers = make_servers(4)
+        labels = [Label(f"entry-{i}") for i in range(8)]
+        direct = DirectRuntime(ledger_protocol, servers=servers)
+        cluster = Cluster(ledger_protocol, servers=servers)
+        for i, lbl in enumerate(labels):
+            direct.request(servers[i % 4], lbl, Append(i))
+            cluster.request(servers[i % 4], lbl, Append(i))
+        direct.run()
+        cluster.run_until(
+            lambda c: all(c.all_delivered(lbl) for lbl in labels), max_rounds=16
+        )
+        assert same_indications(direct.trace(), cluster.trace()) == []
+
+    def test_a_shared_label_applies_the_same_values(self):
+        """Every server appends to one label.  Direct delivery applies
+        entries in arrival order and the embedding in ``<_M`` order, so
+        the position a value lands at legitimately differs; the set of
+        values each server applied may not."""
+        servers = make_servers(4)
+        direct = DirectRuntime(ledger_protocol, servers=servers)
+        cluster = Cluster(ledger_protocol, servers=servers)
+        for i, server in enumerate(servers):
+            direct.request(server, L, Append(f"from-{i}"))
+            cluster.request(server, L, Append(f"from-{i}"))
+        direct.run()
+        cluster.run_until(lambda c: c.all_delivered(L, minimum=4), max_rounds=16)
+        assert same_indications(
+            applied_values(direct.trace()), applied_values(cluster.trace())
+        ) == []
 
 
 class TestSafetyPredicates:
@@ -264,7 +359,6 @@ class TestSafetyPredicates:
         adversary.request(L, Broadcast("left"))
         adversary.fork_request(L, Broadcast("right"))
         cluster.run_until(lambda c: c.all_delivered(L), max_rounds=20)
+        assert agreement(cluster.trace(), L) == []  # consistency
         delivered = self._delivered(cluster)
-        values = {i.value for inds in delivered.values() for i in inds}
-        assert len(values) == 1  # consistency
         assert all(len(i) == 1 for i in delivered.values())  # totality + no dup

@@ -5,7 +5,11 @@ framework's structural invariants."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accountability import audit
+from repro.invariants import (
+    complete_interpretation,
+    equivocations,
+    well_formed_chains,
+)
 from repro.net.latency import JitterLatency
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.runtime.adversary import (
@@ -78,21 +82,12 @@ class TestByzantineRobustness:
         )
         cluster.request(servers[sender_index], L, Broadcast(value))
         cluster.run_rounds(6)
+        # Acyclic, and correct chains consecutive and fork-free on every
+        # correct server; interpretation kept pace with every block.
         for server in cluster.correct_servers:
             dag = cluster.shim(server).dag
-            # Acyclic always.
-            assert dag.graph.is_acyclic()
-            # Correct servers' chains have consecutive sequence numbers
-            # and no forks.
-            for correct in cluster.correct_servers:
-                chain = dag.by_server(correct)
-                assert [b.k for b in chain] == list(range(len(chain)))
-            for (owner, _seq) in dag.forks():
-                assert owner == servers[3]
-            # Interpretation kept pace and every annotation's sender is
-            # the block builder.
-            shim = cluster.shim(server)
-            assert shim.interpreter.blocks_interpreted == len(dag)
+            assert well_formed_chains(dag, cluster.correct_servers) == []
+        assert complete_interpretation(cluster.shims) == []
 
     @given(st.integers(0, 5000))
     @settings(max_examples=10, deadline=None)
@@ -110,5 +105,5 @@ class TestByzantineRobustness:
         adversary.fork_request(L, Broadcast("b"))
         cluster.run_rounds(6)
         for server in cluster.correct_servers:
-            verdicts = audit(cluster.shim(server).dag, cluster.keyring)
-            assert set(verdicts) <= {servers[3]}
+            report = equivocations(cluster.shim(server).dag, cluster.keyring)
+            assert set(report) <= {servers[3]}

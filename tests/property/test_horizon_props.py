@@ -15,8 +15,11 @@ import dataclasses
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.protocols.base import Trace
-from repro.runtime.compare import equivalent_traces, trace_differences
+from repro.invariants import (
+    complete_interpretation,
+    same_indications,
+    same_interpreted,
+)
 from repro.scenario import (
     AllDelivered,
     And,
@@ -72,16 +75,6 @@ def build_scenario(partition_start, partition_len, crash_round, crash_len,
     )
 
 
-def workload_trace(runner) -> Trace:
-    labels = {record.label for record in runner.driver.records}
-    filtered = Trace()
-    for server, events in runner.cluster.trace().indications.items():
-        for label, indication in events:
-            if label in labels:
-                filtered.record(server, label, indication)
-    return filtered
-
-
 @given(
     partition_start=st.integers(min_value=1, max_value=2),
     partition_len=st.integers(min_value=2, max_value=3),
@@ -114,27 +107,9 @@ def test_every_honest_block_interpreted_with_pruning(
     )
 
     # The core property: pruning cost no interpretability anywhere.
-    for server, shim in pruned_runner.cluster.shims.items():
-        assert shim.interpreter.below_horizon == 0, (
-            f"{server} stalled below the horizon"
-        )
-        uninterpreted = [
-            block.ref[:8]
-            for block in shim.dag
-            if block.n != BYZANTINE
-            and block.ref not in shim.interpreter.interpreted
-        ]
-        assert not uninterpreted, (
-            f"{server} left honest blocks uninterpreted: {uninterpreted}"
-        )
-    views = {
-        server: set(shim.interpreter.interpreted)
-        for server, shim in pruned_runner.cluster.shims.items()
-    }
-    reference = next(iter(views.values()))
-    assert all(view == reference for view in views.values()), (
-        "live servers diverge on interpretability"
-    )
+    shims = pruned_runner.cluster.shims
+    assert complete_interpretation(shims, exempt={BYZANTINE}) == []
+    assert same_interpreted(shims) == []
 
     # Oracle: the identical schedule without state GC must observe the
     # same workload trace (Theorem 5.1 does not care about pruning).
@@ -148,10 +123,10 @@ def test_every_honest_block_interpreted_with_pruning(
     oracle_runner = ScenarioRunner(oracle_scenario)
     oracle = oracle_runner.run()
     assert oracle.stopped_by == "stop-condition"
-    correct = [s for s in pruned_runner.cluster.correct_servers]
-    assert equivalent_traces(
-        workload_trace(pruned_runner),
-        workload_trace(oracle_runner),
-        servers=correct,
-    ), trace_differences(workload_trace(oracle_runner), workload_trace(pruned_runner))
+    assert same_indications(
+        oracle_runner.cluster.trace(),
+        pruned_runner.cluster.trace(),
+        servers=pruned_runner.cluster.correct_servers,
+        labels={record.label for record in pruned_runner.driver.records},
+    ) == []
     assert pruned.requests_delivered == oracle.requests_delivered

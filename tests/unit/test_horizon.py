@@ -9,12 +9,8 @@ and on-demand rehydration of released predecessor states.
 
 from helpers import ManualDagBuilder, fresh_interpreter
 from repro.dag.block import Block
-from repro.horizon import (
-    HorizonTracker,
-    durable_frontier,
-    horizons_agree,
-    merge_claim,
-)
+from repro.horizon import HorizonTracker, durable_frontier, merge_claim
+from repro.invariants import horizon_differences
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.storage.checkpoint import (
     capture_checkpoint,
@@ -566,7 +562,7 @@ class TestRecoveryRehydration:
 
 
 class TestShimIntegration:
-    def test_claims_flow_and_horizons_agree(self, tmp_path):
+    def test_claims_flow_and_horizons_converge(self, tmp_path):
         from repro.runtime.cluster import Cluster, ClusterConfig
         from repro.storage.blockstore import StorageConfig
 
@@ -580,4 +576,4 @@ class TestShimIntegration:
         shim = cluster.shim(cluster.servers[0])
         assert shim.gossip.builder.claim  # claims are being stamped
         assert any(k >= 0 for k in shim.horizon.horizon.values())
-        assert horizons_agree(cluster.shims)
+        assert horizon_differences(cluster.shims) == []
