@@ -17,7 +17,10 @@ A crash event SIGKILLs its server once the server's own tick reaches
 ``crash_round`` and respawns it :data:`DOWN_SECONDS_PER_ROUND` seconds
 per round of the crash→restart span later (never, without a
 ``restart_round``): the wall-clock downtime stands in for the
-simulator's virtual one.
+simulator's virtual one.  Nodes publish on a timer, not per seal, so
+the launcher writes each victim's crash rounds into its config's
+``publish_ticks``: the victim publishes its crash round the moment it
+seals it, and the next poll kills it there.
 
 Polling is cheap twice over: status files are re-parsed only when
 their stat signature changes, and metrics files are re-read only when
@@ -30,7 +33,7 @@ import asyncio
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -96,8 +99,13 @@ class LiveCluster:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.crashes = tuple(crashes)
         for crash in self.crashes:
-            if ServerId(crash.server) not in self.configs:
+            server = ServerId(crash.server)
+            if server not in self.configs:
                 raise NetworkError(f"crash names unknown server {crash.server!r}")
+            # The crash schedule acts on this tick: have it published.
+            config = self.configs[server]
+            ticks = sorted({*config.publish_ticks, crash.crash_round})
+            self.configs[server] = replace(config, publish_ticks=tuple(ticks))
         self.processes: dict[ServerId, asyncio.subprocess.Process] = {}
         self.restarts = 0
         self.crashes_performed = 0

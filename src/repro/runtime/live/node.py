@@ -28,15 +28,22 @@ server's latest block.  A restarted peer that recovered from disk
 buffers the beacon block and FWD-chases the whole missed range; peers'
 outbound queues additionally retain traffic queued while it was down.
 
-Publication: the status file is rewritten after **every** seal (the
-launcher's crash schedule and completion poll act on ``tick``,
-``ticks_done`` and ``complete``), so a publication must cost what
-changed since the last one, not what the node has ever seen.  Delivery
-counts and the number of still-unmet labels are kept from the shim's
-``on_indication`` callback, the DAG fingerprint is folded per admitted
-block, and the metrics snapshot — whose cost grows with the registry —
-is published on the ``status_interval`` timer, after settling and at
-shutdown, not per tick.
+Publication: the status file is rewritten when a reader can act on
+it, not after every seal.  A seal publishes only if it is this
+incarnation's first (the setup mark: ``tick >= 1``) or its tick is in
+``NodeConfig.publish_ticks`` — the launcher fills that with a crash
+victim's crash rounds, the only mid-run ticks anyone acts on, so the
+kill lands at the first poll after the seal that reaches the round.
+Everything else is published on the ``status_interval`` timer, after
+settling (``complete``) and at shutdown.  A rewrite (JSON, open a tmp
+file, rename) runs before the tick yields, so it would hold up the
+sealed block's write-out, and the launcher polls far slower than a
+small tick seals.  A publication costs only what changed since the
+last one: delivery counts and the number of still-unmet labels are kept
+from the shim's ``on_indication`` callback, the DAG fingerprint is
+folded per admitted block, and the metrics snapshot — whose cost grows
+with the registry — is taken on the timer, after settling and at
+shutdown, never on a seal.
 
 Collector policy: Algorithm 2 only ever adds to what a node holds — the
 DAG, each block's ``PIs``/``Ms`` annotation, the gossip indexes — and
@@ -117,6 +124,10 @@ class NodeConfig(JsonDocument):
     #: Optional pacing delay between ticks (0 = as fast as the gate allows).
     tick_interval: float = 0.0
     status_interval: float = 0.2
+    #: Ticks whose seal publishes the status at once (besides the
+    #: first): what a reader acts on mid-run.  Derived, never a knob —
+    #: ``LiveCluster`` fills it with a crash victim's crash rounds.
+    publish_ticks: tuple[int, ...] = ()
     beacon_interval: float = 0.25
     fwd_retry_interval: float = 0.1
     max_requests_per_block: int = 256
@@ -365,6 +376,7 @@ class LiveNode:
         shim = self.shim
         assert shim is not None and self._stop_event is not None
         loop = asyncio.get_running_loop()
+        published = False
         while (
             shim.gossip.builder.next_seq < self.config.max_ticks
             and not self._stop_event.is_set()
@@ -379,7 +391,12 @@ class LiveNode:
             shim.disseminate()
             self._seal_to_wire.observe(loop.time() - seal_started)
             self._flush_held()
-            self._write_status()
+            # See "Publication" above: the first seal and the ticks a
+            # reader acts on; the timer covers the rest.
+            sealed = shim.gossip.builder.next_seq
+            if not published or sealed in self.config.publish_ticks:
+                self._write_status()
+                published = True
             if self.config.tick_interval > 0:
                 await asyncio.sleep(self.config.tick_interval)
             else:

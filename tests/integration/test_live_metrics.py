@@ -22,7 +22,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime.live.cluster import LiveCluster
 from repro.runtime.live.node import NodeConfig, NodeStatus
 from repro.scenario import registry
-from repro.scenario.live import live_rounds
 from repro.scenario.result import ScenarioResult
 from repro.scenario.runner import run_scenario
 from repro.types import ServerId
@@ -51,11 +50,10 @@ class TestLiveSmokeTelemetry:
             )
             assert frames_out > 0, f"{server} sent no frames"
             assert snapshot.get("node.gate-wait").count > 0
-            # The status publication is timed once per write: every
-            # tick publishes, so there are at least that many.
-            assert snapshot.get("node.status-write").count >= live_rounds(
-                scenario.stop, scenario.max_rounds
-            )
+            # The status publication is timed once per write.  The
+            # final snapshot precedes the shutdown status, so it counts
+            # at least the first seal's and the post-settle one.
+            assert snapshot.get("node.status-write").count >= 2
 
         # The cross-process lifecycle join saw real commits.
         assert result.live_lifecycle is not None

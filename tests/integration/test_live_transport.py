@@ -9,17 +9,22 @@ Five claims, the first four in ascending order of ambition:
    the same scenario document is silent, for every server;
 3. ``kill -9`` of one node mid-run followed by a restart-from-disk
    converges: recovery resumes the chain, peers' retained queues and
-   the tip beacon replay what was missed;
+   the tip beacon replay what was missed; and a crash victim publishes
+   its crash round the moment it seals it, so the launcher kills it
+   there even with the status timer off;
 4. every status a node publishes equals the from-scratch oracle.
    ``LiveNode`` keeps its status as running totals — delivery counts
    and the unmet-label count from the shim's indication callback, the
    DAG fingerprint folded per admitted block — instead of recomputing
    them per publication.  :func:`helpers.reference_status` is the
    recomputation it replaced; four nodes run in *this* process's event
-   loop over real unix sockets and **every** publication (per tick,
+   loop over real unix sockets and **every** publication (first seal,
    timer, post-settle, shutdown) must equal the oracle field by field,
    on a fresh multi-label run and on a node restarted from disk
    mid-run (where the totals are seeded from what recovery rebuilt).
+   A seal no reader acts on publishes nothing, so the fresh run also
+   holds the status against the oracle after every seal: the totals
+   are checked at every tick, not only at the three publications.
    The same runs pin the costs the totals bought: no
    ``Shim.indications_for`` call anywhere in a node's life, metrics
    snapshots off the tick path, and a published ``metrics_seq`` always
@@ -239,6 +244,58 @@ class TestKillMinusNineRecovery:
         assert cluster.crashes_performed == 0
 
 
+class TestCrashRoundStatus:
+    def test_a_victim_is_told_to_publish_its_crash_round(self, tmp_path):
+        configs = compile_live_configs(oracle_scenario(rounds=8, rate=1), tmp_path)
+        cluster = LiveCluster(
+            configs, tmp_path, crashes=(CrashFault("s2", 3, 5),)
+        )
+        written = {
+            str(server): NodeConfig.from_json(
+                cluster.config_path(server).read_text(encoding="utf-8")
+            ).publish_ticks
+            for server in configs
+        }
+        assert written == {"s1": (), "s2": (3,), "s3": (), "s4": ()}
+
+    def test_the_kill_sees_the_crash_round_not_completion(
+        self, tmp_path, monkeypatch
+    ):
+        scenario = Scenario(
+            name="live-crash-round",
+            protocol="counter",
+            description="crash at round 3 of 8 with the status timer off",
+            topology=Topology(n=4, storage=StorageSpec(checkpoint_interval=4)),
+            workload=OpenLoopWorkload(rate=1, rounds=2, shared_label="ledger"),
+            stop=RoundsElapsed(8),
+            max_rounds=8,
+        )
+        run_dir = tmp_path / "run"
+        # Paced so the ticks after the crash round outlast a launcher
+        # poll: only a publication of the round itself can be seen.
+        configs = {
+            server: replace(config, status_interval=3600.0, tick_interval=0.25)
+            for server, config in compile_live_configs(
+                scenario, run_dir, tick_timeout=15.0, settle_timeout=60.0
+            ).items()
+        }
+        seen: list[NodeStatus] = []
+        real_kill = LiveCluster.kill
+
+        def kill(cluster: LiveCluster, server: ServerId) -> None:
+            seen.append(cluster.status(server))
+            real_kill(cluster, server)
+
+        monkeypatch.setattr(LiveCluster, "kill", kill)
+        result = LiveCluster(
+            configs, run_dir, crashes=(CrashFault("s3", 3, 4),)
+        ).run(timeout=90.0)
+        assert result.converged, f"statuses: {result.statuses}"
+        assert result.crashes == 1
+        assert [(status.tick, status.complete) for status in seen] == [(3, False)]
+        assert result.statuses["s3"].recovered
+
+
 # -- claim 4: every publication against the oracle ----------------------------
 
 DEADLINE = 60.0
@@ -251,12 +308,19 @@ class CheckedNode(LiveNode):
         entry = resolve_protocol(config.protocol)
         super().__init__(config, entry.spec, entry.make_request)
         self.published: list[NodeStatus] = []
+        #: Seals after which the status was held against the oracle.
+        self.seals_checked = 0
 
-    def status(self) -> NodeStatus:
+    def checked_status(self) -> NodeStatus:
+        """The status, held against the oracle field by field."""
         status = super().status()
         ours = status.as_dict()
         for name, expected in reference_status(self).as_dict().items():
             assert ours[name] == expected, (name, len(self.published))
+        return status
+
+    def status(self) -> NodeStatus:
+        status = self.checked_status()
         metrics_path = Path(self.config.metrics_path)
         if status.metrics_seq:
             assert MetricsSnapshot.read_jsonl(metrics_path).seq == status.metrics_seq
@@ -321,17 +385,31 @@ def count_indications_for(monkeypatch):
     return calls
 
 
-def test_every_publication_of_a_multi_label_run(tmp_path, count_indications_for):
-    # Timer off: what is left is one status per tick plus the
-    # post-settle and shutdown publications — exactly two snapshots.
+@pytest.mark.parametrize("rounds", [8, 16])
+def test_every_publication_of_a_multi_label_run(
+    tmp_path, monkeypatch, count_indications_for, rounds
+):
+    # Timer off, no crash schedule: whatever the run's length, what is
+    # left is the first seal's status plus the post-settle and shutdown
+    # publications — exactly three, two of them with a snapshot.
     configs = {
         server: replace(config, status_interval=3600.0)
         for server, config in compile_live_configs(
-            oracle_scenario(rounds=8, rate=3), tmp_path
+            oracle_scenario(rounds=rounds, rate=3), tmp_path
         ).items()
     }
     nodes = [CheckedNode(config) for config in configs.values()]
     assert len(nodes[0].config.expected) == 9
+    real_disseminate = Shim.disseminate
+
+    def disseminate(shim):
+        # The oracle at every seal, published or not.
+        real_disseminate(shim)
+        (node,) = [node for node in nodes if node.shim is shim]
+        node.checked_status()
+        node.seals_checked += 1
+
+    monkeypatch.setattr(Shim, "disseminate", disseminate)
 
     async def drive() -> None:
         tasks = [asyncio.ensure_future(node.run()) for node in nodes]
@@ -342,16 +420,15 @@ def test_every_publication_of_a_multi_label_run(tmp_path, count_indications_for)
 
     asyncio.run(drive())
     for node in nodes:
-        ticks = [status.tick for status in node.published]
-        # One publication per tick, the first of them immediately.
-        assert set(range(1, node.config.max_ticks + 1)) <= set(ticks)
-        assert [s.metrics_seq for s in node.published if not s.ticks_done] == [0] * (
-            node.config.max_ticks - 1
+        assert node.seals_checked == rounds
+        first_seal, settled, shutdown = node.published
+        assert (first_seal.tick, first_seal.complete, first_seal.metrics_seq) == (
+            1, False, 0
         )
-        final = node.published[-1]
-        assert final.complete and final.metrics_seq == 2
-        assert all(count == 1 for count in final.delivered.values())
-        assert node.metrics.histogram("node.status-write").count == len(node.published)
+        assert settled.complete and settled.metrics_seq == 1
+        assert shutdown.complete and shutdown.metrics_seq == 2
+        assert all(count == 1 for count in shutdown.delivered.values())
+        assert node.metrics.histogram("node.status-write").count == 3
     assert count_indications_for == []
 
 
@@ -380,8 +457,10 @@ def test_every_publication_of_a_node_restarted_from_disk(
         try:
             # Past the first checkpoint (32 interpreted blocks), so the
             # restart restores indications instead of replaying them all.
+            # The node's own seq, not a publication: those follow the timer.
             await until(
-                lambda: victim.latest() is not None and victim.latest().tick >= 12,
+                lambda: victim.shim is not None
+                and victim.shim.gossip.builder.next_seq >= 12,
                 list(tasks.values()),
             )
             await stop([victim], [tasks.pop("s3")])
