@@ -65,7 +65,7 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.dag.block import Block, parent_of
 from repro.obs.trace import NULL_RECORDER
@@ -73,7 +73,7 @@ from repro.dag.blockdag import BlockDag
 from repro.errors import PrunedStateError, SimulationError
 from repro.interpret.instance import BlockState
 from repro.interpret.order import ordered
-from repro.protocols.base import Message, ProcessInstance, ProtocolSpec, StepResult
+from repro.protocols.base import Message, ProcessInstance, ProtocolSpec
 from repro.types import BlockRef, Indication, Label, ServerId
 
 
@@ -556,27 +556,29 @@ class Interpreter:
             # Line 4 — share the parent's instances copy-on-write; every
             # mutation below copies first.
             state.pis = dict(self._states[parent.ref].pis)
+        pis = state.pis
         owned: set[Label] = set()
 
+        # Indications, like the work counters, accumulate locally and
+        # commit with line 12 below: a protocol step raising mid-block
+        # must leave neither counters nor events (nor hook calls) of a
+        # block never marked interpreted.
         new_events: list[IndicationEvent] = []
-        # Work counters accumulate locally and commit with line 12
-        # below: a protocol step raising mid-block must not leave
-        # counters counting work of a block never marked interpreted.
         request_steps = 0
         delivered = 0
         materialized = 0
 
         # Lines 5–6: requests carried by this block, in list order.
         for request_label, request in block.rs:
-            result = self._step(
-                state, owned, block, request_label, lambda pi: pi.step_request(request)
-            )
+            instance = self._own(pis, owned, block, request_label)
+            result = instance.step_request(request)
             request_steps += 1
             state.ms.add_out(request_label, result.messages)
             materialized += len(result.messages)
-            new_events.extend(
-                self._emit(block, request_label, result.indications)
-            )
+            for indication in result.indications:
+                new_events.append(
+                    IndicationEvent(request_label, indication, block.n, block.ref)
+                )
 
         # Line 7: labels with a request strictly in the past.  Active
         # sets are interned — one frozenset object per distinct set —
@@ -639,20 +641,23 @@ class Interpreter:
                 continue
             incoming = arrived[message_label]
             state.ms.add_in(message_label, incoming)
-            # Lines 10–11: feed in <_M order; union the responses.
+            # Lines 10–11: feed the label's inbox in <_M order to one
+            # private instance, then union the responses into the
+            # out-buffer once — with the empty list when nothing was
+            # emitted, so ``Ms[out, ℓ]`` exists for every stepped label.
+            instance = self._own(pis, owned, block, message_label)
+            emitted: list[Message] = []
+            raised: list[Indication] = []
             for message in ordered(incoming):
-                result = self._step(
-                    state,
-                    owned,
-                    block,
-                    message_label,
-                    lambda pi: pi.step_message(message),
-                )
-                delivered += 1
-                state.ms.add_out(message_label, result.messages)
-                materialized += len(result.messages)
-                new_events.extend(
-                    self._emit(block, message_label, result.indications)
+                result = instance.step_message(message)
+                emitted += result.messages
+                raised += result.indications
+            delivered += len(incoming)
+            state.ms.add_out(message_label, emitted)
+            materialized += len(emitted)
+            for indication in raised:
+                new_events.append(
+                    IndicationEvent(message_label, indication, block.n, block.ref)
                 )
 
         # Line 12 — annotation, interpreted mark and work counters
@@ -665,6 +670,8 @@ class Interpreter:
         self.request_steps += request_steps
         self.messages_delivered += delivered
         self.messages_materialized += materialized
+        if new_events:
+            self._emit(new_events)
         if self.tracer.enabled:
             self.tracer.emit(  # type: ignore[attr-defined]
                 "interpreted", block=block.ref, n=str(block.n), k=block.k
@@ -673,50 +680,42 @@ class Interpreter:
 
     # -- internals ------------------------------------------------------------
 
-    # lint: effect() — `action` is one of the two step closures built in
-    # _execute (pi.step_request / pi.step_message), both of which land in
-    # handler-purity-certified protocol handlers; nothing else is passed.
-    def _step(
+    # lint: effect() — ProtocolSpec.create calls the protocol factory, a
+    # pure constructor building the initial state of P(ℓ, B.n) from its
+    # Context; fork() clones structurally and touches nothing shared.
+    def _own(
         self,
-        state: BlockState,
+        pis: dict[Label, ProcessInstance],
         owned: set[Label],
         block: Block,
         label: Label,
-        action: Callable[[ProcessInstance], StepResult],
-    ) -> StepResult:
-        """Apply ``action`` to the builder's process for ``label``,
-        copying shared state first (copy-on-write discipline).
+    ) -> ProcessInstance:
+        """The builder's process for ``label``, private to this block
+        (copy-on-write discipline): created on first use, forked the
+        first time this block steps an instance it shares.
 
         The ownership copy is a structural fork — O(fields), containers
-        shared until the step's own write barrier touches them.  The
+        shared until a step's own write barrier touches them.  The
         parent block's instance is never mutated, so annotations stay
         per-block."""
-        instance = state.pis.get(label)
+        instance = pis.get(label)
         if instance is None:
             instance = self.protocol.create(self.servers, block.n, label)
-            state.pis[label] = instance
-            owned.add(label)
         elif label not in owned:
             instance = instance.fork()
-            state.pis[label] = instance
-            owned.add(label)
-        return action(instance)
+        else:
+            return instance
+        pis[label] = instance
+        owned.add(label)
+        return instance
 
     # lint: effect() — self.on_indication is the shim's recording hook;
     # it appends to per-run structures owned by the caller and must stay
     # effect-free (it runs inside interpretation on every replica).
-    def _emit(
-        self,
-        block: Block,
-        label: Label,
-        indications: Iterable[Indication],
-    ) -> list[IndicationEvent]:
-        """Record indications (lines 13–14) and fire the callback."""
-        events = []
-        for indication in indications:
-            event = IndicationEvent(label, indication, block.n, block.ref)
-            self.events.append(event)
-            events.append(event)
-            if self.on_indication is not None:
+    def _emit(self, events: list[IndicationEvent]) -> None:
+        """Record a committed block's indications (lines 13–14) and fire
+        the callback."""
+        self.events += events
+        if self.on_indication is not None:
+            for event in events:
                 self.on_indication(event)
-        return events

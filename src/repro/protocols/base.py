@@ -107,6 +107,11 @@ class StepResult:
     indications: tuple[Indication, ...] = ()
 
 
+#: The result of a step that emitted and raised nothing (shared: a
+#: :class:`StepResult` is immutable).
+_SILENT = StepResult()
+
+
 class Context:
     """Deterministic execution context of one process instance.
 
@@ -115,7 +120,9 @@ class Context:
     server's processes bit-for-bit (Lemma 4.2).
     """
 
-    __slots__ = ("servers", "self_id", "label", "_outbox", "_indications")
+    __slots__ = (
+        "servers", "self_id", "label", "n", "f", "quorum", "_outbox", "_indications"
+    )
 
     def __init__(
         self,
@@ -126,25 +133,15 @@ class Context:
         self.servers: tuple[ServerId, ...] = tuple(servers)
         self.self_id = self_id
         self.label = label
+        #: Number of servers.  It and the two constants derived from it
+        #: are fixed at construction: quorum checks read them every step.
+        self.n = n = len(self.servers)
+        #: Tolerated byzantine servers (``n ⩾ 3f + 1``).
+        self.f = max_faults(n)
+        #: Byzantine quorum size ``2f + 1``.
+        self.quorum = quorum_size(n)
         self._outbox: list[Message] = []
         self._indications: list[Indication] = []
-
-    # -- derived system-model constants --------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Number of servers."""
-        return len(self.servers)
-
-    @property
-    def f(self) -> int:
-        """Tolerated byzantine servers (``n ⩾ 3f + 1``)."""
-        return max_faults(len(self.servers))
-
-    @property
-    def quorum(self) -> int:
-        """Byzantine quorum size ``2f + 1``."""
-        return quorum_size(len(self.servers))
 
     # -- effects ---------------------------------------------------------------
 
@@ -163,10 +160,13 @@ class Context:
         self._indications.append(indication)
 
     def _drain(self) -> StepResult:
-        result = StepResult(tuple(self._outbox), tuple(self._indications))
+        outbox = self._outbox
+        indications = self._indications
+        if not outbox and not indications:
+            return _SILENT  # most quorum steps emit and raise nothing
         self._outbox = []
         self._indications = []
-        return result
+        return StepResult(tuple(outbox), tuple(indications))
 
 
 #: Monotone source of generation stamps.  A generation identifies one

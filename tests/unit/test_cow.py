@@ -259,6 +259,24 @@ class _Poisoned(ProcessInstance):
 poisoned_protocol = ProtocolSpec(name="poisoned", factory=_Poisoned)
 
 
+class _IndicatesThenPoisoned(ProcessInstance):
+    """Indicates on every request; raises on the poison pill *after*
+    indicating."""
+
+    def on_request(self, request: Request) -> None:
+        self.ctx.indicate(Indication())
+        if isinstance(request, PoisonPill):
+            raise RuntimeError("poisoned step")
+
+    def on_message(self, message: Message) -> None:
+        pass
+
+
+indicating_poisoned_protocol = ProtocolSpec(
+    name="indicating-poisoned", factory=_IndicatesThenPoisoned
+)
+
+
 class TestMetricAtomicity:
     def test_mid_block_exception_leaves_counters_untouched(self):
         builder = ManualDagBuilder(4)
@@ -291,6 +309,27 @@ class TestMetricAtomicity:
         # The block is still scheduled: a later run() retries it.
         with pytest.raises(RuntimeError, match="poisoned step"):
             interp.run()
+
+    def test_mid_block_exception_leaks_no_indications(self):
+        builder = ManualDagBuilder(4)
+        s1 = builder.servers[0]
+        seen = []
+        interp = Interpreter(
+            builder.dag,
+            indicating_poisoned_protocol,
+            builder.servers,
+            on_indication=seen.append,
+        )
+        bad = builder.block(s1, rs=[(L, FaultyInc()), (L, PoisonPill())])
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="poisoned step"):
+                interp.run()
+        # The first request indicated before the second raised; neither
+        # the event log nor the hook may see a block that was never
+        # marked interpreted, and the retry must not add a copy.
+        assert bad.ref not in interp.interpreted
+        assert interp.events == []
+        assert seen == []
 
     def test_counters_drift_free_across_modes(self):
         builder = ManualDagBuilder(4)

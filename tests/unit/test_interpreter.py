@@ -9,6 +9,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.interpret.instance import snapshot_instance
 from repro.interpret.interpreter import Interpreter
+from repro.protocols.base import ProcessInstance
 from repro.protocols.brb import Broadcast, Deliver, Echo, brb_protocol
 from repro.protocols.counter import Add, Inc, Total, counter_protocol
 from repro.types import Label, ServerId
@@ -219,6 +220,52 @@ class TestCostFollowsWhatArrives:
         # Sorting k labels takes k - 1 comparisons at k <= 2; sorting
         # the 500 active ones would take at least 499.
         assert _CountingLabel.comparisons == live - 1
+
+
+class TestOneStepPerMessage:
+    """Lines 10–11 step a label's whole inbox on one private instance,
+    but still through one ``ProcessInstance.step_message`` call per
+    message: that call is the unit the ``protocols:step_message`` span
+    and ``messages_delivered`` both count."""
+
+    def test_step_message_calls_equal_messages_delivered(
+        self, dag_builder, monkeypatch
+    ):
+        labels = [Label(f"brb-{i}") for i in range(3)]
+        dag_builder.round_all(
+            {
+                S1: [(labels[0], Broadcast(1)), (labels[1], Broadcast(2))],
+                S3: [(labels[2], Broadcast(3))],
+            }
+        )
+        for _ in range(3):
+            dag_builder.round_all()
+        oracle = ReferenceInterpreter(
+            dag_builder.dag, brb_protocol, dag_builder.servers
+        )
+        oracle.run()
+
+        step_message = ProcessInstance.step_message
+        calls = []
+
+        def counting(instance, message):
+            calls.append((instance.ctx.label, message))
+            return step_message(instance, message)
+
+        monkeypatch.setattr(ProcessInstance, "step_message", counting)
+        interp = fresh_interpreter(dag_builder, brb_protocol)
+        interp.run()
+
+        assert len(calls) == interp.messages_delivered
+        assert interp.messages_delivered == oracle.messages_delivered
+        assert {label for label, _ in calls} == set(labels)
+        # Every label's inbox held several messages at some block, so
+        # the per-label batching path is what was counted.
+        for label in labels:
+            assert max(
+                len(interp.state_of(b.ref).ms.incoming(label))
+                for b in dag_builder.dag.blocks()
+            ) >= 2
 
 
 class TestEligibilityAndErrors:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.protocols.base import Context, Message, ProtocolSpec, StepResult, Trace
 from repro.protocols.counter import Add, CounterProtocol, Inc, Total, counter_protocol
-from repro.types import Label, make_servers
+from repro.types import Label, make_servers, max_faults, quorum_size
 
 SERVERS = make_servers(4)
 S1, S2 = SERVERS[0], SERVERS[1]
@@ -23,10 +23,12 @@ class TestContext:
         assert ctx.f == 1
         assert ctx.quorum == 3
 
-    def test_constants_for_seven(self):
-        ctx = self._ctx(7)
-        assert ctx.f == 2
-        assert ctx.quorum == 5
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_constants_fixed_at_construction(self, n):
+        ctx = self._ctx(n)
+        assert ctx.n == n
+        assert ctx.f == max_faults(n)
+        assert ctx.quorum == quorum_size(n)
 
     def test_send_records_message(self):
         ctx = self._ctx()
@@ -53,6 +55,18 @@ class TestContext:
         ctx.send(S2, Add(1))
         ctx._drain()
         assert ctx._drain() == StepResult()
+
+    def test_silent_step_then_emitting_step(self):
+        ctx = self._ctx()
+        assert ctx._drain() == StepResult()
+        ctx.send(S2, Add(1))
+        ctx.indicate(Total(1))
+        assert ctx._drain() == StepResult(
+            (Message(S1, S2, Add(1)),), (Total(1),)
+        )
+        assert ctx._drain() == StepResult()
+        ctx.send(S2, Add(2))
+        assert ctx._drain() == StepResult((Message(S1, S2, Add(2)),))
 
     def test_no_clock_no_randomness_surface(self):
         # The determinism contract: the context exposes nothing ambient.
