@@ -21,14 +21,17 @@ memory layout and stable across runs, which the determinism argument
 maps a value's exact type to its writer, and a dict value is written
 in place behind a length that is filled in afterwards.  Only dict keys
 and set members are encoded on their own, because they are sorted by
-their bytes.
+their bytes.  A caller that writes a tuple it never builds (the frozen
+state of a checkpoint, see :mod:`repro.storage.state_codec`) appends
+only the items: :func:`write_tuple`, :func:`pair_writer` and
+:func:`tagged_tuple_writer` write the frame, so the layout stays here.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from operator import itemgetter
-from typing import Any, Callable
+from typing import Any, Callable, Collection
 
 from repro.errors import CodecError
 
@@ -49,10 +52,11 @@ class Canonical:
     """A value standing for bytes that already *are* its canonical
     encoding: :func:`encode` splices ``data`` in verbatim wherever the
     value would have gone.  The caller vouches that ``data`` came from
-    :func:`encode`; a cache of encoded parts (checkpoint entries, and
-    inside a new entry the state containers ``storage.state_codec``
-    froze once per object) can then be re-framed without this module's
-    container layout leaking out of it."""
+    :func:`encode`; a cache of encoded parts (checkpoint entries,
+    messages, skeletons and events, and inside a new entry the state
+    containers ``storage.state_codec`` froze once per object) can then
+    be re-framed without this module's container layout leaking out of
+    it."""
 
     __slots__ = ("data",)
 
@@ -73,6 +77,44 @@ def encode(value: Any) -> bytes:
 
 
 _Writer = Callable[[Any, bytearray], None]
+
+
+def write_tuple(items: Collection[Any], write_item: _Writer, out: bytearray) -> None:
+    """Append the encoding of a tuple of ``len(items)`` values, the
+    value for each item being what ``write_item(item, out)`` appends —
+    one encoded value.  The caller writes a tuple it never builds, and
+    the frame around the items stays this module's."""
+    out += _TAG_TUPLE
+    out += len(items).to_bytes(8, "big")
+    for item in items:
+        write_item(item, out)
+
+
+def pair_writer(first: Any) -> _Writer:
+    """A writer that appends the encoding of the pair ``(first,
+    value)`` for a ``value``; ``first`` is encoded once, here."""
+    head = _PAIR + encode(first)
+
+    def write(value: Any, out: bytearray) -> None:
+        out += head
+        (_WRITERS.get(type(value)) or _resolve(value))(value, out)
+
+    return write
+
+
+def tagged_tuple_writer(
+    tag: Any,
+) -> Callable[[Collection[Any], _Writer, bytearray], None]:
+    """A writer that appends the encoding of the pair ``(tag, t)``,
+    ``t`` being the tuple :func:`write_tuple` writes for ``items`` and
+    ``write_item``; ``tag`` is encoded once, here."""
+    head = _PAIR + encode(tag)
+
+    def write(items: Collection[Any], write_item: _Writer, out: bytearray) -> None:
+        out += head
+        write_tuple(items, write_item, out)
+
+    return write
 
 
 def _encoded(value: Any) -> bytearray:
@@ -178,6 +220,7 @@ def _resolve(value: Any) -> _Writer:
 
 
 _first = itemgetter(0)
+_PAIR = _TAG_TUPLE + (2).to_bytes(8, "big")
 _LENGTH_PLACEHOLDER = bytes(8)
 
 #: The format's container and scalar types in ``isinstance`` order.

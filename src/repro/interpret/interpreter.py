@@ -65,7 +65,7 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, KeysView, Sequence
 
 from repro.dag.block import Block, parent_of
 from repro.obs.trace import NULL_RECORDER
@@ -232,6 +232,11 @@ class Interpreter:
         """Annotations currently held in memory — the quantity the
         coordinated-GC benchmark bounds."""
         return len(self._states)
+
+    def resident(self) -> KeysView[BlockRef]:
+        """Refs whose annotations are held in memory: the interpreted
+        blocks not released (a live view)."""
+        return self._states.keys()
 
     def state_of(self, ref: BlockRef) -> BlockState:
         """The ``PIs``/``Ms`` annotation of an interpreted block."""

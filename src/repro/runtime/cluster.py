@@ -243,15 +243,18 @@ class Cluster:
 
         Its transport is revoked (late timer callbacks of the dead
         incarnation can no longer send), its network handler swallows
-        deliveries, and the shim object is dropped.  Durable state —
-        the WAL and checkpoints under ``storage_dir`` — survives, which
-        is exactly and only what a real crash leaves behind.
+        deliveries, and the shim object is dropped with its storage's
+        file handles closed, nothing flushed.  Durable state — the WAL
+        and checkpoints under ``storage_dir`` — survives, which is
+        exactly and only what a real crash leaves behind.
         """
         if server in self.down:
             raise SimulationError(f"server already down: {server!r}")
         if server not in self.shims:
             raise SimulationError(f"not a live correct server: {server!r}")
-        del self.shims[server]
+        shim = self.shims.pop(server)
+        if shim.storage is not None:
+            shim.storage.abandon()
         self._transports[server].revoke()
         self.sim.replace_handler(server, lambda src, envelope: None)
         self.down.add(server)

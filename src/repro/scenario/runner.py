@@ -260,6 +260,12 @@ class ScenarioRunner:
                 self.cluster.tracer.export(self.trace_dir)
             return self.result
         finally:
+            # No file stays open past the run, and nothing is written
+            # after the result was taken: the disk holds what it counts.
+            # A WAL reopens on its next append if the cluster is driven on.
+            for shim in self.cluster.shims.values():
+                if shim.storage is not None:
+                    shim.storage.abandon()
             if self._owns_storage and self._storage_root is not None:
                 # The temp root is gone after this, so detach storage
                 # from the surviving shims first: the cluster stays

@@ -276,6 +276,14 @@ class ServerStorage:
     # -- lifecycle -----------------------------------------------------------------
 
     def close(self) -> None:
-        """Clean shutdown (crashes simply abandon the object)."""
+        """Clean shutdown: flush the chain-frame buffer, then close."""
         self.flush_wal()
         self.wal.close()
+
+    def abandon(self) -> None:
+        """Release the file handles and write nothing, as a crash does.
+        Blocks still in the chain-frame buffer stay unwritten (a crash
+        loses them: they never had a visible effect, see
+        :meth:`append_block`); an object driven on writes them at its
+        next flush, reopening the WAL."""
+        self.wal.abandon()

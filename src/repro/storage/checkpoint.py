@@ -39,20 +39,36 @@ parent has no entry in the same checkpoint (chain start, or parent
 skeletonized below the horizon) are materialized in full.  This makes
 checkpoint size proportional to work done, not blocks × labels.
 
-A checkpoint costs what changed since the last one.  An annotation is
-a pure function of the DAG (Lemma 4.2), so a state entry, once written,
-is written the same way for as long as its ``base`` stands: capture
-takes such entries over from the previous checkpoint instead of
-re-freezing them, and each entry's canonical bytes are kept on the
-``Checkpoint`` object (``encoded``) and spliced into the next frame, so
-an entry is encoded once per ``(ref, base)``.  A *new* entry costs what
-its block wrote: a state container (``list``/``dict``/``set``) of an
-interpreted block never changes again, so it is frozen and encoded once
-per object (``frozen``, see :mod:`repro.storage.state_codec`) and every
-entry sharing it splices those bytes.  That memo lives on the
-``Checkpoint`` too; a capture falls back to the previous one's and keeps
-what it reached, so the containers of the last two captures stay pinned
-and a builder silent for longer is encoded afresh once.
+A checkpoint pass — prune, capture, write — builds and encodes only
+what changed since the last one (it still walks the rows it takes
+over).  An annotation is a pure function of the DAG (Lemma 4.2), and so
+are a block's skeleton, its delta base and an indication event, so
+nothing the previous capture built is built again:
+
+* a state entry is written the same way for as long as its ``base``
+  stands, so capture takes it over with the canonical bytes kept on the
+  ``Checkpoint`` (``encoded``), and it is encoded once per
+  ``(ref, base)``;
+* a *new* entry costs what its block wrote.  A state container
+  (``list``/``dict``/``set``) of an interpreted block never changes
+  again, so it is frozen straight to its canonical bytes in one walk,
+  once per object (see :mod:`repro.storage.state_codec`), and every
+  entry sharing it splices those bytes.  A message is encoded once per
+  capture, and its bytes both order the entry's buffers (``<_M`` is the
+  order of the encodings) and are spliced into the entry;
+* skeletons, event rows and parent refs are taken over, so only blocks
+  pruned and events indicated since are built;
+* the pruner examines the blocks the last checkpoint held in memory,
+  never the whole DAG (:func:`repro.storage.gc.prunable_refs`).
+
+The memos live on the ``Checkpoint`` (``memo``, a :class:`CaptureMemo`).
+The container memo falls back to the previous capture's and keeps what
+it reached, so the containers of the last two captures stay pinned and
+a builder silent for longer is encoded afresh once.  Message bytes are
+held only until their entry is first encoded: carried on, they would
+pin every message of a capture between checkpoints for the few that
+cross one.  A loaded checkpoint has no memo; the capture after it
+builds everything once.
 
 On disk, too, a checkpoint costs what changed.  Each server's
 checkpoints form a log (:class:`CheckpointManager`): a CRC-framed full
@@ -62,8 +78,13 @@ and rebased ``states`` entries (spliced from ``encoded``) with their
 ``active`` rows, the refs whose entries left, the refs, released refs
 and skeletons that were added (and the released refs that were
 rehydrated since), an edit of ``events`` — the ones appended plus the
-ones the released filter dropped — and the ``counters``.  Reading the
-log folds the full frame and then every intact delta in order, and the
+ones the released filter dropped — and the ``counters``.  Entries are
+spliced from ``encoded`` in a delta and a full frame alike.  Skeletons
+and events are encoded again in each full frame: their bytes, kept
+between checkpoints, cost a long-running node more memory than the
+encodes they save, and a full frame is written only once the deltas
+outgrew the last one, so over a log its encodes are at most what the
+deltas already wrote.  Reading the log folds the full frame and then every intact delta in order, and the
 fold encodes to exactly the full frame a from-scratch write would
 produce.  Once the deltas outgrow the full frame, the next checkpoint
 starts a new log with a full frame.  Every frame is read back and
@@ -82,14 +103,13 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.dag import codec
 from repro.dag.block import Block, parent_of
 from repro.errors import CheckpointError, CodecError
-from repro.interpret.order import ordered
 from repro.storage.state_codec import ContainerMemo, restore_process, snapshot_process
 from repro.types import BlockRef, Label, ServerId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.dag.blockdag import BlockDag
     from repro.interpret.interpreter import Interpreter
-    from repro.protocols.base import ProtocolSpec
+    from repro.protocols.base import Message, ProtocolSpec
 
 _FRAME = struct.Struct(">II")
 _PREFIX = "ckpt-"
@@ -126,6 +146,30 @@ class BlockSkeleton:
 
 
 @dataclass
+class CaptureMemo:
+    """What one capture keeps for its write and for the next capture,
+    so that each costs what changed.
+
+    Never serialized: a loaded checkpoint has none, and the capture
+    after it builds everything afresh once."""
+
+    #: State containers the capture froze, each encoded once, by object
+    #: identity (see :class:`~repro.storage.state_codec.ContainerMemo`).
+    containers: ContainerMemo
+    #: Per new entry, the bytes of its ``in`` and ``out`` messages in
+    #: entry order — the bytes that ordered them — until the entry is
+    #: first encoded.
+    message_wires: dict[BlockRef, dict[str, dict[str, tuple[codec.Canonical, ...]]]]
+    #: Each live ref's delta base candidate (:func:`_parent_ref`).
+    parents: dict[BlockRef, BlockRef | None]
+    #: The event list the capture read (the interpreter's, which only
+    #: grows), how much of it, and for which ``owner``.
+    event_source: list[Any]
+    events_seen: int
+    owner: ServerId | None
+
+
+@dataclass
 class Checkpoint:
     """One durable snapshot of a server's interpretation progress."""
 
@@ -145,21 +189,48 @@ class Checkpoint:
     encoded: dict[BlockRef, bytes] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: The state containers this capture reached, frozen and encoded, by
-    #: object identity — sound because an interpreted block's containers
-    #: are never written again, bounded because the next capture takes
-    #: only what it still reaches and this object is then dropped.
-    #: Never serialized; empty on a loaded checkpoint.
-    frozen: ContainerMemo = field(
-        default_factory=ContainerMemo, repr=False, compare=False
-    )
+    #: What the capture that built this checkpoint kept for its write
+    #: and for the next capture; ``None`` on a loaded checkpoint.
+    memo: CaptureMemo | None = field(default=None, repr=False, compare=False)
 
     def state_bytes(self, ref: BlockRef) -> bytes:
-        """Canonical encoding of ``states[ref]``, encoded at most once."""
+        """Canonical encoding of ``states[ref]``, encoded at most once;
+        the messages of a captured entry are spliced from the bytes its
+        capture ordered them by."""
         data = self.encoded.get(ref)
         if data is None:
-            data = self.encoded[ref] = codec.encode(self.states[ref])
+            entry = self.states[ref]
+            wires = None if self.memo is None else self.memo.message_wires.pop(ref, None)
+            if wires is not None:
+                entry = {**entry, **wires}
+            data = self.encoded[ref] = codec.encode(entry)
         return data
+
+
+def _ordered(
+    buffers: "dict[Label, frozenset[Message]]",
+    memo: "dict[int, tuple[Message, codec.Canonical]]",
+) -> "tuple[dict[str, tuple[Message, ...]], dict[str, tuple[codec.Canonical, ...]]]":
+    """One side of an entry's buffers, each label's messages in ``<_M``
+    order — the order of their canonical bytes (see
+    :mod:`repro.interpret.order`) — and those bytes.  ``memo`` holds the
+    bytes of every message the capture met, so a message that is in one
+    block's ``out`` and another's ``in`` is encoded once."""
+    ordered: dict[str, tuple[Message, ...]] = {}
+    wires: dict[str, tuple[codec.Canonical, ...]] = {}
+    for label, messages in buffers.items():
+        pairs = []
+        for message in messages:
+            held = memo.get(id(message))
+            if held is None:
+                held = memo[id(message)] = (
+                    message, codec.Canonical(codec.encode(message))
+                )
+            pairs.append(held)
+        pairs.sort(key=lambda pair: pair[1].data)
+        ordered[str(label)] = tuple(message for message, _ in pairs)
+        wires[str(label)] = tuple(wire for _, wire in pairs)
+    return ordered, wires
 
 
 def _parent_ref(dag: "BlockDag", ref: BlockRef) -> BlockRef | None:
@@ -221,30 +292,40 @@ def capture_checkpoint(
     skeletons, and any carried entry whose delta base was just retired
     is materialized in full first.
 
-    ``previous`` also bounds the work: a live block whose entry is in
-    ``previous.states`` with the same ``base`` is not frozen again —
-    the entry object, and with it the bytes ``previous`` memoised for
-    it, is taken over.  Only refs interpreted since ``previous`` and
-    refs whose base just left the checkpoint are snapshotted, and of
-    those only the containers ``previous.frozen`` has not seen.
+    ``previous`` also bounds the work to what changed since it was
+    taken.  A live block whose entry is in ``previous.states`` with the
+    same ``base`` keeps that entry object and the bytes ``previous``
+    memoised for it; only refs interpreted (or rehydrated) since and
+    refs whose base just left the checkpoint are snapshotted; of those,
+    only the containers ``previous.memo`` has not seen are encoded, and
+    each message once.  Each skeleton, event row and parent ref is
+    taken over, so only blocks pruned and events indicated since
+    ``previous`` are built.
     """
-    live = [
-        ref for ref in interpreter.interpreted
-        if ref not in interpreter.released
-    ]
+    memo = None if previous is None else previous.memo
+    released = interpreter.released
+    live = list(interpreter.resident())
     carried = []
     if previous is not None:
         carried = [
-            ref for ref in interpreter.released
-            if ref in previous.states and not dag.payload_pruned(ref)
+            ref for ref in previous.states
+            if ref in released and not dag.payload_pruned(ref)
         ]
-    planned = set(live) | set(carried)
-    frozen = ContainerMemo(None if previous is None else previous.frozen)
+    planned = set(live)
+    planned.update(carried)
+    containers = ContainerMemo(None if memo is None else memo.containers)
+    messages: dict[int, tuple[Message, codec.Canonical]] = {}
+    message_wires: dict[BlockRef, Any] = {}
+    known_parents = {} if memo is None else memo.parents
+    parents: dict[BlockRef, BlockRef | None] = {}
     states: dict[BlockRef, dict[str, Any]] = {}
     active: dict[BlockRef, tuple[Label, ...]] = {}
     for ref in live:
-        parent = _parent_ref(dag, ref)
-        base = parent if (parent is not None and parent in planned) else None
+        parent = (
+            known_parents[ref] if ref in known_parents else _parent_ref(dag, ref)
+        )
+        parents[ref] = parent
+        base = parent if parent in planned else None
         entry = None if previous is None else previous.states.get(ref)
         if entry is not None and entry.get("base") == base:
             # Interpreted once, annotated for good: the entry written
@@ -263,18 +344,19 @@ def capture_checkpoint(
             if state._ms is not None
             else {"in": {}, "out": {}}
         )
+        received, received_wires = _ordered(buffers["in"], messages)
+        emitted, emitted_wires = _ordered(buffers["out"], messages)
         states[ref] = {
             "pis": {
-                str(lbl): snapshot_process(state.pis[lbl], frozen)
+                str(lbl): snapshot_process(state.pis[lbl], containers)
                 for lbl in sorted(labels)
             },
-            "in": {str(lbl): tuple(ordered(msgs))
-                   for lbl, msgs in buffers["in"].items()},
-            "out": {str(lbl): tuple(ordered(msgs))
-                    for lbl, msgs in buffers["out"].items()},
+            "in": received,
+            "out": emitted,
             "own": tuple(sorted(str(lbl) for lbl in own)),
             "base": base,
         }
+        message_wires[ref] = {"in": received_wires, "out": emitted_wires}
         active[ref] = tuple(sorted(interpreter.active_labels(ref)))
     for ref in carried:
         entry = previous.states[ref]  # type: ignore[union-attr]
@@ -284,7 +366,7 @@ def capture_checkpoint(
         active[ref] = previous.active[ref]  # type: ignore[union-attr]
     # The fallback served this capture only: unlinked, each memo dies
     # with its checkpoint instead of chaining back to the first.
-    frozen.older = None
+    containers.older = None
     # An entry taken over as the same object brings its bytes along.
     encoded = (
         {}
@@ -295,29 +377,23 @@ def capture_checkpoint(
             if states.get(ref) is previous.states[ref]
         }
     )
-    skeletons = {
-        ref: BlockSkeleton(
-            n=block.n, k=block.k, preds=block.preds,
-            sigma=bytes(block.sigma), hz=block.hz,
-        )
-        for ref in dag.pruned_payloads
-        for block in (dag.require(ref),)
-    }
-    events = tuple(
-        (event.label, event.indication, event.server, event.block_ref)
-        for event in interpreter.events
-        if event.block_ref not in interpreter.released or event.server == owner
-    )
     return Checkpoint(
         seq=seq,
         refs=frozenset(interpreter.interpreted),
         states=states,
         active=active,
-        released=frozenset(interpreter.released),
-        skeletons=skeletons,
-        events=events,
+        released=frozenset(released),
+        skeletons=_capture_skeletons(dag, previous),
+        events=_capture_events(interpreter, owner, previous),
         encoded=encoded,
-        frozen=frozen,
+        memo=CaptureMemo(
+            containers=containers,
+            message_wires=message_wires,
+            parents=parents,
+            event_source=interpreter.events,
+            events_seen=len(interpreter.events),
+            owner=owner,
+        ),
         counters={
             "blocks_interpreted": interpreter.blocks_interpreted,
             "messages_delivered": interpreter.messages_delivered,
@@ -328,6 +404,64 @@ def capture_checkpoint(
             "chain_blocks": interpreter.chain_blocks,
         },
     )
+
+
+def _capture_skeletons(
+    dag: "BlockDag", previous: "Checkpoint | None"
+) -> dict[BlockRef, BlockSkeleton]:
+    """A skeleton per payload-pruned block: ``previous``'s, and a new
+    one for each block pruned since.  A skeleton is a function of its
+    block, so a kept one is the one a rebuild would make."""
+    pruned = dag.pruned_payloads
+    kept = {} if previous is None else previous.skeletons
+    skeletons = {ref: s for ref, s in kept.items() if ref in pruned}
+    for ref in pruned.difference(kept):
+        block = dag.require(ref)
+        skeletons[ref] = BlockSkeleton(
+            n=block.n, k=block.k, preds=block.preds,
+            sigma=bytes(block.sigma), hz=block.hz,
+        )
+    return skeletons
+
+
+_EventRow = tuple[Label, Any, ServerId, BlockRef]
+
+
+def _capture_events(
+    interpreter: "Interpreter",
+    owner: ServerId | None,
+    previous: "Checkpoint | None",
+) -> tuple[_EventRow, ...]:
+    """The event rows a capture keeps: every indication except those of
+    released blocks on behalf of other servers than ``owner``.
+
+    The interpreter's event list only grows, so the rows of the events
+    ``previous`` read are ``previous``'s own rows, refiltered.  A block
+    rehydrated since brings back rows ``previous`` dropped; then every
+    row is built afresh, as with no ``previous``."""
+    released = interpreter.released
+    events = interpreter.events
+    rows: list[_EventRow] = []
+    seen = 0
+    memo = None if previous is None else previous.memo
+    if (
+        previous is not None
+        and memo is not None
+        and memo.event_source is events
+        and memo.owner == owner
+        and previous.released <= released
+    ):
+        seen = memo.events_seen
+        gone = released - previous.released
+        rows.extend(
+            row for row in previous.events if row[3] not in gone or row[2] == owner
+        )
+    rows.extend(
+        (event.label, event.indication, event.server, event.block_ref)
+        for event in events[seen:]
+        if event.block_ref not in released or event.server == owner
+    )
+    return tuple(rows)
 
 
 def restore_block_state(

@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.dag.blockdag import BlockDag
-from repro.dag.traversal import topological_order
 from repro.interpret.interpreter import Interpreter
 from repro.types import BlockRef, SeqNum, ServerId
 
@@ -89,29 +88,47 @@ def prunable_refs(
     release→rehydrate thrash that inflates ``rehydrated`` for zero
     memory benefit.  Pinning only *delays* release, so every safety
     argument is untouched.
+
+    Only the candidates are examined — durable, interpreted, unreleased
+    and unpinned refs, which the shim's ``durable`` (the last
+    checkpoint's entries) bounds to the blocks resident then — never the
+    whole DAG.  Rules 1–3 are a property of each candidate alone; rule 4
+    (down-closure) is the same ``(k, ref)``-sorted fixpoint the payload
+    sweep of :func:`prune` uses: a candidate is accepted once all its
+    predecessors are released or accepted, so acceptance order is
+    prefix-first.
     """
     servers = set(interpreter.servers)
-    result: list[BlockRef] = []
-    accepted: set[BlockRef] = set(interpreter.released)
-    for block in topological_order(dag):
-        ref = block.ref
-        if ref in accepted:
+    interpreted = interpreter.interpreted
+    released = interpreter.released
+    candidates = []
+    for ref in durable:
+        if ref not in interpreted or ref in released or ref in pinned:
             continue
-        if ref in pinned:
-            continue
-        if ref not in durable or ref not in interpreter.interpreted:
-            continue
+        block = dag.require(ref)
         successors = dag.graph.successors(ref)
-        if not all(s in interpreter.interpreted for s in successors):
+        if not all(s in interpreted for s in successors):
             continue
         if block.k > horizon.get(block.n, -1):
             referencing = {dag.require(s).n for s in successors}
             if referencing < servers:
                 continue
-        if not all(p in accepted for p in set(block.preds)):
-            continue
-        accepted.add(ref)
-        result.append(ref)
+        candidates.append(block)
+    candidates.sort(key=lambda b: (b.k, b.ref))
+    accepted: set[BlockRef] = set()
+    result: list[BlockRef] = []
+    progress = True
+    while progress and candidates:
+        progress = False
+        remaining = []
+        for block in candidates:
+            if all(p in released or p in accepted for p in block.preds):
+                accepted.add(block.ref)
+                result.append(block.ref)
+                progress = True
+            else:
+                remaining.append(block)
+        candidates = remaining
     return result
 
 
@@ -189,11 +206,7 @@ def prune(
         servers = set(interpreter.servers)
         payload_dropped = set(dag.pruned_payloads)
         candidates = sorted(
-            (
-                dag.require(ref)
-                for ref in interpreter.released
-                if ref not in payload_dropped
-            ),
+            (dag.require(ref) for ref in interpreter.released - payload_dropped),
             key=lambda b: (b.k, b.ref),
         )
         examined: set[BlockRef] = set()

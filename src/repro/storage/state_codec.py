@@ -15,18 +15,20 @@ indications) pass through as atoms: the codec round-trips them via its
 dataclass registry, and being frozen they never need the mutability
 distinction.
 
-With a :class:`ContainerMemo`, ``freeze`` freezes *and encodes* a
-``list``/``dict``/``set`` once per object: in its place the wire form
-holds a :class:`~repro.dag.codec.Canonical` with the bytes of the
-container's wire form, shared by every parent and every later state
-entry that holds the same object.  Identity is a sound key because an
+With a :class:`ContainerMemo`, ``freeze`` writes a container straight
+to the canonical bytes of its wire form, in one walk and without
+building the wire form, and returns them as a
+:class:`~repro.dag.codec.Canonical`.
+It does so for a ``list``/``dict``/``set`` once per object: the bytes
+are memoised and spliced into every parent and every later state entry
+that holds the same object.  Identity is a sound key because an
 annotation is immutable once its block is interpreted (Algorithm 2 line
 12) — a later block forks the instance and the write barrier copies a
 container before its first write, which the deepcopy oracle in
 ``tests/property/test_cow_props.py`` guards — and because the memo
 holds the object, so its ``id`` is not reused.  Tuples and frozensets
-are immutable but unshared, and stay plain.  Such a wire form exists in
-memory only and encodes to the bytes of the plain one; what
+are immutable but unshared, and are written afresh.  Such bytes exist in
+memory only and equal the encoding of the plain wire form; what
 ``CheckpointManager.load`` returns never contains a ``Canonical``.
 
 No pickle anywhere: like the rest of the library, persistence is
@@ -77,34 +79,98 @@ class ContainerMemo(dict):
 
 def freeze(value: Any, memo: ContainerMemo | None = None) -> Any:
     """Rewrite ``value`` into the tagged, codec-encodable wire form —
-    with a ``memo``, mutable containers as their encoded wire form, each
-    object frozen and encoded once."""
-    shared = memo is not None and isinstance(value, (list, dict, set))
-    if shared:
-        try:
-            return memo[id(value)][1]
-        except KeyError:
-            pass
-    if isinstance(value, (list, tuple)):
-        tag = _LIST if isinstance(value, list) else _TUPLE
-        wire = (tag, tuple(freeze(v, memo) for v in value))
-    elif isinstance(value, dict):
-        wire = (
-            _DICT,
-            tuple((freeze(k, memo), freeze(v, memo)) for k, v in value.items()),
-        )
-    elif isinstance(value, (set, frozenset)):
-        tag = _SET if isinstance(value, set) else _FROZENSET
-        # Sort by canonical encoding so equal sets freeze identically.
-        items = sorted((freeze(v, memo) for v in value), key=codec.encode)
-        wire = (tag, tuple(items))
-    else:
+    with a ``memo``, a container straight into that form's canonical
+    bytes, each mutable container frozen and encoded once."""
+    tag = _TAGS.get(type(value)) or _tag_of(value)
+    if tag == _ATOM:
         # Scalars and frozen dataclasses: the codec handles them natively.
         return (_ATOM, value)
-    if shared:
-        wire = codec.Canonical(codec.encode(wire))
-        memo[id(value)] = (value, wire)
-    return wire
+    if memo is not None:
+        out = bytearray()
+        _FrozenWriter(memo).write(value, out)
+        # A container's bytes are held once, by the memo.
+        held = memo.get(id(value))
+        return codec.Canonical(bytes(out)) if held is None else held[1]
+    if tag == _DICT:
+        return (_DICT, tuple((freeze(k), freeze(v)) for k, v in value.items()))
+    if tag in (_SET, _FROZENSET):
+        # Sort by canonical encoding so equal sets freeze identically.
+        return (tag, tuple(sorted((freeze(v) for v in value), key=codec.encode)))
+    return (tag, tuple(freeze(v) for v in value))
+
+
+#: The wire tag of the common types, exactly; any other type resolves
+#: through :func:`_tag_of`.
+_TAGS: dict[type, str] = {
+    list: _LIST, tuple: _TUPLE, dict: _DICT, set: _SET, frozenset: _FROZENSET,
+    **dict.fromkeys((int, str, bytes, bool, type(None)), _ATOM),
+}
+#: Writers of ``encode(freeze(value))`` around items written by the
+#: caller, one per tag; the frame is the codec's.
+_WRITE_ATOM = codec.pair_writer(_ATOM)
+_WRITE_TAGGED = {
+    tag: codec.tagged_tuple_writer(tag)
+    for tag in (_LIST, _TUPLE, _DICT, _SET, _FROZENSET)
+}
+
+
+def _tag_of(value: Any) -> str:
+    """``value``'s wire tag: the kind of container it is, or ``_ATOM``."""
+    if isinstance(value, (list, tuple)):
+        return _LIST if isinstance(value, list) else _TUPLE
+    if isinstance(value, dict):
+        return _DICT
+    if isinstance(value, (set, frozenset)):
+        return _SET if isinstance(value, set) else _FROZENSET
+    return _ATOM
+
+
+def _splice(data: bytes | bytearray, out: bytearray) -> None:
+    out += data
+
+
+class _FrozenWriter:
+    """Appends ``encode(freeze(value))`` in one walk, without building
+    the wire form: the codec frames each tagged pair and tuple around
+    items this writer appends.  Mutable containers are spliced from and
+    filled into ``memo``."""
+
+    __slots__ = ("memo",)
+
+    def __init__(self, memo: ContainerMemo) -> None:
+        self.memo = memo
+
+    def write(self, value: Any, out: bytearray) -> None:
+        tag = _TAGS.get(type(value)) or _tag_of(value)
+        if tag == _ATOM:
+            _WRITE_ATOM(value, out)
+            return
+        shared = tag in (_LIST, _DICT, _SET)
+        if shared:
+            try:
+                out += self.memo[id(value)][1].data
+                return
+            except KeyError:
+                start = len(out)
+        if tag == _DICT:
+            _WRITE_TAGGED[tag](value.items(), self.write_pair, out)
+        elif tag in (_SET, _FROZENSET):
+            # Members in the order of their canonical bytes, as in
+            # ``freeze`` without a memo.
+            members = []
+            for member in value:
+                written = bytearray()
+                self.write(member, written)
+                members.append(written)
+            members.sort()
+            _WRITE_TAGGED[tag](members, _splice, out)
+        else:
+            _WRITE_TAGGED[tag](value, self.write, out)
+        if shared:
+            self.memo[id(value)] = (value, codec.Canonical(bytes(out[start:])))
+
+    def write_pair(self, pair: tuple[Any, Any], out: bytearray) -> None:
+        codec.write_tuple(pair, self.write, out)
 
 
 def thaw(wire: Any) -> Any:

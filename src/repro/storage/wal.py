@@ -190,6 +190,15 @@ class WriteAheadLog:
             self._handle = None
             self._active = None
 
+    def abandon(self) -> None:
+        """Drop the active handle as a crash does: nothing is written,
+        synced or counted.  Every append was flushed, so the disk holds
+        what a real crash would leave."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+            self._active = None
+
     def _writable_segment(
         self, payload_size: int, chain_key: str | None = None
     ) -> WalSegment:

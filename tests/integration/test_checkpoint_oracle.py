@@ -40,6 +40,7 @@ from repro.storage.checkpoint import (
     _parent_ref,
     _to_wire,
     capture_checkpoint,
+    restore_block_state,
 )
 from repro.storage.gc import prune
 from repro.storage.state_codec import snapshot_process
@@ -226,6 +227,20 @@ def durable_ledger() -> Scenario:
     )
 
 
+def long_durable_ledger() -> Scenario:
+    """The same shape over 40 rounds and without the crash: enough
+    checkpoints for a trend."""
+    base = durable_ledger()
+    rounds = 40
+    return dataclasses.replace(
+        base,
+        workload=dataclasses.replace(base.workload, rounds=rounds),
+        faults=FaultSchedule(()),
+        stop=RoundsElapsed(rounds + 6),
+        max_rounds=rounds + 6,
+    )
+
+
 SCENARIOS = {
     "mixed-faults": lambda: registry.get("mixed-faults"),
     "durable-ledger": durable_ledger,
@@ -298,20 +313,139 @@ def test_appended_bytes_outside_new_entries_stay_flat_while_the_fold_grows(
         )
 
     monkeypatch.setattr(Shim, "checkpoint_now", checkpoint_now)
-    base = durable_ledger()
-    rounds = 40
-    scenario = dataclasses.replace(
-        base,
-        workload=dataclasses.replace(base.workload, rounds=rounds),
-        faults=FaultSchedule(()),
-        stop=RoundsElapsed(rounds + 6),
-        max_rounds=rounds + 6,
-    )
-    run_scenario(scenario, storage_root=tmp_path)
+    run_scenario(long_durable_ledger(), storage_root=tmp_path)
     assert len(rows) >= 10
     half = len(rows) // 2
     assert max(a for _, a in rows[half:]) <= 1.1 * max(a for _, a in rows[:half])
     assert rows[-1][0] >= 4 * rows[0][0]
+
+
+def test_work_outside_new_entries_stays_flat_while_the_fold_grows(
+    monkeypatch, tmp_path
+):
+    """The checkpoint pass costs what changed: per checkpoint on s1, the
+    blocks ``prunable_refs`` examines, the skeletons built and the
+    ``codec.encode`` calls outside new entries (their containers and
+    first-seen messages) stay flat while the history a full frame folds
+    grows at least fourfold."""
+    import repro.storage.checkpoint as checkpoint_module
+    import repro.storage.gc as gc_module
+    from repro.dag.blockdag import BlockDag
+    from repro.protocols.base import Message
+
+    rows: list[dict[str, int]] = []
+    folds: list[int] = []
+    counts = {"examined": 0, "skeletons": 0, "encodes": 0}
+    inside: set[str] = set()
+    seen_messages: set[Message] = set()
+
+    def counted_within(name, real):
+        def wrapper(*args, **kwargs):
+            inside.add(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.discard(name)
+
+        return wrapper
+
+    real_require = BlockDag.require
+    real_skeleton = BlockSkeleton.__init__
+    real_encode = codec.encode
+    real_now = Shim.checkpoint_now
+
+    def require(dag, ref):
+        counts["examined"] += "prunable_refs" in inside
+        return real_require(dag, ref)
+
+    def skeleton(self, *args, **kwargs):
+        counts["skeletons"] += "pass" in inside
+        real_skeleton(self, *args, **kwargs)
+
+    def encode(value):
+        if "pass" in inside and not inside & {"snapshot_process", "state_bytes"}:
+            first_seen = type(value) is Message and value not in seen_messages
+            counts["encodes"] += not first_seen
+            if first_seen:
+                seen_messages.add(value)
+        return real_encode(value)
+
+    def checkpoint_now(shim: Shim) -> None:
+        if shim.server != "s1":
+            return real_now(shim)
+        for name in counts:
+            counts[name] = 0
+        inside.add("pass")
+        try:
+            real_now(shim)
+        finally:
+            inside.discard("pass")
+        rows.append(dict(counts))
+        written = shim._last_checkpoint
+        folds.append(
+            len(framed(_to_wire(written)))
+            - sum(len(written.state_bytes(ref)) for ref in written.states)
+        )
+
+    monkeypatch.setattr(
+        gc_module, "prunable_refs",
+        counted_within("prunable_refs", gc_module.prunable_refs),
+    )
+    monkeypatch.setattr(
+        checkpoint_module, "snapshot_process",
+        counted_within("snapshot_process", checkpoint_module.snapshot_process),
+    )
+    monkeypatch.setattr(
+        Checkpoint, "state_bytes",
+        counted_within("state_bytes", Checkpoint.state_bytes),
+    )
+    monkeypatch.setattr(BlockDag, "require", require)
+    monkeypatch.setattr(BlockSkeleton, "__init__", skeleton)
+    monkeypatch.setattr(codec, "encode", encode)
+    monkeypatch.setattr(Shim, "checkpoint_now", checkpoint_now)
+    run_scenario(long_durable_ledger(), storage_root=tmp_path)
+    assert len(rows) >= 10
+    work = [sum(row.values()) for row in rows]
+    half = len(rows) // 2
+    assert max(work[half:]) <= 1.1 * max(work[:half]), rows
+    assert folds[-1] >= 4 * folds[0]
+
+
+def test_a_checkpoint_pass_never_calls_the_interpreters_message_order(
+    monkeypatch, tmp_path
+):
+    """Capture orders each message by the bytes it encodes for it
+    anyway, so ``<_M`` as computed for the interpreter is never called
+    on the checkpoint path — its cost stays the interpreter's."""
+    import sys
+
+    from repro.interpret import order
+
+    real_ordered = order.ordered
+    calls = {"pass": 0, "passes": 0}
+    in_pass = []
+
+    def ordered(messages):
+        calls["pass"] += bool(in_pass)
+        return real_ordered(messages)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "ordered", None) is real_ordered:
+            monkeypatch.setattr(module, "ordered", ordered)
+    real_now = Shim.checkpoint_now
+
+    def checkpoint_now(shim: Shim) -> None:
+        calls["passes"] += 1
+        in_pass.append(shim)
+        try:
+            real_now(shim)
+        finally:
+            in_pass.pop()
+
+    monkeypatch.setattr(Shim, "checkpoint_now", checkpoint_now)
+    run_scenario(durable_ledger(), storage_root=tmp_path)
+    assert calls["passes"] >= 8
+    assert calls["pass"] == 0
 
 
 def test_mixed_faults_smoke_reuses_at_least_half_its_entries(monkeypatch):
@@ -321,6 +455,44 @@ def test_mixed_faults_smoke_reuses_at_least_half_its_entries(monkeypatch):
     storage = result.storage
     assert storage.checkpoint_entries_written > 0
     assert storage.checkpoint_entries_reused / storage.checkpoint_entries_written >= 0.5
+
+
+def test_a_capture_after_a_rehydration_puts_the_dropped_events_back():
+    """Events of a released block on behalf of others are dropped; when
+    a late reference rehydrates the block they return in place, and the
+    next capture puts them back."""
+    builder = ManualDagBuilder(3)
+    for i in range(6):
+        builder.round_all(
+            rs_for={builder.servers[i % 3]: [(Label(f"l{i}"), Broadcast(i))]}
+        )
+    interpreter = fresh_interpreter(builder, brb_protocol)
+    interpreter.run()
+    owner = builder.servers[0]
+    first = capture_checkpoint(1, interpreter, builder.dag, owner=owner)
+    prune(
+        builder.dag, interpreter, frozenset(first.states), horizon={},
+        allow_destruction=False,
+    )
+    second = capture_checkpoint(
+        2, interpreter, builder.dag, owner=owner, previous=first
+    )
+    late = next(
+        ref for ref in sorted(interpreter.released)
+        if any(e.block_ref == ref and e.server != owner for e in interpreter.events)
+    )
+    interpreter.rehydrator = lambda ref: restore_block_state(
+        second, brb_protocol, builder.servers, ref
+    )
+    builder.fork(builder.servers[1], refs=[late], rs=[(Label("late"), Broadcast(9))])
+    interpreter.run()
+    assert late not in interpreter.released
+    third = capture_checkpoint(
+        3, interpreter, builder.dag, owner=owner, previous=second
+    )
+    reference = reference_capture(3, interpreter, builder.dag, owner, second)
+    assert framed(_to_wire(third)) == reference_frame(reference)
+    assert len(third.events) > len(second.events)
 
 
 @pytest.mark.parametrize("horizon", [3, 10, 1])

@@ -472,6 +472,7 @@ class TestLogCrashSafety:
         assert storage.checkpoints.sequences() == [1, 3]
         assert len(storage.wal.segments()) < len(segments)
         assert storage.checkpoints.latest().seq == 3
+        storage.close()
 
     def test_checkpoint_after_a_trimmed_recovery_folds_to_a_fresh_capture(
         self, tmp_path
@@ -490,6 +491,8 @@ class TestLogCrashSafety:
         for i, server in enumerate(cluster.servers):
             cluster.request(server, Label(f"tx-{i}"), Broadcast(i))
         cluster.run_rounds(6)
+        for stopped in cluster.shims.values():
+            stopped.storage.abandon()
         # Lose a WAL suffix the newest checkpoint already covers.
         last = sorted((tmp_path / "s1" / "wal").glob("wal-*.log"))[-1]
         last.write_bytes(last.read_bytes()[:-5])
@@ -508,6 +511,7 @@ class TestLogCrashSafety:
         assert checkpoints.sequences()[-1] == written.seq
         fresh = capture_checkpoint(written.seq, shim.interpreter, shim.dag, owner=shim.server)
         assert frame_of(checkpoints.latest()) == frame_of(fresh)
+        shim.storage.close()
 
 
 class _CountedValue(str):

@@ -82,6 +82,34 @@ class TestCanonicalSplice:
         assert codec.decode(encoded) == wrap(self.VALUE)
 
 
+class TestCallerWrittenItems:
+    """A tuple or tagged pair whose items the caller writes encodes as
+    the value it stands for, so the caller never writes a frame."""
+
+    ITEMS = [1, "x", (2, [3]), None, Point(1, 2)]
+
+    @staticmethod
+    def write_item(item, out):
+        out += codec.encode(item)
+
+    def test_tuple(self):
+        out = bytearray(b"?")
+        codec.write_tuple(self.ITEMS, self.write_item, out)
+        assert bytes(out) == b"?" + codec.encode(tuple(self.ITEMS))
+
+    @pytest.mark.parametrize("items", [[], ITEMS])
+    def test_tagged_tuple(self, items):
+        out = bytearray()
+        codec.tagged_tuple_writer("l")(items, self.write_item, out)
+        assert bytes(out) == codec.encode(("l", tuple(items)))
+
+    @pytest.mark.parametrize("value", [0, "a", b"b", (1,), {"k": [1]}, Point(3, 4)])
+    def test_pair(self, value):
+        out = bytearray()
+        codec.pair_writer("a")(value, out)
+        assert bytes(out) == codec.encode(("a", value))
+
+
 class TestDataclassEncoding:
     def test_dataclass_roundtrip(self):
         point = Point(1, 2)
