@@ -1,11 +1,19 @@
 """Per-block message buffers — the paper's ``Ms[in, ℓ]`` / ``Ms[out, ℓ]``.
 
-Each interpreted block carries, per protocol instance label, the set of
-messages its builder's process *received at* this block and the set it
-*emitted at* this block (§4).  The buffers use set semantics because
-Algorithm 2 lines 9 and 11 are set unions: an identical message
-reachable through two predecessors (possible only via equivocating
-builders) is delivered once, and duplicate emissions collapse.
+Each interpreted block carries, per protocol instance label, the
+messages its builder's process *received at* this block and the ones
+it *emitted at* this block (§4).  Algorithm 2 lines 6, 9 and 11 are set
+unions, so each buffer holds a message once: an identical message
+reachable through two predecessors of one builder is delivered once,
+and duplicate emissions collapse.
+
+The buffers hold *runs*: tuples deduplicated and in ``<_M`` order.
+``Ms[out]`` is kept ``receiver → label → run`` and ``Ms[in]`` as
+``label → run``.  A run is ordered once, where its block emits it
+(:func:`~repro.interpret.order.run_of`), and a successor's line-9
+gather joins its predecessors' runs for ``B.n`` without ordering them
+again (:func:`~repro.interpret.order.joined`).  The set views —
+``snapshot()``, ``outgoing(ℓ)``, the counts — are derived when asked.
 """
 
 from __future__ import annotations
@@ -13,76 +21,105 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from repro.interpret.order import ordered
+from repro.interpret.order import endpoint_key, run_of
 from repro.protocols.base import Message
 from repro.types import Label
 
+#: A deduplicated, ``<_M``-ordered tuple of messages.
+Run = tuple[Message, ...]
 
 #: What :meth:`MessageBuffers.outgoing_to` answers for a receiver the
 #: block emitted nothing to.
-_NOTHING: Mapping[Label, set[Message]] = MappingProxyType({})
+_NOTHING: Mapping[Label, Run] = MappingProxyType({})
 
 
 class MessageBuffers:
-    """The ``Ms`` annotation of one block: in/out message sets per label.
+    """The ``Ms`` annotation of one block: in/out runs per label.
 
-    Alongside the canonical out-sets, the buffers maintain a
-    *receiver index* (``receiver -> label -> messages``): Algorithm 2's
-    line-9 gather asks every direct predecessor for the messages with
+    ``Ms[out]`` is indexed by receiver first: Algorithm 2's line-9
+    gather asks every direct predecessor for the messages with
     ``m.receiver = B.n``, so one probe per predecessor returns exactly
     the labels that have something for ``B.n`` — a successor's cost
     follows what it receives, not the number of labels ever requested
-    nor the messages addressed to others.  The index is derived state
-    — rebuilt by ``add_out`` wherever the buffers are reconstructed
-    (checkpoint restore, rehydration) and never serialized."""
+    nor the messages addressed to others.  ``_stepped`` holds every
+    label the block stepped, so a label that emitted nothing keeps its
+    empty ``Ms[out, ℓ]``."""
 
-    __slots__ = ("_in", "_out", "_out_rcv")
+    __slots__ = ("_in", "_out", "_stepped")
 
     def __init__(self) -> None:
-        self._in: dict[Label, set[Message]] = {}
-        self._out: dict[Label, set[Message]] = {}
-        self._out_rcv: dict[object, dict[Label, set[Message]]] = {}
+        self._in: dict[Label, Run] = {}
+        self._out: dict[object, dict[Label, Run]] = {}
+        self._stepped: set[Label] = set()
 
     # -- writes (Algorithm 2 lines 6, 9, 11) -------------------------------------
 
+    def receive(self, label: Label, inbox: Run) -> None:
+        """``Ms[in, ℓ] := inbox``, a run gathered for this block (line 9)."""
+        self._in[label] = inbox
+
     def add_in(self, label: Label, messages: Iterable[Message]) -> None:
         """``Ms[in, ℓ] ∪= messages`` (line 9)."""
-        self._in.setdefault(label, set()).update(messages)
+        self._in[label] = run_of([*self._in.get(label, ()), *messages])
 
     def add_out(self, label: Label, messages: Iterable[Message]) -> None:
-        """``Ms[out, ℓ] ∪= messages`` (lines 6, 11)."""
-        self._out.setdefault(label, set()).update(messages)
-        out_rcv = self._out_rcv
+        """``Ms[out, ℓ] ∪= messages`` (lines 6, 11): one run per
+        receiver, ordered here and nowhere downstream — and only when a
+        receiver's run grows past one message."""
+        self._stepped.add(label)
+        out = self._out
+        grown: set[object] | None = None
         for message in messages:
-            by_label = out_rcv.get(message.receiver)
+            receiver = message.receiver
+            by_label = out.get(receiver)
             if by_label is None:
-                by_label = out_rcv[message.receiver] = {}
-            bucket = by_label.get(label)
-            if bucket is None:
-                by_label[label] = {message}
+                out[receiver] = {label: (message,)}
+                continue
+            held = by_label.get(label)
+            if held is None:
+                by_label[label] = (message,)
+                continue
+            by_label[label] = held + (message,)
+            if grown is None:
+                grown = {receiver}
             else:
-                bucket.add(message)
+                grown.add(receiver)
+        if grown is not None:
+            for receiver in grown:
+                by_label = out[receiver]
+                by_label[label] = run_of(by_label[label])
 
     # -- reads ----------------------------------------------------------------
 
     def incoming(self, label: Label) -> list[Message]:
         """``Ms[in, ℓ]`` ordered by ``<_M`` (line 10)."""
-        return ordered(self._in.get(label, ()))
+        return list(self._in.get(label, ()))
 
     def outgoing(self, label: Label) -> list[Message]:
         """``Ms[out, ℓ]`` ordered by ``<_M`` (for line 9 at successor blocks)."""
-        return ordered(self._out.get(label, ()))
+        return list(self.runs()["out"].get(label, ()))
 
-    def outgoing_to(self, receiver: object) -> Mapping[Label, set[Message]]:
-        """``ℓ ↦ {m ∈ Ms[out, ℓ] | m.receiver = receiver}`` for every
-        label with such a message, unordered — one block's whole
+    def outgoing_to(self, receiver: object) -> Mapping[Label, Run]:
+        """``ℓ ↦ {m ∈ Ms[out, ℓ] | m.receiver = receiver}`` as runs, for
+        every label with such a message — one block's whole
         contribution to the line 9 gather at a successor built by
         ``receiver``.  Callers must not mutate what is returned."""
-        return self._out_rcv.get(receiver, _NOTHING)
+        return self._out.get(receiver, _NOTHING)
 
     def outgoing_for(self, label: Label, receiver: object) -> list[Message]:
         """``{m ∈ Ms[out, ℓ] | m.receiver = receiver}`` — the line 9 filter."""
-        return [m for m in self.outgoing(label) if m.receiver == receiver]
+        return list(self.outgoing_to(receiver).get(label, ()))
+
+    def runs(self) -> dict[str, dict[Label, Run]]:
+        """``Ms`` label by label as runs: ``in`` as kept, and ``out`` for
+        every stepped label with its receivers' runs joined in the order
+        of their encodings — ``<_M`` order, since every message here is
+        sent by the block's builder.  Callers must not mutate ``in``."""
+        out: dict[Label, Run] = {label: () for label in self._stepped}
+        for receiver in sorted(self._out, key=endpoint_key):
+            for label, run in self._out[receiver].items():
+                out[label] += run
+        return {"in": self._in, "out": out}
 
     def labels_in(self) -> Iterator[Label]:
         """Labels with any received message."""
@@ -90,15 +127,17 @@ class MessageBuffers:
 
     def in_count(self) -> int:
         """Total received messages across labels (metrics)."""
-        return sum(len(v) for v in self._in.values())
+        return sum(len(run) for run in self._in.values())
 
     def out_count(self) -> int:
         """Total emitted messages across labels (metrics)."""
-        return sum(len(v) for v in self._out.values())
+        return sum(
+            len(run) for by_label in self._out.values() for run in by_label.values()
+        )
 
     def snapshot(self) -> dict[str, dict[Label, frozenset[Message]]]:
         """Immutable view for equivalence assertions (Lemma 4.2)."""
         return {
-            "in": {label: frozenset(msgs) for label, msgs in self._in.items()},
-            "out": {label: frozenset(msgs) for label, msgs in self._out.items()},
+            side: {label: frozenset(run) for label, run in runs.items()}
+            for side, runs in self.runs().items()
         }

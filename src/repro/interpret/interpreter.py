@@ -13,10 +13,13 @@ per block ``B``:
    messages addressed to ``B.n`` (lines 8–9) and feeds them to the
    builder's process in ``<_M`` order, unioning the responses into the
    out-buffer (lines 10–11).  The gather is receiver-first: buffers
-   index their out-sets by receiver, so one probe per predecessor
-   yields the labels that hold something for ``B.n`` and only those
-   are ordered and visited — a block costs what it receives, however
-   many labels were ever requested;
+   keep their out-messages ``receiver → label → run``, so one probe per
+   predecessor yields the labels that hold something for ``B.n`` and
+   only those are visited — a block costs what it receives, however
+   many labels were ever requested.  Each run was put in ``<_M`` order
+   once, by the block that emitted it, and the runs of distinct
+   builders are disjoint, so a label's inbox is its predecessors' runs
+   joined in builder order: nothing is hashed or sorted per delivery;
 4. marks ``B`` interpreted (line 12) and surfaces any indications the
    process raised (lines 13–14).
 
@@ -72,7 +75,7 @@ from repro.obs.trace import NULL_RECORDER
 from repro.dag.blockdag import BlockDag
 from repro.errors import PrunedStateError, SimulationError
 from repro.interpret.instance import BlockState
-from repro.interpret.order import ordered
+from repro.interpret.order import endpoint_key, joined
 from repro.protocols.base import Message, ProcessInstance, ProtocolSpec
 from repro.types import BlockRef, Indication, Label, ServerId
 
@@ -94,6 +97,12 @@ ChooseFn = Callable[[list[Block]], Block]
 
 #: Shared empty label set (avoids one allocation per no-step block).
 _EMPTY_LABELS: frozenset[Label] = frozenset()
+
+
+def _builder_key(block: Block) -> bytes:
+    """A block's place in ``<_M`` as a sender: its builder's encoding."""
+    return endpoint_key(block.n)
+
 
 #: Rehydration callback: reconstruct a released block's annotation from
 #: durable storage — ``(state, active labels, own labels)``, or ``None``
@@ -572,14 +581,21 @@ class Interpreter:
         request_steps = 0
         delivered = 0
         materialized = 0
+        # What each stepped label emits, unioned into ``Ms[out, ℓ]`` once
+        # per label below (lines 6 and 11), so each of its runs is
+        # ordered once however many steps fed it.
+        outboxes: dict[Label, list[Message]] = {}
 
         # Lines 5–6: requests carried by this block, in list order.
         for request_label, request in block.rs:
             instance = self._own(pis, owned, block, request_label)
             result = instance.step_request(request)
             request_steps += 1
-            state.ms.add_out(request_label, result.messages)
-            materialized += len(result.messages)
+            outbox = outboxes.get(request_label)
+            if outbox is None:
+                outboxes[request_label] = list(result.messages)
+            else:
+                outbox += result.messages
             for indication in result.indications:
                 new_events.append(
                     IndicationEvent(request_label, indication, block.n, block.ref)
@@ -620,22 +636,25 @@ class Interpreter:
 
         # Lines 8–9: gather the messages addressed to B.n from the direct
         # predecessors' out-buffers through their receiver-first index —
-        # one probe per predecessor, answered with the labels that hold
-        # something for B.n.  The unions are unordered; <_M is applied
-        # once per label below (line 10).
+        # one probe per predecessor, answered with the labels that hold a
+        # run for B.n.  Each run is sent by its block's builder and is in
+        # <_M order already, so visiting the predecessors in the order of
+        # their builders' encodings (once per block) leaves every
+        # label's inbox (line 10) its runs joined; only two runs of one
+        # builder are merged and sorted again.
         states = self._states
         receiver = block.n
-        arrived: dict[Label, set[Message]] = {}
-        for p in preds:
+        arrived: dict[Label, list[tuple[ServerId, tuple[Message, ...]]]] = {}
+        for p in preds if len(preds) < 2 else sorted(preds, key=_builder_key):
             buffers = states[p.ref]._ms
             if buffers is None:
                 continue  # block emitted nothing at all
-            for message_label, messages in buffers.outgoing_to(receiver).items():
-                union = arrived.get(message_label)
-                if union is None:
-                    arrived[message_label] = set(messages)
+            for message_label, run in buffers.outgoing_to(receiver).items():
+                runs = arrived.get(message_label)
+                if runs is None:
+                    arrived[message_label] = [(p.n, run)]
                 else:
-                    union.update(messages)
+                    runs.append((p.n, run))
         # The canonical label order only matters when there is a choice.
         for message_label in arrived if len(arrived) < 2 else sorted(arrived):
             if message_label not in active:
@@ -644,26 +663,29 @@ class Interpreter:
                 # (joined `active` above) or by a message (the label
                 # was active there already; active sets only grow).
                 continue
-            incoming = arrived[message_label]
-            state.ms.add_in(message_label, incoming)
+            incoming = joined(arrived[message_label])
+            state.ms.receive(message_label, incoming)
             # Lines 10–11: feed the label's inbox in <_M order to one
-            # private instance, then union the responses into the
-            # out-buffer once — with the empty list when nothing was
-            # emitted, so ``Ms[out, ℓ]`` exists for every stepped label.
+            # private instance, collecting the responses in its outbox.
             instance = self._own(pis, owned, block, message_label)
-            emitted: list[Message] = []
+            outbox = outboxes.get(message_label)
+            if outbox is None:
+                outbox = outboxes[message_label] = []
             raised: list[Indication] = []
-            for message in ordered(incoming):
+            for message in incoming:
                 result = instance.step_message(message)
-                emitted += result.messages
+                outbox += result.messages
                 raised += result.indications
             delivered += len(incoming)
-            state.ms.add_out(message_label, emitted)
-            materialized += len(emitted)
             for indication in raised:
                 new_events.append(
                     IndicationEvent(message_label, indication, block.n, block.ref)
                 )
+        # Lines 6 and 11 — with the empty list when nothing was emitted,
+        # so ``Ms[out, ℓ]`` exists for every stepped label.
+        for outbox_label, outbox in outboxes.items():
+            state.ms.add_out(outbox_label, outbox)
+            materialized += len(outbox)
 
         # Line 12 — annotation, interpreted mark and work counters
         # commit together (nothing above this point mutated them).

@@ -15,19 +15,32 @@ the whole *equals* tuple order on the three parts.  The parts are
 compared as encodings, never as raw ids (``"s10" < "s2"`` as text, but
 the length prefix puts ``encode("s2")`` first).  ``tests/`` holds
 ``ordered`` against ``sorted(key=codec.encode)``.
+
+Who sorts.  :func:`ordered` is called through :func:`run_of` only, and
+only for two or more messages: once per run a block *emits* — its
+messages for one label to one receiver — and when the buffers are
+rebuilt from a checkpoint.  Every message in ``B'.Ms[out]`` is sent by
+``B'.n``, so the line 9 union at a successor is disjoint across
+builders and its ``<_M`` order is the builders' runs laid end to end in
+the order of their encodings.  The interpreter visits a block's
+predecessors in that order once per block, :func:`joined` lays each
+label's runs end to end, and it sorts again only when two predecessors
+share a builder (a builder that sealed twice between two of ``B.n``'s
+seals, or an equivocator).
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.dag.codec import encode
 from repro.protocols.base import Message
+from repro.types import ServerId
 
 _ENDPOINT_KEYS: dict[str, bytes] = {}  # lint: registry — memo of codec.encode on server-id strings; an entry is a pure function of its key and never changes
 
 
-def _endpoint_key(endpoint: object) -> bytes:
+def endpoint_key(endpoint: object) -> bytes:
     """``encode(endpoint)``, memoised for exact ``str`` only: ``1`` and
     ``True`` are one dict key with two encodings."""
     if type(endpoint) is not str:
@@ -48,7 +61,7 @@ def ordered(messages: Iterable[Message]) -> list[Message]:
     by_endpoints: dict[tuple[bytes, bytes], list[Message]] = {}
     for message in batch:
         by_endpoints.setdefault(
-            (_endpoint_key(message.sender), _endpoint_key(message.receiver)), []
+            (endpoint_key(message.sender), endpoint_key(message.receiver)), []
         ).append(message)
     result: list[Message] = []
     for endpoints in sorted(by_endpoints):
@@ -57,3 +70,41 @@ def ordered(messages: Iterable[Message]) -> list[Message]:
             tied.sort(key=lambda message: encode(message.payload))
         result.extend(tied)
     return result
+
+
+def run_of(messages: Sequence[Message]) -> tuple[Message, ...]:
+    """``messages`` as a run: in ``<_M`` order with duplicates dropped
+    (the set unions of Algorithm 2 lines 6, 9 and 11).  A run of zero or
+    one is taken as it is; a longer one is sorted by :func:`ordered`,
+    after which equal messages are neighbours and no hashing is needed
+    to drop them."""
+    if len(messages) < 2:
+        return tuple(messages)
+    batch = ordered(messages)
+    run = [batch[0]]
+    for message in batch[1:]:
+        if message != run[-1]:
+            run.append(message)
+    return tuple(run)
+
+
+def joined(runs: Sequence[tuple[ServerId, tuple[Message, ...]]]) -> tuple[Message, ...]:
+    """The ``<_M``-ordered union of ``(sender, run)`` pairs given in the
+    order of their senders' encodings (``s2`` before ``s10``), each run
+    sent by its ``sender`` alone (Algorithm 2 lines 9–10).  Runs of
+    distinct senders are disjoint, so they are laid end to end; two runs
+    of one sender, neighbours in that order, are merged through
+    :func:`run_of`."""
+    if len(runs) == 1:
+        return runs[0][1]
+    inbox: list[Message] = []
+    start = 0
+    previous: object = None
+    for sender, run in runs:
+        if sender == previous:
+            inbox[start:] = run_of([*inbox[start:], *run])
+        else:
+            start = len(inbox)
+            inbox += run
+            previous = sender
+    return tuple(inbox)

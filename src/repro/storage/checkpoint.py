@@ -53,9 +53,10 @@ nothing the previous capture built is built again:
   (``list``/``dict``/``set``) of an interpreted block never changes
   again, so it is frozen straight to its canonical bytes in one walk,
   once per object (see :mod:`repro.storage.state_codec`), and every
-  entry sharing it splices those bytes.  A message is encoded once per
-  capture, and its bytes both order the entry's buffers (``<_M`` is the
-  order of the encodings) and are spliced into the entry;
+  entry sharing it splices those bytes.  An entry's buffers are the
+  runs the block's ``Ms`` keeps, already in ``<_M`` order (``out``
+  joined in receiver order), so nothing is sorted; a message is encoded
+  once per capture and its bytes are spliced into the entry;
 * skeletons, event rows and parent refs are taken over, so only blocks
   pruned and events indicated since are built;
 * the pruner examines the blocks the last checkpoint held in memory,
@@ -98,7 +99,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.dag import codec
 from repro.dag.block import Block, parent_of
@@ -208,28 +209,27 @@ class Checkpoint:
 
 
 def _ordered(
-    buffers: "dict[Label, frozenset[Message]]",
+    runs: "Mapping[Label, tuple[Message, ...]]",
     memo: "dict[int, tuple[Message, codec.Canonical]]",
 ) -> "tuple[dict[str, tuple[Message, ...]], dict[str, tuple[codec.Canonical, ...]]]":
-    """One side of an entry's buffers, each label's messages in ``<_M``
-    order — the order of their canonical bytes (see
-    :mod:`repro.interpret.order`) — and those bytes.  ``memo`` holds the
-    bytes of every message the capture met, so a message that is in one
-    block's ``out`` and another's ``in`` is encoded once."""
+    """One side of an entry's buffers, each label's run in ``<_M`` order
+    as the buffers keep it (see :mod:`repro.interpret.buffers`), and the
+    canonical bytes of its messages.  ``memo`` holds the bytes of every
+    message the capture met, so a message that is in one block's ``out``
+    and another's ``in`` is encoded once."""
     ordered: dict[str, tuple[Message, ...]] = {}
     wires: dict[str, tuple[codec.Canonical, ...]] = {}
-    for label, messages in buffers.items():
-        pairs = []
-        for message in messages:
+    for label, run in runs.items():
+        run_wires = []
+        for message in run:
             held = memo.get(id(message))
             if held is None:
                 held = memo[id(message)] = (
                     message, codec.Canonical(codec.encode(message))
                 )
-            pairs.append(held)
-        pairs.sort(key=lambda pair: pair[1].data)
-        ordered[str(label)] = tuple(message for message, _ in pairs)
-        wires[str(label)] = tuple(wire for _, wire in pairs)
+            run_wires.append(held[1])
+        ordered[str(label)] = run
+        wires[str(label)] = tuple(run_wires)
     return ordered, wires
 
 
@@ -339,13 +339,9 @@ def capture_checkpoint(
         # Raw slot read: ``state.ms`` would materialize the lazily
         # allocated buffers for every message-less block on every
         # checkpoint, defeating the laziness exactly where it pays.
-        buffers = (
-            state._ms.snapshot()
-            if state._ms is not None
-            else {"in": {}, "out": {}}
-        )
-        received, received_wires = _ordered(buffers["in"], messages)
-        emitted, emitted_wires = _ordered(buffers["out"], messages)
+        runs = state._ms.runs() if state._ms is not None else {"in": {}, "out": {}}
+        received, received_wires = _ordered(runs["in"], messages)
+        emitted, emitted_wires = _ordered(runs["out"], messages)
         states[ref] = {
             "pis": {
                 str(lbl): snapshot_process(state.pis[lbl], containers)
@@ -838,10 +834,15 @@ def _decoded(
 ) -> Checkpoint:
     """``build(*args, wire)`` over a decoded payload; intact bytes that
     do not decode into a checkpoint in this process are a
-    :class:`CheckpointError`."""
+    :class:`CheckpointError`.  Bytes that decode to values of the wrong
+    shape — a list where a map belongs, a short tuple, a sequence
+    number that is no ``int`` — are intact bytes that do not decode."""
     try:
-        return build(*args, codec.decode(payload))
-    except (CodecError, KeyError, TypeError, ValueError) as exc:
+        checkpoint = build(*args, codec.decode(payload))
+        if type(checkpoint.seq) is not int:
+            raise TypeError(f"sequence number {checkpoint.seq!r}")
+        return checkpoint
+    except (CodecError, AttributeError, LookupError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{name} does not decode: {exc}") from exc
 
 

@@ -414,9 +414,9 @@ def test_work_outside_new_entries_stays_flat_while_the_fold_grows(
 def test_a_checkpoint_pass_never_calls_the_interpreters_message_order(
     monkeypatch, tmp_path
 ):
-    """Capture orders each message by the bytes it encodes for it
-    anyway, so ``<_M`` as computed for the interpreter is never called
-    on the checkpoint path — its cost stays the interpreter's."""
+    """Capture takes the runs the buffers keep, already in ``<_M``
+    order, so the order is never computed on the checkpoint path — its
+    cost stays where the runs are emitted."""
     import sys
 
     from repro.interpret import order
@@ -455,6 +455,41 @@ def test_mixed_faults_smoke_reuses_at_least_half_its_entries(monkeypatch):
     storage = result.storage
     assert storage.checkpoint_entries_written > 0
     assert storage.checkpoint_entries_reused / storage.checkpoint_entries_written >= 0.5
+
+
+def test_new_entries_hold_each_label_in_message_order(monkeypatch):
+    """Capture takes an entry's ``in`` and ``out`` as the runs the
+    buffers keep and sorts nothing, so every entry a capture builds must
+    already hold each label's messages once, in ``<_M`` order."""
+    from repro.shim import shim as shim_module
+
+    real_capture = shim_module.capture_checkpoint
+    seen = {"captures": 0, "entries": 0, "longer_runs": 0}
+
+    def capture(seq, interpreter, dag, owner=None, previous=None):
+        checkpoint = real_capture(seq, interpreter, dag, owner=owner, previous=previous)
+        seen["captures"] += 1
+        for ref, entry in checkpoint.states.items():
+            if ref in interpreter.released:
+                continue  # carried from the previous checkpoint as it was
+            if previous is not None and previous.states.get(ref) is entry:
+                continue
+            seen["entries"] += 1
+            state = interpreter.state_of(ref)
+            sets = (
+                state._ms.snapshot() if state._ms is not None else {"in": {}, "out": {}}
+            )
+            for side in ("in", "out"):
+                assert entry[side] == {
+                    str(label): tuple(sorted(messages, key=codec.encode))
+                    for label, messages in sets[side].items()
+                }
+                seen["longer_runs"] += sum(len(run) > 1 for run in entry[side].values())
+        return checkpoint
+
+    monkeypatch.setattr(shim_module, "capture_checkpoint", capture)
+    run_scenario(registry.get("mixed-faults", smoke=True))
+    assert seen["captures"] > 0 and seen["entries"] > 0 and seen["longer_runs"] > 0
 
 
 def test_a_capture_after_a_rehydration_puts_the_dropped_events_back():

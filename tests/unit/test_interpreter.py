@@ -4,14 +4,20 @@ These drive the interpreter over hand-built DAGs (no network) and
 assert on the per-block annotations ``Ms``/``PIs`` the paper defines.
 """
 
+import sys
+
 import pytest
 
+from repro.dag import codec
 from repro.errors import SimulationError
+from repro.interpret import order
 from repro.interpret.instance import snapshot_instance
 from repro.interpret.interpreter import Interpreter
-from repro.protocols.base import ProcessInstance
+from repro.protocols.base import Message, ProcessInstance
 from repro.protocols.brb import Broadcast, Deliver, Echo, brb_protocol
 from repro.protocols.counter import Add, Inc, Total, counter_protocol
+from repro.protocols.ledger import Append, Entry, ledger_protocol
+from repro.storage.state_codec import annotation_fingerprint
 from repro.types import Label, ServerId
 
 from helpers import ManualDagBuilder, fresh_interpreter
@@ -207,7 +213,7 @@ class TestCostFollowsWhatArrives:
         assert len(preds) == 4
         for pred in preds:
             buffers = interp.state_of(pred.ref).ms
-            buffers._out_rcv = _CountingIndex(buffers._out_rcv)
+            buffers._out = _CountingIndex(buffers._out)
         _CountingIndex.probes = _CountingLabel.comparisons = 0
         delivered = interp.messages_delivered
         interp.run()
@@ -266,6 +272,126 @@ class TestOneStepPerMessage:
                 len(interp.state_of(b.ref).ms.incoming(label))
                 for b in dag_builder.dag.blocks()
             ) >= 2
+
+
+class TestRunsAreOrderedWhereEmitted:
+    """``Ms`` holds runs in ``<_M`` order: a block sorts a run once,
+    when it emits it, and a successor joins its predecessors' runs
+    without sorting or hashing them again."""
+
+    def test_one_builder_twice_delivers_an_identical_message_once(
+        self, dag_builder
+    ):
+        # Two consecutive blocks of s1 each send s2 the same Entry("v");
+        # s2's block references both, and the set union of line 9
+        # holds that message once.
+        first = dag_builder.block(S1, rs=[(L, Append("v"))])
+        second = dag_builder.block(S1, rs=[(L, Append("v"))])
+        interp = fresh_interpreter(dag_builder, ledger_protocol)
+        interp.run()
+        before = interp.messages_delivered
+        sink = dag_builder.block(S2, refs=[first, second])
+        interp.run()
+        oracle = ReferenceInterpreter(
+            dag_builder.dag, ledger_protocol, dag_builder.servers
+        )
+        oracle.run()
+
+        entry = Message(S1, S2, Entry("v"))
+        assert interp.state_of(sink.ref).ms.incoming(L) == [entry]
+        assert interp.messages_delivered - before == 1
+        assert interp.messages_delivered == oracle.messages_delivered
+        assert interp.events == oracle.events
+        for block in dag_builder.dag.blocks():
+            assert annotation_fingerprint(interp, block.ref) == (
+                annotation_fingerprint(oracle, block.ref)
+            )
+
+    def test_every_inbox_is_in_message_order_when_ids_sort_otherwise_as_text(
+        self,
+    ):
+        # "s10" < "s2" < "s9" as text; by encoding the shorter ids come
+        # first.  Every inbox must be the reference's set in <_M order.
+        builder = ManualDagBuilder(
+            servers=[ServerId(s) for s in ("s10", "s2", "s9", "σ7")]
+        )
+        labels = [Label(f"brb-{i}") for i in range(2)]
+        builder.round_all(
+            {
+                builder.servers[0]: [(labels[0], Broadcast(1))],
+                builder.servers[3]: [(labels[1], Broadcast(2))],
+            }
+        )
+        for _ in range(3):
+            builder.round_all()
+        interp = fresh_interpreter(builder, brb_protocol)
+        interp.run()
+        oracle = ReferenceInterpreter(builder.dag, brb_protocol, builder.servers)
+        oracle.run()
+        checked = 0
+        for block in builder.dag.blocks():
+            expected = oracle.state_of(block.ref).ms.snapshot()["in"]
+            state = interp.state_of(block.ref)
+            assert set(state.ms.labels_in()) == set(expected)
+            for label, messages in expected.items():
+                assert state.ms.incoming(label) == sorted(messages, key=codec.encode)
+                checked += len(messages) > 1
+        assert checked
+
+    def test_ordered_runs_per_emitted_run_never_per_delivery(
+        self, dag_builder, monkeypatch
+    ):
+        # s4 is late: its first block takes three Echos at once, so it
+        # both echoes and readies, and sends every server a run of two.
+        # Every block's predecessors have distinct builders.
+        genesis = dag_builder.block(S1, rs=[(L, Broadcast(1))])
+        echoes = [dag_builder.block(s, refs=[genesis]) for s in (S2, S3)]
+        dag_builder.block(S4, refs=[genesis, *echoes])
+        for _ in range(3):
+            dag_builder.round_all()
+        for block in dag_builder.dag.blocks():
+            builders = [p.n for p in dag_builder.dag.predecessors(block)]
+            assert len(set(builders)) == len(builders)
+
+        real_ordered = order.ordered
+        real_hash = Message.__hash__
+        sorted_runs = []
+        inside = []
+        hashed_outside = []
+
+        def ordered(messages):
+            inside.append(True)
+            try:
+                result = real_ordered(messages)
+            finally:
+                inside.pop()
+            sorted_runs.append(len(result))
+            return result
+
+        def hash_message(message):
+            if not inside:
+                hashed_outside.append(message)
+            return real_hash(message)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "ordered", None) is real_ordered:
+                monkeypatch.setattr(module, "ordered", ordered)
+        monkeypatch.setattr(Message, "__hash__", hash_message)
+        interp = fresh_interpreter(dag_builder, brb_protocol)
+        interp.run()
+        monkeypatch.undo()
+
+        emitted_runs = [
+            len(run)
+            for block in dag_builder.dag.blocks()
+            if (buffers := interp.state_of(block.ref)._ms) is not None
+            for by_label in buffers._out.values()
+            for run in by_label.values()
+        ]
+        assert sorted(sorted_runs) == sorted(n for n in emitted_runs if n >= 2)
+        assert sorted_runs, "no block emitted a run of two"
+        assert interp.messages_delivered > len(sorted_runs)
+        assert hashed_outside == []
 
 
 class TestEligibilityAndErrors:

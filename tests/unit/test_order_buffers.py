@@ -123,20 +123,29 @@ class TestMessageBuffers:
 
     def test_outgoing_to_is_the_filter_for_every_label_at_once(self):
         # The receiver-first index answers exactly what the per-label
-        # line 9 filter answers, for the labels that have an answer.
+        # line 9 filter answers, for the labels that have an answer:
+        # each as one run, deduplicated and in <_M order.
         buffers = MessageBuffers()
         other, quiet = Label("other"), Label("quiet")
-        buffers.add_out(L, [msg(value=1), msg(value=2), msg(receiver=S1)])
+        buffers.add_out(L, [msg(value=2), msg(value=1), msg(receiver=S1)])
         buffers.add_out(other, [msg(value=3)])
         buffers.add_out(L, [msg(value=1)])  # a duplicate emission collapses
         buffers.add_out(quiet, [])
         for receiver in (S1, S2, ServerId("s3")):
             assert buffers.outgoing_to(receiver) == {
-                label: set(buffers.outgoing_for(label, receiver))
+                label: tuple(
+                    sorted(
+                        {m for m in buffers.outgoing(label) if m.receiver == receiver},
+                        key=codec.encode,
+                    )
+                )
                 for label in (L, other, quiet)
                 if buffers.outgoing_for(label, receiver)
             }
-        assert set(buffers.outgoing_to(S2)) == {L, other}
+        assert buffers.outgoing_to(S2) == {
+            L: (msg(value=1), msg(value=2)),
+            other: (msg(value=3),),
+        }
 
     def test_counts(self):
         buffers = MessageBuffers()
