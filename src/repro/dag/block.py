@@ -46,6 +46,14 @@ _REF_DOMAIN = "blockdag/ref/v2"
 HorizonClaim = tuple[tuple[ServerId, SeqNum], ...]
 
 
+def _pairs(value: object, second: type) -> bool:
+    """Whether ``value`` is a tuple of ``(str, second)`` pairs."""
+    return isinstance(value, tuple) and all(
+        isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str) and isinstance(p[1], second)
+        for p in value
+    )
+
+
 @dataclass(frozen=True)
 class Block:
     """An immutable block (Definition 3.1, plus the GC extension).
@@ -69,6 +77,14 @@ class Block:
     hz: HorizonClaim = ()
 
     def __post_init__(self) -> None:
+        # The one shape check for a block off the wire, out of a WAL
+        # record or a checkpoint skeleton: it fails inside ``codec.decode``.
+        if not (
+            isinstance(self.n, str) and isinstance(self.k, int) and isinstance(self.sigma, bytes)
+            and isinstance(self.preds, tuple) and all(isinstance(p, str) for p in self.preds)
+            and _pairs(self.rs, object) and _pairs(self.hz, int)
+        ):
+            raise TypeError(f"malformed block fields: {self.n!r}, {self.k!r}")
         if self.k < 0:
             raise ValueError(f"sequence number must be in N0, got {self.k}")
 

@@ -41,5 +41,9 @@ class FwdRequestEnvelope(Envelope):
 
     ref: BlockRef
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.ref, str):
+            raise TypeError(f"FWD ref must be a str, got {self.ref!r}")
+
     def wire_size(self) -> int:
         return 32  # one hash reference

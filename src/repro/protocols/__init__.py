@@ -20,6 +20,8 @@ Provided protocols:
   round-advance requests.
 * :mod:`repro.protocols.counter` — a trivial instrumentation protocol
   used by unit tests.
+* :mod:`repro.protocols.ledger` — a replicated append-only ledger, the
+  growing-state workload.
 """
 
 from repro.protocols.base import (
@@ -33,10 +35,13 @@ from repro.protocols.base import (
 from repro.protocols.bcb import BcbDeliver, ConsistentBroadcast, bcb_protocol
 from repro.protocols.brb import Broadcast, Deliver, ReliableBroadcast, brb_protocol
 from repro.protocols.counter import CounterProtocol, counter_protocol
+from repro.protocols.ledger import Append, Applied, Ledger, ledger_protocol
 from repro.protocols.pbft import Decide, Pbft, Propose, Tick, pbft_protocol
 from repro.protocols.phaseking import PhaseKing, PkDecide, PkPropose, phase_king_protocol
 
 __all__ = [
+    "Append",
+    "Applied",
     "BcbDeliver",
     "Broadcast",
     "ConsistentBroadcast",
@@ -44,6 +49,7 @@ __all__ = [
     "CounterProtocol",
     "Decide",
     "Deliver",
+    "Ledger",
     "Message",
     "Payload",
     "Pbft",
@@ -59,6 +65,7 @@ __all__ = [
     "bcb_protocol",
     "brb_protocol",
     "counter_protocol",
+    "ledger_protocol",
     "pbft_protocol",
     "phase_king_protocol",
 ]

@@ -203,6 +203,15 @@ def fork_container(value: Any) -> Any:
     return value
 
 
+def holdable(value: Any) -> bool:
+    """Whether ``value`` can key a process's sets and dicts."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
 class ProcessInstance(ABC):
     """One process of a deterministic protocol ``P`` — ``B.PIs[ℓ]``.
 
@@ -299,7 +308,9 @@ class ProcessInstance(ABC):
 
     @abstractmethod
     def on_request(self, request: Request) -> None:
-        """React to a user request ``r ∈ Rqsts_P``."""
+        """React to a user request ``r ∈ Rqsts_P``.  Ignore, never raise
+        on, a request no correct user makes (a wrong type, a value the
+        state cannot hold): a byzantine server's block may carry one."""
 
     @abstractmethod
     def on_message(self, message: Message) -> None:

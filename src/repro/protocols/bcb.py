@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.protocols.base import Context, Message, Payload, ProcessInstance, ProtocolSpec
+from repro.protocols.base import Context, Message, Payload, ProcessInstance, ProtocolSpec, holdable
 from repro.types import Indication, Request, ServerId
 
 Value = Any
@@ -74,8 +74,8 @@ class ConsistentBroadcast(ProcessInstance):
         self._echoes: dict[tuple[ServerId, Value], set[ServerId]] = {}
 
     def on_request(self, request: Request) -> None:
-        if not isinstance(request, BcbBroadcast):
-            raise TypeError(f"BCB accepts BcbBroadcast requests, got {request!r}")
+        if not isinstance(request, BcbBroadcast) or not holdable(request.value):
+            return  # not a request a correct user makes: ignored
         if self.sent:
             return
         self.sent = True

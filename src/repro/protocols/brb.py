@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.protocols.base import Context, Message, Payload, ProcessInstance, ProtocolSpec
+from repro.protocols.base import Context, Message, Payload, ProcessInstance, ProtocolSpec, holdable
 from repro.types import Indication, Request, ServerId
 
 #: Values are any canonically-encodable payload (ints in the paper's examples).
@@ -84,8 +84,8 @@ class ReliableBroadcast(ProcessInstance):
 
     # Algorithm 4, lines 3–5: upon broadcast(v).
     def on_request(self, request: Request) -> None:
-        if not isinstance(request, Broadcast):
-            raise TypeError(f"BRB accepts Broadcast requests, got {request!r}")
+        if not isinstance(request, Broadcast) or not holdable(request.value):
+            return  # not a request a correct user makes: ignored
         if self.echoed:
             return
         self.echoed = True

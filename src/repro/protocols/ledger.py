@@ -74,7 +74,7 @@ class Ledger(ProcessInstance):
 
     def on_request(self, request: Request) -> None:
         if not isinstance(request, Append):
-            raise TypeError(f"ledger accepts Append requests, got {request!r}")
+            return  # not a request a correct user makes: ignored
         self.ctx.broadcast(Entry(request.value))
 
     def on_message(self, message: Message) -> None:

@@ -150,8 +150,7 @@ class Pbft(ProcessInstance):
             self._on_propose(request.value)
         elif isinstance(request, Tick):
             self._on_tick()
-        else:
-            raise TypeError(f"PBFT accepts Propose/Tick requests, got {request!r}")
+        # Any other request is not one a correct user makes: ignored.
 
     def _on_propose(self, value: Value) -> None:
         if self.pending is None:

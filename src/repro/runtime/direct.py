@@ -11,7 +11,7 @@ the simulated network, but every protocol message is
 ``tests/integration/test_offline_and_parallel.py`` holds the embedding
 against it for CLM-COMPRESS (``TestCompression``), CLM-SIG
 (``TestBatchSignatures``), CLM-PARALLEL (``TestParallelInstances``) and
-CLM-THROUGHPUT (``TestThroughput``); ``test_theorem51.py`` compares the
+CLM-THROUGHPUT (``TestThroughput``); ``test_conformance.py`` compares the
 *traces* of both runtimes (Theorem 5.1): the embedding must produce the
 same per-server indications.
 """

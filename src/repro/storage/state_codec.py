@@ -25,7 +25,7 @@ that holds the same object.  Identity is a sound key because an
 annotation is immutable once its block is interpreted (Algorithm 2 line
 12) — a later block forks the instance and the write barrier copies a
 container before its first write, which the deepcopy oracle in
-``tests/property/test_cow_props.py`` guards — and because the memo
+``tests/integration/test_conformance.py`` guards — and because the memo
 holds the object, so its ``id`` is not reused.  Tuples and frozensets
 are immutable but unshared, and are written afresh.  Such bytes exist in
 memory only and equal the encoding of the plain wire form; what

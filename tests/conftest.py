@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 # Make tests/helpers.py importable as `helpers` from every test module.
 sys.path.insert(0, str(Path(__file__).parent))
@@ -14,6 +15,11 @@ from repro.crypto.keys import KeyRing  # noqa: E402
 from repro.types import make_servers  # noqa: E402
 
 from helpers import ManualDagBuilder  # noqa: E402
+
+#: A deeper example budget for the conformance suite alone
+#: (``pytest tests/integration/test_conformance.py --hypothesis-profile
+#: conformance-deep``); tier-1 runs on each test's own budget.
+settings.register_profile("conformance-deep", max_examples=80, deadline=None)
 
 
 @pytest.fixture

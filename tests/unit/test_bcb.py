@@ -35,9 +35,12 @@ class TestSendPhase:
         process.step_request(BcbBroadcast("v"))
         assert process.step_request(BcbBroadcast("w")).messages == ()
 
-    def test_wrong_request_rejected(self):
-        with pytest.raises(TypeError):
-            instance().step_request(object())
+    @pytest.mark.parametrize("request_", [object(), BcbBroadcast([1])])
+    def test_a_request_no_correct_user_makes_is_ignored(self, request_):
+        process = instance()
+        ignored = process.step_request(request_)
+        assert ignored.messages == ignored.indications == ()
+        assert payloads(process.step_request(BcbBroadcast("v"))) == [Send("v")] * 4
 
 
 class TestEchoPhase:

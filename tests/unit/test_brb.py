@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.invariants import agreement
 from repro.protocols.base import Message
 from repro.protocols.brb import Broadcast, Deliver, Echo, Ready, brb_protocol
+from repro.runtime.adversary import EquivocatorAdversary
+from repro.runtime.cluster import Cluster
 from repro.types import Label, make_servers
 
 SERVERS = make_servers(4)
@@ -31,9 +34,12 @@ class TestBroadcastRequest:
         again = process.step_request(Broadcast(43))
         assert again.messages == ()
 
-    def test_wrong_request_type_rejected(self):
-        with pytest.raises(TypeError):
-            instance().step_request(object())
+    @pytest.mark.parametrize("request_", [object(), "junk", Broadcast([1, 2])])
+    def test_a_request_no_correct_user_makes_is_ignored(self, request_):
+        process = instance()
+        ignored = process.step_request(request_)
+        assert ignored.messages == ignored.indications == ()
+        assert payloads(process.step_request(Broadcast(42))) == [Echo(42)] * 4
 
 
 class TestEchoPhase:
@@ -148,3 +154,42 @@ class TestFullProtocolRun:
             )
             steps += 1
         assert delivered == {S2, S3, S4}
+
+
+class TestSafetyPredicates:
+    """The BRB properties of §5, asserted on the embedding directly."""
+
+    def _delivered(self, cluster):
+        return {
+            s: cluster.shim(s).indications_for(L)
+            for s in cluster.correct_servers
+        }
+
+    def test_validity(self):
+        cluster = Cluster(brb_protocol, n=4)
+        cluster.request(cluster.servers[0], L, Broadcast("v"))
+        cluster.run_until(lambda c: c.all_delivered(L))
+        for indications in self._delivered(cluster).values():
+            assert indications == [Deliver("v")]
+
+    def test_no_duplication(self):
+        cluster = Cluster(brb_protocol, n=4)
+        cluster.request(cluster.servers[0], L, Broadcast("v"))
+        cluster.run_until(lambda c: c.all_delivered(L))
+        cluster.run_rounds(3)  # extra rounds must not re-deliver
+        for indications in self._delivered(cluster).values():
+            assert len(indications) == 1
+
+    def test_consistency_and_totality_under_equivocation(self):
+        cluster = Cluster(
+            brb_protocol,
+            servers=SERVERS,
+            adversaries={S4: EquivocatorAdversary},
+        )
+        adversary = cluster.adversaries[S4]
+        adversary.request(L, Broadcast("left"))
+        adversary.fork_request(L, Broadcast("right"))
+        cluster.run_until(lambda c: c.all_delivered(L), max_rounds=20)
+        assert agreement(cluster.trace(), L) == []  # consistency
+        delivered = self._delivered(cluster)
+        assert all(len(i) == 1 for i in delivered.values())  # totality + no dup

@@ -54,10 +54,10 @@ class TestLedger:
         ]
         assert led.entries() == list(range(total))
 
-    def test_rejects_foreign_inputs(self):
+    def test_ignores_foreign_requests_and_rejects_foreign_messages(self):
         led = instance()
-        with pytest.raises(TypeError):
-            led.step_request(object())
+        ignored = led.step_request(object())
+        assert ignored.messages == ignored.indications == ()
         with pytest.raises(TypeError):
             led.step_message(
                 Message(ServerId("s2"), ServerId("s1"), Append(1))

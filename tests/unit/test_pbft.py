@@ -232,9 +232,11 @@ class TestSafetyAcrossViews:
         newviews = {p for p in payloads(result) if isinstance(p, NewView)}
         assert newviews == {NewView(1, "A")}
 
-    def test_wrong_request_rejected(self):
-        with pytest.raises(TypeError):
-            instance().step_request(object())
+    def test_a_request_no_correct_user_makes_is_ignored(self):
+        process = instance()
+        ignored = process.step_request(object())
+        assert ignored.messages == ignored.indications == ()
+        assert payloads(process.step_request(Propose("A"))) == [PrePrepare(0, "A")] * 4
 
     def test_foreign_payload_rejected(self):
         with pytest.raises(TypeError):

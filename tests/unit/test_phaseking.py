@@ -99,10 +99,12 @@ class TestBasics:
         result = processes[servers[0]].step_request(PkAdvance())
         assert result.messages == ()
 
-    def test_wrong_request_rejected(self):
+    def test_a_request_no_correct_user_makes_is_ignored(self):
         servers, processes = make_processes(5)
-        with pytest.raises(TypeError):
-            processes[servers[0]].step_request(object())
+        process = processes[servers[0]]
+        ignored = process.step_request(object())
+        assert ignored.messages == ignored.indications == ()
+        assert len(process.step_request(PkPropose(1)).messages) == 5
 
     def test_foreign_payload_rejected(self):
         servers, processes = make_processes(5)
