@@ -55,7 +55,13 @@ Rules for protocol authors:
   the outer map once and privatizes only the touched entry — per-step
   cost stays proportional to the touched bucket, not total state;
 * never mix both barriers on the same field: ``_writable`` assumes it
-  owns the field *deeply*, ``_writable_entry`` only per-entry.
+  owns the field *deeply*, ``_writable_entry`` only per-entry;
+* two equal sends are one message: a block's ``Ms`` is a set
+  (Algorithm 2 lines 9–11), so a message sent twice by one instance in
+  one block arrives once, where a direct network delivers it twice.  A
+  protocol for which the second send counts (two equal requests of a
+  counter or a ledger) numbers its payloads with the sender's send
+  count.
 """
 
 from __future__ import annotations
@@ -287,8 +293,9 @@ class ProcessInstance(ABC):
         shared) once per generation, then privatizes only the ``key``
         entry — creating it via ``factory`` when absent.  Per-step cost
         is O(outer size) pointer-copying once plus O(touched bucket),
-        independent of how much state the other buckets hold: the
-        property behind the flat curve of ``bench_cow_states``.
+        independent of how much state the other buckets hold (a count
+        test in ``tests/unit/test_cow.py`` holds privatisations per
+        block flat while a ledger grows).
         """
         outer = getattr(self, name)
         if self._cells.get(name) != self._gen:

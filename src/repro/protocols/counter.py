@@ -2,8 +2,9 @@
 
 ``CounterProtocol`` exposes the embedding's message plumbing with no
 thresholds or fault logic in the way: an ``Inc(x)`` request broadcasts
-``Add(x)``; every process sums what it receives and indicates the
-running total after each addition.  Tests assert on the exact message
+``Add(x, sent)``, ``sent`` being how many the sender had broadcast
+before; every process sums what it receives and indicates the running
+total after each addition.  Tests assert on the exact message
 and indication sequences, which makes it a sharp probe of Algorithm 2's
 bookkeeping (buffer contents, ordering by ``<_M``, per-block state).
 """
@@ -25,9 +26,11 @@ class Inc(Request):
 
 @dataclass(frozen=True, slots=True)
 class Add(Payload):
-    """Message: ``amount`` to be added."""
+    """Message: ``amount`` to be added.  ``sent`` is the sender's count
+    of earlier ``Add``s, so two ``Inc(x)`` make two messages."""
 
     amount: int
+    sent: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,8 +63,8 @@ class CounterProtocol(ProcessInstance):
     def on_request(self, request: Request) -> None:
         if not isinstance(request, Inc) or not isinstance(request.amount, int):
             return  # not a request a correct user makes: ignored
+        self.ctx.broadcast(Add(request.amount, self.request_count))
         self.request_count += 1
-        self.ctx.broadcast(Add(request.amount))
 
     def on_message(self, message: Message) -> None:
         payload = message.payload

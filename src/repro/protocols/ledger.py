@@ -4,20 +4,21 @@ The broadcast protocols (BRB/BCB) and the toy counter keep O(1)-ish
 per-instance state, which made the interpreter's per-step deep copy
 look cheap.  Real replicated services *accumulate*: every applied
 command grows the state that Algorithm 2's line-4 copy has to carry to
-the next block.  This protocol makes that cost model explicit — and is
-the workload behind ``benchmarks/bench_cow_states.py``, which shows the
-structurally-shared state layer keeping per-block cost flat while the
-cost of the reference's ``copy.deepcopy`` grows with ledger size.
+the next block.  This protocol makes that cost model explicit: on it
+the structurally-shared state layer copies the same containers per
+block however long the ledger grows (``tests/unit/test_cow.py``),
+while the reference's ``copy.deepcopy`` walks the whole ledger.
 
 Interface::
 
     Rqsts = { append(v) | v ∈ Vals }
     Inds  = { applied(seq, v) }
 
-An ``append(v)`` broadcasts ``ENTRY v``; every process applies received
-entries in ``<_M`` order, bucketing them by sequence number
-(``_BUCKET_SIZE`` entries per bucket) so a single application touches
-one bucket — the shape the write barrier's
+An ``append(v)`` broadcasts ``ENTRY v`` numbered by the sender's
+count of earlier entries (so two ``append(v)`` are two entries); every
+process applies received entries in ``<_M`` order, bucketing them by
+sequence number (``_BUCKET_SIZE`` entries per bucket) so a single
+application touches one bucket — the shape the write barrier's
 :meth:`~repro.protocols.base.ProcessInstance._writable_entry` rewards
 with O(bucket) copies instead of O(ledger).
 
@@ -50,9 +51,11 @@ class Append(Request):
 
 @dataclass(frozen=True, slots=True)
 class Entry(Payload):
-    """Message: ``value`` to be applied by every replica."""
+    """Message: ``value`` to be applied by every replica.  ``sent`` is
+    the sender's count of earlier entries."""
 
     value: Value
+    sent: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,11 +74,14 @@ class Ledger(ProcessInstance):
         #: Applied entries, bucketed: ``seq // _BUCKET_SIZE -> [values]``.
         self._buckets: dict[int, list[Value]] = {}
         self.count = 0
+        #: Entries this replica broadcast.
+        self.sent = 0
 
     def on_request(self, request: Request) -> None:
         if not isinstance(request, Append):
             return  # not a request a correct user makes: ignored
-        self.ctx.broadcast(Entry(request.value))
+        self.ctx.broadcast(Entry(request.value, self.sent))
+        self.sent += 1
 
     def on_message(self, message: Message) -> None:
         payload = message.payload

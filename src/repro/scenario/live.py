@@ -39,7 +39,7 @@ from repro.runtime.faults import CrashFault, FaultSchedule
 from repro.runtime.live.node import NodeConfig
 from repro.scenario.spec import Scenario, StorageSpec
 from repro.scenario.stop import RoundsElapsed, StopCondition, _Composite
-from repro.scenario.workload import WorkloadDriver
+from repro.scenario.workload import ClosedLoopWorkload, WorkloadDriver
 from repro.types import ServerId
 
 
@@ -62,16 +62,29 @@ def _collect_rounds(stop: StopCondition) -> list[int]:
 
 
 class _RecordingStub:
-    """Just enough of a ``Cluster`` for ``WorkloadDriver.before_round``."""
+    """Just enough of a ``Cluster`` for ``WorkloadDriver.before_round``:
+    the scenario's crash events take servers down and back up as
+    ``Cluster.round`` applies them, so the driver skips a down or dying
+    sender on both arms alike."""
 
     class _Sim:
         now = 0.0
 
-    def __init__(self, servers: list[ServerId]) -> None:
-        self.correct_servers = list(servers)
-        self.faults = FaultSchedule()
+    def __init__(self, servers: list[ServerId], faults: FaultSchedule) -> None:
+        self.servers = list(servers)
+        self.faults = faults
+        self.down: set[str] = set()
         self.sim = self._Sim()
         self.injected: list[tuple[ServerId, str, int]] = []
+
+    @property
+    def correct_servers(self) -> list[ServerId]:
+        return [s for s in self.servers if s not in self.down]
+
+    def apply_crash_faults(self, round_index: int) -> None:
+        """What ``Cluster.round`` does first, after the driver injected."""
+        self.down.difference_update(self.faults.restarts_at(round_index))
+        self.down.update(self.faults.crashes_at(round_index))
 
     def request(self, server: ServerId, label: str, request: object) -> None:
         # ``make_request`` below is the identity on the index, so the
@@ -83,9 +96,18 @@ def compile_workload_schedule(
     scenario: Scenario, rounds: int
 ) -> tuple[dict[ServerId, list[tuple[int, str, int]]], list[tuple[str, int]]]:
     """Replay the workload driver; return per-server schedules and the
-    ``(label, minimum)`` delivery expectations."""
+    ``(label, minimum)`` delivery expectations.
+
+    A closed-loop workload issues as requests are delivered, which no
+    schedule compiled in advance can see: it raises ``ScenarioError``.
+    """
+    if isinstance(scenario.workload, ClosedLoopWorkload):
+        raise ScenarioError(
+            f"live execution needs a workload fixed in advance; a "
+            f"{scenario.workload.kind} workload issues on deliveries"
+        )
     servers = scenario.topology.servers()
-    stub = _RecordingStub(servers)
+    stub = _RecordingStub(servers, scenario.faults)
     driver = WorkloadDriver(
         scenario.workload,
         make_request=lambda index: index,
@@ -99,6 +121,7 @@ def compile_workload_schedule(
     for round_index in range(rounds):
         before = len(stub.injected)
         driver.before_round(stub, round_index)  # type: ignore[arg-type]
+        stub.apply_crash_faults(round_index)
         for server, label, index in stub.injected[before:]:
             schedules[server].append((round_index, label, index))
     shared = scenario.workload.shared_label

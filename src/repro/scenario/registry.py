@@ -251,8 +251,7 @@ def _cow_state_growth(smoke: bool) -> Scenario:
         protocol="ledger",
         description="Replicated append-only ledger under sustained "
         "load: per-instance state grows with every applied entry, the "
-        "workload the structurally-shared state layer keeps cheap "
-        "(the scenario behind benchmarks/bench_cow_states.py).",
+        "workload the structurally-shared state layer keeps cheap.",
         workload=OpenLoopWorkload(
             rate=4 if smoke else 8,
             rounds=8 if smoke else 16,

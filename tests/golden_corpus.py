@@ -18,8 +18,20 @@ leaves behind, so "the bytes did not move" is a test and not a ritual:
   ``faults.json`` (a fault schedule with one event of each kind) and
   ``mixed-faults-result.json`` (the mixed-faults smoke's simulated
   result without the wall clock: one fork, one crash, one restart and
-  a healing partition);
+  a healing partition), and ``costs.json`` (see below);
 * ``MANIFEST.sha256`` — ``sha256sum -c``-compatible sums of the above.
+
+``docs/costs.json`` is the cost vector of every registry scenario's
+smoke at its fixed seed: the calls at each span boundary the ledger
+wraps (``benchmarks/ledger/spans.py``, every non-zero count) plus the
+tracing-off recorder's ``emit`` (``obs:null_emit``, zero wherever
+tracing is off), and the result's exact counters (blocks, wire
+messages and bytes, messages delivered, request steps, WAL and
+checkpoint bytes, WAL segments dropped, blocks recovered and
+replayed).  The simulator is deterministic, so the counts are exact
+for a seed and tier-1 compares them exactly: a change that moves one
+regenerates the corpus and says why.  They are counted in a child
+process, so the span wrappers never reach the process that asked.
 
 ``tests/integration/test_golden_corpus.py`` regenerates the corpus and
 compares it byte for byte, then decodes and recovers from every
@@ -32,13 +44,19 @@ commits the diff::
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 
+import repro
 from repro.net.live.framing import Hello, encode_frame
 from repro.net.message import BlockEnvelope, FwdRequestEnvelope
+from repro.obs.trace import NullRecorder
 from repro.runtime.live.node import NodeStatus
 from repro.scenario import (
     ByzantineFault,
@@ -96,6 +114,23 @@ FAULTS = FaultSchedule(
     )
 )
 MIXED_SCENARIO = "mixed-faults"
+#: The ledger's span wrappers, which the cost vector counts through.
+LEDGER_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "ledger"
+#: The span the cost vector adds to the ledger's: ``NullRecorder.emit``.
+NULL_EMIT = "obs:null_emit"
+#: The exact counters of a ``ScenarioResult`` in the cost vector.
+RESULT_COUNTS = (
+    "total_blocks",
+    "wire.messages",
+    "wire.bytes",
+    "interpreter.messages_delivered",
+    "interpreter.request_steps",
+    "storage.wal_bytes",
+    "storage.checkpoint_bytes",
+    "storage.wal_segments_dropped",
+    "storage.blocks_recovered",
+    "storage.blocks_replayed",
+)
 
 
 def build(dest: Path) -> None:
@@ -135,9 +170,56 @@ def build(dest: Path) -> None:
             "mixed-faults-result.json",
             mixed.to_json(include_wall_clock=False, indent=2) + "\n",
         ),
+        ("costs.json", costs_document()),
     ):
         (docs / name).write_text(text, encoding="utf-8")
     (dest / MANIFEST).write_text(manifest(dest), encoding="utf-8")
+
+
+def count_costs() -> str:
+    """The cost vector of every registry scenario's smoke, by name, as
+    the text of ``docs/costs.json``.
+
+    Wraps the layers' entry points in *this* process, for good: call it
+    only in a child (:func:`costs_document`).  Each smoke runs twice and
+    the second run is counted, so a process-wide memo an earlier
+    scenario warmed (the server-id encodings of ``interpret.order``)
+    cannot move a count with the catalogue's order.
+    """
+    sys.path.insert(0, str(LEDGER_DIR))
+    import spans
+
+    recorder = spans.install()
+    NullRecorder.emit = recorder.wrap(NullRecorder.emit, NULL_EMIT, None)
+    costs = {}
+    for name in registry.names():
+        scenario = registry.get(name, smoke=True)
+        run_scenario(scenario)
+        recorder.reset()
+        result = run_scenario(scenario)
+        calls = {span: row["count"] for span, row in recorder.head()["summary"].items()}
+        calls.setdefault(NULL_EMIT, 0)
+        costs[name] = {
+            "calls": calls,
+            "result": {field: attrgetter(field)(result) for field in RESULT_COUNTS},
+        }
+    return json.dumps(costs, indent=1, sort_keys=True) + "\n"
+
+
+def costs_document() -> str:
+    """``docs/costs.json``, counted by :func:`count_costs` in a child
+    process that inherits this one's environment (``PYTHONHASHSEED``
+    included)."""
+    path = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    child = subprocess.run(
+        [sys.executable, "-c", "import golden_corpus; print(golden_corpus.count_costs(), end='')"],
+        cwd=Path(__file__).resolve().parent,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return child.stdout
 
 
 def corpus_files(root: Path) -> list[Path]:

@@ -4,7 +4,7 @@ Theorem 5.1 (the embedding gives the indications of ``P``) and Lemma
 4.2 (every interpretation order gives the same annotations) are claims
 about *any* deterministic ``P``.  So each protocol of
 ``repro.scenario.spec.PROTOCOLS`` is one :class:`Row` below, holding
-only what differs between protocols, and every row runs the same five
+only what differs between protocols, and every row runs the same six
 checks:
 
 1. Theorem 5.1 — the embedding equals ``DirectRuntime`` fault-free,
@@ -19,9 +19,14 @@ checks:
 4. the ``handler-purity`` certificate covers the row's handlers;
 5. hostile requests — a byzantine seat whose equivocating blocks carry
    requests no correct user makes changes nothing a correct server
-   indicates: the run equals the direct run with that seat silent.
+   indicates: the run equals the direct run with that seat silent;
+6. the same request twice in one block — each request of the first
+   batch is issued twice at its seat, so one block carries both: the
+   embedding still equals ``DirectRuntime``, which sends and delivers
+   the two requests' messages separately (two equal sends are one
+   message of ``Ms``, see :mod:`repro.protocols.base`).
 
-Checks 2-5 run at the row's first cluster size.
+Checks 2-6 run at the row's first cluster size.
 
 Adding a protocol takes one ``PROTOCOLS`` entry plus one row;
 ``test_one_row_per_registry_protocol`` fails until the two agree.
@@ -222,7 +227,9 @@ def run_both(name, condition, n):
             for label in (Label("l0"), L):
                 cluster.adversaries[seat].request(label, request)
             cluster.adversaries[seat].fork_request(Label("hostile"), request)
-    for batch in row.batches(correct, entry.make_request):
+    for index, batch in enumerate(row.batches(correct, entry.make_request)):
+        if condition == "twice" and index == 0:
+            batch = [issue for issue in batch for _ in range(2)]
         for server, label, request in batch:
             direct.request(server, label, request)
             cluster.request(server, label, request)
@@ -259,6 +266,17 @@ def test_hostile_requests_change_nothing_a_correct_server_indicates(name):
     for shim in cluster.shims.values():
         hostile = {b.ref for b in shim.dag.blocks() if b.n == seat and b.rs}
         assert len(hostile) == 2 and hostile <= shim.interpreter.interpreted
+
+
+@rows
+def test_the_same_request_twice_in_one_block(name):
+    cluster = run_both(name, "twice", ROWS[name].sizes[0])
+    twice = [
+        block
+        for block in cluster.shim(cluster.servers[0]).dag.blocks()
+        if any(block.rs.count(issue) > 1 for issue in block.rs)
+    ]
+    assert twice, "no block carried a request twice: a vacuous comparison"
 
 
 # -- check 2: schedule independence (Lemma 4.2) ----------------------------

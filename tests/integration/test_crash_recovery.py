@@ -26,6 +26,7 @@ from repro.protocols.counter import Inc, counter_protocol
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.runtime.faults import CrashFault, FaultSchedule
 from repro.shim.shim import Shim
+from repro.scenario import registry, run_scenario
 from repro.scenario.spec import PROTOCOLS
 from repro.storage.blockstore import StorageConfig
 from repro.storage.state_codec import annotation_fingerprint
@@ -217,6 +218,13 @@ class TestRecoveryMechanics:
         assert report.checkpoint_seq is not None
         assert report.states_restored > 0
         assert report.blocks_replayed < report.blocks_recovered
+
+    def test_pruning_drops_covered_wal_segments(self, tmp_path):
+        """Segment GC fires: a long run with small segments deletes the
+        WAL segments its checkpoints cover (``docs/costs.json`` of the
+        golden corpus pins the exact count)."""
+        result = run_scenario(registry.get("pruning", smoke=True), storage_root=tmp_path)
+        assert result.storage.wal_segments_dropped > 0
 
     def test_chain_resumes_without_sequence_gap(self, tmp_path):
         """The restarted server continues its own chain with consecutive

@@ -1,19 +1,34 @@
-"""The committed golden corpus pins every durable byte format.
+"""The committed golden corpus pins every durable byte format and
+every registry scenario's cost vector.
 
 Regenerating ``tests/golden/`` must reproduce it byte for byte, and the
 *committed* bytes — WAL segments, the newest checkpoint log, wire
 frames, JSON documents — must decode, re-encode to themselves and
-recover a server.  A deliberate format change reruns
-``tests/golden_corpus.py`` and commits the diff.
+recover a server.  A deliberate format change, or a change that moves
+a count of ``docs/costs.json``, reruns ``tests/golden_corpus.py`` and
+commits the diff.
 """
 
 from __future__ import annotations
 
+import json
 import shutil
+import sys
 
 import pytest
 
-from golden_corpus import GOLDEN_DIR, MANIFEST, SCENARIO, SERVER, build, corpus_files, manifest
+from golden_corpus import (
+    GOLDEN_DIR,
+    LEDGER_DIR,
+    MANIFEST,
+    NULL_EMIT,
+    RESULT_COUNTS,
+    SCENARIO,
+    SERVER,
+    build,
+    corpus_files,
+    manifest,
+)
 from repro.crypto.keys import KeyRing
 from repro.dag import codec
 from repro.dag.block import Block
@@ -57,6 +72,11 @@ class TestRegeneration:
         names = [p.relative_to(fresh) for p in corpus_files(fresh)]
         assert names == [p.relative_to(GOLDEN_DIR) for p in corpus_files(GOLDEN_DIR)]
         for name in names:
+            if name.suffix == ".json":
+                # What moved, readably: a cost vector is compared here.
+                assert json.loads((fresh / name).read_text(encoding="utf-8")) == json.loads(
+                    (GOLDEN_DIR / name).read_text(encoding="utf-8")
+                ), name
             assert (fresh / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
         assert (fresh / MANIFEST).read_bytes() == (GOLDEN_DIR / MANIFEST).read_bytes()
 
@@ -120,6 +140,8 @@ DOCUMENTS = {
     "node-config.json": lambda text: NodeConfig.from_json(text).to_json(indent=2)
     + "\n",
     "node-status.json": lambda text: NodeStatus.from_json(text).to_json(),
+    "costs.json": lambda text: json.dumps(json.loads(text), indent=1, sort_keys=True)
+    + "\n",
 }
 
 
@@ -164,3 +186,41 @@ class TestRecoveryFromCommittedFiles:
         assert second.recovery.checkpoint_seq == NEWEST_CHECKPOINT + 1
         assert set(second.dag.refs) == set(first.dag.refs)
         assert second.indications == first.indications
+
+
+class TestCostVector:
+    """``docs/costs.json``: exact counts, one vector per registry
+    scenario's smoke.  The regeneration test above holds them to the
+    code; these name the claims they carry."""
+
+    @pytest.fixture(scope="class")
+    def costs(self):
+        return json.loads(committed("docs/costs.json"))
+
+    def test_one_cost_vector_per_registry_scenario(self, costs):
+        assert sorted(costs) == sorted(registry.names())
+
+    def test_every_count_is_a_span_boundary_or_a_result_counter(self, costs):
+        sys.path.insert(0, str(LEDGER_DIR))
+        try:
+            import spans
+        finally:
+            sys.path.remove(str(LEDGER_DIR))
+        boundaries = {target[0] for target in spans.TARGETS} | {NULL_EMIT}
+        for name, vector in costs.items():
+            assert set(vector) == {"calls", "result"}, name
+            assert set(vector["calls"]) <= boundaries, name
+            assert list(vector["result"]) == sorted(RESULT_COUNTS), name
+            counts = [*vector["calls"].values(), *vector["result"].values()]
+            assert all(type(count) is int and count >= 0 for count in counts), name
+
+    def test_tracing_off_never_calls_the_null_recorder(self, costs):
+        # Every instrumentation site guards on ``tracer.enabled``, so
+        # tracing off costs one attribute check per site and no call.
+        assert {name: vector["calls"][NULL_EMIT] for name, vector in costs.items()} == dict.fromkeys(
+            costs, 0
+        )
+
+    def test_a_restart_replays_only_the_blocks_after_its_checkpoint(self, costs):
+        storage = costs[SCENARIO]["result"]
+        assert (storage["storage.blocks_replayed"], storage["storage.blocks_recovered"]) == (2, 8)

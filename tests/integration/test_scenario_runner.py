@@ -19,7 +19,9 @@ from repro.scenario import (
     ScenarioRunner,
     registry,
 )
+from repro.errors import ScenarioError
 from repro.scenario.__main__ import main as cli_main
+from repro.scenario.live import compile_live_configs, live_rounds
 from repro.scenario.runner import run_scenario
 
 
@@ -162,6 +164,46 @@ class TestScenarioCli:
     def test_unknown_scenario_is_a_clean_error(self, capsys):
         assert cli_main(["run", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
+
+
+class TestLiveWorkloadLowering:
+    """The live arm injects what the simulator injects: the schedule
+    compiled for the nodes is the simulated driver's record."""
+
+    @pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "full"])
+    def test_compiled_schedule_is_the_simulated_drivers_record(self, tmp_path, smoke):
+        compared = []
+        for name in registry.names():
+            scenario = registry.get(name, smoke=smoke)
+            try:
+                configs = compile_live_configs(scenario, tmp_path / name)
+            except ScenarioError:
+                continue  # a fault kind or a workload the live arm refuses
+            runner = ScenarioRunner(scenario)
+            runner.run()
+            # The rounds both arms run.
+            rounds = min(live_rounds(scenario.stop, scenario.max_rounds), runner.rounds_run)
+            simulated = sorted(
+                (r.issue_round, str(r.label), r.index, str(r.server))
+                for r in runner.driver.records
+                if r.issue_round < rounds
+            )
+            live = sorted(
+                (tick, label, index, str(server))
+                for server, config in configs.items()
+                for tick, label, index in config.workload
+                if tick < rounds
+            )
+            assert live == simulated, name
+            compared.append(name)
+        # The crash scenarios are the ones whose senders move.
+        assert {"crash-restart", "metrics-soak"} <= set(compared)
+
+    def test_a_closed_loop_workload_is_refused(self, tmp_path):
+        scenario = registry.get("closed-loop", smoke=True)
+        assert isinstance(scenario.workload, ClosedLoopWorkload)
+        with pytest.raises(ScenarioError, match="closed-loop"):
+            compile_live_configs(scenario, tmp_path)
 
 
 class TestStorageRootHygiene:

@@ -104,7 +104,7 @@ class TestGatheredInbox:
     # One builder twice, with the identical message in both runs: the
     # set union delivers it once.
     @example([(S2, [Echo(1)]), (S10, [Echo(2)]), (S2, [Echo(1), Ready(3)])])
-    @example([(SIGMA, [Entry("v")]), (SIGMA, [Entry("v")])])
+    @example([(SIGMA, [Entry("v", 0)]), (SIGMA, [Entry("v", 0)])])
     # s10's run comes first as text and second as an encoding; s10
     # sends twice around s2.
     @example([(S10, [Echo(1), Echo(0)]), (S2, [Echo(1)]), (S10, [Echo(0), Ready(2)])])

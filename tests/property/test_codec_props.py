@@ -85,7 +85,7 @@ messages = st.builds(
     Message,
     servers,
     servers,
-    st.one_of(st.builds(Echo, small), st.builds(Ready, small), st.builds(Entry, small)),
+    st.one_of(st.builds(Echo, small), st.builds(Ready, small), st.builds(Entry, small, st.integers(0, 3))),
 )
 blocks = st.builds(
     Block,
@@ -142,7 +142,7 @@ def mixed(depth):
         st.sets(keys, max_size=3),
         st.frozensets(keys, max_size=3),
         sub.map(spliced),
-        st.builds(Message, servers, servers, sub.map(Entry)),
+        st.builds(Message, servers, servers, sub.map(lambda value: Entry(value, 0))),
     )
 
 

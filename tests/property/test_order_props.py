@@ -31,7 +31,7 @@ views = st.integers(min_value=0, max_value=2)
 payloads = st.one_of(
     st.builds(Echo, values),
     st.builds(Ready, values),
-    st.builds(Entry, values),
+    st.builds(Entry, values, views),
     st.builds(Prepare, views, values),
     st.builds(Commit, views, values),
     st.builds(ViewChange, views, st.integers(-1, 1), values),
@@ -61,7 +61,7 @@ class TestOrderedAgainstTheEncodingOrder:
             Message(S2, S10, Echo(2)),
             Message(S2, S10, Echo(1)),
             Message(S2, S10, Commit(0, 1)),
-            Message(S2, S10, Entry(1)),
+            Message(S2, S10, Entry(1, 0)),
             Message(SIGMA, S10, Prepare(1, "v")),
         ]
     )

@@ -16,6 +16,7 @@ from repro.interpret.interpreter import Interpreter
 from repro.protocols.base import Context, Message, ProcessInstance, ProtocolSpec
 from repro.protocols.brb import Broadcast, Echo, ReliableBroadcast, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
+from repro.protocols.ledger import Append, ledger_protocol
 from repro.protocols.pbft import Prepare, pbft_protocol
 from repro.storage.state_codec import (
     annotation_fingerprint,
@@ -104,6 +105,57 @@ class TestFork:
         # parent's very object (structural sharing below the top map).
         assert clone._echo_senders[1] is not instance._echo_senders[1]
         assert clone._echo_senders[2] is instance._echo_senders[2]
+
+
+class TestFlatCost:
+    def test_privatisations_per_block_stay_flat_while_the_ledger_grows(self, monkeypatch):
+        """Every server appends to one ledger every round, so each
+        instance's state grows by a layer's entries per block; the
+        write barrier still copies the same containers per block."""
+        servers = make_servers(8)
+        builder = ManualDagBuilder(servers=servers)
+        ledger = Label("ledger")
+        while len(builder.dag) < 320:
+            base = len(builder.dag)
+            builder.round_all(
+                {s: [(ledger, Append(base + i))] for i, s in enumerate(servers)}
+            )
+        copies = [0]
+
+        def writable(self, name, original=ProcessInstance._writable):
+            before = getattr(self, name)
+            value = original(self, name)
+            copies[0] += value is not before
+            return value
+
+        def writable_entry(self, name, key, factory, original=ProcessInstance._writable_entry):
+            outer = getattr(self, name)
+            entries = dict(outer)
+            value = original(self, name, key, factory)
+            after = getattr(self, name)
+            # The map itself, and every entry that is a new object now.
+            copies[0] += (after is not outer) + sum(
+                entry is not entries.get(k) for k, entry in after.items()
+            )
+            return value
+
+        monkeypatch.setattr(ProcessInstance, "_writable", writable)
+        monkeypatch.setattr(ProcessInstance, "_writable_entry", writable_entry)
+        dag = BlockDag()
+        interp = Interpreter(dag, ledger_protocol, servers)
+        per_block, length = [], []
+        for block in builder.dag.blocks():
+            before = copies[0]
+            dag.insert(block)
+            interp.run()
+            per_block.append(copies[0] - before)
+            length.append(interp.state_of(block.ref).pis[ledger].count)
+        # Genesis blocks receive nothing; the rest splits into quarters.
+        per_block, length = per_block[len(servers):], length[len(servers):]
+        quarter = len(per_block) // 4
+        first, last = slice(0, quarter), slice(len(per_block) - quarter, None)
+        assert sum(length[last]) >= 4 * sum(length[first])
+        assert sum(per_block[first]) == sum(per_block[last]) > 0
 
 
 class TestBookkeepingStaysInvisible:

@@ -4,14 +4,21 @@ These drive the interpreter over hand-built DAGs (no network) and
 assert on the per-block annotations ``Ms``/``PIs`` the paper defines.
 """
 
+import heapq
 import sys
+from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from repro.dag import codec
+from repro.dag.blockdag import BlockDag
+from repro.dag.digraph import Digraph
 from repro.errors import SimulationError
 from repro.interpret import order
 from repro.interpret.instance import snapshot_instance
+from repro.interpret import interpreter as interpreter_module
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.base import Message, ProcessInstance
 from repro.protocols.brb import Broadcast, Deliver, Echo, brb_protocol
@@ -37,7 +44,7 @@ class TestRequestProcessing:
         out = interp.state_of(block.ref).ms.outgoing(L)
         # Broadcast ⇒ one Add(5) per server, sender is the builder.
         assert len(out) == 4
-        assert all(m.payload == Add(5) for m in out)
+        assert all(m.payload == Add(5, 0) for m in out)
         assert all(m.sender == S1 for m in out)
         assert {m.receiver for m in out} == set(dag_builder.servers)
 
@@ -75,7 +82,7 @@ class TestMessageDelivery:
         interp.run()
         incoming = interp.state_of(sink.ref).ms.incoming(L)
         assert len(incoming) == 1
-        assert incoming[0].payload == Add(5)
+        assert incoming[0].payload == Add(5, 0)
         assert incoming[0].receiver == S2
 
     def test_no_delivery_without_direct_edge(self, dag_builder):
@@ -282,11 +289,12 @@ class TestRunsAreOrderedWhereEmitted:
     def test_one_builder_twice_delivers_an_identical_message_once(
         self, dag_builder
     ):
-        # Two consecutive blocks of s1 each send s2 the same Entry("v");
-        # s2's block references both, and the set union of line 9
-        # holds that message once.
+        # Two equivocating blocks of s1 each send s2 the same
+        # Entry("v", 0); s2's block references both, and the set union
+        # of line 9 holds that message once.
+        third = dag_builder.block(S3)
         first = dag_builder.block(S1, rs=[(L, Append("v"))])
-        second = dag_builder.block(S1, rs=[(L, Append("v"))])
+        second = dag_builder.fork(S1, refs=[third], rs=[(L, Append("v"))])
         interp = fresh_interpreter(dag_builder, ledger_protocol)
         interp.run()
         before = interp.messages_delivered
@@ -297,7 +305,7 @@ class TestRunsAreOrderedWhereEmitted:
         )
         oracle.run()
 
-        entry = Message(S1, S2, Entry("v"))
+        entry = Message(S1, S2, Entry("v", 0))
         assert interp.state_of(sink.ref).ms.incoming(L) == [entry]
         assert interp.messages_delivered - before == 1
         assert interp.messages_delivered == oracle.messages_delivered
@@ -519,8 +527,85 @@ class TestIndications:
         assert delivered == set(dag_builder.servers)
 
 
+def layered_blocks(n_servers: int, size: int) -> tuple[tuple[ServerId, ...], list]:
+    """``size`` blocks of a fully connected layered DAG, a counter
+    request every sixth round, in insertion (topological) order."""
+    builder = ManualDagBuilder(n_servers)
+    rounds = 0
+    while len(builder.dag) < size:
+        seat = builder.servers[rounds // 6 % n_servers]
+        builder.round_all(rs_for={seat: [(L, Inc(1))]} if rounds % 6 == 0 else {})
+        rounds += 1
+    return builder.servers, builder.dag.blocks()[:size]
+
+
+def scheduler_work(monkeypatch, make, servers, blocks) -> Counter:
+    """Insert one block into a fresh DAG, run the interpreter ``make``
+    builds, repeat (the steady-state gossip shape); count, from outside,
+    the ready-heap operations of ``repro.interpret.interpreter``, the
+    DAG lookups and successor edges it asks for, and every block a
+    whole-DAG iteration visits."""
+    work = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            work[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    def successors_view(graph, vertex, original=Digraph.successors_view):
+        view = original(graph, vertex)
+        work["successor edges"] += len(view)
+        return view
+
+    def whole_dag(dag, original=BlockDag.__iter__):
+        for block in original(dag):
+            work["whole-DAG visits"] += 1
+            yield block
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            interpreter_module,
+            "heapq",
+            SimpleNamespace(
+                heappush=counted("heap", heapq.heappush),
+                heappop=counted("heap", heapq.heappop),
+            ),
+        )
+        patch.setattr(BlockDag, "require", counted("lookups", BlockDag.require))
+        patch.setattr(BlockDag, "predecessors", counted("lookups", BlockDag.predecessors))
+        patch.setattr(BlockDag, "__iter__", whole_dag)
+        patch.setattr(BlockDag, "blocks", lambda dag: list(whole_dag(dag)))
+        patch.setattr(Digraph, "successors_view", successors_view)
+        dag = BlockDag()
+        interp = make(dag, counter_protocol, servers)
+        for block in blocks:
+            dag.insert(block)
+            interp.run()
+    assert interp.blocks_interpreted == len(blocks)
+    return work
+
+
 class TestIncrementalScheduler:
     """The event-driven ready queue vs the frontier-rescan oracle."""
+
+    def test_scheduler_work_per_block_is_flat_while_the_rescan_grows(self, monkeypatch):
+        servers, blocks = layered_blocks(4, 240)
+        per_block = {}
+        for make in (Interpreter, ReferenceInterpreter):
+            for size in (60, 240):
+                work = scheduler_work(monkeypatch, make, servers, blocks[:size])
+                per_block[make, size] = {
+                    name: Fraction(count, size) for name, count in work.items()
+                }
+        small, large = per_block[Interpreter, 60], per_block[Interpreter, 240]
+        # The same work per block at both sizes, and none of it a scan.
+        assert small == large and sum(large.values()) > 0
+        assert "whole-DAG visits" not in large
+        # The reference rescans the DAG before every step.
+        rescans = [per_block[ReferenceInterpreter, size]["whole-DAG visits"] for size in (60, 240)]
+        assert rescans[1] > 3 * rescans[0]
 
     def test_modes_agree_on_prebuilt_dag(self, dag_builder):
         dag_builder.block(S1, rs=[(L, Inc(1))])

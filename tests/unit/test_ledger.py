@@ -25,7 +25,7 @@ def instance(self_id="s1") -> Ledger:
 
 
 def entry(value, sender="s2", receiver="s1") -> Message:
-    return Message(ServerId(sender), ServerId(receiver), Entry(value))
+    return Message(ServerId(sender), ServerId(receiver), Entry(value, 0))
 
 
 class TestLedger:
@@ -33,7 +33,7 @@ class TestLedger:
         led = instance()
         result = led.step_request(Append(7))
         assert len(result.messages) == len(SERVERS)
-        assert all(m.payload == Entry(7) for m in result.messages)
+        assert all(m.payload == Entry(7, 0) for m in result.messages)
 
     def test_apply_indicates_sequence(self):
         led = instance()

@@ -32,13 +32,13 @@ class TestContext:
 
     def test_send_records_message(self):
         ctx = self._ctx()
-        ctx.send(S2, Add(1))
+        ctx.send(S2, Add(1, 0))
         result = ctx._drain()
-        assert result.messages == (Message(S1, S2, Add(1)),)
+        assert result.messages == (Message(S1, S2, Add(1, 0)),)
 
     def test_broadcast_includes_self(self):
         ctx = self._ctx()
-        ctx.broadcast(Add(1))
+        ctx.broadcast(Add(1, 0))
         result = ctx._drain()
         assert len(result.messages) == 4
         assert {m.receiver for m in result.messages} == set(SERVERS)
@@ -52,21 +52,21 @@ class TestContext:
 
     def test_drain_resets(self):
         ctx = self._ctx()
-        ctx.send(S2, Add(1))
+        ctx.send(S2, Add(1, 0))
         ctx._drain()
         assert ctx._drain() == StepResult()
 
     def test_silent_step_then_emitting_step(self):
         ctx = self._ctx()
         assert ctx._drain() == StepResult()
-        ctx.send(S2, Add(1))
+        ctx.send(S2, Add(1, 0))
         ctx.indicate(Total(1))
         assert ctx._drain() == StepResult(
-            (Message(S1, S2, Add(1)),), (Total(1),)
+            (Message(S1, S2, Add(1, 0)),), (Total(1),)
         )
         assert ctx._drain() == StepResult()
-        ctx.send(S2, Add(2))
-        assert ctx._drain() == StepResult((Message(S1, S2, Add(2)),))
+        ctx.send(S2, Add(2, 0))
+        assert ctx._drain() == StepResult((Message(S1, S2, Add(2, 0)),))
 
     def test_no_clock_no_randomness_surface(self):
         # The determinism contract: the context exposes nothing ambient.
@@ -95,22 +95,22 @@ class TestProcessInstance:
 
     def test_step_message_checks_receiver(self):
         instance = counter_protocol.create(SERVERS, S1, L)
-        wrong = Message(S2, S2, Add(1))
+        wrong = Message(S2, S2, Add(1, 0))
         with pytest.raises(ValueError):
             instance.step_message(wrong)
 
     def test_instances_are_deepcopyable(self):
         instance = counter_protocol.create(SERVERS, S1, L)
-        instance.step_message(Message(S2, S1, Add(3)))
+        instance.step_message(Message(S2, S1, Add(3, 0)))
         clone = copy.deepcopy(instance)
-        clone.step_message(Message(S2, S1, Add(4)))
+        clone.step_message(Message(S2, S1, Add(4, 0)))
         assert instance.total == 3
         assert clone.total == 7
 
     def test_determinism_same_inputs_same_outputs(self):
         a = counter_protocol.create(SERVERS, S1, L)
         b = counter_protocol.create(SERVERS, S1, L)
-        inputs = [Message(S2, S1, Add(i)) for i in (5, 3, 8)]
+        inputs = [Message(S2, S1, Add(i, 0)) for i in (5, 3, 8)]
         outs_a = [a.step_message(m) for m in inputs]
         outs_b = [b.step_message(m) for m in inputs]
         assert outs_a == outs_b
