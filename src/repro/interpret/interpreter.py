@@ -52,15 +52,6 @@ including the state *split* at equivocation forks — two children of
 the same parent each copy before stepping; property tests assert
 byte-identical annotations and event traces against the reference's
 ``copy.deepcopy`` of the parent's whole ``PIs``.
-
-``run()`` additionally drains **builder chains in batches**: when
-interpreting a block leaves exactly one newly ready block (the shape a
-gossip catch-up drain produces — one builder's chain unblocking link
-by link), the loop follows it directly instead of going through the
-ready heap.  The schedule is unchanged (a singleton ready set has only
-one canonical choice), but per-block scheduler work drops and the
-storage layer piggybacks on the same boundaries to frame one WAL
-record per drained chain.
 """
 
 from __future__ import annotations
@@ -197,10 +188,6 @@ class Interpreter:
         self.messages_delivered = 0
         self.messages_materialized = 0
         self.request_steps = 0
-        #: Same-builder chain runs the batched drain followed without
-        #: touching the ready heap, and the blocks they covered.
-        self.chain_runs = 0
-        self.chain_blocks = 0
         #: Released annotations reconstructed from the covering
         #: checkpoint on demand (coordinated-GC subsystem).
         self.rehydrated = 0
@@ -474,53 +461,23 @@ class Interpreter:
                     if ref not in ready:
                         continue  # stale: interpreted or diverted meanwhile
                 block = require(ref)
-                popped = True
-                chain_len = 1
-                while True:
-                    try:
-                        # Ready ⇒ eligible: all guards of
-                        # interpret_block hold by scheduler invariant
-                        # (release_state diverts ready successors), so
-                        # go straight to the execution body.
-                        self._execute(block, self.dag.predecessors(block))
-                        # Scheduler propagation lives out here (not in
-                        # _execute) so the Algorithm-2 core stays a
-                        # pure function of the DAG — the handler-purity
-                        # rule certifies it with an empty effect set.
-                        self._on_interpreted(block.ref)
-                    except BaseException:
-                        # Keep heap ⊇ ready even when a protocol step
-                        # blows up mid-run, so a later run() still sees
-                        # the block.  Followed (never-popped) blocks
-                        # still have their original heap entry.
-                        if popped:
-                            heapq.heappush(self._ready_heap, block.ref)
-                        raise
-                    # Chain-batched drain: when interpreting this block
-                    # left exactly one ready block, it is the only
-                    # canonical choice — follow it directly instead of
-                    # round-tripping through the heap.  The schedule is
-                    # identical to the rescan reference's; a gossip
-                    # catch-up drain (one builder's chain unblocking
-                    # link by link) rides this path end to end.
-                    if len(ready) != 1:
-                        break
-                    for next_ref in ready:
-                        break
-                    next_block = require(next_ref)
-                    if next_block.n == block.n and next_block.k == block.k + 1:
-                        chain_len += 1
-                    else:
-                        if chain_len >= 2:
-                            self.chain_runs += 1
-                            self.chain_blocks += chain_len
-                        chain_len = 1
-                    block = next_block
-                    popped = False
-                if chain_len >= 2:
-                    self.chain_runs += 1
-                    self.chain_blocks += chain_len
-            # Entries the singleton/chain fast paths never popped are
+                try:
+                    # Ready ⇒ eligible: all guards of interpret_block
+                    # hold by scheduler invariant (release_state
+                    # diverts ready successors), so go straight to the
+                    # execution body.
+                    self._execute(block, self.dag.predecessors(block))
+                    # Scheduler propagation lives out here (not in
+                    # _execute) so the Algorithm-2 core stays a pure
+                    # function of the DAG — the handler-purity rule
+                    # certifies it with an empty effect set.
+                    self._on_interpreted(ref)
+                except BaseException:
+                    # Keep heap ⊇ ready even when a protocol step blows
+                    # up mid-run, so a later run() still sees the block.
+                    heapq.heappush(self._ready_heap, ref)
+                    raise
+            # Entries the singleton fast path never popped are
             # all stale now that the queue is drained.
             self._ready_heap.clear()
             return self.events[start:]

@@ -11,13 +11,22 @@ audits call this one list instead of restating a check by hand.
   the same thing;
 * :func:`well_formed_chains` — the DAG is acyclic and each listed
   builder's chain fills the slots ``k = 0..len-1`` with one block each;
+* :func:`backward_closed` — every predecessor of every block, skeletons
+  included, is in the DAG (Definition 3.4's closure);
 * :func:`complete_interpretation` — every block (bar those of exempt
   builders) is interpreted on every server, none stalled below the
   horizon;
 * :func:`same_interpreted` — every server interpreted the same blocks
   (Lemma 4.2: annotations are a function of the DAG);
 * :func:`horizon_differences` — every server computed the same agreed
-  horizon (kept in :mod:`repro.horizon.compare`, listed here).
+  horizon (kept in :mod:`repro.horizon.compare`, listed here);
+* :func:`monotone_horizon` — over one server incarnation's samples of
+  its agreed horizon, no component ever decreases.
+
+:func:`backward_closed` and :func:`monotone_horizon` hold after every
+step of a run, not only at its end, so a checker may call them per
+round (Coglio and McCarthy state nonforking as invariants that each
+transition preserves).
 
 :func:`equivocations` is the §4/§6 report the rest of the catalogue
 needs no trust for: per builder, the slots holding two or more blocks
@@ -29,7 +38,7 @@ server.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 from repro.crypto.keys import KeyRing
 from repro.dag.block import Block
@@ -44,9 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "agreement",
+    "backward_closed",
     "complete_interpretation",
     "equivocations",
     "horizon_differences",
+    "monotone_horizon",
     "same_indications",
     "same_interpreted",
     "well_formed_chains",
@@ -152,6 +163,35 @@ def well_formed_chains(dag: BlockDag, builders: Iterable[ServerId]) -> list[str]
                 violations.append(f"({builder}, {k}): {count} blocks in one slot")
         if sorted(per_slot) != list(range(len(per_slot))):
             violations.append(f"{builder}: chain slots {sorted(per_slot)} have a gap")
+    return violations
+
+
+def backward_closed(dag: BlockDag) -> list[str]:
+    """Every predecessor of every block in ``dag`` — a payload-pruned
+    skeleton keeps its ``preds`` and is checked too — is in ``dag``."""
+    return [
+        f"({block.n}, {block.k}) {block.ref[:8]}: predecessor {pred[:8]} "
+        "is not in the DAG"
+        for block in dag
+        for pred in block.preds
+        if pred not in dag
+    ]
+
+
+def monotone_horizon(samples: Sequence[Mapping[ServerId, SeqNum]]) -> list[str]:
+    """``samples`` are one server incarnation's agreed horizon vectors in
+    the order taken; no builder's component may fall between two of
+    them (an absent component reads ``-1``, nothing agreed)."""
+    violations = []
+    for index in range(1, len(samples)):
+        before, after = samples[index - 1], samples[index]
+        for builder, k in sorted(before.items()):
+            now = after.get(builder, -1)
+            if now < k:
+                violations.append(
+                    f"{builder}: agreed horizon fell from {k} to {now} "
+                    f"at sample {index}"
+                )
     return violations
 
 

@@ -11,8 +11,9 @@ their type hints.  The one rule:
   read the class is found by that tag among the subclasses of the
   field's declared type;
 * tuples are written as lists and ``X | None`` as null;
-* numbers are coerced to the declared ``int``/``float``; a bool never
-  passes as a number;
+* an ``int`` field takes a JSON integer only; a ``float`` field takes
+  an integer or a float, read as a float; a string or a bool is never
+  a number;
 * a field with ``init=False`` is derived: it is written, and recomputed
   rather than read;
 * an unknown key is rejected.
@@ -126,16 +127,19 @@ def read(hint: Any, data: object, path: str = "") -> Any:
         if data.__class__ is not hint:
             _fail(path, f"expected {hint.__name__}, got {data!r}")
         return data
-    if hint is int or hint is float:
-        if isinstance(data, (int, float, str)) and data.__class__ is not bool:
+    if hint is int:
+        if data.__class__ is not int:
+            _fail(path, f"expected int, got {data!r}")
+        return data
+    if hint is float:
+        if data.__class__ is float:
+            return data
+        if data.__class__ is int:
             try:
-                number = hint(data)
-            except (ValueError, OverflowError):
+                return float(data)  # type: ignore[arg-type]
+            except OverflowError:
                 pass
-            else:
-                if number == data or isinstance(data, str):
-                    return number
-        _fail(path, f"expected {hint.__name__}, got {data!r}")
+        _fail(path, f"expected float, got {data!r}")
     if origin is tuple:
         if data.__class__ is not list:
             _fail(path, f"expected a list, got {type(data).__name__}")

@@ -58,8 +58,8 @@ Async-hazard rules for the live layer (per file):
 Every rule that judges a stdlib call reads one table,
 :data:`repro.lint.effects._EXTERNAL`, through one import resolver
 (:func:`repro.lint.callgraph._harvest_imports`).  The only exceptions
-are each rule's reviewed ``ALLOWED_MODULES`` and the committed, empty
-``lint-baseline.json``; there are no per-line suppressions.
+are each rule's reviewed ``ALLOWED_MODULES``; there are no per-line
+suppressions and no baseline of tolerated findings.
 
 Run it with ``python -m repro.lint src/repro`` (formats: ``text``,
 ``github``).
@@ -67,12 +67,10 @@ Run it with ``python -m repro.lint src/repro`` (formats: ``text``,
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import FileContext, Finding, LintEngine, LintReport, Rule
 from repro.lint.registry import RULES, rule_names
 
 __all__ = [
-    "Baseline",
     "FileContext",
     "Finding",
     "LintEngine",

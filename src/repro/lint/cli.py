@@ -6,8 +6,8 @@ Formats:
 * ``github`` — ``::error`` workflow commands, so a CI lint step
   annotates the offending lines inline in the pull request diff.
 
-Exit status: 0 when the tree is clean (after the baseline), 1 when
-findings remain, 2 on usage errors.
+Exit status: 0 when the tree is clean, 1 on any finding, 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import Finding, LintEngine
 from repro.lint.registry import BY_NAME, RULES
 
@@ -72,11 +71,10 @@ def _parser() -> argparse.ArgumentParser:
             "tests); --select overrides the profile"
         ),
     )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore lint-baseline.json (default: discover it upward)",
-    )
+    # Accepted and ignored: there is no baseline of tolerated findings
+    # any more, but benchmarks/ledger/test_ledger_smoke.py still passes
+    # the flag, and that directory changes only with the benchmark.
+    parser.add_argument("--no-baseline", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
         "--list-rules",
         action="store_true",
@@ -85,22 +83,10 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render_text(
-    findings: Sequence[Finding],
-    *,
-    baselined: int,
-    stale: Sequence[tuple[str, str, int]],
-    files: int,
-) -> str:
+def _render_text(findings: Sequence[Finding], *, files: int) -> str:
     lines = [finding.render() for finding in findings]
-    for rule, path, line in stale:
-        lines.append(
-            f"note: stale baseline entry {rule} at {path}:{line} "
-            "(fixed? remove it from lint-baseline.json)"
-        )
     lines.append(
         f"{len(findings)} finding{'s' if len(findings) != 1 else ''} "
-        f"({baselined} baselined) "
         f"across {files} file{'s' if files != 1 else ''}"
     )
     return "\n".join(lines)
@@ -146,21 +132,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     paths = args.paths or (["src/repro"] if Path("src/repro").is_dir() else ["."])
     report = LintEngine(rules).run(paths)
-
-    baseline = Baseline() if args.no_baseline else Baseline.discover(Path(paths[0]))
-    findings, stale = baseline.split(report.findings)
+    findings = report.findings
 
     if args.format == "github":
         print(_render_github(findings))
     else:
-        print(
-            _render_text(
-                findings,
-                baselined=len(report.findings) - len(findings),
-                stale=stale,
-                files=report.files,
-            )
-        )
+        print(_render_text(findings, files=report.files))
     return 1 if findings else 0
 
 

@@ -8,9 +8,8 @@ rules against it — one parse per file feeds both phases.  All
 invariant knowledge lives in the rules; all reporting knowledge lives
 in the CLI.
 
-There is no per-line suppression: a rule's exceptions are its reviewed
-``ALLOWED_MODULES``, and anything else is grandfathered only through
-the committed (empty) ``lint-baseline.json``.  A file that does not
+There is no per-line suppression and no baseline: a rule's only
+exceptions are its reviewed ``ALLOWED_MODULES``.  A file that does not
 parse raises ``parse-error`` (the linter proves invariants over the
 AST, so an unparseable file proves nothing).
 """
@@ -53,8 +52,8 @@ class FileContext:
 class Rule:
     """One invariant check over a parsed file.
 
-    Subclasses set :attr:`name` (the kebab-case id used in findings and
-    the baseline) and :attr:`summary` (one line for ``--list-rules``),
+    Subclasses set :attr:`name` (the kebab-case id used in findings)
+    and :attr:`summary` (one line for ``--list-rules``),
     and implement :meth:`check`.
     """
 
@@ -85,7 +84,7 @@ class ProgramRule(Rule):
     has been parsed and per-file rules have walked each tree: they see
     a :class:`repro.lint.callgraph.Program` (shared module index, call
     graph, effect fixpoint) instead of one file.  Findings still anchor
-    to a (path, line), so the baseline works unchanged.
+    to a (path, line).
     """
 
     def check_program(self, program: "Program") -> Iterable[Finding]:
@@ -125,7 +124,7 @@ def module_name_for(path: Path) -> str:
 
 @dataclass
 class LintReport:
-    """Outcome of one engine run (before baseline filtering)."""
+    """Outcome of one engine run."""
 
     findings: list[Finding]
     files: int = 0

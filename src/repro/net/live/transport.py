@@ -202,8 +202,6 @@ class LiveTransport(Transport):
             metrics if metrics is not None else MetricsRegistry(server=str(self_id))
         )
         self.delivered_count = 0
-        self.dropped_overflow = 0
-        self.reconnects = 0
         self.frames_damaged = 0
         #: Set when an orderly shutdown begins: connection losses during
         #: teardown are expected and must not count as disturbances.
@@ -263,7 +261,6 @@ class LiveTransport(Transport):
         meters = self._egress(dst)
         if len(queue) >= self.max_queue:
             queue.popleft()
-            self.dropped_overflow += 1
             meters.queue_drops.inc()
         queue.append(envelope)
         meters.queue_depth.set(len(queue))
@@ -465,7 +462,6 @@ class LiveTransport(Transport):
                     try:
                         writer = await self._connect(peer)
                     except _CONNECT_ERRORS:
-                        self.reconnects += 1
                         meters.connect_retries.inc()
                         # Back off, unless the peer dials in first.
                         try:

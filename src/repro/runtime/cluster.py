@@ -16,7 +16,7 @@ and measure progress ("delivered after k rounds").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -409,7 +409,6 @@ class Cluster:
         cluster-wide sum cannot show it."""
         blocks = delivered = materialized = requests = 0
         horizon = rehydrated = condemned = 0
-        chain_runs = chain_blocks = 0
         by_server: dict[str, dict[str, int]] = {}
         for server, shim in self.shims.items():
             interpreter = shim.interpreter
@@ -419,8 +418,6 @@ class Cluster:
             requests += interpreter.request_steps
             horizon += interpreter.below_horizon
             rehydrated += interpreter.rehydrated
-            chain_runs += interpreter.chain_runs
-            chain_blocks += interpreter.chain_blocks
             condemned += shim.gossip.metrics.condemned_below_horizon
             by_server[str(server)] = {
                 "below_horizon": interpreter.below_horizon,
@@ -437,34 +434,36 @@ class Cluster:
             below_horizon=horizon,
             rehydrated=rehydrated,
             condemned_below_horizon=condemned,
-            chain_runs=chain_runs,
-            chain_blocks=chain_blocks,
             by_server=by_server,
         )
 
     def storage_snapshot(self) -> StorageSnapshot:
         """Typed aggregate of persistence counters across live correct
         servers (all zero when no ``storage_dir`` is configured)."""
-        totals = dict.fromkeys((f.name for f in fields(StorageSnapshot)), 0)
-        # Summed straight off each server's StorageMetrics; the other
-        # three fields come from the shim.
-        summed = [
-            name for name in totals
-            if name not in ("checkpoint_age_max", "blocks_recovered", "blocks_replayed")
-        ]
-        for shim in self.shims.values():
-            if shim.storage is None:
-                continue
-            metrics = shim.storage.metrics_snapshot()
-            for name in summed:
-                totals[name] += getattr(metrics, name)
-            totals["checkpoint_age_max"] = max(
-                totals["checkpoint_age_max"], shim.checkpoint_age()
-            )
-            if shim.recovery is not None:
-                totals["blocks_recovered"] += shim.recovery.blocks_recovered
-                totals["blocks_replayed"] += shim.recovery.blocks_replayed
-        return StorageSnapshot(**totals)
+        shims = [shim for shim in self.shims.values() if shim.storage is not None]
+        stores = [s for s in (shim.storage for shim in shims) if s is not None]
+        recoveries = [shim.recovery for shim in shims if shim.recovery is not None]
+        return StorageSnapshot(
+            wal_appends=sum(s.wal.stats.appends for s in stores),
+            wal_bytes=sum(s.wal.size_bytes() for s in stores),
+            wal_segments=sum(len(s.wal.segments()) for s in stores),
+            checkpoints_written=sum(s.checkpoints.writes for s in stores),
+            checkpoint_bytes=sum(s.checkpoints.bytes_written for s in stores),
+            checkpoint_entries_written=sum(
+                s.checkpoints.entries_written for s in stores
+            ),
+            checkpoint_entries_reused=sum(
+                s.checkpoints.entries_reused for s in stores
+            ),
+            checkpoint_age_max=max(
+                (shim.checkpoint_age() for shim in shims), default=0
+            ),
+            states_released=sum(s.states_released for s in stores),
+            payloads_dropped=sum(s.payloads_dropped for s in stores),
+            wal_segments_dropped=sum(s.wal.stats.segments_dropped for s in stores),
+            blocks_recovered=sum(r.blocks_recovered for r in recoveries),
+            blocks_replayed=sum(r.blocks_replayed for r in recoveries),
+        )
 
 
 def quick_cluster(

@@ -11,6 +11,12 @@ loop between the two arms.  Three mechanisms buy that equality:
   generous timeout so a dead peer cannot wedge the cluster).  This is
   the live analogue of the simulator's round structure: all of round
   ``t - 1``'s blocks are validated before any round-``t`` block seals.
+  It is the node's only mode.  A free-running node (no gate, no hold)
+  cannot reliably finish under a fixed tick budget: one that seals its
+  last tick before a peer seals a message addressed to it never steps
+  that message, because only its own next block would.  Free-running
+  returns as the only mode once a node seals on demand (when a message
+  waits for it), not as a switch beside this one.
 * **Ingress hold** — a foreign block with ``k`` equal to our *next*
   sequence number arrived "from the future" (its builder is already
   sealing the tick we have not sealed yet).  It is held outside gossip
@@ -87,6 +93,11 @@ from repro.types import BlockRef, Indication, Label, Request, ServerId
 
 _FOLD_MASK = (1 << 64) - 1
 
+#: Seconds before gossip re-sends an unanswered FWD request: wall-clock
+#: seconds here, where gossip's default is sized for the simulator's
+#: 6-unit rounds.
+FWD_RETRY_INTERVAL = 0.1
+
 
 def fold_refs(refs: Iterable[BlockRef], fold: int = 0) -> int:
     """Add ``refs`` into a DAG fingerprint: the sum of each ref's
@@ -116,7 +127,7 @@ class NodeConfig(JsonDocument):
     addresses: dict[str, str]
     seed: int = 0
     max_ticks: int = 8
-    #: Per-tick lockstep gate timeout (seconds); on expiry the node
+    #: Per-tick gate timeout (seconds); on expiry the node
     #: seals anyway so a dead peer cannot wedge the cluster.
     tick_timeout: float = 10.0
     #: Budget for the post-seal completion wait.
@@ -129,9 +140,6 @@ class NodeConfig(JsonDocument):
     #: ``LiveCluster`` fills it with a crash victim's crash rounds.
     publish_ticks: tuple[int, ...] = ()
     beacon_interval: float = 0.25
-    fwd_retry_interval: float = 0.1
-    max_requests_per_block: int = 256
-    lockstep: bool = True
     workload: tuple[tuple[int, str, int], ...] = ()
     expected: tuple[tuple[str, int], ...] = ()
     storage_dir: str | None = None
@@ -153,15 +161,13 @@ class NodeStatus(JsonDocument):
     blocks: int
     fingerprint: str
     delivered: dict[str, int] = field(default_factory=dict)
-    ticks_done: bool = False
     complete: bool = False
     recovered: bool = False
+    #: The ``node.gate-timeouts`` counter: ticks sealed on the gate's
+    #: timeout rather than on every peer's chain.
     gate_timeouts: int = 0
-    held: int = 0
     wire_messages: int = 0
     wire_bytes: int = 0
-    dropped_overflow: int = 0
-    reconnects: int = 0
     #: Version of the newest metrics snapshot on disk (0 = none yet) —
     #: scrapers skip files whose seq is unchanged.  Snapshots follow
     #: the status timer, so this moves slower than ``tick``.
@@ -183,7 +189,6 @@ class LiveNode:
         self.server = ServerId(config.server)
         self.servers = [ServerId(s) for s in config.servers]
         self.keyring = KeyRing(self.servers)
-        self.gate_timeouts = 0
         self.recorder: TraceRecorder | None = None
         self.shim: Shim | None = None
         self.transport: LiveTransport | None = None
@@ -199,7 +204,7 @@ class LiveNode:
         self._gate_timeout_count = self.metrics.counter("node.gate-timeouts")
         self._gc_pause = self.metrics.histogram("node.gc-pause")
         self._gc_started = 0.0
-        #: Blocks held at the lockstep ingress gate, keyed by ref.
+        #: Blocks held at the ingress gate, keyed by ref.
         self._held: dict[str, tuple[ServerId, BlockEnvelope]] = {}
         #: Ingress that arrived before the shim existed (a fast peer
         #: dialing in while we were still recovering from disk).
@@ -261,10 +266,7 @@ class LiveNode:
             self.protocol,
             self.keyring,
             self.transport,
-            config=GossipConfig(
-                fwd_retry_interval=config.fwd_retry_interval,
-                max_requests_per_block=config.max_requests_per_block,
-            ),
+            config=GossipConfig(fwd_retry_interval=FWD_RETRY_INTERVAL),
             storage=storage,
             tracer=self.recorder,
         )
@@ -300,8 +302,7 @@ class LiveNode:
             self._pre_shim.append((src, envelope))
             return
         if (
-            self.config.lockstep
-            and isinstance(envelope, BlockEnvelope)
+            isinstance(envelope, BlockEnvelope)
             and envelope.block.n != self.server
             and envelope.block.k == shim.gossip.builder.next_seq
         ):
@@ -343,7 +344,7 @@ class LiveNode:
 
     async def _await_gate(self, tick: int) -> None:
         """Block until every peer's chain reached ``tick - 1``."""
-        if not self.config.lockstep or tick == 0:
+        if tick == 0:
             return
         assert self._progress is not None and self._stop_event is not None
         loop = asyncio.get_running_loop()
@@ -355,7 +356,6 @@ class LiveNode:
                     return
                 remaining = deadline - loop.time()
                 if remaining <= 0:
-                    self.gate_timeouts += 1
                     self._gate_timeout_count.inc()
                     return
                 self._progress.clear()
@@ -476,15 +476,11 @@ class LiveNode:
             blocks=len(shim.dag),
             fingerprint=format(self._ref_fold, "016x"),
             delivered=dict(self._delivered),
-            ticks_done=shim.gossip.builder.next_seq >= self.config.max_ticks,
             complete=self._complete(),
             recovered=shim.recovery is not None,
-            gate_timeouts=self.gate_timeouts,
-            held=len(self._held),
+            gate_timeouts=self._gate_timeout_count.value,
             wire_messages=transport.metrics.messages,
             wire_bytes=transport.metrics.bytes,
-            dropped_overflow=transport.dropped_overflow,
-            reconnects=transport.reconnects,
             metrics_seq=self._metrics_seq,
         )
 

@@ -58,11 +58,6 @@ class InterpreterSnapshot(JsonDocument):
     #: Arriving blocks rejected because their position was already below
     #: the agreed horizon (the coordinated-GC validity rule firing).
     condemned_below_horizon: int = 0
-    #: Same-builder chain runs the batched drain followed without heap
-    #: traffic, and the blocks those runs covered (chain-batched
-    #: interpretation at work — catch-up drains, recovery replays).
-    chain_runs: int = 0
-    chain_blocks: int = 0
     #: Per-server ``{below_horizon, rehydrated, condemned_below_horizon}``.
     by_server: dict[str, dict[str, int]] = field(default_factory=dict)
 

@@ -14,7 +14,7 @@ against a recording stub and ships each server its explicit
 ``(tick, label, index)`` schedule.  Both arms therefore inject
 identical requests at identical chain positions, which is half of what
 makes ``trace diff --mode chains`` between the arms silent (the other
-half is the node's lockstep gate).
+half is the node's tick gate).
 
 Live runs support the crash-inclusive subset of the scenario language:
 partition, byzantine, link-loss and duplication faults need the

@@ -33,7 +33,7 @@ def _fault_free(smoke: bool) -> Scenario:
     return Scenario(
         name="fault-free",
         protocol="brb",
-        description="Baseline: reliable broadcast, no faults, open-loop "
+        description="The plain case: reliable broadcast, no faults, open-loop "
         "workload until everything is delivered everywhere.",
         workload=OpenLoopWorkload(rate=1 if smoke else 2, rounds=2 if smoke else 3),
         stop=And((AllDelivered(), DagsConverged())),

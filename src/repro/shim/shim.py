@@ -320,8 +320,8 @@ class Shim:
                 pinned=self._pinned_recent(),
                 tracer=self.tracer if self.tracer.enabled else None,
             )
-            self.storage.metrics.states_released += report.states_released
-            self.storage.metrics.payloads_dropped += report.payloads_dropped
+            self.storage.states_released += report.states_released
+            self.storage.payloads_dropped += report.payloads_dropped
         checkpoint = capture_checkpoint(
             self.storage.checkpoints.next_seq(),
             self.interpreter,

@@ -19,7 +19,7 @@ Layers, bottom up:
 * :mod:`repro.storage.recover`     — restart-from-disk.
 """
 
-from repro.storage.blockstore import ServerStorage, StorageConfig, StorageMetrics
+from repro.storage.blockstore import ServerStorage, StorageConfig
 from repro.storage.checkpoint import (
     Checkpoint,
     CheckpointManager,
@@ -37,7 +37,6 @@ __all__ = [
     "RecoveryReport",
     "ServerStorage",
     "StorageConfig",
-    "StorageMetrics",
     "WalSegment",
     "WalStats",
     "WriteAheadLog",

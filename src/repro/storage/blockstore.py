@@ -59,26 +59,6 @@ class StorageConfig:
     fsync: bool = False
 
 
-@dataclass
-class StorageMetrics:
-    """Counters the analysis layer reports per server."""
-
-    wal_appends: int = 0
-    wal_bytes: int = 0
-    wal_segments: int = 0
-    checkpoints_written: int = 0
-    checkpoint_bytes: int = 0
-    checkpoint_entries_written: int = 0
-    checkpoint_entries_reused: int = 0
-    blocks_recovered: int = 0
-    blocks_replayed: int = 0
-    states_restored: int = 0
-    states_released: int = 0
-    payloads_dropped: int = 0
-    wal_segments_dropped: int = 0
-    torn_bytes_truncated: int = 0
-
-
 class ServerStorage:
     """All durable state of one server, rooted at ``directory``."""
 
@@ -101,7 +81,13 @@ class ServerStorage:
         self.checkpoints = CheckpointManager(
             self.directory / "checkpoints", retain=2, fsync=self.config.fsync
         )
-        self.metrics = StorageMetrics()
+        #: What pruning removed from memory through this handle: the
+        #: annotations released and the block payloads dropped (the
+        #: shim adds each pass's :class:`~repro.storage.gc.PruneReport`).
+        #: The WAL and the checkpoint log keep their own counters
+        #: (``wal.stats``, ``checkpoints.writes`` and the rest).
+        self.states_released = 0
+        self.payloads_dropped = 0
         #: Flight recorder (``repro.obs``) — set by the shim when
         #: tracing is on; the no-op default keeps the write path at one
         #: attribute check.
@@ -123,22 +109,6 @@ class ServerStorage:
         """Whether anything durable exists to recover from."""
         return self.wal.size_bytes() > 0 or bool(self.checkpoints.sequences())
 
-    def wal_size_bytes(self) -> int:
-        return self.wal.size_bytes()
-
-    def metrics_snapshot(self) -> StorageMetrics:
-        """Refresh derived fields and return the metrics record."""
-        self.metrics.wal_appends = self.wal.stats.appends
-        self.metrics.wal_bytes = self.wal.size_bytes()
-        self.metrics.wal_segments = len(self.wal.segments())
-        self.metrics.checkpoints_written = self.checkpoints.writes
-        self.metrics.checkpoint_bytes = self.checkpoints.bytes_written
-        self.metrics.checkpoint_entries_written = self.checkpoints.entries_written
-        self.metrics.checkpoint_entries_reused = self.checkpoints.entries_reused
-        self.metrics.torn_bytes_truncated = self.wal.stats.torn_bytes_truncated
-        self.metrics.wal_segments_dropped = self.wal.stats.segments_dropped
-        return self.metrics
-
     # -- the write path ------------------------------------------------------------
 
     def append_block(self, block: Block) -> None:
@@ -158,7 +128,7 @@ class ServerStorage:
     def flush_wal(self) -> None:
         """Write buffered blocks as one WAL record per same-builder run.
 
-        Framing a drained chain as a single record amortizes the
+        Framing a same-builder run as a single record amortizes the
         per-block record header/CRC/flush cost, and tagging it with the
         builder (``chain_key``) lets the WAL rotate segments on chain
         boundaries — which is what makes whole segments retire together
@@ -267,7 +237,6 @@ class ServerStorage:
         for segment in self.wal.segments():
             if segment.index in segment_refs:
                 segment.refs = segment_refs[segment.index]
-        self.metrics.blocks_recovered = len(blocks)
         return blocks
 
     def latest_checkpoint(self) -> Checkpoint | None:

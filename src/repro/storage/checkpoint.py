@@ -170,6 +170,18 @@ class CaptureMemo:
     owner: ServerId | None
 
 
+#: The interpreter counters a checkpoint carries.  Install restores
+#: these by name and ignores any other key, such as a counter an older
+#: version wrote and this one no longer keeps.
+COUNTERS = (
+    "blocks_interpreted",
+    "messages_delivered",
+    "messages_materialized",
+    "request_steps",
+    "rehydrated",
+)
+
+
 @dataclass
 class Checkpoint:
     """One durable snapshot of a server's interpretation progress."""
@@ -390,15 +402,7 @@ def capture_checkpoint(
             events_seen=len(interpreter.events),
             owner=owner,
         ),
-        counters={
-            "blocks_interpreted": interpreter.blocks_interpreted,
-            "messages_delivered": interpreter.messages_delivered,
-            "messages_materialized": interpreter.messages_materialized,
-            "request_steps": interpreter.request_steps,
-            "rehydrated": interpreter.rehydrated,
-            "chain_runs": interpreter.chain_runs,
-            "chain_blocks": interpreter.chain_blocks,
-        },
+        counters={name: getattr(interpreter, name) for name in COUNTERS},
     )
 
 
@@ -565,8 +569,9 @@ def install_checkpoint(
         IndicationEvent(label, indication, server, block_ref)
         for (label, indication, server, block_ref) in checkpoint.events
     )
-    for name, value in checkpoint.counters.items():
-        setattr(interpreter, name, value)
+    for name in COUNTERS:
+        if name in checkpoint.counters:
+            setattr(interpreter, name, checkpoint.counters[name])
     # The interpreted set just grew behind the scheduler's back: pending
     # in-degree counts computed while the DAG was being rebuilt are now
     # stale.  One linear resync and the ready queue holds exactly the

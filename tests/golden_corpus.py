@@ -88,14 +88,10 @@ STATUS = NodeStatus(
     blocks=24,
     fingerprint="00c0ffee00c0ffee",
     delivered={"tx-0": 1, "tx-1": 1, "tx-2": 0},
-    ticks_done=True,
     recovered=True,
     gate_timeouts=1,
-    held=2,
     wire_messages=96,
     wire_bytes=40960,
-    dropped_overflow=3,
-    reconnects=1,
     metrics_seq=7,
 )
 #: The committed fault schedule: one event of each kind.

@@ -186,14 +186,10 @@ def reference_status(node):
         blocks=len(shim.dag),
         fingerprint=f"{fold:016x}",
         delivered=delivered,
-        ticks_done=shim.gossip.builder.next_seq >= config.max_ticks,
         complete=complete,
         recovered=shim.recovery is not None,
-        gate_timeouts=node.gate_timeouts,
-        held=len(node._held),
+        gate_timeouts=node.metrics.counter("node.gate-timeouts").value,
         wire_messages=transport.metrics.messages,
         wire_bytes=transport.metrics.bytes,
-        dropped_overflow=transport.dropped_overflow,
-        reconnects=transport.reconnects,
         metrics_seq=node._metrics_seq,
     )

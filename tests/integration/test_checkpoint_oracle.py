@@ -109,7 +109,6 @@ def reference_capture(seq, interpreter, dag, owner, previous) -> Checkpoint:
             for name in (
                 "blocks_interpreted", "messages_delivered",
                 "messages_materialized", "request_steps", "rehydrated",
-                "chain_runs", "chain_blocks",
             )
         },
     )

@@ -49,10 +49,10 @@ from repro.lint import LintEngine
 from repro.lint.engine import ProgramRule
 from repro.lint.rules_purity import _certified_functions
 from repro.net.latency import FixedLatency, JitterLatency
-from repro.protocols.base import Trace
+from repro.protocols.base import Payload, ProcessInstance, ProtocolSpec, Trace
 from repro.protocols.bcb import BcbBroadcast
 from repro.protocols.brb import Broadcast
-from repro.protocols.counter import Inc
+from repro.protocols.counter import Inc, Total
 from repro.protocols.pbft import Tick
 from repro.protocols.phaseking import PkAdvance
 from repro.runtime.adversary import EquivocatorAdversary, SilentAdversary
@@ -63,7 +63,7 @@ from repro.scenario import (
     OpenLoopWorkload, PartitionFault, RoundsElapsed, Scenario, ScenarioRunner,
     StorageSpec, Topology,
 )
-from repro.scenario.spec import PROTOCOLS
+from repro.scenario.spec import PROTOCOLS, ProtocolEntry
 from repro.scenario.stop import StopCondition
 from repro.storage.state_codec import annotation_fingerprint
 from repro.types import Label, make_servers, max_faults
@@ -201,12 +201,16 @@ def faulty_seats(name, servers):
     return [servers[(first - i) % len(servers)] for i in range(max_faults(len(servers)))]
 
 
-def run_both(name, condition, n):
-    """The row's batches through ``DirectRuntime`` and the embedding.
-    A batch is issued once the previous one is settled in both: the
-    direct network drained, and every correct server interpreted past
-    the batch's blocks and indicated as often as its direct twin."""
-    row, entry = ROWS[name], PROTOCOLS[name]
+def run_both(name, condition, n, entry=None):
+    """The row's batches through ``DirectRuntime`` and the embedding
+    of ``entry`` (default: the row's registry protocol).  A batch is
+    issued once the previous one is settled in both: the direct network
+    drained, and every correct server interpreted past the batch's
+    blocks and indicated as often as its direct twin.  A batch that
+    never settles fails with ``same_indications``' per-server, per-label
+    violations when there are any, and with the round budget only when
+    the indications agree."""
+    row, entry = ROWS[name], entry or PROTOCOLS[name]
     servers = make_servers(n)
     faulty = faulty_seats(name, servers) if condition in ("silent", "hostile") else []
     correct = [s for s in servers if s not in faulty]
@@ -236,17 +240,28 @@ def run_both(name, condition, n):
         direct.run()
         cluster.run_rounds(1)  # seals the batch, one block per server
         sealed = {cluster.shim(s).dag.tip(s).ref for s in correct}
-        cluster.run_until(
-            lambda c: interpreted_past(c, sealed) and all(
-                len(c.shim(s).indications) >= len(direct.trace().at(s)) for s in correct
-            ),
-            max_rounds=24,
-        )
+        try:
+            cluster.run_until(
+                lambda c: interpreted_past(c, sealed) and all(
+                    len(c.shim(s).indications) >= len(direct.trace().at(s)) for s in correct
+                ),
+                max_rounds=24,
+            )
+        except TimeoutError:
+            violations = differences(row, direct, cluster, correct)
+            if violations:
+                raise AssertionError("\n".join(violations)) from None
+            raise
     cluster.settle()  # a late extra indication would show now
-    expected, actual = row.project(direct.trace()), row.project(cluster.trace())
-    assert same_indications(expected, actual, servers=correct) == []
-    assert all(expected.at(s) for s in correct), "nothing indicated: a vacuous comparison"
+    assert differences(row, direct, cluster, correct) == []
+    assert all(direct.trace().at(s) for s in correct), "nothing indicated: a vacuous comparison"
     return cluster
+
+
+def differences(row, direct, cluster, correct):
+    """Theorem 5.1's violations so far, each naming a server and label."""
+    expected, actual = row.project(direct.trace()), row.project(cluster.trace())
+    return same_indications(expected, actual, servers=correct)
 
 
 @pytest.mark.parametrize(
@@ -277,6 +292,41 @@ def test_the_same_request_twice_in_one_block(name):
         if any(block.rs.count(issue) > 1 for issue in block.rs)
     ]
     assert twice, "no block carried a request twice: a vacuous comparison"
+
+
+@dataclass(frozen=True, slots=True)
+class Tally(Payload):
+    """A counter message without the sender's count: two ``Inc(x)``
+    of one block send two equal messages, which ``Ms`` holds as one."""
+
+    amount: int
+
+
+class CollapsingCounter(ProcessInstance):
+    """The counter row's protocol with :class:`Tally` for ``Add``."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.total = 0
+
+    def on_request(self, request):
+        self.ctx.broadcast(Tally(request.amount))
+
+    def on_message(self, message):
+        self.total += message.payload.amount
+        self.ctx.indicate(Total(self.total))
+
+
+def test_a_collapsed_request_fails_naming_the_server_and_label():
+    # The embedding indicates once where DirectRuntime indicates twice,
+    # so the batch never settles: the failure must say who lost what.
+    collapsing = ProtocolEntry(
+        "collapsing", ProtocolSpec("collapsing", CollapsingCounter), lambda i: Inc(i + 1)
+    )
+    with pytest.raises(AssertionError) as failure:
+        run_both("counter", "twice", 4, entry=collapsing)
+    assert f"s1/{L}: expected " in str(failure.value)
+    assert "predicate still false" not in str(failure.value)
 
 
 # -- check 2: schedule independence (Lemma 4.2) ----------------------------

@@ -689,7 +689,6 @@ class TestSend:
 
         asyncio.run(drive())
         assert sender.queued(B) == 2
-        assert sender.dropped_overflow == 1
         assert meter(sender, "transport.queue-drops", B) == 1
 
     def test_a_peer_dialing_in_cuts_the_backoff_short(self, tmp_path):
@@ -799,8 +798,9 @@ class TestStop:
 
 
 def lone_node(tmp_path, make_request=None, **changes) -> LiveNode:
-    """s1 of a four-server brb fleet whose peers never start: no
-    lockstep gate, a short settle, one request per tick."""
+    """s1 of a four-server brb fleet whose peers never start: every
+    tick after the first seals on a short gate timeout, a short settle,
+    one request per tick."""
     entry = resolve_protocol("brb")
     servers = ("s1", "s2", "s3", "s4")
     config = NodeConfig(
@@ -809,7 +809,7 @@ def lone_node(tmp_path, make_request=None, **changes) -> LiveNode:
         protocol="brb",
         addresses={s: f"unix:{tmp_path / s}.sock" for s in servers},
         max_ticks=3,
-        lockstep=False,
+        tick_timeout=0.05,
         settle_timeout=0.05,
         workload=tuple((tick, "x", tick) for tick in range(3)),
         **changes,
@@ -838,13 +838,30 @@ class TestNodeLifecycle:
             node.request_stop()
             return await asyncio.wait_for(task, timeout=DEADLINE)
 
-        assert asyncio.run(drive()).ticks_done
+        assert asyncio.run(drive()).tick == 3
         assert len(frozen) == 3 and min(frozen) > 0
         assert gc.get_freeze_count() == 0
         # The post-assembly collection at least went through the hook,
         # and the hook left with the node.
         assert node.metrics.histogram("node.gc-pause").count >= 1
         assert node._on_gc not in gc.callbacks
+
+    def test_a_node_whose_peers_never_start_seals_on_gate_timeouts(self, tmp_path):
+        node = lone_node(tmp_path)
+
+        async def drive() -> NodeStatus:
+            task = asyncio.ensure_future(node.run())
+            await until(
+                lambda: node.shim is not None and node.shim.gossip.builder.next_seq == 3,
+                [task],
+            )
+            node.request_stop()
+            return await asyncio.wait_for(task, timeout=DEADLINE)
+
+        status = asyncio.run(drive())
+        # Ticks 1 and 2 each waited out the gate; tick 0 has no gate.
+        assert status.tick == 3
+        assert status.gate_timeouts == node.metrics.counter("node.gate-timeouts").value == 2
 
     def test_a_tick_that_raises_unfreezes_too(self, tmp_path):
         entry = resolve_protocol("brb")

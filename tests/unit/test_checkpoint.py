@@ -124,6 +124,18 @@ class TestCaptureInstall:
         install_checkpoint(manager.load(1), fresh, brb_protocol)
         assert fresh.events == interpreter.events
 
+    def test_install_restores_only_the_counters_it_knows(self):
+        # A store written before a counter was deleted still carries
+        # it; a key naming interpreter state must not overwrite that.
+        builder, interpreter = interpreted_dag()
+        checkpoint = capture_checkpoint(1, interpreter, builder.dag)
+        checkpoint.counters.update(chain_runs=3, interpreted=0)
+        fresh = Interpreter(builder.dag, brb_protocol, builder.servers)
+        install_checkpoint(checkpoint, fresh, brb_protocol)
+        assert fresh.blocks_interpreted == interpreter.blocks_interpreted
+        assert fresh.interpreted == interpreter.interpreted
+        assert not hasattr(fresh, "chain_runs")
+
     def test_install_refuses_nonfresh_interpreter(self, tmp_path):
         builder, interpreter = interpreted_dag()
         checkpoint = capture_checkpoint(1, interpreter, builder.dag)

@@ -403,20 +403,3 @@ class TestMetricAtomicity:
             "messages_materialized",
         ):
             assert getattr(a, name) == getattr(b, name), name
-
-
-class TestChainBatching:
-    def test_chain_drain_counts_runs(self):
-        # Interpret a prefix, then insert one builder's 5-block chain
-        # suffix at once: the drain follows it without heap traffic.
-        builder = ManualDagBuilder(4)
-        builder.round_all()
-        interp = Interpreter(builder.dag, counter_protocol, builder.servers)
-        interp.run()
-        s1 = builder.servers[0]
-        for _ in range(5):
-            builder.block(s1, rs=[(L, Inc(1))])
-        interp.run()
-        assert interp.chain_runs >= 1
-        assert interp.chain_blocks >= 5
-        assert interp.blocks_interpreted == len(builder.dag)

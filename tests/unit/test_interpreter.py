@@ -7,6 +7,7 @@ assert on the per-block annotations ``Ms``/``PIs`` the paper defines.
 import heapq
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -539,12 +540,11 @@ def layered_blocks(n_servers: int, size: int) -> tuple[tuple[ServerId, ...], lis
     return builder.servers, builder.dag.blocks()[:size]
 
 
-def scheduler_work(monkeypatch, make, servers, blocks) -> Counter:
-    """Insert one block into a fresh DAG, run the interpreter ``make``
-    builds, repeat (the steady-state gossip shape); count, from outside,
-    the ready-heap operations of ``repro.interpret.interpreter``, the
-    DAG lookups and successor edges it asks for, and every block a
-    whole-DAG iteration visits."""
+@contextmanager
+def counted_work(monkeypatch):
+    """Count, from outside, the ready-heap operations of
+    ``repro.interpret.interpreter``, the DAG lookups and successor edges
+    it asks for, and every block a whole-DAG iteration visits."""
     work = Counter()
 
     def counted(name, fn):
@@ -578,6 +578,14 @@ def scheduler_work(monkeypatch, make, servers, blocks) -> Counter:
         patch.setattr(BlockDag, "__iter__", whole_dag)
         patch.setattr(BlockDag, "blocks", lambda dag: list(whole_dag(dag)))
         patch.setattr(Digraph, "successors_view", successors_view)
+        yield work
+
+
+def scheduler_work(monkeypatch, make, servers, blocks) -> Counter:
+    """Insert one block into a fresh DAG, run the interpreter ``make``
+    builds, repeat (the steady-state gossip shape), and count its work
+    (:func:`counted_work`)."""
+    with counted_work(monkeypatch) as work:
         dag = BlockDag()
         interp = make(dag, counter_protocol, servers)
         for block in blocks:
@@ -606,6 +614,26 @@ class TestIncrementalScheduler:
         # The reference rescans the DAG before every step.
         rescans = [per_block[ReferenceInterpreter, size]["whole-DAG visits"] for size in (60, 240)]
         assert rescans[1] > 3 * rescans[0]
+
+    def test_a_chain_admitted_at_once_drains_without_the_heap(self, monkeypatch):
+        # Gossip admits a buffered chain in one batch once its missing
+        # link arrives: each block readies only its successor, so the
+        # ready set stays a singleton and the heap is never touched.
+        builder = ManualDagBuilder(4)
+        builder.round_all()
+        genesis = builder.dag.blocks()
+        chain = [builder.block(builder.servers[0], rs=[(L, Inc(1))]) for _ in range(20)]
+        dag = BlockDag()
+        interp = Interpreter(dag, counter_protocol, builder.servers)
+        for block in genesis:
+            dag.insert(block)
+        interp.run()
+        with counted_work(monkeypatch) as work:
+            for block in chain:
+                dag.insert(block)
+            interp.run()
+        assert interp.blocks_interpreted == len(genesis) + 20
+        assert work["heap"] == 0 and work["lookups"] > 0
 
     def test_modes_agree_on_prebuilt_dag(self, dag_builder):
         dag_builder.block(S1, rs=[(L, Inc(1))])

@@ -7,9 +7,11 @@ from helpers import ManualDagBuilder, fresh_interpreter
 from repro.dag.block import Block
 from repro.invariants import (
     agreement,
+    backward_closed,
     complete_interpretation,
     equivocations,
     horizon_differences,
+    monotone_horizon,
     same_indications,
     same_interpreted,
     well_formed_chains,
@@ -125,6 +127,39 @@ class TestWellFormedChains:
         ]
         # Only the listed (correct) builders are held to it.
         assert well_formed_chains(builder.dag, [S3]) == []
+
+
+class TestBackwardClosed:
+    def test_a_dag_with_skeletons_holds(self):
+        builder = ManualDagBuilder(4)
+        genesis = builder.block(S1, rs=[(L, Broadcast(1))])
+        builder.round_all()
+        builder.dag.drop_payload(genesis.ref)
+        assert backward_closed(builder.dag) == []
+
+    def test_a_lost_predecessor_is_named_by_slot(self):
+        builder = ManualDagBuilder(4)
+        genesis = builder.block(S1)
+        child = builder.block(S2, refs=[genesis])
+        # A store that lost a block: insert() would never allow it.
+        damaged = builder.dag.copy()
+        del damaged._store[genesis.ref]
+        assert backward_closed(damaged) == [
+            f"(s2, 0) {child.ref[:8]}: predecessor {genesis.ref[:8]} is not in the DAG"
+        ]
+
+
+class TestMonotoneHorizon:
+    def test_a_horizon_that_only_grows_holds(self):
+        assert monotone_horizon([{}, {S1: -1}, {S1: 0, S2: 3}, {S1: 2, S2: 3}]) == []
+        assert monotone_horizon([]) == []
+
+    def test_each_fallen_component_is_named_with_its_sample(self):
+        samples = [{S1: 2, S2: 3}, {S1: 2, S2: 3}, {S1: 1}]
+        assert monotone_horizon(samples) == [
+            "s1: agreed horizon fell from 2 to 1 at sample 2",
+            "s2: agreed horizon fell from 3 to -1 at sample 2",
+        ]
 
 
 class TestCompleteInterpretation:

@@ -47,7 +47,14 @@ MALFORMED = [
         id="composite-extra-key",
     ),
     pytest.param(
-        LatencySpec, {"model": "fixed", "delay": "1.0"}, ("delay", 1.0), False, id="str-delay"
+        LatencySpec,
+        {"model": "fixed", "delay": "1.0"},
+        "^delay: expected float, got '1.0'",
+        False,
+        id="str-delay",
+    ),
+    pytest.param(
+        LatencySpec, {"model": "fixed", "delay": 2}, ("delay", 2.0), False, id="int-delay"
     ),
     pytest.param(
         SloSpec,
@@ -63,7 +70,9 @@ MALFORMED = [
         False,
         id="short-workload-entry",
     ),
-    pytest.param(NodeStatus, {**_STATUS, "tick": "3"}, ("tick", 3), False, id="str-tick"),
+    pytest.param(
+        NodeStatus, {**_STATUS, "tick": "3"}, "^tick: expected int, got '3'", False, id="str-tick"
+    ),
     pytest.param(
         ScenarioResult,
         {"scenario": "x", "protocol": "brb", "seed": 1, "wire": 5},
@@ -125,13 +134,18 @@ class TestTheRule:
         assert StopCondition.from_dict(write(stop)) == stop
         assert FaultSchedule.from_dict(write(faults)) == faults
 
-    @pytest.mark.parametrize("value", [True, 2.5, "x", None, [1]])
+    @pytest.mark.parametrize("value", [True, 2.5, 3.0, "x", "3", None, [1]])
     def test_a_non_integer_is_no_int(self, value):
         with pytest.raises(ScenarioError, match="^checkpoint_interval: expected int"):
             StorageSpec.from_dict({"checkpoint_interval": value})
 
-    def test_integral_float_is_an_int(self):
-        assert read(int, 3.0) == 3 and type(read(int, 3.0)) is int
+    @pytest.mark.parametrize("value", [False, "1.5", "x", None, [1], 10**400])
+    def test_a_non_number_is_no_float(self, value):
+        with pytest.raises(ScenarioError, match="^expected float"):
+            read(float, value)
+
+    def test_an_integer_is_a_float(self):
+        assert read(float, 3) == 3.0 and type(read(float, 3)) is float
 
     def test_constructor_errors_carry_the_path(self):
         with pytest.raises(ScenarioError, match=r"^events\[0\]: .*heal after it starts"):

@@ -1,14 +1,13 @@
 """``repro.lint`` — every rule proven on a violating/clean fixture pair.
 
 Each rule gets at least one snippet it must fire on and the idiomatic
-fix it must stay silent on; the engine, baseline, CLI formats, and the
+fix it must stay silent on; the engine, CLI formats, and the
 meta-test that the shipped tree lints clean (tier-1) are covered at
 the bottom.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -17,7 +16,7 @@ from textwrap import dedent
 
 import pytest
 
-from repro.lint import Baseline, LintEngine
+from repro.lint import LintEngine
 from repro.lint.engine import module_name_for
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -414,21 +413,6 @@ class TestNoThreadNoAsyncio:
             assert "no-thread-no-asyncio" in rules_of(report), module
 
 
-# ----------------------------------------------------------------- baseline
-
-
-class TestBaseline:
-    def test_baselined_findings_are_filtered(self):
-        report = lint("import pickle\n", path="src/repro/fake.py")
-        baseline = Baseline(entries={("no-pickle", "src/repro/fake.py", 1)})
-        new, stale = baseline.split(report.findings)
-        assert new == [] and stale == []
-
-    def test_stale_entries_are_reported(self):
-        baseline = Baseline(entries={("no-pickle", "src/repro/gone.py", 9)})
-        new, stale = baseline.split([])
-        assert new == [] and stale == [("no-pickle", "src/repro/gone.py", 9)]
-
 # ----------------------------------------------------------------- engine/CLI
 
 
@@ -467,21 +451,16 @@ def _run_cli(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
 
 class TestCli:
     def test_shipped_tree_lints_clean(self):
-        # The tier-1 meta-test: the committed tree has zero findings
-        # against the committed (empty) baseline.
+        # The tier-1 meta-test: the committed tree has zero findings.
         result = _run_cli("src/repro", cwd=REPO_ROOT)
         assert result.returncode == 0, result.stdout + result.stderr
         assert "0 findings" in result.stdout
-
-    def test_shipped_baseline_is_empty(self):
-        document = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-        assert document == {"version": 1, "findings": []}
 
     def test_violation_fails_with_github_annotation(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import time\nnow = time.time()\n", encoding="utf-8")
         result = _run_cli(
-            str(bad), "--format", "github", "--no-baseline", cwd=tmp_path
+            str(bad), "--format", "github", cwd=tmp_path
         )
         assert result.returncode == 1
         assert "::error file=" in result.stdout
@@ -495,7 +474,6 @@ class TestCli:
             str(bad),
             "--select",
             "no-pickle",
-            "--no-baseline",
             cwd=tmp_path,
         )
         assert result.returncode == 1
@@ -1143,7 +1121,7 @@ class TestCliSatellites:
         good = tmp_path / "ok.py"
         good.write_text("x = 1\n", encoding="utf-8")
         result = _run_cli(
-            str(good), "--select", "handler-purty", "--no-baseline", cwd=tmp_path
+            str(good), "--select", "handler-purty", cwd=tmp_path
         )
         assert result.returncode == 2
         assert "unknown rule 'handler-purty'" in result.stderr
@@ -1159,13 +1137,12 @@ class TestCliSatellites:
             str(bench),
             "--profile",
             "relaxed",
-            "--no-baseline",
             cwd=tmp_path,
         )
         assert relaxed.returncode == 1
         assert "no-pickle" in relaxed.stdout
         assert "no-wall-clock" not in relaxed.stdout
-        strict = _run_cli(str(bench), "--no-baseline", cwd=tmp_path)
+        strict = _run_cli(str(bench), cwd=tmp_path)
         assert "no-wall-clock" in strict.stdout
 
     def test_select_overrides_profile(self, tmp_path):
@@ -1177,7 +1154,6 @@ class TestCliSatellites:
             "relaxed",
             "--select",
             "no-wall-clock",
-            "--no-baseline",
             cwd=tmp_path,
         )
         assert result.returncode == 1

@@ -333,23 +333,18 @@ class TestTypedSnapshots:
         )
         assert WireSnapshot.from_dict(wire.as_dict()) == wire
 
-    def test_wire_from_dict_coerces_kind_counts(self):
-        """A JSON document whose per-kind counters arrive as floats (or
-        numeric strings) must round-trip to the same int-typed snapshot
-        — the equality above silently held only for already-int input."""
-        wire = WireSnapshot.from_dict(
-            {
-                "messages": 3,
-                "bytes": 100,
-                "by_kind": {"BlockEnvelope": 3.0},
-                "bytes_by_kind": {"BlockEnvelope": "100"},
-            }
-        )
-        assert wire.by_kind == {"BlockEnvelope": 3}
-        assert wire.bytes_by_kind == {"BlockEnvelope": 100}
-        assert all(type(v) is int for v in wire.by_kind.values())
-        assert all(type(v) is int for v in wire.bytes_by_kind.values())
-        assert WireSnapshot.from_dict(wire.as_dict()) == wire
+    @pytest.mark.parametrize(
+        "field, count", [("by_kind", 3.0), ("bytes_by_kind", "100"), ("by_kind", True)]
+    )
+    def test_wire_from_dict_rejects_a_kind_count_that_is_no_int(self, field, count):
+        """No writer emits a per-kind counter as a float or a numeric
+        string, so a document holding one is rejected, naming the
+        counter, instead of being read as an int."""
+        document = {"messages": 3, "bytes": 100, field: {"BlockEnvelope": count}}
+        with pytest.raises(ScenarioError, match=f"^{field}.BlockEnvelope: expected int"):
+            WireSnapshot.from_dict(document)
+
+    def test_interpreter_and_storage_snapshots_round_trip(self):
         interp = InterpreterSnapshot(
             blocks_interpreted=5, messages_delivered=7,
             messages_materialized=9, request_steps=2, below_horizon=1,

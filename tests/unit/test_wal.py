@@ -313,9 +313,8 @@ class TestServerStorageTelemetry:
             encoded={"a": first.encoded["a"]},
         )
         storage.write_checkpoint(second)
-        metrics = storage.metrics_snapshot()
-        assert metrics.checkpoint_entries_written == 4
-        assert metrics.checkpoint_entries_reused == 1
+        assert storage.checkpoints.entries_written == 4
+        assert storage.checkpoints.entries_reused == 1
 
 
 class TestCheckpointGatesSegmentGc:
