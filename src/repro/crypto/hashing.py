@@ -14,7 +14,7 @@ as the :data:`~repro.types.BlockRef`.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, NewType
+from typing import Any, Callable, Iterable, NewType
 
 #: Hex-encoded SHA-256 digest.
 Hash = NewType("Hash", str)
@@ -30,13 +30,34 @@ def hash_bytes(data: bytes, domain: str = "raw") -> Hash:
     references, message ids, transport checksums...) so a digest from
     one context can never be replayed in another.
     """
+    h = _tagged(domain)
+    h.update(len(data).to_bytes(8, "big"))
+    h.update(data)
+    return Hash(h.hexdigest())
+
+
+def digester(domain: str) -> Callable[[bytes], bytes]:
+    """:func:`hash_bytes` under one ``domain`` as the raw
+    :data:`DIGEST_SIZE` bytes — the name of a content-addressed object,
+    where hex would double its size — with the domain tag hashed once."""
+    prefix = _tagged(domain)
+
+    def digest(data: bytes) -> bytes:
+        h = prefix.copy()
+        h.update(len(data).to_bytes(8, "big"))
+        h.update(data)
+        return h.digest()
+
+    return digest
+
+
+def _tagged(domain: str) -> Any:
+    """A SHA-256 state that has absorbed the length-prefixed tag."""
     h = hashlib.sha256()
     tag = domain.encode("utf-8")
     h.update(len(tag).to_bytes(4, "big"))
     h.update(tag)
-    h.update(len(data).to_bytes(8, "big"))
-    h.update(data)
-    return Hash(h.hexdigest())
+    return h
 
 
 def hash_fields(fields: Iterable[bytes], domain: str) -> Hash:

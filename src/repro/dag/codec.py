@@ -24,7 +24,8 @@ and set members are encoded on their own, because they are sorted by
 their bytes.  A caller that writes a tuple it never builds (the frozen
 state of a checkpoint, see :mod:`repro.storage.state_codec`) appends
 only the items: :func:`write_tuple`, :func:`pair_writer` and
-:func:`tagged_tuple_writer` write the frame, so the layout stays here.
+:func:`tagged_tuple_writer` write the frame (:func:`write_value` an
+item), so the layout stays here.
 """
 
 from __future__ import annotations
@@ -52,11 +53,8 @@ class Canonical:
     """A value standing for bytes that already *are* its canonical
     encoding: :func:`encode` splices ``data`` in verbatim wherever the
     value would have gone.  The caller vouches that ``data`` came from
-    :func:`encode`; a cache of encoded parts (checkpoint entries,
-    messages, skeletons and events, and inside a new entry the state
-    containers ``storage.state_codec`` froze once per object) can then
-    be re-framed without this module's container layout leaking out of
-    it."""
+    :func:`encode`; a cache of encoded parts can then be re-framed
+    without this module's container layout leaking out of it."""
 
     __slots__ = ("data",)
 
@@ -88,6 +86,12 @@ def write_tuple(items: Collection[Any], write_item: _Writer, out: bytearray) -> 
     out += len(items).to_bytes(8, "big")
     for item in items:
         write_item(item, out)
+
+
+def write_value(value: Any, out: bytearray) -> None:
+    """Append the encoding of ``value`` — an item writer for
+    :func:`write_tuple`."""
+    (_WRITERS.get(type(value)) or _resolve(value))(value, out)
 
 
 def pair_writer(first: Any) -> _Writer:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from repro.interpret.order import endpoint_key, run_of
+from repro.interpret.order import Keys, endpoint_key, run_of
 from repro.protocols.base import Message
 from repro.types import Label
 
@@ -62,10 +62,13 @@ class MessageBuffers:
         """``Ms[in, ℓ] ∪= messages`` (line 9)."""
         self._in[label] = run_of([*self._in.get(label, ()), *messages])
 
-    def add_out(self, label: Label, messages: Iterable[Message]) -> None:
+    def add_out(
+        self, label: Label, messages: Iterable[Message], keys: Keys | None = None
+    ) -> None:
         """``Ms[out, ℓ] ∪= messages`` (lines 6, 11): one run per
         receiver, ordered here and nowhere downstream — and only when a
-        receiver's run grows past one message."""
+        receiver's run grows past one message (``keys``: see
+        :func:`~repro.interpret.order.endpoint_key`)."""
         self._stepped.add(label)
         out = self._out
         grown: set[object] | None = None
@@ -87,7 +90,7 @@ class MessageBuffers:
         if grown is not None:
             for receiver in grown:
                 by_label = out[receiver]
-                by_label[label] = run_of(by_label[label])
+                by_label[label] = run_of(by_label[label], keys)
 
     # -- reads ----------------------------------------------------------------
 

@@ -66,7 +66,7 @@ from repro.obs.trace import NULL_RECORDER
 from repro.dag.blockdag import BlockDag
 from repro.errors import PrunedStateError, SimulationError
 from repro.interpret.instance import BlockState
-from repro.interpret.order import endpoint_key, joined
+from repro.interpret.order import Keys, endpoint_key, joined
 from repro.protocols.base import Message, ProcessInstance, ProtocolSpec
 from repro.types import BlockRef, Indication, Label, ServerId
 
@@ -88,11 +88,6 @@ ChooseFn = Callable[[list[Block]], Block]
 
 #: Shared empty label set (avoids one allocation per no-step block).
 _EMPTY_LABELS: frozenset[Label] = frozenset()
-
-
-def _builder_key(block: Block) -> bytes:
-    """A block's place in ``<_M`` as a sender: its builder's encoding."""
-    return endpoint_key(block.n)
 
 
 #: Rehydration callback: reconstruct a released block's annotation from
@@ -163,6 +158,9 @@ class Interpreter:
         #: memory *saving*: annotations share instead of each holding
         #: their own copy.
         self._active_pool: dict[frozenset[Label], frozenset[Label]] = {}
+        #: Each server's encoding — its place in ``<_M`` — computed once
+        #: per interpreter (:func:`~repro.interpret.order.endpoint_key`).
+        self._endpoint_keys: Keys = {}
         #: Per-block set of labels the block itself stepped (the
         #: ``owned`` set of :meth:`interpret_block`) — with copy-on-write
         #: state sharing this is the block's *delta* over its parent,
@@ -602,7 +600,7 @@ class Interpreter:
         states = self._states
         receiver = block.n
         arrived: dict[Label, list[tuple[ServerId, tuple[Message, ...]]]] = {}
-        for p in preds if len(preds) < 2 else sorted(preds, key=_builder_key):
+        for p in preds if len(preds) < 2 else sorted(preds, key=self._builder_key):
             buffers = states[p.ref]._ms
             if buffers is None:
                 continue  # block emitted nothing at all
@@ -620,7 +618,7 @@ class Interpreter:
                 # (joined `active` above) or by a message (the label
                 # was active there already; active sets only grow).
                 continue
-            incoming = joined(arrived[message_label])
+            incoming = joined(arrived[message_label], self._endpoint_keys)
             state.ms.receive(message_label, incoming)
             # Lines 10–11: feed the label's inbox in <_M order to one
             # private instance, collecting the responses in its outbox.
@@ -641,7 +639,7 @@ class Interpreter:
         # Lines 6 and 11 — with the empty list when nothing was emitted,
         # so ``Ms[out, ℓ]`` exists for every stepped label.
         for outbox_label, outbox in outboxes.items():
-            state.ms.add_out(outbox_label, outbox)
+            state.ms.add_out(outbox_label, outbox, self._endpoint_keys)
             materialized += len(outbox)
 
         # Line 12 — annotation, interpreted mark and work counters
@@ -663,6 +661,10 @@ class Interpreter:
         return new_events
 
     # -- internals ------------------------------------------------------------
+
+    def _builder_key(self, block: Block) -> bytes:
+        """A block's place in ``<_M`` as a sender: its builder's encoding."""
+        return endpoint_key(block.n, self._endpoint_keys)
 
     # lint: effect() — ProtocolSpec.create calls the protocol factory, a
     # pure constructor building the initial state of P(ℓ, B.n) from its

@@ -37,32 +37,38 @@ from repro.dag.codec import encode
 from repro.protocols.base import Message
 from repro.types import ServerId
 
-_ENDPOINT_KEYS: dict[str, bytes] = {}  # lint: registry — memo of codec.encode on server-id strings; an entry is a pure function of its key and never changes
+#: Endpoint encodings kept by their caller, keyed with the endpoint's
+#: type (``1`` and ``True`` are one dict key with two encodings).
+Keys = dict[tuple[type, object], bytes]
 
 
-def endpoint_key(endpoint: object) -> bytes:
-    """``encode(endpoint)``, memoised for exact ``str`` only: ``1`` and
-    ``True`` are one dict key with two encodings."""
-    if type(endpoint) is not str:
+def endpoint_key(endpoint: object, keys: Keys | None = None) -> bytes:
+    """``encode(endpoint)``: a server's place in ``<_M``, kept in
+    ``keys``.  The interpreter keeps one ``keys`` for its lifetime;
+    nothing keeps them process-wide, so what one run encodes never
+    depends on the runs before it."""
+    if keys is None:
         return encode(endpoint)
-    key = _ENDPOINT_KEYS.get(endpoint)
+    key = keys.get((type(endpoint), endpoint))
     if key is None:
-        key = _ENDPOINT_KEYS[endpoint] = encode(endpoint)
+        key = keys[(type(endpoint), endpoint)] = encode(endpoint)
     return key
 
 
-def ordered(messages: Iterable[Message]) -> list[Message]:
+def ordered(messages: Iterable[Message], keys: Keys | None = None) -> list[Message]:
     """Messages sorted by ``<_M`` (Algorithm 2 line 10): by the two
-    endpoint encodings (a handful of server ids), a payload encoded
-    only to separate messages that tie on both."""
+    endpoint encodings (a handful of server ids, kept in ``keys``), a
+    payload encoded only to separate messages that tie on both."""
     batch = list(messages)
     if len(batch) < 2:
         return batch
+    keys = {} if keys is None else keys
     by_endpoints: dict[tuple[bytes, bytes], list[Message]] = {}
     for message in batch:
-        by_endpoints.setdefault(
-            (endpoint_key(message.sender), endpoint_key(message.receiver)), []
-        ).append(message)
+        endpoints = (
+            endpoint_key(message.sender, keys), endpoint_key(message.receiver, keys)
+        )
+        by_endpoints.setdefault(endpoints, []).append(message)
     result: list[Message] = []
     for endpoints in sorted(by_endpoints):
         tied = by_endpoints[endpoints]
@@ -72,7 +78,7 @@ def ordered(messages: Iterable[Message]) -> list[Message]:
     return result
 
 
-def run_of(messages: Sequence[Message]) -> tuple[Message, ...]:
+def run_of(messages: Sequence[Message], keys: Keys | None = None) -> tuple[Message, ...]:
     """``messages`` as a run: in ``<_M`` order with duplicates dropped
     (the set unions of Algorithm 2 lines 6, 9 and 11).  A run of zero or
     one is taken as it is; a longer one is sorted by :func:`ordered`,
@@ -80,7 +86,7 @@ def run_of(messages: Sequence[Message]) -> tuple[Message, ...]:
     to drop them."""
     if len(messages) < 2:
         return tuple(messages)
-    batch = ordered(messages)
+    batch = ordered(messages, keys)
     run = [batch[0]]
     for message in batch[1:]:
         if message != run[-1]:
@@ -88,7 +94,9 @@ def run_of(messages: Sequence[Message]) -> tuple[Message, ...]:
     return tuple(run)
 
 
-def joined(runs: Sequence[tuple[ServerId, tuple[Message, ...]]]) -> tuple[Message, ...]:
+def joined(
+    runs: Sequence[tuple[ServerId, tuple[Message, ...]]], keys: Keys | None = None
+) -> tuple[Message, ...]:
     """The ``<_M``-ordered union of ``(sender, run)`` pairs given in the
     order of their senders' encodings (``s2`` before ``s10``), each run
     sent by its ``sender`` alone (Algorithm 2 lines 9–10).  Runs of
@@ -102,7 +110,7 @@ def joined(runs: Sequence[tuple[ServerId, tuple[Message, ...]]]) -> tuple[Messag
     previous: object = None
     for sender, run in runs:
         if sender == previous:
-            inbox[start:] = run_of([*inbox[start:], *run])
+            inbox[start:] = run_of([*inbox[start:], *run], keys)
         else:
             start = len(inbox)
             inbox += run

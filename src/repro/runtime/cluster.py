@@ -449,11 +449,11 @@ class Cluster:
             wal_segments=sum(len(s.wal.segments()) for s in stores),
             checkpoints_written=sum(s.checkpoints.writes for s in stores),
             checkpoint_bytes=sum(s.checkpoints.bytes_written for s in stores),
-            checkpoint_entries_written=sum(
-                s.checkpoints.entries_written for s in stores
+            checkpoint_objects_appended=sum(
+                s.checkpoints.objects_appended for s in stores
             ),
-            checkpoint_entries_reused=sum(
-                s.checkpoints.entries_reused for s in stores
+            checkpoint_objects_stored=sum(
+                s.checkpoints.objects_stored for s in stores
             ),
             checkpoint_age_max=max(
                 (shim.checkpoint_age() for shim in shims), default=0

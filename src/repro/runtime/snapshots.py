@@ -73,8 +73,10 @@ class StorageSnapshot(JsonDocument):
     wal_segments: int = 0
     checkpoints_written: int = 0
     checkpoint_bytes: int = 0
-    checkpoint_entries_written: int = 0
-    checkpoint_entries_reused: int = 0
+    #: Objects the written checkpoints needed: appended to a store, and
+    #: found already stored there.
+    checkpoint_objects_appended: int = 0
+    checkpoint_objects_stored: int = 0
     checkpoint_age_max: int = 0
     states_released: int = 0
     payloads_dropped: int = 0

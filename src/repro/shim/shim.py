@@ -326,7 +326,6 @@ class Shim:
             self.storage.checkpoints.next_seq(),
             self.interpreter,
             self.dag,
-            owner=self.server,
             previous=self._last_checkpoint,
         )
         self.storage.write_checkpoint(checkpoint)

@@ -11,8 +11,9 @@ Layers, bottom up:
 * :mod:`repro.storage.wal`         — segmented, CRC-framed append-only log;
 * :mod:`repro.storage.state_codec` — pickle-free (de)serialization of
   live process-instance state;
-* :mod:`repro.storage.checkpoint`  — durable interpreter snapshots, a
-  log of a full frame and appended deltas;
+* :mod:`repro.storage.checkpoint`  — durable interpreter snapshots:
+  content-addressed state objects and one root per checkpoint, in one
+  object log per server;
 * :mod:`repro.storage.gc`          — the stable frontier and pruning;
 * :mod:`repro.storage.blockstore`  — :class:`ServerStorage`, the
   per-server facade the shim talks to;

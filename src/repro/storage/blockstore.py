@@ -3,17 +3,18 @@
 :class:`ServerStorage` is what the shim talks to.  It owns one
 :class:`~repro.storage.wal.WriteAheadLog` (every inserted block,
 appended as canonical bytes before the insertion takes effect) and one
-:class:`~repro.storage.checkpoint.CheckpointManager` (periodic
-interpreter snapshots), and coordinates the invariant that makes
-pruning crash-safe:
+:class:`~repro.storage.checkpoint.CheckpointManager` (the object log:
+state objects named by their hash, and one root per checkpoint), and
+coordinates the invariant that makes pruning crash-safe:
 
-    a WAL segment is deleted only when the **latest written checkpoint**
-    covers every block in it — with a full annotation (``states``) or a
-    skeleton (``skeletons``) for payload-pruned blocks.
+    a WAL segment is deleted only when the **root just written** — read
+    back byte for byte with every object it needed that the store did
+    not hold — reaches a skeleton for every block in the segment.
 
-So at every instant, (latest intact checkpoint) + (remaining WAL
-suffix) reconstructs the full server state, no matter where a crash
-lands.
+A skeleton object reachable from a retained root is never collected by
+the store's GC (it marks everything the retained roots reach), so at
+every instant (newest intact root) + (remaining WAL suffix)
+reconstructs the full server state, no matter where a crash lands.
 """
 
 from __future__ import annotations
@@ -76,15 +77,15 @@ class ServerStorage:
             segment_max_bytes=self.config.segment_max_bytes,
             fsync=self.config.fsync,
         )
-        # Two checkpoints on disk: recovery falls back to the older one
-        # when the newest does not load.
+        # Two retained roots: recovery falls back to the older one when
+        # the newest does not load.
         self.checkpoints = CheckpointManager(
             self.directory / "checkpoints", retain=2, fsync=self.config.fsync
         )
         #: What pruning removed from memory through this handle: the
         #: annotations released and the block payloads dropped (the
         #: shim adds each pass's :class:`~repro.storage.gc.PruneReport`).
-        #: The WAL and the checkpoint log keep their own counters
+        #: The WAL and the object log keep their own counters
         #: (``wal.stats``, ``checkpoints.writes`` and the rest).
         self.states_released = 0
         self.payloads_dropped = 0
@@ -168,13 +169,13 @@ class ServerStorage:
     def write_checkpoint(self, checkpoint: Checkpoint) -> None:
         """Persist a checkpoint, then GC WAL segments it fully covers.
 
-        The frame just written — a full checkpoint, or a delta appended
-        to the checkpoint log — is read back and compared, byte for
-        byte, with what was written before any segment is dropped: once
-        those records are gone, this checkpoint's skeletons are the only
-        copy of the pruned prefix, so GC must never act on a write the
-        disk garbled.  A mismatch keeps the WAL; the next checkpoint
-        retries with a full frame in a new file.
+        What was just appended to the object log — the objects the store
+        lacked and the root — is read back and compared, byte for byte,
+        with what was written before any segment is dropped: once those
+        records are gone, this checkpoint's skeletons are the only copy
+        of the pruned prefix, so GC must never act on a write the disk
+        garbled.  A mismatch keeps the WAL; the next checkpoint cuts the
+        garbled append off and appends its objects again.
         """
         # Invariant: a checkpoint never covers an unflushed block.  The
         # shim flushes before interpreting, so this is normally a

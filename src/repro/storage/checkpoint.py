@@ -1,95 +1,32 @@
-"""Interpreter checkpoints — durable snapshots of ``BlockState`` at a frontier.
+"""Interpreter checkpoints — content-addressed snapshots of ``BlockState``.
 
-The paper's offline-interpretation property (Lemma 4.2 / Theorem 5.1)
-makes the whole interpreter state a pure function of the DAG, so a
-crashed server *could* recover by re-interpreting everything from
-genesis.  Checkpoints trade a little disk for a lot of restart time:
-a snapshot of the interpreted set plus every still-referenceable
-block's annotations lets recovery replay only the suffix that was
-interpreted after the snapshot.
+Interpretation is a pure function of the DAG (Lemma 4.2), so a crashed
+server could re-interpret from genesis; a checkpoint lets it restore
+the interpreted prefix and replay only the suffix.  A checkpoint holds
+the interpreted set ``refs``; one *row* per block still above the
+agreed GC horizon in ``states`` (resident annotations, plus released
+ones carried so late references can rehydrate them) with its ``active``
+labels; the ``released`` refs; a ``skeleton`` per payload-pruned block
+(``n, k, preds, sigma, hz``: the vertex, its signature still
+verifiable, after its WAL segment is gone); the indication ``events``;
+and the interpreter ``counters``.
 
-A checkpoint carries:
+State is stored the way blocks are: each process instance, mutable
+state container and ``Ms`` run is an *object*, its canonical bytes
+named by their hash (:mod:`repro.storage.state_codec`).  A row names
+the instances of the labels its block stepped, with a ``base`` pointer
+to its parent's row (Algorithm 2 copies ``PIs`` from the parent,
+copy-on-write), and its runs; a row whose parent has no row names
+every label.  The history sections — ``refs``, ``released``,
+``skeletons``, ``events`` — are *chains* of chunk objects, each chunk
+naming the one before it and holding what its checkpoint added; a
+section that lost something starts a new chain.  A checkpoint on disk
+is one *root*: ``seq``, the counters, its row names and chain heads.
 
-* ``refs``       — the interpreted set ``I`` at snapshot time;
-* ``states``     — per-block annotation entries (see below) for every
-  block still above the agreed GC horizon — annotations the
-  interpreter holds in memory *plus* released ones carried forward
-  from the previous checkpoint so late references can rehydrate them;
-* ``active``     — the per-block active-label sets (Algorithm 2 line 7
-  inputs for future children);
-* ``released``   — refs whose in-memory states were pruned before the
-  snapshot (their entries, when still present in ``states``, exist for
-  rehydration only and are not restored to memory on recovery);
-* ``skeletons``  — ``(n, k, preds, sigma, hz)`` for payload-pruned
-  blocks (below the agreed horizon), enough to rebuild the DAG vertex
-  (and keep its signature verifiable — ``sign`` covers ``ref(B)``,
-  which the skeleton preserves) after the WAL segments holding the
-  full blocks are deleted;
-* ``events``     — the indication history, so a recovered shim reports
-  the same ledger its user saw before the crash;
-* ``counters``   — interpreter metrics, for continuity of analysis.
-
-A state entry is **delta-encoded** along the builder's chain: because
-Algorithm 2 copies ``PIs`` from the parent and mutates copy-on-write,
-a block's annotation differs from its parent's exactly on the block's
-*own-label set* (the labels it stepped).  Entries therefore store only
-the owned instances plus ``own`` and a ``base`` pointer to the parent
-entry; the full map is reassembled by walking the chain.  Entries whose
-parent has no entry in the same checkpoint (chain start, or parent
-skeletonized below the horizon) are materialized in full.  This makes
-checkpoint size proportional to work done, not blocks × labels.
-
-A checkpoint pass — prune, capture, write — builds and encodes only
-what changed since the last one (it still walks the rows it takes
-over).  An annotation is a pure function of the DAG (Lemma 4.2), and so
-are a block's skeleton, its delta base and an indication event, so
-nothing the previous capture built is built again:
-
-* a state entry is written the same way for as long as its ``base``
-  stands, so capture takes it over with the canonical bytes kept on the
-  ``Checkpoint`` (``encoded``), and it is encoded once per
-  ``(ref, base)``;
-* a *new* entry costs what its block wrote.  A state container
-  (``list``/``dict``/``set``) of an interpreted block never changes
-  again, so it is frozen straight to its canonical bytes in one walk,
-  once per object (see :mod:`repro.storage.state_codec`), and every
-  entry sharing it splices those bytes.  An entry's buffers are the
-  runs the block's ``Ms`` keeps, already in ``<_M`` order (``out``
-  joined in receiver order), so nothing is sorted; a message is encoded
-  once per capture and its bytes are spliced into the entry;
-* skeletons, event rows and parent refs are taken over, so only blocks
-  pruned and events indicated since are built;
-* the pruner examines the blocks the last checkpoint held in memory,
-  never the whole DAG (:func:`repro.storage.gc.prunable_refs`).
-
-The memos live on the ``Checkpoint`` (``memo``, a :class:`CaptureMemo`).
-The container memo falls back to the previous capture's and keeps what
-it reached, so the containers of the last two captures stay pinned and
-a builder silent for longer is encoded afresh once.  Message bytes are
-held only until their entry is first encoded: carried on, they would
-pin every message of a capture between checkpoints for the few that
-cross one.  A loaded checkpoint has no memo; the capture after it
-builds everything once.
-
-On disk, too, a checkpoint costs what changed.  Each server's
-checkpoints form a log (:class:`CheckpointManager`): a CRC-framed full
-checkpoint in the canonical codec — no pickle, same guarantees as the
-WAL — followed by appended CRC-framed *deltas*.  A delta holds the new
-and rebased ``states`` entries (spliced from ``encoded``) with their
-``active`` rows, the refs whose entries left, the refs, released refs
-and skeletons that were added (and the released refs that were
-rehydrated since), an edit of ``events`` — the ones appended plus the
-ones the released filter dropped — and the ``counters``.  Entries are
-spliced from ``encoded`` in a delta and a full frame alike.  Skeletons
-and events are encoded again in each full frame: their bytes, kept
-between checkpoints, cost a long-running node more memory than the
-encodes they save, and a full frame is written only once the deltas
-outgrew the last one, so over a log its encodes are at most what the
-deltas already wrote.  Reading the log folds the full frame and then every intact delta in order, and the
-fold encodes to exactly the full frame a from-scratch write would
-produce.  Once the deltas outgrow the full frame, the next checkpoint
-starts a new log with a full frame.  Every frame is read back and
-compared byte for byte with the bytes just written.
+A capture costs what changed: it takes over every row whose base
+stands, names every object the previous capture met without encoding
+it (the write barrier is the only place state changes), and the store
+appends only objects it lacks (:class:`CheckpointManager`).
 """
 
 from __future__ import annotations
@@ -99,23 +36,42 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.crypto.hashing import DIGEST_SIZE, digester
 from repro.dag import codec
 from repro.dag.block import Block, parent_of
 from repro.errors import CheckpointError, CodecError
-from repro.storage.state_codec import ContainerMemo, restore_process, snapshot_process
+from repro.storage.state_codec import (
+    ObjectWriter,
+    object_name,
+    references,
+    restore_process,
+)
 from repro.types import BlockRef, Label, ServerId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.dag.blockdag import BlockDag
-    from repro.interpret.interpreter import Interpreter
-    from repro.protocols.base import Message, ProtocolSpec
+    from repro.interpret.instance import BlockState
+    from repro.interpret.interpreter import IndicationEvent, Interpreter
+    from repro.protocols.base import ProtocolSpec
 
 _FRAME = struct.Struct(">II")
+#: A frame's payload: kind, name, bytes.
+_OBJECT = b"o"
+_ROOT = b"r"
+_HEAD = 1 + DIGEST_SIZE
+#: The name of a root record's bytes, under a hash domain of its own.
+root_name = digester("repro/checkpoint-root")
 _PREFIX = "ckpt-"
 _SUFFIX = ".bin"
 _TMP_SUFFIX = ".tmp"
+
+#: The history sections, each kept as a chain of chunks.
+SECTIONS = ("refs", "released", "skeletons", "events")
+
+#: What a bad object or root raises while it is decoded and walked.
+_SHAPE_ERRORS = (CodecError, AttributeError, LookupError, TypeError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -148,26 +104,19 @@ class BlockSkeleton:
 
 @dataclass
 class CaptureMemo:
-    """What one capture keeps for its write and for the next capture,
-    so that each costs what changed.
+    """What one capture keeps for the next; a loaded checkpoint has
+    none, and the capture after it encodes its new rows afresh once."""
 
-    Never serialized: a loaded checkpoint has none, and the capture
-    after it builds everything afresh once."""
-
-    #: State containers the capture froze, each encoded once, by object
-    #: identity (see :class:`~repro.storage.state_codec.ContainerMemo`).
-    containers: ContainerMemo
-    #: Per new entry, the bytes of its ``in`` and ``out`` messages in
-    #: entry order — the bytes that ordered them — until the entry is
-    #: first encoded.
-    message_wires: dict[BlockRef, dict[str, dict[str, tuple[codec.Canonical, ...]]]]
-    #: Each live ref's delta base candidate (:func:`_parent_ref`).
+    #: ``id -> (object, name)`` of every instance, container and run
+    #: named, and ``id -> (message, bytes)`` of every message written.
+    names: dict[int, tuple[Any, bytes]]
+    messages: dict[int, tuple[Any, bytes]]
+    #: Each live ref's base candidate (:func:`_parent_ref`).
     parents: dict[BlockRef, BlockRef | None]
-    #: The event list the capture read (the interpreter's, which only
-    #: grows), how much of it, and for which ``owner``.
+    #: The interpreter's event list (it only grows) and how much of it
+    #: the capture read.
     event_source: list[Any]
     events_seen: int
-    owner: ServerId | None
 
 
 #: The interpreter counters a checkpoint carries.  Install restores
@@ -183,6 +132,23 @@ COUNTERS = (
 
 
 @dataclass
+class _Objects:
+    """A capture's objects — those it built, as bytes until written,
+    with the names each refers to — in front of ``older``."""
+
+    built: dict[bytes, bytes]
+    links: dict[bytes, tuple[bytes, ...]] = field(default_factory=dict)
+    older: Any = None
+
+    def __getitem__(self, name: bytes) -> Any:
+        if name in self.built:
+            return codec.decode(self.built[name])
+        if self.older is None:
+            raise CheckpointError(f"object {name.hex()[:8]}… is nowhere")
+        return self.older[name]
+
+
+@dataclass
 class Checkpoint:
     """One durable snapshot of a server's interpretation progress."""
 
@@ -192,64 +158,28 @@ class Checkpoint:
     active: dict[BlockRef, tuple[Label, ...]]
     released: frozenset[BlockRef] = frozenset()
     skeletons: dict[BlockRef, BlockSkeleton] = field(default_factory=dict)
-    events: tuple[tuple[Label, Any, ServerId, BlockRef], ...] = ()
+    events: tuple["IndicationEvent", ...] = ()
     counters: dict[str, int] = field(default_factory=dict)
-    #: Canonical bytes of ``states`` entries, by ref — a memo, not part
-    #: of the snapshot.  An entry never changes once written (Lemma
-    #: 4.2), so a capture that takes an entry over from ``previous``
-    #: takes its bytes too and the entry is encoded once in its life.
-    #: Lives and dies with this object; a loaded checkpoint has none.
-    encoded: dict[BlockRef, bytes] = field(
+    #: Each row's object name, and each history section's chain head
+    #: (``None``: an empty section); a write adds what is missing.
+    rows: dict[BlockRef, bytes] = field(default_factory=dict, repr=False, compare=False)
+    chains: dict[str, bytes | None] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: What the capture that built this checkpoint kept for its write
-    #: and for the next capture; ``None`` on a loaded checkpoint.
+    #: Reads the rows' objects by name: the store once written or loaded.
+    objects: Any = field(
+        default_factory=lambda: _Objects({}), repr=False, compare=False
+    )
     memo: CaptureMemo | None = field(default=None, repr=False, compare=False)
-
-    def state_bytes(self, ref: BlockRef) -> bytes:
-        """Canonical encoding of ``states[ref]``, encoded at most once;
-        the messages of a captured entry are spliced from the bytes its
-        capture ordered them by."""
-        data = self.encoded.get(ref)
-        if data is None:
-            entry = self.states[ref]
-            wires = None if self.memo is None else self.memo.message_wires.pop(ref, None)
-            if wires is not None:
-                entry = {**entry, **wires}
-            data = self.encoded[ref] = codec.encode(entry)
-        return data
-
-
-def _ordered(
-    runs: "Mapping[Label, tuple[Message, ...]]",
-    memo: "dict[int, tuple[Message, codec.Canonical]]",
-) -> "tuple[dict[str, tuple[Message, ...]], dict[str, tuple[codec.Canonical, ...]]]":
-    """One side of an entry's buffers, each label's run in ``<_M`` order
-    as the buffers keep it (see :mod:`repro.interpret.buffers`), and the
-    canonical bytes of its messages.  ``memo`` holds the bytes of every
-    message the capture met, so a message that is in one block's ``out``
-    and another's ``in`` is encoded once."""
-    ordered: dict[str, tuple[Message, ...]] = {}
-    wires: dict[str, tuple[codec.Canonical, ...]] = {}
-    for label, run in runs.items():
-        run_wires = []
-        for message in run:
-            held = memo.get(id(message))
-            if held is None:
-                held = memo[id(message)] = (
-                    message, codec.Canonical(codec.encode(message))
-                )
-            run_wires.append(held[1])
-        ordered[str(label)] = run
-        wires[str(label)] = tuple(run_wires)
-    return ordered, wires
+    #: The rows' instances and runs held in memory, by name: rehydration
+    #: takes them as they are (an interpreted block's are never written
+    #: again) instead of reading the store.
+    values: dict[bytes, Any] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _parent_ref(dag: "BlockDag", ref: BlockRef) -> BlockRef | None:
-    """The delta base for ``ref``'s state entry: the same parent the
-    interpreter's copy-on-write used (the shared rule of
-    :func:`repro.dag.block.parent_of` over the same deduplicated,
-    reference-ordered predecessor list)."""
+    """The base for ``ref``'s row: the parent the interpreter's
+    copy-on-write used (:func:`repro.dag.block.parent_of`)."""
     block = dag.require(ref)
     parent = parent_of(block, dag.predecessors(block))
     return None if parent is None else parent.ref
@@ -257,161 +187,135 @@ def _parent_ref(dag: "BlockDag", ref: BlockRef) -> BlockRef | None:
 
 def _merged_pis(
     states: dict[BlockRef, dict[str, Any]], ref: BlockRef
-) -> dict[str, Any]:
-    """A ref's full wire-form ``PIs``, reassembled along its delta chain
-    (nearest-owner-wins, so the walk mirrors copy-on-write sharing)."""
+) -> dict[str, bytes]:
+    """A ref's full ``PIs`` as instance names, along its base chain
+    (nearest owner wins, as copy-on-write shares)."""
     entry = states[ref]
     merged = dict(entry["pis"])
-    base = entry.get("base")
-    while base is not None:
-        parent = states[base]
-        for lbl, snapshot in parent["pis"].items():
-            merged.setdefault(lbl, snapshot)
-        base = parent.get("base")
+    while entry["base"] is not None:
+        entry = states[entry["base"]]
+        for lbl, name in entry["pis"].items():
+            merged.setdefault(lbl, name)
     return merged
-
-
-def _materialize_entry(
-    states: dict[BlockRef, dict[str, Any]], ref: BlockRef
-) -> dict[str, Any]:
-    """A self-contained (``base=None``) copy of one delta entry —
-    needed when its base is about to leave the checkpoint (skeletonized
-    below the agreed horizon)."""
-    entry = states[ref]
-    return {**entry, "pis": _merged_pis(states, ref), "base": None}
 
 
 def capture_checkpoint(
     seq: int,
     interpreter: "Interpreter",
     dag: "BlockDag",
-    owner: ServerId | None = None,
     previous: "Checkpoint | None" = None,
 ) -> Checkpoint:
     """Snapshot an interpreter's current state into a checkpoint.
 
-    ``owner`` bounds event-history growth: events for blocks pruned
-    below the stable frontier are dropped *except* those indicated on
-    behalf of the owning server — the user-visible ledger a recovered
-    shim must re-report.  Without pruning (or without ``owner``) the
-    full history is kept.
-
-    ``previous`` enables the coordinated-GC carry-forward: annotations
-    of blocks released from memory but still above the agreed horizon
-    (payload intact) are copied from the previous checkpoint's entries,
-    so late references can rehydrate them until the horizon agreement
-    retires them for good.  Entries for payload-pruned blocks become
-    skeletons, and any carried entry whose delta base was just retired
-    is materialized in full first.
-
-    ``previous`` also bounds the work to what changed since it was
-    taken.  A live block whose entry is in ``previous.states`` with the
-    same ``base`` keeps that entry object and the bytes ``previous``
-    memoised for it; only refs interpreted (or rehydrated) since and
-    refs whose base just left the checkpoint are snapshotted; of those,
-    only the containers ``previous.memo`` has not seen are encoded, and
-    each message once.  Each skeleton, event row and parent ref is
-    taken over, so only blocks pruned and events indicated since
-    ``previous`` are built.
+    ``previous`` carries the rows of blocks released from memory but
+    still above the agreed horizon (payload intact), so late references
+    can rehydrate them; a row whose base was just retired names every
+    label.  It also bounds the work to what changed since: a live row
+    with the same base is taken over, a row whose base left names its
+    parent's instances from ``previous``, and only the objects
+    ``previous`` did not meet are encoded.
     """
     memo = None if previous is None else previous.memo
+    writer = ObjectWriter(*(() if memo is None else (memo.names, memo.messages)))
     released = interpreter.released
     live = list(interpreter.resident())
+    kept: dict[BlockRef, dict[str, Any]] = {}
     carried = []
     if previous is not None:
+        kept = previous.states
         carried = [
-            ref for ref in previous.states
-            if ref in released and not dag.payload_pruned(ref)
+            ref for ref in kept if ref in released and not dag.payload_pruned(ref)
         ]
     planned = set(live)
     planned.update(carried)
-    containers = ContainerMemo(None if memo is None else memo.containers)
-    messages: dict[int, tuple[Message, codec.Canonical]] = {}
-    message_wires: dict[BlockRef, Any] = {}
-    known_parents = {} if memo is None else memo.parents
-    parents: dict[BlockRef, BlockRef | None] = {}
+    older = {} if previous is None else previous.values
+    values: dict[bytes, Any] = {}
+    parents = {} if memo is None else memo.parents
     states: dict[BlockRef, dict[str, Any]] = {}
     active: dict[BlockRef, tuple[Label, ...]] = {}
-    for ref in live:
-        parent = (
-            known_parents[ref] if ref in known_parents else _parent_ref(dag, ref)
-        )
-        parents[ref] = parent
+    rows: dict[BlockRef, bytes] = {}
+
+    def named(value: Any, name: bytes) -> bytes:
+        values[name] = value
+        return name
+
+    for ref in (*live, *carried):
+        if ref not in parents:
+            parents[ref] = _parent_ref(dag, ref)
+        parent = parents[ref]
         base = parent if parent in planned else None
-        entry = None if previous is None else previous.states.get(ref)
-        if entry is not None and entry.get("base") == base:
-            # Interpreted once, annotated for good: the entry written
-            # last time is the entry a re-freeze would produce.
-            states[ref] = entry
+        entry = kept.get(ref)
+        if entry is not None and (base is None or entry["base"] == base or ref in released):
             active[ref] = previous.active[ref]  # type: ignore[union-attr]
+            if entry["base"] in (base, None):
+                # Interpreted once, annotated for good.
+                rows[ref] = previous.rows[ref]  # type: ignore[union-attr]
+            else:
+                # Its base left: the same instances, every label named.
+                entry = {**entry, "pis": _merged_pis(kept, ref), "base": None}
+                rows[ref] = _row(writer, ref, entry, active[ref])
+            for name in (*entry["pis"].values(), *entry["in"].values(),
+                         *entry["out"].values()):
+                if name in older:
+                    values[name] = older[name]
+            states[ref] = entry
             continue
         state = interpreter.state_of(ref)
         own = interpreter.own_labels(ref)
-        labels = own if base is not None else state.pis.keys()
-        # Raw slot read: ``state.ms`` would materialize the lazily
-        # allocated buffers for every message-less block on every
-        # checkpoint, defeating the laziness exactly where it pays.
+        # Line 4 shares the parent's instances: with its row at hand, a
+        # row that names every label takes their names from it.
+        pis = {}
+        if base is None and parent in kept:
+            pis = _merged_pis(kept, parent)  # type: ignore[arg-type]
+            values.update((n, older[n]) for n in pis.values() if n in older)
+        labels = own if base is not None or pis else state.pis.keys()
+        for lbl in sorted(labels):
+            pis[str(lbl)] = named(state.pis[lbl], writer.instance(state.pis[lbl]))
+        # Raw slot read: ``state.ms`` would allocate the lazy buffers.
         runs = state._ms.runs() if state._ms is not None else {"in": {}, "out": {}}
-        received, received_wires = _ordered(runs["in"], messages)
-        emitted, emitted_wires = _ordered(runs["out"], messages)
-        states[ref] = {
-            "pis": {
-                str(lbl): snapshot_process(state.pis[lbl], containers)
-                for lbl in sorted(labels)
-            },
-            "in": received,
-            "out": emitted,
+        entry = {
+            "pis": pis,
+            "in": {str(l): named(r, writer.run(r)) for l, r in runs["in"].items()},
+            "out": {str(l): named(r, writer.run(r)) for l, r in runs["out"].items()},
             "own": tuple(sorted(str(lbl) for lbl in own)),
             "base": base,
         }
-        message_wires[ref] = {"in": received_wires, "out": emitted_wires}
-        active[ref] = tuple(sorted(interpreter.active_labels(ref)))
-    for ref in carried:
-        entry = previous.states[ref]  # type: ignore[union-attr]
-        if entry.get("base") is not None and entry["base"] not in planned:
-            entry = _materialize_entry(previous.states, ref)  # type: ignore[union-attr]
         states[ref] = entry
-        active[ref] = previous.active[ref]  # type: ignore[union-attr]
-    # The fallback served this capture only: unlinked, each memo dies
-    # with its checkpoint instead of chaining back to the first.
-    containers.older = None
-    # An entry taken over as the same object brings its bytes along.
-    encoded = (
-        {}
-        if previous is None
-        else {
-            ref: data
-            for ref, data in previous.encoded.items()
-            if states.get(ref) is previous.states[ref]
-        }
-    )
-    return Checkpoint(
+        active[ref] = tuple(sorted(interpreter.active_labels(ref)))
+        rows[ref] = _row(writer, ref, entry, active[ref])
+    events = interpreter.events
+    fresh = None
+    if memo is not None and memo.event_source is events:
+        fresh = events[memo.events_seen :]
+    checkpoint = Checkpoint(
         seq=seq,
         refs=frozenset(interpreter.interpreted),
         states=states,
         active=active,
         released=frozenset(released),
         skeletons=_capture_skeletons(dag, previous),
-        events=_capture_events(interpreter, owner, previous),
-        encoded=encoded,
-        memo=CaptureMemo(
-            containers=containers,
-            message_wires=message_wires,
-            parents=parents,
-            event_source=interpreter.events,
-            events_seen=len(interpreter.events),
-            owner=owner,
-        ),
+        events=tuple(events) if fresh is None else previous.events + tuple(fresh),  # type: ignore[union-attr]
         counters={name: getattr(interpreter, name) for name in COUNTERS},
+        rows=rows,
+        values=values,
+        objects=_Objects(writer.built, writer.links, previous and previous.objects),
     )
+    checkpoint.chains = _chains(writer, checkpoint, previous, fresh)
+    checkpoint.memo = CaptureMemo(
+        names=writer.reached,
+        messages=writer.messages,
+        parents={ref: parents[ref] for ref in states},
+        event_source=events,
+        events_seen=len(events),
+    )
+    return checkpoint
 
 
 def _capture_skeletons(
     dag: "BlockDag", previous: "Checkpoint | None"
 ) -> dict[BlockRef, BlockSkeleton]:
     """A skeleton per payload-pruned block: ``previous``'s, and a new
-    one for each block pruned since.  A skeleton is a function of its
-    block, so a kept one is the one a rebuild would make."""
+    one for each block pruned since."""
     pruned = dag.pruned_payloads
     kept = {} if previous is None else previous.skeletons
     skeletons = {ref: s for ref, s in kept.items() if ref in pruned}
@@ -424,44 +328,61 @@ def _capture_skeletons(
     return skeletons
 
 
-_EventRow = tuple[Label, Any, ServerId, BlockRef]
-
-
-def _capture_events(
-    interpreter: "Interpreter",
-    owner: ServerId | None,
-    previous: "Checkpoint | None",
-) -> tuple[_EventRow, ...]:
-    """The event rows a capture keeps: every indication except those of
-    released blocks on behalf of other servers than ``owner``.
-
-    The interpreter's event list only grows, so the rows of the events
-    ``previous`` read are ``previous``'s own rows, refiltered.  A block
-    rehydrated since brings back rows ``previous`` dropped; then every
-    row is built afresh, as with no ``previous``."""
-    released = interpreter.released
-    events = interpreter.events
-    rows: list[_EventRow] = []
-    seen = 0
-    memo = None if previous is None else previous.memo
-    if (
-        previous is not None
-        and memo is not None
-        and memo.event_source is events
-        and memo.owner == owner
-        and previous.released <= released
-    ):
-        seen = memo.events_seen
-        gone = released - previous.released
-        rows.extend(
-            row for row in previous.events if row[3] not in gone or row[2] == owner
-        )
-    rows.extend(
-        (event.label, event.indication, event.server, event.block_ref)
-        for event in events[seen:]
-        if event.block_ref not in released or event.server == owner
+def _row(
+    writer: ObjectWriter,
+    ref: BlockRef,
+    entry: dict[str, Any],
+    active: tuple[Label, ...],
+) -> bytes:
+    """Write one row object: ref, base, own and active labels, then the
+    labels it names objects for and, per ``pis``/``in``/``out``, the
+    name under each label or ``None``."""
+    named = (entry["pis"], entry["in"], entry["out"])
+    labels = tuple(sorted({label for names in named for label in names}))
+    columns = tuple(tuple(names.get(label) for label in labels) for names in named)
+    data = codec.encode(
+        (str(ref), entry["base"], entry["own"], tuple(map(str, active)), labels, *columns)
     )
-    return tuple(rows)
+    return writer.put(data, [name for names in named for name in names.values()])
+
+
+def _chains(
+    writer: ObjectWriter,
+    checkpoint: Checkpoint,
+    previous: Checkpoint | None = None,
+    fresh_events: Any = None,
+) -> dict[str, bytes | None]:
+    """Each history section's chain head: ``previous``'s extended by a
+    chunk of what was added, or — when it has no chain or the section
+    lost something since — a new chain of one chunk."""
+    heads = {} if previous is None else previous.chains
+    skeletons = checkpoint.skeletons
+    chains: dict[str, bytes | None] = {}
+    for section, now, before, wire in (
+        ("refs", checkpoint.refs, previous and previous.refs, sorted),
+        ("released", checkpoint.released, previous and previous.released, sorted),
+        (
+            "skeletons", skeletons.keys(), previous and previous.skeletons.keys(),
+            lambda refs: [_skeleton_wire(r, skeletons[r]) for r in sorted(refs)],
+        ),
+        (
+            "events", checkpoint.events, None,
+            lambda events: [_event_wire(e) for e in events],
+        ),
+    ):
+        head, added = None, now
+        if section not in heads:
+            pass
+        elif section == "events":
+            if fresh_events is not None:
+                head, added = heads[section], fresh_events
+        elif before is not None and before <= now:
+            head, added = heads[section], now - before
+        if added:
+            data = codec.encode((head, tuple(wire(added))))
+            head = writer.put(data, () if head is None else (head,))
+        chains[section] = head
+    return chains
 
 
 def restore_block_state(
@@ -470,28 +391,61 @@ def restore_block_state(
     servers: "tuple[ServerId, ...]",
     ref: BlockRef,
 ) -> "tuple[Any, frozenset[Label], frozenset[Label]] | None":
-    """Rehydrate one block's annotation from a covering checkpoint.
-
-    Returns ``(BlockState, active labels, own labels)`` — the triple
-    the interpreter needs to resume reading the block as a predecessor
-    — or ``None`` when the checkpoint no longer holds the entry (the
-    agreed horizon retired it; referencing it is condemned instead).
-    """
-    from repro.interpret.instance import BlockState
-
+    """Rehydrate one block's annotation from a covering checkpoint:
+    ``(BlockState, active labels, own labels)``, or ``None`` when the
+    checkpoint no longer holds the row (the agreed horizon retired it;
+    referencing it is condemned instead)."""
     entry = checkpoint.states.get(ref)
     if entry is None:
         return None
-    state = BlockState()
-    for lbl_str, snapshot in _merged_pis(checkpoint.states, ref).items():
-        state.pis[Label(lbl_str)] = restore_process(protocol, servers, snapshot)
-    for lbl_str, messages in entry["in"].items():
-        state.ms.add_in(Label(lbl_str), messages)
-    for lbl_str, messages in entry["out"].items():
-        state.ms.add_out(Label(lbl_str), messages)
+    restore = _Restorer(checkpoint, protocol, servers)
+    state = restore.block({}, _merged_pis(checkpoint.states, ref), entry)
     active = frozenset(Label(l) for l in checkpoint.active.get(ref, ()))
-    own = frozenset(Label(l) for l in entry.get("own", ()))
-    return state, active, own
+    return state, active, frozenset(Label(l) for l in entry["own"])
+
+
+class _Restorer:
+    """Rebuilds annotations from a checkpoint: an instance or run it
+    holds in memory is taken as it is, any other is restored from its
+    object once — an interpreted block's instances are never written
+    again, so blocks share them as copy-on-write does.  What it
+    restores enters the checkpoint's memo, so the next capture names it
+    without encoding it."""
+
+    def __init__(
+        self,
+        checkpoint: Checkpoint,
+        protocol: "ProtocolSpec",
+        servers: "tuple[ServerId, ...]",
+    ) -> None:
+        self.load = checkpoint.objects.__getitem__
+        self.protocol, self.servers = protocol, servers
+        self.values = checkpoint.values
+        self.named = None if checkpoint.memo is None else checkpoint.memo.names
+
+    def block(self, pis: dict, names: dict[str, bytes], entry: dict[str, Any]) -> "BlockState":
+        from repro.interpret.instance import BlockState
+
+        state = BlockState()
+        state.pis = pis
+        for lbl_str, name in names.items():
+            instance = self.values.get(name)
+            if instance is None:
+                instance = self.values[name] = restore_process(
+                    self.protocol, self.servers, self.load(name), self.load, self.named
+                )
+            if self.named is not None:
+                self.named[id(instance)] = (instance, name)
+            pis[Label(lbl_str)] = instance
+        for lbl_str, name in entry["in"].items():
+            state.ms.add_in(Label(lbl_str), self._run(name))
+        for lbl_str, name in entry["out"].items():
+            state.ms.add_out(Label(lbl_str), self._run(name))
+        return state
+
+    def _run(self, name: bytes) -> tuple[Any, ...]:
+        run = self.values.get(name)
+        return self.load(name) if run is None else run
 
 
 def install_checkpoint(
@@ -499,15 +453,9 @@ def install_checkpoint(
     interpreter: "Interpreter",
     protocol: "ProtocolSpec",
 ) -> int:
-    """Load a checkpoint into a *fresh* interpreter.
-
-    The DAG must already contain every checkpointed ref (recovery
-    rebuilds it from skeletons + WAL first).  Returns the number of
-    block states restored.
-    """
-    from repro.interpret.instance import BlockState
-    from repro.interpret.interpreter import IndicationEvent
-
+    """Load a checkpoint into a *fresh* interpreter whose DAG already
+    holds every checkpointed ref (recovery rebuilds it from skeletons +
+    WAL first).  Returns the number of block states restored."""
     if interpreter.interpreted:
         raise CheckpointError("refusing to install into a non-fresh interpreter")
     missing = [ref for ref in checkpoint.refs if ref not in interpreter.dag]
@@ -516,66 +464,40 @@ def install_checkpoint(
             f"checkpoint references {len(missing)} blocks absent from the "
             f"rebuilt DAG (first: {missing[0][:8]}…)"
         )
-    # Delta entries reference their parent's entry; walk each builder's
-    # chain bottom-up so a child's base is restored (or at least
-    # merge-able at the wire level) before the child.  Entries for
-    # *released* refs are carried for rehydration only — they are not
-    # restored to memory, preserving the memory bound across a restart.
-    order = sorted(
-        checkpoint.states,
-        key=lambda r: (
-            interpreter.dag.require(r).n,
-            interpreter.dag.require(r).k,
-            r,
-        ),
-    )
+    # Each builder's chain bottom-up, so a base is restored before its
+    # child.  Released rows are carried for rehydration only: they stay
+    # out of memory, preserving the memory bound across a restart.
+    dag = interpreter.dag
+    order = sorted(checkpoint.states, key=lambda r: (dag.require(r).n, dag.require(r).k, r))
+    restore = _Restorer(checkpoint, protocol, interpreter.servers)
     restored = 0
     for ref in order:
         if ref in checkpoint.released:
             continue
         entry = checkpoint.states[ref]
-        base = entry.get("base")
-        state = BlockState()
+        base = entry["base"]
         if base is not None and base in interpreter._states:
-            # Share the base's restored instances, exactly like the
-            # live copy-on-write discipline (Algorithm 2 line 4).
-            state.pis = dict(interpreter._states[base].pis)
-            pis_wire = entry["pis"]
+            # Share the base's instances, as copy-on-write does (line 4).
+            pis, names = dict(interpreter._states[base].pis), entry["pis"]
         else:
-            pis_wire = _merged_pis(checkpoint.states, ref)
-        for lbl_str, snapshot in pis_wire.items():
-            state.pis[Label(lbl_str)] = restore_process(
-                protocol, interpreter.servers, snapshot
-            )
-        for lbl_str, messages in entry["in"].items():
-            state.ms.add_in(Label(lbl_str), messages)
-        for lbl_str, messages in entry["out"].items():
-            state.ms.add_out(Label(lbl_str), messages)
-        interpreter._states[ref] = state
-        interpreter._own_labels[ref] = frozenset(
-            Label(l) for l in entry.get("own", ())
-        )
+            pis, names = {}, _merged_pis(checkpoint.states, ref)
+        interpreter._states[ref] = restore.block(pis, names, entry)
+        interpreter._own_labels[ref] = frozenset(Label(l) for l in entry["own"])
         labels = frozenset(Label(l) for l in checkpoint.active.get(ref, ()))
-        # Route through the interpreter's intern pool so restored
-        # annotations share active-set objects with live ones (the
-        # line-7 gather's identity fast path).
+        # The intern pool: restored annotations share active-set objects
+        # with live ones (the line-7 gather's identity fast path).
         interpreter._active_labels[ref] = interpreter._active_pool.setdefault(
             labels, labels
         )
         restored += 1
     interpreter.interpreted |= set(checkpoint.refs)
     interpreter.released |= set(checkpoint.released)
-    interpreter.events.extend(
-        IndicationEvent(label, indication, server, block_ref)
-        for (label, indication, server, block_ref) in checkpoint.events
-    )
+    interpreter.events.extend(checkpoint.events)
     for name in COUNTERS:
         if name in checkpoint.counters:
             setattr(interpreter, name, checkpoint.counters[name])
-    # The interpreted set just grew behind the scheduler's back: pending
-    # in-degree counts computed while the DAG was being rebuilt are now
-    # stale.  One linear resync and the ready queue holds exactly the
-    # post-checkpoint suffix (incremental mode; no-op otherwise).
+    # The interpreted set grew behind the scheduler's back: one linear
+    # resync and the ready queue holds exactly the suffix.
     interpreter.resync_schedule()
     return restored
 
@@ -584,32 +506,27 @@ def install_checkpoint(
 
 
 class CheckpointManager:
-    """Keeps one server's checkpoints as append-only logs in one directory.
+    """Keeps one server's checkpoints as a content-addressed object log.
 
-    A *generation* is one file, ``ckpt-<seq>.bin``, named after the
-    checkpoint its first frame holds.  Every frame is ``length | CRC32 |
-    payload``.  Frame 0 is a full checkpoint; each later frame is a
-    delta taking what the frames before it fold to onto the next
-    checkpoint (see the module docstring), appended in place.
+    The log is one file, ``ckpt-<generation>.bin``, of frames ``length
+    | CRC32 | kind | name | bytes``: an object (kind ``o``) named by the
+    hash of its bytes, or a root (kind ``r``) named by their hash under
+    a domain of its own.  A write appends the objects the store lacks
+    and the root in one append, and reads it all back byte for byte
+    before it counts; an append that does not read back is cut off
+    again and its objects kept for the next write.  With ``fsync`` the
+    append is synced (and the directory, for a new file).
 
-    *Compaction.*  Once the deltas appended to the newest generation
-    together outgrow its full frame, the next write starts a new
-    generation: a full frame written atomically (temp file + rename, so
-    a crash mid-write leaves the previous generation intact; the temp
-    file such a crash leaves behind is removed the next time the
-    directory is opened).  After it, all but the newest ``retain``
-    generations are deleted.  The first write of a manager is a full
-    frame too, so a delta is only ever taken against a checkpoint this
-    manager wrote and read back — never against one that recovery
-    folded, trimmed or fell back to.
+    Reading trusts nothing: a torn or CRC-failing frame, or one of an
+    unknown kind, ends the log, and every object and root is checked
+    against its name.  A root whose objects do not all load does not
+    load, and :meth:`latest` falls back to the older retained root.
 
-    Every frame is read back and compared with the bytes just written
-    before :meth:`write` reports it durable; a frame that fails the
-    comparison ends its generation, and the next write starts a new
-    one.  With ``fsync`` a full frame's temp file is synced before the
-    rename and the directory after it, and an appended frame is synced
-    in place, so the frame is durable before anyone deletes WAL records
-    on the strength of it.
+    *Store GC* marks what the ``retain`` newest roots reach.  Whenever
+    the log grew by more than the live bytes at the last mark, it marks
+    again; if the rest outgrows the live bytes, the live frames are
+    copied verbatim into the next generation (temp file, read back,
+    rename) and the old file goes.
     """
 
     def __init__(
@@ -621,123 +538,246 @@ class CheckpointManager:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.retain = retain
         self.fsync = fsync
-        #: Checkpoints written (full frames and deltas alike) and the
-        #: bytes actually written for them.
+        #: Checkpoints written, the bytes appended for them, and the
+        #: objects their captures built: appended, or already stored.
         self.writes = 0
         self.bytes_written = 0
-        #: ``states`` entries of the checkpoints written, and how many
-        #: of them arrived with their bytes already encoded (taken over
-        #: from the previous checkpoint).
-        self.entries_written = 0
-        self.entries_reused = 0
-        #: The checkpoint the newest generation folds to, when this
-        #: manager wrote it and read it back — the next delta's base —
-        #: and that generation's file.
-        self._tip: tuple[Checkpoint, Path] | None = None
-        #: Size of that generation's full frame, and of the deltas
-        #: appended to it since.
-        self._base_bytes = 0
-        self._delta_bytes = 0
-        #: Highest sequence number written or folded here.
+        self.objects_appended = 0
+        self.objects_stored = 0
+        #: Every intact object, ``name -> (file, offset, frame length)``,
+        #: every intact root, ``(seq, file, offset, frame length)`` in
+        #: log order, and the names each object refers to where known
+        #: (the GC reads the rest from the objects).
+        self._objects: dict[bytes, tuple[Path, int, int]] = {}
+        self._roots: list[tuple[int, Path, int, int]] = []
+        self._links: dict[bytes, tuple[bytes, ...]] = {}
+        #: The newest file, the end of its last intact frame, and the
+        #: highest sequence number written or read here.
+        self._path: Path | None = None
+        self._end = 0
         self._seq = 0
+        #: Objects of an append that did not read back, for the next.
+        self._unwritten = _Objects({})
+        #: Objects read since the last write.
+        self._view: _StoreView | None = None
+        #: Live bytes at the last mark, and bytes appended since.
+        self._live = 0
+        self._since_mark = 0
         for stale in self.directory.glob(f"{_PREFIX}*{_TMP_SUFFIX}"):
             stale.unlink(missing_ok=True)
+        for path in self._files():
+            self._scan(path)
 
-    def _path(self, seq: int) -> Path:
-        return self.directory / f"{_PREFIX}{seq:08d}{_SUFFIX}"
-
-    def sequences(self) -> list[int]:
-        """Sequence numbers of the stored generations (each one's full
-        frame), oldest first."""
-        result = []
+    def _files(self) -> list[Path]:
+        """The log's files, oldest generation first."""
+        found = []
         for path in self.directory.glob(f"{_PREFIX}*{_SUFFIX}"):
             try:
-                result.append(int(path.name[len(_PREFIX) : -len(_SUFFIX)]))
+                found.append((int(path.name[len(_PREFIX) : -len(_SUFFIX)]), path))
             except ValueError:
                 continue
-        return sorted(result)
+        return [path for _, path in sorted(found)]
+
+    def _next_path(self) -> Path:
+        generation = 0
+        if self._path is not None:
+            generation = int(self._path.name[len(_PREFIX) : -len(_SUFFIX)])
+        return self.directory / f"{_PREFIX}{generation + 1:08d}{_SUFFIX}"
+
+    def _scan(self, path: Path) -> None:
+        """Index ``path``'s frames up to its first bad one."""
+        data = path.read_bytes()
+        offset = 0
+        while offset + _FRAME.size <= len(data):
+            length, crc = _FRAME.unpack_from(data, offset)
+            start = offset + _FRAME.size
+            end = start + length
+            if length < _HEAD or end > len(data) or zlib.crc32(data[start:end]) != crc:
+                break
+            kind, name = data[start : start + 1], data[start + 1 : start + _HEAD]
+            if kind == _OBJECT:
+                self._objects.setdefault(name, (path, offset, end - offset))
+            elif kind == _ROOT:
+                seq = _root_seq(name, data[start + _HEAD : end])
+                if seq is not None:
+                    self._roots.append((seq, path, offset, end - offset))
+                    self._seq = max(self._seq, seq)
+            else:
+                break
+            offset = end
+        self._path, self._end = path, offset
+
+    # -- queries -------------------------------------------------------------------
+
+    def sequences(self) -> list[int]:
+        """The retained roots' sequence numbers — the newest ``retain``
+        — oldest first."""
+        return sorted({seq for seq, *_ in self._roots})[-self.retain :]
 
     def next_seq(self) -> int:
         """Sequence number the next written checkpoint should carry."""
-        sequences = self.sequences()
-        if sequences and self._seq < sequences[-1]:
-            # Nothing here wrote or folded the newest generation yet:
-            # its deltas may number past its name.
-            self.latest()
-        return max(self._seq, sequences[-1] if sequences else 0) + 1
+        return self._seq + 1
+
+    def __getitem__(self, name: bytes) -> Any:
+        """The decoded object ``name``, checked against its name; what
+        was read stays cached until the next write."""
+        if name in self._unwritten.built:
+            return self._unwritten[name]
+        if self._view is None:
+            self._view = _StoreView(self)
+        return self._view[name]
+
+    def load(self, seq: int) -> Checkpoint:
+        """Checkpoint ``seq``, every object it reaches read and checked;
+        a :class:`CheckpointError` when no intact root holds it or an
+        object is absent, fails its name or does not decode into a
+        checkpoint in this process."""
+        for root in reversed(self._roots):
+            if root[0] == seq:
+                view = _StoreView(self, whole=True)
+                return _assemble(view.root(root), view)
+        raise CheckpointError(f"no intact root holds checkpoint {seq}")
+
+    def latest(self) -> Checkpoint | None:
+        """The newest retained checkpoint that loads, or ``None``."""
+        for seq in reversed(self.sequences()):
+            try:
+                return self.load(seq)
+            except CheckpointError:
+                continue
+        return None
+
+    # -- the write path ------------------------------------------------------------
 
     def write(self, checkpoint: Checkpoint) -> bool:
-        """Persist a checkpoint — as a delta appended to the newest
-        generation, or as a full frame starting a new one — and read
-        the frame back.
-
-        Returns whether the file holds exactly the frame that was
-        written.  Only then are older generations pruned — and only
-        then may the caller treat the checkpoint as durable.
-        """
+        """Append the objects ``checkpoint`` needs that the store lacks,
+        then its root, and read the append back.  Returns whether the
+        file holds exactly what was appended — only then may the caller
+        treat the checkpoint as durable."""
         self.writes += 1
-        self.entries_written += len(checkpoint.states)
-        self.entries_reused += len(checkpoint.encoded)
-        tip, self._tip = self._tip, None
-        if tip is not None and self._delta_bytes <= self._base_bytes:
-            previous, path = tip
-            delta = _delta(previous, checkpoint)
-            if delta is not None:
-                return self._append(checkpoint, path, codec.encode(delta))
-        return self._write_full(checkpoint)
-
-    def _write_full(self, checkpoint: Checkpoint) -> bool:
-        payload = codec.encode(_to_wire(checkpoint))
-        header = _FRAME.pack(len(payload), zlib.crc32(payload))
-        path = self._path(checkpoint.seq)
-        tmp = path.with_suffix(_TMP_SUFFIX)
-        with open(tmp, "wb") as handle:
-            handle.write(header)
-            handle.write(payload)
+        self._view = None
+        writer = ObjectWriter()
+        for ref, entry in checkpoint.states.items():
+            if ref not in checkpoint.rows:
+                checkpoint.rows[ref] = _row(
+                    writer, ref, entry, checkpoint.active.get(ref, ())
+                )
+        if checkpoint.chains.keys() != set(SECTIONS):
+            checkpoint.chains = _chains(writer, checkpoint)
+        pending = _Objects({**self._unwritten.built}, {**self._unwritten.links})
+        for objects in (checkpoint.objects, writer):
+            if isinstance(objects, (_Objects, ObjectWriter)):
+                pending.built.update(objects.built)
+                pending.links.update(objects.links)
+        out = bytearray()
+        placed = []
+        for name, data in pending.built.items():
+            if name not in self._objects:
+                placed.append((name, len(out)))
+                _append_frame(out, _OBJECT, name, data)
+        root_data = codec.encode(
+            {
+                "seq": checkpoint.seq,
+                "counters": checkpoint.counters,
+                "rows": tuple(sorted(checkpoint.rows[r] for r in checkpoint.states)),
+                "chains": {section: checkpoint.chains[section] for section in SECTIONS},
+            }
+        )
+        root_at = len(out)
+        _append_frame(out, _ROOT, root_name(root_data), root_data)
+        if self._path is None:
+            self._path, self._end = self._next_path(), 0
+        path, offset = self._path, self._end
+        created = not path.exists()
+        with open(path, "ab") as handle:
+            # A torn tail, or an append that did not read back, goes
+            # first: frames after it could never be read.
+            handle.truncate(offset)
+            handle.write(out)
             if self.fsync:
                 handle.flush()
                 os.fsync(handle.fileno())
-        tmp.replace(path)
+        if created and self.fsync:
+            self._sync_directory()
+        self.bytes_written += len(out)
+        self._seq = max(self._seq, checkpoint.seq)
+        if not self._reads_back(path, bytes(out), offset):
+            self._unwritten = pending
+            return False
+        self._unwritten = _Objects({})
+        self._end = offset + len(out)
+        for name, at in placed:
+            self._objects[name] = (path, offset + at, _FRAME.size + _HEAD + len(pending.built[name]))
+            self._links[name] = pending.links.get(name, ())
+        self._roots.append((checkpoint.seq, path, offset + root_at, len(out) - root_at))
+        self.objects_appended += len(placed)
+        self.objects_stored += len(pending.built) - len(placed)
+        checkpoint.objects = self
+        self._since_mark += len(out)
+        if self._since_mark > self._live:
+            self._collect()
+        return True
+
+    def _collect(self) -> None:
+        """Mark the live bytes — the frames the retained roots reach;
+        copy them into a new generation once the rest outgrows them."""
+        view = _StoreView(self)
+        objects = self._objects
+        kept = []
+        live: set[bytes] = set()
+        for seq in self.sequences():
+            root = next(r for r in reversed(self._roots) if r[0] == seq)
+            try:
+                wire = view.root(root)
+                pending = [*wire["rows"], *wire["chains"].values()]
+            except (CheckpointError, *_SHAPE_ERRORS):
+                continue  # a root that does not load keeps nothing alive
+            kept.append(root)
+            while pending:
+                name = pending.pop()
+                if name in live or name not in objects:
+                    continue
+                live.add(name)
+                if name not in self._links:
+                    # Stored before this handle opened: read its links.
+                    try:
+                        self._links[name] = _links_in(view[name], objects)
+                    except CheckpointError:
+                        self._links[name] = ()
+                pending.extend(self._links[name])
+        self._live = sum(objects[name][2] for name in live) + sum(r[3] for r in kept)
+        self._since_mark = 0
+        files = self._files()
+        if sum(path.stat().st_size for path in files) <= 2 * self._live:
+            return
+        target = self._next_path()
+        out = bytearray()
+        moved: dict[bytes, tuple[Path, int, int]] = {}
+        roots = []
+        for name in sorted(live, key=lambda n: (objects[n][0].name, objects[n][1])):
+            path, offset, length = objects[name]
+            moved[name] = (target, len(out), length)
+            out += view.file(path)[offset : offset + length]
+        for seq, path, offset, length in kept:
+            roots.append((seq, target, len(out), length))
+            out += view.file(path)[offset : offset + length]
+        tmp = target.with_suffix(_TMP_SUFFIX)
+        with open(tmp, "wb") as handle:
+            handle.write(out)
+            if self.fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
+        if not self._reads_back(tmp, bytes(out)):
+            tmp.unlink(missing_ok=True)
+            return
+        tmp.replace(target)
         if self.fsync:
             self._sync_directory()
-        if not self._commit(checkpoint, path, header, payload, 0):
-            return False
-        self._base_bytes = len(header) + len(payload)
-        self._delta_bytes = 0
-        for seq in self.sequences()[: -self.retain]:
-            self._path(seq).unlink(missing_ok=True)
-        return True
-
-    def _append(self, checkpoint: Checkpoint, path: Path, payload: bytes) -> bool:
-        header = _FRAME.pack(len(payload), zlib.crc32(payload))
-        with open(path, "ab") as handle:
-            offset = handle.tell()
-            handle.write(header)
-            handle.write(payload)
-            if self.fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        if not self._commit(checkpoint, path, header, payload, offset):
-            return False
-        self._delta_bytes += len(header) + len(payload)
-        return True
-
-    def _commit(
-        self,
-        checkpoint: Checkpoint,
-        path: Path,
-        header: bytes,
-        payload: bytes,
-        offset: int,
-    ) -> bool:
-        """Count a frame just written and, when it reads back, make its
-        checkpoint the next delta's base."""
-        self.bytes_written += len(header) + len(payload)
-        self._seq = max(self._seq, checkpoint.seq)
-        if not self._reads_back(path, header, payload, offset):
-            return False
-        self._tip = (checkpoint, path)
-        return True
+        for path in files:
+            path.unlink(missing_ok=True)
+        self._objects, self._roots = moved, roots
+        self._links = {name: self._links[name] for name in moved}
+        self._path, self._end = target, len(out)
 
     def _sync_directory(self) -> None:
         fd = os.open(self.directory, os.O_RDONLY)
@@ -747,301 +787,190 @@ class CheckpointManager:
             os.close(fd)
 
     @staticmethod
-    def _reads_back(
-        path: Path, header: bytes, payload: bytes, offset: int = 0
-    ) -> bool:
-        """Whether ``path`` holds ``header + payload`` from ``offset`` on
-        and nothing after it.
-
-        The header carries the payload's length and CRC, so equal bytes
-        are a frame the fold accepts; comparing them catches any write
-        the disk garbled without decoding anything."""
+    def _reads_back(path: Path, data: bytes, offset: int = 0) -> bool:
+        """Whether ``path`` holds ``data`` from ``offset`` on and nothing
+        after it.  Frames carry their lengths, CRCs and names, so equal
+        bytes are frames the reader accepts; nothing is decoded."""
         try:
             with open(path, "rb") as handle:
                 handle.seek(offset)
-                return handle.read(len(header)) == header and handle.read() == payload
+                return handle.read() == data
         except OSError:
             return False
 
-    def _fold(self, seq: int, until: int | None = None) -> tuple[Checkpoint, str]:
-        """Fold generation ``seq`` frame by frame, through the frame
-        holding checkpoint ``until`` or else through its last intact
-        frame.
 
-        Returns the fold and why the frames after it were not read
-        (``""`` when none were left).  Every way the *full* frame can
-        fail to yield a checkpoint — torn, failing its CRC, or intact
-        bytes that do not decode in this process — is a
-        :class:`CheckpointError`; a delta frame failing the same ways
-        ends the log instead."""
-        data = self._path(seq).read_bytes()
-        payload, offset = _read_frame(data, 0, f"checkpoint {seq}")
-        checkpoint = _decoded(f"checkpoint {seq}", _from_wire, payload)
-        frame = 0
-        why = ""
-        while offset < len(data) and checkpoint.seq != until:
-            frame += 1
-            name = f"frame {frame} of checkpoint log {seq}"
-            try:
-                payload, offset = _read_frame(data, offset, name)
-                checkpoint = _decoded(name, _apply, payload, checkpoint)
-            except CheckpointError as exc:
-                why = str(exc)
-                break
-        self._seq = max(self._seq, checkpoint.seq)
-        return checkpoint, why
+def _append_frame(out: bytearray, kind: bytes, name: bytes, data: bytes) -> None:
+    crc = zlib.crc32(data, zlib.crc32(name, zlib.crc32(kind)))
+    out += _FRAME.pack(_HEAD + len(data), crc)
+    out += kind
+    out += name
+    out += data
 
-    def load(self, seq: int) -> Checkpoint:
-        """Checkpoint ``seq``, folded from the generation that holds it.
 
-        A :class:`CheckpointError` when that generation's full frame
-        does not load or its log ends before ``seq``."""
-        bases = [base for base in self.sequences() if base <= seq]
-        if not bases:
-            raise CheckpointError(f"no checkpoint log holds checkpoint {seq}")
-        checkpoint, why = self._fold(bases[-1], until=seq)
-        if checkpoint.seq != seq:
-            raise CheckpointError(
-                f"checkpoint {seq} is not in its log ({why or 'the log ends first'})"
-            )
-        return checkpoint
-
-    def latest(self) -> Checkpoint | None:
-        """The newest generation folded through its last intact frame,
-        or ``None``.
-
-        A torn or CRC-failing delta ends the log, so a crash mid-append
-        yields the checkpoint before it; a newest generation whose full
-        frame does not load falls back to the next-newest.
-        """
-        for seq in reversed(self.sequences()):
-            try:
-                return self._fold(seq)[0]
-            except CheckpointError:
-                continue
+def _root_seq(name: bytes, data: bytes) -> int | None:
+    """A root's sequence number, or ``None`` when it fails its name or
+    does not decode to a root."""
+    if root_name(data) != name:
         return None
-
-
-def _read_frame(data: bytes, offset: int, name: str) -> tuple[bytes, int]:
-    """The payload of the frame at ``offset`` and the offset after it."""
-    if len(data) - offset < _FRAME.size:
-        raise CheckpointError(f"{name} truncated")
-    length, crc = _FRAME.unpack_from(data, offset)
-    start = offset + _FRAME.size
-    payload = data[start : start + length]
-    if len(payload) != length or zlib.crc32(payload) != crc:
-        raise CheckpointError(f"{name} failed its integrity check")
-    return payload, start + length
-
-
-def _decoded(
-    name: str, build: Callable[..., Checkpoint], payload: bytes, *args: Any
-) -> Checkpoint:
-    """``build(*args, wire)`` over a decoded payload; intact bytes that
-    do not decode into a checkpoint in this process are a
-    :class:`CheckpointError`.  Bytes that decode to values of the wrong
-    shape — a list where a map belongs, a short tuple, a sequence
-    number that is no ``int`` — are intact bytes that do not decode."""
     try:
-        checkpoint = build(*args, codec.decode(payload))
-        if type(checkpoint.seq) is not int:
-            raise TypeError(f"sequence number {checkpoint.seq!r}")
-        return checkpoint
-    except (CodecError, AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{name} does not decode: {exc}") from exc
-
-
-def _delta(old: Checkpoint, new: Checkpoint) -> dict[str, Any] | None:
-    """The delta frame taking ``old`` to ``new``, or ``None`` when
-    ``new`` lost a ref or a skeleton ``old`` had (only a full frame
-    says that).
-
-    Entries and ``active`` rows are compared by identity: a capture
-    takes unchanged ones over as the same objects.  A skeleton is a
-    function of its block, so only refs new to ``skeletons`` are
-    written."""
-    if not (
-        old.refs <= new.refs and old.skeletons.keys() <= new.skeletons.keys()
-    ):
+        seq = codec.decode(data)["seq"]
+    except _SHAPE_ERRORS:
         return None
-    unreleased = old.released - new.released
-    return {
-        "seq": new.seq,
-        "states": {
-            str(ref): codec.Canonical(new.state_bytes(ref))
-            for ref, entry in new.states.items()
-            if old.states.get(ref) is not entry
-        },
-        "active": {
-            str(ref): _active_wire(row)
-            for ref, row in new.active.items()
-            if old.active.get(ref) is not row
-        },
-        "states_left": sorted(old.states.keys() - new.states.keys()),
-        "active_left": sorted(old.active.keys() - new.active.keys()),
-        "refs": sorted(new.refs - old.refs),
-        "released": sorted(new.released - old.released),
-        "unreleased": sorted(unreleased),
-        "skeletons": {
-            str(ref): _skeleton_wire(new.skeletons[ref])
-            for ref in new.skeletons.keys() - old.skeletons.keys()
-        },
-        "events": _event_edit(old.events, new.events, unreleased),
-        "counters": new.counters,
-    }
+    return seq if type(seq) is int else None
 
 
-def _event_edit(
-    before: tuple[Any, ...], after: tuple[Any, ...], unreleased: frozenset[BlockRef]
-) -> list[Any]:
-    """Ops taking ``before`` to ``after``: ``n > 0`` keeps the next
-    ``n`` events, ``n < 0`` skips ``-n`` of them and a tuple inserts
-    one event.
+class _StoreView(dict):
+    """A store's objects, decoded on first use and checked against their
+    names; with ``whole`` each file is read whole, once, else frame by
+    frame."""
 
-    Exact for any two lists.  It is short for the lists two captures
-    make: ``after`` is ``before`` without the events whose blocks were
-    released since, with the events of blocks rehydrated since
-    (``unreleased``) back in place, and with the new events appended.
-    """
-    if after[: len(before)] == before:
-        ops: list[Any] = [len(before)] if before else []
-        ops.extend(_event_wire(event) for event in after[len(before) :])
-        return ops
-    ops = []
+    def __init__(self, store: CheckpointManager, whole: bool = False) -> None:
+        super().__init__()
+        self.store, self.whole = store, whole
+        self.files: dict[Path, bytes] = {}
 
-    def run(n: int) -> None:
-        if ops and isinstance(ops[-1], int) and (ops[-1] > 0) == (n > 0):
-            ops[-1] += n
+    def file(self, path: Path) -> bytes:
+        if path not in self.files:
+            try:
+                self.files[path] = path.read_bytes()
+            except OSError as exc:
+                raise CheckpointError(f"{path.name} is unreadable: {exc}") from exc
+        return self.files[path]
+
+    def _body(self, path: Path, offset: int, length: int) -> tuple[bytes, bytes, Any]:
+        if self.whole or path in self.files:
+            frame = self.file(path)[offset : offset + length]
         else:
-            ops.append(n)
+            try:
+                with open(path, "rb") as handle:
+                    handle.seek(offset)
+                    frame = handle.read(length)
+            except OSError as exc:
+                raise CheckpointError(f"{path.name} is unreadable: {exc}") from exc
+        name, data = frame[_FRAME.size + 1 : _FRAME.size + _HEAD], frame[_FRAME.size + _HEAD :]
+        try:
+            return name, data, codec.decode(data)
+        except CodecError as exc:
+            raise CheckpointError(f"{name.hex()[:8]}… does not decode: {exc}") from exc
 
-    i = 0
-    for event in after:
-        if event[3] not in unreleased:
-            while i < len(before) and before[i] != event:
-                run(-1)
-                i += 1
-        if i < len(before) and before[i] == event:
-            run(1)
-            i += 1
-        else:
-            ops.append(_event_wire(event))
-    if i < len(before):
-        run(i - len(before))
-    return ops
+    def __missing__(self, name: bytes) -> Any:
+        where = self.store._objects.get(name)
+        if where is None:
+            raise CheckpointError(f"object {name.hex()[:8]}… is not in the store")
+        stored, data, value = self._body(*where)
+        if stored != name or object_name(data) != name:
+            raise CheckpointError(f"object {name.hex()[:8]}… does not hash to its name")
+        self[name] = value
+        return value
+
+    def root(self, root: tuple[int, Path, int, int]) -> Any:
+        name, data, value = self._body(*root[1:])
+        if root_name(data) != name:
+            raise CheckpointError(f"root of checkpoint {root[0]} does not hash to its name")
+        return value
 
 
-def _apply(checkpoint: Checkpoint, delta: dict[str, Any]) -> Checkpoint:
-    """The checkpoint a delta frame takes ``checkpoint`` to — a new
-    object, so a delta that does not decode leaves the fold as it was."""
-    left = {BlockRef(ref) for ref in delta["states_left"]}
-    states = {r: e for r, e in checkpoint.states.items() if r not in left}
-    states.update((BlockRef(ref), entry) for ref, entry in delta["states"].items())
-    left = {BlockRef(ref) for ref in delta["active_left"]}
-    active = {r: a for r, a in checkpoint.active.items() if r not in left}
-    active.update(
-        (BlockRef(ref), _active_from_wire(row)) for ref, row in delta["active"].items()
-    )
-    released = checkpoint.released - {BlockRef(r) for r in delta["unreleased"]}
-    skeletons = dict(checkpoint.skeletons)
-    skeletons.update(
-        (BlockRef(ref), _skeleton_from_wire(s)) for ref, s in delta["skeletons"].items()
-    )
-    events: list[Any] = []
-    at = 0
-    for op in delta["events"]:
-        if isinstance(op, int):
-            if op > 0:
-                events.extend(checkpoint.events[at : at + op])
-            at += abs(op)
-        else:
-            events.append(_event_from_wire(op))
-    if at != len(checkpoint.events):
-        raise ValueError(
-            f"event edit covers {at} of {len(checkpoint.events)} events"
+def _links_in(value: Any, stored: dict[bytes, Any]) -> tuple[bytes, ...]:
+    """The stored names anywhere in a decoded object: a value that only
+    equals a name keeps that object alive, and no link is missed."""
+    found, stack = [], [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is bytes:
+            if item in stored:
+                found.append(item)
+        elif isinstance(item, dict):
+            stack.extend((*item.keys(), *item.values()))
+        elif isinstance(item, (tuple, list, frozenset)):
+            stack.extend(item)
+    return tuple(found)
+
+
+def _assemble(root: Any, objects: _StoreView) -> Checkpoint:
+    """The checkpoint a root names, every object it reaches read.
+    Intact bytes that do not make a checkpoint in this process — a list
+    where a map belongs, a short tuple, a sequence number that is no
+    ``int`` — are a :class:`CheckpointError`."""
+    from repro.interpret.interpreter import IndicationEvent
+
+    try:
+        seq = root["seq"]
+        if type(seq) is not int:
+            raise TypeError(f"sequence number {seq!r}")
+        states: dict[BlockRef, dict[str, Any]] = {}
+        active: dict[BlockRef, tuple[Label, ...]] = {}
+        rows: dict[BlockRef, bytes] = {}
+        for name in root["rows"]:
+            ref, base, own, labels, named, *columns = objects[name]
+            pis, ins, outs = (
+                {lbl: n for lbl, n in zip(named, column, strict=True) if n is not None}
+                for column in columns
+            )
+            ref = BlockRef(ref)
+            rows[ref] = name
+            states[ref] = {
+                "pis": pis, "in": ins, "out": outs,
+                "own": tuple(own), "base": None if base is None else BlockRef(base),
+            }
+            active[ref] = tuple(Label(label) for label in labels)
+            _reach(objects, pis.values())
+            for run in (*ins.values(), *outs.values()):
+                tuple(objects[run])
+        chains = {section: root["chains"][section] for section in SECTIONS}
+        history = {section: _walk(objects, chains[section]) for section in SECTIONS}
+        return Checkpoint(
+            seq=seq,
+            refs=frozenset(BlockRef(r) for r in history["refs"]),
+            states=states,
+            active=active,
+            released=frozenset(BlockRef(r) for r in history["released"]),
+            skeletons=dict(_skeleton_from_wire(s) for s in history["skeletons"]),
+            events=tuple(
+                IndicationEvent(Label(label), indication, ServerId(server), BlockRef(ref))
+                for label, indication, server, ref in history["events"]
+            ),
+            counters=dict(root["counters"]),
+            rows=rows,
+            chains=chains,
+            objects=objects,
         )
-    return Checkpoint(
-        seq=delta["seq"],
-        refs=checkpoint.refs | {BlockRef(r) for r in delta["refs"]},
-        states=states,
-        active=active,
-        released=released | {BlockRef(r) for r in delta["released"]},
-        skeletons=skeletons,
-        events=tuple(events),
-        counters=dict(delta["counters"]),
-    )
+    except _SHAPE_ERRORS as exc:
+        raise CheckpointError(f"checkpoint does not decode: {exc}") from exc
 
 
-def _active_wire(labels: tuple[Label, ...]) -> tuple[str, ...]:
-    return tuple(str(label) for label in labels)
+def _reach(objects: _StoreView, instances: Iterable[bytes]) -> None:
+    """Read every object the named instances reach."""
+    pending = []
+    for name in instances:
+        if name not in objects:
+            pending.extend(ref for wire in objects[name][4] for ref in references(wire))
+    while pending:
+        name = pending.pop()
+        if name not in objects:
+            pending.extend(references(objects[name]))
 
 
-def _active_from_wire(labels: Any) -> tuple[Label, ...]:
-    return tuple(Label(label) for label in labels)
+def _walk(objects: Any, head: bytes | None) -> list[Any]:
+    """A chain's items, oldest chunk first."""
+    chunks = []
+    while head is not None:
+        head, items = objects[head]
+        chunks.append(items)
+    return [item for items in reversed(chunks) for item in items]
 
 
-def _skeleton_wire(s: BlockSkeleton) -> tuple[Any, ...]:
-    return (
-        str(s.n),
-        s.k,
-        tuple(str(p) for p in s.preds),
-        s.sigma,
-        tuple((str(sv), k) for sv, k in s.hz),
-    )
+def _skeleton_wire(ref: BlockRef, s: BlockSkeleton) -> tuple[Any, ...]:
+    hz = tuple((str(sv), k) for sv, k in s.hz)
+    return (str(ref), str(s.n), s.k, tuple(map(str, s.preds)), s.sigma, hz)
 
 
-def _skeleton_from_wire(wire: Any) -> BlockSkeleton:
-    n, k, preds, sigma, hz = wire
-    return BlockSkeleton(
-        n=ServerId(n),
-        k=k,
-        preds=tuple(BlockRef(p) for p in preds),
-        sigma=sigma,
+def _skeleton_from_wire(wire: Any) -> tuple[BlockRef, BlockSkeleton]:
+    ref, n, k, preds, sigma, hz = wire
+    return BlockRef(ref), BlockSkeleton(
+        n=ServerId(n), k=k, preds=tuple(BlockRef(p) for p in preds), sigma=sigma,
         hz=tuple((ServerId(sv), ck) for sv, ck in hz),
     )
 
 
-def _event_wire(event: tuple[Label, Any, ServerId, BlockRef]) -> tuple[Any, ...]:
-    label, indication, server, block_ref = event
-    return (str(label), indication, str(server), str(block_ref))
-
-
-def _event_from_wire(wire: Any) -> tuple[Label, Any, ServerId, BlockRef]:
-    label, indication, server, block_ref = wire
-    return (Label(label), indication, ServerId(server), BlockRef(block_ref))
-
-
-def _to_wire(checkpoint: Checkpoint) -> dict[str, Any]:
-    return {
-        "seq": checkpoint.seq,
-        "refs": sorted(checkpoint.refs),
-        # Spliced from the per-entry memo: an entry taken over from the
-        # previous checkpoint is not encoded again.
-        "states": {
-            str(ref): codec.Canonical(checkpoint.state_bytes(ref))
-            for ref in checkpoint.states
-        },
-        "active": {str(k): _active_wire(v) for k, v in checkpoint.active.items()},
-        "released": sorted(checkpoint.released),
-        "skeletons": {
-            str(ref): _skeleton_wire(s) for ref, s in checkpoint.skeletons.items()
-        },
-        "events": tuple(_event_wire(event) for event in checkpoint.events),
-        "counters": checkpoint.counters,
-    }
-
-
-def _from_wire(wire: dict[str, Any]) -> Checkpoint:
-    return Checkpoint(
-        seq=wire["seq"],
-        refs=frozenset(BlockRef(r) for r in wire["refs"]),
-        states={BlockRef(k): v for k, v in wire["states"].items()},
-        active={BlockRef(k): _active_from_wire(v) for k, v in wire["active"].items()},
-        released=frozenset(BlockRef(r) for r in wire["released"]),
-        skeletons={
-            BlockRef(ref): _skeleton_from_wire(s)
-            for ref, s in wire["skeletons"].items()
-        },
-        events=tuple(_event_from_wire(event) for event in wire["events"]),
-        counters=dict(wire["counters"]),
-    )
+def _event_wire(event: "IndicationEvent") -> tuple[Any, ...]:
+    return (str(event.label), event.indication, str(event.server), str(event.block_ref))

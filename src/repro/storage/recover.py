@@ -107,11 +107,11 @@ def recover_shim_state(shim: "Shim") -> RecoveryReport:
         report.states_restored = install_checkpoint(
             checkpoint, shim.interpreter, shim.protocol
         )
-        for label, indication, server, _ in checkpoint.events:
-            if server == shim.server:
+        for event in checkpoint.events:
+            if event.server == shim.server:
                 # Restored, not re-fired: the user saw these before the
                 # crash (only the replayed suffix below re-fires).
-                shim._deliver(label, indication)
+                shim._deliver(event.label, event.indication)
                 report.indications_restored += 1
 
     # 3. Replay only the suffix (new indications flow to the shim's
@@ -152,12 +152,14 @@ def _trim_to_available(
         active={r: v for r, v in checkpoint.active.items() if r in refs},
         released=checkpoint.released & refs,
         skeletons=checkpoint.skeletons,
-        events=tuple(e for e in checkpoint.events if e[3] in refs),
+        events=tuple(e for e in checkpoint.events if e.block_ref in refs),
         counters=dict(
             checkpoint.counters,
             blocks_interpreted=checkpoint.counters.get("blocks_interpreted", 0)
             - len(missing),
         ),
+        rows={r: name for r, name in checkpoint.rows.items() if r in refs},
+        objects=checkpoint.objects,
     )
     return trimmed, len(missing)
 

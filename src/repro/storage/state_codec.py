@@ -1,46 +1,41 @@
-"""Mutability-faithful serialization of process-instance state.
+"""Mutability-faithful, content-addressed serialization of process state.
 
-Checkpoints must persist the interpreter's per-block annotations —
-including live :class:`~repro.protocols.base.ProcessInstance` objects —
-and restore them so execution *continues bit-for-bit*.  The canonical
-codec alone is not enough: it deliberately canonicalizes ``set`` to
-``frozenset`` (harmless for hashing/ordering, fatal for a restored
-protocol instance that wants to ``.add()`` to its quorum sets).
+Checkpoints persist the interpreter's per-block annotations — live
+:class:`~repro.protocols.base.ProcessInstance` objects included — so
+execution continues bit for bit after a restore.  The canonical codec
+alone is not enough: it turns ``set`` into ``frozenset``, fatal for a
+restored instance that wants to ``.add()`` to its quorum sets.  State
+is therefore written in a tagged *frozen form* that records each
+container's kind — ``set`` vs ``frozenset``, ``list`` vs ``tuple`` —
+and is itself canonically encodable; :func:`thaw` inverts it.  Frozen
+dataclasses (messages, payloads, requests, indications) are atoms.
 
-``freeze`` therefore rewrites a value tree into a tagged *wire form*
-that records the container kind exactly — ``set`` vs ``frozenset``,
-``list`` vs ``tuple`` — and is itself canonically encodable; ``thaw``
-inverts it.  Frozen dataclasses (messages, payloads, requests,
-indications) pass through as atoms: the codec round-trips them via its
-dataclass registry, and being frozen they never need the mutability
-distinction.
+:class:`ObjectWriter` writes state as *objects*: the canonical bytes of
+one process instance, one mutable container (``list``/``dict``/``set``)
+or one ``Ms`` run, named by their domain-separated hash
+(:func:`object_name`), as a block is named by ``ref(B)``.  Inside an
+object a mutable container is the pair ``("h", name)``, so equal
+containers are stored once however many instances, blocks and
+checkpoints hold them.  An annotation never changes once its block is
+interpreted (Algorithm 2 line 12): a later block forks the instance,
+and the write barrier (``_writable`` / ``_writable_entry``) copies a
+container before its first write, so the barrier is the only place
+state changes and the copy is a new object.  A name is therefore kept
+by object identity from one capture to the next (the memo holds the
+object, so its ``id`` is not reused) and each object is encoded and
+hashed once while it is in use; the deepcopy oracle in
+``tests/integration/test_conformance.py`` guards the barrier.
 
-With a :class:`ContainerMemo`, ``freeze`` writes a container straight
-to the canonical bytes of its wire form, in one walk and without
-building the wire form, and returns them as a
-:class:`~repro.dag.codec.Canonical`.
-It does so for a ``list``/``dict``/``set`` once per object: the bytes
-are memoised and spliced into every parent and every later state entry
-that holds the same object.  Identity is a sound key because an
-annotation is immutable once its block is interpreted (Algorithm 2 line
-12) — a later block forks the instance and the write barrier copies a
-container before its first write, which the deepcopy oracle in
-``tests/integration/test_conformance.py`` guards — and because the memo
-holds the object, so its ``id`` is not reused.  Tuples and frozensets
-are immutable but unshared, and are written afresh.  Such bytes exist in
-memory only and equal the encoding of the plain wire form; what
-``CheckpointManager.load`` returns never contains a ``Canonical``.
-
-No pickle anywhere: like the rest of the library, persistence is
-independent of Python memory layout, and a checkpoint written by one
-process restores in another as long as the protocol modules are
-imported (which registers their dataclasses with the codec).
+No pickle: a checkpoint written by one process restores in another as
+long as the protocol modules are imported (which registers their
+dataclasses with the codec).
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
+from repro.crypto.hashing import digester
 from repro.dag import codec
 from repro.errors import CheckpointError
 from repro.protocols.base import (
@@ -50,72 +45,47 @@ from repro.protocols.base import (
 )
 from repro.types import Label, ServerId
 
-# Wire-form tags.  Single characters keep encodings small; the tagged
-# pair (tag, payload) is itself codec-encodable.
+# Frozen-form tags: the pair (tag, payload) is itself codec-encodable.
 _ATOM = "a"
 _LIST = "l"
 _TUPLE = "t"
 _DICT = "d"
 _SET = "s"
 _FROZENSET = "f"
+#: A mutable container stored as its own object: ``("h", name)``.
+_REF = "h"
 
+#: Hash domain of a state object's name.
+OBJECT_DOMAIN = "repro/checkpoint-object"
+#: The name of the object whose canonical bytes are the argument.
+object_name = digester(OBJECT_DOMAIN)
 
-class ContainerMemo(dict):
-    """``id(container) -> (container, Canonical)`` for the containers one
-    capture froze.  A miss falls back to ``older`` — the previous
-    capture's memo — and promotes what it finds, so a memo holds what
-    its own capture reached and nothing else."""
+#: Reads a stored object's decoded value by its name.
+Loader = Callable[[bytes], Any]
 
-    def __init__(self, older: "ContainerMemo | None" = None) -> None:
-        super().__init__()
-        self.older = older
-
-    def __missing__(self, key: int) -> tuple[Any, codec.Canonical]:
-        if self.older is None:
-            raise KeyError(key)
-        found = self[key] = self.older[key]
-        return found
-
-
-def freeze(value: Any, memo: ContainerMemo | None = None) -> Any:
-    """Rewrite ``value`` into the tagged, codec-encodable wire form —
-    with a ``memo``, a container straight into that form's canonical
-    bytes, each mutable container frozen and encoded once."""
-    tag = _TAGS.get(type(value)) or _tag_of(value)
-    if tag == _ATOM:
-        # Scalars and frozen dataclasses: the codec handles them natively.
-        return (_ATOM, value)
-    if memo is not None:
-        out = bytearray()
-        _FrozenWriter(memo).write(value, out)
-        # A container's bytes are held once, by the memo.
-        held = memo.get(id(value))
-        return codec.Canonical(bytes(out)) if held is None else held[1]
-    if tag == _DICT:
-        return (_DICT, tuple((freeze(k), freeze(v)) for k, v in value.items()))
-    if tag in (_SET, _FROZENSET):
-        # Sort by canonical encoding so equal sets freeze identically.
-        return (tag, tuple(sorted((freeze(v) for v in value), key=codec.encode)))
-    return (tag, tuple(freeze(v) for v in value))
-
-
-#: The wire tag of the common types, exactly; any other type resolves
+#: The tag of the common types, exactly; any other type resolves
 #: through :func:`_tag_of`.
 _TAGS: dict[type, str] = {
     list: _LIST, tuple: _TUPLE, dict: _DICT, set: _SET, frozenset: _FROZENSET,
     **dict.fromkeys((int, str, bytes, bool, type(None)), _ATOM),
 }
-#: Writers of ``encode(freeze(value))`` around items written by the
-#: caller, one per tag; the frame is the codec's.
+#: Writers of a frozen form around items written by the caller; the
+#: frame is the codec's.
 _WRITE_ATOM = codec.pair_writer(_ATOM)
+_WRITE_REF = codec.pair_writer(_REF)
 _WRITE_TAGGED = {
     tag: codec.tagged_tuple_writer(tag)
     for tag in (_LIST, _TUPLE, _DICT, _SET, _FROZENSET)
 }
+#: Atoms whose bytes a writer keeps, keyed with their type (``1`` and
+#: ``True`` are one dict key with two encodings).
+_SCALARS = frozenset((int, str, bytes, bool, type(None)))
+#: Tags of the containers stored as objects of their own.
+_SHARED = frozenset((_LIST, _DICT, _SET))
 
 
 def _tag_of(value: Any) -> str:
-    """``value``'s wire tag: the kind of container it is, or ``_ATOM``."""
+    """``value``'s tag: the kind of container it is, or ``_ATOM``."""
     if isinstance(value, (list, tuple)):
         return _LIST if isinstance(value, list) else _TUPLE
     if isinstance(value, dict):
@@ -129,84 +99,206 @@ def _splice(data: bytes | bytearray, out: bytearray) -> None:
     out += data
 
 
-class _FrozenWriter:
-    """Appends ``encode(freeze(value))`` in one walk, without building
-    the wire form: the codec frames each tagged pair and tuple around
-    items this writer appends.  Mutable containers are spliced from and
-    filled into ``memo``."""
+class ObjectWriter:
+    """Writes one capture's state as objects.
 
-    __slots__ = ("memo",)
+    ``known`` is what the previous capture reached (``id -> (object,
+    name)``), and ``messages`` the message bytes it wrote: a hit is
+    taken over without encoding anything.  ``reached`` and
+    ``messages`` collect the same for this capture; ``built`` holds the
+    bytes of each object it encoded, by name, and ``links`` the names
+    each refers to, so the store appends what it lacks and its GC
+    follows links without decoding."""
 
-    def __init__(self, memo: ContainerMemo) -> None:
-        self.memo = memo
+    __slots__ = (
+        "known", "reached", "built", "links", "messages",
+        "_linked", "_older_messages", "_kept",
+    )
 
-    def write(self, value: Any, out: bytearray) -> None:
+    def __init__(
+        self,
+        known: dict[int, tuple[Any, bytes]] | None = None,
+        messages: dict[int, tuple[Any, bytes]] | None = None,
+    ) -> None:
+        self.known = {} if known is None else known
+        self.reached: dict[int, tuple[Any, bytes]] = {}
+        self.built: dict[bytes, bytes] = {}
+        self.links: dict[bytes, tuple[bytes, ...]] = {}
+        # A message is in its sender's ``out`` run and, often a capture
+        # later, in its receiver's ``in`` run: encoded once.
+        self.messages: dict[int, tuple[Any, bytes]] = {}
+        self._older_messages = {} if messages is None else messages
+        #: The names the object being encoded refers to so far.
+        self._linked: list[bytes] = []
+        #: Bytes of the scalars that recur all over the state.
+        self._kept: dict[tuple[Any, Any], bytes] = {}
+
+    def put(self, data: bytes, links: Sequence[bytes] = ()) -> bytes:
+        """Name the object ``data``, which refers to ``links``, and keep
+        it for the store."""
+        name = object_name(data)
+        self.built[name] = data
+        if links:
+            self.links[name] = tuple(links)
+        return name
+
+    def _named(self, value: Any, encode: Callable[[Any], bytes]) -> bytes:
+        key = id(value)
+        held = self.reached.get(key)
+        if held is None:
+            held = self.known.get(key)
+            if held is None:
+                outer, self._linked = self._linked, []
+                data = encode(value)
+                links, self._linked = self._linked, outer
+                held = (value, self.put(data, links))
+            self.reached[key] = held
+        return held[1]
+
+    def instance(self, instance: ProcessInstance) -> bytes:
+        """The name of a process instance's object: ``(class, self id,
+        label, attribute names, frozen values)``, in name order."""
+        return self._named(instance, self._instance_bytes)
+
+    def run(self, run: tuple[Any, ...]) -> bytes:
+        """The name of one ``Ms`` run's object: its messages in order."""
+        return self._named(run, self._run_bytes)
+
+    def _instance_bytes(self, instance: ProcessInstance) -> bytes:
+        ctx = instance.ctx
+        attrs = sorted(_instance_attrs(instance).items())
+        names = tuple(name for name, _ in attrs)
+        fields = (type(instance).__qualname__, str(ctx.self_id), str(ctx.label), names)
+        out = bytearray()
+        codec.write_tuple((*fields, [value for _, value in attrs]), self._write_field, out)
+        return bytes(out)
+
+    def _write_field(self, field: Any, out: bytearray) -> None:
+        if type(field) is list:  # the values, frozen
+            codec.write_tuple(field, self._write, out)
+        else:
+            codec.write_value(field, out)
+
+    def _run_bytes(self, run: tuple[Any, ...]) -> bytes:
+        out = bytearray()
+        codec.write_tuple(run, self._write_message, out)
+        return bytes(out)
+
+    def _write_message(self, message: Any, out: bytearray) -> None:
+        key = id(message)
+        held = self.messages.get(key) or self._older_messages.get(key)
+        if held is None:
+            held = (message, codec.encode(message))
+        self.messages[key] = held
+        out += held[1]
+
+    def _container_bytes(self, value: Any) -> bytes:
+        out = bytearray()
+        self._write_items(_TAGS.get(type(value)) or _tag_of(value), value, out)
+        return bytes(out)
+
+    def _write(self, value: Any, out: bytearray) -> None:
+        """Append ``value``'s frozen form, a mutable container as a
+        reference to its object."""
         tag = _TAGS.get(type(value)) or _tag_of(value)
         if tag == _ATOM:
-            _WRITE_ATOM(value, out)
-            return
-        shared = tag in (_LIST, _DICT, _SET)
-        if shared:
-            try:
-                out += self.memo[id(value)][1].data
-                return
-            except KeyError:
-                start = len(out)
+            out += self._atom(value)
+        elif tag in _SHARED:
+            name = self._named(value, self._container_bytes)
+            self._linked.append(name)
+            _WRITE_REF(name, out)
+        else:
+            self._write_items(tag, value, out)
+
+    def _write_items(self, tag: str, value: Any, out: bytearray) -> None:
         if tag == _DICT:
-            _WRITE_TAGGED[tag](value.items(), self.write_pair, out)
+            _WRITE_TAGGED[tag](value.items(), self._write_pair, out)
         elif tag in (_SET, _FROZENSET):
-            # Members in the order of their canonical bytes, as in
-            # ``freeze`` without a memo.
+            # Members in the order of their canonical bytes, so equal
+            # sets write the same; a member is hashable, never a reference.
             members = []
             for member in value:
-                written = bytearray()
-                self.write(member, written)
-                members.append(written)
+                if (_TAGS.get(type(member)) or _tag_of(member)) == _ATOM:
+                    members.append(self._atom(member))
+                else:
+                    written = bytearray()
+                    self._write(member, written)
+                    members.append(written)
             members.sort()
             _WRITE_TAGGED[tag](members, _splice, out)
         else:
-            _WRITE_TAGGED[tag](value, self.write, out)
-        if shared:
-            self.memo[id(value)] = (value, codec.Canonical(bytes(out[start:])))
+            _WRITE_TAGGED[tag](value, self._write, out)
 
-    def write_pair(self, pair: tuple[Any, Any], out: bytearray) -> None:
-        codec.write_tuple(pair, self.write, out)
+    def _write_pair(self, pair: tuple[Any, Any], out: bytearray) -> None:
+        codec.write_tuple(pair, self._write, out)
+
+    def _atom(self, value: Any) -> bytes | bytearray:
+        key = (type(value), value) if type(value) in _SCALARS else None
+        data = None if key is None else self._kept.get(key)
+        if data is None:
+            data = bytearray()
+            _WRITE_ATOM(value, data)
+            if key is not None:
+                data = self._kept[key] = bytes(data)
+        return data
 
 
-def thaw(wire: Any) -> Any:
-    """Invert :func:`freeze`."""
-    if type(wire) is codec.Canonical:
-        wire = codec.decode(wire.data)
+def thaw(
+    wire: Any,
+    load: Loader | None = None,
+    named: dict[int, tuple[Any, bytes]] | None = None,
+) -> Any:
+    """Invert the frozen form; a reference is read through ``load``, and
+    the container it becomes is entered in ``named`` under its name, as
+    :class:`ObjectWriter` keeps it."""
     try:
         tag, payload = wire
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed wire form: {wire!r}") from exc
     if tag == _ATOM:
         return payload
+    if tag == _REF and load is not None:
+        value = thaw(load(payload), load, named)
+        if named is not None:
+            named[id(value)] = (value, payload)
+        return value
     if tag == _LIST:
-        return [thaw(v) for v in payload]
+        return [thaw(v, load, named) for v in payload]
     if tag == _TUPLE:
-        return tuple(thaw(v) for v in payload)
+        return tuple(thaw(v, load, named) for v in payload)
     if tag == _DICT:
-        return {thaw(k): thaw(v) for k, v in payload}
+        return {thaw(k, load, named): thaw(v, load, named) for k, v in payload}
     if tag == _SET:
-        return {thaw(v) for v in payload}
+        return {thaw(v, load, named) for v in payload}
     if tag == _FROZENSET:
-        return frozenset(thaw(v) for v in payload)
+        return frozenset(thaw(v, load, named) for v in payload)
     raise CheckpointError(f"unknown wire tag: {tag!r}")
+
+
+def references(wire: Any) -> list[bytes]:
+    """The names a frozen form refers to directly."""
+    found: list[bytes] = []
+    stack = [wire]
+    while stack:
+        tag, payload = stack.pop()
+        if tag == _REF:
+            found.append(payload)
+        elif tag == _DICT:
+            for pair in payload:
+                stack.extend(pair)
+        elif tag != _ATOM:
+            stack.extend(payload)
+    return found
 
 
 # -- process instances ---------------------------------------------------------
 
 
 def _instance_attrs(instance: ProcessInstance) -> dict[str, Any]:
-    """All persistent attributes of a process instance.
-
-    ``ctx`` is excluded (reconstructed, not stored), as are the
-    copy-on-write generation stamp and cell table
-    (:data:`~repro.protocols.base.INTERNAL_STATE_ATTRS`) — structural-
-    sharing bookkeeping that two behaviourally identical instances may
-    disagree on, and that a restored instance rebuilds fresh."""
+    """All persistent attributes of a process instance: ``ctx`` is
+    rebuilt, not stored, and the copy-on-write stamps
+    (:data:`~repro.protocols.base.INTERNAL_STATE_ATTRS`) are bookkeeping
+    two behaviourally identical instances may disagree on."""
     attrs: dict[str, Any] = {}
     if hasattr(instance, "__dict__"):
         attrs.update(instance.__dict__)
@@ -219,62 +311,36 @@ def _instance_attrs(instance: ProcessInstance) -> dict[str, Any]:
     return attrs
 
 
-def snapshot_process(
-    instance: ProcessInstance, memo: ContainerMemo | None = None
-) -> dict[str, Any]:
-    """Serializable snapshot of one process instance.
-
-    Captures the class name (for a sanity check on restore), the static
-    context identity, and every attribute in frozen wire form
-    (:func:`freeze` with the same ``memo``).
-    """
-    ctx = instance.ctx
-    return {
-        "cls": type(instance).__qualname__,
-        "self_id": str(ctx.self_id),
-        "label": str(ctx.label),
-        "attrs": {
-            name: freeze(value, memo)
-            for name, value in sorted(_instance_attrs(instance).items())
-        },
-    }
-
-
 def restore_process(
     protocol: ProtocolSpec,
     servers: Sequence[ServerId],
-    snapshot: dict[str, Any],
+    snapshot: Sequence[Any],
+    load: Loader | None = None,
+    named: dict[int, tuple[Any, bytes]] | None = None,
 ) -> ProcessInstance:
-    """Rebuild a process instance from :func:`snapshot_process` output.
-
-    A fresh instance is created through the protocol's own factory (so
-    the context and any derived constants are rebuilt exactly as during
-    live interpretation) and its attributes are overwritten with the
-    thawed snapshot.
-    """
-    instance = protocol.create(
-        servers, ServerId(snapshot["self_id"]), Label(snapshot["label"])
-    )
-    if type(instance).__qualname__ != snapshot["cls"]:
+    """Rebuild a process instance from its decoded object, whose
+    containers ``load`` reads (see :func:`thaw` for ``named``): a fresh
+    instance from the protocol's own factory, so the context and any
+    derived constants are rebuilt as during live interpretation, with
+    its attributes overwritten."""
+    cls, self_id, label, names, values = snapshot
+    instance = protocol.create(servers, ServerId(self_id), Label(label))
+    if type(instance).__qualname__ != cls:
         raise CheckpointError(
-            f"checkpoint holds a {snapshot['cls']} instance but protocol "
+            f"checkpoint holds a {cls} instance but protocol "
             f"{protocol.name!r} builds {type(instance).__qualname__}"
         )
-    for name, wire in snapshot["attrs"].items():
-        setattr(instance, name, thaw(wire))
+    for name, wire in zip(names, values, strict=True):
+        setattr(instance, name, thaw(wire, load, named))
     return instance
 
 
 def instance_fingerprint(instance: ProcessInstance) -> bytes:
-    """Canonical bytes identifying a process instance's state.
-
-    Used by the byte-identical-annotation checks: two instances with the
-    same fingerprint are behaviourally the same process state.  The raw
-    codec is canonical here (dict entries and set elements sort by their
-    encodings), so the fingerprint is independent of insertion order and
-    of the set/frozenset distinction — exactly the equivalence the
-    Lemma 4.2 assertions need.
-    """
+    """Canonical bytes identifying a process instance's state: two
+    instances with the same fingerprint are behaviourally the same
+    process state.  The raw codec sorts dict entries and set elements
+    by their encodings and folds ``set`` into ``frozenset`` — exactly
+    the equivalence the Lemma 4.2 assertions need."""
     return codec.encode(
         {
             "cls": type(instance).__qualname__,
@@ -285,13 +351,8 @@ def instance_fingerprint(instance: ProcessInstance) -> bytes:
 
 def annotation_fingerprint(interpreter: Any, ref: Any) -> bytes:
     """Canonical bytes for one block's full annotation — ``PIs``, ``Ms``
-    and active labels.
-
-    This is the unit of the "byte-identical annotations" claim: per
-    Lemma 4.2 every server must produce the same fingerprint for the
-    same block, and the crash-recovery tests extend that across a
-    restart-from-disk (Theorem 5.1 across a crash).
-    """
+    and active labels: the unit of the "byte-identical annotations"
+    claim (Lemma 4.2 across servers, Theorem 5.1 across a restart)."""
     state = interpreter.state_of(ref)
     return codec.encode(
         {
@@ -306,11 +367,11 @@ def annotation_fingerprint(interpreter: Any, ref: Any) -> bytes:
 
 
 __all__ = [
-    "ContainerMemo",
+    "ObjectWriter",
     "annotation_fingerprint",
-    "freeze",
-    "thaw",
-    "snapshot_process",
-    "restore_process",
     "instance_fingerprint",
+    "object_name",
+    "references",
+    "restore_process",
+    "thaw",
 ]

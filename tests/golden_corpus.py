@@ -5,8 +5,8 @@ leaves behind, so "the bytes did not move" is a test and not a ritual:
 
 * ``s3/wal/wal-*.log`` — every WAL segment of the crash-restart smoke's
   crashed-and-restarted server (CRC-framed canonical chain frames);
-* ``s3/checkpoints/ckpt-*.bin`` — that server's newest checkpoint log
-  (a full frame and the deltas appended to it);
+* ``s3/checkpoints/ckpt-*.bin`` — that server's checkpoint object log
+  (content-addressed objects and the roots that name them);
 * ``frames.bin`` — wire frames (``repro.net.live.framing``): a
   handshake, a few block envelopes taken from the WAL and a FWD request;
 * ``docs/`` — the JSON documents that cross a process boundary:
@@ -172,15 +172,14 @@ def build(dest: Path) -> None:
     (dest / MANIFEST).write_text(manifest(dest), encoding="utf-8")
 
 
-def count_costs() -> str:
-    """The cost vector of every registry scenario's smoke, by name, as
-    the text of ``docs/costs.json``.
+def count_costs(names: list[str] | None = None) -> str:
+    """The cost vector of each named registry scenario's smoke (every
+    one by default), by name, as the text of ``docs/costs.json``.
 
     Wraps the layers' entry points in *this* process, for good: call it
-    only in a child (:func:`costs_document`).  Each smoke runs twice and
-    the second run is counted, so a process-wide memo an earlier
-    scenario warmed (the server-id encodings of ``interpret.order``)
-    cannot move a count with the catalogue's order.
+    only in a child (:func:`costs_document`).  Each smoke runs once:
+    nothing a run leaves behind in the process moves the next one's
+    counts, so a smoke counts the same alone and after any other.
     """
     sys.path.insert(0, str(LEDGER_DIR))
     import spans
@@ -188,9 +187,8 @@ def count_costs() -> str:
     recorder = spans.install()
     NullRecorder.emit = recorder.wrap(NullRecorder.emit, NULL_EMIT, None)
     costs = {}
-    for name in registry.names():
+    for name in registry.names() if names is None else names:
         scenario = registry.get(name, smoke=True)
-        run_scenario(scenario)
         recorder.reset()
         result = run_scenario(scenario)
         calls = {span: row["count"] for span, row in recorder.head()["summary"].items()}
@@ -202,13 +200,17 @@ def count_costs() -> str:
     return json.dumps(costs, indent=1, sort_keys=True) + "\n"
 
 
-def costs_document() -> str:
-    """``docs/costs.json``, counted by :func:`count_costs` in a child
-    process that inherits this one's environment (``PYTHONHASHSEED``
-    included)."""
+def costs_document(names: list[str] | None = None) -> str:
+    """``docs/costs.json`` (or the vectors of ``names`` only), counted
+    by :func:`count_costs` in a child process that inherits this one's
+    environment (``PYTHONHASHSEED`` included)."""
     path = [str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     child = subprocess.run(
-        [sys.executable, "-c", "import golden_corpus; print(golden_corpus.count_costs(), end='')"],
+        [
+            sys.executable,
+            "-c",
+            f"import golden_corpus; print(golden_corpus.count_costs({names!r}), end='')",
+        ],
         cwd=Path(__file__).resolve().parent,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         capture_output=True,

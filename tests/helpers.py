@@ -139,18 +139,18 @@ def fresh_interpreter(builder: ManualDagBuilder, protocol, **kwargs):
 
 
 def flip_before_read_back(monkeypatch):
-    """From now on the disk garbles every checkpoint frame between the
-    write and the read-back: one byte of the frame just written — a
-    full frame or an appended delta — is flipped."""
+    """From now on the disk garbles every checkpoint append between the
+    write and the read-back: one byte of what was just appended to the
+    object log is flipped."""
     from repro.storage.checkpoint import CheckpointManager
 
     real = CheckpointManager._reads_back
 
-    def garbled(path, header, payload, offset=0):
+    def garbled(path, written, offset=0):
         data = bytearray(path.read_bytes())
         data[offset + (len(data) - offset) // 2] ^= 0x01
         path.write_bytes(bytes(data))
-        return real(path, header, payload, offset)
+        return real(path, written, offset)
 
     monkeypatch.setattr(CheckpointManager, "_reads_back", staticmethod(garbled))
 
@@ -193,3 +193,30 @@ def reference_status(node):
         wire_bytes=transport.metrics.bytes,
         metrics_seq=node._metrics_seq,
     )
+
+
+def frozen(value):
+    """``value`` as a checkpoint writes state: its frozen form, and the
+    loader of the objects it refers to (``thaw(*frozen(v)) == v``)."""
+    from repro.dag import codec
+    from repro.storage.state_codec import ObjectWriter
+
+    writer = ObjectWriter()
+    out = bytearray()
+    writer._write(value, out)
+    return codec.decode(bytes(out)), lambda name: codec.decode(writer.built[name])
+
+
+def stored_instance(instance):
+    """A process instance as a checkpoint stores it: its decoded object
+    and the loader of the objects it refers to."""
+    from repro.dag import codec
+    from repro.storage.state_codec import ObjectWriter
+
+    writer = ObjectWriter()
+    name = writer.instance(instance)
+
+    def load(wanted):
+        return codec.decode(writer.built[wanted])
+
+    return load(name), load

@@ -29,6 +29,7 @@ from repro.shim.shim import Shim
 from repro.scenario import registry, run_scenario
 from repro.scenario.spec import PROTOCOLS
 from repro.storage.blockstore import StorageConfig
+from repro.storage.checkpoint import CheckpointManager
 from repro.storage.state_codec import annotation_fingerprint
 from repro.types import Label, make_servers
 
@@ -389,12 +390,11 @@ class TestRecoveryMechanics:
         cluster.run_rounds(12)
         manager = cluster.shim("s1").storage.checkpoints
         written = manager.next_seq() - 1
-        # Two generations, each a full frame plus its deltas; the newer
-        # folds to the last checkpoint written.
-        older, newer = manager.sequences()
-        assert older < newer < written
-        assert manager.load(newer - 1).seq == newer - 1
+        # The two newest roots are retained, in one object log.
+        assert manager.sequences() == [written - 1, written]
+        assert manager.load(written - 1).seq == written - 1
         assert manager.latest().seq == written
+        assert len(list((tmp_path / "s1" / "checkpoints").glob("ckpt-*.bin"))) == 1
 
     def test_restart_falls_back_to_the_older_checkpoint(self, tmp_path):
         """A newest checkpoint that does not load costs replay, not the
@@ -407,13 +407,12 @@ class TestRecoveryMechanics:
         labels = workload(cluster)
         cluster.run_rounds(8)
         cluster.crash("s2")
-        older, newest = sorted((tmp_path / "s2" / "checkpoints").glob("ckpt-*.bin"))
-        newest.write_bytes(newest.read_bytes()[:10])
+        (log,) = (tmp_path / "s2" / "checkpoints").glob("ckpt-*.bin")
+        newest = CheckpointManager(log.parent).sequences()[-1]
+        # The log ends in the newest root: tear it.
+        log.write_bytes(log.read_bytes()[:-5])
         recovered = cluster.restart("s2")
-        # The older generation folds through its last delta: the
-        # checkpoint written just before the newest full frame.
-        assert int(older.stem.split("-")[1]) < recovered.recovery.checkpoint_seq
-        assert recovered.recovery.checkpoint_seq == int(newest.stem.split("-")[1]) - 1
+        assert recovered.recovery.checkpoint_seq == newest - 1
         catch_up(cluster, labels)
         for ref, ours, theirs in shared_fingerprints(cluster, "s1", "s2"):
             assert ours == theirs, f"annotation mismatch at {ref[:8]}…"

@@ -27,6 +27,7 @@ from golden_corpus import (
     SERVER,
     build,
     corpus_files,
+    costs_document,
     manifest,
 )
 from repro.crypto.keys import KeyRing
@@ -42,15 +43,15 @@ from repro.scenario import FaultSchedule, Scenario, ScenarioResult, registry
 from repro.scenario.spec import resolve_protocol
 from repro.shim.shim import Shim
 from repro.storage import ServerStorage
-from repro.storage.checkpoint import _read_frame
+from repro.storage.checkpoint import _FRAME, _HEAD, _OBJECT, _ROOT, root_name
+from repro.storage.state_codec import object_name
 from repro.storage.wal import WriteAheadLog
 from repro.types import Label, ServerId
 
 register_wire_types()
 
-#: The newest checkpoint log: the full frame of checkpoint 2 (the first
-#: ``s3`` wrote after its restart) and the delta to checkpoint 3.
-NEWEST_GENERATION = 2
+#: The object log of ``s3``: every object its checkpoints needed and
+#: their roots, of which the two newest are retained.
 NEWEST_CHECKPOINT = 3
 
 
@@ -109,17 +110,25 @@ class TestCommittedBytesDecode:
     def test_checkpoint(self, tmp_path):
         shutil.copytree(GOLDEN_DIR / SERVER, tmp_path / SERVER)
         checkpoints = ServerStorage(tmp_path / SERVER).checkpoints
-        assert checkpoints.sequences() == [NEWEST_GENERATION]
-        for seq in range(NEWEST_GENERATION, NEWEST_CHECKPOINT + 1):
+        assert checkpoints.sequences() == [NEWEST_CHECKPOINT - 1, NEWEST_CHECKPOINT]
+        for seq in checkpoints.sequences():
             assert checkpoints.load(seq).seq == seq
         assert checkpoints.latest().seq == NEWEST_CHECKPOINT
-        data = committed(f"{SERVER}/checkpoints/ckpt-{NEWEST_GENERATION:08d}.bin")
-        offset = frames = 0
+        (log,) = (GOLDEN_DIR / SERVER / "checkpoints").glob("ckpt-*.bin")
+        data = log.read_bytes()
+        offset = 0
+        kinds = {_OBJECT: 0, _ROOT: 0}
         while offset < len(data):
-            payload, offset = _read_frame(data, offset, "golden checkpoint frame")
-            assert codec.encode(codec.decode(payload)) == payload
-            frames += 1
-        assert frames == NEWEST_CHECKPOINT - NEWEST_GENERATION + 1
+            length, _ = _FRAME.unpack_from(data, offset)
+            start = offset + _FRAME.size
+            kind, name = data[start : start + 1], data[start + 1 : start + _HEAD]
+            body = data[start + _HEAD : start + length]
+            domain_name = object_name(body) if kind == _OBJECT else root_name(body)
+            assert domain_name == name
+            assert codec.encode(codec.decode(body)) == body
+            kinds[kind] += 1
+            offset = start + length
+        assert kinds[_ROOT] >= 2 and kinds[_OBJECT] > kinds[_ROOT]
 
 
 #: document -> its decode-then-encode round trip.
@@ -220,6 +229,11 @@ class TestCostVector:
         assert {name: vector["calls"][NULL_EMIT] for name, vector in costs.items()} == dict.fromkeys(
             costs, 0
         )
+
+    def test_a_smoke_counts_the_same_alone_and_after_another(self):
+        alone = json.loads(costs_document([SCENARIO]))
+        after = json.loads(costs_document(["fault-free", SCENARIO]))
+        assert after[SCENARIO] == alone[SCENARIO]
 
     def test_a_restart_replays_only_the_blocks_after_its_checkpoint(self, costs):
         storage = costs[SCENARIO]["result"]

@@ -9,16 +9,17 @@ interpreter over the rebuilt DAG computes byte-identical annotations.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ManualDagBuilder, fresh_interpreter
+from helpers import ManualDagBuilder, fresh_interpreter, frozen
 from repro.dag import codec
 from repro.dag.blockdag import BlockDag
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.storage.blockstore import ServerStorage, StorageConfig
+from repro.storage.checkpoint import Checkpoint, _chains, _walk
 from repro.storage.state_codec import (
-    ContainerMemo,
+    ObjectWriter,
     annotation_fingerprint,
-    freeze,
+    object_name,
     thaw,
 )
 from repro.storage.wal import WriteAheadLog
@@ -153,16 +154,17 @@ class TestFreezeThaw:
     @given(mutable_trees())
     @settings(max_examples=150)
     def test_roundtrip_value_and_types(self, value):
-        wire = freeze(value)
+        wire, load = frozen(value)
         codec.decode(codec.encode(wire))  # wire form must be encodable
-        thawed = thaw(wire)
+        thawed = thaw(wire, load)
         assert thawed == value
         assert type(thawed) is type(value)
 
     @given(mutable_trees())
     @settings(max_examples=100)
     def test_roundtrip_through_codec(self, value):
-        thawed = thaw(codec.decode(codec.encode(freeze(value))))
+        wire, load = frozen(value)
+        thawed = thaw(codec.decode(codec.encode(wire)), load)
         assert thawed == value
         assert type(thawed) is type(value)
 
@@ -207,67 +209,46 @@ def assert_same_containers(thawed, value):
             assert_same_containers(thawed[key], value[key])
 
 
-class TestFreezeOncePerContainer:
+class TestObjectsPerContainer:
     @given(trees_sharing_containers())
     @settings(max_examples=150)
-    def test_the_memo_changes_no_byte(self, values):
-        memo = ContainerMemo()
+    def test_objects_thaw_to_the_value_and_each_is_built_once(self, values):
+        writer = ObjectWriter()
+        wires = []
         for value in values:
-            wire = freeze(value, memo)
-            assert codec.encode(wire) == codec.encode(freeze(value))
-            assert_same_containers(thaw(wire), value)
-        # Every memoised container is held, so no id can be reused.
-        assert all(id(held) == key for key, (held, _) in memo.items())
-
-        chained = ContainerMemo(memo)
+            out = bytearray()
+            writer._write(value, out)
+            wires.append(codec.decode(bytes(out)))
+        built = dict(writer.built)
+        for wire, value in zip(wires, values):
+            assert_same_containers(thaw(wire, lambda name: codec.decode(built[name])), value)
+        # A name is its content's hash.
+        assert all(object_name(data) == name for name, data in built.items())
+        # A writer that knows what this one reached encodes nothing.
+        again = ObjectWriter(writer.reached)
         for value in values:
-            assert codec.encode(freeze(value, chained)) == codec.encode(freeze(value))
-        # Nothing was encoded afresh: all the second memo holds are the
-        # first one's entries, promoted.
-        assert chained.keys() <= memo.keys()
-        assert all(chained[key] is memo[key] for key in chained)
+            again._write(value, bytearray())
+        assert not again.built
 
 
-#: Events over a small alphabet, so lists share, drop and repeat events.
-events_strategy = st.lists(
-    st.tuples(
-        st.sampled_from(["a", "b"]),
-        st.integers(0, 2),
-        st.sampled_from(["s1", "s2"]),
-        st.sampled_from(["r1", "r2", "r3"]),
-    ),
-    max_size=12,
-).map(tuple)
-
-
-class TestEventEdit:
-    """A delta's event edit takes the folded list to the new one exactly,
-    whatever the two lists — not only for the ones captures make."""
+class TestHistoryChains:
+    """A chain holds exactly its section, whatever the sections a run
+    goes through — growing, or losing members and starting over."""
 
     @given(
-        events_strategy,
-        events_strategy,
-        st.frozensets(st.sampled_from(["r1", "r2", "r3"])),
+        st.lists(
+            st.frozensets(st.sampled_from(["r1", "r2", "r3", "r4"])),
+            min_size=1,
+            max_size=6,
+        )
     )
-    @settings(max_examples=300, deadline=None)
-    def test_applying_the_edit_yields_the_new_events(self, before, after, unreleased):
-        from repro.storage.checkpoint import Checkpoint, _apply, _event_edit
-
-        old = Checkpoint(seq=1, refs=frozenset(), states={}, active={}, events=before)
-        ops = _event_edit(before, after, unreleased)
-        delta = {
-            "seq": 2, "states": {}, "active": {}, "states_left": [],
-            "active_left": [], "refs": [], "released": [], "unreleased": [],
-            "skeletons": {}, "counters": {},
-            # Through the codec, as the fold reads it.
-            "events": codec.decode(codec.encode(ops)),
-        }
-        assert _apply(old, delta).events == after
-
-    @given(events_strategy, events_strategy)
-    @settings(max_examples=100, deadline=None)
-    def test_appending_costs_only_the_appended_events(self, before, tail):
-        from repro.storage.checkpoint import _event_edit
-
-        ops = _event_edit(before, before + tail, frozenset())
-        assert ops == ([len(before)] if before else []) + list(tail)
+    @settings(max_examples=200, deadline=None)
+    def test_a_chain_walks_to_its_section(self, sections):
+        writer = ObjectWriter()
+        previous = None
+        for seq, after in enumerate(sections):
+            checkpoint = Checkpoint(seq=seq, refs=after, states={}, active={})
+            checkpoint.chains = _chains(writer, checkpoint, previous)
+            objects = {name: codec.decode(data) for name, data in writer.built.items()}
+            assert sorted(_walk(objects, checkpoint.chains["refs"])) == sorted(after)
+            previous = checkpoint

@@ -3,13 +3,17 @@
 import itertools
 import os
 import stat
-import struct
-import zlib
 from pathlib import Path
 
 import pytest
 
-from helpers import ManualDagBuilder, flip_before_read_back, fresh_interpreter
+from helpers import (
+    ManualDagBuilder,
+    flip_before_read_back,
+    fresh_interpreter,
+    frozen,
+    stored_instance,
+)
 from repro.dag import codec
 from repro.errors import CheckpointError
 from repro.interpret.interpreter import Interpreter
@@ -21,24 +25,20 @@ from repro.storage.checkpoint import (
     BlockSkeleton,
     Checkpoint,
     CheckpointManager,
-    _to_wire,
+    _append_frame,
+    _ROOT,
     capture_checkpoint,
     install_checkpoint,
+    root_name,
 )
-from repro.storage.state_codec import (
-    annotation_fingerprint,
-    freeze,
-    restore_process,
-    snapshot_process,
-    thaw,
-)
+from repro.storage.state_codec import annotation_fingerprint, restore_process, thaw
 from repro.types import Label
 
 L = Label("l")
 
-_EMPTY_WIRE = {
-    "seq": 3, "refs": [], "states": {}, "active": {}, "released": [],
-    "skeletons": {}, "events": (), "counters": {},
+_EMPTY_ROOT = {
+    "seq": 3, "counters": {}, "rows": (),
+    "chains": dict.fromkeys(("refs", "released", "skeletons", "events")),
 }
 
 
@@ -55,7 +55,7 @@ def interpreted_dag(protocol=brb_protocol, rounds=3, request=Broadcast("v")):
 class TestStateCodec:
     def test_freeze_thaw_preserves_mutability(self):
         value = {"senders": {"s1", "s2"}, "frozen": frozenset({1}), "seq": [1, (2, 3)]}
-        thawed = thaw(freeze(value))
+        thawed = thaw(*frozen(value))
         assert thawed == value
         assert isinstance(thawed["senders"], set)
         assert not isinstance(thawed["senders"], frozenset)
@@ -68,18 +68,18 @@ class TestStateCodec:
         ref = builder.dag.tip(builder.servers[1]).ref
         state = interpreter.state_of(ref)
         instance = state.pis[L]
-        snapshot = snapshot_process(instance)
-        restored = restore_process(brb_protocol, builder.servers, snapshot)
+        snapshot, load = stored_instance(instance)
+        restored = restore_process(brb_protocol, builder.servers, snapshot, load)
         assert type(restored) is type(instance)
         assert restored.ctx.self_id == instance.ctx.self_id
-        assert snapshot_process(restored) == snapshot
+        assert stored_instance(restored)[0] == snapshot
 
     def test_restore_rejects_wrong_protocol(self):
         builder, interpreter = interpreted_dag()
         ref = builder.dag.tip(builder.servers[1]).ref
-        snapshot = snapshot_process(interpreter.state_of(ref).pis[L])
+        snapshot, load = stored_instance(interpreter.state_of(ref).pis[L])
         with pytest.raises(CheckpointError):
-            restore_process(counter_protocol, builder.servers, snapshot)
+            restore_process(counter_protocol, builder.servers, snapshot, load)
 
 
 class TestCaptureInstall:
@@ -167,67 +167,109 @@ def growing_captures(count):
     return captures
 
 
-def frame_of(checkpoint):
-    return codec.encode(_to_wire(checkpoint))
+def contents(checkpoint):
+    """Everything a checkpoint says, canonically encoded.  Rows name
+    their objects by content, so equal bytes are equal state."""
+    return codec.encode(
+        {
+            "seq": checkpoint.seq,
+            "refs": sorted(checkpoint.refs),
+            "states": {
+                str(ref): (e["base"], e["own"], e["pis"], e["in"], e["out"])
+                for ref, e in checkpoint.states.items()
+            },
+            "active": {str(r): tuple(map(str, a)) for r, a in checkpoint.active.items()},
+            "released": sorted(checkpoint.released),
+            "skeletons": {
+                str(r): (s.n, s.k, s.preds, s.sigma, s.hz)
+                for r, s in checkpoint.skeletons.items()
+            },
+            "events": tuple(
+                (str(e.label), e.indication, str(e.server), str(e.block_ref))
+                for e in checkpoint.events
+            ),
+            "counters": checkpoint.counters,
+        }
+    )
 
 
-#: Bytes of a frame's ``length | CRC32`` header.
-HEADER = 8
+def log_of(directory):
+    (path,) = Path(directory).glob("ckpt-*.bin")
+    return path
+
+
+def append_root(path, wire):
+    """Append an intact root frame holding ``wire``."""
+    data = codec.encode(wire)
+    frame = bytearray()
+    _append_frame(frame, _ROOT, root_name(data), data)
+    with open(path, "ab") as handle:
+        handle.write(frame)
+
+
+def bare(seq, *refs):
+    """A checkpoint of rows without instances, one per ref."""
+    entry = {"pis": {}, "in": {}, "out": {}, "own": (), "base": None}
+    return Checkpoint(
+        seq=seq, refs=frozenset(refs), states=dict.fromkeys(refs, entry),
+        active=dict.fromkeys(refs, ()),
+    )
 
 
 class TestManager:
     def test_retention(self, tmp_path):
         builder, interpreter = interpreted_dag()
         for seq in (1, 2, 3, 4):
-            # A manager's first write starts a generation.
             manager = CheckpointManager(tmp_path, retain=2)
             manager.write(capture_checkpoint(seq, interpreter, builder.dag))
         assert manager.sequences() == [3, 4]
         assert manager.latest().seq == 4
 
-    def test_later_writes_append_deltas_to_the_newest_generation(self, tmp_path):
+    def test_later_writes_append_only_what_the_store_lacks(self, tmp_path):
         captures = growing_captures(4)
-        manager = CheckpointManager(tmp_path, retain=1)
+        manager = CheckpointManager(tmp_path, retain=4)
         sizes = []
         for checkpoint in captures:
             assert manager.write(checkpoint)
-            sizes.append((tmp_path / "ckpt-00000001.bin").stat().st_size)
-        assert manager.sequences() == [1]
-        assert sizes == sorted(sizes) and manager.bytes_written == sizes[-1]
-        assert sizes[-1] < sum(len(frame_of(c)) for c in captures)
+            sizes.append(log_of(tmp_path).stat().st_size)
+        assert manager.sequences() == [1, 2, 3, 4]
+        assert manager.bytes_written == sizes[-1]
+        appended = [b - a for a, b in zip([0] + sizes, sizes)]
+        # Every later checkpoint holds the first one's rows and more, yet
+        # appends a fraction of it: only its new objects and its root.
+        assert all(size < appended[0] for size in appended[1:])
+        assert manager.objects_stored > 0
         for checkpoint in captures:
-            assert frame_of(manager.load(checkpoint.seq)) == frame_of(checkpoint)
+            assert contents(manager.load(checkpoint.seq)) == contents(checkpoint)
         assert manager.latest().seq == 4 and manager.next_seq() == 5
-        # A manager that wrote nothing yet numbers past the deltas too.
         assert CheckpointManager(tmp_path).next_seq() == 5
 
-    def test_compacts_once_the_deltas_outgrow_the_full_frame(self, tmp_path):
-        captures = growing_captures(12)
+    def test_store_gc_copies_the_live_objects_once_garbage_outgrows_them(
+        self, tmp_path
+    ):
         manager = CheckpointManager(tmp_path, retain=2)
-        manager.write(captures[0])
-        outcomes = []
-        for checkpoint in captures[1:]:
-            newest = manager.sequences()[-1]
-            base = len(frame_of(manager.load(newest))) + HEADER
-            deltas = (tmp_path / f"ckpt-{newest:08d}.bin").stat().st_size - base
-            assert manager.write(checkpoint)
-            appended = manager.sequences()[-1] == newest
-            # Deltas append until together they outgrow the full frame.
-            assert appended == (deltas <= base)
-            outcomes.append(appended)
-            assert frame_of(manager.latest()) == frame_of(checkpoint)
-        assert True in outcomes and outcomes.count(False) >= 2
-        assert len(manager.sequences()) == 2 and manager.writes == 12
+        generations = set()
+        for seq in range(1, 25):
+            # Each checkpoint's rows are new; the older ones turn garbage.
+            assert manager.write(bare(seq, f"a{seq}", f"b{seq}"))
+            generations.add(log_of(tmp_path).name)
+            assert contents(manager.latest()) == contents(bare(seq, f"a{seq}", f"b{seq}"))
+        assert len(generations) > 2
+        assert manager.sequences() == [23, 24]
+        live = len(log_of(tmp_path).read_bytes())
+        assert live < manager.bytes_written / 4
+        reopened = CheckpointManager(tmp_path, retain=2)
+        assert reopened.sequences() == [23, 24]
+        assert contents(reopened.load(23)) == contents(bare(23, "a23", "b23"))
 
-    def test_latest_skips_corrupt_newest(self, tmp_path):
+    def test_latest_skips_a_torn_newest_root(self, tmp_path):
         builder, interpreter = interpreted_dag()
         manager = CheckpointManager(tmp_path, retain=3)
         manager.write(capture_checkpoint(1, interpreter, builder.dag))
-        manager = CheckpointManager(tmp_path, retain=3)
         manager.write(capture_checkpoint(2, interpreter, builder.dag))
-        newest = tmp_path / "ckpt-00000002.bin"
-        newest.write_bytes(newest.read_bytes()[:10])  # truncate
-        assert manager.latest().seq == 1
+        log = log_of(tmp_path)
+        log.write_bytes(log.read_bytes()[:-5])
+        assert CheckpointManager(tmp_path).latest().seq == 1
 
     def test_latest_skips_newest_that_does_not_decode(self, tmp_path, monkeypatch):
         """CRC-intact bytes can still fail to yield a checkpoint — here
@@ -249,22 +291,21 @@ class TestManager:
     @pytest.mark.parametrize(
         "wire",
         [
-            {"seq": 3},                                  # KeyError
-            ["not", "a", "dict"],                        # TypeError
-            {**_EMPTY_WIRE, "skeletons": {"r": (1, 2)}}, # ValueError (unpack)
+            {"seq": 3},                                     # KeyError
+            ["not", "a", "dict"],                           # TypeError
+            {**_EMPTY_ROOT, "rows": (b"x" * 32,)},          # an absent object
+            {**_EMPTY_ROOT, "chains": {"refs": None}},      # a missing chain
         ],
     )
     def test_latest_skips_newest_with_a_foreign_shape(self, tmp_path, wire):
         builder, interpreter = interpreted_dag()
         manager = CheckpointManager(tmp_path, retain=3)
         manager.write(capture_checkpoint(1, interpreter, builder.dag))
-        payload = codec.encode(wire)
-        (tmp_path / "ckpt-00000003.bin").write_bytes(
-            struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
-        )
+        append_root(log_of(tmp_path), wire)
+        reopened = CheckpointManager(tmp_path, retain=3)
         with pytest.raises(CheckpointError):
-            manager.load(3)
-        assert manager.latest().seq == 1
+            reopened.load(3)
+        assert reopened.latest().seq == 1
 
     def test_latest_none_when_empty(self, tmp_path):
         assert CheckpointManager(tmp_path).latest() is None
@@ -288,71 +329,47 @@ class TestManager:
         manager = CheckpointManager(tmp_path, retain=1)
         assert manager.write(capture_checkpoint(1, interpreter, builder.dag)) is True
         flip_before_read_back(monkeypatch)
-        # A new manager's first write is a full frame in a new file.
         manager = CheckpointManager(tmp_path, retain=1)
         assert manager.write(capture_checkpoint(2, interpreter, builder.dag)) is False
-        # Retention did not act on the strength of a file that is not
-        # what was written; recovery falls back to the intact one.
-        assert manager.sequences() == [1, 2]
-        assert manager.latest().seq == 1
+        # Retention did not act on the strength of an append that is not
+        # what was written; recovery falls back to the intact root.
+        reopened = CheckpointManager(tmp_path, retain=1)
+        assert reopened.sequences() == [1]
+        assert reopened.latest().seq == 1
 
     def test_read_back_rejects_trailing_and_missing_bytes(self, tmp_path):
         path = tmp_path / "f"
         path.write_bytes(b"HEADpayload")
-        assert CheckpointManager._reads_back(path, b"HEAD", b"payload")
-        assert not CheckpointManager._reads_back(path, b"HEAD", b"payloa")
-        assert not CheckpointManager._reads_back(path, b"HEAD", b"payload!")
-        assert not CheckpointManager._reads_back(path, b"HEAX", b"payload")
-        assert not CheckpointManager._reads_back(tmp_path / "gone", b"HEAD", b"payload")
-        # An appended frame is compared from its offset on.
-        assert CheckpointManager._reads_back(path, b"pay", b"load", 4)
-        assert not CheckpointManager._reads_back(path, b"pay", b"loa", 4)
-        assert not CheckpointManager._reads_back(path, b"HEAD", b"payload", 4)
+        assert CheckpointManager._reads_back(path, b"HEADpayload")
+        assert not CheckpointManager._reads_back(path, b"HEADpayloa")
+        assert not CheckpointManager._reads_back(path, b"HEADpayload!")
+        assert not CheckpointManager._reads_back(path, b"HEAXpayload")
+        assert not CheckpointManager._reads_back(tmp_path / "gone", b"HEADpayload")
+        # An append is compared from its offset on.
+        assert CheckpointManager._reads_back(path, b"payload", 4)
+        assert not CheckpointManager._reads_back(path, b"paylo", 4)
+        assert not CheckpointManager._reads_back(path, b"HEADpayload", 4)
 
-    def test_fsync_orders_file_rename_directory(self, tmp_path, monkeypatch):
-        builder, interpreter = interpreted_dag()
-        events = []
-        real_fsync, real_replace = os.fsync, Path.replace
-
-        def fsync(fd):
-            events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
-            real_fsync(fd)
-
-        def replace(self, target):
-            events.append("rename")
-            return real_replace(self, target)
-
-        monkeypatch.setattr(os, "fsync", fsync)
-        monkeypatch.setattr(Path, "replace", replace)
-        CheckpointManager(tmp_path / "off").write(
-            capture_checkpoint(1, interpreter, builder.dag)
-        )
-        assert events == ["rename"]
-        del events[:]
-        manager = CheckpointManager(tmp_path / "on", fsync=True)
-        assert manager.write(capture_checkpoint(1, interpreter, builder.dag))
-        assert events == ["file", "rename", "dir"]
-        assert manager.load(1).seq == 1
-
-    def test_fsync_syncs_an_appended_frame_in_place(self, tmp_path, monkeypatch):
+    def test_fsync_syncs_each_append_and_the_directory_of_a_new_file(
+        self, tmp_path, monkeypatch
+    ):
         first, second = growing_captures(2)
-        manager = CheckpointManager(tmp_path, fsync=True)
-        assert manager.write(first)
         events = []
-        real_fsync, real_replace = os.fsync, Path.replace
+        real_fsync = os.fsync
 
         def fsync(fd):
             events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
             real_fsync(fd)
 
-        def replace(self, target):
-            events.append("rename")
-            return real_replace(self, target)
-
         monkeypatch.setattr(os, "fsync", fsync)
-        monkeypatch.setattr(Path, "replace", replace)
+        CheckpointManager(tmp_path / "off").write(first)
+        assert events == []
+        manager = CheckpointManager(tmp_path / "on", fsync=True)
         assert manager.write(second)
-        assert events == ["file"] and manager.sequences() == [1]
+        assert events == ["file", "dir"]
+        del events[:]
+        assert manager.write(bare(3, "a"))
+        assert events == ["file"] and manager.latest().seq == 3
 
     def test_server_storage_hands_its_fsync_flag_to_checkpoints(self, tmp_path):
         from repro.storage.blockstore import ServerStorage, StorageConfig
@@ -366,7 +383,7 @@ class TestManager:
             capture_checkpoint(1, interpreter, builder.dag)
         )
         stale = tmp_path / "ckpt-00000002.tmp"  # crash between write and rename
-        stale.write_bytes(b"half a checkpoint")
+        stale.write_bytes(b"half a copy")
         unrelated = tmp_path / "notes.tmp"
         unrelated.write_bytes(b"not ours")
         manager = CheckpointManager(tmp_path)
@@ -393,62 +410,49 @@ class TestManager:
 
 
 class TestLogCrashSafety:
-    """What a crash or a bad disk leaves of a checkpoint log, and what
-    the next write does about it."""
+    """What a crash or a bad disk leaves of an object log, and what the
+    next write does about it."""
 
     @staticmethod
-    def one_generation(tmp_path, captures):
-        """Write ``captures`` as one log; the offset each frame ends at."""
-        manager = CheckpointManager(tmp_path)
+    def one_log(tmp_path, captures):
+        """Write ``captures`` to one log; the offset each append ends at."""
+        manager = CheckpointManager(tmp_path, retain=len(captures))
         ends = []
         for checkpoint in captures:
             assert manager.write(checkpoint)
-            ends.append((tmp_path / "ckpt-00000001.bin").stat().st_size)
-        assert manager.sequences() == [1]
-        return tmp_path / "ckpt-00000001.bin", ends
+            ends.append(log_of(tmp_path).stat().st_size)
+        return log_of(tmp_path), ends
 
-    def test_torn_last_frame_gives_the_previous_fold_and_a_fresh_file(self, tmp_path):
+    def test_a_torn_last_root_gives_the_previous_checkpoint_and_is_cut_off(
+        self, tmp_path
+    ):
         captures = growing_captures(4)
-        log, ends = self.one_generation(tmp_path, captures)
-        # A crash halfway through appending the last frame.
-        log.write_bytes(log.read_bytes()[: (ends[2] + ends[3]) // 2])
-        reopened = CheckpointManager(tmp_path)
-        assert frame_of(reopened.latest()) == frame_of(captures[2])
-        with pytest.raises(CheckpointError, match="not in its log"):
+        log, ends = self.one_log(tmp_path, captures)
+        # A crash in the last bytes of the last append: its root.
+        log.write_bytes(log.read_bytes()[: ends[3] - 5])
+        reopened = CheckpointManager(tmp_path, retain=4)
+        assert contents(reopened.latest()) == contents(captures[2])
+        with pytest.raises(CheckpointError, match="no intact root"):
             reopened.load(4)
         assert reopened.next_seq() == 4
+        # Its objects survived the tear; the next append cuts the torn
+        # bytes off first, then lands where the reader finds it.
         assert reopened.write(captures[3])
-        assert reopened.sequences() == [1, 4]
-        fresh = tmp_path / "ckpt-00000004.bin"
-        assert fresh.stat().st_size == len(frame_of(captures[3])) + HEADER
-        assert frame_of(reopened.latest()) == frame_of(captures[3])
+        assert contents(reopened.latest()) == contents(captures[3])
+        assert contents(CheckpointManager(tmp_path).latest()) == contents(captures[3])
 
-    def test_garbled_byte_in_a_middle_frame_ends_the_fold_there(self, tmp_path):
+    def test_garbled_byte_in_a_middle_append_ends_the_log_there(self, tmp_path):
         captures = growing_captures(4)
-        log, ends = self.one_generation(tmp_path, captures)
+        log, ends = self.one_log(tmp_path, captures)
         data = bytearray(log.read_bytes())
-        data[(ends[0] + ends[1]) // 2] ^= 0x01  # inside checkpoint 2's delta
+        data[(ends[0] + ends[1]) // 2] ^= 0x01  # inside checkpoint 2's append
         log.write_bytes(bytes(data))
-        reopened = CheckpointManager(tmp_path)
-        assert frame_of(reopened.latest()) == frame_of(captures[0])
-        with pytest.raises(CheckpointError, match="integrity check"):
+        reopened = CheckpointManager(tmp_path, retain=4)
+        assert contents(reopened.latest()) == contents(captures[0])
+        with pytest.raises(CheckpointError, match="no intact root"):
             reopened.load(3)
 
-    def test_corrupt_base_falls_back_to_the_previous_generation(self, tmp_path):
-        captures = growing_captures(5)
-        self.one_generation(tmp_path, captures[:3])
-        manager = CheckpointManager(tmp_path)
-        assert manager.write(captures[3]) and manager.write(captures[4])
-        assert manager.sequences() == [1, 4]
-        newest = tmp_path / "ckpt-00000004.bin"
-        data = bytearray(newest.read_bytes())
-        data[20] ^= 0x01  # inside the full frame
-        newest.write_bytes(bytes(data))
-        reopened = CheckpointManager(tmp_path)
-        assert frame_of(reopened.latest()) == frame_of(captures[2])
-        assert reopened.next_seq() == 5
-
-    def test_failed_read_back_of_an_appended_frame_drops_no_wal_segment(
+    def test_failed_read_back_of_an_append_drops_no_wal_segment(
         self, tmp_path, monkeypatch
     ):
         storage = ServerStorage(tmp_path, StorageConfig(segment_max_bytes=256))
@@ -473,20 +477,20 @@ class TestLogCrashSafety:
         assert len(segments) > 2
         with monkeypatch.context() as patch:
             flip_before_read_back(patch)
-            # A delta adding the skeletons that cover every sealed segment.
+            # The skeletons that cover every sealed segment.
             storage.write_checkpoint(checkpoint(2, skeletons))
-        assert storage.checkpoints.sequences() == [1]
         assert [s.index for s in storage.wal.segments()] == segments
         assert storage.wal.stats.segments_dropped == 0
-        assert storage.checkpoints.latest().seq == 1
-        # The next write starts a new file, reads back, and GC acts.
+        assert CheckpointManager(tmp_path / "checkpoints").sequences() == [1]
+        # The next write cuts the garbled append off, reads back, and
+        # GC acts.
         storage.write_checkpoint(checkpoint(3, skeletons))
         assert storage.checkpoints.sequences() == [1, 3]
         assert len(storage.wal.segments()) < len(segments)
         assert storage.checkpoints.latest().seq == 3
         storage.close()
 
-    def test_checkpoint_after_a_trimmed_recovery_folds_to_a_fresh_capture(
+    def test_checkpoint_after_a_trimmed_recovery_loads_as_a_fresh_capture(
         self, tmp_path
     ):
         from repro.crypto.keys import KeyRing
@@ -518,11 +522,8 @@ class TestLogCrashSafety:
         assert shim.recovery.refs_trimmed >= 1
         shim.checkpoint_now()
         written = shim._last_checkpoint
-        checkpoints = shim.storage.checkpoints
-        # Not a delta against the trimmed checkpoint: a new full file.
-        assert checkpoints.sequences()[-1] == written.seq
-        fresh = capture_checkpoint(written.seq, shim.interpreter, shim.dag, owner=shim.server)
-        assert frame_of(checkpoints.latest()) == frame_of(fresh)
+        fresh = capture_checkpoint(written.seq, shim.interpreter, shim.dag)
+        assert contents(shim.storage.checkpoints.latest()) == contents(fresh)
         shim.storage.close()
 
 
@@ -537,11 +538,14 @@ class _CountedValue(str):
 
 
 class TestNewEntryCost:
-    """A state entry new in a checkpoint costs what its block wrote —
-    one bucket of the ledger — not what the ledger holds."""
+    """What a checkpoint appends for a new ledger entry is what its
+    block wrote — the bucket the entry went to and the map naming the
+    buckets — not what the ledger holds."""
 
     @staticmethod
-    def value_encodes_of_second_capture(entries: int) -> int:
+    def appended_per_entry(directory: Path, entries: int) -> tuple[float, int]:
+        """Bytes the second checkpoint appends per new entry, and how
+        often its capture encoded a ledger value."""
         builder = ManualDagBuilder(3)
         values = (_CountedValue(f"v{i}") for i in range(entries + 4))
         requesters = itertools.cycle(builder.servers)
@@ -558,21 +562,25 @@ class TestNewEntryCost:
         interpreter.run()
         tip = interpreter.state_of(builder.dag.tip(builder.servers[0]).ref)
         assert tip.pis[L].count == entries
+        manager = CheckpointManager(directory)
         first = capture_checkpoint(1, interpreter, builder.dag)
-        for ref in first.states:
-            first.state_bytes(ref)
+        assert manager.write(first)
 
         for _ in range(4):
             round_with(1)
         interpreter.run()
         _CountedValue.encodes = 0
+        before = manager.bytes_written
         second = capture_checkpoint(2, interpreter, builder.dag, previous=first)
+        assert manager.write(second)
         assert len(second.states) == len(first.states) + 12
-        for ref in second.states:
-            second.state_bytes(ref)
-        return _CountedValue.encodes
+        return (manager.bytes_written - before) / 4, _CountedValue.encodes
 
-    def test_flat_in_the_ledger_size(self):
-        small = self.value_encodes_of_second_capture(64)
-        assert small > 0
-        assert self.value_encodes_of_second_capture(256) <= small
+    def test_flat_in_the_ledger_size(self, tmp_path):
+        small, small_encodes = self.appended_per_entry(tmp_path / "small", 64)
+        large, large_encodes = self.appended_per_entry(tmp_path / "large", 256)
+        assert 0 < small_encodes and large_encodes <= small_encodes
+        # The ledger grew fourfold; what remains of that growth is the
+        # bucket map, one name per sixteen entries (rewriting the whole
+        # map, as the log of deltas did, appended 2.8 times as much).
+        assert large <= 1.5 * small

@@ -18,14 +18,10 @@ from repro.protocols.brb import Broadcast, Echo, ReliableBroadcast, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
 from repro.protocols.ledger import Append, ledger_protocol
 from repro.protocols.pbft import Prepare, pbft_protocol
-from repro.storage.state_codec import (
-    annotation_fingerprint,
-    instance_fingerprint,
-    snapshot_process,
-)
+from repro.storage.state_codec import annotation_fingerprint, instance_fingerprint
 from repro.types import Indication, Label, Request, ServerId, make_servers
 
-from helpers import ManualDagBuilder
+from helpers import ManualDagBuilder, stored_instance
 from reference import ReferenceInterpreter
 
 SERVERS = make_servers(4)
@@ -163,8 +159,8 @@ class TestBookkeepingStaysInvisible:
         instance = brb_instance()
         snapshot = snapshot_instance(instance)
         assert "_gen" not in snapshot and "_cells" not in snapshot
-        wire = snapshot_process(instance)
-        assert "_gen" not in wire["attrs"] and "_cells" not in wire["attrs"]
+        _, _, _, names, _ = stored_instance(instance)[0]
+        assert "_gen" not in names and "_cells" not in names
 
     def test_fingerprint_ignores_generation_stamps(self):
         a, b = brb_instance(), brb_instance()

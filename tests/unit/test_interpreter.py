@@ -368,10 +368,10 @@ class TestRunsAreOrderedWhereEmitted:
         inside = []
         hashed_outside = []
 
-        def ordered(messages):
+        def ordered(messages, keys=None):
             inside.append(True)
             try:
-                result = real_ordered(messages)
+                result = real_ordered(messages, keys)
             finally:
                 inside.pop()
             sorted_runs.append(len(result))

@@ -61,17 +61,19 @@ class TestMessageOrder:
         # ``1 == True`` and they hash alike, but they encode differently
         # (int / bool tags): a memo keyed by the endpoint value would
         # hand one of them the other's key.  Both call orders, so that
-        # whichever is seen first cannot poison the second.
+        # whichever is seen first cannot poison the second — also in
+        # keys kept across calls, as an interpreter keeps them.
         for first, second in ((1, True), (True, 1)):
+            keys: dict = {}
             warm = [msg(sender=first, value=1), msg(sender=first, value=2)]
-            assert ordered(warm) == sorted(warm, key=codec.encode)
+            assert ordered(warm, keys) == sorted(warm, key=codec.encode)
             mixed = [
                 msg(sender=second, value=1),
                 msg(sender=first, value=1),
                 msg(sender=S1, receiver=second),
                 msg(sender=S1, receiver=first),
             ]
-            result = ordered(mixed)
+            result = ordered(mixed, keys)
             assert [codec.encode(m) for m in result] == sorted(
                 codec.encode(m) for m in mixed
             )

@@ -298,23 +298,21 @@ class TestServerStorageTelemetry:
         assert seen_during_read_back == [0]
         assert registry.histogram("storage.checkpoint-write").count == 1
 
-    def test_entry_counters_tell_reused_from_encoded(self, tmp_path):
+    def test_object_counters_tell_appended_from_stored(self, tmp_path):
         from repro.storage.checkpoint import Checkpoint
 
         storage = self._storage(tmp_path)
+        checkpoints = storage.checkpoints
         entry = {"pis": {}, "in": {}, "out": {}, "own": (), "base": None}
-        first = Checkpoint(
-            seq=1, refs=frozenset(), states={"a": entry, "b": entry}, active={}
+        storage.write_checkpoint(
+            Checkpoint(seq=1, refs=frozenset(), states={"a": entry, "b": entry}, active={})
         )
-        storage.write_checkpoint(first)
-        assert first.encoded.keys() == {"a", "b"}
-        second = Checkpoint(
-            seq=2, refs=frozenset(), states={"a": entry, "c": entry}, active={},
-            encoded={"a": first.encoded["a"]},
+        assert (checkpoints.objects_appended, checkpoints.objects_stored) == (2, 0)
+        # Row ``a`` is the same object again: stored, not appended.
+        storage.write_checkpoint(
+            Checkpoint(seq=2, refs=frozenset(), states={"a": entry, "c": entry}, active={})
         )
-        storage.write_checkpoint(second)
-        assert storage.checkpoints.entries_written == 4
-        assert storage.checkpoints.entries_reused == 1
+        assert (checkpoints.objects_appended, checkpoints.objects_stored) == (3, 1)
 
 
 class TestCheckpointGatesSegmentGc:
