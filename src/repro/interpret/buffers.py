@@ -21,7 +21,8 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from repro.interpret.order import Keys, endpoint_key, run_of
+from repro.dag.codec import encode
+from repro.interpret.order import run_of
 from repro.protocols.base import Message
 from repro.types import Label
 
@@ -62,13 +63,10 @@ class MessageBuffers:
         """``Ms[in, ℓ] ∪= messages`` (line 9)."""
         self._in[label] = run_of([*self._in.get(label, ()), *messages])
 
-    def add_out(
-        self, label: Label, messages: Iterable[Message], keys: Keys | None = None
-    ) -> None:
+    def add_out(self, label: Label, messages: Iterable[Message]) -> None:
         """``Ms[out, ℓ] ∪= messages`` (lines 6, 11): one run per
         receiver, ordered here and nowhere downstream — and only when a
-        receiver's run grows past one message (``keys``: see
-        :func:`~repro.interpret.order.endpoint_key`)."""
+        receiver's run grows past one message."""
         self._stepped.add(label)
         out = self._out
         grown: set[object] | None = None
@@ -90,7 +88,7 @@ class MessageBuffers:
         if grown is not None:
             for receiver in grown:
                 by_label = out[receiver]
-                by_label[label] = run_of(by_label[label], keys)
+                by_label[label] = run_of(by_label[label])
 
     # -- reads ----------------------------------------------------------------
 
@@ -119,7 +117,7 @@ class MessageBuffers:
         of their encodings — ``<_M`` order, since every message here is
         sent by the block's builder.  Callers must not mutate ``in``."""
         out: dict[Label, Run] = {label: () for label in self._stepped}
-        for receiver in sorted(self._out, key=endpoint_key):
+        for receiver in sorted(self._out, key=encode):
             for label, run in self._out[receiver].items():
                 out[label] += run
         return {"in": self._in, "out": out}

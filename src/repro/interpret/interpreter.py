@@ -64,9 +64,10 @@ from typing import Callable, KeysView, Sequence
 from repro.dag.block import Block, parent_of
 from repro.obs.trace import NULL_RECORDER
 from repro.dag.blockdag import BlockDag
+from repro.dag.codec import encode
 from repro.errors import PrunedStateError, SimulationError
 from repro.interpret.instance import BlockState
-from repro.interpret.order import Keys, endpoint_key, joined
+from repro.interpret.order import joined
 from repro.protocols.base import Message, ProcessInstance, ProtocolSpec
 from repro.types import BlockRef, Indication, Label, ServerId
 
@@ -132,6 +133,9 @@ class Interpreter:
         self.dag = dag
         self.protocol = protocol
         self.servers = tuple(servers)
+        #: Each server's place in ``<_M`` as a sender — its encoding —
+        #: for visiting a block's predecessors in their builders' order.
+        self._builder_keys = {server: encode(server) for server in self.servers}
         self.on_indication = on_indication
         #: Flight recorder (``repro.obs``) — the no-op recorder when
         #: tracing is off, so the per-block emission site costs one
@@ -158,9 +162,6 @@ class Interpreter:
         #: memory *saving*: annotations share instead of each holding
         #: their own copy.
         self._active_pool: dict[frozenset[Label], frozenset[Label]] = {}
-        #: Each server's encoding — its place in ``<_M`` — computed once
-        #: per interpreter (:func:`~repro.interpret.order.endpoint_key`).
-        self._endpoint_keys: Keys = {}
         #: Per-block set of labels the block itself stepped (the
         #: ``owned`` set of :meth:`interpret_block`) — with copy-on-write
         #: state sharing this is the block's *delta* over its parent,
@@ -600,7 +601,10 @@ class Interpreter:
         states = self._states
         receiver = block.n
         arrived: dict[Label, list[tuple[ServerId, tuple[Message, ...]]]] = {}
-        for p in preds if len(preds) < 2 else sorted(preds, key=self._builder_key):
+        if len(preds) > 1:
+            keys = self._builder_keys
+            preds = sorted(preds, key=lambda p: keys.get(p.n) or encode(p.n))
+        for p in preds:
             buffers = states[p.ref]._ms
             if buffers is None:
                 continue  # block emitted nothing at all
@@ -618,7 +622,7 @@ class Interpreter:
                 # (joined `active` above) or by a message (the label
                 # was active there already; active sets only grow).
                 continue
-            incoming = joined(arrived[message_label], self._endpoint_keys)
+            incoming = joined(arrived[message_label])
             state.ms.receive(message_label, incoming)
             # Lines 10–11: feed the label's inbox in <_M order to one
             # private instance, collecting the responses in its outbox.
@@ -639,7 +643,7 @@ class Interpreter:
         # Lines 6 and 11 — with the empty list when nothing was emitted,
         # so ``Ms[out, ℓ]`` exists for every stepped label.
         for outbox_label, outbox in outboxes.items():
-            state.ms.add_out(outbox_label, outbox, self._endpoint_keys)
+            state.ms.add_out(outbox_label, outbox)
             materialized += len(outbox)
 
         # Line 12 — annotation, interpreted mark and work counters
@@ -661,10 +665,6 @@ class Interpreter:
         return new_events
 
     # -- internals ------------------------------------------------------------
-
-    def _builder_key(self, block: Block) -> bytes:
-        """A block's place in ``<_M`` as a sender: its builder's encoding."""
-        return endpoint_key(block.n, self._endpoint_keys)
 
     # lint: effect() — ProtocolSpec.create calls the protocol factory, a
     # pure constructor building the initial state of P(ℓ, B.n) from its

@@ -37,40 +37,26 @@ from repro.dag.codec import encode
 from repro.protocols.base import Message
 from repro.types import ServerId
 
-#: Endpoint encodings kept by their caller, keyed with the endpoint's
-#: type (``1`` and ``True`` are one dict key with two encodings).
-Keys = dict[tuple[type, object], bytes]
-
-
-def endpoint_key(endpoint: object, keys: Keys | None = None) -> bytes:
-    """``encode(endpoint)``: a server's place in ``<_M``, kept in
-    ``keys``.  The interpreter keeps one ``keys`` for its lifetime;
-    nothing keeps them process-wide, so what one run encodes never
-    depends on the runs before it."""
-    if keys is None:
-        return encode(endpoint)
-    key = keys.get((type(endpoint), endpoint))
-    if key is None:
-        key = keys[(type(endpoint), endpoint)] = encode(endpoint)
-    return key
-
-
-def ordered(messages: Iterable[Message], keys: Keys | None = None) -> list[Message]:
+def ordered(messages: Iterable[Message]) -> list[Message]:
     """Messages sorted by ``<_M`` (Algorithm 2 line 10): by the two
-    endpoint encodings (a handful of server ids, kept in ``keys``), a
-    payload encoded only to separate messages that tie on both."""
+    endpoint encodings (a handful of server ids, each pair encoded once
+    per call), a payload encoded only to separate messages that tie on
+    both."""
     batch = list(messages)
     if len(batch) < 2:
         return batch
-    keys = {} if keys is None else keys
-    by_endpoints: dict[tuple[bytes, bytes], list[Message]] = {}
+    by_endpoints: dict[tuple[object, ...], list[Message]] = {}
     for message in batch:
-        endpoints = (
-            endpoint_key(message.sender, keys), endpoint_key(message.receiver, keys)
-        )
-        by_endpoints.setdefault(endpoints, []).append(message)
+        sender, receiver = message.sender, message.receiver
+        # Keyed with the types: ``1`` and ``True`` are one dict key with
+        # two encodings.
+        by_endpoints.setdefault(
+            (type(sender), sender, type(receiver), receiver), []
+        ).append(message)
     result: list[Message] = []
-    for endpoints in sorted(by_endpoints):
+    for endpoints in sorted(
+        by_endpoints, key=lambda typed: (encode(typed[1]), encode(typed[3]))
+    ):
         tied = by_endpoints[endpoints]
         if len(tied) > 1:
             tied.sort(key=lambda message: encode(message.payload))
@@ -78,7 +64,7 @@ def ordered(messages: Iterable[Message], keys: Keys | None = None) -> list[Messa
     return result
 
 
-def run_of(messages: Sequence[Message], keys: Keys | None = None) -> tuple[Message, ...]:
+def run_of(messages: Sequence[Message]) -> tuple[Message, ...]:
     """``messages`` as a run: in ``<_M`` order with duplicates dropped
     (the set unions of Algorithm 2 lines 6, 9 and 11).  A run of zero or
     one is taken as it is; a longer one is sorted by :func:`ordered`,
@@ -86,7 +72,7 @@ def run_of(messages: Sequence[Message], keys: Keys | None = None) -> tuple[Messa
     to drop them."""
     if len(messages) < 2:
         return tuple(messages)
-    batch = ordered(messages, keys)
+    batch = ordered(messages)
     run = [batch[0]]
     for message in batch[1:]:
         if message != run[-1]:
@@ -94,9 +80,7 @@ def run_of(messages: Sequence[Message], keys: Keys | None = None) -> tuple[Messa
     return tuple(run)
 
 
-def joined(
-    runs: Sequence[tuple[ServerId, tuple[Message, ...]]], keys: Keys | None = None
-) -> tuple[Message, ...]:
+def joined(runs: Sequence[tuple[ServerId, tuple[Message, ...]]]) -> tuple[Message, ...]:
     """The ``<_M``-ordered union of ``(sender, run)`` pairs given in the
     order of their senders' encodings (``s2`` before ``s10``), each run
     sent by its ``sender`` alone (Algorithm 2 lines 9–10).  Runs of
@@ -110,7 +94,7 @@ def joined(
     previous: object = None
     for sender, run in runs:
         if sender == previous:
-            inbox[start:] = run_of([*inbox[start:], *run], keys)
+            inbox[start:] = run_of([*inbox[start:], *run])
         else:
             start = len(inbox)
             inbox += run

@@ -32,11 +32,12 @@ appends only objects it lacks (:class:`CheckpointManager`).
 from __future__ import annotations
 
 import os
+import re
 import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.crypto.hashing import DIGEST_SIZE, digester
 from repro.dag import codec
@@ -44,8 +45,9 @@ from repro.dag.block import Block, parent_of
 from repro.errors import CheckpointError, CodecError
 from repro.storage.state_codec import (
     ObjectWriter,
+    object_links,
     object_name,
-    references,
+    object_value,
     restore_process,
 )
 from repro.types import BlockRef, Label, ServerId
@@ -60,6 +62,9 @@ _FRAME = struct.Struct(">II")
 #: A frame's payload: kind, name, bytes.
 _OBJECT = b"o"
 _ROOT = b"r"
+_KINDS = (_OBJECT, _ROOT)
+#: Where a frame may start after damage: a byte that could be its kind.
+_KIND_BYTE = re.compile(b"[or]")
 _HEAD = 1 + DIGEST_SIZE
 #: The name of a root record's bytes, under a hash domain of its own.
 root_name = digester("repro/checkpoint-root")
@@ -123,26 +128,22 @@ class CaptureMemo:
 #: these by name and ignores any other key, such as a counter an older
 #: version wrote and this one no longer keeps.
 COUNTERS = (
-    "blocks_interpreted",
-    "messages_delivered",
-    "messages_materialized",
-    "request_steps",
-    "rehydrated",
+    "blocks_interpreted", "messages_delivered", "messages_materialized",
+    "request_steps", "rehydrated",
 )
 
 
 @dataclass
 class _Objects:
-    """A capture's objects — those it built, as bytes until written,
-    with the names each refers to — in front of ``older``."""
+    """A capture's objects — those it built, as bytes until written —
+    in front of ``older``."""
 
     built: dict[bytes, bytes]
-    links: dict[bytes, tuple[bytes, ...]] = field(default_factory=dict)
     older: Any = None
 
     def __getitem__(self, name: bytes) -> Any:
         if name in self.built:
-            return codec.decode(self.built[name])
+            return object_value(self.built[name])
         if self.older is None:
             raise CheckpointError(f"object {name.hex()[:8]}… is nowhere")
         return self.older[name]
@@ -161,12 +162,13 @@ class Checkpoint:
     events: tuple["IndicationEvent", ...] = ()
     counters: dict[str, int] = field(default_factory=dict)
     #: Each row's object name, and each history section's chain head
-    #: (``None``: an empty section); a write adds what is missing.
+    #: (``None``: an empty section), as a capture or a load sets them.
     rows: dict[BlockRef, bytes] = field(default_factory=dict, repr=False, compare=False)
     chains: dict[str, bytes | None] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Reads the rows' objects by name: the store once written or loaded.
+    #: Reads the rows' objects by name: the store's, once written or
+    #: loaded.
     objects: Any = field(
         default_factory=lambda: _Objects({}), repr=False, compare=False
     )
@@ -298,7 +300,7 @@ def capture_checkpoint(
         counters={name: getattr(interpreter, name) for name in COUNTERS},
         rows=rows,
         values=values,
-        objects=_Objects(writer.built, writer.links, previous and previous.objects),
+        objects=_Objects(writer.built, previous and previous.objects),
     )
     checkpoint.chains = _chains(writer, checkpoint, previous, fresh)
     checkpoint.memo = CaptureMemo(
@@ -514,19 +516,23 @@ class CheckpointManager:
     a domain of its own.  A write appends the objects the store lacks
     and the root in one append, and reads it all back byte for byte
     before it counts; an append that does not read back is cut off
-    again and its objects kept for the next write.  With ``fsync`` the
-    append is synced (and the directory, for a new file).
+    again at once and its objects kept for the next write.  With
+    ``fsync`` the append is synced (and the directory, for a new file).
 
-    Reading trusts nothing: a torn or CRC-failing frame, or one of an
-    unknown kind, ends the log, and every object and root is checked
-    against its name.  A root whose objects do not all load does not
-    load, and :meth:`latest` falls back to the older retained root.
+    Reading trusts nothing: every object and root is checked against
+    its name, and a root whose objects do not all load does not load —
+    :meth:`latest` falls back to the older retained root.  A damaged
+    frame (torn, failing its CRC, of no known kind) is stepped over to
+    the next intact one, so it costs only the roots that reach it; bytes
+    after the last intact frame are a torn tail, and only they are cut
+    off, by the next write.
 
-    *Store GC* marks what the ``retain`` newest roots reach.  Whenever
-    the log grew by more than the live bytes at the last mark, it marks
-    again; if the rest outgrows the live bytes, the live frames are
-    copied verbatim into the next generation (temp file, read back,
-    rename) and the old file goes.
+    *Store GC* marks what the ``retain`` newest roots reach, following
+    the names each object begins with (:func:`_reached`): it decodes
+    nothing.  Whenever the log grew by more than the live bytes at the
+    last mark, it marks again; if the rest outgrows the live bytes, the
+    live frames are copied verbatim into the next generation (temp
+    file, read back, rename) and the old files go.
     """
 
     def __init__(
@@ -545,11 +551,11 @@ class CheckpointManager:
         self.objects_appended = 0
         self.objects_stored = 0
         #: Every intact object, ``name -> (file, offset, frame length)``,
-        #: every intact root, ``(seq, file, offset, frame length)`` in
-        #: log order, and the names each object refers to where known
-        #: (the GC reads the rest from the objects).
+        #: the newest intact root of each checkpoint, ``seq -> (file,
+        #: offset, frame length, the names it starts from)``, and the
+        #: names each object written or read so far refers to.
         self._objects: dict[bytes, tuple[Path, int, int]] = {}
-        self._roots: list[tuple[int, Path, int, int]] = []
+        self._roots: dict[int, tuple[Path, int, int, tuple[bytes, ...]]] = {}
         self._links: dict[bytes, tuple[bytes, ...]] = {}
         #: The newest file, the end of its last intact frame, and the
         #: highest sequence number written or read here.
@@ -557,9 +563,7 @@ class CheckpointManager:
         self._end = 0
         self._seq = 0
         #: Objects of an append that did not read back, for the next.
-        self._unwritten = _Objects({})
-        #: Objects read since the last write.
-        self._view: _StoreView | None = None
+        self._unwritten: dict[bytes, bytes] = {}
         #: Live bytes at the last mark, and bytes appended since.
         self._live = 0
         self._since_mark = 0
@@ -585,58 +589,46 @@ class CheckpointManager:
         return self.directory / f"{_PREFIX}{generation + 1:08d}{_SUFFIX}"
 
     def _scan(self, path: Path) -> None:
-        """Index ``path``'s frames up to its first bad one."""
+        """Index ``path``'s intact frames, stepping over damaged ones."""
         data = path.read_bytes()
-        offset = 0
-        while offset + _FRAME.size <= len(data):
-            length, crc = _FRAME.unpack_from(data, offset)
+        offset = end = 0
+        while offset < len(data):
+            frame_end = _intact(data, offset)
+            if frame_end is None:
+                offset = _resync(data, offset)
+                continue
             start = offset + _FRAME.size
-            end = start + length
-            if length < _HEAD or end > len(data) or zlib.crc32(data[start:end]) != crc:
-                break
             kind, name = data[start : start + 1], data[start + 1 : start + _HEAD]
             if kind == _OBJECT:
-                self._objects.setdefault(name, (path, offset, end - offset))
-            elif kind == _ROOT:
-                seq = _root_seq(name, data[start + _HEAD : end])
-                if seq is not None:
-                    self._roots.append((seq, path, offset, end - offset))
-                    self._seq = max(self._seq, seq)
+                self._objects.setdefault(name, (path, offset, frame_end - offset))
             else:
-                break
-            offset = end
-        self._path, self._end = path, offset
+                root = _root_starts(name, data[start + _HEAD : frame_end])
+                if root is not None:
+                    self._roots[root[0]] = (path, offset, frame_end - offset, root[1])
+                    self._seq = max(self._seq, root[0])
+            offset = end = frame_end
+        self._path, self._end = path, end
 
     # -- queries -------------------------------------------------------------------
 
     def sequences(self) -> list[int]:
         """The retained roots' sequence numbers — the newest ``retain``
         — oldest first."""
-        return sorted({seq for seq, *_ in self._roots})[-self.retain :]
+        return sorted(self._roots)[-self.retain :]
 
     def next_seq(self) -> int:
         """Sequence number the next written checkpoint should carry."""
         return self._seq + 1
-
-    def __getitem__(self, name: bytes) -> Any:
-        """The decoded object ``name``, checked against its name; what
-        was read stays cached until the next write."""
-        if name in self._unwritten.built:
-            return self._unwritten[name]
-        if self._view is None:
-            self._view = _StoreView(self)
-        return self._view[name]
 
     def load(self, seq: int) -> Checkpoint:
         """Checkpoint ``seq``, every object it reaches read and checked;
         a :class:`CheckpointError` when no intact root holds it or an
         object is absent, fails its name or does not decode into a
         checkpoint in this process."""
-        for root in reversed(self._roots):
-            if root[0] == seq:
-                view = _StoreView(self, whole=True)
-                return _assemble(view.root(root), view)
-        raise CheckpointError(f"no intact root holds checkpoint {seq}")
+        if seq not in self._roots:
+            raise CheckpointError(f"no intact root holds checkpoint {seq}")
+        view = _StoreView(self)
+        return _assemble(view.root(seq), view)
 
     def latest(self) -> Checkpoint | None:
         """The newest retained checkpoint that loads, or ``None``."""
@@ -655,34 +647,22 @@ class CheckpointManager:
         file holds exactly what was appended — only then may the caller
         treat the checkpoint as durable."""
         self.writes += 1
-        self._view = None
-        writer = ObjectWriter()
-        for ref, entry in checkpoint.states.items():
-            if ref not in checkpoint.rows:
-                checkpoint.rows[ref] = _row(
-                    writer, ref, entry, checkpoint.active.get(ref, ())
-                )
-        if checkpoint.chains.keys() != set(SECTIONS):
-            checkpoint.chains = _chains(writer, checkpoint)
-        pending = _Objects({**self._unwritten.built}, {**self._unwritten.links})
-        for objects in (checkpoint.objects, writer):
-            if isinstance(objects, (_Objects, ObjectWriter)):
-                pending.built.update(objects.built)
-                pending.links.update(objects.links)
+        pending = dict(self._unwritten)
+        if isinstance(checkpoint.objects, _Objects):
+            pending.update(checkpoint.objects.built)
         out = bytearray()
         placed = []
-        for name, data in pending.built.items():
+        for name, data in pending.items():
             if name not in self._objects:
                 placed.append((name, len(out)))
                 _append_frame(out, _OBJECT, name, data)
-        root_data = codec.encode(
-            {
-                "seq": checkpoint.seq,
-                "counters": checkpoint.counters,
-                "rows": tuple(sorted(checkpoint.rows[r] for r in checkpoint.states)),
-                "chains": {section: checkpoint.chains[section] for section in SECTIONS},
-            }
-        )
+        root = {
+            "seq": checkpoint.seq,
+            "counters": checkpoint.counters,
+            "rows": tuple(sorted(checkpoint.rows[r] for r in checkpoint.states)),
+            "chains": {section: checkpoint.chains[section] for section in SECTIONS},
+        }
+        root_data = codec.encode(root)
         root_at = len(out)
         _append_frame(out, _ROOT, root_name(root_data), root_data)
         if self._path is None:
@@ -690,8 +670,7 @@ class CheckpointManager:
         path, offset = self._path, self._end
         created = not path.exists()
         with open(path, "ab") as handle:
-            # A torn tail, or an append that did not read back, goes
-            # first: frames after it could never be read.
+            # A torn tail goes first: no intact frame follows it.
             handle.truncate(offset)
             handle.write(out)
             if self.fsync:
@@ -702,17 +681,20 @@ class CheckpointManager:
         self.bytes_written += len(out)
         self._seq = max(self._seq, checkpoint.seq)
         if not self._reads_back(path, bytes(out), offset):
+            # Cut off at once, so no root of it is read after a crash.
+            with open(path, "r+b") as handle:
+                handle.truncate(offset)
             self._unwritten = pending
             return False
-        self._unwritten = _Objects({})
+        self._unwritten = {}
         self._end = offset + len(out)
         for name, at in placed:
-            self._objects[name] = (path, offset + at, _FRAME.size + _HEAD + len(pending.built[name]))
-            self._links[name] = pending.links.get(name, ())
-        self._roots.append((checkpoint.seq, path, offset + root_at, len(out) - root_at))
+            self._objects[name] = (path, offset + at, _FRAME.size + _HEAD + len(pending[name]))
+            self._links[name] = object_links(pending[name])
+        self._roots[checkpoint.seq] = (path, offset + root_at, len(out) - root_at, _starts(root))
         self.objects_appended += len(placed)
-        self.objects_stored += len(pending.built) - len(placed)
-        checkpoint.objects = self
+        self.objects_stored += len(pending) - len(placed)
+        checkpoint.objects = _StoreView(self)
         self._since_mark += len(out)
         if self._since_mark > self._live:
             self._collect()
@@ -723,29 +705,17 @@ class CheckpointManager:
         copy them into a new generation once the rest outgrows them."""
         view = _StoreView(self)
         objects = self._objects
-        kept = []
+        kept = {}
         live: set[bytes] = set()
         for seq in self.sequences():
-            root = next(r for r in reversed(self._roots) if r[0] == seq)
             try:
-                wire = view.root(root)
-                pending = [*wire["rows"], *wire["chains"].values()]
+                reached = _reached(view, self._roots[seq][3])
             except (CheckpointError, *_SHAPE_ERRORS):
                 continue  # a root that does not load keeps nothing alive
-            kept.append(root)
-            while pending:
-                name = pending.pop()
-                if name in live or name not in objects:
-                    continue
-                live.add(name)
-                if name not in self._links:
-                    # Stored before this handle opened: read its links.
-                    try:
-                        self._links[name] = _links_in(view[name], objects)
-                    except CheckpointError:
-                        self._links[name] = ()
-                pending.extend(self._links[name])
-        self._live = sum(objects[name][2] for name in live) + sum(r[3] for r in kept)
+            if reached.issubset(objects):
+                kept[seq] = self._roots[seq]
+                live |= reached
+        self._live = sum(objects[name][2] for name in live) + sum(r[2] for r in kept.values())
         self._since_mark = 0
         files = self._files()
         if sum(path.stat().st_size for path in files) <= 2 * self._live:
@@ -753,13 +723,13 @@ class CheckpointManager:
         target = self._next_path()
         out = bytearray()
         moved: dict[bytes, tuple[Path, int, int]] = {}
-        roots = []
+        roots = {}
         for name in sorted(live, key=lambda n: (objects[n][0].name, objects[n][1])):
             path, offset, length = objects[name]
             moved[name] = (target, len(out), length)
             out += view.file(path)[offset : offset + length]
-        for seq, path, offset, length in kept:
-            roots.append((seq, target, len(out), length))
+        for seq, (path, offset, length, starts) in kept.items():
+            roots[seq] = (target, len(out), length, starts)
             out += view.file(path)[offset : offset + length]
         tmp = target.with_suffix(_TMP_SUFFIX)
         with open(tmp, "wb") as handle:
@@ -776,7 +746,7 @@ class CheckpointManager:
         for path in files:
             path.unlink(missing_ok=True)
         self._objects, self._roots = moved, roots
-        self._links = {name: self._links[name] for name in moved}
+        self._links = {name: self._links[name] for name in moved if name in self._links}
         self._path, self._end = target, len(out)
 
     def _sync_directory(self) -> None:
@@ -807,26 +777,58 @@ def _append_frame(out: bytearray, kind: bytes, name: bytes, data: bytes) -> None
     out += data
 
 
-def _root_seq(name: bytes, data: bytes) -> int | None:
-    """A root's sequence number, or ``None`` when it fails its name or
-    does not decode to a root."""
+def _intact(data: bytes, offset: int) -> int | None:
+    """Where the frame at ``offset`` ends, or ``None`` when it runs past
+    the end, fails its CRC or is of no known kind."""
+    if offset + _FRAME.size >= len(data):
+        return None
+    length, crc = _FRAME.unpack_from(data, offset)
+    start = offset + _FRAME.size
+    end = start + length
+    if length < _HEAD or end > len(data) or data[start : start + 1] not in _KINDS:
+        return None
+    return end if zlib.crc32(memoryview(data)[start:end]) == crc else None
+
+
+def _resync(data: bytes, bad: int) -> int:
+    """The offset of the first intact frame after the damaged one at
+    ``bad`` — the one its length points to, else the first found byte
+    by byte — or the end of ``data`` when none follows."""
+    if bad + _FRAME.size <= len(data):
+        after = bad + _FRAME.size + _FRAME.unpack_from(data, bad)[0]
+        if _intact(data, after) is not None:
+            return after
+    for kind in _KIND_BYTE.finditer(data, bad + _FRAME.size + 1):
+        if _intact(data, kind.start() - _FRAME.size) is not None:
+            return kind.start() - _FRAME.size
+    return len(data)
+
+
+def _root_starts(name: bytes, data: bytes) -> tuple[int, tuple[bytes, ...]] | None:
+    """A root's sequence number and the names it starts from, or
+    ``None`` when it fails its name or does not decode to a root."""
     if root_name(data) != name:
         return None
     try:
-        seq = codec.decode(data)["seq"]
+        root = codec.decode(data)
+        seq, starts = root["seq"], _starts(root)
     except _SHAPE_ERRORS:
         return None
-    return seq if type(seq) is int else None
+    return (seq, starts) if type(seq) is int else None
+
+
+def _starts(root: Any) -> tuple[bytes, ...]:
+    """The names a root starts from: its rows and chain heads."""
+    return (*root["rows"], *(head for head in root["chains"].values() if head is not None))
 
 
 class _StoreView(dict):
     """A store's objects, decoded on first use and checked against their
-    names; with ``whole`` each file is read whole, once, else frame by
-    frame."""
+    names; each file is read whole, once."""
 
-    def __init__(self, store: CheckpointManager, whole: bool = False) -> None:
+    def __init__(self, store: CheckpointManager) -> None:
         super().__init__()
-        self.store, self.whole = store, whole
+        self.store = store
         self.files: dict[Path, bytes] = {}
 
     def file(self, path: Path) -> bytes:
@@ -837,53 +839,56 @@ class _StoreView(dict):
                 raise CheckpointError(f"{path.name} is unreadable: {exc}") from exc
         return self.files[path]
 
-    def _body(self, path: Path, offset: int, length: int) -> tuple[bytes, bytes, Any]:
-        if self.whole or path in self.files:
-            frame = self.file(path)[offset : offset + length]
-        else:
-            try:
-                with open(path, "rb") as handle:
-                    handle.seek(offset)
-                    frame = handle.read(length)
-            except OSError as exc:
-                raise CheckpointError(f"{path.name} is unreadable: {exc}") from exc
-        name, data = frame[_FRAME.size + 1 : _FRAME.size + _HEAD], frame[_FRAME.size + _HEAD :]
-        try:
-            return name, data, codec.decode(data)
-        except CodecError as exc:
-            raise CheckpointError(f"{name.hex()[:8]}… does not decode: {exc}") from exc
+    def _frame(self, path: Path, offset: int, length: int) -> tuple[bytes, bytes]:
+        frame = self.file(path)[offset : offset + length]
+        return frame[_FRAME.size + 1 : _FRAME.size + _HEAD], frame[_FRAME.size + _HEAD :]
 
-    def __missing__(self, name: bytes) -> Any:
+    def _object(self, name: bytes) -> bytes:
         where = self.store._objects.get(name)
         if where is None:
             raise CheckpointError(f"object {name.hex()[:8]}… is not in the store")
-        stored, data, value = self._body(*where)
-        if stored != name or object_name(data) != name:
+        return self._frame(*where)[1]
+
+    def links(self, name: bytes) -> tuple[bytes, ...]:
+        """The names object ``name`` refers to, read without decoding
+        and kept by the store."""
+        found = self.store._links.get(name)
+        if found is None:
+            found = self.store._links[name] = object_links(self._object(name))
+        return found
+
+    def __missing__(self, name: bytes) -> Any:
+        data = self._object(name)
+        if object_name(data) != name:
             raise CheckpointError(f"object {name.hex()[:8]}… does not hash to its name")
-        self[name] = value
+        try:
+            self[name] = value = object_value(data)
+        except CodecError as exc:
+            raise CheckpointError(f"{name.hex()[:8]}… does not decode: {exc}") from exc
         return value
 
-    def root(self, root: tuple[int, Path, int, int]) -> Any:
-        name, data, value = self._body(*root[1:])
+    def root(self, seq: int) -> Any:
+        name, data = self._frame(*self.store._roots[seq][:3])
         if root_name(data) != name:
-            raise CheckpointError(f"root of checkpoint {root[0]} does not hash to its name")
-        return value
+            raise CheckpointError(f"root of checkpoint {seq} does not hash to its name")
+        try:
+            return codec.decode(data)
+        except CodecError as exc:
+            raise CheckpointError(f"root of checkpoint {seq} does not decode: {exc}") from exc
 
 
-def _links_in(value: Any, stored: dict[bytes, Any]) -> tuple[bytes, ...]:
-    """The stored names anywhere in a decoded object: a value that only
-    equals a name keeps that object alive, and no link is missed."""
-    found, stack = [], [value]
-    while stack:
-        item = stack.pop()
-        if type(item) is bytes:
-            if item in stored:
-                found.append(item)
-        elif isinstance(item, dict):
-            stack.extend((*item.keys(), *item.values()))
-        elif isinstance(item, (tuple, list, frozenset)):
-            stack.extend(item)
-    return tuple(found)
+def _reached(objects: _StoreView, starts: tuple[bytes, ...]) -> set[bytes]:
+    """The names of every object reached from ``starts`` — a root's
+    rows and chain heads, and what each object names in turn — read
+    without decoding any object."""
+    pending = list(starts)
+    reached: set[bytes] = set()
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            pending.extend(objects.links(name))
+    return reached
 
 
 def _assemble(root: Any, objects: _StoreView) -> Checkpoint:
@@ -897,6 +902,8 @@ def _assemble(root: Any, objects: _StoreView) -> Checkpoint:
         seq = root["seq"]
         if type(seq) is not int:
             raise TypeError(f"sequence number {seq!r}")
+        for name in _reached(objects, _starts(root)):
+            objects[name]
         states: dict[BlockRef, dict[str, Any]] = {}
         active: dict[BlockRef, tuple[Label, ...]] = {}
         rows: dict[BlockRef, bytes] = {}
@@ -913,9 +920,6 @@ def _assemble(root: Any, objects: _StoreView) -> Checkpoint:
                 "own": tuple(own), "base": None if base is None else BlockRef(base),
             }
             active[ref] = tuple(Label(label) for label in labels)
-            _reach(objects, pis.values())
-            for run in (*ins.values(), *outs.values()):
-                tuple(objects[run])
         chains = {section: root["chains"][section] for section in SECTIONS}
         history = {section: _walk(objects, chains[section]) for section in SECTIONS}
         return Checkpoint(
@@ -936,18 +940,6 @@ def _assemble(root: Any, objects: _StoreView) -> Checkpoint:
         )
     except _SHAPE_ERRORS as exc:
         raise CheckpointError(f"checkpoint does not decode: {exc}") from exc
-
-
-def _reach(objects: _StoreView, instances: Iterable[bytes]) -> None:
-    """Read every object the named instances reach."""
-    pending = []
-    for name in instances:
-        if name not in objects:
-            pending.extend(ref for wire in objects[name][4] for ref in references(wire))
-    while pending:
-        name = pending.pop()
-        if name not in objects:
-            pending.extend(references(objects[name]))
 
 
 def _walk(objects: Any, head: bytes | None) -> list[Any]:

@@ -16,7 +16,9 @@ or one ``Ms`` run, named by their domain-separated hash
 (:func:`object_name`), as a block is named by ``ref(B)``.  Inside an
 object a mutable container is the pair ``("h", name)``, so equal
 containers are stored once however many instances, blocks and
-checkpoints hold them.  An annotation never changes once its block is
+checkpoints hold them.  An object's bytes begin with the names it
+refers to (:func:`object_bytes`), hashed with the rest, so the store
+follows them without decoding anything.  An annotation never changes once its block is
 interpreted (Algorithm 2 line 12): a later block forks the instance,
 and the write barrier (``_writable`` / ``_writable_entry``) copies a
 container before its first write, so the barrier is the only place
@@ -35,9 +37,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from repro.crypto.hashing import digester
+from repro.crypto.hashing import DIGEST_SIZE, digester
 from repro.dag import codec
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, CodecError
 from repro.protocols.base import (
     INTERNAL_STATE_ATTRS,
     ProcessInstance,
@@ -57,8 +59,11 @@ _REF = "h"
 
 #: Hash domain of a state object's name.
 OBJECT_DOMAIN = "repro/checkpoint-object"
-#: The name of the object whose canonical bytes are the argument.
+#: The name of the object whose bytes are the argument.
 object_name = digester(OBJECT_DOMAIN)
+#: An object's bytes begin with how many names it refers to, in this
+#: many bytes.
+_COUNT = 4
 
 #: Reads a stored object's decoded value by its name.
 Loader = Callable[[bytes], Any]
@@ -106,13 +111,11 @@ class ObjectWriter:
     name)``), and ``messages`` the message bytes it wrote: a hit is
     taken over without encoding anything.  ``reached`` and
     ``messages`` collect the same for this capture; ``built`` holds the
-    bytes of each object it encoded, by name, and ``links`` the names
-    each refers to, so the store appends what it lacks and its GC
-    follows links without decoding."""
+    bytes of each object it encoded, by name, so the store appends what
+    it lacks."""
 
     __slots__ = (
-        "known", "reached", "built", "links", "messages",
-        "_linked", "_older_messages", "_kept",
+        "known", "reached", "built", "messages", "_linked", "_older_messages", "_kept",
     )
 
     def __init__(
@@ -123,7 +126,6 @@ class ObjectWriter:
         self.known = {} if known is None else known
         self.reached: dict[int, tuple[Any, bytes]] = {}
         self.built: dict[bytes, bytes] = {}
-        self.links: dict[bytes, tuple[bytes, ...]] = {}
         # A message is in its sender's ``out`` run and, often a capture
         # later, in its receiver's ``in`` run: encoded once.
         self.messages: dict[int, tuple[Any, bytes]] = {}
@@ -134,12 +136,11 @@ class ObjectWriter:
         self._kept: dict[tuple[Any, Any], bytes] = {}
 
     def put(self, data: bytes, links: Sequence[bytes] = ()) -> bytes:
-        """Name the object ``data``, which refers to ``links``, and keep
-        it for the store."""
-        name = object_name(data)
-        self.built[name] = data
-        if links:
-            self.links[name] = tuple(links)
+        """Name the object whose value's bytes are ``data`` and which
+        refers to ``links``, and keep it for the store."""
+        blob = object_bytes(links, data)
+        name = object_name(blob)
+        self.built[name] = blob
         return name
 
     def _named(self, value: Any, encode: Callable[[Any], bytes]) -> bytes:
@@ -243,6 +244,32 @@ class ObjectWriter:
         return data
 
 
+def object_bytes(links: Sequence[bytes], data: bytes) -> bytes:
+    """An object's bytes: the names it refers to, each once, then its
+    value's canonical bytes ``data``.  The names are hashed with the
+    value, and the store GC reads them without decoding anything."""
+    names = tuple(dict.fromkeys(links))
+    return b"".join((len(names).to_bytes(_COUNT, "big"), *names, data))
+
+
+def object_links(blob: bytes) -> tuple[bytes, ...]:
+    """The names an object's bytes refer to."""
+    start, end = _COUNT, _value_start(blob)
+    return tuple(blob[at : at + DIGEST_SIZE] for at in range(start, end, DIGEST_SIZE))
+
+
+def object_value(blob: bytes) -> Any:
+    """The decoded value of an object's bytes."""
+    return codec.decode(blob[_value_start(blob) :])
+
+
+def _value_start(blob: bytes) -> int:
+    end = _COUNT + int.from_bytes(blob[:_COUNT], "big") * DIGEST_SIZE
+    if end > len(blob):
+        raise CodecError("an object shorter than the names it counts")
+    return end
+
+
 def thaw(
     wire: Any,
     load: Loader | None = None,
@@ -273,22 +300,6 @@ def thaw(
     if tag == _FROZENSET:
         return frozenset(thaw(v, load, named) for v in payload)
     raise CheckpointError(f"unknown wire tag: {tag!r}")
-
-
-def references(wire: Any) -> list[bytes]:
-    """The names a frozen form refers to directly."""
-    found: list[bytes] = []
-    stack = [wire]
-    while stack:
-        tag, payload = stack.pop()
-        if tag == _REF:
-            found.append(payload)
-        elif tag == _DICT:
-            for pair in payload:
-                stack.extend(pair)
-        elif tag != _ATOM:
-            stack.extend(payload)
-    return found
 
 
 # -- process instances ---------------------------------------------------------
@@ -370,8 +381,10 @@ __all__ = [
     "ObjectWriter",
     "annotation_fingerprint",
     "instance_fingerprint",
+    "object_bytes",
+    "object_links",
     "object_name",
-    "references",
+    "object_value",
     "restore_process",
     "thaw",
 ]

@@ -199,24 +199,40 @@ def frozen(value):
     """``value`` as a checkpoint writes state: its frozen form, and the
     loader of the objects it refers to (``thaw(*frozen(v)) == v``)."""
     from repro.dag import codec
-    from repro.storage.state_codec import ObjectWriter
+    from repro.storage.state_codec import ObjectWriter, object_value
 
     writer = ObjectWriter()
     out = bytearray()
     writer._write(value, out)
-    return codec.decode(bytes(out)), lambda name: codec.decode(writer.built[name])
+    return codec.decode(bytes(out)), lambda name: object_value(writer.built[name])
+
+
+def stored(checkpoint):
+    """A checkpoint built by hand, made ready to write as a capture
+    makes one: a row object per state entry and a chain per history
+    section."""
+    from repro.storage.checkpoint import _chains, _Objects, _row
+    from repro.storage.state_codec import ObjectWriter
+
+    writer = ObjectWriter()
+    checkpoint.rows = {
+        ref: _row(writer, ref, entry, checkpoint.active.get(ref, ()))
+        for ref, entry in checkpoint.states.items()
+    }
+    checkpoint.chains = _chains(writer, checkpoint)
+    checkpoint.objects = _Objects(writer.built)
+    return checkpoint
 
 
 def stored_instance(instance):
     """A process instance as a checkpoint stores it: its decoded object
     and the loader of the objects it refers to."""
-    from repro.dag import codec
-    from repro.storage.state_codec import ObjectWriter
+    from repro.storage.state_codec import ObjectWriter, object_value
 
     writer = ObjectWriter()
     name = writer.instance(instance)
 
     def load(wanted):
-        return codec.decode(writer.built[wanted])
+        return object_value(writer.built[wanted])
 
     return load(name), load

@@ -44,7 +44,7 @@ from repro.scenario.spec import resolve_protocol
 from repro.shim.shim import Shim
 from repro.storage import ServerStorage
 from repro.storage.checkpoint import _FRAME, _HEAD, _OBJECT, _ROOT, root_name
-from repro.storage.state_codec import object_name
+from repro.storage.state_codec import object_bytes, object_links, object_name, object_value
 from repro.storage.wal import WriteAheadLog
 from repro.types import Label, ServerId
 
@@ -123,9 +123,13 @@ class TestCommittedBytesDecode:
             start = offset + _FRAME.size
             kind, name = data[start : start + 1], data[start + 1 : start + _HEAD]
             body = data[start + _HEAD : start + length]
-            domain_name = object_name(body) if kind == _OBJECT else root_name(body)
-            assert domain_name == name
-            assert codec.encode(codec.decode(body)) == body
+            if kind == _OBJECT:
+                assert object_name(body) == name
+                value = codec.encode(object_value(body))
+                assert object_bytes(object_links(body), value) == body
+            else:
+                assert root_name(body) == name
+                assert codec.encode(codec.decode(body)) == body
             kinds[kind] += 1
             offset = start + length
         assert kinds[_ROOT] >= 2 and kinds[_OBJECT] > kinds[_ROOT]

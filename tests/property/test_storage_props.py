@@ -20,6 +20,7 @@ from repro.storage.state_codec import (
     ObjectWriter,
     annotation_fingerprint,
     object_name,
+    object_value,
     thaw,
 )
 from repro.storage.wal import WriteAheadLog
@@ -221,7 +222,7 @@ class TestObjectsPerContainer:
             wires.append(codec.decode(bytes(out)))
         built = dict(writer.built)
         for wire, value in zip(wires, values):
-            assert_same_containers(thaw(wire, lambda name: codec.decode(built[name])), value)
+            assert_same_containers(thaw(wire, lambda name: object_value(built[name])), value)
         # A name is its content's hash.
         assert all(object_name(data) == name for name, data in built.items())
         # A writer that knows what this one reached encodes nothing.
@@ -249,6 +250,6 @@ class TestHistoryChains:
         for seq, after in enumerate(sections):
             checkpoint = Checkpoint(seq=seq, refs=after, states={}, active={})
             checkpoint.chains = _chains(writer, checkpoint, previous)
-            objects = {name: codec.decode(data) for name, data in writer.built.items()}
+            objects = {name: object_value(data) for name, data in writer.built.items()}
             assert sorted(_walk(objects, checkpoint.chains["refs"])) == sorted(after)
             previous = checkpoint

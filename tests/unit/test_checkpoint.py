@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    stored,
     ManualDagBuilder,
     flip_before_read_back,
     fresh_interpreter,
@@ -210,9 +211,11 @@ def append_root(path, wire):
 def bare(seq, *refs):
     """A checkpoint of rows without instances, one per ref."""
     entry = {"pis": {}, "in": {}, "out": {}, "own": (), "base": None}
-    return Checkpoint(
-        seq=seq, refs=frozenset(refs), states=dict.fromkeys(refs, entry),
-        active=dict.fromkeys(refs, ()),
+    return stored(
+        Checkpoint(
+            seq=seq, refs=frozenset(refs), states=dict.fromkeys(refs, entry),
+            active=dict.fromkeys(refs, ()),
+        )
     )
 
 
@@ -362,14 +365,43 @@ class TestManager:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", fsync)
-        CheckpointManager(tmp_path / "off").write(first)
+        CheckpointManager(tmp_path / "off").write(bare(1, "a"))
         assert events == []
         manager = CheckpointManager(tmp_path / "on", fsync=True)
-        assert manager.write(second)
+        assert manager.write(first)
         assert events == ["file", "dir"]
         del events[:]
-        assert manager.write(bare(3, "a"))
-        assert events == ["file"] and manager.latest().seq == 3
+        assert manager.write(second)
+        assert events == ["file"] and manager.latest().seq == 2
+
+    def test_fsync_orders_a_store_gc_copy_file_rename_directory(
+        self, tmp_path, monkeypatch
+    ):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+
+        def replace(source, target):
+            events.append("rename")
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        manager = CheckpointManager(tmp_path, retain=2, fsync=True)
+        copies = []
+        for seq in range(1, 13):
+            del events[:]
+            # Each checkpoint's rows are new; the older ones turn garbage.
+            assert manager.write(bare(seq, f"a{seq}", f"b{seq}"))
+            if "rename" in events:
+                copies.append(list(events))
+        # The append, then the copy: synced before it replaces the old
+        # generation, and the directory synced after the rename.
+        assert copies and all(c == ["file", "file", "rename", "dir"] for c in copies)
+        assert manager.latest().seq == 12
 
     def test_server_storage_hands_its_fsync_flag_to_checkpoints(self, tmp_path):
         from repro.storage.blockstore import ServerStorage, StorageConfig
@@ -441,16 +473,44 @@ class TestLogCrashSafety:
         assert contents(reopened.latest()) == contents(captures[3])
         assert contents(CheckpointManager(tmp_path).latest()) == contents(captures[3])
 
-    def test_garbled_byte_in_a_middle_append_ends_the_log_there(self, tmp_path):
+    def test_a_garbled_object_costs_only_the_roots_that_reach_it(self, tmp_path):
         captures = growing_captures(4)
         log, ends = self.one_log(tmp_path, captures)
         data = bytearray(log.read_bytes())
-        data[(ends[0] + ends[1]) // 2] ^= 0x01  # inside checkpoint 2's append
+        data[ends[2] + 20] ^= 0x01  # the first object of checkpoint 4's append
         log.write_bytes(bytes(data))
         reopened = CheckpointManager(tmp_path, retain=4)
-        assert contents(reopened.latest()) == contents(captures[0])
-        with pytest.raises(CheckpointError, match="no intact root"):
-            reopened.load(3)
+        # The frames after it are read: checkpoint 4's root is there,
+        # but it reaches the lost object.
+        assert reopened.sequences() == [1, 2, 3, 4]
+        with pytest.raises(CheckpointError, match="not in the store"):
+            reopened.load(4)
+        assert contents(reopened.latest()) == contents(captures[2])
+        for checkpoint in captures[:3]:
+            assert contents(reopened.load(checkpoint.seq)) == contents(checkpoint)
+        # The next write appends behind the damage; it cuts nothing off.
+        assert reopened.write(bare(5, "a"))
+        assert log.read_bytes()[: len(data)] == bytes(data)
+        assert CheckpointManager(tmp_path, retain=4).latest().seq == 5
+
+    def test_a_garbled_early_object_keeps_every_root_that_does_not_reach_it(
+        self, tmp_path
+    ):
+        manager = CheckpointManager(tmp_path, retain=2)
+        assert manager.write(bare(1, "a1", "b1"))
+        assert manager.write(bare(2, "a2", "b2"))
+        log = log_of(tmp_path)
+        data = bytearray(log.read_bytes())
+        data[20] ^= 0x01  # inside the first frame: a row of checkpoint 1
+        log.write_bytes(bytes(data))
+        reopened = CheckpointManager(tmp_path, retain=2)
+        assert reopened.sequences() == [1, 2]
+        assert contents(reopened.latest()) == contents(bare(2, "a2", "b2"))
+        with pytest.raises(CheckpointError):
+            reopened.load(1)
+        assert reopened.write(bare(3, "a3"))
+        assert log.read_bytes()[: len(data)] == bytes(data)
+        assert contents(CheckpointManager(tmp_path).latest()) == contents(bare(3, "a3"))
 
     def test_failed_read_back_of_an_append_drops_no_wal_segment(
         self, tmp_path, monkeypatch
@@ -467,9 +527,11 @@ class TestLogCrashSafety:
         }
 
         def checkpoint(seq, covered):
-            return Checkpoint(
-                seq=seq, refs=frozenset(skeletons), states={}, active={},
-                skeletons=covered,
+            return stored(
+                Checkpoint(
+                    seq=seq, refs=frozenset(skeletons), states={}, active={},
+                    skeletons=covered,
+                )
             )
 
         storage.write_checkpoint(checkpoint(1, {}))
@@ -576,11 +638,20 @@ class TestNewEntryCost:
         assert len(second.states) == len(first.states) + 12
         return (manager.bytes_written - before) / 4, _CountedValue.encodes
 
-    def test_flat_in_the_ledger_size(self, tmp_path):
-        small, small_encodes = self.appended_per_entry(tmp_path / "small", 64)
-        large, large_encodes = self.appended_per_entry(tmp_path / "large", 256)
-        assert 0 < small_encodes and large_encodes <= small_encodes
-        # The ledger grew fourfold; what remains of that growth is the
-        # bucket map, one name per sixteen entries (rewriting the whole
-        # map, as the log of deltas did, appended 2.8 times as much).
-        assert large <= 1.5 * small
+    def test_values_encoded_stay_flat_in_the_ledger_size(self, tmp_path):
+        _, small = self.appended_per_entry(tmp_path / "small", 64)
+        _, large = self.appended_per_entry(tmp_path / "large", 256)
+        assert 0 < small and large <= small
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the outer bucket map is one object naming every bucket, so "
+        "each new entry still appends one name per sixteen entries "
+        "(ROADMAP 18(d), open)",
+    )
+    def test_bytes_appended_stay_flat_in_the_ledger_size(self, tmp_path):
+        small, _ = self.appended_per_entry(tmp_path / "small", 64)
+        large, _ = self.appended_per_entry(tmp_path / "large", 256)
+        # The ledger grew fourfold.  Measured: 4 548 -> 6 443 B per entry
+        # (the log of deltas appended 9 479 -> 26 656).
+        assert large <= 1.1 * small

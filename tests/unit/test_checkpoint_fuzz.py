@@ -124,7 +124,7 @@ def truth(tmp_path_factory) -> dict[int, bytes]:
     directory = tmp_path_factory.mktemp("intact")
     (directory / LOG.name).write_bytes(LOG.read_bytes())
     manager = CheckpointManager(directory)
-    return {seq: contents(manager.load(seq)) for seq, *_ in manager._roots}
+    return {seq: contents(manager.load(seq)) for seq in manager._roots}
 
 
 @pytest.fixture

@@ -368,10 +368,10 @@ class TestRunsAreOrderedWhereEmitted:
         inside = []
         hashed_outside = []
 
-        def ordered(messages, keys=None):
+        def ordered(messages):
             inside.append(True)
             try:
-                result = real_ordered(messages, keys)
+                result = real_ordered(messages)
             finally:
                 inside.pop()
             sorted_runs.append(len(result))

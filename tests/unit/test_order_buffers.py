@@ -61,19 +61,17 @@ class TestMessageOrder:
         # ``1 == True`` and they hash alike, but they encode differently
         # (int / bool tags): a memo keyed by the endpoint value would
         # hand one of them the other's key.  Both call orders, so that
-        # whichever is seen first cannot poison the second — also in
-        # keys kept across calls, as an interpreter keeps them.
+        # whichever is seen first cannot poison the second.
         for first, second in ((1, True), (True, 1)):
-            keys: dict = {}
             warm = [msg(sender=first, value=1), msg(sender=first, value=2)]
-            assert ordered(warm, keys) == sorted(warm, key=codec.encode)
+            assert ordered(warm) == sorted(warm, key=codec.encode)
             mixed = [
                 msg(sender=second, value=1),
                 msg(sender=first, value=1),
                 msg(sender=S1, receiver=second),
                 msg(sender=S1, receiver=first),
             ]
-            result = ordered(mixed, keys)
+            result = ordered(mixed)
             assert [codec.encode(m) for m in result] == sorted(
                 codec.encode(m) for m in mixed
             )

@@ -242,7 +242,9 @@ class TestServerStorageTelemetry:
     def _checkpoint(self, seq):
         from repro.storage.checkpoint import Checkpoint
 
-        return Checkpoint(seq=seq, refs=frozenset(), states={}, active={})
+        from helpers import stored
+
+        return stored(Checkpoint(seq=seq, refs=frozenset(), states={}, active={}))
 
     def test_registry_sees_one_observation_per_flush_and_checkpoint(self, tmp_path):
         from repro.obs.metrics import MetricsRegistry
@@ -299,18 +301,19 @@ class TestServerStorageTelemetry:
         assert registry.histogram("storage.checkpoint-write").count == 1
 
     def test_object_counters_tell_appended_from_stored(self, tmp_path):
+        from helpers import stored
         from repro.storage.checkpoint import Checkpoint
 
         storage = self._storage(tmp_path)
         checkpoints = storage.checkpoints
         entry = {"pis": {}, "in": {}, "out": {}, "own": (), "base": None}
         storage.write_checkpoint(
-            Checkpoint(seq=1, refs=frozenset(), states={"a": entry, "b": entry}, active={})
+            stored(Checkpoint(seq=1, refs=frozenset(), states={"a": entry, "b": entry}, active={}))
         )
         assert (checkpoints.objects_appended, checkpoints.objects_stored) == (2, 0)
         # Row ``a`` is the same object again: stored, not appended.
         storage.write_checkpoint(
-            Checkpoint(seq=2, refs=frozenset(), states={"a": entry, "c": entry}, active={})
+            stored(Checkpoint(seq=2, refs=frozenset(), states={"a": entry, "c": entry}, active={}))
         )
         assert (checkpoints.objects_appended, checkpoints.objects_stored) == (3, 1)
 
@@ -320,7 +323,7 @@ class TestCheckpointGatesSegmentGc:
     after that file read back byte-equal to what was written."""
 
     def _filled(self, tmp_path):
-        from helpers import ManualDagBuilder
+        from helpers import ManualDagBuilder, stored
         from repro.storage.blockstore import ServerStorage, StorageConfig
         from repro.storage.checkpoint import BlockSkeleton, Checkpoint
 
@@ -339,9 +342,11 @@ class TestCheckpointGatesSegmentGc:
         }
 
         def checkpoint(seq):
-            return Checkpoint(
-                seq=seq, refs=frozenset(skeletons), states={}, active={},
-                skeletons=skeletons,
+            return stored(
+                Checkpoint(
+                    seq=seq, refs=frozenset(skeletons), states={}, active={},
+                    skeletons=skeletons,
+                )
             )
 
         assert len(storage.wal.segments()) > 2
