@@ -20,13 +20,7 @@ README.md maps each package to the paper; the paper's figures, lemmas
 and efficiency claims are tier-1 tests under ``tests/integration/``.
 """
 
-from repro.crypto import (
-    CountingScheme,
-    Ed25519Scheme,
-    HmacScheme,
-    KeyRing,
-    NullScheme,
-)
+from repro.crypto import KeyRing
 from repro.dag import Block, BlockBuilder, BlockDag, Digraph, genesis_block
 from repro.dag.blockdag import Validator, Validity
 from repro.gossip import Gossip, GossipConfig
@@ -53,7 +47,6 @@ from repro.runtime import (
     SilentAdversary,
     StorageSnapshot,
     WireSnapshot,
-    quick_cluster,
 )
 from repro.horizon import HorizonTracker, durable_frontier
 from repro.scenario import (
@@ -75,18 +68,15 @@ __all__ = [
     "Broadcast",
     "Cluster",
     "ClusterConfig",
-    "CountingScheme",
     "CrashFault",
     "Deliver",
     "Digraph",
     "DirectRuntime",
-    "Ed25519Scheme",
     "EquivocatorAdversary",
     "FaultSchedule",
     "FixedLatency",
     "Gossip",
     "GossipConfig",
-    "HmacScheme",
     "HorizonTracker",
     "durable_frontier",
     "Interpreter",
@@ -94,7 +84,6 @@ __all__ = [
     "KeyRing",
     "Label",
     "NetworkSimulator",
-    "NullScheme",
     "InterpreterSnapshot",
     "ProtocolSpec",
     "Scenario",
@@ -118,7 +107,6 @@ __all__ = [
     "make_servers",
     "pbft_protocol",
     "phase_king_protocol",
-    "quick_cluster",
     "run_scenario",
     "server_id",
 ]

@@ -6,35 +6,23 @@ assumed zero — failure probability.  This package provides:
 
 * :mod:`repro.crypto.hashing` — SHA-256 based content hashing with
   domain separation, used for ``ref(B)``.
-* :mod:`repro.crypto.ed25519` — a real, pure-Python Ed25519
-  implementation (RFC 8032), for fidelity.
-* :mod:`repro.crypto.signatures` — the pluggable
-  :class:`~repro.crypto.signatures.SignatureScheme` interface with
-  Ed25519, HMAC (fast simulation) and null (counting-only) backends.
+* :mod:`repro.crypto.signatures` — the signature type ``σ``.
 * :mod:`repro.crypto.keys` — the :class:`~repro.crypto.keys.KeyRing`
-  binding server identifiers to key material.
+  binding server identifiers to keys, which signs and verifies.
+
+HMAC-SHA256 is the one signature scheme: §2 assumes ideal signatures,
+so every unforgeable scheme gives the same protocol behaviour, and the
+keyed hash gives it fastest and deterministically.
 """
 
 from repro.crypto.hashing import Hash, hash_bytes, hash_fields
 from repro.crypto.keys import KeyRing
-from repro.crypto.signatures import (
-    CountingScheme,
-    Ed25519Scheme,
-    HmacScheme,
-    NullScheme,
-    Signature,
-    SignatureScheme,
-)
+from repro.crypto.signatures import Signature
 
 __all__ = [
-    "CountingScheme",
-    "Ed25519Scheme",
     "Hash",
-    "HmacScheme",
     "KeyRing",
-    "NullScheme",
     "Signature",
-    "SignatureScheme",
     "hash_bytes",
     "hash_fields",
 ]

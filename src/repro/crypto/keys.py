@@ -1,18 +1,26 @@
-"""Key management: binding the server set ``Srvrs`` to a signature scheme.
+"""Key management: the server set ``Srvrs`` and its ``sign``/``verify``.
 
 The system model (§2) fixes a finite, globally-known set of servers.
-:class:`KeyRing` captures that: it registers every server with a
-signature scheme up front and then answers sign/verify requests.  It is
-the single place where "who can sign as whom" is decided, which makes
-byzantine simulations explicit — an adversary only ever signs as the
-identities the test hands it.
+:class:`KeyRing` captures that: it derives every server's key up front
+and then answers sign/verify requests.  It is the single place where
+"who can sign as whom" is decided, which makes byzantine simulations
+explicit — an adversary only ever signs as the identities the test
+hands it.
+
+HMAC-SHA256 is the one signature scheme.  §2 assumes ideal signatures
+(a signature verifies exactly when its signer made it), so any
+unforgeable scheme gives the same runs; HMAC gives them in
+microseconds and deterministically, so every run replays.
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 from typing import Iterable, Sequence
 
-from repro.crypto.signatures import HmacScheme, Signature, SignatureScheme
+from repro.crypto.signatures import Signature
+from repro.errors import UnknownKeyError
 from repro.types import ServerId
 
 
@@ -24,21 +32,16 @@ class KeyRing:
     servers:
         The global server set ``Srvrs``.  Fixed at construction, per the
         system model.
-    scheme:
-        Signature backend; defaults to the fast :class:`HmacScheme`.
     """
 
-    def __init__(
-        self,
-        servers: Iterable[ServerId],
-        scheme: SignatureScheme | None = None,
-    ) -> None:
+    def __init__(self, servers: Iterable[ServerId]) -> None:
         self._servers: tuple[ServerId, ...] = tuple(servers)
         if len(set(self._servers)) != len(self._servers):
             raise ValueError("duplicate server identifiers in key ring")
-        self.scheme = scheme if scheme is not None else HmacScheme()
-        for server in self._servers:
-            self.scheme.register(server)
+        self._keys: dict[ServerId, bytes] = {
+            server: hashlib.sha256(b"repro-hmac" + server.encode("utf-8")).digest()
+            for server in self._servers
+        }
 
     @property
     def servers(self) -> Sequence[ServerId]:
@@ -52,9 +55,18 @@ class KeyRing:
         return len(self._servers)
 
     def sign(self, server: ServerId, message: bytes) -> Signature:
-        """Sign ``message`` with ``server``'s key."""
-        return self.scheme.sign(server, message)
+        """Sign ``message`` with ``server``'s key; raises
+        :class:`UnknownKeyError` for a server outside the ring."""
+        key = self._keys.get(server)
+        if key is None:
+            raise UnknownKeyError(f"no key registered for {server!r}")
+        return Signature(hmac.new(key, message, hashlib.sha256).digest())
 
     def verify(self, server: ServerId, message: bytes, signature: Signature) -> bool:
-        """Verify ``server``'s signature on ``message``."""
-        return self.scheme.verify(server, message, signature)
+        """Whether ``signature`` is ``server``'s signature on ``message``
+        (``False`` for a server outside the ring)."""
+        key = self._keys.get(server)
+        if key is None:
+            return False
+        expected = hmac.new(key, message, hashlib.sha256).digest()
+        return hmac.compare_digest(expected, bytes(signature))

@@ -49,27 +49,13 @@ _TAG_SET = b"S"
 _TAG_DATACLASS = b"D"
 
 
-class Canonical:
-    """A value standing for bytes that already *are* its canonical
-    encoding: :func:`encode` splices ``data`` in verbatim wherever the
-    value would have gone.  The caller vouches that ``data`` came from
-    :func:`encode`; a cache of encoded parts can then be re-framed
-    without this module's container layout leaking out of it."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-
-
 def encode(value: Any) -> bytes:
     """Canonically encode ``value``.
 
     Supported: ``None``, ``bool``, ``int``, ``str``, ``bytes``,
     ``list``, ``tuple``, ``dict`` (keys sorted by their encoding),
-    ``set``/``frozenset`` (elements sorted by their encoding), frozen
-    dataclasses, and :class:`Canonical` (spliced as is).  Anything else
-    raises :class:`CodecError`.
+    ``set``/``frozenset`` (elements sorted by their encoding) and frozen
+    dataclasses.  Anything else raises :class:`CodecError`.
     """
     return bytes(_encoded(value))
 
@@ -183,10 +169,6 @@ def _write_set(value: set | frozenset, out: bytearray) -> None:
         out += member
 
 
-def _write_canonical(value: Canonical, out: bytearray) -> None:
-    out += value.data
-
-
 def _dataclass_writer(cls: type) -> _Writer:
     # Auto-register for decoding: anything encoded in-process can be
     # decoded in-process.  Bytes read back from disk or the wire may
@@ -244,7 +226,6 @@ _BASE_WRITERS: tuple[tuple[type, _Writer], ...] = (
 _WRITERS: dict[type, _Writer] = {  # lint: registry — per-type writer table; an entry is computed deterministically from the class and never changes
     type(None): _write_singleton,
     bool: _write_singleton,
-    Canonical: _write_canonical,
     **dict(_BASE_WRITERS),
 }
 

@@ -41,7 +41,6 @@ class ForwardingState:
     def __init__(self, retry_interval: float = 3.0) -> None:
         self.retry_interval = retry_interval
         self._wants: dict[BlockRef, _Want] = {}
-        self.requests_issued = 0
 
     def __contains__(self, ref: object) -> bool:
         return ref in self._wants
@@ -59,12 +58,10 @@ class ForwardingState:
             self._wants[ref] = _Want(
                 target=target, next_retry=now + self.retry_interval
             )
-            self.requests_issued += 1
             return True
         if now >= entry.next_retry:
             entry.next_retry = now + self.retry_interval
             entry.target = target
-            self.requests_issued += 1
             return True
         return False
 

@@ -52,6 +52,9 @@ from repro.net.transport import Transport
 from repro.requests import RequestBuffer
 from repro.types import BlockRef, ServerId
 
+#: Max requests stamped into one block on disseminate.
+MAX_REQUESTS_PER_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class GossipConfig:
@@ -59,8 +62,6 @@ class GossipConfig:
 
     #: Virtual-time gap between FWD retries for the same reference (Δ_B').
     fwd_retry_interval: float = 3.0
-    #: Max requests stamped into one block on disseminate.
-    max_requests_per_block: int = 256
 
 
 @dataclass
@@ -434,7 +435,7 @@ class Gossip:
 
     def _seal_and_insert(self) -> Block:
         """Lines 14–16: stamp requests, sign, insert into ``G``."""
-        requests = self.rqsts.get(self.config.max_requests_per_block)
+        requests = self.rqsts.get(MAX_REQUESTS_PER_BLOCK)
         block = self.builder.seal(
             requests,
             sign=lambda payload: self.keyring.sign(self.server, payload),

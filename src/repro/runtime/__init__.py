@@ -20,7 +20,7 @@ from repro.runtime.adversary import (
     SilentAdversary,
     WithholdingAdversary,
 )
-from repro.runtime.cluster import Cluster, ClusterConfig, quick_cluster
+from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.runtime.direct import DirectRuntime, ProtocolMessageEnvelope
 from repro.runtime.faults import CrashFault, FaultSchedule
 from repro.runtime.snapshots import (
@@ -45,5 +45,4 @@ __all__ = [
     "StorageSnapshot",
     "WireSnapshot",
     "WithholdingAdversary",
-    "quick_cluster",
 ]

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from repro.crypto.keys import KeyRing
-from repro.crypto.signatures import SignatureScheme
 from repro.errors import ScenarioError, SimulationError
 from repro.gossip.module import GossipConfig
 from repro.jsonvalue import JsonDocument
@@ -82,8 +81,6 @@ class ClusterConfig:
 
     #: Virtual time allotted to each round's message exchange.
     round_duration: float = 6.0
-    #: Per-server dissemination offset within a round (0 = simultaneous).
-    stagger: float = 0.0
     #: Network latency model.
     latency: LatencyModel = field(default_factory=FixedLatency)
     #: Simulation seed (latency jitter, fault coins).
@@ -129,7 +126,6 @@ class Cluster:
         protocol: ProtocolSpec,
         n: int | None = None,
         servers: Sequence[ServerId] | None = None,
-        scheme: SignatureScheme | None = None,
         config: ClusterConfig | None = None,
         faults: FaultSchedule | None = None,
         adversaries: Mapping[ServerId, Callable[..., Adversary]] | None = None,
@@ -149,7 +145,7 @@ class Cluster:
                 "server loses all volatile state and can only restart "
                 "from disk"
             )
-        self.keyring = KeyRing(self.servers, scheme)
+        self.keyring = KeyRing(self.servers)
         self.sim = NetworkSimulator(
             latency=self.config.latency,
             seed=self.config.seed,
@@ -292,14 +288,11 @@ class Cluster:
         """One dissemination round plus ``round_duration`` of network time."""
         self._apply_crash_faults()
         start = self.sim.now
-        for index, server in enumerate(self.servers):
-            offset = self.config.stagger * index
+        for server in self.servers:
             if server in self.shims:
-                shim = self.shims[server]
-                self.sim.schedule(offset, shim.disseminate)
+                self.sim.schedule(0.0, self.shims[server].disseminate)
             elif server in self.adversaries:
-                adversary = self.adversaries[server]
-                self.sim.schedule(offset, adversary.on_round)
+                self.sim.schedule(0.0, self.adversaries[server].on_round)
             # Servers in ``self.down`` sit the round out.
         self.sim.run(until=start + self.config.round_duration)
         self.rounds_run += 1
@@ -465,37 +458,3 @@ class Cluster:
             blocks_replayed=sum(r.blocks_replayed for r in recoveries),
         )
 
-
-def quick_cluster(
-    protocol: ProtocolSpec,
-    n: int = 4,
-    seed: int = 0,
-    *,
-    round_duration: float = 6.0,
-    stagger: float = 0.0,
-    latency: LatencyModel | None = None,
-    gossip: GossipConfig | None = None,
-    auto_interpret: bool = True,
-    storage_dir: str | Path | None = None,
-    storage: StorageConfig | None = None,
-    trace: bool = False,
-) -> Cluster:
-    """A fault-free n-server cluster with default wiring (examples/tests).
-
-    Every :class:`ClusterConfig` knob is an explicit keyword parameter,
-    so a typo (``quick_cluster(p, staggr=0.5)``) fails right here with
-    a normal ``TypeError: unexpected keyword argument`` naming the call
-    site — not as an opaque dataclass error deep inside construction.
-    """
-    config = ClusterConfig(
-        round_duration=round_duration,
-        stagger=stagger,
-        latency=latency if latency is not None else FixedLatency(),
-        seed=seed,
-        gossip=gossip if gossip is not None else GossipConfig(),
-        auto_interpret=auto_interpret,
-        storage_dir=storage_dir,
-        storage=storage if storage is not None else StorageConfig(),
-        trace=trace,
-    )
-    return Cluster(protocol, n=n, config=config)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.crypto.keys import KeyRing
-from repro.crypto.signatures import Signature, SignatureScheme
+from repro.crypto.signatures import Signature
 from repro.dag import codec
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.message import Envelope
@@ -144,7 +144,6 @@ class DirectRuntime:
         protocol: ProtocolSpec,
         n: int | None = None,
         servers: Sequence[ServerId] | None = None,
-        scheme: SignatureScheme | None = None,
         latency: LatencyModel | None = None,
         seed: int = 0,
         silent: Sequence[ServerId] = (),
@@ -154,7 +153,7 @@ class DirectRuntime:
                 raise ValueError("provide either n or servers")
             servers = make_servers(n)
         self.servers: tuple[ServerId, ...] = tuple(servers)
-        self.keyring = KeyRing(self.servers, scheme)
+        self.keyring = KeyRing(self.servers)
         self.sim = NetworkSimulator(
             latency=latency if latency is not None else FixedLatency(),
             seed=seed,

@@ -177,7 +177,6 @@ class ScenarioRunner:
         storage_spec = topology.storage
         config = ClusterConfig(
             round_duration=topology.round_duration,
-            stagger=topology.stagger,
             latency=topology.latency.build(),
             seed=scenario.seed,
             auto_interpret=topology.auto_interpret,
@@ -222,11 +221,10 @@ class ScenarioRunner:
 
     # -- driving ---------------------------------------------------------------
 
-    def _one_round(self, inject: bool) -> None:
+    def _one_round(self) -> None:
         index = self.cluster.rounds_run
-        if inject:
-            self.driver.before_round(self.cluster, index)
-            self._inject_cues(index)
+        self.driver.before_round(self.cluster, index)
+        self._inject_cues(index)
         self.cluster.round()
         self.driver.after_round(self.cluster, index)
         self.rounds_run = self.cluster.rounds_run
@@ -247,9 +245,7 @@ class ScenarioRunner:
                 if self.rounds_run >= scenario.max_rounds:
                     stopped_by = "max-rounds"
                     break
-                self._one_round(inject=True)
-            for _ in range(scenario.settle_rounds):
-                self._one_round(inject=False)
+                self._one_round()
             if not scenario.topology.auto_interpret:
                 # Off-line mode: the whole DAG is interpreted only now.
                 for shim in self.cluster.shims.values():

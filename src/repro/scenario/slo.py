@@ -34,8 +34,6 @@ class SloSpec(JsonDocument):
 
     - ``commit_p99_ms`` — p99 of the wall-clock seal→interpret stage
       (a block's end-to-end commit latency across processes).
-    - ``receive_p99_ms`` — p99 of seal→first-receive (pure wire+queue
-      latency, before validation).
     - ``max_queue_drops`` — total oldest-dropped envelopes across every
       per-peer transport queue.
     - ``max_reconnects`` — total attributable reconnects (re-established
@@ -44,15 +42,14 @@ class SloSpec(JsonDocument):
     """
 
     commit_p99_ms: float | None = None
-    receive_p99_ms: float | None = None
     max_queue_drops: int | None = None
     max_reconnects: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("commit_p99_ms", "receive_p99_ms"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ScenarioError(f"slo.{name} must be positive, got {value}")
+        if self.commit_p99_ms is not None and self.commit_p99_ms <= 0:
+            raise ScenarioError(
+                f"slo.commit_p99_ms must be positive, got {self.commit_p99_ms}"
+            )
         for name in ("max_queue_drops", "max_reconnects"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -63,7 +60,6 @@ class SloSpec(JsonDocument):
             (name, getattr(self, name))
             for name in (
                 "commit_p99_ms",
-                "receive_p99_ms",
                 "max_queue_drops",
                 "max_reconnects",
             )
@@ -98,10 +94,6 @@ class SloSpec(JsonDocument):
             if lifecycle is None or lifecycle.seal_to_interpret.count == 0:
                 return None
             return lifecycle.seal_to_interpret.p99 * 1000.0
-        if name == "receive_p99_ms":
-            if lifecycle is None or lifecycle.seal_to_first_receive.count == 0:
-                return None
-            return lifecycle.seal_to_first_receive.p99 * 1000.0
         if metrics is None:
             return None
         if name == "max_queue_drops":

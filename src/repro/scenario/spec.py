@@ -102,7 +102,6 @@ class Topology(JsonDocument):
 
     n: int = 4
     round_duration: float = 6.0
-    stagger: float = 0.0
     latency: LatencySpec = field(default_factory=LatencySpec)
     auto_interpret: bool = True
     storage: StorageSpec | None = None
@@ -115,6 +114,10 @@ class Topology(JsonDocument):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ScenarioError(f"topology needs n ≥ 1, got {self.n}")
+        if self.round_duration <= 0:
+            raise ScenarioError(
+                f"topology needs round_duration > 0, got {self.round_duration}"
+            )
 
     def servers(self) -> list[ServerId]:
         return make_servers(self.n)
@@ -137,7 +140,6 @@ class Scenario(JsonDocument):
     stop: StopCondition = field(default_factory=AllDelivered)
     probes: tuple[str, ...] = ()
     max_rounds: int = 64
-    settle_rounds: int = 0
     #: Wall-clock SLO bounds, evaluated on live runs only (see
     #: :mod:`repro.scenario.slo`).  Ignored by the simulated arm, so a
     #: bounded scenario stays byte-deterministic there.
@@ -170,10 +172,6 @@ class Scenario(JsonDocument):
             )
         if self.max_rounds < 1:
             raise ScenarioError(f"max_rounds must be ≥ 1, got {self.max_rounds}")
-        if self.settle_rounds < 0:
-            raise ScenarioError(
-                f"settle_rounds must be ≥ 0, got {self.settle_rounds}"
-            )
 
     def with_seed(self, seed: int) -> "Scenario":
         """The same scenario under a different seed."""

@@ -48,14 +48,12 @@ class Workload(JsonDocument):
     ``shared_label`` collapses all requests onto one protocol instance
     (e.g. a replicated counter ledger); delivery of request ``i`` is
     then "every correct server raised at least ``i+1`` indications".
-    Without it, request ``i`` gets its own instance
-    ``<label_prefix><i>``.
+    Without it, request ``i`` gets its own instance ``tx-<i>``.
     """
 
     kind: ClassVar[str]
 
     sender: str = "round-robin"
-    label_prefix: str = "tx-"
     shared_label: str | None = None
 
     # -- declarative schedule -------------------------------------------------
@@ -245,7 +243,7 @@ class WorkloadDriver:
             if self.workload.shared_label is not None:
                 label = Label(self.workload.shared_label)
             else:
-                label = Label(f"{self.workload.label_prefix}{index}")
+                label = Label(f"tx-{index}")
             server = self._pick_sender(eligible, self.workload.sender)
             record = RequestRecord(
                 index=index,

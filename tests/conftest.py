@@ -30,7 +30,7 @@ def servers4():
 
 @pytest.fixture
 def keyring4(servers4):
-    """Key ring over four servers with the fast HMAC scheme."""
+    """Key ring over four servers."""
     return KeyRing(servers4)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.crypto.keys import KeyRing
-from repro.crypto.signatures import HmacScheme, SignatureScheme
 from repro.dag.block import Block
 from repro.dag.blockdag import BlockDag, Validator
 from repro.types import BlockRef, Label, Request, ServerId, make_servers
@@ -30,12 +29,11 @@ class ManualDagBuilder:
         self,
         n: int = 4,
         servers: Sequence[ServerId] | None = None,
-        scheme: SignatureScheme | None = None,
     ) -> None:
         if servers is None:
             servers = make_servers(n)
         self.servers: tuple[ServerId, ...] = tuple(servers)
-        self.keyring = KeyRing(self.servers, scheme or HmacScheme())
+        self.keyring = KeyRing(self.servers)
         self.dag = BlockDag()
         self.validator = Validator(
             verify=self.keyring.verify, resolve=self.dag.get

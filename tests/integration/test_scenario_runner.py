@@ -93,21 +93,6 @@ class TestRunnerMechanics:
         for record in runner.driver.records:
             assert record.delivered_round == final
 
-    def test_settle_rounds_do_not_inject(self):
-        scenario = Scenario(
-            name="settle",
-            protocol="brb",
-            workload=OpenLoopWorkload(rate=1, rounds=8),
-            stop=RoundsElapsed(rounds=2),
-            settle_rounds=3,
-            max_rounds=2,
-        )
-        runner = ScenarioRunner(scenario)
-        result = runner.run()
-        # Only the 2 driven rounds injected; the 3 settle rounds did not.
-        assert result.requests_issued == 2
-        assert result.rounds_run == 5
-
     def test_cluster_stays_accessible_after_run(self):
         runner = ScenarioRunner(registry.get("fault-free", smoke=True))
         result = runner.run()

@@ -24,8 +24,8 @@ class SteppedRunner(ScenarioRunner):
         #: Per (server, shim incarnation): its horizon after each round.
         self.horizons = {}
 
-    def _one_round(self, inject):
-        super()._one_round(inject)
+    def _one_round(self):
+        super()._one_round()
         self.rounds_checked += 1
         for server, shim in self.cluster.shims.items():
             self.violations += [

@@ -123,12 +123,8 @@ def hashables(depth):
     )
 
 
-def spliced(value):
-    return codec.Canonical(reference_codec.encode(value))
-
-
 def mixed(depth):
-    """Trees mixing every container, ``bytearray`` and splices."""
+    """Trees mixing every container and ``bytearray``."""
     leaves = st.one_of(hashable_leaves, st.binary(max_size=8).map(bytearray))
     if depth == 0:
         return leaves
@@ -141,7 +137,6 @@ def mixed(depth):
         st.dictionaries(keys, sub, max_size=3),
         st.sets(keys, max_size=3),
         st.frozensets(keys, max_size=3),
-        sub.map(spliced),
         st.builds(Message, servers, servers, sub.map(lambda value: Entry(value, 0))),
     )
 
@@ -160,7 +155,6 @@ def spine(depth):
         st.tuples(inner, siblings).map(lambda p: (p[0], *p[1])),
         st.tuples(hashables(1), inner, entries).map(lambda p: {**p[2], p[0]: p[1]}),
         st.tuples(inner, siblings).map(lambda p: {"pis": p[0], "rest": p[1]}),
-        inner.map(spliced),
         st.builds(Message, servers, servers, inner.map(Echo)),
     )
 

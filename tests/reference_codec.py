@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
-from repro.dag.codec import Canonical
 from repro.errors import CodecError
 
 _TAG_NONE = b"N"
@@ -107,9 +106,6 @@ def _encode_into(value: Any, out: bytearray) -> None:
         out += len(name).to_bytes(4, "big")
         out += name
         _encode_into(fields, out)
-        return
-    if type(value) is Canonical:
-        out += value.data
         return
     raise CodecError(f"cannot canonically encode {type(value).__name__}: {value!r}")
 

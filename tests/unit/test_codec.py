@@ -55,33 +55,6 @@ class TestEncodeBasics:
             codec.encode(1.5)
 
 
-class TestCanonicalSplice:
-    """``Canonical(encode(x))`` encodes exactly as ``x`` wherever ``x``
-    could have stood — the affordance checkpoint writes splice through."""
-
-    VALUE = {"pis": {"l": (1, [2, 3])}, "own": ("l",), "base": None, "p": Point(1, 2)}
-
-    def spliced(self):
-        return codec.Canonical(codec.encode(self.VALUE))
-
-    def test_top_level(self):
-        assert codec.encode(self.spliced()) == codec.encode(self.VALUE)
-
-    @pytest.mark.parametrize(
-        "wrap",
-        [
-            lambda v: {"a": v, "b": 1},
-            lambda v: [0, v],
-            lambda v: (v, "x"),
-            lambda v: {"outer": {"inner": (v,)}},
-        ],
-    )
-    def test_inside_containers(self, wrap):
-        encoded = codec.encode(wrap(self.spliced()))
-        assert encoded == codec.encode(wrap(self.VALUE))
-        assert codec.decode(encoded) == wrap(self.VALUE)
-
-
 class TestCallerWrittenItems:
     """A tuple or tagged pair whose items the caller writes encodes as
     the value it stands for, so the caller never writes a frame."""

@@ -6,7 +6,7 @@ from repro.crypto.keys import KeyRing
 from repro.crypto.signatures import Signature
 from repro.dag.block import Block
 from repro.gossip.forwarding import ForwardingState
-from repro.gossip.module import Gossip, GossipConfig
+from repro.gossip.module import MAX_REQUESTS_PER_BLOCK, Gossip
 from repro.net.message import BlockEnvelope, FwdRequestEnvelope
 from repro.net.simulator import NetworkSimulator
 from repro.net.transport import SimTransport
@@ -53,12 +53,11 @@ class TestDissemination:
     def test_request_batch_limit(self, net):
         _, nodes, _ = net
         gossip = nodes[S1]
-        gossip.config = GossipConfig(max_requests_per_block=2)
-        for i in range(5):
+        for i in range(MAX_REQUESTS_PER_BLOCK + 1):
             gossip.rqsts.put(L, Broadcast(i))
-        block = gossip.disseminate()
-        assert len(block.rs) == 2
-        assert len(gossip.rqsts) == 3
+        assert len(gossip.disseminate().rs) == 256
+        assert len(gossip.disseminate().rs) == 1
+        assert len(gossip.rqsts) == 0
 
     def test_chain_advances(self, net):
         sim, nodes, _ = net
@@ -247,18 +246,15 @@ class TestForwardingMechanism:
 
     def test_fwd_retry_paced(self):
         state = ForwardingState(retry_interval=3.0)
-        assert state.want("r1", S1, now=0.0)
-        assert not state.want("r1", S1, now=1.0)  # too soon
-        assert state.want("r1", S1, now=3.5)  # retry due
-        assert state.requests_issued == 2
+        # First sighting, too soon, retry due.
+        sent = [state.want("r1", S1, now=now) for now in (0.0, 1.0, 3.5)]
+        assert sent == [True, False, True]
 
     def test_fwd_retries_are_unbounded(self):
         # Lemma 4.3 needs FWD re-issued until the builder answers.
         state = ForwardingState(retry_interval=1.0)
-        assert state.want("r1", S1, now=0.0)
-        for expiry in range(1, 21):
-            assert state.want("r1", S1, now=float(expiry))
-        assert state.requests_issued == 21
+        sent = [state.want("r1", S1, now=float(expiry)) for expiry in range(21)]
+        assert sum(sent) == 21
         assert "r1" in state
 
     def test_fwd_retry_asks_the_latest_builder(self):

@@ -11,7 +11,7 @@ from repro.net.faults import LinkFaults
 from repro.net.latency import FixedLatency, JitterLatency
 from repro.obs.lifecycle import StageSummary
 from repro.protocols.counter import counter_protocol
-from repro.runtime.cluster import quick_cluster
+from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.runtime.snapshots import (
     InterpreterSnapshot,
     StorageSnapshot,
@@ -55,7 +55,6 @@ class TestScenarioJsonRoundTrip:
             topology=Topology(
                 n=7,
                 round_duration=5.0,
-                stagger=0.25,
                 latency=LatencySpec(model="jitter", low=0.2, high=1.8),
                 auto_interpret=False,
                 storage=StorageSpec(
@@ -64,7 +63,7 @@ class TestScenarioJsonRoundTrip:
             ),
             workload=OpenLoopWorkload(
                 rate=3, rounds=4, period=2, start_round=1, sender="random",
-                label_prefix="req-", shared_label=None,
+                shared_label=None,
             ),
             faults=FaultSchedule(
                 (
@@ -89,7 +88,6 @@ class TestScenarioJsonRoundTrip:
             ),
             probes=("total-blocks", "wire-bytes"),
             max_rounds=40,
-            settle_rounds=2,
         )
 
     def test_round_trip_equality(self):
@@ -203,8 +201,18 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=f"{field}={value}\\b"):
             StorageSpec.from_dict({field: value})
 
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_round_duration_rejected(self, value):
+        # A zero round never advances virtual time and a negative one
+        # seals nothing, so neither run can make progress.
+        with pytest.raises(ScenarioError, match=f"round_duration > 0, got {value}$"):
+            Topology(round_duration=value)
+        with pytest.raises(ScenarioError, match=f"round_duration > 0, got {value}$"):
+            Topology.from_dict({"round_duration": value})
+
     @pytest.mark.parametrize(
-        "section, key", [("topology", "cow"), ("storage", "horizon_gc")]
+        "section, key",
+        [("topology", "cow"), ("topology", "stagger"), ("storage", "horizon_gc")],
     )
     def test_retired_scenario_keys_rejected(self, section, key):
         document = registry.get("crash-restart").as_dict()
@@ -308,21 +316,18 @@ class TestFaultScheduleViews:
         assert not schedule.byzantine_servers()
 
 
-class TestQuickClusterExplicitKwargs:
+class TestClusterConfigKwargs:
     def test_builds_with_explicit_knobs(self):
-        cluster = quick_cluster(
-            counter_protocol, n=3, seed=5, round_duration=4.0, stagger=0.5
+        cluster = Cluster(
+            counter_protocol, n=3, config=ClusterConfig(seed=5, round_duration=4.0)
         )
         assert len(cluster.servers) == 3
+        assert cluster.config.seed == 5
         assert cluster.config.round_duration == 4.0
-        assert cluster.config.stagger == 0.5
 
     def test_typo_fails_with_clear_type_error(self):
-        """The old **config_kwargs passthrough deferred typos to a
-        dataclass TypeError deep in construction; now the call site
-        itself rejects them."""
         with pytest.raises(TypeError, match="staggr"):
-            quick_cluster(counter_protocol, n=4, staggr=0.5)
+            ClusterConfig(staggr=0.5)
 
 
 class TestTypedSnapshots:

@@ -7,7 +7,7 @@ from repro.net.simulator import NetworkSimulator
 from repro.net.transport import SimTransport
 from repro.protocols.brb import Broadcast, Deliver, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
-from repro.runtime.cluster import Cluster, ClusterConfig, quick_cluster
+from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.runtime.direct import DirectRuntime
 from repro.shim.shim import Shim, connect_shims
 from repro.types import Label, make_servers
@@ -89,11 +89,6 @@ class TestCluster:
         with pytest.raises(ValueError):
             Cluster(brb_protocol)
 
-    def test_quick_cluster(self):
-        cluster = quick_cluster(counter_protocol, n=4, seed=7)
-        assert len(cluster.servers) == 4
-        assert cluster.config.seed == 7
-
     def test_request_all(self):
         cluster = Cluster(counter_protocol, n=4)
         cluster.request_all(L, Inc(1))
@@ -117,12 +112,6 @@ class TestCluster:
         metrics = cluster.interpreter_snapshot()
         assert metrics.blocks_interpreted == 4 * cluster.total_blocks()
         assert metrics.request_steps == 4  # one request seen by 4 shims
-
-    def test_stagger_offsets_dissemination(self):
-        config = ClusterConfig(stagger=0.5)
-        cluster = Cluster(counter_protocol, n=4, config=config)
-        cluster.run_rounds(2)
-        assert cluster.dags_converged() or cluster.rounds_run == 2
 
     def test_trace_collects_all_indications(self):
         cluster = Cluster(brb_protocol, n=4)
