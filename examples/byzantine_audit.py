@@ -20,11 +20,10 @@ builder's signature.
 Run:  python examples/byzantine_audit.py
 """
 
-from repro import Cluster, brb_protocol, label
+from repro import ByzantineFault, Cluster, FaultSchedule, brb_protocol, label
 from repro.interpret.interpreter import Interpreter
 from repro.invariants import equivocations
 from repro.protocols.brb import Broadcast, Deliver
-from repro.runtime.adversary import EquivocatorAdversary
 from repro.types import make_servers
 from repro.viz import render_lanes
 
@@ -35,7 +34,7 @@ def main() -> None:
     cluster = Cluster(
         brb_protocol,
         servers=servers,
-        adversaries={byz: EquivocatorAdversary},
+        faults=FaultSchedule((ByzantineFault(byz, "equivocator"),)),
     )
     tx = label("tx")
     adversary = cluster.adversaries[byz]

@@ -10,9 +10,8 @@ tick-driven view change.
 Run:  python examples/consensus_ledger.py
 """
 
-from repro import Cluster, label
+from repro import ByzantineFault, Cluster, FaultSchedule, label
 from repro.protocols.pbft import Decide, Propose, Tick, pbft_protocol
-from repro.runtime.adversary import SilentAdversary
 from repro.types import make_servers
 
 
@@ -49,7 +48,7 @@ def main() -> None:
     cluster = Cluster(
         pbft_protocol,
         servers=servers,
-        adversaries={byz: SilentAdversary},
+        faults=FaultSchedule((ByzantineFault(byz, "silent"),)),
     )
 
     print(f"cluster: {list(servers)}; byzantine (silent): {byz}\n")

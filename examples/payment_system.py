@@ -18,9 +18,8 @@ Run:  python examples/payment_system.py
 
 from dataclasses import dataclass
 
-from repro import Cluster, brb_protocol, label
+from repro import ByzantineFault, Cluster, FaultSchedule, brb_protocol, label
 from repro.protocols.brb import Broadcast, Deliver
-from repro.runtime.adversary import EquivocatorAdversary
 from repro.types import Label, make_servers
 
 
@@ -53,7 +52,7 @@ def main() -> None:
     cluster = Cluster(
         brb_protocol,
         servers=servers,
-        adversaries={byz: EquivocatorAdversary},
+        faults=FaultSchedule((ByzantineFault(byz, "equivocator"),)),
     )
     balances = {str(s): 100 for s in servers}
 

@@ -37,14 +37,14 @@ from repro.protocols import (
     phase_king_protocol,
 )
 from repro.runtime import (
+    Adversary,
+    ByzantineFault,
     Cluster,
     ClusterConfig,
     CrashFault,
     DirectRuntime,
-    EquivocatorAdversary,
     FaultSchedule,
     InterpreterSnapshot,
-    SilentAdversary,
     StorageSnapshot,
     WireSnapshot,
 )
@@ -62,17 +62,18 @@ from repro.types import Label, ServerId, label, make_servers, server_id
 __version__ = "1.1.0"
 
 __all__ = [
+    "Adversary",
     "Block",
     "BlockBuilder",
     "BlockDag",
     "Broadcast",
+    "ByzantineFault",
     "Cluster",
     "ClusterConfig",
     "CrashFault",
     "Deliver",
     "Digraph",
     "DirectRuntime",
-    "EquivocatorAdversary",
     "FaultSchedule",
     "FixedLatency",
     "Gossip",
@@ -92,7 +93,6 @@ __all__ = [
     "ServerId",
     "ServerStorage",
     "Shim",
-    "SilentAdversary",
     "StorageConfig",
     "StorageSnapshot",
     "WireSnapshot",

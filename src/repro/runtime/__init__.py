@@ -1,9 +1,11 @@
 """Cluster runtimes: wiring servers, networks and protocols together.
 
 * :mod:`repro.runtime.cluster` — N shims over the simulated network,
-  round-driven dissemination, byzantine seats.
-* :mod:`repro.runtime.adversary` — byzantine behaviours (silence,
-  crashes, equivocation, garbage, withholding).
+  round-driven dissemination, byzantine seats taken from the fault
+  schedule.
+* :mod:`repro.runtime.adversary` — the one byzantine seat and the
+  table of scripts it runs (silence, crashes, equivocation, garbage,
+  withholding).
 * :mod:`repro.runtime.faults` — the fault vocabulary: one schedule of
   partition, crash, byzantine, loss and duplication events.
 * :mod:`repro.runtime.direct` — the baseline: the *same* protocol
@@ -12,17 +14,10 @@
   :func:`repro.invariants.same_indications` is the comparison).
 """
 
-from repro.runtime.adversary import (
-    Adversary,
-    CrashAdversary,
-    EquivocatorAdversary,
-    GarbageAdversary,
-    SilentAdversary,
-    WithholdingAdversary,
-)
+from repro.runtime.adversary import Adversary
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.runtime.direct import DirectRuntime, ProtocolMessageEnvelope
-from repro.runtime.faults import CrashFault, FaultSchedule
+from repro.runtime.faults import ByzantineFault, CrashFault, FaultSchedule
 from repro.runtime.snapshots import (
     InterpreterSnapshot,
     StorageSnapshot,
@@ -31,18 +26,14 @@ from repro.runtime.snapshots import (
 
 __all__ = [
     "Adversary",
+    "ByzantineFault",
     "Cluster",
     "ClusterConfig",
-    "CrashAdversary",
     "CrashFault",
     "DirectRuntime",
-    "EquivocatorAdversary",
     "FaultSchedule",
-    "GarbageAdversary",
     "InterpreterSnapshot",
     "ProtocolMessageEnvelope",
-    "SilentAdversary",
     "StorageSnapshot",
     "WireSnapshot",
-    "WithholdingAdversary",
 ]

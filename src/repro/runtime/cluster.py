@@ -1,9 +1,10 @@
 """The block DAG cluster runtime.
 
 Builds ``n`` servers — correct ones running :class:`~repro.shim.Shim`,
-byzantine seats running an :class:`~repro.runtime.adversary.Adversary`
-— over one :class:`~repro.net.simulator.NetworkSimulator`, and drives
-them in *rounds*: every round each participant gets one ``disseminate``
+the fault schedule's byzantine seats running an
+:class:`~repro.runtime.adversary.Adversary` — over one
+:class:`~repro.net.simulator.NetworkSimulator`, and drives them in
+*rounds*: every round each participant gets one ``disseminate``
 opportunity (Algorithm 3 lines 10–11) and the network then runs for a
 bounded stretch of virtual time.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.crypto.keys import KeyRing
 from repro.errors import ScenarioError, SimulationError
@@ -29,7 +30,7 @@ from repro.net.simulator import NetworkSimulator
 from repro.net.transport import RevocableTransport, SimTransport
 from repro.obs.trace import ClusterTracer
 from repro.protocols.base import ProtocolSpec, Trace
-from repro.runtime.adversary import Adversary
+from repro.runtime.adversary import BEHAVIOURS, Adversary
 from repro.runtime.faults import FaultSchedule
 from repro.runtime.snapshots import (
     InterpreterSnapshot,
@@ -110,15 +111,13 @@ class Cluster:
     servers:
         Explicit server ids, or use ``n`` to generate ``s1..sN``.
     faults:
-        The fault schedule: crash and restart events fire at the start
-        of their rounds (a crashed server loses all volatile state and
-        restarts from its WAL + checkpoint, so they need
-        ``config.storage_dir``); partition, loss and duplication events
-        shape the simulated network.  Byzantine seats come from
-        ``adversaries``, not from the schedule.
-    adversaries:
-        Mapping of server id to adversary factory; those seats run the
-        adversary instead of a correct shim.
+        The fault schedule: each byzantine event's server runs an
+        :class:`~repro.runtime.adversary.Adversary` on its behaviour's
+        script instead of a correct shim; crash and restart events fire
+        at the start of their rounds (a crashed server loses all
+        volatile state and restarts from its WAL + checkpoint, so they
+        need ``config.storage_dir``); partition, loss and duplication
+        events shape the simulated network.
     """
 
     def __init__(
@@ -128,7 +127,6 @@ class Cluster:
         servers: Sequence[ServerId] | None = None,
         config: ClusterConfig | None = None,
         faults: FaultSchedule | None = None,
-        adversaries: Mapping[ServerId, Callable[..., Adversary]] | None = None,
     ) -> None:
         if servers is None:
             if n is None:
@@ -166,15 +164,14 @@ class Cluster:
         self.rounds_run = 0
         self.crashes_performed = 0
         self.restarts_performed = 0
-        adversaries = dict(adversaries or {})
+        seats = self.faults.seats()
         for server in self.servers:
-            if server in adversaries:
-                transport = SimTransport(self.sim, server)
-                adversary = adversaries[server](
-                    server=server,
-                    keyring=self.keyring,
-                    transport=transport,
-                    protocol=protocol,
+            if server in seats:
+                adversary = Adversary(
+                    server,
+                    self.keyring,
+                    SimTransport(self.sim, server),
+                    BEHAVIOURS[seats[server]],
                 )
                 self.adversaries[server] = adversary
                 self.sim.register(server, adversary.on_network)

@@ -5,12 +5,13 @@ partitions, crash/restart of correct servers, byzantine seats, and loss
 and duplication on links.  The same value drives both arms, read where
 each fault happens:
 
-* :class:`~repro.runtime.cluster.Cluster` fires crash and restart
+* :class:`~repro.runtime.cluster.Cluster` seats each
+  :class:`ByzantineFault` with its behaviour's script from
+  :data:`~repro.runtime.adversary.BEHAVIOURS`, fires crash and restart
   events at the start of their rounds and hands the simulator the
   network events as :class:`~repro.net.faults.LinkFaults`
   (:meth:`FaultSchedule.link_faults`);
-* the scenario runner seats each :class:`ByzantineFault` through
-  :data:`BEHAVIOURS` and injects its equivocation cues;
+* the scenario runner injects each equivocator seat's cues;
 * :class:`~repro.runtime.live.cluster.LiveCluster` SIGKILLs and respawns
   node processes on :class:`CrashFault` events.
 
@@ -22,29 +23,13 @@ the schedule against the configured server set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
 from repro.errors import ScenarioError
 from repro.jsonvalue import JsonDocument
 from repro.net.faults import LinkFaults, Partition
-from repro.runtime.adversary import (
-    Adversary,
-    CrashAdversary,
-    EquivocatorAdversary,
-    GarbageAdversary,
-    SilentAdversary,
-    WithholdingAdversary,
-)
+from repro.runtime.adversary import BEHAVIOURS
 from repro.types import ServerId
-
-#: Byzantine behaviours a scenario can seat, by name.
-BEHAVIOURS: dict[str, Callable[..., Adversary]] = {
-    "silent": SilentAdversary,
-    "crash": CrashAdversary,
-    "equivocator": EquivocatorAdversary,
-    "garbage": GarbageAdversary,
-    "withholding": WithholdingAdversary,
-}
 
 
 @dataclass(frozen=True)
@@ -148,6 +133,10 @@ class ByzantineFault(FaultEvent):
             raise ScenarioError(
                 "equivocate_at only makes sense for the 'equivocator' behaviour"
             )
+        if any(round_index < 0 for round_index in self.equivocate_at):
+            raise ScenarioError(
+                f"equivocate_at rounds must be ≥ 0, got {tuple(self.equivocate_at)}"
+            )
         object.__setattr__(self, "equivocate_at", tuple(self.equivocate_at))
 
     def validate(self, servers: Sequence[ServerId]) -> None:
@@ -159,8 +148,9 @@ class LinkLossFault(FaultEvent):
     """Probabilistic loss on every link touching ``server``.
 
     Loss is only legal on links with a byzantine endpoint (Assumption 1),
-    so this implicitly declares ``server`` byzantine to the fault layer;
-    pair it with a :class:`ByzantineFault` seat or a silent server."""
+    so this declares ``server`` byzantine to the fault layer, and
+    :meth:`FaultSchedule.validate` requires a :class:`ByzantineFault`
+    seating it."""
 
     kind = "link-loss"
 
@@ -231,14 +221,34 @@ class FaultSchedule(JsonDocument):
         """Crash faults wipe volatile state; restart requires a disk."""
         return bool(self.crash_events())
 
+    def seats(self) -> dict[str, str]:
+        """Each byzantine seat's behaviour name, by server."""
+        return {
+            e.server: e.behaviour for e in self.events if isinstance(e, ByzantineFault)
+        }
+
     def validate(self, servers: Sequence[ServerId]) -> None:
-        byz = self.byzantine_servers()
+        seats = self.seats()
+        seated: set[str] = set()
         for event in self.events:
             event.validate(servers)
-            if isinstance(event, CrashFault) and event.server in byz:
+            if isinstance(event, ByzantineFault):
+                if event.server in seated:
+                    raise ScenarioError(
+                        f"server {event.server!r} has two byzantine seats; "
+                        f"a server runs one behaviour"
+                    )
+                seated.add(event.server)
+            elif isinstance(event, CrashFault) and event.server in seats:
                 raise ScenarioError(
                     f"server {event.server!r} is both a byzantine seat and a "
                     f"crash-fault target; crash faults apply to correct servers"
+                )
+            elif isinstance(event, LinkLossFault) and event.server not in seats:
+                raise ScenarioError(
+                    f"link loss on {event.server!r} needs a byzantine seat "
+                    f"there: loss is legal only on links with a byzantine "
+                    f"endpoint (Assumption 1)"
                 )
 
     def link_faults(

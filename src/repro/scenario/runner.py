@@ -2,9 +2,9 @@
 :class:`~repro.runtime.cluster.Cluster`.
 
 The runner is the only imperative piece of the scenario layer: it
-builds the cluster over the scenario's fault schedule (seating each
-byzantine event's behaviour), drives rounds while injecting the
-workload and the byzantine equivocation cues, evaluates the stop
+builds the cluster over the scenario's fault schedule (the cluster
+seats each byzantine event's behaviour), drives rounds while injecting
+the workload and the byzantine equivocation cues, evaluates the stop
 condition, samples probes, and folds everything into a typed
 :class:`~repro.scenario.result.ScenarioResult`.
 
@@ -28,7 +28,7 @@ from repro.obs.export import read_jsonl
 from repro.obs.lifecycle import LifecycleIndex, LifecycleStats, StageSummary
 from repro.obs.metrics import MetricsRegistry, MetricsReport
 from repro.runtime.cluster import Cluster, ClusterConfig
-from repro.runtime.faults import BEHAVIOURS, ByzantineFault
+from repro.runtime.faults import ByzantineFault
 from repro.runtime.snapshots import (
     InterpreterSnapshot,
     StorageSnapshot,
@@ -191,11 +191,6 @@ class ScenarioRunner:
             servers=topology.servers(),
             config=config,
             faults=scenario.faults,
-            adversaries={
-                ServerId(event.server): BEHAVIOURS[event.behaviour]
-                for event in scenario.faults.events
-                if isinstance(event, ByzantineFault)
-            },
         )
 
     # -- byzantine cues --------------------------------------------------------
@@ -212,8 +207,8 @@ class ScenarioRunner:
             # Indices far above any workload index: the two values are
             # distinct from each other and from every honest request.
             base = 1_000_000 + 2 * cue_round
-            adversary.request(label, self.entry.make_request(base))  # type: ignore[attr-defined]
-            adversary.fork_request(label, self.entry.make_request(base + 1))  # type: ignore[attr-defined]
+            adversary.request(label, self.entry.make_request(base))
+            adversary.fork_request(label, self.entry.make_request(base + 1))
             if self.cluster.tracer is not None:
                 self.cluster.tracer.recorder(ServerId(server)).emit(
                     "fault-injected", fault="equivocation-cue", round=cue_round

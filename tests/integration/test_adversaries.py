@@ -3,13 +3,9 @@
 from repro.invariants import agreement
 from repro.protocols.brb import Broadcast, Deliver, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
-from repro.runtime.adversary import (
-    CrashAdversary,
-    EquivocatorAdversary,
-    GarbageAdversary,
-    SilentAdversary,
-)
+from repro.runtime.adversary import SILENT
 from repro.runtime.cluster import Cluster
+from repro.runtime.faults import ByzantineFault, FaultSchedule
 from repro.types import Label, make_servers
 
 L = Label("l")
@@ -21,7 +17,7 @@ class TestSilentServer:
         cluster = Cluster(
             brb_protocol,
             servers=servers,
-            adversaries={servers[3]: SilentAdversary},
+            faults=FaultSchedule((ByzantineFault(servers[3], "silent"),)),
         )
         cluster.request(servers[0], L, Broadcast("v"))
         cluster.run_until(lambda c: c.all_delivered(L), max_rounds=16)
@@ -35,10 +31,12 @@ class TestSilentServer:
         cluster = Cluster(
             brb_protocol,
             servers=servers,
-            adversaries={
-                servers[2]: SilentAdversary,
-                servers[3]: SilentAdversary,
-            },
+            faults=FaultSchedule(
+                (
+                    ByzantineFault(servers[2], "silent"),
+                    ByzantineFault(servers[3], "silent"),
+                )
+            ),
         )
         cluster.request(servers[0], L, Broadcast("v"))
         cluster.run_rounds(8)
@@ -52,19 +50,19 @@ class TestCrash:
         cluster = Cluster(
             brb_protocol,
             servers=servers,
-            adversaries={servers[3]: lambda **kw: CrashAdversary(crash_after=2, **kw)},
+            faults=FaultSchedule((ByzantineFault(servers[3], "crash"),)),
         )
         cluster.request(servers[0], L, Broadcast("v"))
         cluster.run_until(lambda c: c.all_delivered(L), max_rounds=16)
         adversary = cluster.adversaries[servers[3]]
-        assert adversary.crashed
+        assert adversary.step == SILENT
 
     def test_pre_crash_requests_still_deliver(self):
         servers = make_servers(4)
         cluster = Cluster(
             brb_protocol,
             servers=servers,
-            adversaries={servers[3]: lambda **kw: CrashAdversary(crash_after=3, **kw)},
+            faults=FaultSchedule((ByzantineFault(servers[3], "crash"),)),
         )
         adversary = cluster.adversaries[servers[3]]
         adversary.request(L, Broadcast("from-crasher"))
@@ -83,12 +81,12 @@ class TestGarbage:
         cluster = Cluster(
             brb_protocol,
             servers=servers,
-            adversaries={servers[3]: GarbageAdversary},
+            faults=FaultSchedule((ByzantineFault(servers[3], "garbage"),)),
         )
         cluster.request(servers[0], L, Broadcast("v"))
         cluster.run_until(lambda c: c.all_delivered(L), max_rounds=16)
         adversary = cluster.adversaries[servers[3]]
-        assert adversary.garbage_sent > 0
+        assert adversary.invalid_sent > 0
         for server in cluster.correct_servers:
             dag = cluster.shim(server).dag
             # No adversary block survived validation: the bad-signature
@@ -100,7 +98,7 @@ class TestGarbage:
         cluster = Cluster(
             counter_protocol,
             servers=servers,
-            adversaries={servers[3]: GarbageAdversary},
+            faults=FaultSchedule((ByzantineFault(servers[3], "garbage"),)),
         )
         cluster.request(servers[0], L, Inc(5))
         cluster.run_rounds(6)
@@ -115,7 +113,7 @@ class TestEquivocator:
         cluster = Cluster(
             brb_protocol,
             servers=servers,
-            adversaries={servers[3]: EquivocatorAdversary},
+            faults=FaultSchedule((ByzantineFault(servers[3], "equivocator"),)),
         )
         adversary = cluster.adversaries[servers[3]]
         adversary.request(L, Broadcast("left"))
@@ -160,10 +158,12 @@ class TestMixedAdversaries:
         cluster = Cluster(
             brb_protocol,
             servers=servers,
-            adversaries={
-                servers[5]: EquivocatorAdversary,
-                servers[6]: SilentAdversary,
-            },
+            faults=FaultSchedule(
+                (
+                    ByzantineFault(servers[5], "equivocator"),
+                    ByzantineFault(servers[6], "silent"),
+                )
+            ),
         )
         labels = [Label(f"tx-{i}") for i in range(6)]
         for i, lbl in enumerate(labels):

@@ -55,7 +55,6 @@ from repro.protocols.brb import Broadcast
 from repro.protocols.counter import Inc, Total
 from repro.protocols.pbft import Tick
 from repro.protocols.phaseking import PkAdvance
-from repro.runtime.adversary import EquivocatorAdversary, SilentAdversary
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.runtime.direct import DirectRuntime
 from repro.scenario import (
@@ -216,12 +215,12 @@ def run_both(name, condition, n, entry=None):
     correct = [s for s in servers if s not in faulty]
     latency = JitterLatency(0.2, 2.0) if condition == "jitter" else FixedLatency()
     direct = DirectRuntime(entry.spec, servers=servers, silent=faulty, latency=latency, seed=17)
-    adversaries = dict.fromkeys(faulty, SilentAdversary)
+    behaviours = dict.fromkeys(faulty, "silent")
     if condition == "hostile":
-        adversaries[faulty[0]] = EquivocatorAdversary
+        behaviours[faulty[0]] = "equivocator"
     cluster = Cluster(
         entry.spec, servers=servers, config=ClusterConfig(latency=latency, seed=23),
-        adversaries=adversaries,
+        faults=FaultSchedule(tuple(ByzantineFault(s, b) for s, b in behaviours.items())),
     )
     if condition == "hostile":
         seat = faulty[0]

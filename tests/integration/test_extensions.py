@@ -6,8 +6,8 @@ report's signature re-check by ``tests/unit/test_invariants.py``.
 
 from repro.invariants import equivocations
 from repro.protocols.brb import Broadcast, brb_protocol
-from repro.runtime.adversary import EquivocatorAdversary
 from repro.runtime.cluster import Cluster
+from repro.runtime.faults import ByzantineFault, FaultSchedule
 from repro.types import Label, make_servers
 
 L = Label("l")
@@ -20,7 +20,7 @@ class TestAccountability:
         cluster = Cluster(
             brb_protocol,
             servers=servers,
-            adversaries={byz: EquivocatorAdversary},
+            faults=FaultSchedule((ByzantineFault(byz, "equivocator"),)),
         )
         adversary = cluster.adversaries[byz]
         adversary.request(L, Broadcast("a"))

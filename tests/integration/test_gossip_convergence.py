@@ -8,8 +8,12 @@ from repro.net.latency import JitterLatency
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.protocols.counter import counter_protocol
 from repro.runtime.cluster import Cluster, ClusterConfig
-from repro.runtime.adversary import WithholdingAdversary
-from repro.runtime.faults import DuplicationFault, FaultSchedule, PartitionFault
+from repro.runtime.faults import (
+    ByzantineFault,
+    DuplicationFault,
+    FaultSchedule,
+    PartitionFault,
+)
 from repro.types import Label, make_servers
 
 L = Label("l")
@@ -118,7 +122,7 @@ class TestForwardingRecovery:
             brb_protocol,
             servers=servers,
             config=ClusterConfig(gossip=GossipConfig(fwd_retry_interval=retry)),
-            adversaries={byz: WithholdingAdversary},
+            faults=FaultSchedule((ByzantineFault(byz, "withholding"),)),
         )
         adversary = cluster.adversaries[byz]
         adversary.request(L, Broadcast("hidden"))
@@ -143,7 +147,7 @@ class TestForwardingRecovery:
         cluster = Cluster(
             brb_protocol,
             servers=servers,
-            adversaries={byz: WithholdingAdversary},
+            faults=FaultSchedule((ByzantineFault(byz, "withholding"),)),
         )
         cluster.adversaries[byz].request(L, Broadcast("hidden"))
         cluster.run_rounds(6)

@@ -5,13 +5,18 @@ variants keep this fast), produce a schema-valid JSON result, and
 expose the run through the typed result fields the CLI and CI consume.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.invariants import agreement, well_formed_chains
+from repro.runtime.adversary import BEHAVIOURS
 from repro.scenario import (
     AllDelivered,
+    ByzantineFault,
     ClosedLoopWorkload,
+    FaultSchedule,
     OpenLoopWorkload,
     RoundsElapsed,
     Scenario,
@@ -52,6 +57,33 @@ class TestRegistryScenarios:
         result = run_scenario(registry.get("equivocator", smoke=True))
         assert result.forks_observed >= 1
         assert result.converged
+
+    @pytest.mark.parametrize("behaviour", sorted(BEHAVIOURS))
+    def test_every_behaviour_seats_through_the_runner(self, behaviour):
+        # The equivocator smoke with its seat swapped.  The stop is
+        # AllDelivered alone: a withholding seat shows its newest block
+        # to one peer each round, so correct DAGs differ at every round
+        # boundary.
+        smoke = registry.get("equivocator", smoke=True)
+        seat = ByzantineFault(
+            server="s4",
+            behaviour=behaviour,
+            equivocate_at=(1,) if behaviour == "equivocator" else (),
+        )
+        runner = ScenarioRunner(
+            dataclasses.replace(
+                smoke, faults=FaultSchedule((seat,)), stop=AllDelivered()
+            )
+        )
+        result = runner.run()
+        assert result.stopped_by == "stop-condition"
+        cluster = runner.cluster
+        assert set(cluster.adversaries) == {"s4"}
+        trace = cluster.trace()
+        labels = {label for seq in trace.indications.values() for label, _ in seq}
+        assert labels and all(agreement(trace, label) == [] for label in labels)
+        for shim in cluster.shims.values():
+            assert well_formed_chains(shim.dag, cluster.correct_servers) == []
 
     def test_pruning_scenario_prunes(self):
         result = run_scenario(registry.get("pruning", smoke=True))

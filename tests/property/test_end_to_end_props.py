@@ -12,46 +12,35 @@ from repro.invariants import (
 )
 from repro.net.latency import JitterLatency
 from repro.protocols.brb import Broadcast, brb_protocol
-from repro.runtime.adversary import (
-    EquivocatorAdversary,
-    GarbageAdversary,
-    SilentAdversary,
-    WithholdingAdversary,
-)
+from repro.runtime.adversary import BEHAVIOURS
 from repro.runtime.cluster import Cluster, ClusterConfig
+from repro.runtime.faults import ByzantineFault, FaultSchedule
 from repro.types import Label, make_servers
-
-ADVERSARIES = [
-    SilentAdversary,
-    EquivocatorAdversary,
-    GarbageAdversary,
-    WithholdingAdversary,
-]
 
 L = Label("l")
 
 
 @st.composite
 def byzantine_scenarios(draw):
-    adversary = draw(st.sampled_from(ADVERSARIES))
+    behaviour = draw(st.sampled_from(sorted(BEHAVIOURS)))
     seed = draw(st.integers(0, 5000))
     sender_index = draw(st.integers(0, 2))  # a correct sender
     value = draw(st.integers(0, 10**6))
-    return adversary, seed, sender_index, value
+    return behaviour, seed, sender_index, value
 
 
 class TestByzantineRobustness:
     @given(byzantine_scenarios())
     @settings(max_examples=20, deadline=None)
     def test_brb_contract_under_any_single_adversary(self, scenario):
-        adversary_cls, seed, sender_index, value = scenario
+        behaviour, seed, sender_index, value = scenario
         servers = make_servers(4)
         config = ClusterConfig(latency=JitterLatency(0.3, 2.0), seed=seed)
         cluster = Cluster(
             brb_protocol,
             servers=servers,
             config=config,
-            adversaries={servers[3]: adversary_cls},
+            faults=FaultSchedule((ByzantineFault(servers[3], behaviour),)),
         )
         cluster.request(servers[sender_index], L, Broadcast(value))
         cluster.run_until(lambda c: c.all_delivered(L), max_rounds=30)
@@ -71,14 +60,14 @@ class TestByzantineRobustness:
     @given(byzantine_scenarios())
     @settings(max_examples=12, deadline=None)
     def test_structural_invariants_under_any_adversary(self, scenario):
-        adversary_cls, seed, sender_index, value = scenario
+        behaviour, seed, sender_index, value = scenario
         servers = make_servers(4)
         config = ClusterConfig(latency=JitterLatency(0.3, 2.0), seed=seed)
         cluster = Cluster(
             brb_protocol,
             servers=servers,
             config=config,
-            adversaries={servers[3]: adversary_cls},
+            faults=FaultSchedule((ByzantineFault(servers[3], behaviour),)),
         )
         cluster.request(servers[sender_index], L, Broadcast(value))
         cluster.run_rounds(6)
@@ -98,7 +87,7 @@ class TestByzantineRobustness:
             brb_protocol,
             servers=servers,
             config=config,
-            adversaries={servers[3]: EquivocatorAdversary},
+            faults=FaultSchedule((ByzantineFault(servers[3], "equivocator"),)),
         )
         adversary = cluster.adversaries[servers[3]]
         adversary.request(L, Broadcast("a"))

@@ -5,8 +5,8 @@ import pytest
 from repro.invariants import agreement
 from repro.protocols.base import Message
 from repro.protocols.brb import Broadcast, Deliver, Echo, Ready, brb_protocol
-from repro.runtime.adversary import EquivocatorAdversary
 from repro.runtime.cluster import Cluster
+from repro.runtime.faults import ByzantineFault, FaultSchedule
 from repro.types import Label, make_servers
 
 SERVERS = make_servers(4)
@@ -184,7 +184,7 @@ class TestSafetyPredicates:
         cluster = Cluster(
             brb_protocol,
             servers=SERVERS,
-            adversaries={S4: EquivocatorAdversary},
+            faults=FaultSchedule((ByzantineFault(S4, "equivocator"),)),
         )
         adversary = cluster.adversaries[S4]
         adversary.request(L, Broadcast("left"))

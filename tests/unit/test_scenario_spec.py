@@ -2,6 +2,7 @@
 validation errors, workload schedules, the fault schedule's views and
 the typed snapshot classes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -177,6 +178,36 @@ class TestScenarioValidation:
             Scenario.from_json(json.dumps(document))
         with pytest.raises(ScenarioError, match=message):
             CrashFault(server="s3", crash_round=crash_round, restart_round=restart_round)
+
+    @pytest.mark.parametrize("second", ["silent", "equivocator"])
+    def test_two_byzantine_seats_for_one_server_rejected(self, second):
+        # Either order: one server runs one behaviour.
+        smoke = registry.get("equivocator", smoke=True)
+        first = smoke.faults.events[0]
+        for events in (
+            (first, ByzantineFault(server="s4", behaviour=second)),
+            (ByzantineFault(server="s4", behaviour=second), first),
+        ):
+            with pytest.raises(ScenarioError, match="two byzantine seats"):
+                dataclasses.replace(smoke, faults=FaultSchedule(events))
+
+    def test_negative_equivocation_round_rejected(self):
+        with pytest.raises(ScenarioError, match="equivocate_at rounds must be ≥ 0"):
+            ByzantineFault(server="s4", behaviour="equivocator", equivocate_at=(2, -1))
+
+    def test_link_loss_needs_a_byzantine_seat(self):
+        lossy = FaultSchedule((LinkLossFault(server="s1", probability=1.0),))
+        with pytest.raises(ScenarioError, match="needs a byzantine seat"):
+            Cluster(counter_protocol, n=4, faults=lossy)
+        seated = FaultSchedule(
+            (
+                LinkLossFault(server="s1", probability=1.0),
+                ByzantineFault(server="s1", behaviour="silent"),
+            )
+        )
+        assert set(Cluster(counter_protocol, n=4, faults=seated).adversaries) == {
+            "s1"
+        }
 
     def test_unknown_behaviour_rejected(self):
         with pytest.raises(ScenarioError, match="unknown byzantine behaviour"):
