@@ -2,39 +2,36 @@
 
 A server considers a block *valid* when (i) its signature verifies,
 (ii) it is a genesis block or has exactly one parent, and (iii) all its
-predecessors are valid.  Because (iii) recurses over blocks the server
-may not have received yet, validation here is tri-state:
+predecessors are valid.  Check (i) is a property of the received copy
+(``ref(B)`` excludes σ, so copies sharing a reference may differ in
+it): gossip checks it once, at ingress, and only verified copies reach
+the buffer.  The :class:`Validator` decides the rest for one buffered
+block, the way Algorithm 1 line 6 asks it.  ``G`` holds only valid
+blocks (Lemma A.5), so check (iii) needs no walk: it holds once every
+predecessor is in ``G``.  The verdict is tri-state:
 
-* ``VALID``   — all three checks pass;
-* ``INVALID`` — permanently rejected (bad signature, parent-rule
-  violation, or a predecessor that is itself permanently invalid);
-* ``PENDING`` — some predecessor has not been received; gossip keeps
-  the block buffered and requests forwarding (Algorithm 1 lines 10–11).
+* ``VALID``   — every predecessor is in ``G`` and the parent rule holds;
+* ``INVALID`` — permanently rejected (parent-rule violation, or a
+  predecessor that was itself condemned or discarded);
+* ``PENDING`` — some predecessor is not in ``G`` yet; gossip keeps the
+  block buffered, requests forwarding (Algorithm 1 lines 10–11) and
+  asks again when a predecessor is inserted or condemned.
 
 The :class:`BlockDag` stores full blocks keyed by reference and
 maintains the graph of Definition 3.4: a block is inserted only when
-valid and only when all predecessors are already vertices, so the
-``insert`` of Definition 2.1 applies and acyclicity is by construction
-(Lemma A.3 / Lemma A.5).
+all predecessors are already vertices, so the ``insert`` of Definition
+2.1 applies and acyclicity is by construction (Lemma A.3 / Lemma A.5).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterator, KeysView
+from typing import Callable, Iterator, KeysView, Mapping
 
-from repro.crypto.signatures import Signature
 from repro.dag.block import Block
 from repro.dag.digraph import Digraph
-from repro.errors import InvalidBlockError, MissingPredecessorError
+from repro.errors import MissingPredecessorError
 from repro.types import BlockRef, SeqNum, ServerId
-
-#: Verification callback: ``(server, payload, signature) -> bool``.
-VerifyFn = Callable[[ServerId, bytes, Signature], bool]
-
-#: Resolver callback: fetch the full content of a referenced block, or
-#: ``None`` if it has not been received.
-ResolveFn = Callable[[BlockRef], Block | None]
 
 
 class Validity(enum.Enum):
@@ -46,136 +43,61 @@ class Validity(enum.Enum):
 
 
 class Validator:
-    """Memoized Definition 3.3 validity checker for one server's view.
+    """Definition 3.3 over one server's ``G`` and its buffer ``blks``.
 
-    Validation walks the predecessor closure iteratively (no recursion,
-    so arbitrarily long chains are fine) and caches *permanent* verdicts
-    — ``VALID`` and ``INVALID``.  ``PENDING`` verdicts are recomputed as
-    new blocks arrive.
+    Every verdict but ``PENDING`` is cached by reference; ``PENDING``
+    is asked again when a predecessor is inserted or condemned.
     """
 
-    def __init__(self, verify: VerifyFn, resolve: ResolveFn) -> None:
-        self._verify = verify
-        self._resolve = resolve
+    def __init__(self, dag: BlockDag, buffered: Mapping[BlockRef, Block]) -> None:
+        self._dag = dag
+        self._buffered = buffered
         self._cache: dict[BlockRef, Validity] = {}
 
     def validity(self, block: Block) -> Validity:
-        """Classify ``block`` per Definition 3.3.
-
-        Caching subtlety: ``ref(B)`` excludes the signature, so a block
-        and a mangled-signature copy of it share a reference.  Verdicts
-        driven by *content* (parent rule, predecessor validity) are
-        cached by reference; signature failures are **never cached** —
-        the queried copy is simply rejected, as if never received —
-        so a byzantine server cannot poison the verdict of an honest
-        block by racing a bad-signature copy of it to a validator.
-        """
-        # Signature of the queried copy, checked first and uncached.
-        if not self._signature_ok(block):
-            return Validity.INVALID
+        """Classify ``block``, whose signature was checked at ingress."""
         cached = self._cache.get(block.ref)
         if cached is not None:
             return cached
-
-        # Iterative post-order over the predecessor closure.  Stored
-        # predecessor copies with bad signatures are treated as missing.
-        stack: list[tuple[Block, bool]] = [(block, False)]
-        pending_somewhere = False
-        on_stack: set[BlockRef] = set()
-        while stack:
-            current, expanded = stack.pop()
-            if expanded:
-                on_stack.discard(current.ref)
-                verdict = self._content_verdict(current)
-                if verdict is not Validity.INVALID and any(
-                    self._cache.get(p) is Validity.INVALID for p in current.preds
-                ):
-                    # Check (iii) needs only the *verdict* of each
-                    # predecessor, not its content: a cached-INVALID ref
-                    # condemns the block even when the predecessor's
-                    # copy is unavailable (so gossip can discard whole
-                    # buffered chains instead of chasing FWDs for a ref
-                    # it already knows is permanently invalid).
-                    verdict = Validity.INVALID
-                if verdict is Validity.VALID:
-                    # All preds were pushed before us; they are resolved
-                    # (else we'd have flagged pending) — consult cache.
-                    for pred_ref in current.preds:
-                        if self._cache.get(pred_ref) is not Validity.VALID:
-                            verdict = Validity.PENDING
-                            break
-                if verdict is Validity.PENDING:
-                    pending_somewhere = True
-                else:
-                    self._cache[current.ref] = verdict
-                continue
-
-            if current.ref in self._cache:
-                continue
-            if current.ref in on_stack:
-                # A reference cycle is cryptographically infeasible
-                # (Lemma 3.2); seeing one means a broken resolver.
-                self._cache[current.ref] = Validity.INVALID
-                continue
-            on_stack.add(current.ref)
-            stack.append((current, True))
-            for pred_ref in current.preds:
-                if pred_ref in self._cache:
-                    continue
-                pred = self._resolve(pred_ref)
-                if pred is None or pred.ref != pred_ref or not self._signature_ok(pred):
-                    # Missing, content-mismatched, or badly signed copy:
-                    # wait for a genuine one.
-                    pending_somewhere = True
-                else:
-                    stack.append((pred, False))
-
-        result = self._cache.get(block.ref)
-        if result is not None:
-            return result
-        assert pending_somewhere
-        return Validity.PENDING
-
-    def is_valid(self, block: Block) -> bool:
-        """Whether ``valid(s, B)`` holds — the boolean view of Def. 3.3."""
-        return self.validity(block) is Validity.VALID
+        cache = self._cache
+        # Check (iii) needs only the *verdict* of a predecessor: a
+        # condemned or discarded one condemns the block, even when no
+        # copy of it is held.
+        if any(cache.get(p) is Validity.INVALID for p in block.preds):
+            cache[block.ref] = Validity.INVALID
+            return Validity.INVALID
+        dag = self._dag
+        in_dag = True
+        parents = 0
+        for pred_ref in block.preds:
+            pred = dag.get(pred_ref)
+            if pred is None:
+                in_dag = False
+                pred = self._buffered.get(pred_ref)
+                if pred is None:
+                    return Validity.PENDING
+            if pred.n == block.n and pred.k == block.k - 1:
+                parents += 1
+        # Check (ii), as soon as every predecessor's content is held.
+        if not block.is_genesis and parents != 1:
+            cache[block.ref] = Validity.INVALID
+            return Validity.INVALID
+        if not in_dag:
+            return Validity.PENDING
+        cache[block.ref] = Validity.VALID
+        return Validity.VALID
 
     def condemn(self, ref: BlockRef) -> None:
         """Cache a permanent ``INVALID`` verdict for ``ref``.
 
-        The coordinated-GC validity extension: gossip condemns a block
-        whose chain position falls strictly below the agreed horizon
-        (its inputs are gone everywhere, by agreement), and the cached
-        verdict makes every buffered descendant invalid through the
-        ordinary check-(iii) cascade — condemned *with cause* instead of
-        waiting forever on a predecessor that will never be admitted.
-        The verdict is permanent for this view because the agreed
-        horizon only advances."""
+        Gossip condemns a block whose chain position (or a predecessor's
+        data) falls below the agreed GC horizon: its inputs are gone
+        everywhere, by ``n - f`` agreement.  Every block waiting on
+        ``ref`` is then invalid by check (iii) when gossip asks again,
+        instead of waiting forever on a predecessor that will never be
+        admitted.  The verdict is permanent for this view because the
+        agreed horizon only advances."""
         self._cache[ref] = Validity.INVALID
-
-    def _signature_ok(self, block: Block) -> bool:
-        """Check (i) of Definition 3.3 for this particular copy."""
-        return self._verify(block.n, block.signing_payload(), block.sigma)
-
-    def _content_verdict(self, block: Block) -> Validity:
-        """Check (ii) of Definition 3.3 — the parent rule.
-
-        Content-only (signatures handled separately); VALID here means
-        the local checks pass, with predecessor validity (check (iii))
-        the caller's concern.
-        """
-        if block.is_genesis:
-            return Validity.VALID
-        parents = 0
-        for pred_ref in block.preds:
-            pred = self._resolve(pred_ref)
-            if pred is None:
-                return Validity.PENDING
-            if pred.n == block.n and pred.k == block.k - 1:
-                parents += 1
-        if parents != 1:
-            return Validity.INVALID
-        return Validity.VALID
 
 
 class BlockDag:
@@ -290,20 +212,17 @@ class BlockDag:
         except ValueError:
             pass
 
-    def insert(self, block: Block, validator: Validator | None = None) -> bool:
+    def insert(self, block: Block) -> bool:
         """``G.insert(B)`` per Definition 3.4.
 
-        Preconditions: ``valid(s, B)`` (checked through ``validator``
-        when given) and every predecessor already in the DAG.  Returns
-        ``False`` if the block is already present (insert is idempotent,
-        Lemma A.2); raises on precondition violations.
+        Preconditions: ``valid(s, B)`` (the caller's: gossip inserts
+        only what its :class:`Validator` judged valid) and every
+        predecessor already in the DAG.  Returns ``False`` if the block
+        is already present (insert is idempotent, Lemma A.2); raises
+        when a predecessor is missing.
         """
         if block.ref in self._store:
             return False
-        if validator is not None and not validator.is_valid(block):
-            raise InvalidBlockError(
-                f"refusing to insert block failing Definition 3.3: {block!r}"
-            )
         # Dedupe once: a byzantine builder may list a reference twice;
         # edges are a set either way (Algorithm 2 line 9 takes unions,
         # so duplicates carry no extra meaning).

@@ -34,10 +34,6 @@ class MissingPredecessorError(DagError):
     """A block's predecessor is not present in the DAG (Def. 3.4 (ii))."""
 
 
-class InvalidBlockError(DagError):
-    """A block failed the validity checks of Definition 3.3."""
-
-
 class CodecError(ReproError):
     """Canonical encoding or decoding failed."""
 

@@ -7,11 +7,15 @@ block ``B`` (a :class:`~repro.dag.block.BlockBuilder`), and the buffer
 the pseudocode's ``when`` clauses, one method each:
 
 * lines 4–5   → :meth:`Gossip.on_receive` (block case) buffers new blocks;
-* lines 6–9   → :meth:`Gossip._try_admit` validates a buffered block and
-  inserts it into ``G``, appending its reference to ``B``; blocks that
-  cannot be admitted yet are indexed by the predecessor they are
-  missing, and every insertion drains exactly the chains it unblocked
-  (no fixpoint rescan of the whole buffer per arrival);
+* lines 6–9   → :meth:`Gossip._try_admit` asks the
+  :class:`~repro.dag.blockdag.Validator` for a buffered block's verdict
+  and inserts a valid one into ``G``, appending its reference to ``B``.
+  Only copies whose signature verified at ingress are buffered, so the
+  validator checks the parent rule and that every predecessor is in
+  ``G``.  Blocks that cannot be admitted yet are indexed by the
+  predecessor they are missing, and every insertion or condemnation
+  asks again for exactly the blocks waiting on it (no fixpoint rescan
+  of the whole buffer per arrival);
 * lines 10–11 → :meth:`Gossip._request_missing_for` sends ``FWD``
   requests for a newly buffered block's unknown predecessors to its
   builder (retries ride the pacing timer);
@@ -159,18 +163,11 @@ class Gossip:
         self._unblocked: deque[BlockRef] = deque()
         self._draining = False
         self.metrics = GossipMetrics()
-        self.validator = Validator(verify=keyring.verify, resolve=self._resolve)
+        self.validator = Validator(self.dag, self.blks)
         self.forwarding = ForwardingState(retry_interval=self.config.fwd_retry_interval)
         # Any insertion — own sealed blocks included — may unblock
         # buffered descendants; the listener drains exactly those.
         self.dag.add_insert_listener(self._on_dag_insert)
-
-    def _resolve(self, ref: BlockRef) -> Block | None:
-        """Blocks are visible to validation from ``G`` or the buffer."""
-        block = self.dag.get(ref)
-        if block is not None:
-            return block
-        return self.blks.get(ref)
 
     # -- receiving (lines 4–5, 12–13) ------------------------------------------
 
@@ -278,8 +275,7 @@ class Gossip:
             # (iii)) and get discarded by the same cascade.
             self._queue_unblocked(block.ref)
             return True
-        missing = [p for p in dict.fromkeys(block.preds) if p not in self.dag]
-        if verdict is Validity.VALID and not missing:
+        if verdict is Validity.VALID:
             if self.horizon is not None and any(
                 self.dag.payload_pruned(p) for p in dict.fromkeys(block.preds)
             ):
@@ -303,7 +299,9 @@ class Gossip:
             self._insert(block)  # line 7 (listener drains waiters)
             del self.blks[block.ref]  # line 9
             return True
-        for ref in missing:
+        for ref in dict.fromkeys(block.preds):
+            if ref in self.dag:
+                continue
             bucket = self._waiting.setdefault(ref, [])
             if block.ref not in bucket:
                 bucket.append(block.ref)

@@ -202,7 +202,6 @@ class LiveTransport(Transport):
             metrics if metrics is not None else MetricsRegistry(server=str(self_id))
         )
         self.delivered_count = 0
-        self.frames_damaged = 0
         #: Set when an orderly shutdown begins: connection losses during
         #: teardown are expected and must not count as disturbances.
         self.closing = False
@@ -397,10 +396,9 @@ class LiveTransport(Transport):
                             continue
                         meters.frames_in.inc()
                         self._deliver(src, value)
-                    else:
-                        # Envelope before Hello, or a non-envelope
-                        # value: attributable to nobody — drop it.
-                        self.frames_damaged += 1
+                    # Otherwise an envelope before Hello, or a
+                    # non-envelope value: attributable to nobody, so
+                    # it is dropped.
                 # Decoder damage stats are cumulative per connection;
                 # attribute this chunk's delta to the current source.
                 stats = decoder.stats
@@ -424,9 +422,6 @@ class LiveTransport(Transport):
         except _CONNECT_ERRORS:
             pass
         finally:
-            self.frames_damaged += (
-                decoder.stats.crc_failures + decoder.stats.decode_failures
-            )
             self._inbound.discard(writer)
             writer.close()
 

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from repro.crypto.keys import KeyRing
 from repro.dag.block import Block
-from repro.dag.blockdag import BlockDag, Validator
+from repro.dag.blockdag import BlockDag, Validator, Validity
 from repro.types import BlockRef, Label, Request, ServerId, make_servers
 
 
@@ -35,9 +35,7 @@ class ManualDagBuilder:
         self.servers: tuple[ServerId, ...] = tuple(servers)
         self.keyring = KeyRing(self.servers)
         self.dag = BlockDag()
-        self.validator = Validator(
-            verify=self.keyring.verify, resolve=self.dag.get
-        )
+        self.validator = Validator(self.dag, {})
         self._next_seq: dict[ServerId, int] = {s: 0 for s in self.servers}
         self._tip: dict[ServerId, Block] = {}
 
@@ -77,7 +75,7 @@ class ManualDagBuilder:
         self._next_seq[server] += 1
         self._tip[server] = block
         if insert:
-            self.dag.insert(block, self.validator)
+            self._insert(block)
         return block
 
     def fork(
@@ -108,8 +106,13 @@ class ManualDagBuilder:
         if block.ref == tip.ref:
             raise ValueError("fork is identical to the original block")
         if insert:
-            self.dag.insert(block, self.validator)
+            self._insert(block)
         return block
+
+    def _insert(self, block: Block) -> None:
+        verdict = self.validator.validity(block)
+        assert verdict is Validity.VALID, (verdict, block)
+        self.dag.insert(block)
 
     def round_all(
         self,

@@ -55,6 +55,7 @@ import pytest
 from helpers import reference_status
 from repro.errors import NetworkError
 from repro.net.live import transport as live
+from repro.net.live.framing import Hello, encode_frame
 from repro.net.live.transport import LiveTransport, parse_address
 from repro.net.message import BlockEnvelope, FwdRequestEnvelope
 from repro.obs.diverge import first_chain_divergence
@@ -674,6 +675,30 @@ class TestSend:
                 await transports[A].stop()
 
         asyncio.run(drive())
+
+    def test_an_envelope_before_hello_never_reaches_the_handler(self, tmp_path):
+        # Until a connection names its sender, nothing on it can be
+        # attributed: the envelope is dropped, and the ones after the
+        # Hello still arrive.
+        transports, received = pair(tmp_path)
+        listener = transports[B]
+
+        async def drive():
+            await listener.start()
+            _, writer = await asyncio.open_unix_connection(str(tmp_path / "b.sock"))
+            writer.write(encode_frame(fwd(1)))
+            writer.write(encode_frame(Hello(str(A))))
+            writer.write(encode_frame(fwd(2)))
+            await writer.drain()
+            await eventually(lambda: received[B])
+            writer.close()
+            await writer.wait_closed()
+            await listener.stop()
+
+        asyncio.run(drive())
+        assert received[B] == [(A, fwd(2))]
+        assert listener.delivered_count == 1
+        assert meter(listener, "transport.frames-in", A) == 1
 
     def test_overflow_drops_the_oldest(self, tmp_path):
         # B never listens: the queue only fills.

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.crypto.keys import KeyRing
-from repro.crypto.signatures import Signature
 from repro.dag.block import Block
 from repro.dag.blockdag import BlockDag, Validator, Validity
-from repro.errors import InvalidBlockError, MissingPredecessorError
+from repro.errors import MissingPredecessorError
 from repro.protocols.brb import Broadcast
 from repro.types import Label, ServerId, make_servers
 
@@ -32,146 +31,146 @@ def ring():
 
 
 @pytest.fixture
-def store():
+def dag():
+    return BlockDag()
+
+
+@pytest.fixture
+def buffered():
     return {}
 
 
 @pytest.fixture
-def validator(ring, store):
-    return Validator(verify=ring.verify, resolve=store.get)
+def validator(dag, buffered):
+    return Validator(dag, buffered)
 
 
 class TestDefinition33Validity:
+    """Checks (ii) and (iii) for a block whose signature gossip already
+    checked at ingress (``test_gossip.py::TestIngressSignature``)."""
+
     def test_valid_genesis(self, ring, validator):
         block = signed(ring, S1, 0)
         assert validator.validity(block) is Validity.VALID
 
-    def test_check_i_bad_signature(self, ring, validator):
-        block = Block(n=S1, k=0, preds=(), rs=(), sigma=Signature(b"junk"))
-        assert validator.validity(block) is Validity.INVALID
-
-    def test_check_i_signature_by_other_server(self, ring, validator):
-        unsigned = Block(n=S1, k=0, preds=(), rs=())
-        forged = Block(
-            n=S1,
-            k=0,
-            preds=(),
-            rs=(),
-            sigma=ring.sign(S2, unsigned.signing_payload()),
-        )
-        assert validator.validity(forged) is Validity.INVALID
-
-    def test_check_ii_nongenesis_needs_parent(self, ring, validator, store):
+    def test_check_ii_nongenesis_needs_parent(self, ring, validator, dag):
         other = signed(ring, S2, 0)
-        store[other.ref] = other
+        dag.insert(other)
         orphan = signed(ring, S1, 1, preds=(other.ref,))
         assert validator.validity(orphan) is Validity.INVALID
 
-    def test_check_ii_exactly_one_parent_ok(self, ring, validator, store):
+    def test_check_ii_exactly_one_parent_ok(self, ring, validator, dag):
         parent = signed(ring, S1, 0)
-        store[parent.ref] = parent
+        dag.insert(parent)
         child = signed(ring, S1, 1, preds=(parent.ref,))
         assert validator.validity(child) is Validity.VALID
 
-    def test_check_ii_two_parents_invalid(self, ring, validator, store):
+    def test_check_ii_two_parents_invalid(self, ring, validator, dag):
         # An equivocating pair both claimed as parents ⇒ invalid.
         parent_a = signed(ring, S1, 0)
         parent_b = signed(ring, S1, 0, rs=((Label("l"), Broadcast(1)),))
-        store[parent_a.ref] = parent_a
-        store[parent_b.ref] = parent_b
+        dag.insert(parent_a)
+        dag.insert(parent_b)
         child = signed(ring, S1, 1, preds=(parent_a.ref, parent_b.ref))
         assert validator.validity(child) is Validity.INVALID
 
-    def test_check_iii_recurses(self, ring, validator, store):
-        # A content-invalid predecessor (properly signed, but claiming
-        # k=1 with no parent) poisons every descendant.
-        bad = signed(ring, S2, 1)  # non-genesis, no parent: violates (ii)
-        store[bad.ref] = bad
+    def test_missing_predecessor_is_pending(self, ring, validator, dag):
         parent = signed(ring, S1, 0)
-        store[parent.ref] = parent
-        child = signed(ring, S1, 1, preds=(parent.ref, bad.ref))
-        store[child.ref] = child
+        missing = signed(ring, S2, 0)  # never stored
+        dag.insert(parent)
+        child = signed(ring, S1, 1, preds=(parent.ref, missing.ref))
+        assert validator.validity(child) is Validity.PENDING
+
+    def test_pending_becomes_valid_when_pred_arrives(self, ring, validator, dag):
+        parent = signed(ring, S1, 0)
+        other = signed(ring, S2, 0)
+        dag.insert(parent)
+        child = signed(ring, S1, 1, preds=(parent.ref, other.ref))
+        assert validator.validity(child) is Validity.PENDING
+        dag.insert(other)
+        assert validator.validity(child) is Validity.VALID
+
+    def test_genesis_may_reference_other_genesis(self, ring, validator, dag):
+        # Figure 2's B3 pattern at k=0: references permitted as long as
+        # none is a parent (k = -1 is impossible).
+        other = signed(ring, S2, 0)
+        dag.insert(other)
+        block = signed(ring, S1, 0, preds=(other.ref,))
+        assert validator.validity(block) is Validity.VALID
+
+    def test_long_buffered_chain_is_judged_without_a_walk(
+        self, ring, validator, dag, buffered
+    ):
+        # Check (iii) is "every predecessor is in G": the tip of a deep
+        # buffered chain waits on its parent alone, whatever lies below.
+        chain = [signed(ring, S1, 0)]
+        for k in range(1, 2001):
+            chain.append(signed(ring, S1, k, preds=(chain[-1].ref,)))
+        buffered.update((block.ref, block) for block in chain)
+        assert validator.validity(chain[-1]) is Validity.PENDING
+        for block in chain:
+            assert validator.validity(block) is Validity.VALID
+            dag.insert(block)
+
+
+class TestValidatorRules:
+    """The verdict rules, in the order :meth:`Validator.validity`
+    applies them; every verdict but PENDING is cached."""
+
+    def test_a_cached_verdict_comes_first(self, ring, validator, dag):
+        parent = signed(ring, S1, 0)
+        dag.insert(parent)
+        child = signed(ring, S1, 1, preds=(parent.ref,))
+        validator.condemn(child.ref)
+        assert validator.validity(child) is Validity.INVALID
+
+    def test_a_condemned_predecessor_condemns_without_a_copy(
+        self, ring, validator, dag
+    ):
+        parent = signed(ring, S1, 0)
+        gone = signed(ring, S2, 0)  # held nowhere
+        dag.insert(parent)
+        validator.condemn(gone.ref)
+        child = signed(ring, S1, 1, preds=(parent.ref, gone.ref))
         assert validator.validity(child) is Validity.INVALID
         grandchild = signed(ring, S1, 2, preds=(child.ref,))
         assert validator.validity(grandchild) is Validity.INVALID
 
-    def test_bad_signature_pred_is_pending_not_poisoned(self, ring, validator, store):
-        # A stored copy of a predecessor with a mangled signature acts
-        # as *missing*: the descendant stays PENDING, and once the
-        # honest copy replaces it, validation succeeds — no poisoning.
+    def test_an_unknown_predecessor_defers_the_parent_rule(self, ring, validator):
+        # The one listed predecessor may well be the parent: no verdict
+        # on (ii) until its content is held.
         parent = signed(ring, S1, 0)
-        store[parent.ref] = parent
-        other = signed(ring, S2, 0)
-        mangled = Block(
-            n=other.n, k=other.k, preds=other.preds, rs=other.rs,
-            sigma=Signature(b"junk"),
-        )
-        store[other.ref] = mangled
-        child = signed(ring, S1, 1, preds=(parent.ref, other.ref))
-        assert validator.validity(child) is Validity.PENDING
-        store[other.ref] = other  # honest copy arrives
-        assert validator.validity(child) is Validity.VALID
-
-    def test_missing_predecessor_is_pending(self, ring, validator, store):
-        parent = signed(ring, S1, 0)
-        missing = signed(ring, S2, 0)  # never stored
-        store[parent.ref] = parent
-        child = signed(ring, S1, 1, preds=(parent.ref, missing.ref))
-        assert validator.validity(child) is Validity.PENDING
-
-    def test_pending_becomes_valid_when_pred_arrives(self, ring, validator, store):
-        parent = signed(ring, S1, 0)
-        other = signed(ring, S2, 0)
-        store[parent.ref] = parent
-        child = signed(ring, S1, 1, preds=(parent.ref, other.ref))
-        assert validator.validity(child) is Validity.PENDING
-        store[other.ref] = other
-        assert validator.validity(child) is Validity.VALID
-
-    def test_content_verdicts_are_cached(self, ring, store):
-        # The queried copy's signature is re-checked per call (copies
-        # sharing a ref may differ in σ), but the content closure is
-        # walked once: a deep chain costs one verification pass, then
-        # one signature check per subsequent query of the tip.
-        calls = []
-
-        def counting_verify(server, payload, sig):
-            calls.append(server)
-            return ring.verify(server, payload, sig)
-
-        validator = Validator(verify=counting_verify, resolve=store.get)
-        parent = signed(ring, S1, 0)
-        store[parent.ref] = parent
         child = signed(ring, S1, 1, preds=(parent.ref,))
-        validator.validity(child)
-        first_pass = len(calls)
-        validator.validity(child)
-        assert first_pass >= 2  # parent + child verified on first pass
-        assert len(calls) == first_pass + 1  # only the tip re-checked
+        assert validator.validity(child) is Validity.PENDING
 
-    def test_genesis_may_reference_other_genesis(self, ring, validator, store):
-        # Figure 2's B3 pattern at k=0: references permitted as long as
-        # none is a parent (k = -1 is impossible).
+    def test_the_parent_rule_is_judged_over_buffered_predecessors(
+        self, ring, validator, buffered
+    ):
         other = signed(ring, S2, 0)
-        store[other.ref] = other
-        block = signed(ring, S1, 0, preds=(other.ref,))
-        assert validator.validity(block) is Validity.VALID
+        buffered[other.ref] = other
+        orphan = signed(ring, S1, 1, preds=(other.ref,))
+        assert validator.validity(orphan) is Validity.INVALID
 
-    def test_long_chain_validates_iteratively(self, ring, validator, store):
-        # Deep recursion must not hit Python's stack limit.
-        previous = signed(ring, S1, 0)
-        store[previous.ref] = previous
-        for k in range(1, 2001):
-            block = signed(ring, S1, k, preds=(previous.ref,))
-            store[block.ref] = block
-            previous = block
-        assert validator.validity(previous) is Validity.VALID
+    def test_a_buffered_predecessor_keeps_the_block_pending(
+        self, ring, validator, dag, buffered
+    ):
+        parent = signed(ring, S1, 0)
+        buffered[parent.ref] = parent
+        child = signed(ring, S1, 1, preds=(parent.ref,))
+        assert validator.validity(child) is Validity.PENDING
+        dag.insert(parent)
+        assert validator.validity(child) is Validity.VALID
 
-    def test_is_valid_boolean_view(self, ring, validator):
-        assert validator.is_valid(signed(ring, S1, 0))
-        assert not validator.is_valid(
-            Block(n=S1, k=0, preds=(), rs=(), sigma=Signature(b"bad"))
-        )
+    def test_a_verdict_is_kept_once_given(self, ring, validator, buffered):
+        # The cache, not the views, answers a second query: the
+        # predecessor that made the block INVALID has left the buffer,
+        # which alone would read PENDING.
+        other = signed(ring, S2, 0)
+        buffered[other.ref] = other
+        orphan = signed(ring, S1, 1, preds=(other.ref,))
+        assert validator.validity(orphan) is Validity.INVALID
+        del buffered[other.ref]
+        assert validator.validity(orphan) is Validity.INVALID
 
 
 class TestBlockDagDefinition34:
@@ -196,13 +195,6 @@ class TestBlockDagDefinition34:
         child = signed(ring, S1, 1, preds=(parent.ref,))
         with pytest.raises(MissingPredecessorError):
             dag.insert(child)
-
-    def test_insert_validates_when_given_validator(self, ring):
-        dag = BlockDag()
-        validator = Validator(verify=ring.verify, resolve=dag.get)
-        bad = Block(n=S1, k=0, preds=(), rs=(), sigma=Signature(b"bad"))
-        with pytest.raises(InvalidBlockError):
-            dag.insert(bad, validator)
 
     def test_edges_follow_preds(self, ring):
         dag = BlockDag()

@@ -83,6 +83,46 @@ class TestDissemination:
         assert block not in nodes[S3].dag
 
 
+def signed_by(ring, n, k, preds, signer=None):
+    """A block of ``n`` at position ``k`` signed by ``signer`` (``n``
+    itself when omitted), whatever its content says."""
+    unsigned = Block(n=n, k=k, preds=tuple(preds), rs=())
+    return Block(
+        n=n, k=k, preds=tuple(preds), rs=(),
+        sigma=ring.sign(signer or n, unsigned.signing_payload()),
+    )
+
+
+class TestIngressSignature:
+    """Check (i) of Definition 3.3 belongs to the received copy, and
+    ingress is the one place it is made."""
+
+    def test_a_bad_signature_copy_does_not_poison_the_honest_one(self, net):
+        _, nodes, _ = net
+        honest = nodes[S1].disseminate_to([])
+        mangled = Block(
+            n=honest.n, k=honest.k, preds=honest.preds, rs=honest.rs,
+            sigma=Signature(b"junk"),
+        )
+        assert mangled.ref == honest.ref  # ref(B) excludes the signature
+        nodes[S2].on_receive(S1, BlockEnvelope(mangled))
+        assert nodes[S2].metrics.invalid_blocks == 1
+        assert honest.ref not in nodes[S2].blks
+        assert honest.ref not in nodes[S2].dag
+        nodes[S2].on_receive(S1, BlockEnvelope(honest))
+        assert honest.ref in nodes[S2].dag
+        assert nodes[S2].metrics.invalid_blocks == 1
+        assert nodes[S2].metrics.duplicate_blocks == 0
+
+    def test_a_signature_by_another_server_is_dropped(self, net):
+        _, nodes, ring = net
+        forged = signed_by(ring, S1, 0, (), signer=S3)
+        nodes[S2].on_receive(S1, BlockEnvelope(forged))
+        assert nodes[S2].metrics.invalid_blocks == 1
+        assert nodes[S2].blks == {}
+        assert forged.ref not in nodes[S2].dag
+
+
 class TestValidationPipeline:
     def test_bad_signature_dropped_at_ingress(self, net):
         sim, nodes, _ = net
@@ -170,6 +210,41 @@ class TestValidationPipeline:
         assert nodes[S2].blks == {}
         assert bad.ref not in nodes[S2].dag
         assert worse.ref not in nodes[S2].dag
+
+    def test_a_parent_rule_break_over_buffered_preds_is_discarded_at_arrival(
+        self, net
+    ):
+        _, nodes, ring = net
+        b0, b1 = (nodes[S1].disseminate_to([]) for _ in range(2))
+        nodes[S2].on_receive(S1, BlockEnvelope(b1))  # waits on b0
+        skip = signed_by(ring, S1, 3, (b1.ref,))  # k=3 over k=1: no parent
+        nodes[S2].on_receive(S1, BlockEnvelope(skip))
+        assert nodes[S2].metrics.invalid_blocks == 1
+        assert skip.ref not in nodes[S2].blks
+        assert set(nodes[S2].blks) == {b1.ref}
+
+    def test_a_break_whose_preds_are_unknown_waits_with_its_descendants(
+        self, net
+    ):
+        # Verdicts do not recurse through buffered ancestors: a block Y
+        # judged PENDING before its predecessors could be resolved is
+        # asked again only when one of them reaches G, and a descendant
+        # waits on Y until then.
+        _, nodes, ring = net
+        b0, b1 = (nodes[S1].disseminate_to([]) for _ in range(2))
+        breaker = signed_by(ring, S1, 3, (b1.ref,))
+        child = signed_by(ring, S1, 4, (breaker.ref,))
+        gossip = nodes[S2]
+        gossip.on_receive(S1, BlockEnvelope(breaker))  # b1 unknown
+        gossip.on_receive(S1, BlockEnvelope(b1))  # buffered: b0 unknown
+        gossip.on_receive(S1, BlockEnvelope(child))
+        assert set(gossip.blks) == {breaker.ref, b1.ref, child.ref}
+        assert gossip.metrics.invalid_blocks == 0
+        gossip.on_receive(S1, BlockEnvelope(b0))
+        assert gossip.blks == {}
+        assert gossip.metrics.invalid_blocks == 2
+        assert {b0.ref, b1.ref} <= gossip.dag.refs
+        assert breaker.ref not in gossip.dag and child.ref not in gossip.dag
 
     def test_on_insert_fires_in_topological_order(self, net):
         # Out-of-order arrival must still report insertions
