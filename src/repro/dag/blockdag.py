@@ -12,7 +12,8 @@ predecessor is in ``G``.  The verdict is tri-state:
 
 * ``VALID``   — every predecessor is in ``G`` and the parent rule holds;
 * ``INVALID`` — permanently rejected (parent-rule violation, or a
-  predecessor that was itself condemned or discarded);
+  predecessor that was itself condemned or discarded); the only
+  verdict the validator remembers;
 * ``PENDING`` — some predecessor is not in ``G`` yet; gossip keeps the
   block buffered, requests forwarding (Algorithm 1 lines 10–11) and
   asks again when a predecessor is inserted or condemned.
@@ -45,26 +46,26 @@ class Validity(enum.Enum):
 class Validator:
     """Definition 3.3 over one server's ``G`` and its buffer ``blks``.
 
-    Every verdict but ``PENDING`` is cached by reference; ``PENDING``
-    is asked again when a predecessor is inserted or condemned.
+    Only ``INVALID`` is remembered, as the set of condemned references.
+    ``VALID`` and ``PENDING`` are read off ``G`` and the buffer on each
+    call: gossip drops a copy of a block already in ``G`` before it
+    asks, and asks again about a ``PENDING`` block when a predecessor
+    is inserted or condemned.
     """
 
     def __init__(self, dag: BlockDag, buffered: Mapping[BlockRef, Block]) -> None:
         self._dag = dag
         self._buffered = buffered
-        self._cache: dict[BlockRef, Validity] = {}
+        self._condemned: set[BlockRef] = set()
 
     def validity(self, block: Block) -> Validity:
         """Classify ``block``, whose signature was checked at ingress."""
-        cached = self._cache.get(block.ref)
-        if cached is not None:
-            return cached
-        cache = self._cache
+        condemned = self._condemned
         # Check (iii) needs only the *verdict* of a predecessor: a
         # condemned or discarded one condemns the block, even when no
         # copy of it is held.
-        if any(cache.get(p) is Validity.INVALID for p in block.preds):
-            cache[block.ref] = Validity.INVALID
+        if block.ref in condemned or any(p in condemned for p in block.preds):
+            condemned.add(block.ref)
             return Validity.INVALID
         dag = self._dag
         in_dag = True
@@ -80,15 +81,12 @@ class Validator:
                 parents += 1
         # Check (ii), as soon as every predecessor's content is held.
         if not block.is_genesis and parents != 1:
-            cache[block.ref] = Validity.INVALID
+            condemned.add(block.ref)
             return Validity.INVALID
-        if not in_dag:
-            return Validity.PENDING
-        cache[block.ref] = Validity.VALID
-        return Validity.VALID
+        return Validity.VALID if in_dag else Validity.PENDING
 
     def condemn(self, ref: BlockRef) -> None:
-        """Cache a permanent ``INVALID`` verdict for ``ref``.
+        """Record a permanent ``INVALID`` verdict for ``ref``.
 
         Gossip condemns a block whose chain position (or a predecessor's
         data) falls below the agreed GC horizon: its inputs are gone
@@ -97,7 +95,7 @@ class Validator:
         instead of waiting forever on a predecessor that will never be
         admitted.  The verdict is permanent for this view because the
         agreed horizon only advances."""
-        self._cache[ref] = Validity.INVALID
+        self._condemned.add(ref)
 
 
 class BlockDag:

@@ -18,7 +18,10 @@ the pseudocode's ``when`` clauses, one method each:
   of the whole buffer per arrival);
 * lines 10–11 → :meth:`Gossip._request_missing_for` sends ``FWD``
   requests for a newly buffered block's unknown predecessors to its
-  builder (retries ride the pacing timer);
+  builder.  Each chased reference has one pacing record (next retry,
+  target) beside the missing-predecessor index, and one timer per
+  instance, :meth:`Gossip._retry_forwarding`, walks a heap of those
+  records and re-sends only what is due;
 * lines 12–13 → :meth:`Gossip.on_receive` (FWD case) answers with the
   full block;
 * lines 14–18 → :meth:`Gossip.disseminate` seals the current block,
@@ -28,7 +31,7 @@ Coordinated-GC validity extension (PR 4): when wired to a
 :class:`~repro.horizon.tracker.HorizonTracker`, an *arriving* block
 whose chain position is already below the agreed horizon is condemned
 with cause — its inputs are gone everywhere by ``n - f`` agreement, so
-admitting it could only stall.  The cached ``INVALID`` verdict makes
+admitting it could only stall.  The recorded ``INVALID`` verdict makes
 buffered descendants invalid through the ordinary Definition 3.3 (iii)
 cascade.  Only byzantine blocks (withheld fork siblings) can arrive
 that late: any honest block travels ahead of the quorum of claims that
@@ -42,6 +45,7 @@ incremental interpretation.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence  # noqa: F401 - Sequence used in signatures
@@ -50,7 +54,6 @@ from repro.crypto.keys import KeyRing
 from repro.obs.trace import NULL_RECORDER
 from repro.dag.block import Block, BlockBuilder
 from repro.dag.blockdag import BlockDag, Validator, Validity
-from repro.gossip.forwarding import ForwardingState
 from repro.net.message import BlockEnvelope, Envelope, FwdRequestEnvelope
 from repro.net.transport import Transport
 from repro.requests import RequestBuffer
@@ -164,7 +167,16 @@ class Gossip:
         self._draining = False
         self.metrics = GossipMetrics()
         self.validator = Validator(self.dag, self.blks)
-        self.forwarding = ForwardingState(retry_interval=self.config.fwd_retry_interval)
+        #: FWD pacing per chased ref (§3: "waits a reasonable amount of
+        #: time before (re-)issuing"): ``ref -> (next retry, target)``.
+        #: Retries never give up; reliable delivery (Lemma 4.3) needs
+        #: only patience against a correct builder.
+        self._chases: dict[BlockRef, tuple[float, ServerId]] = {}
+        #: ``(next retry, ref)`` over the records, walked by the one
+        #: retry timer; entries left behind by a record's update are
+        #: skipped when popped.
+        self._retries: list[tuple[float, BlockRef]] = []
+        self._retry_armed = False
         # Any insertion — own sealed blocks included — may unblock
         # buffered descendants; the listener drains exactly those.
         self.dag.add_insert_listener(self._on_dag_insert)
@@ -208,7 +220,7 @@ class Gossip:
             # below the agreed horizon — its inputs were retired by
             # n - f agreement, so it can never be interpreted here.
             # Condemn with cause (buffered descendants are discarded by
-            # the cached-INVALID cascade) instead of stalling them.
+            # the INVALID cascade) instead of stalling them.
             self.metrics.condemned_below_horizon += 1
             if self.tracer.enabled:
                 self.tracer.emit(  # type: ignore[attr-defined]
@@ -218,7 +230,7 @@ class Gossip:
             self._queue_unblocked(block.ref)
             return
         self.blks[block.ref] = block  # lines 4–5
-        self.forwarding.satisfied(block.ref)
+        self._chases.pop(block.ref, None)
         self.metrics.buffered_high_water = max(
             self.metrics.buffered_high_water, len(self.blks)
         )
@@ -271,7 +283,7 @@ class Gossip:
             if self.tracer.enabled:
                 self.tracer.emit("condemned", block=block.ref, cause="invalid")  # type: ignore[attr-defined]
             # Waiters on this ref must be re-checked: with the INVALID
-            # verdict now cached they are invalid themselves (Def. 3.3
+            # verdict now recorded they are invalid themselves (Def. 3.3
             # (iii)) and get discarded by the same cascade.
             self._queue_unblocked(block.ref)
             return True
@@ -370,43 +382,70 @@ class Gossip:
 
     def _request_missing_for(self, block: Block) -> None:
         """FWD-chase one buffered block's unresolved predecessors
-        (lines 10–11): O(|preds|), run once at arrival.  Re-issues are
-        the retry timer's job (:meth:`_retry_forwarding`), so no caller
-        ever sweeps the whole missing-predecessor index."""
+        (lines 10–11): O(|preds|), run once at arrival.  A ref already
+        chased is asked again here only once its retry is due, and then
+        of this block's builder; the retry timer
+        (:meth:`_retry_forwarding`) does every other re-issue, so no
+        caller ever sweeps the whole missing-predecessor index."""
         now = self.transport.now
         for pred_ref in dict.fromkeys(block.preds):
             if pred_ref in self.dag or pred_ref in self.blks:
                 continue
-            if self.forwarding.want(pred_ref, block.n, now):
-                self._send_fwd(pred_ref, block.n)
+            chase = self._chases.get(pred_ref)
+            if chase is None or now >= chase[0]:
+                self._chase(pred_ref, block.n, now)
+        self._arm_retry()
+
+    def _chase(self, ref: BlockRef, target: ServerId, now: float) -> None:
+        """Send a FWD for ``ref`` to ``target`` and pace the next one."""
+        retry_at = now + self.config.fwd_retry_interval
+        self._chases[ref] = (retry_at, target)
+        heapq.heappush(self._retries, (retry_at, ref))
+        self._send_fwd(ref, target)
 
     def _send_fwd(self, ref: BlockRef, target: ServerId) -> None:
         self.metrics.fwd_requests_sent += 1
         self.transport.send(target, FwdRequestEnvelope(ref))
-        self.transport.schedule(
-            self.config.fwd_retry_interval, self._retry_forwarding
-        )
+
+    def _arm_retry(self) -> None:
+        """Schedule the one retry timer at the heap's head, unless it
+        is pending already.  Every new entry is due no earlier than
+        the entries before it, so a pending timer is never late."""
+        if self._retries and not self._retry_armed:
+            self._retry_armed = True
+            delay = self._retries[0][0] - self.transport.now
+            self.transport.schedule(delay, self._retry_forwarding)
 
     def _retry_forwarding(self) -> None:
-        """Timer callback re-issuing FWDs whose pacing interval expired.
+        """The retry timer: re-issue the FWDs whose pacing interval
+        expired, then arm itself once, at the next one due.
 
-        Also the index janitor: a chased ref whose waiters have all
-        left the buffer (condemned by the INVALID cascade, typically)
-        is dropped from both the index and the forwarding state instead
-        of being re-requested forever for nobody."""
+        Only due heap entries are popped; one whose time no longer
+        matches its ref's record (satisfied, or re-sent since) is
+        stale and skipped.  Also the index janitor: a chased ref that
+        is in ``G`` or buffered, or whose waiters have all left the
+        buffer (condemned by the INVALID cascade, typically), is
+        dropped from the index and the records instead of being
+        re-requested forever for nobody."""
+        self._retry_armed = False
         now = self.transport.now
-        for ref, target in self.forwarding.due(now):
+        retries = self._retries
+        while retries and retries[0][0] <= now:
+            retry_at, ref = heapq.heappop(retries)
+            chase = self._chases.get(ref)
+            if chase is None or chase[0] != retry_at:
+                continue
             if ref in self.dag or ref in self.blks:
-                self.forwarding.satisfied(ref)
+                del self._chases[ref]
                 continue
             waiters = [w for w in self._waiting.get(ref, ()) if w in self.blks]
             if not waiters:
                 self._waiting.pop(ref, None)
-                self.forwarding.satisfied(ref)
+                del self._chases[ref]
                 continue
             self._waiting[ref] = waiters
-            if self.forwarding.want(ref, target, now):
-                self._send_fwd(ref, target)
+            self._chase(ref, chase[1], now)
+        self._arm_retry()
 
     # -- dissemination (lines 14–18) -----------------------------------------------
 

@@ -50,9 +50,9 @@ class RevocableTransport(Transport):
 
     The cluster runtime wraps every correct server's transport in one
     of these, whether or not its fault schedule holds crash events.
-    Crashing a server revokes its transport: pending timer callbacks of
-    the dead incarnation (FWD retries heap-scheduled before the crash)
-    may still fire, but anything they try to send or schedule is
+    Crashing a server revokes its transport: a pending timer callback of
+    the dead incarnation (its gossip's FWD retry timer, armed before the
+    crash) may still fire, but anything it tries to send or schedule is
     silently dropped, exactly as if the process were gone.
     """
 

@@ -15,7 +15,15 @@ configurations, and every check is a deterministic count:
 
 import dataclasses
 
+import pytest
+
+from repro.dag.block import Block
+from repro.net.message import BlockEnvelope
+from repro.protocols.brb import Broadcast, brb_protocol
+from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.scenario import ScenarioRunner, registry
+from repro.storage.blockstore import StorageConfig
+from repro.types import Label, ServerId
 
 
 def run_soak(**storage):
@@ -82,3 +90,70 @@ def test_pin_recent_window_drops_rehydration_thrash():
     )
     # ...while GC keeps doing its job (states still get released).
     assert pinned.storage.states_released > 0
+
+
+S2, S4 = ServerId("s2"), ServerId("s4")
+
+
+def prune_counts_on_s2(directory, orphans):
+    """A 60-round n = 4 BRB run with storage on.  At round 5, s2 is
+    handed ``orphans`` blocks signed with s4's key, standing in for a
+    byzantine s4: each sits above s4's chain and names a parent that
+    never existed, so s2 buffers it and FWD-chases that parent for the
+    rest of the run."""
+    cluster = Cluster(
+        brb_protocol,
+        n=4,
+        config=ClusterConfig(
+            storage_dir=directory,
+            storage=StorageConfig(checkpoint_interval=8, segment_max_bytes=4096),
+        ),
+    )
+    gossip = cluster.shim(S2).gossip
+    for r in range(60):
+        cluster.request(cluster.servers[r % 4], Label(f"tx-{r}"), Broadcast(r))
+        if r == 5:
+            for i in range(orphans):
+                unsigned = Block(n=S4, k=10, preds=(f"{i:064x}",), rs=())
+                orphan = Block(
+                    n=S4, k=10, preds=unsigned.preds, rs=(),
+                    sigma=cluster.keyring.sign(S4, unsigned.signing_payload()),
+                )
+                gossip.on_receive(S4, BlockEnvelope(orphan))
+        cluster.run_rounds(1)
+    storage = cluster.shim(S2).storage
+    counts = {
+        "buffered": len(gossip.blks),
+        "payloads_dropped": storage.payloads_dropped,
+        "wal_segments_dropped": storage.wal.stats.segments_dropped,
+    }
+    for shim in cluster.shims.values():
+        shim.storage.abandon()
+    return counts
+
+
+@pytest.fixture(scope="module")
+def orphan_probe(tmp_path_factory):
+    return {
+        orphans: prune_counts_on_s2(tmp_path_factory.mktemp(f"orphans-{orphans}"), orphans)
+        for orphans in (0, 5)
+    }
+
+
+def test_the_orphan_probe_prunes_when_clean_and_its_orphans_stay_buffered(orphan_probe):
+    clean, attacked = orphan_probe[0], orphan_probe[5]
+    assert clean["buffered"] == 0
+    assert clean["payloads_dropped"] > 0 and clean["wal_segments_dropped"] > 0
+    assert attacked["buffered"] == 5
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 16(a): Shim.checkpoint_now reads "
+    "gossip.missing_predecessors() > 4 as catching up, so five orphans "
+    "from one byzantine builder stop s2's data destruction for good",
+)
+def test_orphans_from_one_byzantine_builder_do_not_stop_pruning(orphan_probe):
+    attacked = orphan_probe[5]
+    assert attacked["payloads_dropped"] > 0
+    assert attacked["wal_segments_dropped"] > 0

@@ -6,7 +6,8 @@ from repro.crypto.keys import KeyRing
 from repro.dag.block import Block
 from repro.dag.blockdag import BlockDag, Validator, Validity
 from repro.errors import MissingPredecessorError
-from repro.protocols.brb import Broadcast
+from repro.protocols.brb import Broadcast, brb_protocol
+from repro.runtime.cluster import Cluster
 from repro.types import Label, ServerId, make_servers
 
 from helpers import ManualDagBuilder
@@ -115,9 +116,9 @@ class TestDefinition33Validity:
 
 class TestValidatorRules:
     """The verdict rules, in the order :meth:`Validator.validity`
-    applies them; every verdict but PENDING is cached."""
+    applies them; only INVALID is remembered."""
 
-    def test_a_cached_verdict_comes_first(self, ring, validator, dag):
+    def test_a_condemned_block_stays_invalid(self, ring, validator, dag):
         parent = signed(ring, S1, 0)
         dag.insert(parent)
         child = signed(ring, S1, 1, preds=(parent.ref,))
@@ -161,8 +162,8 @@ class TestValidatorRules:
         dag.insert(parent)
         assert validator.validity(child) is Validity.VALID
 
-    def test_a_verdict_is_kept_once_given(self, ring, validator, buffered):
-        # The cache, not the views, answers a second query: the
+    def test_an_invalid_verdict_is_kept_once_given(self, ring, validator, buffered):
+        # The condemned set, not the views, answers a second query: the
         # predecessor that made the block INVALID has left the buffer,
         # which alone would read PENDING.
         other = signed(ring, S2, 0)
@@ -171,6 +172,23 @@ class TestValidatorRules:
         assert validator.validity(orphan) is Validity.INVALID
         del buffered[other.ref]
         assert validator.validity(orphan) is Validity.INVALID
+
+
+    def test_a_fault_free_run_leaves_no_verdict_behind(self):
+        # VALID is read off G, so admitted blocks cost the validator
+        # nothing for the rest of the server's life.
+        cluster = Cluster(brb_protocol, n=4)
+        for i, server in enumerate(cluster.servers):
+            cluster.request(server, Label(f"tx-{i}"), Broadcast(i))
+        cluster.run_rounds(30)
+        for server, shim in cluster.shims.items():
+            assert len(shim.dag) > 100
+            held = {
+                name: len(value)
+                for name, value in vars(shim.gossip.validator).items()
+                if name not in ("_dag", "_buffered")
+            }
+            assert not any(held.values()), (server, held)
 
 
 class TestBlockDagDefinition34:

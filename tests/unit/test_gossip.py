@@ -5,7 +5,6 @@ import pytest
 from repro.crypto.keys import KeyRing
 from repro.crypto.signatures import Signature
 from repro.dag.block import Block
-from repro.gossip.forwarding import ForwardingState
 from repro.gossip.module import MAX_REQUESTS_PER_BLOCK, Gossip
 from repro.net.message import BlockEnvelope, FwdRequestEnvelope
 from repro.net.simulator import NetworkSimulator
@@ -295,7 +294,7 @@ class TestForwardingMechanism:
     def test_retry_janitor_drops_orphaned_chases(self, net):
         # A chased ref whose waiters were all condemned (INVALID
         # cascade) must stop being FWD-requested: the retry timer drops
-        # the dead index bucket and the forwarding want.
+        # the dead index bucket and the ref's pacing record.
         sim, nodes, ring = net
         genesis = nodes[S1].disseminate()
         sim.run_until_idle()
@@ -315,46 +314,122 @@ class TestForwardingMechanism:
         nodes[S2].on_receive(S1, BlockEnvelope(bad))
         assert nodes[S2].blks == {}  # cascade condemned both
         assert nodes[S2]._waiting.get(fake) == [worse.ref]  # dead entry
-        sim.run_until_idle()  # retry timers fire
+        sim.run_until_idle()  # the retry timer fires
         assert fake not in nodes[S2]._waiting
-        assert fake not in nodes[S2].forwarding
+        assert fake not in nodes[S2]._chases
 
-    def test_fwd_retry_paced(self):
-        state = ForwardingState(retry_interval=3.0)
-        # First sighting, too soon, retry due.
-        sent = [state.want("r1", S1, now=now) for now in (0.0, 1.0, 3.5)]
-        assert sent == [True, False, True]
 
-    def test_fwd_retries_are_unbounded(self):
+def record_fwds(gossip, sim):
+    """Wrap ``gossip._send_fwd``: the list it returns fills with one
+    ``(time, ref, target)`` per FWD sent."""
+    sent = []
+    send_fwd = gossip._send_fwd
+
+    def recording(ref, target):
+        sent.append((sim.now, ref, target))
+        send_fwd(ref, target)
+
+    gossip._send_fwd = recording
+    return sent
+
+
+def retry_timers(sim, gossip):
+    """Pending simulator events that are ``gossip``'s FWD retry timer."""
+    return sum(1 for event in sim._heap if event.action == gossip._retry_forwarding)
+
+
+class TestFwdPacing:
+    """The FWD retry discipline of §3 (Δ_B' = 3.0 here), driven through
+    one ``Gossip`` on the simulator.  Every ref below is fabricated, so
+    no FWD is ever answered and only the pacing decides what is sent."""
+
+    def deliver_at(self, sim, gossip, at, block):
+        sim.schedule(at, lambda: gossip.on_receive(block.n, BlockEnvelope(block)))
+
+    def test_a_second_waiter_asks_again_only_once_the_interval_passed(self, net):
+        sim, nodes, ring = net
+        fake = "f" * 64
+        sent = record_fwds(nodes[S2], sim)
+        # Scheduled before the first FWD, so the t = 3.0 arrival runs
+        # ahead of the retry timer due at the same instant.
+        self.deliver_at(sim, nodes[S2], 1.0, signed_by(ring, S3, 0, (fake,)))
+        self.deliver_at(sim, nodes[S2], 3.0, signed_by(ring, S4, 0, (fake,)))
+        nodes[S2].on_receive(S1, BlockEnvelope(signed_by(ring, S1, 0, (fake,))))
+        sim.run(until=2.9)
+        assert sent == [(0.0, fake, S1)]
+        sim.run(until=3.0)
+        # The due sighting sends, and the timer then finds nothing due.
+        assert sent == [(0.0, fake, S1), (3.0, fake, S4)]
+
+    def test_fwd_retries_are_unbounded(self, net):
         # Lemma 4.3 needs FWD re-issued until the builder answers.
-        state = ForwardingState(retry_interval=1.0)
-        sent = [state.want("r1", S1, now=float(expiry)) for expiry in range(21)]
-        assert sum(sent) == 21
-        assert "r1" in state
+        sim, nodes, ring = net
+        fake = "f" * 64
+        sent = record_fwds(nodes[S2], sim)
+        nodes[S2].on_receive(S1, BlockEnvelope(signed_by(ring, S1, 0, (fake,))))
+        sim.run(until=60.0)
+        assert [at for at, _, _ in sent] == [3.0 * i for i in range(21)]
+        assert fake in nodes[S2]._chases
+        assert retry_timers(sim, nodes[S2]) == 1
 
-    def test_fwd_retry_asks_the_latest_builder(self):
-        # A retry goes to whichever builder last referenced the block;
-        # a premature sighting does not move the target.
-        state = ForwardingState(retry_interval=2.0)
-        state.want("r1", S1, now=0.0)
-        assert not state.want("r1", S2, now=1.0)
-        assert dict(state.due(now=2.0)) == {"r1": S1}
-        assert state.want("r1", S2, now=2.0)
-        assert dict(state.due(now=4.0)) == {"r1": S2}
+    def test_fwd_retry_asks_the_latest_due_builder(self, net):
+        # A retry goes to whichever builder last referenced the block
+        # when a FWD was due; a premature sighting does not move it.
+        sim, nodes, ring = net
+        fake = "f" * 64
+        sent = record_fwds(nodes[S2], sim)
+        self.deliver_at(sim, nodes[S2], 1.0, signed_by(ring, S3, 0, (fake,)))
+        self.deliver_at(sim, nodes[S2], 6.0, signed_by(ring, S4, 0, (fake,)))
+        nodes[S2].on_receive(S1, BlockEnvelope(signed_by(ring, S1, 0, (fake,))))
+        sim.run(until=9.0)
+        assert [(at, target) for at, _, target in sent] == [
+            (0.0, S1), (3.0, S1), (6.0, S4), (9.0, S4)
+        ]
 
-    def test_fwd_satisfied_clears(self):
-        state = ForwardingState()
-        state.want("r1", S1, now=0.0)
-        state.satisfied("r1")
-        assert "r1" not in state
-        assert state.outstanding() == set()
+    def test_an_arrival_clears_the_chase(self, net):
+        sim, nodes, _ = net
+        hidden = nodes[S1].disseminate_to([])
+        child = nodes[S1].disseminate_to([])
+        nodes[S2].on_receive(S1, BlockEnvelope(child))
+        assert hidden.ref in nodes[S2]._chases
+        nodes[S2].on_receive(S1, BlockEnvelope(hidden))
+        assert hidden.ref not in nodes[S2]._chases
+        assert child.ref in nodes[S2].dag
+        sim.run_until_idle()
+        assert nodes[S2].metrics.fwd_requests_sent == 1
 
-    def test_due_lists_expired(self):
-        state = ForwardingState(retry_interval=2.0)
-        state.want("r1", S1, now=0.0)
-        state.want("r2", S2, now=1.0)
-        due = dict(state.due(now=2.5))
-        assert due == {"r1": S1}
+    def test_only_expired_refs_are_resent(self, net):
+        sim, nodes, ring = net
+        first, second = "e" * 64, "f" * 64
+        sent = record_fwds(nodes[S2], sim)
+        self.deliver_at(sim, nodes[S2], 1.0, signed_by(ring, S3, 0, (second,)))
+        nodes[S2].on_receive(S1, BlockEnvelope(signed_by(ring, S1, 0, (first,))))
+        sim.run(until=3.5)
+        assert sent == [(0.0, first, S1), (1.0, second, S3), (3.0, first, S1)]
+
+
+class TestOrphanFlood:
+    """ROADMAP 16's probe: one seat sends signed blocks whose parent
+    never existed, one per 0.01 time units.  Gossip must buffer and
+    chase each of them, and its retry timers must not grow with them."""
+
+    @pytest.mark.parametrize("orphans", [500, 1000])
+    def test_one_retry_timer_one_fwd_per_orphan_per_interval(self, net, orphans):
+        sim, nodes, ring = net
+        target = nodes[S1]
+        for i in range(orphans):
+            orphan = signed_by(ring, S4, i + 1, (f"{i:064x}",))
+            sim.schedule(
+                i * 0.01,
+                lambda b=orphan: target.on_receive(S4, BlockEnvelope(b)),
+            )
+        settled = orphans * 0.01 + 0.005  # every orphan arrived, off the grid
+        sim.run(until=settled)
+        before = target.metrics.fwd_requests_sent
+        sim.run(until=settled + target.config.fwd_retry_interval)
+        assert target.metrics.fwd_requests_sent - before == orphans
+        assert len(target.blks) == orphans
+        assert retry_timers(sim, target) == 1
 
 
 class TestBlocksBehind:
