@@ -16,7 +16,14 @@ per block ``B``:
    keep their out-messages ``receiver → label → run``, so one probe per
    predecessor yields the labels that hold something for ``B.n`` and
    only those are visited — a block costs what it receives, however
-   many labels were ever requested.  Each run was put in ``<_M`` order
+   many labels were ever requested.  The labels that arrive *are*
+   line 7's, so no set of them is kept.  A predecessor holds
+   ``Ms[out, ℓ]`` only for a label it stepped: one it carries a
+   request for, or one a message arrived for, which by induction was
+   requested in its own past — either way in ``B``'s strict past.  A
+   requested label with nothing arriving adds nothing to ``Ms[in]``
+   and steps nothing.  ``tests/reference.py`` asserts this at its
+   literal line 7 on every block.  Each run was put in ``<_M`` order
    once, by the block that emitted it, and the runs of distinct
    builders are disjoint, so a label's inbox is its predecessors' runs
    joined in builder order: nothing is hashed or sorted per delivery;
@@ -87,16 +94,10 @@ class IndicationEvent:
 #: Scheduler callback: pick the next block from the eligible frontier.
 ChooseFn = Callable[[list[Block]], Block]
 
-#: Shared empty label set (avoids one allocation per no-step block).
-_EMPTY_LABELS: frozenset[Label] = frozenset()
-
-
 #: Rehydration callback: reconstruct a released block's annotation from
-#: durable storage — ``(state, active labels, own labels)``, or ``None``
-#: when the covering checkpoint no longer holds it.
-RehydrateFn = Callable[
-    [BlockRef], "tuple[BlockState, frozenset[Label], frozenset[Label]] | None"
-]
+#: durable storage, or ``None`` when the covering checkpoint no longer
+#: holds it.
+RehydrateFn = Callable[[BlockRef], "BlockState | None"]
 
 
 class Interpreter:
@@ -152,22 +153,6 @@ class Interpreter:
         #: a locally-pruned block *rehydrates* instead of stalling.
         self.rehydrator: RehydrateFn | None = None
         self._states: dict[BlockRef, BlockState] = {}
-        self._active_labels: dict[BlockRef, frozenset[Label]] = {}
-        #: Intern pool for active-label sets: one frozenset object per
-        #: distinct set.  Steady-state blocks whose predecessors all
-        #: carry the same active set then share one object — the
-        #: line-7 gather detects that by identity and skips building
-        #: any temporary at all.  Bounded by the number of distinct
-        #: active sets ever seen (≤ blocks interpreted), and a net
-        #: memory *saving*: annotations share instead of each holding
-        #: their own copy.
-        self._active_pool: dict[frozenset[Label], frozenset[Label]] = {}
-        #: Per-block set of labels the block itself stepped (the
-        #: ``owned`` set of :meth:`interpret_block`) — with copy-on-write
-        #: state sharing this is the block's *delta* over its parent,
-        #: which checkpoints persist to delta-encode annotations and
-        #: rehydration uses to rebuild a pruned chain's ``PIs``.
-        self._own_labels: dict[BlockRef, frozenset[Label]] = {}
         # Scheduler state: per-uninterpreted-block count of uninterpreted distinct preds,
         # the ready set plus a canonical-order heap over it (stale heap
         # entries are skipped lazily), and the refs known to either side.
@@ -260,30 +245,6 @@ class Interpreter:
             (self.dag.require(ref) for ref in self._ready),
             key=lambda b: b.ref,
         )
-
-    def active_labels(self, ref: BlockRef) -> frozenset[Label]:
-        """Labels with a request in the block's strict causal past — the
-        set of line 7."""
-        labels = self._active_labels.get(ref)
-        if labels is None:
-            if ref in self.released:
-                raise PrunedStateError(
-                    f"annotation pruned below the stable frontier: {ref[:8]}…"
-                )
-            raise SimulationError(f"block not interpreted yet: {ref[:8]}…")
-        return labels
-
-    def own_labels(self, ref: BlockRef) -> frozenset[Label]:
-        """Labels the block itself stepped — its copy-on-write delta
-        over the parent's ``PIs`` (empty for pure-gather blocks)."""
-        labels = self._own_labels.get(ref)
-        if labels is None:
-            if ref in self.released:
-                raise PrunedStateError(
-                    f"annotation pruned below the stable frontier: {ref[:8]}…"
-                )
-            raise SimulationError(f"block not interpreted yet: {ref[:8]}…")
-        return labels
 
     # -- incremental scheduling ------------------------------------------------
 
@@ -381,10 +342,7 @@ class Interpreter:
         restored = self.rehydrator(ref)
         if restored is None:
             return False
-        state, active, own = restored
-        self._states[ref] = state
-        self._active_labels[ref] = self._active_pool.setdefault(active, active)
-        self._own_labels[ref] = own
+        self._states[ref] = restored
         self.released.discard(ref)
         self.rehydrated += 1
         return True
@@ -407,8 +365,8 @@ class Interpreter:
     # -- pruning (storage subsystem) -------------------------------------------
 
     def release_state(self, ref: BlockRef) -> None:
-        """Drop an interpreted block's annotation (``PIs``/``Ms``/active
-        labels) to reclaim memory.  The block stays ``interpreted``; the
+        """Drop an interpreted block's annotation (``PIs``/``Ms``) to
+        reclaim memory.  The block stays ``interpreted``; the
         caller (:mod:`repro.storage.gc`) guarantees a durable checkpoint
         holds the annotation and that no future interpretation needs it.
         """
@@ -417,8 +375,6 @@ class Interpreter:
                 f"cannot release a block that was never interpreted: {ref[:8]}…"
             )
         self._states.pop(ref, None)
-        self._active_labels.pop(ref, None)
-        self._own_labels.pop(ref, None)
         self.released.add(ref)
         # Any already-ready successor lost an input it would read;
         # divert it below the horizon (its stale heap entry is
@@ -557,39 +513,6 @@ class Interpreter:
                     IndicationEvent(request_label, indication, block.n, block.ref)
                 )
 
-        # Line 7: labels with a request strictly in the past.  Active
-        # sets are interned — one frozenset object per distinct set —
-        # so the steady-state shape (every predecessor carrying the
-        # same active set, no request for a new label) is recognized by
-        # object identity and reuses the shared set without building a
-        # single temporary.  This runs for every block, on the hottest
-        # path there is.
-        active_labels = self._active_labels
-        base: frozenset[Label] = _EMPTY_LABELS
-        gathered: set[Label] | None = None
-        first = True
-        for p in preds:
-            fs = active_labels[p.ref]
-            if first:
-                base = fs
-                first = False
-            elif fs is not base:
-                if gathered is None:
-                    gathered = set(base)
-                gathered.update(fs)
-        for p in preds:
-            for lbl, _ in p.rs:
-                if gathered is None:
-                    if lbl in base:
-                        continue
-                    gathered = set(base)
-                gathered.add(lbl)
-        if gathered is None:
-            active = base
-        else:
-            frozen = frozenset(gathered)
-            active = self._active_pool.setdefault(frozen, frozen)
-
         # Lines 8–9: gather the messages addressed to B.n from the direct
         # predecessors' out-buffers through their receiver-first index —
         # one probe per predecessor, answered with the labels that hold a
@@ -614,14 +537,10 @@ class Interpreter:
                     arrived[message_label] = [(p.n, run)]
                 else:
                     runs.append((p.n, run))
-        # The canonical label order only matters when there is a choice.
+        # Line 7: the labels that arrived are the ones requested in the
+        # strict past that have something for B.n (module docstring).
+        # Their canonical order only matters when there is a choice.
         for message_label in arrived if len(arrived) < 2 else sorted(arrived):
-            if message_label not in active:
-                # Line 7, literally.  Never taken: a predecessor emits
-                # for a label only when stepped for it — by a request
-                # (joined `active` above) or by a message (the label
-                # was active there already; active sets only grow).
-                continue
             incoming = joined(arrived[message_label])
             state.ms.receive(message_label, incoming)
             # Lines 10–11: feed the label's inbox in <_M order to one
@@ -649,8 +568,6 @@ class Interpreter:
         # Line 12 — annotation, interpreted mark and work counters
         # commit together (nothing above this point mutated them).
         states[block.ref] = state
-        active_labels[block.ref] = active
-        self._own_labels[block.ref] = frozenset(owned) if owned else _EMPTY_LABELS
         self.interpreted.add(block.ref)
         self.blocks_interpreted += 1
         self.request_steps += request_steps

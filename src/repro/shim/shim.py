@@ -358,9 +358,7 @@ class Shim:
             self.interpreter.interpreted - self._recent_frontiers[0]
         )
 
-    def _rehydrate_state(
-        self, ref: BlockRef
-    ) -> "tuple[BlockState, frozenset[Label], frozenset[Label]] | None":
+    def _rehydrate_state(self, ref: BlockRef) -> "BlockState | None":
         """Interpreter rehydration hook: reconstruct a released block's
         annotation from the covering checkpoint (held in memory — the
         carry-forward guarantees the latest checkpoint covers every

@@ -5,16 +5,18 @@ server could re-interpret from genesis; a checkpoint lets it restore
 the interpreted prefix and replay only the suffix.  A checkpoint holds
 the interpreted set ``refs``; one *row* per block still above the
 agreed GC horizon in ``states`` (resident annotations, plus released
-ones carried so late references can rehydrate them) with its ``active``
-labels; the ``released`` refs; a ``skeleton`` per payload-pruned block
-(``n, k, preds, sigma, hz``: the vertex, its signature still
-verifiable, after its WAL segment is gone); the indication ``events``;
-and the interpreter ``counters``.
+ones carried so late references can rehydrate them); the ``released``
+refs; a ``skeleton`` per payload-pruned block (``n, k, preds, sigma,
+hz``: the vertex, its signature still verifiable, after its WAL
+segment is gone); the indication ``events``; and the interpreter
+``counters``.
 
 State is stored the way blocks are: each process instance, mutable
 state container and ``Ms`` run is an *object*, its canonical bytes
-named by their hash (:mod:`repro.storage.state_codec`).  A row names
-the instances of the labels its block stepped, with a ``base`` pointer
+named by their hash (:mod:`repro.storage.state_codec`).  A row is an
+annotation, ``PIs`` and ``Ms`` and nothing else: it names the instances
+of the labels its block stepped — the labels of its ``Ms[out]``, which
+lines 6 and 11 fill for every stepped label — with a ``base`` pointer
 to its parent's row (Algorithm 2 copies ``PIs`` from the parent,
 copy-on-write), and its runs; a row whose parent has no row names
 every label.  The history sections — ``refs``, ``released``,
@@ -156,7 +158,6 @@ class Checkpoint:
     seq: int
     refs: frozenset[BlockRef]
     states: dict[BlockRef, dict[str, Any]]
-    active: dict[BlockRef, tuple[Label, ...]]
     released: frozenset[BlockRef] = frozenset()
     skeletons: dict[BlockRef, BlockSkeleton] = field(default_factory=dict)
     events: tuple["IndicationEvent", ...] = ()
@@ -234,7 +235,6 @@ def capture_checkpoint(
     values: dict[bytes, Any] = {}
     parents = {} if memo is None else memo.parents
     states: dict[BlockRef, dict[str, Any]] = {}
-    active: dict[BlockRef, tuple[Label, ...]] = {}
     rows: dict[BlockRef, bytes] = {}
 
     def named(value: Any, name: bytes) -> bytes:
@@ -248,14 +248,13 @@ def capture_checkpoint(
         base = parent if parent in planned else None
         entry = kept.get(ref)
         if entry is not None and (base is None or entry["base"] == base or ref in released):
-            active[ref] = previous.active[ref]  # type: ignore[union-attr]
             if entry["base"] in (base, None):
                 # Interpreted once, annotated for good.
                 rows[ref] = previous.rows[ref]  # type: ignore[union-attr]
             else:
                 # Its base left: the same instances, every label named.
                 entry = {**entry, "pis": _merged_pis(kept, ref), "base": None}
-                rows[ref] = _row(writer, ref, entry, active[ref])
+                rows[ref] = _row(writer, ref, entry)
             for name in (*entry["pis"].values(), *entry["in"].values(),
                          *entry["out"].values()):
                 if name in older:
@@ -263,28 +262,27 @@ def capture_checkpoint(
             states[ref] = entry
             continue
         state = interpreter.state_of(ref)
-        own = interpreter.own_labels(ref)
+        # Raw slot read: ``state.ms`` would allocate the lazy buffers.
+        runs = state._ms.runs() if state._ms is not None else {"in": {}, "out": {}}
         # Line 4 shares the parent's instances: with its row at hand, a
-        # row that names every label takes their names from it.
+        # row that names every label takes their names from it, and
+        # names anew only the labels its block stepped — those of its
+        # ``Ms[out]``.
         pis = {}
         if base is None and parent in kept:
             pis = _merged_pis(kept, parent)  # type: ignore[arg-type]
             values.update((n, older[n]) for n in pis.values() if n in older)
-        labels = own if base is not None or pis else state.pis.keys()
+        labels = runs["out"].keys() if base is not None or pis else state.pis.keys()
         for lbl in sorted(labels):
             pis[str(lbl)] = named(state.pis[lbl], writer.instance(state.pis[lbl]))
-        # Raw slot read: ``state.ms`` would allocate the lazy buffers.
-        runs = state._ms.runs() if state._ms is not None else {"in": {}, "out": {}}
         entry = {
             "pis": pis,
             "in": {str(l): named(r, writer.run(r)) for l, r in runs["in"].items()},
             "out": {str(l): named(r, writer.run(r)) for l, r in runs["out"].items()},
-            "own": tuple(sorted(str(lbl) for lbl in own)),
             "base": base,
         }
         states[ref] = entry
-        active[ref] = tuple(sorted(interpreter.active_labels(ref)))
-        rows[ref] = _row(writer, ref, entry, active[ref])
+        rows[ref] = _row(writer, ref, entry)
     events = interpreter.events
     fresh = None
     if memo is not None and memo.event_source is events:
@@ -293,7 +291,6 @@ def capture_checkpoint(
         seq=seq,
         refs=frozenset(interpreter.interpreted),
         states=states,
-        active=active,
         released=frozenset(released),
         skeletons=_capture_skeletons(dag, previous),
         events=tuple(events) if fresh is None else previous.events + tuple(fresh),  # type: ignore[union-attr]
@@ -330,21 +327,15 @@ def _capture_skeletons(
     return skeletons
 
 
-def _row(
-    writer: ObjectWriter,
-    ref: BlockRef,
-    entry: dict[str, Any],
-    active: tuple[Label, ...],
-) -> bytes:
-    """Write one row object: ref, base, own and active labels, then the
-    labels it names objects for and, per ``pis``/``in``/``out``, the
-    name under each label or ``None``."""
+def _row(writer: ObjectWriter, ref: BlockRef, entry: dict[str, Any]) -> bytes:
+    """Write one row object: ref, base, the labels it names objects for
+    and, per ``pis``/``in``/``out``, the name under each label or
+    ``None``.  The labels are those of the annotation alone, so a
+    row's bytes do not depend on how many labels its past requested."""
     named = (entry["pis"], entry["in"], entry["out"])
     labels = tuple(sorted({label for names in named for label in names}))
     columns = tuple(tuple(names.get(label) for label in labels) for names in named)
-    data = codec.encode(
-        (str(ref), entry["base"], entry["own"], tuple(map(str, active)), labels, *columns)
-    )
+    data = codec.encode((str(ref), entry["base"], labels, *columns))
     return writer.put(data, [name for names in named for name in names.values()])
 
 
@@ -392,18 +383,15 @@ def restore_block_state(
     protocol: "ProtocolSpec",
     servers: "tuple[ServerId, ...]",
     ref: BlockRef,
-) -> "tuple[Any, frozenset[Label], frozenset[Label]] | None":
-    """Rehydrate one block's annotation from a covering checkpoint:
-    ``(BlockState, active labels, own labels)``, or ``None`` when the
-    checkpoint no longer holds the row (the agreed horizon retired it;
-    referencing it is condemned instead)."""
+) -> "BlockState | None":
+    """Rehydrate one block's annotation from a covering checkpoint, or
+    ``None`` when the checkpoint no longer holds the row (the agreed
+    horizon retired it; referencing it is condemned instead)."""
     entry = checkpoint.states.get(ref)
     if entry is None:
         return None
     restore = _Restorer(checkpoint, protocol, servers)
-    state = restore.block({}, _merged_pis(checkpoint.states, ref), entry)
-    active = frozenset(Label(l) for l in checkpoint.active.get(ref, ()))
-    return state, active, frozenset(Label(l) for l in entry["own"])
+    return restore.block({}, _merged_pis(checkpoint.states, ref), entry)
 
 
 class _Restorer:
@@ -484,13 +472,6 @@ def install_checkpoint(
         else:
             pis, names = {}, _merged_pis(checkpoint.states, ref)
         interpreter._states[ref] = restore.block(pis, names, entry)
-        interpreter._own_labels[ref] = frozenset(Label(l) for l in entry["own"])
-        labels = frozenset(Label(l) for l in checkpoint.active.get(ref, ()))
-        # The intern pool: restored annotations share active-set objects
-        # with live ones (the line-7 gather's identity fast path).
-        interpreter._active_labels[ref] = interpreter._active_pool.setdefault(
-            labels, labels
-        )
         restored += 1
     interpreter.interpreted |= set(checkpoint.refs)
     interpreter.released |= set(checkpoint.released)
@@ -905,10 +886,9 @@ def _assemble(root: Any, objects: _StoreView) -> Checkpoint:
         for name in _reached(objects, _starts(root)):
             objects[name]
         states: dict[BlockRef, dict[str, Any]] = {}
-        active: dict[BlockRef, tuple[Label, ...]] = {}
         rows: dict[BlockRef, bytes] = {}
         for name in root["rows"]:
-            ref, base, own, labels, named, *columns = objects[name]
+            ref, base, named, *columns = objects[name]
             pis, ins, outs = (
                 {lbl: n for lbl, n in zip(named, column, strict=True) if n is not None}
                 for column in columns
@@ -917,16 +897,14 @@ def _assemble(root: Any, objects: _StoreView) -> Checkpoint:
             rows[ref] = name
             states[ref] = {
                 "pis": pis, "in": ins, "out": outs,
-                "own": tuple(own), "base": None if base is None else BlockRef(base),
+                "base": None if base is None else BlockRef(base),
             }
-            active[ref] = tuple(Label(label) for label in labels)
         chains = {section: root["chains"][section] for section in SECTIONS}
         history = {section: _walk(objects, chains[section]) for section in SECTIONS}
         return Checkpoint(
             seq=seq,
             refs=frozenset(BlockRef(r) for r in history["refs"]),
             states=states,
-            active=active,
             released=frozenset(BlockRef(r) for r in history["released"]),
             skeletons=dict(_skeleton_from_wire(s) for s in history["skeletons"]),
             events=tuple(

@@ -149,7 +149,6 @@ def _trim_to_available(
         seq=checkpoint.seq,
         refs=frozenset(refs),
         states={r: v for r, v in checkpoint.states.items() if r in refs},
-        active={r: v for r, v in checkpoint.active.items() if r in refs},
         released=checkpoint.released & refs,
         skeletons=checkpoint.skeletons,
         events=tuple(e for e in checkpoint.events if e.block_ref in refs),

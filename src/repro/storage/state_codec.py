@@ -361,9 +361,10 @@ def instance_fingerprint(instance: ProcessInstance) -> bytes:
 
 
 def annotation_fingerprint(interpreter: Any, ref: Any) -> bytes:
-    """Canonical bytes for one block's full annotation — ``PIs``, ``Ms``
-    and active labels: the unit of the "byte-identical annotations"
-    claim (Lemma 4.2 across servers, Theorem 5.1 across a restart)."""
+    """Canonical bytes for one block's full annotation — ``PIs`` and
+    ``Ms``, all Algorithm 2 keeps per block: the unit of the
+    "byte-identical annotations" claim (Lemma 4.2 across servers,
+    Theorem 5.1 across a restart)."""
     state = interpreter.state_of(ref)
     return codec.encode(
         {
@@ -372,7 +373,6 @@ def annotation_fingerprint(interpreter: Any, ref: Any) -> bytes:
                 for lbl, pi in state.pis.items()
             },
             "ms": state.ms.snapshot(),
-            "active": sorted(interpreter.active_labels(ref)),
         }
     )
 

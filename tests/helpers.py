@@ -217,7 +217,7 @@ def stored(checkpoint):
 
     writer = ObjectWriter()
     checkpoint.rows = {
-        ref: _row(writer, ref, entry, checkpoint.active.get(ref, ()))
+        ref: _row(writer, ref, entry)
         for ref, entry in checkpoint.states.items()
     }
     checkpoint.chains = _chains(writer, checkpoint)

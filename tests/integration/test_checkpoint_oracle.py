@@ -60,33 +60,28 @@ def reference_capture(seq, interpreter, dag, previous) -> Checkpoint:
         ]
     planned = set(live) | set(carried)
     states: dict[Any, dict[str, Any]] = {}
-    active = {}
     for ref in live:
         state = interpreter.state_of(ref)
-        own = interpreter.own_labels(ref)
         parent = _parent_ref(dag, ref)
         base = parent if (parent is not None and parent in planned) else None
-        labels = own if base is not None else state.pis.keys()
         runs = state._ms.runs() if state._ms is not None else {"in": {}, "out": {}}
+        # A block stepped exactly the labels of its Ms[out] (lines 6, 11).
+        labels = runs["out"].keys() if base is not None else state.pis.keys()
         states[ref] = {
             "pis": {str(l): writer.instance(state.pis[l]) for l in labels},
             "in": {str(l): writer.run(r) for l, r in runs["in"].items()},
             "out": {str(l): writer.run(r) for l, r in runs["out"].items()},
-            "own": tuple(sorted(str(l) for l in own)),
             "base": base,
         }
-        active[ref] = tuple(sorted(interpreter.active_labels(ref)))
     for ref in carried:
         entry = previous.states[ref]
         if entry.get("base") is not None and entry["base"] not in planned:
             entry = {**entry, "pis": _merged_pis(previous.states, ref), "base": None}
         states[ref] = entry
-        active[ref] = previous.active[ref]
     return Checkpoint(
         seq=seq,
         refs=frozenset(interpreter.interpreted),
         states=states,
-        active=active,
         released=frozenset(interpreter.released),
         skeletons={
             ref: BlockSkeleton(
@@ -113,10 +108,9 @@ def contents(checkpoint: Checkpoint) -> bytes:
             "seq": checkpoint.seq,
             "refs": sorted(checkpoint.refs),
             "states": {
-                str(ref): (e["base"], e["own"], e["pis"], e["in"], e["out"])
+                str(ref): (e["base"], e["pis"], e["in"], e["out"])
                 for ref, e in checkpoint.states.items()
             },
-            "active": {str(r): tuple(map(str, a)) for r, a in checkpoint.active.items()},
             "released": sorted(checkpoint.released),
             "skeletons": {
                 str(r): (s.n, s.k, s.preds, s.sigma, s.hz)

@@ -16,6 +16,7 @@ from repro.interpret.instance import snapshot_instance
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
 from repro.storage.gc import prune
+from repro.storage.state_codec import annotation_fingerprint
 from repro.types import Label
 
 from helpers import ManualDagBuilder, fresh_interpreter
@@ -89,7 +90,9 @@ def assert_observationally_equal(dag, a, b):
         state_a = a.state_of(block.ref)
         state_b = b.state_of(block.ref)
         assert state_a.ms.snapshot() == state_b.ms.snapshot()
-        assert a.active_labels(block.ref) == b.active_labels(block.ref)
+        assert annotation_fingerprint(a, block.ref) == annotation_fingerprint(
+            b, block.ref
+        )
         assert set(state_a.pis) == set(state_b.pis)
         for label in state_a.pis:
             assert snapshot_instance(state_a.pis[label]) == snapshot_instance(

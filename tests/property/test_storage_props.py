@@ -248,7 +248,7 @@ class TestHistoryChains:
         writer = ObjectWriter()
         previous = None
         for seq, after in enumerate(sections):
-            checkpoint = Checkpoint(seq=seq, refs=after, states={}, active={})
+            checkpoint = Checkpoint(seq=seq, refs=after, states={})
             checkpoint.chains = _chains(writer, checkpoint, previous)
             objects = {name: object_value(data) for name, data in writer.built.items()}
             assert sorted(_walk(objects, checkpoint.chains["refs"])) == sorted(after)

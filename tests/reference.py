@@ -44,9 +44,6 @@ class ReferenceInterpreter:
     def state_of(self, ref):
         return self._states[ref]
 
-    def active_labels(self, ref):
-        return self._active[ref]
-
     def release_state(self, ref):
         del self._states[ref], self._active[ref]
         self.released.add(ref)
@@ -82,6 +79,15 @@ class ReferenceInterpreter:
         active = frozenset().union(  # line 7: requests in the strict past
             *(self._active[p.ref] | {label for label, _ in p.rs} for p in preds)
         )
+        # What lets an optimised interpreter keep no such set: a
+        # predecessor holds Ms[out, ℓ] for B.n only if ℓ is in line 7's set.
+        sent = {
+            label
+            for p in preds
+            for label, run in self._states[p.ref].ms.runs()["out"].items()
+            if any(message.receiver == block.n for message in run)
+        }
+        assert sent <= active, f"sent for {sorted(sent - active)}, never requested"
         for label in sorted(active):
             incoming = {  # lines 8–9
                 message

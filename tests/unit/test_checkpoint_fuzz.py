@@ -96,9 +96,8 @@ def contents(checkpoint: Checkpoint) -> bytes:
         (
             checkpoint.seq,
             sorted(checkpoint.refs),
-            {str(r): (e["base"], e["own"], e["pis"], e["in"], e["out"])
+            {str(r): (e["base"], e["pis"], e["in"], e["out"])
              for r, e in checkpoint.states.items()},
-            {str(r): tuple(map(str, a)) for r, a in checkpoint.active.items()},
             sorted(checkpoint.released),
             {str(r): (s.n, s.k, s.preds, s.sigma, s.hz)
              for r, s in checkpoint.skeletons.items()},

@@ -223,8 +223,9 @@ class TestDeltaCheckpoints:
         assert checkpoint.states[genesis.ref]["base"] is None
         assert checkpoint.states[later.ref]["base"] == genesis.ref
         entry = checkpoint.states[later.ref]
-        # Delta entries hold exactly the owned instances.
-        assert set(entry["pis"]) == set(entry["own"])
+        # Delta entries hold exactly the instances the block stepped:
+        # the labels of its Ms[out] (lines 6 and 11).
+        assert entry["pis"] and set(entry["pis"]) == set(entry["out"])
 
     def test_install_reconstructs_byte_identical_annotations(self):
         builder, interpreter = self.build()
@@ -235,9 +236,6 @@ class TestDeltaCheckpoints:
             assert annotation_fingerprint(
                 fresh, block.ref
             ) == annotation_fingerprint(interpreter, block.ref)
-            assert fresh.own_labels(block.ref) == interpreter.own_labels(
-                block.ref
-            )
 
     def test_carry_forward_keeps_released_states_rehydratable(self):
         builder, interpreter = self.build()

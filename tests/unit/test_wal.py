@@ -244,7 +244,7 @@ class TestServerStorageTelemetry:
 
         from helpers import stored
 
-        return stored(Checkpoint(seq=seq, refs=frozenset(), states={}, active={}))
+        return stored(Checkpoint(seq=seq, refs=frozenset(), states={}))
 
     def test_registry_sees_one_observation_per_flush_and_checkpoint(self, tmp_path):
         from repro.obs.metrics import MetricsRegistry
@@ -306,14 +306,14 @@ class TestServerStorageTelemetry:
 
         storage = self._storage(tmp_path)
         checkpoints = storage.checkpoints
-        entry = {"pis": {}, "in": {}, "out": {}, "own": (), "base": None}
+        entry = {"pis": {}, "in": {}, "out": {}, "base": None}
         storage.write_checkpoint(
-            stored(Checkpoint(seq=1, refs=frozenset(), states={"a": entry, "b": entry}, active={}))
+            stored(Checkpoint(seq=1, refs=frozenset(), states={"a": entry, "b": entry}))
         )
         assert (checkpoints.objects_appended, checkpoints.objects_stored) == (2, 0)
         # Row ``a`` is the same object again: stored, not appended.
         storage.write_checkpoint(
-            stored(Checkpoint(seq=2, refs=frozenset(), states={"a": entry, "c": entry}, active={}))
+            stored(Checkpoint(seq=2, refs=frozenset(), states={"a": entry, "c": entry}))
         )
         assert (checkpoints.objects_appended, checkpoints.objects_stored) == (3, 1)
 
@@ -344,7 +344,7 @@ class TestCheckpointGatesSegmentGc:
         def checkpoint(seq):
             return stored(
                 Checkpoint(
-                    seq=seq, refs=frozenset(skeletons), states={}, active={},
+                    seq=seq, refs=frozenset(skeletons), states={},
                     skeletons=skeletons,
                 )
             )
