@@ -58,9 +58,7 @@ def build_scenario() -> Scenario:
         protocol="counter",
         description="Counter ledger; s3 crashes at round 3 and restarts "
         "from WAL + checkpoint at round 8.",
-        topology=Topology(
-            storage=StorageSpec(checkpoint_interval=6, segment_max_bytes=8192)
-        ),
+        topology=Topology(storage=StorageSpec(checkpoint_interval=6)),
         # Inc(1) .. Inc(8), one per round, all on the shared ledger
         # instance — increments land while the victim is up, down, and
         # back again.
@@ -98,8 +96,8 @@ def main(storage_root: str | Path | None = None) -> dict:
 
     storage = result.storage
     print(f"\nstorage totals across servers:")
-    print(f"  WAL size    : {storage.wal_bytes} bytes "
-          f"in {storage.wal_segments} segments")
+    print(f"  WAL size    : {storage.wal_bytes} bytes, "
+          f"{storage.wal_records_retired} records retired")
     print(f"  checkpoints : {storage.checkpoints_written} written")
     print(f"  pruned      : {storage.payloads_dropped} block payloads, "
           f"{storage.states_released} interpreter states")

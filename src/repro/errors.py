@@ -58,7 +58,7 @@ class StorageError(ReproError):
 
 class WalCorruptionError(StorageError):
     """A write-ahead-log record failed its integrity check somewhere
-    other than the torn tail of the final segment."""
+    other than the torn tail of the newest file."""
 
 
 class CheckpointError(StorageError):

@@ -112,10 +112,10 @@ class Gossip:
         Callback fired once per external event (a network delivery or a
         dissemination) *after* its whole admission cascade settled, and
         only if the cascade inserted at least one block.  The shim
-        hangs WAL chain-frame flushing and batched interpretation off
-        this hook: a catch-up drain admitting a whole buffered chain
-        becomes one WAL record and one interpreter pass instead of a
-        per-block round trip.
+        hangs WAL flushing and batched interpretation off this hook: a
+        catch-up drain admitting a whole buffered chain becomes one WAL
+        flush and one interpreter pass instead of a per-block round
+        trip.
     horizon:
         Optional agreed-horizon view (duck-typed: anything with a
         ``condemns(block)`` method, normally a

@@ -50,27 +50,21 @@ class StorageSpec(JsonDocument):
     carries it to the node's storage directory."""
 
     checkpoint_interval: int = 32
-    segment_max_bytes: int = 64 * 1024
     prune: bool = True
     #: Memory release exempts the last this-many checkpoints' cone
     #: (anti-thrash pin window; ``0`` = release as eagerly as allowed).
     pin_recent_checkpoints: int = 2
 
     def __post_init__(self) -> None:
-        if (
-            self.checkpoint_interval < 1
-            or self.segment_max_bytes < 1
-            or self.pin_recent_checkpoints < 0
-        ):
+        if self.checkpoint_interval < 1 or self.pin_recent_checkpoints < 0:
             raise ScenarioError(
                 "storage spec needs checkpoint_interval ≥ 1, "
-                f"segment_max_bytes ≥ 1, pin_recent_checkpoints ≥ 0; got {self}"
+                f"pin_recent_checkpoints ≥ 0; got {self}"
             )
 
     def build(self) -> StorageConfig:
         return StorageConfig(
             checkpoint_interval=self.checkpoint_interval,
-            segment_max_bytes=self.segment_max_bytes,
             prune=self.prune,
             pin_recent_checkpoints=self.pin_recent_checkpoints,
         )
@@ -436,7 +430,6 @@ class Cluster:
         return StorageSnapshot(
             wal_appends=sum(s.wal.stats.appends for s in stores),
             wal_bytes=sum(s.wal.size_bytes() for s in stores),
-            wal_segments=sum(len(s.wal.segments()) for s in stores),
             checkpoints_written=sum(s.checkpoints.writes for s in stores),
             checkpoint_bytes=sum(s.checkpoints.bytes_written for s in stores),
             checkpoint_objects_appended=sum(
@@ -450,7 +443,7 @@ class Cluster:
             ),
             states_released=sum(s.states_released for s in stores),
             payloads_dropped=sum(s.payloads_dropped for s in stores),
-            wal_segments_dropped=sum(s.wal.stats.segments_dropped for s in stores),
+            wal_records_retired=sum(s.wal.stats.retired for s in stores),
             blocks_recovered=sum(r.blocks_recovered for r in recoveries),
             blocks_replayed=sum(r.blocks_replayed for r in recoveries),
         )

@@ -70,7 +70,6 @@ class StorageSnapshot(JsonDocument):
 
     wal_appends: int = 0
     wal_bytes: int = 0
-    wal_segments: int = 0
     checkpoints_written: int = 0
     checkpoint_bytes: int = 0
     #: Objects the written checkpoints needed: appended to a store, and
@@ -80,7 +79,8 @@ class StorageSnapshot(JsonDocument):
     checkpoint_age_max: int = 0
     states_released: int = 0
     payloads_dropped: int = 0
-    wal_segments_dropped: int = 0
+    #: WAL records retired: blocks every retained checkpoint covers.
+    wal_records_retired: int = 0
     blocks_recovered: int = 0
     blocks_replayed: int = 0
 

@@ -97,8 +97,8 @@ def _summary_lines(result: ScenarioResult) -> list[str]:
     ]
     if result.storage.any_activity():
         lines.append(
-            f"storage       : {result.storage.wal_bytes} WAL bytes in "
-            f"{result.storage.wal_segments} segments, "
+            f"storage       : {result.storage.wal_bytes} WAL bytes, "
+            f"{result.storage.wal_records_retired} records retired, "
             f"{result.storage.checkpoints_written} checkpoints, "
             f"{result.storage.payloads_dropped} payloads pruned"
         )

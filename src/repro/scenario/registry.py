@@ -73,7 +73,7 @@ def _crash_restart(smoke: bool) -> Scenario:
         "loses all volatile state, restarts from WAL + checkpoint and "
         "converges to the same ledger (Theorem 5.1 across a crash).",
         topology=Topology(
-            storage=StorageSpec(checkpoint_interval=6, segment_max_bytes=8192)
+            storage=StorageSpec(checkpoint_interval=6)
         ),
         workload=OpenLoopWorkload(
             rate=1, rounds=4 if smoke else 8, shared_label="ledger"
@@ -186,11 +186,11 @@ def _pruning(smoke: bool) -> Scenario:
         name="pruning",
         protocol="counter",
         description="Long-run soak with aggressive checkpoints and "
-        "pruning: WAL segments are dropped below the stable frontier "
+        "pruning: WAL records are retired below the stable frontier "
         "while the ledger keeps advancing.",
         topology=Topology(
             storage=StorageSpec(
-                checkpoint_interval=8, segment_max_bytes=4096, prune=True
+                checkpoint_interval=8, prune=True
             )
         ),
         workload=OpenLoopWorkload(
@@ -214,7 +214,7 @@ def _gc_horizon_soak(smoke: bool) -> Scenario:
         topology=Topology(
             n=7,
             storage=StorageSpec(
-                checkpoint_interval=8, segment_max_bytes=8192, prune=True
+                checkpoint_interval=8, prune=True
             ),
         ),
         workload=OpenLoopWorkload(
@@ -275,7 +275,7 @@ def _flight_recorder(smoke: bool) -> Scenario:
         topology=Topology(
             n=8,
             trace=True,
-            storage=StorageSpec(checkpoint_interval=8, segment_max_bytes=8192),
+            storage=StorageSpec(checkpoint_interval=8),
         ),
         workload=OpenLoopWorkload(rate=1 if smoke else 2, rounds=3 if smoke else 6),
         stop=And((AllDelivered(), DagsConverged())),
@@ -326,7 +326,7 @@ def _metrics_soak(smoke: bool) -> Scenario:
         topology=Topology(
             n=8,
             trace=True,
-            storage=StorageSpec(checkpoint_interval=6, segment_max_bytes=8192),
+            storage=StorageSpec(checkpoint_interval=6),
         ),
         workload=OpenLoopWorkload(
             rate=1, rounds=3 if smoke else 6, shared_label="ledger"

@@ -228,12 +228,10 @@ class Shim:
         self.gossip.on_receive(src, envelope)
 
     def _on_insert(self, block: Block) -> None:
-        # Write-ahead intent: the block joins the WAL chain-frame
-        # buffer here; the frame is flushed at the gossip batch end —
-        # always *before* interpretation, so the block is durable
-        # before any visible effect (indications) can happen.  A whole
-        # buffered chain admitted by one arrival becomes one WAL record
-        # instead of one per block.
+        # Write-ahead intent: the block joins the WAL buffer here; the
+        # buffer is flushed at the gossip batch end — always *before*
+        # interpretation, so the block is durable before any visible
+        # effect (indications) can happen.
         if self.storage is not None:
             self.storage.append_block(block)
 
@@ -269,14 +267,15 @@ class Shim:
 
     def checkpoint_now(self) -> None:
         """Prune below the stable frontier, snapshot the interpreter,
-        persist the snapshot, and GC the WAL segments it covers.
+        persist the snapshot, and retire the WAL records it covers.
 
         Order matters for crash safety: states are only released if the
         *previous* durable checkpoint held them (rule 1 of
-        :func:`repro.storage.gc.prunable_refs`), and WAL segments are
-        only dropped once the checkpoint written *now* covers their
-        skeletons — so (latest checkpoint + remaining WAL) always
-        reconstructs the full state.
+        :func:`repro.storage.gc.prunable_refs`), and a WAL record is only
+        retired once the checkpoint written *now* and the one before it
+        — every retained root — cover its skeleton, so (any retained
+        checkpoint that loads + remaining WAL) reconstructs the full
+        state.
 
         The pruner follows the agreed horizon (memory released above
         it stays rehydratable from the carried checkpoint entries;
@@ -290,7 +289,7 @@ class Shim:
         horizon = self.horizon.horizon
         if self.storage.config.prune and self._last_checkpoint is not None:
             durable = frozenset(self._last_checkpoint.states)
-            # Destroying data (payloads → skeletons → WAL segments) is
+            # Destroying data (payloads → skeletons → WAL records) is
             # deferred while this server is visibly behind — many
             # known-missing predecessors outstanding, or our own chain
             # trailing the best peer tip.  Blocks admitted during

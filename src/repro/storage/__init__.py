@@ -8,7 +8,8 @@ restart time and memory.
 
 Layers, bottom up:
 
-* :mod:`repro.storage.wal`         — segmented, CRC-framed append-only log;
+* :mod:`repro.storage.wal`         — one CRC-framed append-only file per
+  log that compacts once its retired records outgrow the live ones;
 * :mod:`repro.storage.state_codec` — pickle-free (de)serialization of
   live process-instance state;
 * :mod:`repro.storage.checkpoint`  — durable interpreter snapshots:
@@ -29,7 +30,7 @@ from repro.storage.checkpoint import (
 )
 from repro.storage.gc import PruneReport, prunable_refs, prune
 from repro.storage.recover import RecoveryReport, recover_shim_state
-from repro.storage.wal import WalSegment, WalStats, WriteAheadLog
+from repro.storage.wal import WalStats, WriteAheadLog
 
 __all__ = [
     "Checkpoint",
@@ -38,7 +39,6 @@ __all__ = [
     "RecoveryReport",
     "ServerStorage",
     "StorageConfig",
-    "WalSegment",
     "WalStats",
     "WriteAheadLog",
     "capture_checkpoint",

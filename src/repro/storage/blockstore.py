@@ -1,26 +1,31 @@
-"""Per-server durable storage: WAL + checkpoints + segment GC, one facade.
+"""Per-server durable storage: WAL + checkpoints + record retirement, one facade.
 
 :class:`ServerStorage` is what the shim talks to.  It owns one
 :class:`~repro.storage.wal.WriteAheadLog` (every inserted block,
-appended as canonical bytes before the insertion takes effect) and one
+appended as canonical bytes before the insertion takes effect, one
+block per record) and one
 :class:`~repro.storage.checkpoint.CheckpointManager` (the object log:
 state objects named by their hash, and one root per checkpoint), and
 coordinates the invariant that makes pruning crash-safe:
 
-    a WAL segment is deleted only when the **root just written** — read
-    back byte for byte with every object it needed that the store did
-    not hold — reaches a skeleton for every block in the segment.
+    a block's WAL record is retired once **every retained root** — each
+    read back byte for byte when it was written — reaches a skeleton
+    for the block.
 
-A skeleton object reachable from a retained root is never collected by
-the store's GC (it marks everything the retained roots reach), so at
-every instant (newest intact root) + (remaining WAL suffix)
-reconstructs the full server state, no matter where a crash lands.
+The store keeps two roots and recovery falls back to the older when
+the newest does not load, so a record is retired only when the root
+just written *and* the one before it cover it.  A skeleton object
+reachable from a retained root is never collected by the store's GC
+(it marks everything the retained roots reach), so at every instant
+(any retained root that loads) + (the WAL's live records) reconstructs
+the full server state, no matter where a crash lands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 from repro.dag import codec
 from repro.dag.block import Block
@@ -41,11 +46,9 @@ codec.register_dataclass(Block)
 class StorageConfig:
     """Tunables of a server's persistence layer."""
 
-    #: Soft WAL segment capacity in bytes.
-    segment_max_bytes: int = 64 * 1024
     #: Blocks interpreted between checkpoints.
     checkpoint_interval: int = 32
-    #: Whether to GC states/payloads/segments below the stable frontier.
+    #: Whether to GC states/payloads/WAL records below the stable frontier.
     prune: bool = True
     #: Memory release exempts the last this-many checkpoints' cone
     #: (blocks interpreted since the K-th most recent checkpoint).
@@ -63,20 +66,10 @@ class StorageConfig:
 class ServerStorage:
     """All durable state of one server, rooted at ``directory``."""
 
-    #: Chain frames are flushed once they hold this many blocks even if
-    #: no batch boundary arrived (bounds buffered memory; durability
-    #: still precedes interpretation because flushes only ever happen
-    #: earlier, never later, than the batch end).
-    CHAIN_FRAME_MAX_BLOCKS = 64
-
     def __init__(self, directory: str | Path, config: StorageConfig | None = None) -> None:
         self.directory = Path(directory)
         self.config = config if config is not None else StorageConfig()
-        self.wal = WriteAheadLog(
-            self.directory / "wal",
-            segment_max_bytes=self.config.segment_max_bytes,
-            fsync=self.config.fsync,
-        )
+        self.wal = WriteAheadLog(self.directory / "wal", fsync=self.config.fsync)
         # Two retained roots: recovery falls back to the older one when
         # the newest does not load.
         self.checkpoints = CheckpointManager(
@@ -97,12 +90,18 @@ class ServerStorage:
         #: the live node so WAL-flush / checkpoint-write latency lands
         #: in its exported snapshots (``storage.*`` histograms).
         self.live_metrics = None
-        #: Blocks appended since the last WAL flush, in insertion
-        #: order.  One WAL record ("chain frame") is written per
-        #: maximal same-builder run at flush time — the shim flushes at
-        #: every gossip batch end, *before* interpretation, so a crash
-        #: can only lose blocks that never had a visible effect.
+        #: Blocks appended since the last WAL flush, in insertion order.
+        #: The shim flushes at every gossip batch end, *before*
+        #: interpretation, so a crash can only lose blocks that never
+        #: had a visible effect.
         self._pending: list[Block] = []
+        #: The WAL record of each block this handle appended or
+        #: replayed and has not retired, by ref.
+        self._records: dict[BlockRef, int] = {}
+        #: The skeletons of the previous intact checkpoint write: with
+        #: the one just written, the retained roots.  Empty on a fresh
+        #: handle, so its first write retires nothing.
+        self._covered: Mapping[BlockRef, object] = {}
 
     # -- queries -------------------------------------------------------------------
 
@@ -113,7 +112,7 @@ class ServerStorage:
     # -- the write path ------------------------------------------------------------
 
     def append_block(self, block: Block) -> None:
-        """Queue one inserted block for the WAL (chain-frame buffered).
+        """Queue one inserted block for the WAL.
 
         The caller contract is *flush before any visible effect*: the
         shim calls :meth:`flush_wal` at every gossip batch end, before
@@ -123,59 +122,36 @@ class ServerStorage:
         treats them as never received and they re-arrive over gossip.
         """
         self._pending.append(block)
-        if len(self._pending) >= self.CHAIN_FRAME_MAX_BLOCKS:
-            self.flush_wal()
 
     def flush_wal(self) -> None:
-        """Write buffered blocks as one WAL record per same-builder run.
-
-        Framing a same-builder run as a single record amortizes the
-        per-block record header/CRC/flush cost, and tagging it with the
-        builder (``chain_key``) lets the WAL rotate segments on chain
-        boundaries — which is what makes whole segments retire together
-        under the GC horizon."""
+        """Write the buffered blocks, one WAL record each."""
         if not self._pending:
             return
         live_metrics = self.live_metrics
         if live_metrics is not None:
             _started = perf_counter()
         pending, self._pending = self._pending, []
-        start = 0
-        for i in range(1, len(pending) + 1):
-            if i == len(pending) or pending[i].n != pending[start].n:
-                run = pending[start:i]
-                # A lone block keeps the bare-Block framing: the tuple
-                # wrapper only pays for itself when it amortizes.
-                payload = codec.encode(run[0] if len(run) == 1 else tuple(run))
-                self.wal.append(
-                    payload,
-                    refs=[str(b.ref) for b in run],
-                    chain_key=str(run[0].n),
-                )
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "wal-append",
-                        block=run[-1].ref,
-                        bytes=len(payload),
-                        blocks=len(run),
-                        chain=str(run[0].n),
-                    )
-                start = i
+        for block in pending:
+            payload = codec.encode(block)
+            self._records[block.ref] = self.wal.append(payload)
+            if self.tracer.enabled:
+                self.tracer.emit("wal-append", block=block.ref, bytes=len(payload))
         if live_metrics is not None:
             live_metrics.histogram("storage.wal-flush").observe(
                 perf_counter() - _started
             )
 
     def write_checkpoint(self, checkpoint: Checkpoint) -> None:
-        """Persist a checkpoint, then GC WAL segments it fully covers.
+        """Persist a checkpoint, then retire the WAL records every
+        retained root covers.
 
         What was just appended to the object log — the objects the store
         lacked and the root — is read back and compared, byte for byte,
-        with what was written before any segment is dropped: once those
-        records are gone, this checkpoint's skeletons are the only copy
-        of the pruned prefix, so GC must never act on a write the disk
-        garbled.  A mismatch keeps the WAL; the next checkpoint cuts the
-        garbled append off and appends its objects again.
+        with what was written before any record is retired: once a
+        record is gone, the retained roots' skeletons are the only copy
+        of its block, so retirement must never act on a write the disk
+        garbled.  A mismatch retires nothing; the next checkpoint cuts
+        the garbled append off and appends its objects again.
         """
         # Invariant: a checkpoint never covers an unflushed block.  The
         # shim flushes before interpreting, so this is normally a
@@ -190,54 +166,42 @@ class ServerStorage:
             live_metrics.histogram("storage.checkpoint-write").observe(
                 perf_counter() - _started
             )
-        if intact and self.config.prune:
-            self._drop_covered_segments(checkpoint)
-
-    def _drop_covered_segments(self, checkpoint: Checkpoint) -> None:
-        """Delete non-active segments whose every record is a block the
-        checkpoint can stand in for *without replay* — i.e. pruned
-        blocks with a stored skeleton.  Blocks with live annotations
-        still need their full content from the WAL (children may read
-        their ``rs``), so only skeleton coverage counts."""
-        covered = set(checkpoint.skeletons)
-        for segment in self.wal.segments():
-            if segment.index == self.wal.active_index:
-                continue
-            if not segment.refs:
-                # A segment this handle never wrote nor replayed: its
-                # contents are unknown — keep it.
-                continue
-            if all(BlockRef(ref) in covered for ref in segment.refs):
-                self.wal.drop_segment(segment.index)
+        if not intact:
+            return
+        covered, skeletons = self._covered, checkpoint.skeletons
+        self._covered = skeletons
+        if self.config.prune:
+            # Blocks, not skeletons, stand in for live annotations
+            # (children may read their ``rs``), so only a skeleton in
+            # both retained roots retires a record.
+            retired = [ref for ref in self._records if ref in covered and ref in skeletons]
+            self.wal.retire([self._records.pop(ref) for ref in retired])
 
     # -- the recovery path ---------------------------------------------------------
 
     def load_blocks(self) -> list[Block]:
-        """Decode every WAL record, in append (= insertion) order.
+        """Decode every live WAL record, in append (= insertion) order.
 
-        Also re-tags segments with the refs they hold so a recovered
-        handle can make pruning decisions.
+        A block met twice — the copy a compaction left when a crash
+        came between its rename and its unlink — is retired as dead
+        bytes and returned once.
         """
         blocks: list[Block] = []
-        segment_refs: dict[int, list[str]] = {}
-        for index, payload in self.wal.replay():
-            value = codec.decode(payload)
-            # A record is either one block (legacy framing) or a chain
-            # frame: a tuple of consecutive same-builder blocks.
-            frame = (value,) if isinstance(value, Block) else value
-            if not isinstance(frame, (tuple, list)) or not all(
-                isinstance(b, Block) for b in frame
-            ):
+        records: dict[BlockRef, int] = {}
+        duplicates = []
+        for number, payload in self.wal.replay():
+            block = codec.decode(payload)
+            if not isinstance(block, Block):
                 raise StorageError(
-                    f"WAL record in segment {index} decoded to "
-                    f"{type(value).__name__}, expected Block or chain frame"
+                    f"WAL record {number} decoded to {type(block).__name__}, expected Block"
                 )
-            for block in frame:
-                blocks.append(block)
-                segment_refs.setdefault(index, []).append(str(block.ref))
-        for segment in self.wal.segments():
-            if segment.index in segment_refs:
-                segment.refs = segment_refs[segment.index]
+            if block.ref in records:
+                duplicates.append(number)
+                continue
+            records[block.ref] = number
+            blocks.append(block)
+        self._records.update(records)
+        self.wal.retire(duplicates)
         return blocks
 
     def latest_checkpoint(self) -> Checkpoint | None:
@@ -246,14 +210,13 @@ class ServerStorage:
     # -- lifecycle -----------------------------------------------------------------
 
     def close(self) -> None:
-        """Clean shutdown: flush the chain-frame buffer, then close."""
+        """Clean shutdown: flush the buffered blocks, then close."""
         self.flush_wal()
         self.wal.close()
 
     def abandon(self) -> None:
         """Release the file handles and write nothing, as a crash does.
-        Blocks still in the chain-frame buffer stay unwritten (a crash
-        loses them: they never had a visible effect, see
-        :meth:`append_block`); an object driven on writes them at its
-        next flush, reopening the WAL."""
+        Blocks still buffered stay unwritten (a crash loses them: they
+        never had a visible effect, see :meth:`append_block`); an object
+        driven on writes them at its next flush, reopening the WAL."""
         self.wal.abandon()

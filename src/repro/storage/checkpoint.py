@@ -8,7 +8,7 @@ agreed GC horizon in ``states`` (resident annotations, plus released
 ones carried so late references can rehydrate them); the ``released``
 refs; a ``skeleton`` per payload-pruned block (``n, k, preds, sigma,
 hz``: the vertex, its signature still verifiable, after its WAL
-segment is gone); the indication ``events``; and the interpreter
+record is retired); the indication ``events``; and the interpreter
 ``counters``.
 
 State is stored the way blocks are: each process instance, mutable
@@ -52,6 +52,7 @@ from repro.storage.state_codec import (
     object_value,
     restore_process,
 )
+from repro.storage.wal import LogFiles
 from repro.types import BlockRef, Label, ServerId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -72,7 +73,6 @@ _HEAD = 1 + DIGEST_SIZE
 root_name = digester("repro/checkpoint-root")
 _PREFIX = "ckpt-"
 _SUFFIX = ".bin"
-_TMP_SUFFIX = ".tmp"
 
 #: The history sections, each kept as a chain of chunks.
 SECTIONS = ("refs", "released", "skeletons", "events")
@@ -512,8 +512,9 @@ class CheckpointManager:
     the names each object begins with (:func:`_reached`): it decodes
     nothing.  Whenever the log grew by more than the live bytes at the
     last mark, it marks again; if the rest outgrows the live bytes, the
-    live frames are copied verbatim into the next generation (temp
-    file, read back, rename) and the old files go.
+    live frames are copied verbatim into the next generation by the
+    copy the WAL compacts with too (:meth:`LogFiles.compact`: temp file,
+    read back, rename) and the old files go.
     """
 
     def __init__(
@@ -521,8 +522,8 @@ class CheckpointManager:
     ) -> None:
         if retain < 1:
             raise ValueError(f"must retain at least one checkpoint, got {retain}")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self._log = LogFiles(directory, _PREFIX, _SUFFIX, fsync)
+        self.directory = self._log.directory
         self.retain = retain
         self.fsync = fsync
         #: Checkpoints written, the bytes appended for them, and the
@@ -548,26 +549,8 @@ class CheckpointManager:
         #: Live bytes at the last mark, and bytes appended since.
         self._live = 0
         self._since_mark = 0
-        for stale in self.directory.glob(f"{_PREFIX}*{_TMP_SUFFIX}"):
-            stale.unlink(missing_ok=True)
-        for path in self._files():
+        for path in self._log.paths():
             self._scan(path)
-
-    def _files(self) -> list[Path]:
-        """The log's files, oldest generation first."""
-        found = []
-        for path in self.directory.glob(f"{_PREFIX}*{_SUFFIX}"):
-            try:
-                found.append((int(path.name[len(_PREFIX) : -len(_SUFFIX)]), path))
-            except ValueError:
-                continue
-        return [path for _, path in sorted(found)]
-
-    def _next_path(self) -> Path:
-        generation = 0
-        if self._path is not None:
-            generation = int(self._path.name[len(_PREFIX) : -len(_SUFFIX)])
-        return self.directory / f"{_PREFIX}{generation + 1:08d}{_SUFFIX}"
 
     def _scan(self, path: Path) -> None:
         """Index ``path``'s intact frames, stepping over damaged ones."""
@@ -647,7 +630,7 @@ class CheckpointManager:
         root_at = len(out)
         _append_frame(out, _ROOT, root_name(root_data), root_data)
         if self._path is None:
-            self._path, self._end = self._next_path(), 0
+            self._path, self._end = self._log.next_path(), 0
         path, offset = self._path, self._end
         created = not path.exists()
         with open(path, "ab") as handle:
@@ -658,7 +641,7 @@ class CheckpointManager:
                 handle.flush()
                 os.fsync(handle.fileno())
         if created and self.fsync:
-            self._sync_directory()
+            self._log.sync_directory()
         self.bytes_written += len(out)
         self._seq = max(self._seq, checkpoint.seq)
         if not self._reads_back(path, bytes(out), offset):
@@ -698,44 +681,24 @@ class CheckpointManager:
                 live |= reached
         self._live = sum(objects[name][2] for name in live) + sum(r[2] for r in kept.values())
         self._since_mark = 0
-        files = self._files()
-        if sum(path.stat().st_size for path in files) <= 2 * self._live:
+        if sum(path.stat().st_size for path in self._log.paths()) <= 2 * self._live:
             return
-        target = self._next_path()
-        out = bytearray()
-        moved: dict[bytes, tuple[Path, int, int]] = {}
-        roots = {}
-        for name in sorted(live, key=lambda n: (objects[n][0].name, objects[n][1])):
-            path, offset, length = objects[name]
-            moved[name] = (target, len(out), length)
-            out += view.file(path)[offset : offset + length]
-        for seq, (path, offset, length, starts) in kept.items():
-            roots[seq] = (target, len(out), length, starts)
-            out += view.file(path)[offset : offset + length]
-        tmp = target.with_suffix(_TMP_SUFFIX)
-        with open(tmp, "wb") as handle:
-            handle.write(out)
-            if self.fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        if not self._reads_back(tmp, bytes(out)):
-            tmp.unlink(missing_ok=True)
+        names = sorted(live, key=lambda n: (objects[n][0].name, objects[n][1]))
+        placed = self._log.compact(
+            [objects[name] for name in names] + [root[:3] for root in kept.values()]
+        )
+        if placed is None:
             return
-        tmp.replace(target)
-        if self.fsync:
-            self._sync_directory()
-        for path in files:
-            path.unlink(missing_ok=True)
-        self._objects, self._roots = moved, roots
-        self._links = {name: self._links[name] for name in moved if name in self._links}
-        self._path, self._end = target, len(out)
-
-    def _sync_directory(self) -> None:
-        fd = os.open(self.directory, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        target, offsets = placed
+        self._objects = {
+            name: (target, at, objects[name][2]) for name, at in zip(names, offsets)
+        }
+        self._roots = {
+            seq: (target, at, length, starts)
+            for (seq, (_, _, length, starts)), at in zip(kept.items(), offsets[len(names) :])
+        }
+        self._links = {name: self._links[name] for name in self._objects if name in self._links}
+        self._path, self._end = target, self._live
 
     @staticmethod
     def _reads_back(path: Path, data: bytes, offset: int = 0) -> bool:

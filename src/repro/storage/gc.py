@@ -33,14 +33,14 @@ correct server's referencing window:
    interpreted, so no in-flight interpretation still needs ``B``.
 4. **Down-closed** — all of ``B``'s predecessors are already pruned (or
    prunable in the same pass), so the pruned region is a prefix of the
-   DAG and WAL segments can be dropped front-to-back.
+   DAG and its WAL records retire front-to-back.
 
 Releasing memory and destroying data are now two different tiers.  A
 released *state* stays reconstructible from the covering checkpoint
 (which carries released annotations forward until the agreed horizon
 passes them), so a late byzantine re-reference above the horizon
 rehydrates instead of stalling its honest descendants.  Payloads — and
-with them WAL segments and checkpointed annotations — are destroyed
+with them WAL records and checkpointed annotations — are destroyed
 only when a block is **both** below the agreed horizon **and** fully
 referenced: below the horizon, new references are condemned by the
 gossip validity rule, and full reference means no *restarting* correct
@@ -145,8 +145,8 @@ def prune(
     tracer: object | None = None,
 ) -> PruneReport:
     """Release interpreter states and drop block payloads below the
-    stable frontier.  WAL segment dropping is the storage layer's job
-    (it needs the *next* checkpoint to cover the skeletons first).
+    stable frontier.  Retiring WAL records is the storage layer's job
+    (it needs every retained checkpoint to cover the skeletons first).
 
     Payloads are dropped only for blocks that are below the agreed
     ``horizon`` *and* fully referenced — a released block that fails

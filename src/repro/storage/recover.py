@@ -85,8 +85,8 @@ def recover_shim_state(shim: "Shim") -> RecoveryReport:
             checkpoint, available
         )
 
-    # 1. DAG skeleton prefix (payload-pruned blocks whose WAL segments
-    #    may already be gone), then the WAL in insertion order.
+    # 1. DAG skeleton prefix (payload-pruned blocks whose WAL records
+    #    may already be retired), then the WAL in insertion order.
     if checkpoint is not None:
         report.checkpoint_seq = checkpoint.seq
         report.checkpoint = checkpoint

@@ -6,21 +6,26 @@ takes effect, so after a crash the DAG — and, by Lemma 4.2, every
 annotation the interpreter ever computed over it — is reconstructible
 by replaying the log.  The format is deliberately minimal:
 
-* the log is a directory of fixed-capacity **segment** files
-  (``wal-00000001.log``, ``wal-00000002.log``, ...) so pruning can drop
-  whole files once a checkpoint covers their contents;
-* each record is ``length:u32 | crc32:u32 | payload``, where the CRC is
-  over the payload.  Payloads are opaque bytes here; the block store
-  layers the canonical codec (:mod:`repro.dag.codec`) on top.
+* the log is one file, ``wal-<generation>.log``, of records ``length:u32
+  | crc32:u32 | payload``, where the CRC is over the payload.  Payloads
+  are opaque bytes here; the block store layers the canonical codec
+  (:mod:`repro.dag.codec`) on top, one block per record;
+* the log is indexed in memory: each live record by the number the
+  handle gave it.  A record the caller *retires* is dead bytes; once
+  those outgrow the live ones, the live records are copied in order
+  into the next generation (:meth:`LogFiles.compact`, the copy the
+  checkpoint object log compacts with too) and the older file goes.
 
 Crash semantics: appends are flushed to the OS on every call (fsync is
 optional — a simulated crash never loses the page cache), so the only
 damage a crash can do is a *torn tail*: a final record whose header or
 payload was cut short.  Opening a log repairs that by truncating the
-last segment back to its final intact record.  A CRC failure anywhere
+newest file back to its final intact record.  A CRC failure anywhere
 *else* is real corruption and raises :class:`WalCorruptionError` — the
 log refuses to silently skip records, because replay order is the
-recovery contract.
+recovery contract.  Replay reads every ``wal-*.log`` oldest first, so
+a crash between a compaction's rename and its unlink leaves a log that
+still replays (its records twice; the reader skips the copies).
 """
 
 from __future__ import annotations
@@ -28,26 +33,109 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterable, Iterator
 
-from repro.errors import StorageError, WalCorruptionError
+from repro.errors import WalCorruptionError
 
 #: Record header: payload length, crc32(payload).
 _HEADER = struct.Struct(">II")
 
-_SEGMENT_PREFIX = "wal-"
-_SEGMENT_SUFFIX = ".log"
+_PREFIX = "wal-"
+_SUFFIX = ".log"
+_TMP_SUFFIX = ".tmp"
+#: Bytes read at a time while a compacted file is read back.
+_CHUNK = 1 << 16
 
 
-def _segment_name(index: int) -> str:
-    return f"{_SEGMENT_PREFIX}{index:08d}{_SEGMENT_SUFFIX}"
+class LogFiles:
+    """The files of one append-only log: generations
+    ``<prefix><generation:08d><suffix>`` in one directory.  Appends go
+    to the newest; :meth:`compact` copies the live records into the
+    next and deletes the rest.  A temp file a crash left mid-copy is
+    removed on open."""
+
+    def __init__(self, directory: str | Path, prefix: str, suffix: str, fsync: bool) -> None:
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self.prefix, self.suffix, self.fsync = prefix, suffix, fsync
+        for stale in self.directory.glob(f"{prefix}*{_TMP_SUFFIX}"):
+            stale.unlink(missing_ok=True)
+
+    def _generation(self, path: Path) -> int:
+        return int(path.name[len(self.prefix) : -len(self.suffix)])
+
+    def paths(self) -> list[Path]:
+        """The log's files, oldest generation first."""
+        found = []
+        for path in self.directory.glob(f"{self.prefix}*{self.suffix}"):
+            try:
+                found.append((self._generation(path), path))
+            except ValueError:
+                continue
+        return [path for _, path in sorted(found)]
+
+    def next_path(self) -> Path:
+        """The file of the generation after the newest."""
+        paths = self.paths()
+        generation = self._generation(paths[-1]) if paths else 0
+        return self.directory / f"{self.prefix}{generation + 1:08d}{self.suffix}"
+
+    def sync_directory(self) -> None:
+        fd = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def compact(self, records: Iterable[tuple[Path, int, int]]) -> tuple[Path, list[int]] | None:
+        """Copy each ``(file, offset, length)`` record, in order and one
+        at a time, into the next generation: a temp file, read back
+        against the CRC and length of what was copied, renamed, and only
+        then the older files deleted.  Returns the new file and each
+        record's offset in it, or ``None`` — the temp file gone, the log
+        as it was — when the copy does not read back."""
+        older = self.paths()
+        target = self.next_path()
+        tmp = target.with_suffix(_TMP_SUFFIX)
+        offsets: list[int] = []
+        crc = size = 0
+        with ExitStack() as opened, open(tmp, "wb") as out:
+            sources: dict[Path, BinaryIO] = {}
+            for path, offset, length in records:
+                if path not in sources:
+                    sources[path] = opened.enter_context(open(path, "rb"))
+                sources[path].seek(offset)
+                record = sources[path].read(length)
+                offsets.append(size)
+                out.write(record)
+                crc, size = zlib.crc32(record, crc), size + len(record)
+            if self.fsync:
+                out.flush()
+                os.fsync(out.fileno())
+        if not _reads_back(tmp, crc, size):
+            tmp.unlink(missing_ok=True)
+            return None
+        tmp.replace(target)
+        if self.fsync:
+            self.sync_directory()
+        for path in older:
+            path.unlink(missing_ok=True)
+        return target, offsets
 
 
-def _segment_index(path: Path) -> int:
-    stem = path.name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
-    return int(stem)
+def _reads_back(path: Path, crc: int, size: int) -> bool:
+    """Whether ``path`` holds exactly ``size`` bytes whose CRC is ``crc``."""
+    seen = read = 0
+    try:
+        with open(path, "rb") as handle:
+            while chunk := handle.read(_CHUNK):
+                seen, read = zlib.crc32(chunk, seen), read + len(chunk)
+    except OSError:
+        return False
+    return (seen, read) == (crc, size)
 
 
 @dataclass
@@ -55,269 +143,167 @@ class WalStats:
     """Operational counters of one log handle."""
 
     appends: int = 0
-    bytes_appended: int = 0
-    segments_created: int = 0
-    segments_dropped: int = 0
+    #: Records retired, and the compactions that dropped their bytes.
+    retired: int = 0
+    compactions: int = 0
     torn_bytes_truncated: int = 0
-    syncs: int = 0
-
-
-@dataclass
-class WalSegment:
-    """One segment file as seen by this handle."""
-
-    index: int
-    path: Path
-    records: int = 0
-    size: int = 0
-    refs: list[str] = field(default_factory=list)
-    #: Chain key (builder id) of the last record appended by this
-    #: handle — transient rotation state, never persisted.
-    last_chain: str | None = None
 
 
 class WriteAheadLog:
-    """A segmented, CRC-framed append-only log.
+    """A CRC-framed append-only log in one file that compacts itself.
 
     Parameters
     ----------
     directory:
-        Where segment files live; created if missing.
-    segment_max_bytes:
-        Soft capacity: a segment is rolled once an append pushes it past
-        this size (a single record may exceed it).
+        Where the log's file lives; created if missing.
     fsync:
-        Whether to ``os.fsync`` on :meth:`sync`/roll.  Off by default —
-        simulated crashes never lose flushed pages, and the benchmarks
-        measure log structure, not disk hardware.
+        Whether to ``os.fsync`` on :meth:`sync` and compaction.  Off by
+        default — simulated crashes never lose flushed pages, and the
+        benchmarks measure log structure, not disk hardware.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        segment_max_bytes: int = 256 * 1024,
-        fsync: bool = False,
-        rotate_min_bytes: int | None = None,
-    ) -> None:
-        if segment_max_bytes < 1:
-            raise ValueError(f"segment_max_bytes must be positive: {segment_max_bytes}")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.segment_max_bytes = segment_max_bytes
-        #: Builder-chain boundary rotation (GC alignment): once a
-        #: segment is at least this full, the next append carrying a
-        #: *different* ``chain_key`` rolls to a fresh segment.  Without
-        #: it, segments end mid-chain wherever the byte cap happens to
-        #: land, so in short runs nearly every segment interleaves
-        #: retired (skeletal) refs with one live chain's tail and
-        #: segment GC never fires.  Default: a quarter of the byte cap.
-        self.rotate_min_bytes = (
-            rotate_min_bytes
-            if rotate_min_bytes is not None
-            else max(1, segment_max_bytes // 4)
-        )
-        self.fsync = fsync
+    def __init__(self, directory: str | Path, fsync: bool = False) -> None:
+        self.files = LogFiles(directory, _PREFIX, _SUFFIX, fsync)
+        self.directory = self.files.directory
         self.stats = WalStats()
-        self._segments: dict[int, WalSegment] = {}
-        for path in sorted(self.directory.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}")):
-            index = _segment_index(path)
-            self._segments[index] = WalSegment(
-                index=index, path=path, size=path.stat().st_size
-            )
-        if self._segments:
-            self._repair_tail(self._segments[max(self._segments)])
-        self._active: WalSegment | None = None
+        #: Every live record, ``number -> (file, offset, record
+        #: length)``, in append order; and the next number to give.
+        self._records: dict[int, tuple[Path, int, int]] = {}
+        self._next = 0
+        #: Bytes across the log's files, and the live records' share.
+        self._size = self._live = 0
+        #: The newest file, which appends go to, and where it ends.
+        self._path: Path | None = None
+        self._end = 0
+        paths = self.files.paths()
+        for path in paths:
+            self._index(path, newest=path == paths[-1])
         self._handle = None
 
     # -- appending ----------------------------------------------------------------
 
-    def append(
-        self,
-        payload: bytes,
-        ref: str | None = None,
-        refs: "tuple[str, ...] | list[str] | None" = None,
-        chain_key: str | None = None,
-    ) -> int:
-        """Append one record; returns the index of the segment it landed
-        in.
-
-        ``ref`` (one block) or ``refs`` (a chain frame holding several)
-        tag the record with the block references it carries, so
-        segment-granular pruning can check coverage.  ``chain_key``
-        names the builder chain the record belongs to; an append whose
-        key differs from the segment's previous record rotates the
-        segment early once it is ``rotate_min_bytes`` full, aligning
-        segment boundaries with builder-chain boundaries."""
-        segment = self._writable_segment(len(payload), chain_key)
+    def append(self, payload: bytes) -> int:
+        """Append one record; returns its number, which :meth:`replay`
+        yields beside it and :meth:`retire` takes."""
+        if self._handle is None:
+            if self._path is None:
+                self._path = self.files.next_path()
+            self._handle = open(self._path, "ab")
         record = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         self._handle.write(record)
         self._handle.flush()
-        segment.records += 1
-        segment.size += len(record)
-        segment.last_chain = chain_key
-        if ref is not None:
-            segment.refs.append(ref)
-        if refs is not None:
-            segment.refs.extend(refs)
         self.stats.appends += 1
-        self.stats.bytes_appended += len(record)
-        return segment.index
-
-    def _should_rotate(self, segment: WalSegment, chain_key: str | None) -> bool:
-        if segment.size >= self.segment_max_bytes:
-            return True
-        return (
-            chain_key is not None
-            and segment.last_chain is not None
-            and chain_key != segment.last_chain
-            and segment.size >= self.rotate_min_bytes
-        )
+        self._end += len(record)
+        return self._add(self._path, self._end - len(record), len(record))
 
     def sync(self) -> None:
-        """Flush (and optionally fsync) the active segment."""
+        """Flush (and optionally fsync) the open file."""
         if self._handle is not None:
             self._handle.flush()
-            if self.fsync:
+            if self.files.fsync:
                 os.fsync(self._handle.fileno())
-            self.stats.syncs += 1
 
     def close(self) -> None:
-        """Close the active handle (a *clean* shutdown; crashes just
+        """Close the open handle (a *clean* shutdown; crashes just
         abandon the object — that is the case the log is designed for)."""
         if self._handle is not None:
             self.sync()
             self._handle.close()
             self._handle = None
-            self._active = None
 
     def abandon(self) -> None:
-        """Drop the active handle as a crash does: nothing is written,
-        synced or counted.  Every append was flushed, so the disk holds
-        what a real crash would leave."""
+        """Drop the open handle as a crash does: nothing is written or
+        synced.  Every append was flushed, so the disk holds what a real
+        crash would leave."""
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-            self._active = None
-
-    def _writable_segment(
-        self, payload_size: int, chain_key: str | None = None
-    ) -> WalSegment:
-        if self._active is not None and self._should_rotate(self._active, chain_key):
-            self.close()
-        if self._active is None:
-            index = max(self._segments, default=0)
-            current = self._segments.get(index)
-            if current is None or current.size >= self.rotate_min_bytes:
-                index += 1
-                current = WalSegment(
-                    index=index, path=self.directory / _segment_name(index)
-                )
-                self._segments[index] = current
-                self.stats.segments_created += 1
-            self._active = current
-            self._handle = open(current.path, "ab")
-        return self._active
 
     # -- reading ------------------------------------------------------------------
 
     def replay(self) -> Iterator[tuple[int, bytes]]:
-        """Yield ``(segment_index, payload)`` for every record, in append
-        order.  Re-derives per-segment record counts as a side effect so
-        a reopened log can answer :meth:`segments` accurately."""
-        for index in sorted(self._segments):
-            segment = self._segments[index]
-            segment.records = 0
-            for payload in self._scan_segment(segment, repair=False):
-                segment.records += 1
-                yield index, payload
-
-    def segments(self) -> list[WalSegment]:
-        """Current segments, oldest first."""
-        return [self._segments[i] for i in sorted(self._segments)]
-
-    @property
-    def active_index(self) -> int | None:
-        """Index of the segment currently open for appends."""
-        return self._active.index if self._active is not None else None
+        """Yield ``(number, payload)`` for every live record, in append
+        order."""
+        files: dict[Path, bytes] = {}
+        for number, (path, offset, length) in self._records.items():
+            if path not in files:
+                files = {path: path.read_bytes()}
+            yield number, files[path][offset + _HEADER.size : offset + length]
 
     def size_bytes(self) -> int:
-        """Total bytes across live segments."""
-        return sum(s.size for s in self._segments.values())
+        """Bytes across the log's files, live records and dead."""
+        return self._size
+
+    def live_bytes(self) -> int:
+        """Bytes of the records not retired."""
+        return self._live
 
     def record_count(self) -> int:
-        """Total records across live segments (accurate after a full
-        :meth:`replay`, or on a handle that did all the appends)."""
-        return sum(s.records for s in self._segments.values())
+        """Live records."""
+        return len(self._records)
 
-    # -- pruning ------------------------------------------------------------------
+    # -- retiring -----------------------------------------------------------------
 
-    def drop_segment(self, index: int) -> bool:
-        """Delete one non-active segment file; returns whether it existed.
+    def retire(self, numbers: Iterable[int]) -> None:
+        """Drop records from the log's live set; once the dead bytes
+        outgrow the live ones, compact.
 
-        The caller (the GC layer) is responsible for only dropping
-        segments whose every record is covered by a durable checkpoint.
-        """
-        segment = self._segments.get(index)
-        if segment is None:
-            return False
-        if self._active is not None and self._active.index == index:
-            raise StorageError(f"refusing to drop the active segment {index}")
-        segment.path.unlink(missing_ok=True)
-        del self._segments[index]
-        self.stats.segments_dropped += 1
-        return True
+        The caller (the block store) is responsible for only retiring a
+        record another durable copy can stand in for."""
+        for number in numbers:
+            _, _, length = self._records.pop(number)
+            self._live -= length
+            self.stats.retired += 1
+        if self._size > 2 * self._live:
+            self._compact()
+
+    def _compact(self) -> None:
+        self.close()
+        placed = self.files.compact(self._records.values())
+        if placed is None:
+            return
+        target, offsets = placed
+        self._records = {
+            number: (target, offset, length)
+            for (number, (_, _, length)), offset in zip(self._records.items(), offsets)
+        }
+        self._path, self._size = target, self._live
+        self._end = self._live
+        self.stats.compactions += 1
 
     # -- internals ----------------------------------------------------------------
 
-    def _scan_segment(self, segment: WalSegment, repair: bool) -> Iterator[bytes]:
-        """Yield intact payloads of one segment.
+    def _add(self, path: Path, offset: int, length: int) -> int:
+        number = self._next
+        self._next += 1
+        self._records[number] = (path, offset, length)
+        self._size += length
+        self._live += length
+        return number
 
-        ``repair=True`` truncates a torn tail instead of raising; a CRC
-        mismatch on a *complete* record raises either way.
-        """
-        try:
-            data = segment.path.read_bytes()
-        except FileNotFoundError:
-            return
+    def _index(self, path: Path, newest: bool) -> None:
+        """Number ``path``'s records; a torn tail of the newest file is
+        cut off, any other damage raises."""
+        data = path.read_bytes()
         offset = 0
         while offset < len(data):
-            if offset + _HEADER.size > len(data):
-                self._handle_tail(segment, data, offset, repair)
-                return
-            length, crc = _HEADER.unpack_from(data, offset)
-            start = offset + _HEADER.size
-            end = start + length
-            if end > len(data):
-                self._handle_tail(segment, data, offset, repair)
-                return
-            payload = data[start:end]
-            if zlib.crc32(payload) != crc:
-                if end >= len(data):
-                    # The final record is complete in length but fails
-                    # its CRC: a torn write inside the payload.
-                    self._handle_tail(segment, data, offset, repair)
-                    return
-                raise WalCorruptionError(
-                    f"CRC mismatch in {segment.path.name} at offset {offset}"
-                )
-            yield payload
+            end = offset + _HEADER.size
+            if end <= len(data):
+                length, crc = _HEADER.unpack_from(data, offset)
+                end += length
+            if end > len(data) or zlib.crc32(data[offset + _HEADER.size : end]) != crc:
+                # A record cut short, or complete in length but failing
+                # its CRC as the last one: a torn write.  Failing its
+                # CRC with a record after it: corruption.
+                if end < len(data) or not newest:
+                    raise WalCorruptionError(
+                        f"{'CRC mismatch' if end <= len(data) else 'torn record'} "
+                        f"in {path.name} at offset {offset}"
+                    )
+                with open(path, "r+b") as handle:
+                    handle.truncate(offset)
+                self.stats.torn_bytes_truncated += len(data) - offset
+                break
+            self._add(path, offset, end - offset)
             offset = end
-
-    def _handle_tail(
-        self, segment: WalSegment, data: bytes, offset: int, repair: bool
-    ) -> None:
-        if not repair:
-            raise WalCorruptionError(
-                f"torn record in {segment.path.name} at offset {offset} "
-                f"(open the log with WriteAheadLog() to repair the tail)"
-            )
-        torn = len(data) - offset
-        with open(segment.path, "r+b") as handle:
-            handle.truncate(offset)
-        segment.size = offset
-        self.stats.torn_bytes_truncated += torn
-
-    def _repair_tail(self, segment: WalSegment) -> None:
-        """Drop a torn final record left by a crash mid-append."""
-        for _ in self._scan_segment(segment, repair=True):
-            pass
+        self._path, self._end = path, offset

@@ -3,8 +3,9 @@
 ``tests/golden/`` holds what one small deterministic storage scenario
 leaves behind, so "the bytes did not move" is a test and not a ritual:
 
-* ``s3/wal/wal-*.log`` — every WAL segment of the crash-restart smoke's
-  crashed-and-restarted server (CRC-framed canonical chain frames);
+* ``s3/wal/wal-*.log`` — the WAL file of the crash-restart smoke's
+  crashed-and-restarted server (CRC-framed canonical blocks, one per
+  record);
 * ``s3/checkpoints/ckpt-*.bin`` — that server's checkpoint object log
   (content-addressed objects and the roots that name them);
 * ``frames.bin`` — wire frames (``repro.net.live.framing``): a
@@ -27,7 +28,7 @@ wraps (``benchmarks/ledger/spans.py``, every non-zero count) plus the
 tracing-off recorder's ``emit`` (``obs:null_emit``, zero wherever
 tracing is off), and the result's exact counters (blocks, wire
 messages and bytes, messages delivered, request steps, WAL and
-checkpoint bytes, WAL segments dropped, blocks recovered and
+checkpoint bytes, WAL records retired, blocks recovered and
 replayed).  The simulator is deterministic, so the counts are exact
 for a seed and tier-1 compares them exactly: a change that moves one
 regenerates the corpus and says why.  They are counted in a child
@@ -123,7 +124,7 @@ RESULT_COUNTS = (
     "interpreter.request_steps",
     "storage.wal_bytes",
     "storage.checkpoint_bytes",
-    "storage.wal_segments_dropped",
+    "storage.wal_records_retired",
     "storage.blocks_recovered",
     "storage.blocks_replayed",
 )
@@ -138,8 +139,8 @@ def build(dest: Path) -> None:
         source = root / SERVER
         wal = dest / SERVER / "wal"
         wal.mkdir(parents=True)
-        for segment in sorted((source / "wal").glob("wal-*.log")):
-            shutil.copyfile(segment, wal / segment.name)
+        for path in sorted((source / "wal").glob("wal-*.log")):
+            shutil.copyfile(path, wal / path.name)
         checkpoints = dest / SERVER / "checkpoints"
         checkpoints.mkdir(parents=True)
         newest = sorted((source / "checkpoints").glob("ckpt-*.bin"))[-1]

@@ -220,12 +220,14 @@ class TestRecoveryMechanics:
         assert report.states_restored > 0
         assert report.blocks_replayed < report.blocks_recovered
 
-    def test_pruning_drops_covered_wal_segments(self, tmp_path):
-        """Segment GC fires: a long run with small segments deletes the
-        WAL segments its checkpoints cover (``docs/costs.json`` of the
-        golden corpus pins the exact count)."""
+    def test_pruning_retires_covered_wal_records(self, tmp_path):
+        """WAL GC fires: a long run retires the WAL records its retained
+        checkpoints cover (``docs/costs.json`` of the golden corpus pins
+        the exact count), and the files stay one per server."""
         result = run_scenario(registry.get("pruning", smoke=True), storage_root=tmp_path)
-        assert result.storage.wal_segments_dropped > 0
+        assert result.storage.wal_records_retired > 0
+        for server in make_servers(4):
+            assert len(list((tmp_path / server / "wal").glob("wal-*.log"))) == 1
 
     def test_chain_resumes_without_sequence_gap(self, tmp_path):
         """The restarted server continues its own chain with consecutive
@@ -497,3 +499,54 @@ class TestCatchUpAfterRestart:
         assert chased, "the gap was never chased"
         assert before.isdisjoint(chased)
         assert set(chased) <= set(recovered.dag.refs)
+
+
+def restarted(scenario, directory):
+    """A fresh shim recovered from a copy of one server's storage."""
+    from repro.crypto.keys import KeyRing
+    from repro.net.simulator import NetworkSimulator
+    from repro.net.transport import SimTransport
+    from repro.storage.blockstore import ServerStorage
+
+    server = directory.name
+    storage = ServerStorage(directory, scenario.topology.storage.build())
+    shim = Shim(
+        server,
+        PROTOCOLS[scenario.protocol].spec,
+        KeyRing(scenario.topology.servers()),
+        SimTransport(NetworkSimulator(), server),
+        storage=storage,
+    )
+    storage.close()
+    return shim
+
+
+def test_a_newest_root_that_does_not_load_falls_back_with_every_block(tmp_path):
+    """Every retained root, with the WAL, rebuilds the server: on the
+    full ``pruning`` run, a flipped byte in each server's newest root
+    sends recovery to the older root, which still finds every block it
+    names — in its skeletons or in the WAL's live records — and ends in
+    the indications a restart from the undamaged copy ends in.  (WAL
+    records used to go on the newest root's coverage alone, so this
+    restart failed with ``MissingPredecessorError``.)"""
+    import shutil
+
+    scenario = registry.get("pruning")
+    result = run_scenario(scenario, storage_root=tmp_path / "run")
+    assert result.storage.wal_records_retired > 0
+    for server in scenario.topology.servers():
+        intact, damaged = (tmp_path / kind / server for kind in ("intact", "damaged"))
+        shutil.copytree(tmp_path / "run" / server, intact)
+        shutil.copytree(tmp_path / "run" / server, damaged)
+        (log,) = (damaged / "checkpoints").glob("ckpt-*.bin")
+        newest = CheckpointManager(log.parent).sequences()[-1]
+        # The log ends in the newest root: flip its last byte.
+        data = bytearray(log.read_bytes())
+        data[-1] ^= 0xFF
+        log.write_bytes(bytes(data))
+        reference, fallen_back = restarted(scenario, intact), restarted(scenario, damaged)
+        assert reference.recovery.checkpoint_seq == newest
+        assert fallen_back.recovery.checkpoint_seq == newest - 1
+        assert fallen_back.recovery.refs_trimmed == 0
+        assert fallen_back.indications == reference.indications
+        assert fallen_back.dag.refs == reference.dag.refs

@@ -106,7 +106,7 @@ def prune_counts_on_s2(directory, orphans):
         n=4,
         config=ClusterConfig(
             storage_dir=directory,
-            storage=StorageConfig(checkpoint_interval=8, segment_max_bytes=4096),
+            storage=StorageConfig(checkpoint_interval=8),
         ),
     )
     gossip = cluster.shim(S2).gossip
@@ -125,7 +125,7 @@ def prune_counts_on_s2(directory, orphans):
     counts = {
         "buffered": len(gossip.blks),
         "payloads_dropped": storage.payloads_dropped,
-        "wal_segments_dropped": storage.wal.stats.segments_dropped,
+        "wal_records_retired": storage.wal.stats.retired,
     }
     for shim in cluster.shims.values():
         shim.storage.abandon()
@@ -143,7 +143,7 @@ def orphan_probe(tmp_path_factory):
 def test_the_orphan_probe_prunes_when_clean_and_its_orphans_stay_buffered(orphan_probe):
     clean, attacked = orphan_probe[0], orphan_probe[5]
     assert clean["buffered"] == 0
-    assert clean["payloads_dropped"] > 0 and clean["wal_segments_dropped"] > 0
+    assert clean["payloads_dropped"] > 0 and clean["wal_records_retired"] > 0
     assert attacked["buffered"] == 5
 
 
@@ -156,4 +156,34 @@ def test_the_orphan_probe_prunes_when_clean_and_its_orphans_stay_buffered(orphan
 def test_orphans_from_one_byzantine_builder_do_not_stop_pruning(orphan_probe):
     attacked = orphan_probe[5]
     assert attacked["payloads_dropped"] > 0
-    assert attacked["wal_segments_dropped"] > 0
+    assert attacked["wal_records_retired"] > 0
+
+
+def test_the_wal_stays_bounded_over_a_long_run(tmp_path):
+    """Retirement keeps s2's WAL flat: over 240 rounds of an n = 4 BRB
+    run with one fresh label a round, the second half never grows the
+    file past 1.1x the first half's largest size, no round ends with
+    more than two WAL files, and a checkpoint leaves at most twice the
+    live records' bytes on disk."""
+    cluster = Cluster(
+        brb_protocol,
+        n=4,
+        config=ClusterConfig(
+            storage_dir=tmp_path, storage=StorageConfig(checkpoint_interval=8)
+        ),
+    )
+    wal = cluster.shim(ServerId("s2")).storage.wal
+    checkpoints = cluster.shim(ServerId("s2")).storage.checkpoints
+    sizes = []
+    for r in range(240):
+        cluster.request(cluster.servers[r % 4], Label(f"tx-{r}"), Broadcast(r))
+        writes = checkpoints.writes
+        cluster.run_rounds(1)
+        sizes.append(wal.size_bytes())
+        assert len(list(wal.directory.glob("wal-*.log"))) <= 2, r
+        if checkpoints.writes > writes:
+            assert wal.size_bytes() <= 2 * wal.live_bytes(), r
+    assert wal.stats.retired > 0 and wal.stats.compactions > 0
+    assert max(sizes[120:]) <= 1.1 * max(sizes[:120])
+    for shim in cluster.shims.values():
+        shim.storage.abandon()

@@ -2,7 +2,7 @@
 every registry scenario's cost vector.
 
 Regenerating ``tests/golden/`` must reproduce it byte for byte, and the
-*committed* bytes — WAL segments, the newest checkpoint log, wire
+*committed* bytes — the WAL file, the newest checkpoint log, wire
 frames, JSON documents — must decode, re-encode to themselves and
 recover a server.  A deliberate format change, or a change that moves
 a count of ``docs/costs.json``, reruns ``tests/golden_corpus.py`` and
@@ -50,6 +50,8 @@ from repro.types import Label, ServerId
 
 register_wire_types()
 
+#: The segment files an earlier WAL layout left for ``s3``.
+SEGMENTED_WAL = GOLDEN_DIR.parent / "fixtures" / "segmented-wal"
 #: The object log of ``s3``: every object its checkpoints needed and
 #: their roots, of which the two newest are retained.
 NEWEST_CHECKPOINT = 3
@@ -104,8 +106,19 @@ class TestCommittedBytesDecode:
         assert records
         for payload in records:
             value = codec.decode(payload)
-            assert all(isinstance(b, Block) for b in (value if isinstance(value, tuple) else (value,)))
+            assert isinstance(value, Block)
             assert codec.encode(value) == payload
+        wal.close()
+
+    def test_a_segmented_wal_replays_to_the_same_blocks(self, tmp_path):
+        """The six segment files an earlier WAL layout wrote for this
+        server — chain frames and all — still replay, oldest first, to
+        the blocks of the one-file WAL."""
+        shutil.copytree(SEGMENTED_WAL, tmp_path / "old" / "wal")
+        shutil.copytree(GOLDEN_DIR / SERVER / "wal", tmp_path / "new" / "wal")
+        assert len(list(SEGMENTED_WAL.glob("wal-*.log"))) == 6
+        old = ServerStorage(tmp_path / "old").load_blocks()
+        assert old and old == ServerStorage(tmp_path / "new").load_blocks()
 
     def test_checkpoint(self, tmp_path):
         shutil.copytree(GOLDEN_DIR / SERVER, tmp_path / SERVER)

@@ -929,7 +929,7 @@ class TestNodeLifecycle:
         else:
             with pytest.raises(RuntimeError, match="tick 1"):
                 asyncio.run(node.run())
-        # Tick 0's block opened the WAL segment; the exit closed it.
+        # Tick 0's block opened the WAL file; the exit closed it.
         assert handles[-1] is not None and handles[-1].closed
 
     def test_a_failed_assembly_stops_the_transport(self, tmp_path):

@@ -70,7 +70,7 @@ class TestWalRoundTrip:
         original.run()
 
         # Write every block in insertion order, crash-close, reopen.
-        storage = ServerStorage(tmp_path, StorageConfig(segment_max_bytes=2048))
+        storage = ServerStorage(tmp_path, StorageConfig())
         for block in builder.dag.blocks():
             storage.append_block(block)
         storage.close()
@@ -100,11 +100,41 @@ class TestWalRoundTrip:
         self, tmp_path_factory, records
     ):
         tmp_path = tmp_path_factory.mktemp("wal-bytes")
-        log = WriteAheadLog(tmp_path, segment_max_bytes=256)
+        log = WriteAheadLog(tmp_path)
         for record in records:
             log.append(record)
         log.close()
         assert [p for _, p in WriteAheadLog(tmp_path).replay()] == records
+
+    @given(
+        st.lists(st.binary(min_size=0, max_size=80), max_size=30),
+        st.lists(st.sets(st.integers(min_value=0, max_value=29)), max_size=6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_retiring_keeps_the_live_records_in_order(
+        self, tmp_path_factory, raw, batches
+    ):
+        """Whatever is retired in whatever batches, the log replays the
+        rest in append order and a compaction leaves at most twice the
+        live bytes on disk.  Retirement is held in memory until a
+        compaction drops the bytes, so a reopened log replays every live
+        record in order, and perhaps retired ones not yet dropped."""
+        tmp_path = tmp_path_factory.mktemp("wal-retire")
+        records = [bytes([i]) + record for i, record in enumerate(raw)]
+        log = WriteAheadLog(tmp_path)
+        numbers = [log.append(record) for record in records]
+        live = dict(zip(numbers, records))
+        for batch in batches:
+            gone = [n for n in sorted(batch) if n in live]
+            log.retire(gone)
+            for number in gone:
+                del live[number]
+            assert list(log.replay()) == list(live.items())
+            assert log.size_bytes() <= 2 * log.live_bytes()
+        log.close()
+        reopened = [p for _, p in WriteAheadLog(tmp_path).replay()]
+        assert [p for p in reopened if p in live.values()] == list(live.values())
+        assert reopened == [p for p in records if p in reopened]
 
     @given(
         st.lists(st.binary(min_size=1, max_size=60), min_size=1, max_size=10),
@@ -115,7 +145,7 @@ class TestWalRoundTrip:
         self, tmp_path_factory, records, torn
     ):
         tmp_path = tmp_path_factory.mktemp("wal-torn")
-        log = WriteAheadLog(tmp_path, segment_max_bytes=1 << 20)
+        log = WriteAheadLog(tmp_path)
         for record in records:
             log.append(record)
         log.close()

@@ -537,10 +537,10 @@ class TestLogCrashSafety:
         assert log.read_bytes()[: len(data)] == bytes(data)
         assert contents(CheckpointManager(tmp_path).latest()) == contents(bare(3, "a3"))
 
-    def test_failed_read_back_of_an_append_drops_no_wal_segment(
+    def test_failed_read_back_of_an_append_retires_no_wal_record(
         self, tmp_path, monkeypatch
     ):
-        storage = ServerStorage(tmp_path, StorageConfig(segment_max_bytes=256))
+        storage = ServerStorage(tmp_path, StorageConfig())
         builder = ManualDagBuilder(3)
         for _ in range(4):
             for block in builder.round_all():
@@ -560,21 +560,26 @@ class TestLogCrashSafety:
             )
 
         storage.write_checkpoint(checkpoint(1, {}))
-        segments = [s.index for s in storage.wal.segments()]
-        assert len(segments) > 2
+        records = storage.wal.record_count()
+        assert records == len(skeletons)
         with monkeypatch.context() as patch:
             flip_before_read_back(patch)
-            # The skeletons that cover every sealed segment.
+            # The skeletons that cover every record.
             storage.write_checkpoint(checkpoint(2, skeletons))
-        assert [s.index for s in storage.wal.segments()] == segments
-        assert storage.wal.stats.segments_dropped == 0
+        assert storage.wal.record_count() == records
+        assert storage.wal.stats.retired == 0
         assert CheckpointManager(tmp_path / "checkpoints").sequences() == [1]
-        # The next write cuts the garbled append off, reads back, and
-        # GC acts.
+        # The next write cuts the garbled append off and reads back, but
+        # root 1, still retained, covers nothing: no record retires.
         storage.write_checkpoint(checkpoint(3, skeletons))
         assert storage.checkpoints.sequences() == [1, 3]
-        assert len(storage.wal.segments()) < len(segments)
-        assert storage.checkpoints.latest().seq == 3
+        assert storage.wal.record_count() == records
+        # Once both retained roots cover them, every record retires.
+        storage.write_checkpoint(checkpoint(4, skeletons))
+        assert storage.checkpoints.sequences() == [3, 4]
+        assert storage.wal.record_count() == 0
+        assert storage.wal.stats.retired == records
+        assert storage.checkpoints.latest().seq == 4
         storage.close()
 
     def test_checkpoint_after_a_trimmed_recovery_loads_as_a_fresh_capture(

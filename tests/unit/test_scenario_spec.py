@@ -58,9 +58,7 @@ class TestScenarioJsonRoundTrip:
                 round_duration=5.0,
                 latency=LatencySpec(model="jitter", low=0.2, high=1.8),
                 auto_interpret=False,
-                storage=StorageSpec(
-                    checkpoint_interval=9, segment_max_bytes=2048, prune=False
-                ),
+                storage=StorageSpec(checkpoint_interval=9, prune=False),
             ),
             workload=OpenLoopWorkload(
                 rate=3, rounds=4, period=2, start_round=1, sender="random",
@@ -222,7 +220,6 @@ class TestScenarioValidation:
         [
             ("checkpoint_interval", 0),
             ("checkpoint_interval", -3),
-            ("segment_max_bytes", 0),
             ("pin_recent_checkpoints", -1),
         ],
     )

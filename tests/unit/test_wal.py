@@ -1,13 +1,24 @@
-"""Unit tests for the write-ahead log: framing, segments, crash tails."""
+"""Unit tests for the write-ahead log: framing, retirement and
+compaction, crash tails, and the block store's retirement rule."""
 
 import pytest
 
-from repro.errors import StorageError, WalCorruptionError
+from repro.errors import WalCorruptionError
 from repro.storage.wal import WriteAheadLog
 
 
 def payloads(log):
     return [p for (_, p) in log.replay()]
+
+
+def chain_blocks():
+    """Three blocks of s1's chain, then one of s2 naming its tip."""
+    from helpers import ManualDagBuilder
+
+    builder = ManualDagBuilder(3)
+    s1, s2, _ = builder.servers
+    chain = [builder.block(s1) for _ in range(3)]
+    return chain + [builder.block(s2, refs=[chain[-1]])]
 
 
 class TestAppendReplay:
@@ -24,6 +35,7 @@ class TestAppendReplay:
         log.append(b"a")
         log.append(b"b")
         assert payloads(log) == [b"a", b"b"]
+        log.close()
 
     def test_empty_log(self, tmp_path):
         log = WriteAheadLog(tmp_path)
@@ -35,6 +47,7 @@ class TestAppendReplay:
         log.append(b"")
         log.append(b"x")
         assert payloads(log) == [b"", b"x"]
+        log.close()
 
     def test_stats_track_appends(self, tmp_path):
         log = WriteAheadLog(tmp_path)
@@ -42,50 +55,123 @@ class TestAppendReplay:
             log.append(b"x" * i)
         assert log.stats.appends == 5
         assert log.record_count() == 5
+        log.close()
 
+    def test_one_file_and_numbers_in_append_order(self, tmp_path):
+        log = WriteAheadLog(tmp_path)
+        numbers = [log.append(b"p" * 30) for _ in range(10)]
+        assert numbers == list(range(10))
+        assert [number for number, _ in log.replay()] == numbers
+        assert [p.name for p in tmp_path.glob("wal-*.log")] == ["wal-00000001.log"]
+        log.close()
 
-class TestSegments:
-    def test_rolls_at_capacity(self, tmp_path):
-        log = WriteAheadLog(tmp_path, segment_max_bytes=64)
-        for i in range(10):
-            log.append(b"p" * 30)
-        assert len(log.segments()) > 1
-        # Order survives the roll.
-        assert payloads(log) == [b"p" * 30] * 10
-
-    def test_reopen_continues_last_segment(self, tmp_path):
-        log = WriteAheadLog(tmp_path, segment_max_bytes=1024)
+    def test_reopen_continues_the_newest_file(self, tmp_path):
+        log = WriteAheadLog(tmp_path)
         log.append(b"first")
         log.close()
-        log2 = WriteAheadLog(tmp_path, segment_max_bytes=1024)
+        log2 = WriteAheadLog(tmp_path)
         log2.append(b"second")
-        assert len(log2.segments()) == 1
+        assert len(list(tmp_path.glob("wal-*.log"))) == 1
         assert payloads(log2) == [b"first", b"second"]
+        log2.close()
 
-    def test_drop_segment(self, tmp_path):
-        log = WriteAheadLog(tmp_path, segment_max_bytes=40)
-        for i in range(8):
-            log.append(b"q" * 30, ref=f"r{i}")
-        segments = log.segments()
-        assert len(segments) >= 3
-        victim = segments[0].index
-        assert log.drop_segment(victim)
-        assert not log.drop_segment(victim)  # already gone
-        remaining = payloads(log)
-        assert len(remaining) == 8 - segments[0].records
 
-    def test_refuses_to_drop_active_segment(self, tmp_path):
+class TestRetireAndCompact:
+    """Retired records are dead bytes; once they outgrow the live ones,
+    the live records are copied in order into the next generation."""
+
+    def _filled(self, tmp_path, count=8):
         log = WriteAheadLog(tmp_path)
-        log.append(b"live")
-        with pytest.raises(StorageError):
-            log.drop_segment(log.active_index)
+        numbers = [log.append(f"r{i}".encode() * 8) for i in range(count)]
+        return log, numbers
 
-    def test_ref_tagging(self, tmp_path):
-        log = WriteAheadLog(tmp_path)
-        log.append(b"a", ref="ref-a")
-        log.append(b"b", ref="ref-b")
-        (segment,) = log.segments()
-        assert segment.refs == ["ref-a", "ref-b"]
+    def test_retired_records_leave_replay_and_the_live_bytes(self, tmp_path):
+        log, numbers = self._filled(tmp_path)
+        size = log.size_bytes()
+        log.retire(numbers[:2])
+        assert payloads(log) == [f"r{i}".encode() * 8 for i in range(2, 8)]
+        assert log.record_count() == 6 and log.stats.retired == 2
+        # Dead bytes below the live ones: no copy yet.
+        assert log.size_bytes() == size and log.live_bytes() == size * 6 // 8
+        assert log.stats.compactions == 0
+        log.close()
+
+    def test_compacts_once_dead_bytes_outgrow_live(self, tmp_path):
+        log, numbers = self._filled(tmp_path)
+        log.retire(numbers[:5])
+        assert log.stats.compactions == 1
+        assert log.size_bytes() == log.live_bytes()
+        assert [p.name for p in tmp_path.glob("wal-*.log")] == ["wal-00000002.log"]
+        assert [n for n, _ in log.replay()] == numbers[5:]
+        # Appends go on into the new generation; numbers stay unique.
+        later = log.append(b"later")
+        assert later == numbers[-1] + 1
+        log.close()
+        assert payloads(WriteAheadLog(tmp_path)) == [
+            *(f"r{i}".encode() * 8 for i in range(5, 8)), b"later"
+        ]
+
+    def test_retiring_everything_leaves_an_empty_file(self, tmp_path):
+        log, numbers = self._filled(tmp_path)
+        log.retire(numbers)
+        assert log.size_bytes() == 0 and payloads(log) == []
+        log.append(b"next")
+        log.close()
+        assert payloads(WriteAheadLog(tmp_path)) == [b"next"]
+
+    def test_a_copy_that_does_not_read_back_changes_nothing(self, tmp_path, monkeypatch):
+        log, numbers = self._filled(tmp_path)
+        monkeypatch.setattr("repro.storage.wal._reads_back", lambda *args: False)
+        log.retire(numbers[:5])
+        assert log.stats.compactions == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["wal-00000001.log"]
+        assert [n for n, _ in log.replay()] == numbers[5:]
+        monkeypatch.undo()
+        log.retire(numbers[5:6])
+        assert log.stats.compactions == 1
+        assert [n for n, _ in log.replay()] == numbers[6:]
+
+    def test_fsync_orders_copy_file_rename_directory(self, tmp_path, monkeypatch):
+        import os
+        import stat
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            real_fsync(fd)
+
+        def replace(source, target):
+            events.append("rename")
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        log = WriteAheadLog(tmp_path, fsync=True)
+        numbers = [log.append(b"x" * 16) for _ in range(4)]
+        log.retire(numbers[:3])
+        # The open file synced as it closes, then the copy: synced before
+        # it replaces the old generation, the directory after the rename.
+        assert events == ["file", "file", "rename", "dir"]
+
+    def test_stale_temp_file_is_removed_on_open(self, tmp_path):
+        log, _ = self._filled(tmp_path)
+        log.close()
+        stale = tmp_path / "wal-00000002.tmp"  # crash mid-copy
+        stale.write_bytes(b"half a copy")
+        assert len(payloads(WriteAheadLog(tmp_path))) == 8
+        assert not stale.exists()
+
+    def test_a_crash_between_rename_and_unlink_replays_the_copies_too(self, tmp_path):
+        log, numbers = self._filled(tmp_path)
+        older = (tmp_path / "wal-00000001.log").read_bytes()
+        log.retire(numbers[:5])
+        log.close()
+        # The unlink never happened.
+        (tmp_path / "wal-00000001.log").write_bytes(older)
+        reopened = WriteAheadLog(tmp_path)
+        assert payloads(reopened) == [f"r{i}".encode() * 8 for i in (*range(8), *range(5, 8))]
 
 
 class TestCrashTails:
@@ -123,6 +209,7 @@ class TestCrashTails:
         log = WriteAheadLog(tmp_path)
         log.append(b"two")
         assert payloads(log) == [b"one", b"two"]
+        log.close()
 
     def test_mid_file_corruption_raises(self, tmp_path):
         self._write(tmp_path, b"aaaa", b"bbbb", b"cccc")
@@ -135,99 +222,73 @@ class TestCrashTails:
         with pytest.raises(WalCorruptionError):
             WriteAheadLog(tmp_path)
 
-
-class TestChainFraming:
-    """Chain frames + builder-boundary segment rotation (PR 5)."""
-
-    def test_multi_ref_tagging(self, tmp_path):
-        log = WriteAheadLog(tmp_path)
-        log.append(b"frame", refs=["r1", "r2", "r3"], chain_key="s1")
-        (segment,) = log.segments()
-        assert segment.refs == ["r1", "r2", "r3"]
-
-    def test_rotates_on_chain_boundary_once_min_full(self, tmp_path):
-        log = WriteAheadLog(
-            tmp_path, segment_max_bytes=1024, rotate_min_bytes=32
-        )
-        log.append(b"a" * 40, chain_key="s1")   # past rotate_min
-        log.append(b"b" * 40, chain_key="s1")   # same chain: no rotation
-        assert len(log.segments()) == 1
-        log.append(b"c" * 40, chain_key="s2")   # boundary: rotates
-        segments = log.segments()
-        assert len(segments) == 2
-        assert segments[0].last_chain == "s1"
-        assert segments[1].last_chain == "s2"
-
-    def test_no_rotation_below_min(self, tmp_path):
-        log = WriteAheadLog(
-            tmp_path, segment_max_bytes=1024, rotate_min_bytes=512
-        )
-        for chain in ("s1", "s2", "s3", "s4"):
-            log.append(b"x" * 20, chain_key=chain)
-        assert len(log.segments()) == 1
-
-    def test_untagged_appends_never_rotate_early(self, tmp_path):
-        log = WriteAheadLog(
-            tmp_path, segment_max_bytes=1024, rotate_min_bytes=16
-        )
-        log.append(b"a" * 40, chain_key="s1")
-        log.append(b"b" * 40)  # no chain key: byte cap rules only
-        assert len(log.segments()) == 1
+    def test_a_torn_older_file_raises(self, tmp_path):
+        self._write(tmp_path, b"aaaa", b"bbbb")
+        (path,) = list(tmp_path.glob("wal-*.log"))
+        # Only the newest file may end in a torn write.
+        (tmp_path / "wal-00000002.log").write_bytes(b"")
+        path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(WalCorruptionError):
+            WriteAheadLog(tmp_path)
 
 
-class TestServerStorageChainFrames:
-    """ServerStorage buffers inserts and frames same-builder runs."""
+class TestServerStorageRecords:
+    """ServerStorage buffers inserts and writes one record per block."""
 
-    def _blocks(self):
-        from helpers import ManualDagBuilder
-
-        builder = ManualDagBuilder(3)
-        s1, s2, _ = builder.servers
-        chain = [builder.block(s1) for _ in range(3)]
-        other = [builder.block(s2, refs=[chain[-1]])]
-        return builder.dag.blocks()[:0] + chain + other
-
-    def test_flush_frames_runs_and_roundtrips(self, tmp_path):
+    def test_flush_writes_one_record_per_block_and_roundtrips(self, tmp_path):
         from repro.storage.blockstore import ServerStorage, StorageConfig
 
         storage = ServerStorage(tmp_path, StorageConfig())
-        blocks = self._blocks()
-        for block in blocks:
+        chain = chain_blocks()
+        for block in chain:
             storage.append_block(block)
         # Nothing durable until the flush...
         assert storage.wal.stats.appends == 0
         storage.flush_wal()
-        # ...then one record per same-builder run: [s1 s1 s1], [s2].
-        assert storage.wal.stats.appends == 2
-        assert storage.load_blocks() == blocks
-        (segment,) = storage.wal.segments()
-        assert segment.refs == [str(b.ref) for b in blocks]
+        # ...then one record per block.
+        assert storage.wal.stats.appends == len(chain)
+        assert storage.load_blocks() == chain
+        storage.close()
 
     def test_close_flushes(self, tmp_path):
         from repro.storage.blockstore import ServerStorage, StorageConfig
 
         storage = ServerStorage(tmp_path, StorageConfig())
-        blocks = self._blocks()
-        for block in blocks:
+        chain = chain_blocks()
+        for block in chain:
             storage.append_block(block)
         storage.close()
         reopened = ServerStorage(tmp_path, StorageConfig())
-        assert reopened.load_blocks() == blocks
+        assert reopened.load_blocks() == chain
 
     def test_crash_loses_only_the_unflushed_tail(self, tmp_path):
         from repro.storage.blockstore import ServerStorage, StorageConfig
 
         storage = ServerStorage(tmp_path, StorageConfig())
-        blocks = self._blocks()
-        for block in blocks[:2]:
+        chain = chain_blocks()
+        for block in chain[:2]:
             storage.append_block(block)
         storage.flush_wal()
-        for block in blocks[2:]:
+        for block in chain[2:]:
             storage.append_block(block)
         # Crash: abandon the object without flush/close.
-        del storage
+        storage.abandon()
         survivor = ServerStorage(tmp_path, StorageConfig())
-        assert survivor.load_blocks() == blocks[:2]
+        assert survivor.load_blocks() == chain[:2]
+
+    def test_a_block_met_twice_loads_once_and_its_copy_retires(self, tmp_path):
+        from repro.dag import codec
+        from repro.storage.blockstore import ServerStorage
+
+        chain = chain_blocks()
+        log = WriteAheadLog(tmp_path / "wal")
+        for block in (*chain, *chain[2:]):
+            log.append(codec.encode(block))
+        log.close()
+        storage = ServerStorage(tmp_path)
+        assert storage.load_blocks() == chain
+        assert storage.wal.record_count() == len(chain)
+        assert storage.wal.stats.retired == 2
 
 
 class TestServerStorageTelemetry:
@@ -251,7 +312,7 @@ class TestServerStorageTelemetry:
 
         storage = self._storage(tmp_path)
         storage.live_metrics = registry = MetricsRegistry()
-        blocks = TestServerStorageChainFrames()._blocks()
+        blocks = chain_blocks()
         storage.flush_wal()  # empty: not an observation
         for block in blocks[:2]:
             storage.append_block(block)
@@ -259,11 +320,13 @@ class TestServerStorageTelemetry:
         storage.append_block(blocks[2])
         storage.flush_wal()
         assert registry.histogram("storage.wal-flush").count == 2
+        storage.close()
         storage.write_checkpoint(self._checkpoint(1))
         storage.write_checkpoint(self._checkpoint(2))
         assert registry.histogram("storage.checkpoint-write").count == 2
         # write_checkpoint's defensive flush had nothing pending.
         assert registry.histogram("storage.wal-flush").count == 2
+        storage.close()
 
     def test_no_registry_never_reads_the_clock(self, tmp_path, monkeypatch):
         def no_clock():
@@ -271,13 +334,14 @@ class TestServerStorageTelemetry:
 
         monkeypatch.setattr("repro.storage.blockstore.perf_counter", no_clock)
         storage = self._storage(tmp_path)
-        blocks = TestServerStorageChainFrames()._blocks()
+        blocks = chain_blocks()
         for block in blocks:
             storage.append_block(block)
         storage.flush_wal()
         storage.write_checkpoint(self._checkpoint(1))
         assert storage.load_blocks() == blocks
         assert storage.checkpoints.load(1).seq == 1
+        storage.close()
 
     def test_checkpoint_observation_covers_the_read_back(self, tmp_path, monkeypatch):
         from repro.obs.metrics import MetricsRegistry
@@ -318,16 +382,17 @@ class TestServerStorageTelemetry:
         assert (checkpoints.objects_appended, checkpoints.objects_stored) == (3, 1)
 
 
-class TestCheckpointGatesSegmentGc:
-    """WAL records are deleted on the strength of a checkpoint file only
-    after that file read back byte-equal to what was written."""
+class TestRetainedRootsGateRetirement:
+    """A WAL record retires only once every retained root reaches its
+    block's skeleton, and only on roots that read back byte-equal to
+    what was written."""
 
     def _filled(self, tmp_path):
         from helpers import ManualDagBuilder, stored
         from repro.storage.blockstore import ServerStorage, StorageConfig
         from repro.storage.checkpoint import BlockSkeleton, Checkpoint
 
-        storage = ServerStorage(tmp_path, StorageConfig(segment_max_bytes=256))
+        storage = ServerStorage(tmp_path, StorageConfig())
         builder = ManualDagBuilder(3)
         for _ in range(4):
             for block in builder.round_all():
@@ -341,37 +406,89 @@ class TestCheckpointGatesSegmentGc:
             for b in blocks
         }
 
-        def checkpoint(seq):
+        def checkpoint(seq, count=len(blocks)):
+            covered = {b.ref: skeletons[b.ref] for b in blocks[:count]}
             return stored(
                 Checkpoint(
                     seq=seq, refs=frozenset(skeletons), states={},
-                    skeletons=skeletons,
+                    skeletons=covered,
                 )
             )
 
-        assert len(storage.wal.segments()) > 2
-        return storage, checkpoint
+        return storage, checkpoint, blocks
 
-    def test_intact_checkpoint_drops_covered_segments(self, tmp_path):
-        storage, checkpoint = self._filled(tmp_path)
-        before = len(storage.wal.segments())
+    def test_a_record_retires_once_both_retained_roots_cover_it(self, tmp_path):
+        storage, checkpoint, blocks = self._filled(tmp_path)
+        storage.write_checkpoint(checkpoint(1, count=6))
+        # Root 1 is the only one: the fresh handle knew no earlier root.
+        assert storage.wal.record_count() == len(blocks)
+        storage.write_checkpoint(checkpoint(2))
+        # Roots 1 and 2 are retained; root 1 covers only six blocks.
+        assert storage.wal.stats.retired == 6
+        assert [b.ref for b in storage.load_blocks()] == [b.ref for b in blocks[6:]]
+        storage.write_checkpoint(checkpoint(3))
+        assert storage.wal.record_count() == 0
+
+    def test_the_older_root_and_the_wal_still_hold_every_block(self, tmp_path):
+        from repro.storage.blockstore import ServerStorage
+
+        storage, checkpoint, blocks = self._filled(tmp_path)
+        storage.write_checkpoint(checkpoint(1, count=6))
+        storage.write_checkpoint(checkpoint(2, count=9))
+        storage.write_checkpoint(checkpoint(3))
+        storage.close()
+        reopened = ServerStorage(tmp_path)
+        wal = {b.ref for b in reopened.load_blocks()}
+        for seq in reopened.checkpoints.sequences():
+            older = reopened.checkpoints.load(seq)
+            assert {b.ref for b in blocks} <= wal | set(older.skeletons), seq
+
+    def test_a_fresh_handle_retires_nothing_at_its_first_write(self, tmp_path):
+        from repro.storage.blockstore import ServerStorage
+
+        storage, checkpoint, blocks = self._filled(tmp_path)
         storage.write_checkpoint(checkpoint(1))
-        assert len(storage.wal.segments()) < before
+        storage.close()
+        reopened = ServerStorage(tmp_path)
+        reopened.load_blocks()
+        reopened.write_checkpoint(checkpoint(2))
+        assert reopened.wal.record_count() == len(blocks)
+        reopened.write_checkpoint(checkpoint(3))
+        assert reopened.wal.record_count() == 0
 
-    def test_garbled_checkpoint_keeps_every_segment_and_the_next_retries(
+    def test_records_never_replayed_on_this_handle_never_retire(self, tmp_path):
+        from repro.storage.blockstore import ServerStorage
+
+        storage, checkpoint, blocks = self._filled(tmp_path)
+        storage.close()
+        reopened = ServerStorage(tmp_path)
+        reopened.write_checkpoint(checkpoint(1))
+        reopened.write_checkpoint(checkpoint(2))
+        assert reopened.wal.record_count() == len(blocks)
+
+    def test_prune_off_retires_nothing(self, tmp_path):
+        from repro.storage.blockstore import ServerStorage, StorageConfig
+
+        storage, checkpoint, blocks = self._filled(tmp_path)
+        storage.config = StorageConfig(prune=False)
+        for seq in (1, 2, 3):
+            storage.write_checkpoint(checkpoint(seq))
+        assert storage.wal.record_count() == len(blocks)
+        storage.close()
+
+    def test_garbled_checkpoint_retires_nothing_and_the_next_two_do(
         self, tmp_path, monkeypatch
     ):
         from helpers import flip_before_read_back
 
-        storage, checkpoint = self._filled(tmp_path)
-        segments = [s.index for s in storage.wal.segments()]
+        storage, checkpoint, blocks = self._filled(tmp_path)
+        storage.write_checkpoint(checkpoint(1))
         with monkeypatch.context() as patch:
             flip_before_read_back(patch)
-            storage.write_checkpoint(checkpoint(1))
-        assert [s.index for s in storage.wal.segments()] == segments
-        assert storage.wal.stats.segments_dropped == 0
-        assert all(s.path.exists() for s in storage.wal.segments())
-        # The disk behaves again: the next checkpoint does the GC.
-        storage.write_checkpoint(checkpoint(2))
-        assert len(storage.wal.segments()) < len(segments)
-        assert storage.checkpoints.latest().seq == 2
+            storage.write_checkpoint(checkpoint(2))
+        assert storage.wal.stats.retired == 0
+        assert storage.wal.record_count() == len(blocks)
+        # The disk behaves again: roots 1 and 3 both cover every block.
+        storage.write_checkpoint(checkpoint(3))
+        assert storage.wal.record_count() == 0
+        assert storage.checkpoints.latest().seq == 3

@@ -1,13 +1,14 @@
-"""Byte-level fuzzing of WAL replay, seeded from the golden segments.
+"""Byte-level fuzzing of WAL replay, seeded from the golden WAL file.
 
 ``ServerStorage.load_blocks`` decodes every record of a server's WAL.
 Whatever the bytes on disk, opening the store and loading its blocks
 (with ``ref`` computed on each) returns blocks or raises a
 :class:`ReproError` — :class:`WalCorruptionError`, :class:`StorageError`
 or :class:`CodecError` — never any other exception.  The damage is
-applied to the committed ``s3`` segments: truncations at and around
-each record boundary, and single payload-byte edits with the record's
-CRC recomputed (so the decoder, not the integrity check, meets them).
+applied to the committed ``s3`` WAL, one file: truncations at and
+around each record boundary, holes from each of those points to the
+next boundary, and single payload-byte edits with the record's CRC
+recomputed (so the decoder, not the integrity check, meets them).
 """
 
 import random
@@ -24,7 +25,7 @@ GOLDEN = Path(__file__).parent.parent / "golden" / "s3" / "wal"
 
 
 def records(data: bytes) -> list[tuple[int, int]]:
-    """``(offset, payload length)`` of each record in a segment."""
+    """``(offset, payload length)`` of each record in a WAL file."""
     found = []
     offset = 0
     while offset < len(data):
@@ -35,23 +36,21 @@ def records(data: bytes) -> list[tuple[int, int]]:
 
 
 @pytest.fixture(scope="module")
-def golden() -> dict[str, bytes]:
-    segments = {path.name: path.read_bytes() for path in sorted(GOLDEN.glob("wal-*.log"))}
-    assert len(segments) > 1, "the golden WAL spans several segments"
-    return segments
+def golden() -> tuple[str, bytes]:
+    (path,) = sorted(GOLDEN.glob("wal-*.log"))
+    return path.name, path.read_bytes()
 
 
 @pytest.fixture
 def loads(tmp_path):
-    """Writes a WAL, then opens the store and loads its blocks; fails on
-    any exception but the storage and codec errors."""
+    """Writes a WAL file, then opens the store and loads its blocks;
+    fails on any exception but the storage and codec errors."""
     counts = {"loaded": 0, "WalCorruptionError": 0, "CodecError": 0}
 
-    def check(segments: dict[str, bytes]) -> None:
+    def check(name: str, data: bytes) -> None:
         directory = tmp_path / f"run-{sum(counts.values())}"
         (directory / "wal").mkdir(parents=True)
-        for name, data in segments.items():
-            (directory / "wal" / name).write_bytes(data)
+        (directory / "wal" / name).write_bytes(data)
         try:
             blocks = ServerStorage(directory).load_blocks()
             for block in blocks:
@@ -66,34 +65,51 @@ def loads(tmp_path):
     return check
 
 
+def cuts(data: bytes) -> list[tuple[int, int]]:
+    """Each cut point at and around a record boundary, with the first
+    boundary after it."""
+    boundaries = [offset for offset, _ in records(data)] + [len(data)]
+    found = []
+    for boundary in boundaries:
+        for cut in range(boundary - _HEADER.size - 1, boundary + _HEADER.size + 2):
+            if 0 <= cut <= len(data):
+                found.append((cut, next((b for b in boundaries if b > cut), len(data))))
+    return found
+
+
 def test_the_golden_wal_loads(golden, loads):
-    loads(golden)
+    loads(*golden)
     assert loads.counts["loaded"] == 1
 
 
 def test_truncation_at_and_around_every_record_boundary(golden, loads):
-    for name, data in golden.items():
-        boundaries = [offset for offset, _ in records(data)] + [len(data)]
-        for boundary in boundaries:
-            for cut in range(boundary - _HEADER.size - 1, boundary + _HEADER.size + 2):
-                if 0 <= cut <= len(data):
-                    loads({**golden, name: data[:cut]})
-    # A torn tail of the newest segment is repaired; a cut anywhere
-    # else is corruption.
-    assert loads.counts == {"loaded": 89, "WalCorruptionError": 468, "CodecError": 0}
+    name, data = golden
+    for cut, _ in cuts(data):
+        loads(name, data[:cut])
+    # Every cut of one file is a torn tail, repaired on open.
+    assert loads.counts == {"loaded": 552, "WalCorruptionError": 0, "CodecError": 0}
+
+
+def test_a_hole_from_every_cut_to_the_next_boundary(golden, loads):
+    name, data = golden
+    for cut, boundary in cuts(data):
+        loads(name, data[:cut] + data[boundary:])
+    # A whole record taken out leaves intact records; a hole inside one
+    # leaves a record that fails its CRC or runs into the next —
+    # corruption, except at the tail.
+    assert loads.counts == {"loaded": 79, "WalCorruptionError": 473, "CodecError": 0}
 
 
 def test_single_byte_edits_with_the_crc_recomputed(golden, loads):
     rng = random.Random(20261018)
-    names = sorted(golden)
+    name, data = golden
     for _ in range(300):
-        name = rng.choice(names)
-        damaged = bytearray(golden[name])
-        offset, length = rng.choice(records(golden[name]))
+        damaged = bytearray(data)
+        offset, length = rng.choice(records(data))
         start = offset + _HEADER.size
         damaged[start + rng.randrange(length)] = rng.randrange(256)
         _HEADER.pack_into(damaged, offset, length, zlib.crc32(damaged[start : start + length]))
-        loads({**golden, name: bytes(damaged)})
+        loads(name, bytes(damaged))
     # An edit the codec or a block's shape check refuses, or a
     # well-formed block the signature check will refuse later.
-    assert loads.counts == {"loaded": 94, "WalCorruptionError": 0, "CodecError": 206}
+    assert loads.counts == {"loaded": 110, "WalCorruptionError": 0, "CodecError": 190}
