@@ -21,18 +21,18 @@ memory layout and stable across runs, which the determinism argument
 maps a value's exact type to its writer, and a dict value is written
 in place behind a length that is filled in afterwards.  Only dict keys
 and set members are encoded on their own, because they are sorted by
-their bytes.  A caller that writes a tuple it never builds (the frozen
-state of a checkpoint, see :mod:`repro.storage.state_codec`) appends
-only the items: :func:`write_tuple`, :func:`pair_writer` and
-:func:`tagged_tuple_writer` write the frame (:func:`write_value` an
-item), so the layout stays here.
+their bytes.  A caller that writes a tuple or a dataclass value it
+never builds (the frozen state of a checkpoint, see
+:mod:`repro.storage.state_codec`) takes the bytes it begins with from
+:func:`tuple_head` and :func:`dataclass_head` and appends the items
+(:func:`write_value` one), so the layout stays here.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from operator import itemgetter
-from typing import Any, Callable, Collection
+from typing import Any, Callable
 
 from repro.errors import CodecError
 
@@ -63,48 +63,23 @@ def encode(value: Any) -> bytes:
 _Writer = Callable[[Any, bytearray], None]
 
 
-def write_tuple(items: Collection[Any], write_item: _Writer, out: bytearray) -> None:
-    """Append the encoding of a tuple of ``len(items)`` values, the
-    value for each item being what ``write_item(item, out)`` appends —
-    one encoded value.  The caller writes a tuple it never builds, and
-    the frame around the items stays this module's."""
-    out += _TAG_TUPLE
-    out += len(items).to_bytes(8, "big")
-    for item in items:
-        write_item(item, out)
+def tuple_head(count: int) -> bytes:
+    """The bytes a tuple of ``count`` values begins with; the encoded
+    values follow, one after another."""
+    return _TAG_TUPLE + count.to_bytes(8, "big")
+
+
+def dataclass_head(cls: type) -> bytes:
+    """The bytes every encoding of a ``cls`` value begins with; the
+    encoded values of its fields follow, in field order."""
+    name = cls.__qualname__.encode("utf-8")
+    fields = dataclasses.fields(cls)
+    return _TAG_DATACLASS + len(name).to_bytes(4, "big") + name + tuple_head(len(fields))
 
 
 def write_value(value: Any, out: bytearray) -> None:
-    """Append the encoding of ``value`` — an item writer for
-    :func:`write_tuple`."""
+    """Append the encoding of ``value``: one item after a head."""
     (_WRITERS.get(type(value)) or _resolve(value))(value, out)
-
-
-def pair_writer(first: Any) -> _Writer:
-    """A writer that appends the encoding of the pair ``(first,
-    value)`` for a ``value``; ``first`` is encoded once, here."""
-    head = _PAIR + encode(first)
-
-    def write(value: Any, out: bytearray) -> None:
-        out += head
-        (_WRITERS.get(type(value)) or _resolve(value))(value, out)
-
-    return write
-
-
-def tagged_tuple_writer(
-    tag: Any,
-) -> Callable[[Collection[Any], _Writer, bytearray], None]:
-    """A writer that appends the encoding of the pair ``(tag, t)``,
-    ``t`` being the tuple :func:`write_tuple` writes for ``items`` and
-    ``write_item``; ``tag`` is encoded once, here."""
-    head = _PAIR + encode(tag)
-
-    def write(items: Collection[Any], write_item: _Writer, out: bytearray) -> None:
-        out += head
-        write_tuple(items, write_item, out)
-
-    return write
 
 
 def _encoded(value: Any) -> bytearray:
@@ -174,11 +149,8 @@ def _dataclass_writer(cls: type) -> _Writer:
     # decoded in-process.  Bytes read back from disk or the wire may
     # come from another process, so those classes register explicitly.
     _DATACLASS_REGISTRY.setdefault(cls.__qualname__, cls)
-    name = cls.__qualname__.encode("utf-8")
     field_names = tuple(f.name for f in dataclasses.fields(cls))
-    # ``D | len | qualname``, then the field tuple's ``T | count``.
-    header = _TAG_DATACLASS + len(name).to_bytes(4, "big") + name
-    header += _TAG_TUPLE + len(field_names).to_bytes(8, "big")
+    header = dataclass_head(cls)
 
     def write(value: Any, out: bytearray) -> None:
         out += header

@@ -21,8 +21,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from repro.dag.codec import encode
-from repro.interpret.order import run_of
+from repro.interpret.order import ServerKeys, run_of, server_key
 from repro.protocols.base import Message
 from repro.types import Label
 
@@ -59,11 +58,16 @@ class MessageBuffers:
         """``Ms[in, ℓ] := inbox``, a run gathered for this block (line 9)."""
         self._in[label] = inbox
 
-    def add_in(self, label: Label, messages: Iterable[Message]) -> None:
-        """``Ms[in, ℓ] ∪= messages`` (line 9)."""
-        self._in[label] = run_of([*self._in.get(label, ()), *messages])
+    def add_in(
+        self, label: Label, messages: Iterable[Message], keys: ServerKeys | None = None
+    ) -> None:
+        """``Ms[in, ℓ] ∪= messages`` (line 9); ``keys`` as in
+        :func:`~repro.interpret.order.ordered`."""
+        self._in[label] = run_of([*self._in.get(label, ()), *messages], keys)
 
-    def add_out(self, label: Label, messages: Iterable[Message]) -> None:
+    def add_out(
+        self, label: Label, messages: Iterable[Message], keys: ServerKeys | None = None
+    ) -> None:
         """``Ms[out, ℓ] ∪= messages`` (lines 6, 11): one run per
         receiver, ordered here and nowhere downstream — and only when a
         receiver's run grows past one message."""
@@ -88,7 +92,7 @@ class MessageBuffers:
         if grown is not None:
             for receiver in grown:
                 by_label = out[receiver]
-                by_label[label] = run_of(by_label[label])
+                by_label[label] = run_of(by_label[label], keys)
 
     # -- reads ----------------------------------------------------------------
 
@@ -111,13 +115,18 @@ class MessageBuffers:
         """``{m ∈ Ms[out, ℓ] | m.receiver = receiver}`` — the line 9 filter."""
         return list(self.outgoing_to(receiver).get(label, ()))
 
-    def runs(self) -> dict[str, dict[Label, Run]]:
+    def runs(self, keys: ServerKeys | None = None) -> dict[str, dict[Label, Run]]:
         """``Ms`` label by label as runs: ``in`` as kept, and ``out`` for
         every stepped label with its receivers' runs joined in the order
-        of their encodings — ``<_M`` order, since every message here is
-        sent by the block's builder.  Callers must not mutate ``in``."""
+        of their encodings (each keyed once in ``keys``) — ``<_M``
+        order, since every message here is sent by the block's builder.
+        Callers must not mutate ``in``."""
         out: dict[Label, Run] = {label: () for label in self._stepped}
-        for receiver in sorted(self._out, key=encode):
+        receivers: Iterable[object] = self._out
+        if len(self._out) > 1:
+            held = {} if keys is None else keys
+            receivers = sorted(self._out, key=lambda receiver: server_key(held, receiver))
+        for receiver in receivers:
             for label, run in self._out[receiver].items():
                 out[label] += run
         return {"in": self._in, "out": out}

@@ -71,10 +71,9 @@ from typing import Callable, KeysView, Sequence
 from repro.dag.block import Block, parent_of
 from repro.obs.trace import NULL_RECORDER
 from repro.dag.blockdag import BlockDag
-from repro.dag.codec import encode
 from repro.errors import PrunedStateError, SimulationError
 from repro.interpret.instance import BlockState
-from repro.interpret.order import joined
+from repro.interpret.order import ServerKeys, joined, server_key
 from repro.protocols.base import Message, ProcessInstance, ProtocolSpec
 from repro.types import BlockRef, Indication, Label, ServerId
 
@@ -134,9 +133,11 @@ class Interpreter:
         self.dag = dag
         self.protocol = protocol
         self.servers = tuple(servers)
-        #: Each server's place in ``<_M`` as a sender — its encoding —
-        #: for visiting a block's predecessors in their builders' order.
-        self._builder_keys = {server: encode(server) for server in self.servers}
+        #: Each server id's sort key — its encoding — computed once
+        #: (:func:`~repro.interpret.order.server_key`): for visiting a
+        #: block's predecessors in their builders' order, and for every
+        #: ``<_M`` sort and receiver order of this server's buffers.
+        self.server_keys: ServerKeys = {}
         self.on_indication = on_indication
         #: Flight recorder (``repro.obs``) — the no-op recorder when
         #: tracing is off, so the per-block emission site costs one
@@ -525,8 +526,8 @@ class Interpreter:
         receiver = block.n
         arrived: dict[Label, list[tuple[ServerId, tuple[Message, ...]]]] = {}
         if len(preds) > 1:
-            keys = self._builder_keys
-            preds = sorted(preds, key=lambda p: keys.get(p.n) or encode(p.n))
+            keys = self.server_keys
+            preds = sorted(preds, key=lambda p: keys.get(p.n) or server_key(keys, p.n))
         for p in preds:
             buffers = states[p.ref]._ms
             if buffers is None:
@@ -541,7 +542,7 @@ class Interpreter:
         # strict past that have something for B.n (module docstring).
         # Their canonical order only matters when there is a choice.
         for message_label in arrived if len(arrived) < 2 else sorted(arrived):
-            incoming = joined(arrived[message_label])
+            incoming = joined(arrived[message_label], self.server_keys)
             state.ms.receive(message_label, incoming)
             # Lines 10–11: feed the label's inbox in <_M order to one
             # private instance, collecting the responses in its outbox.
@@ -562,7 +563,7 @@ class Interpreter:
         # Lines 6 and 11 — with the empty list when nothing was emitted,
         # so ``Ms[out, ℓ]`` exists for every stepped label.
         for outbox_label, outbox in outboxes.items():
-            state.ms.add_out(outbox_label, outbox)
+            state.ms.add_out(outbox_label, outbox, self.server_keys)
             materialized += len(outbox)
 
         # Line 12 — annotation, interpreted mark and work counters

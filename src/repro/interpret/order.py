@@ -37,14 +37,32 @@ from repro.dag.codec import encode
 from repro.protocols.base import Message
 from repro.types import ServerId
 
-def ordered(messages: Iterable[Message]) -> list[Message]:
+#: Each server id's sort key, kept by whoever sorts again and again
+#: (an interpreter keeps one for its servers): see :func:`server_key`.
+ServerKeys = dict[str, bytes]
+
+
+def server_key(keys: ServerKeys, server: object) -> bytes:
+    """``server``'s sort key, its canonical encoding: computed once per
+    ``str`` id and kept in ``keys``.  Only an exact ``str`` is kept, so
+    ``1`` and ``True`` — one dict key, two encodings — never share."""
+    if type(server) is not str:
+        return encode(server)
+    key = keys.get(server)
+    if key is None:
+        key = keys[server] = encode(server)
+    return key
+
+
+def ordered(messages: Iterable[Message], keys: ServerKeys | None = None) -> list[Message]:
     """Messages sorted by ``<_M`` (Algorithm 2 line 10): by the two
-    endpoint encodings (a handful of server ids, each pair encoded once
-    per call), a payload encoded only to separate messages that tie on
-    both."""
+    endpoint keys (a handful of server ids, each keyed once in ``keys``),
+    a payload encoded only to separate messages that tie on both."""
     batch = list(messages)
     if len(batch) < 2:
         return batch
+    if keys is None:
+        keys = {}
     by_endpoints: dict[tuple[object, ...], list[Message]] = {}
     for message in batch:
         sender, receiver = message.sender, message.receiver
@@ -55,7 +73,8 @@ def ordered(messages: Iterable[Message]) -> list[Message]:
         ).append(message)
     result: list[Message] = []
     for endpoints in sorted(
-        by_endpoints, key=lambda typed: (encode(typed[1]), encode(typed[3]))
+        by_endpoints,
+        key=lambda typed: (server_key(keys, typed[1]), server_key(keys, typed[3])),
     ):
         tied = by_endpoints[endpoints]
         if len(tied) > 1:
@@ -64,7 +83,9 @@ def ordered(messages: Iterable[Message]) -> list[Message]:
     return result
 
 
-def run_of(messages: Sequence[Message]) -> tuple[Message, ...]:
+def run_of(
+    messages: Sequence[Message], keys: ServerKeys | None = None
+) -> tuple[Message, ...]:
     """``messages`` as a run: in ``<_M`` order with duplicates dropped
     (the set unions of Algorithm 2 lines 6, 9 and 11).  A run of zero or
     one is taken as it is; a longer one is sorted by :func:`ordered`,
@@ -72,7 +93,7 @@ def run_of(messages: Sequence[Message]) -> tuple[Message, ...]:
     to drop them."""
     if len(messages) < 2:
         return tuple(messages)
-    batch = ordered(messages)
+    batch = ordered(messages, keys)
     run = [batch[0]]
     for message in batch[1:]:
         if message != run[-1]:
@@ -80,7 +101,9 @@ def run_of(messages: Sequence[Message]) -> tuple[Message, ...]:
     return tuple(run)
 
 
-def joined(runs: Sequence[tuple[ServerId, tuple[Message, ...]]]) -> tuple[Message, ...]:
+def joined(
+    runs: Sequence[tuple[ServerId, tuple[Message, ...]]], keys: ServerKeys | None = None
+) -> tuple[Message, ...]:
     """The ``<_M``-ordered union of ``(sender, run)`` pairs given in the
     order of their senders' encodings (``s2`` before ``s10``), each run
     sent by its ``sender`` alone (Algorithm 2 lines 9–10).  Runs of
@@ -94,7 +117,7 @@ def joined(runs: Sequence[tuple[ServerId, tuple[Message, ...]]]) -> tuple[Messag
     previous: object = None
     for sender, run in runs:
         if sender == previous:
-            inbox[start:] = run_of([*inbox[start:], *run])
+            inbox[start:] = run_of([*inbox[start:], *run], keys)
         else:
             start = len(inbox)
             inbox += run

@@ -28,7 +28,12 @@ is one *root*: ``seq``, the counters, its row names and chain heads.
 A capture costs what changed: it takes over every row whose base
 stands, names every object the previous capture met without encoding
 it (the write barrier is the only place state changes), and the store
-appends only objects it lacks (:class:`CheckpointManager`).
+appends only objects it lacks (:class:`CheckpointManager`).  What it
+does encode, it encodes once (:class:`ObjectWriter`): a container of
+scalars equal to one met in the capture takes that one's name, an
+instance's class and attribute names come from bytes built once per
+layout, and a message's bytes are kept — :class:`CaptureMemo` — until
+the rows whose runs hold it leave, so each server encodes it once.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from repro.crypto.hashing import DIGEST_SIZE, digester
 from repro.dag import codec
 from repro.dag.block import Block, parent_of
 from repro.errors import CheckpointError, CodecError
+from repro.interpret.order import ServerKeys
 from repro.storage.state_codec import (
     ObjectWriter,
     object_links,
@@ -115,9 +121,13 @@ class CaptureMemo:
     none, and the capture after it encodes its new rows afresh once."""
 
     #: ``id -> (object, name)`` of every instance, container and run
-    #: named, and ``id -> (message, bytes)`` of every message written.
+    #: named.
     names: dict[int, tuple[Any, bytes]]
-    messages: dict[int, tuple[Any, bytes]]
+    #: ``id -> bytes`` of every message a capture wrote, and the
+    #: messages each retained row's runs wrote first: held there, so
+    #: their ids are not reused, until that row leaves.
+    messages: dict[int, bytes]
+    first_written: dict[BlockRef, list[Any]]
     #: Each live ref's base candidate (:func:`_parent_ref`).
     parents: dict[BlockRef, BlockRef | None]
     #: The interpreter's event list (it only grows) and how much of it
@@ -141,6 +151,8 @@ class _Objects:
     in front of ``older``."""
 
     built: dict[bytes, bytes]
+    #: The names each built object refers to, as the writer kept them.
+    links: dict[bytes, tuple[bytes, ...]]
     older: Any = None
 
     def __getitem__(self, name: bytes) -> Any:
@@ -171,7 +183,7 @@ class Checkpoint:
     #: Reads the rows' objects by name: the store's, once written or
     #: loaded.
     objects: Any = field(
-        default_factory=lambda: _Objects({}), repr=False, compare=False
+        default_factory=lambda: _Objects({}, {}), repr=False, compare=False
     )
     memo: CaptureMemo | None = field(default=None, repr=False, compare=False)
     #: The rows' instances and runs held in memory, by name: rehydration
@@ -219,7 +231,9 @@ def capture_checkpoint(
     ``previous`` did not meet are encoded.
     """
     memo = None if previous is None else previous.memo
-    writer = ObjectWriter(*(() if memo is None else (memo.names, memo.messages)))
+    # Copies: a capture that fails part way leaves the memo it read
+    # as it was.
+    writer = ObjectWriter(*(() if memo is None else (memo.names, dict(memo.messages))))
     released = interpreter.released
     live = list(interpreter.resident())
     kept: dict[BlockRef, dict[str, Any]] = {}
@@ -234,13 +248,11 @@ def capture_checkpoint(
     older = {} if previous is None else previous.values
     values: dict[bytes, Any] = {}
     parents = {} if memo is None else memo.parents
+    first_written = {} if memo is None else dict(memo.first_written)
+    encoded = writer.encoded
     states: dict[BlockRef, dict[str, Any]] = {}
     rows: dict[BlockRef, bytes] = {}
-
-    def named(value: Any, name: bytes) -> bytes:
-        values[name] = value
-        return name
-
+    instance, run = writer.instance, writer.run
     for ref in (*live, *carried):
         if ref not in parents:
             parents[ref] = _parent_ref(dag, ref)
@@ -263,7 +275,10 @@ def capture_checkpoint(
             continue
         state = interpreter.state_of(ref)
         # Raw slot read: ``state.ms`` would allocate the lazy buffers.
-        runs = state._ms.runs() if state._ms is not None else {"in": {}, "out": {}}
+        runs = (
+            state._ms.runs(interpreter.server_keys) if state._ms is not None
+            else {"in": {}, "out": {}}
+        )
         # Line 4 shares the parent's instances: with its row at hand, a
         # row that names every label takes their names from it, and
         # names anew only the labels its block stepped — those of its
@@ -274,15 +289,26 @@ def capture_checkpoint(
             values.update((n, older[n]) for n in pis.values() if n in older)
         labels = runs["out"].keys() if base is not None or pis else state.pis.keys()
         for lbl in sorted(labels):
-            pis[str(lbl)] = named(state.pis[lbl], writer.instance(state.pis[lbl]))
-        entry = {
-            "pis": pis,
-            "in": {str(l): named(r, writer.run(r)) for l, r in runs["in"].items()},
-            "out": {str(l): named(r, writer.run(r)) for l, r in runs["out"].items()},
-            "base": base,
-        }
+            name = instance(state.pis[lbl])
+            values[name] = state.pis[lbl]
+            pis[str(lbl)] = name
+        entry = {"pis": pis, "in": {}, "out": {}, "base": base}
+        start = len(encoded)
+        for side in ("in", "out"):
+            names = entry[side]
+            for lbl, held in runs[side].items():
+                name = names[str(lbl)] = run(held)
+                values[name] = held
+        if len(encoded) > start:
+            first_written[ref] = encoded[start:]
         states[ref] = entry
         rows[ref] = _row(writer, ref, entry)
+    # A message's bytes go with the row that wrote it first: the block
+    # that emits a message leaves before the blocks that receive it,
+    # and no row written later holds it.
+    for ref in [ref for ref in first_written if ref not in states]:
+        for message in first_written.pop(ref):
+            writer.messages.pop(id(message), None)
     events = interpreter.events
     fresh = None
     if memo is not None and memo.event_source is events:
@@ -297,12 +323,13 @@ def capture_checkpoint(
         counters={name: getattr(interpreter, name) for name in COUNTERS},
         rows=rows,
         values=values,
-        objects=_Objects(writer.built, previous and previous.objects),
+        objects=_Objects(writer.built, writer.links, previous and previous.objects),
     )
     checkpoint.chains = _chains(writer, checkpoint, previous, fresh)
     checkpoint.memo = CaptureMemo(
         names=writer.reached,
         messages=writer.messages,
+        first_written=first_written,
         parents={ref: parents[ref] for ref in states},
         event_source=events,
         events_seen=len(events),
@@ -334,8 +361,13 @@ def _row(writer: ObjectWriter, ref: BlockRef, entry: dict[str, Any]) -> bytes:
     row's bytes do not depend on how many labels its past requested."""
     named = (entry["pis"], entry["in"], entry["out"])
     labels = tuple(sorted({label for names in named for label in names}))
-    columns = tuple(tuple(names.get(label) for label in labels) for names in named)
-    data = codec.encode((str(ref), entry["base"], labels, *columns))
+    columns = (tuple(names.get(label) for label in labels) for names in named)
+    # The bytes of ``(str(ref), base, labels, *columns)``, every label
+    # and name a scalar the writer keeps.
+    data = b"".join((
+        codec.tuple_head(6), writer.scalar(str(ref)), writer.scalar(entry["base"]),
+        writer.scalars(labels), *map(writer.scalars, columns),
+    ))
     return writer.put(data, [name for names in named for name in names.values()])
 
 
@@ -412,6 +444,7 @@ class _Restorer:
         self.protocol, self.servers = protocol, servers
         self.values = checkpoint.values
         self.named = None if checkpoint.memo is None else checkpoint.memo.names
+        self.keys: ServerKeys = {}
 
     def block(self, pis: dict, names: dict[str, bytes], entry: dict[str, Any]) -> "BlockState":
         from repro.interpret.instance import BlockState
@@ -428,9 +461,9 @@ class _Restorer:
                 self.named[id(instance)] = (instance, name)
             pis[Label(lbl_str)] = instance
         for lbl_str, name in entry["in"].items():
-            state.ms.add_in(Label(lbl_str), self._run(name))
+            state.ms.add_in(Label(lbl_str), self._run(name), self.keys)
         for lbl_str, name in entry["out"].items():
-            state.ms.add_out(Label(lbl_str), self._run(name))
+            state.ms.add_out(Label(lbl_str), self._run(name), self.keys)
         return state
 
     def _run(self, name: bytes) -> tuple[Any, ...]:
@@ -544,8 +577,9 @@ class CheckpointManager:
         self._path: Path | None = None
         self._end = 0
         self._seq = 0
-        #: Objects of an append that did not read back, for the next.
-        self._unwritten: dict[bytes, bytes] = {}
+        #: Objects of an append that did not read back, and the names
+        #: they refer to, for the next.
+        self._unwritten: tuple[dict[bytes, bytes], dict[bytes, tuple[bytes, ...]]] = ({}, {})
         #: Live bytes at the last mark, and bytes appended since.
         self._live = 0
         self._since_mark = 0
@@ -611,9 +645,11 @@ class CheckpointManager:
         file holds exactly what was appended — only then may the caller
         treat the checkpoint as durable."""
         self.writes += 1
-        pending = dict(self._unwritten)
-        if isinstance(checkpoint.objects, _Objects):
-            pending.update(checkpoint.objects.built)
+        pending, links = self._unwritten
+        objects = checkpoint.objects
+        if isinstance(objects, _Objects):
+            pending = {**pending, **objects.built}
+            links = {**links, **objects.links}
         out = bytearray()
         placed = []
         for name, data in pending.items():
@@ -648,13 +684,13 @@ class CheckpointManager:
             # Cut off at once, so no root of it is read after a crash.
             with open(path, "r+b") as handle:
                 handle.truncate(offset)
-            self._unwritten = pending
+            self._unwritten = (pending, links)
             return False
-        self._unwritten = {}
+        self._unwritten = ({}, {})
         self._end = offset + len(out)
         for name, at in placed:
             self._objects[name] = (path, offset + at, _FRAME.size + _HEAD + len(pending[name]))
-            self._links[name] = object_links(pending[name])
+            self._links[name] = links[name]
         self._roots[checkpoint.seq] = (path, offset + root_at, len(out) - root_at, _starts(root))
         self.objects_appended += len(placed)
         self.objects_stored += len(pending) - len(placed)

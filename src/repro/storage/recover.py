@@ -41,6 +41,7 @@ class RecoveryReport:
     """What one restart-from-disk did."""
 
     checkpoint_seq: int | None = None
+    #: Blocks inserted from the WAL (not those a skeleton stood for).
     blocks_recovered: int = 0
     skeletons_inserted: int = 0
     states_restored: int = 0
@@ -70,7 +71,6 @@ def recover_shim_state(shim: "Shim") -> RecoveryReport:
     report = RecoveryReport()
     checkpoint = storage.latest_checkpoint()
     blocks = storage.load_blocks()
-    report.blocks_recovered = len(blocks)
 
     # A crash between flush and disk (no fsync) can lose a WAL suffix
     # beyond the final record, leaving the checkpoint referencing
@@ -98,9 +98,13 @@ def recover_shim_state(shim: "Shim") -> RecoveryReport:
         # finishes.
         shim._last_checkpoint = checkpoint
         report.skeletons_inserted = _insert_skeletons(shim, checkpoint)
+    # A record retired before the crash but not yet compacted away is
+    # still replayed; its skeleton came first, so it is skipped here
+    # and not counted.
     for block in blocks:
         if block.ref not in shim.dag:
             shim.dag.insert(block)
+            report.blocks_recovered += 1
 
     # 2. Restore the interpreted prefix from the checkpoint.
     if checkpoint is not None:

@@ -18,15 +18,37 @@ object a mutable container is the pair ``("h", name)``, so equal
 containers are stored once however many instances, blocks and
 checkpoints hold them.  An object's bytes begin with the names it
 refers to (:func:`object_bytes`), hashed with the rest, so the store
-follows them without decoding anything.  An annotation never changes once its block is
-interpreted (Algorithm 2 line 12): a later block forks the instance,
-and the write barrier (``_writable`` / ``_writable_entry``) copies a
-container before its first write, so the barrier is the only place
-state changes and the copy is a new object.  A name is therefore kept
-by object identity from one capture to the next (the memo holds the
-object, so its ``id`` is not reused) and each object is encoded and
-hashed once while it is in use; the deepcopy oracle in
-``tests/integration/test_conformance.py`` guards the barrier.
+follows them without decoding anything.  An annotation never changes
+once its block is interpreted (Algorithm 2 line 12): a later block
+forks the instance, and the write barrier (``_writable`` /
+``_writable_entry``) copies a container before its first write, so
+the barrier is the only place state changes and the copy is a new
+object; the deepcopy oracle in ``tests/integration/test_conformance.py``
+guards the barrier.
+
+A capture names each object once and encodes each distinct new value
+once:
+
+* **identity first.**  A name is kept by object identity from one
+  capture to the next (the memo holds the object, so its ``id`` is not
+  reused); an object the memo names is never encoded again.
+* **content names for scalar containers.**  On an identity miss, a
+  list, set or frozenset whose members are all scalars is named by its
+  typed content within the capture (``1`` and ``True`` stay apart),
+  so BRB's many equal sender sets are encoded once.  A dict, or any
+  container that holds containers, is never keyed by content.
+* **per-class prefixes.**  An instance's bytes start with its class
+  name and end their fixed part with its sorted attribute names; both
+  are built once per class and attribute layout, and the attributes
+  are read without walking the class's MRO again.
+* **one encode per message per server.**  A message's bytes (its
+  endpoints from the scalar memo) are kept while a retained row's run
+  holds it, so a receiver's row captures later do not encode it again.
+
+An object with the same bytes as one built earlier in the capture is
+not hashed again, and the store takes each new object's links from the
+writer.  ``tests/reference_writer.py`` keeps the reflective writer
+this one replaced; every name and byte must stay what it gives.
 
 No pickle: a checkpoint written by one process restores in another as
 long as the protocol modules are imported (which registers their
@@ -42,6 +64,7 @@ from repro.dag import codec
 from repro.errors import CheckpointError, CodecError
 from repro.protocols.base import (
     INTERNAL_STATE_ATTRS,
+    Message,
     ProcessInstance,
     ProtocolSpec,
 )
@@ -68,25 +91,36 @@ _COUNT = 4
 #: Reads a stored object's decoded value by its name.
 Loader = Callable[[bytes], Any]
 
-#: The tag of the common types, exactly; any other type resolves
-#: through :func:`_tag_of`.
-_TAGS: dict[type, str] = {
-    list: _LIST, tuple: _TUPLE, dict: _DICT, set: _SET, frozenset: _FROZENSET,
-    **dict.fromkeys((int, str, bytes, bool, type(None)), _ATOM),
-}
-#: Writers of a frozen form around items written by the caller; the
-#: frame is the codec's.
-_WRITE_ATOM = codec.pair_writer(_ATOM)
-_WRITE_REF = codec.pair_writer(_REF)
-_WRITE_TAGGED = {
-    tag: codec.tagged_tuple_writer(tag)
-    for tag in (_LIST, _TUPLE, _DICT, _SET, _FROZENSET)
-}
-#: Atoms whose bytes a writer keeps, keyed with their type (``1`` and
+#: Scalars: atoms whose bytes a writer keeps, by exact type (``1`` and
 #: ``True`` are one dict key with two encodings).
-_SCALARS = frozenset((int, str, bytes, bool, type(None)))
-#: Tags of the containers stored as objects of their own.
-_SHARED = frozenset((_LIST, _DICT, _SET))
+_SCALARS = (int, str, bytes, bool, type(None))
+#: The tag of the container types, exactly; any other type resolves
+#: through :func:`_tag_of`.
+_TAGS = {list: _LIST, tuple: _TUPLE, dict: _DICT, set: _SET, frozenset: _FROZENSET}
+
+
+def _value_bytes(value: Any) -> bytes:
+    """``value``'s canonical bytes, as the codec's item writer writes
+    them inside a frame."""
+    out = bytearray()
+    codec.write_value(value, out)
+    return bytes(out)
+
+
+def _pair_head(first: str) -> bytes:
+    """The bytes a frozen form ``(first, payload)`` begins with."""
+    return codec.tuple_head(2) + _value_bytes(first)
+
+
+#: A frozen form's first bytes, by tag; its payload follows (an atom's
+#: value, or a tuple head and the items).
+_HEADS = {tag: _pair_head(tag) for tag in (_ATOM, _LIST, _TUPLE, _DICT, _SET, _FROZENSET)}
+_ATOM_HEAD = _HEADS[_ATOM]
+#: ``("h", name)`` up to the name's own bytes.
+_REF_HEAD = _pair_head(_REF) + _value_bytes(bytes(DIGEST_SIZE))[:-DIGEST_SIZE]
+_PAIR = codec.tuple_head(2)
+#: A :class:`Message`'s bytes up to its fields: sender, receiver, payload.
+_MESSAGE_HEAD = codec.dataclass_head(Message)
 
 
 def _tag_of(value: Any) -> str:
@@ -100,155 +134,282 @@ def _tag_of(value: Any) -> str:
     return _ATOM
 
 
-def _splice(data: bytes | bytearray, out: bytearray) -> None:
-    out += data
+def _content_key(tag: str, value: Any) -> tuple[Any, ...] | None:
+    """The typed content of a container whose members are all scalars,
+    which names it as its bytes would; ``None`` for any other.  Members
+    are keyed with their types, so ``{1}`` and ``{True}`` differ."""
+    kinds = set(map(type, value))
+    if not kinds.issubset(_SCALARS):
+        return None
+    members = tuple(value) if tag == _LIST else frozenset(value)
+    if len(kinds) < 2:
+        return (tag, kinds.pop() if kinds else None, members)
+    typed = zip(map(type, value), value)
+    return (tag, tuple(typed) if tag == _LIST else frozenset(typed))
 
 
 class ObjectWriter:
-    """Writes one capture's state as objects.
+    """Writes one capture's state as objects, each distinct new value
+    encoded and hashed once (the module docstring has the rules).
 
     ``known`` is what the previous capture reached (``id -> (object,
-    name)``), and ``messages`` the message bytes it wrote: a hit is
-    taken over without encoding anything.  ``reached`` and
-    ``messages`` collect the same for this capture; ``built`` holds the
-    bytes of each object it encoded, by name, so the store appends what
-    it lacks."""
+    name)``) and ``reached`` collects the same for this one.
+    ``messages`` holds the bytes of every message written, by ``id``,
+    and ``encoded`` the messages this capture added; the caller keeps
+    an entry, and the message, across captures while the row that wrote
+    it is retained.  ``built`` holds the bytes of
+    each object built, by name, and ``links`` the names each refers to,
+    so the store appends what it lacks without parsing anything."""
 
     __slots__ = (
-        "known", "reached", "built", "messages", "_linked", "_older_messages", "_kept",
+        "known", "reached", "built", "links", "messages", "encoded", "_contents",
+        "_linked", "_blobs", "_scalars", "_writers", "_slotted", "_plans", "_payloads",
     )
 
     def __init__(
         self,
         known: dict[int, tuple[Any, bytes]] | None = None,
-        messages: dict[int, tuple[Any, bytes]] | None = None,
+        messages: dict[int, bytes] | None = None,
     ) -> None:
         self.known = {} if known is None else known
         self.reached: dict[int, tuple[Any, bytes]] = {}
         self.built: dict[bytes, bytes] = {}
-        # A message is in its sender's ``out`` run and, often a capture
-        # later, in its receiver's ``in`` run: encoded once.
-        self.messages: dict[int, tuple[Any, bytes]] = {}
-        self._older_messages = {} if messages is None else messages
+        self.links: dict[bytes, tuple[bytes, ...]] = {}
+        self.messages = {} if messages is None else messages
+        #: The messages this capture encoded, in order: they hold the
+        #: ids ``messages`` is keyed by.
+        self.encoded: list[Any] = []
+        #: This capture's content names (a frozenset's: its bytes), by
+        #: typed content.
+        self._contents: dict[tuple[Any, ...], bytes] = {}
         #: The names the object being encoded refers to so far.
         self._linked: list[bytes] = []
+        #: The name of each object's bytes built in this capture.
+        self._blobs: dict[bytes, bytes] = {}
         #: Bytes of the scalars that recur all over the state.
-        self._kept: dict[tuple[Any, Any], bytes] = {}
+        self._scalars: dict[type, dict[Any, bytes]] = {kind: {} for kind in _SCALARS}
+        #: The writer of each type met (unbound: a bound one would tie
+        #: the writer into a reference cycle).
+        self._writers = dict(_WRITERS)
+        #: Whether a class keeps state in slots (read reflectively),
+        #: and each instance layout's plan.
+        self._slotted: dict[type, bool] = {}
+        self._plans: dict[tuple[Any, ...], tuple[bytes, bytes, tuple[str, ...]]] = {}
+        #: A payload's bytes, shared by the messages of one broadcast.
+        self._payloads: dict[int, tuple[Any, bytes]] = {}
 
     def put(self, data: bytes, links: Sequence[bytes] = ()) -> bytes:
         """Name the object whose value's bytes are ``data`` and which
         refers to ``links``, and keep it for the store."""
-        blob = object_bytes(links, data)
-        name = object_name(blob)
-        self.built[name] = blob
+        names = tuple(dict.fromkeys(links)) if links else ()
+        blob = _blob(names, data)
+        name = self._blobs.get(blob)
+        if name is None:
+            name = self._blobs[blob] = object_name(blob)
+            self.built[name] = blob
+            self.links[name] = names
         return name
 
-    def _named(self, value: Any, encode: Callable[[Any], bytes]) -> bytes:
+    def _named(self, value: Any, name_of: Callable[[Any], bytes]) -> bytes:
+        """``value``'s name by identity, else ``name_of(value)``."""
         key = id(value)
         held = self.reached.get(key)
         if held is None:
             held = self.known.get(key)
             if held is None:
-                outer, self._linked = self._linked, []
-                data = encode(value)
-                links, self._linked = self._linked, outer
-                held = (value, self.put(data, links))
+                held = (value, name_of(value))
             self.reached[key] = held
         return held[1]
 
     def instance(self, instance: ProcessInstance) -> bytes:
         """The name of a process instance's object: ``(class, self id,
         label, attribute names, frozen values)``, in name order."""
-        return self._named(instance, self._instance_bytes)
+        return self._named(instance, self._instance_name)
 
     def run(self, run: tuple[Any, ...]) -> bytes:
         """The name of one ``Ms`` run's object: its messages in order."""
-        return self._named(run, self._run_bytes)
+        return self._named(run, self._run_name)
 
-    def _instance_bytes(self, instance: ProcessInstance) -> bytes:
+    def _instance_name(self, instance: ProcessInstance) -> bytes:
+        cls = type(instance)
+        slotted = self._slotted.get(cls)
+        if slotted is None:
+            slotted = self._slotted[cls] = not hasattr(instance, "__dict__") or any(
+                slot not in INTERNAL_STATE_ATTRS
+                for klass in cls.__mro__
+                for slot in getattr(klass, "__slots__", ())
+            )
+        attrs = _instance_attrs(instance) if slotted else instance.__dict__
+        plan = self._plans.get((cls, *attrs))
+        if plan is None:
+            # Once per class and attribute layout: the bytes before the
+            # self id, those between the label and the values, and the
+            # names of the attributes stored.
+            names = tuple(sorted(name for name in attrs if name not in INTERNAL_STATE_ATTRS))
+            plan = self._plans[(cls, *attrs)] = (
+                codec.tuple_head(5) + _value_bytes(cls.__qualname__),
+                _value_bytes(names) + codec.tuple_head(len(names)),
+                names,
+            )
+        head, tail, names = plan
         ctx = instance.ctx
-        attrs = sorted(_instance_attrs(instance).items())
-        names = tuple(name for name, _ in attrs)
-        fields = (type(instance).__qualname__, str(ctx.self_id), str(ctx.label), names)
-        out = bytearray()
-        codec.write_tuple((*fields, [value for _, value in attrs]), self._write_field, out)
-        return bytes(out)
+        outer, self._linked = self._linked, []
+        out = bytearray(head)
+        out += self.scalar(str(ctx.self_id))
+        out += self.scalar(str(ctx.label))
+        out += tail
+        write = self._write
+        for name in names:
+            write(attrs[name], out)
+        links, self._linked = self._linked, outer
+        return self.put(bytes(out), links)
 
-    def _write_field(self, field: Any, out: bytearray) -> None:
-        if type(field) is list:  # the values, frozen
-            codec.write_tuple(field, self._write, out)
-        else:
-            codec.write_value(field, out)
+    def _run_name(self, run: tuple[Any, ...]) -> bytes:
+        messages = self.messages
+        parts = [codec.tuple_head(len(run))]
+        for message in run:
+            data = messages.get(id(message))
+            if data is None:
+                data = messages[id(message)] = self._encode_message(message)
+                self.encoded.append(message)
+            parts.append(data)
+        return self.put(b"".join(parts))
 
-    def _run_bytes(self, run: tuple[Any, ...]) -> bytes:
-        out = bytearray()
-        codec.write_tuple(run, self._write_message, out)
-        return bytes(out)
-
-    def _write_message(self, message: Any, out: bytearray) -> None:
-        key = id(message)
-        held = self.messages.get(key) or self._older_messages.get(key)
+    def _encode_message(self, message: Any) -> bytes:
+        """A message's bytes: its endpoints' from the scalar memo, and
+        its payload's encoded once per capture (a broadcast's messages
+        share one payload)."""
+        if type(message) is not Message:
+            return codec.encode(message)
+        payload = message.payload
+        held = self._payloads.get(id(payload))
         if held is None:
-            held = (message, codec.encode(message))
-        self.messages[key] = held
-        out += held[1]
+            held = self._payloads[id(payload)] = (payload, _value_bytes(payload))
+        return b"".join((
+            _MESSAGE_HEAD,
+            self.scalar(message.sender),
+            self.scalar(message.receiver),
+            held[1],
+        ))
 
-    def _container_bytes(self, value: Any) -> bytes:
-        out = bytearray()
-        self._write_items(_TAGS.get(type(value)) or _tag_of(value), value, out)
-        return bytes(out)
+    def scalars(self, values: Sequence[Any]) -> bytes:
+        """The canonical bytes of the tuple of ``values``, scalars."""
+        return b"".join((codec.tuple_head(len(values)), *map(self.scalar, values)))
+
+    def scalar(self, value: Any) -> bytes:
+        """A scalar's canonical bytes, kept by exact type."""
+        kept = self._scalars.get(type(value))
+        if kept is None:
+            return _value_bytes(value)
+        data = kept.get(value)
+        if data is None:
+            data = kept[value] = _value_bytes(value)
+        return data
 
     def _write(self, value: Any, out: bytearray) -> None:
         """Append ``value``'s frozen form, a mutable container as a
         reference to its object."""
+        writer = self._writers.get(type(value))
+        if writer is None:
+            writer = self._writers[type(value)] = _TAG_WRITERS[_tag_of(value)]
+        writer(self, value, out)
+
+    def _write_scalar(self, value: Any, out: bytearray) -> None:
+        out += _ATOM_HEAD
+        out += self.scalar(value)
+
+    def _write_atom(self, value: Any, out: bytearray) -> None:
+        out += _ATOM_HEAD
+        codec.write_value(value, out)
+
+    def _write_shared(self, value: Any, out: bytearray) -> None:
+        held = self.reached.get(id(value))
+        name = self._named(value, self._container_name) if held is None else held[1]
+        self._linked.append(name)
+        out += _REF_HEAD
+        out += name
+
+    def _container_name(self, value: Any) -> bytes:
+        """The name of a list, dict or set the identity memo missed: by
+        its typed content when its members are all scalars, else by its
+        bytes, which refer to the names linked while they are written."""
         tag = _TAGS.get(type(value)) or _tag_of(value)
-        if tag == _ATOM:
-            out += self._atom(value)
-        elif tag in _SHARED:
-            name = self._named(value, self._container_bytes)
-            self._linked.append(name)
-            _WRITE_REF(name, out)
-        else:
+        content = None if tag == _DICT else _content_key(tag, value)
+        name = None if content is None else self._contents.get(content)
+        if name is None:
+            outer, self._linked = self._linked, []
+            out = bytearray()
             self._write_items(tag, value, out)
+            links, self._linked = self._linked, outer
+            name = self.put(bytes(out), links)
+            if content is not None:
+                self._contents[content] = name
+        return name
+
+    def _write_tuple(self, value: Any, out: bytearray) -> None:
+        self._write_items(_TUPLE, value, out)
+
+    def _write_frozenset(self, value: Any, out: bytearray) -> None:
+        content = _content_key(_FROZENSET, value)
+        data = None if content is None else self._contents.get(content)
+        if data is None:
+            written = bytearray()
+            self._write_items(_FROZENSET, value, written)
+            data = bytes(written)
+            if content is not None:
+                self._contents[content] = data
+        out += data
 
     def _write_items(self, tag: str, value: Any, out: bytearray) -> None:
+        """Append a container's frozen form."""
+        out += _HEADS[tag]
+        out += codec.tuple_head(len(value))
+        write = self._write
         if tag == _DICT:
-            _WRITE_TAGGED[tag](value.items(), self._write_pair, out)
+            for key, item in value.items():
+                out += _PAIR
+                write(key, out)
+                write(item, out)
         elif tag in (_SET, _FROZENSET):
             # Members in the order of their canonical bytes, so equal
-            # sets write the same; a member is hashable, never a reference.
+            # sets write the same; a member is hashable, never a
+            # reference.
             members = []
             for member in value:
-                if (_TAGS.get(type(member)) or _tag_of(member)) == _ATOM:
-                    members.append(self._atom(member))
-                else:
-                    written = bytearray()
-                    self._write(member, written)
-                    members.append(written)
+                written = bytearray()
+                write(member, written)
+                members.append(written)
             members.sort()
-            _WRITE_TAGGED[tag](members, _splice, out)
+            for data in members:
+                out += data
         else:
-            _WRITE_TAGGED[tag](value, self._write, out)
+            for item in value:
+                write(item, out)
 
-    def _write_pair(self, pair: tuple[Any, Any], out: bytearray) -> None:
-        codec.write_tuple(pair, self._write, out)
 
-    def _atom(self, value: Any) -> bytes | bytearray:
-        key = (type(value), value) if type(value) in _SCALARS else None
-        data = None if key is None else self._kept.get(key)
-        if data is None:
-            data = bytearray()
-            _WRITE_ATOM(value, data)
-            if key is not None:
-                data = self._kept[key] = bytes(data)
-        return data
+_Write = Callable[[ObjectWriter, Any, bytearray], None]
+#: Each tag's writer: for a type :func:`_tag_of` resolves.
+_TAG_WRITERS: dict[str, _Write] = {
+    **dict.fromkeys((_LIST, _DICT, _SET), ObjectWriter._write_shared),
+    _TUPLE: ObjectWriter._write_tuple,
+    _FROZENSET: ObjectWriter._write_frozenset,
+    _ATOM: ObjectWriter._write_atom,
+}
+#: The writer of each common type, exactly.
+_WRITERS: dict[type, _Write] = {
+    **dict.fromkeys(_SCALARS, ObjectWriter._write_scalar),
+    **{kind: _TAG_WRITERS[tag] for kind, tag in _TAGS.items()},
+}
 
 
 def object_bytes(links: Sequence[bytes], data: bytes) -> bytes:
     """An object's bytes: the names it refers to, each once, then its
     value's canonical bytes ``data``.  The names are hashed with the
     value, and the store GC reads them without decoding anything."""
-    names = tuple(dict.fromkeys(links))
+    return _blob(tuple(dict.fromkeys(links)), data)
+
+
+def _blob(names: tuple[bytes, ...], data: bytes) -> bytes:
     return b"".join((len(names).to_bytes(_COUNT, "big"), *names, data))
 
 

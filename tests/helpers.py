@@ -221,7 +221,7 @@ def stored(checkpoint):
         for ref, entry in checkpoint.states.items()
     }
     checkpoint.chains = _chains(writer, checkpoint)
-    checkpoint.objects = _Objects(writer.built)
+    checkpoint.objects = _Objects(writer.built, writer.links)
     return checkpoint
 
 

@@ -6,7 +6,8 @@ checkpoint and names every object it met before without encoding it;
 a root.  None of it may change what a checkpoint says.  The oracle here
 is a capture from scratch, kept in this module: after *every*
 checkpoint of a scenario run it re-snapshots the shim with a writer that
-knows nothing — every live row and every object rebuilt — and demands
+knows nothing — every live row and every object rebuilt, by the
+reflective writer ``tests/reference_writer.py`` keeps — and demands
 that the root on disk load to exactly that snapshot.  Objects are named
 by their bytes, so equal names are equal state.
 """
@@ -42,15 +43,17 @@ from repro.storage.checkpoint import (
     restore_block_state,
 )
 from repro.storage.gc import prune
+from repro.storage import state_codec
 from repro.storage.state_codec import ObjectWriter
 from repro.types import Label
+from reference_writer import ReferenceWriter
 
 
 def reference_capture(seq, interpreter, dag, previous) -> Checkpoint:
     """The from-scratch snapshot: nothing of a live block is taken from
     ``previous``; released blocks (whose state is gone from memory) are
     carried from it, every label named when their base just left."""
-    writer = ObjectWriter()
+    writer = ReferenceWriter()
     live = [r for r in interpreter.interpreted if r not in interpreter.released]
     carried = []
     if previous is not None:
@@ -278,6 +281,87 @@ def test_every_checkpoint_fold_equals_the_from_scratch_snapshot(
     assert oracle.decodes_in_write == 0
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_object_a_capture_builds_is_the_reference_writers(name, monkeypatch):
+    """Each object a capture builds — every instance, run and
+    container of its new rows — has the name and the bytes the
+    reference writer gives the same value from scratch."""
+    from repro.protocols.base import ProcessInstance
+    from repro.shim import shim as shim_module
+
+    real_capture = shim_module.capture_checkpoint
+    seen = {"captures": 0, "objects": 0}
+
+    def capture(seq, interpreter, dag, previous=None):
+        checkpoint = real_capture(seq, interpreter, dag, previous=previous)
+        built = checkpoint.objects.built
+        reference = ReferenceWriter()
+        for value_name, value in checkpoint.values.items():
+            if value_name in built:
+                named = (
+                    reference.instance(value) if isinstance(value, ProcessInstance)
+                    else reference.run(value)
+                )
+                assert named == value_name
+        skip = {*checkpoint.rows.values(), *checkpoint.chains.values()}
+        for object_name, data in built.items():
+            if object_name not in skip:
+                assert reference.built.get(object_name) == data
+                seen["objects"] += 1
+        seen["captures"] += 1
+        return checkpoint
+
+    monkeypatch.setattr(shim_module, "capture_checkpoint", capture)
+    scenario = SCENARIOS[name]()
+    if name == "mixed-faults":
+        scenario = registry.get("mixed-faults", smoke=True)
+    run_scenario(scenario)
+    assert seen["captures"] >= 8 and seen["objects"] > 100
+
+
+def test_a_capture_hashes_each_object_and_a_server_encodes_each_message_once(
+    monkeypatch,
+):
+    """Within one capture no object's bytes are hashed twice, and over
+    the run each server encodes each message object once: while a
+    retained row's run holds it, its bytes are kept."""
+    hashed: list[bytes] = []
+    encoded: dict[tuple[str, int], int] = {}
+    alive = []
+    server = []
+    real_name = state_codec.object_name
+    real_encode = ObjectWriter._encode_message
+    real_now = Shim.checkpoint_now
+    seen = {"captures": 0, "messages": 0}
+
+    def object_name(blob: bytes) -> bytes:
+        hashed.append(blob)
+        return real_name(blob)
+
+    def encode_message(writer, message):
+        key = (server[-1], id(message))
+        encoded[key] = encoded.get(key, 0) + 1
+        alive.append(message)  # its id stays its own
+        return real_encode(writer, message)
+
+    def checkpoint_now(shim: Shim) -> None:
+        hashed.clear()
+        server.append(shim.server)
+        try:
+            real_now(shim)
+        finally:
+            server.pop()
+        assert len(set(hashed)) == len(hashed), f"{shim.server} hashed an object twice"
+        seen["captures"] += 1
+
+    monkeypatch.setattr(state_codec, "object_name", object_name)
+    monkeypatch.setattr(ObjectWriter, "_encode_message", encode_message)
+    monkeypatch.setattr(Shim, "checkpoint_now", checkpoint_now)
+    run_scenario(registry.get("mixed-faults", smoke=True))
+    assert seen["captures"] >= 8 and len(encoded) > 100
+    assert max(encoded.values()) == 1, [k for k, v in encoded.items() if v > 1][:5]
+
+
 def test_appended_bytes_outside_new_rows_stay_flat_while_the_history_grows(
     monkeypatch, tmp_path
 ):
@@ -410,9 +494,9 @@ def test_a_checkpoint_pass_never_calls_the_interpreters_message_order(
     calls = {"pass": 0, "passes": 0}
     in_pass = []
 
-    def ordered(messages):
+    def ordered(messages, *args):
         calls["pass"] += bool(in_pass)
-        return real_ordered(messages)
+        return real_ordered(messages, *args)
 
     for module in list(sys.modules.values()):
         if getattr(module, "ordered", None) is real_ordered:

@@ -501,24 +501,80 @@ class TestCatchUpAfterRestart:
         assert set(chased) <= set(recovered.dag.refs)
 
 
-def restarted(scenario, directory):
-    """A fresh shim recovered from a copy of one server's storage."""
+def restart_from(directory, server, protocol, servers, config):
+    """A fresh shim for ``server`` recovered from ``directory``."""
     from repro.crypto.keys import KeyRing
     from repro.net.simulator import NetworkSimulator
     from repro.net.transport import SimTransport
     from repro.storage.blockstore import ServerStorage
 
-    server = directory.name
-    storage = ServerStorage(directory, scenario.topology.storage.build())
+    storage = ServerStorage(directory, config)
     shim = Shim(
         server,
-        PROTOCOLS[scenario.protocol].spec,
-        KeyRing(scenario.topology.servers()),
+        protocol,
+        KeyRing(servers),
         SimTransport(NetworkSimulator(), server),
         storage=storage,
     )
     storage.close()
     return shim
+
+
+def restarted(scenario, directory):
+    """A fresh shim recovered from a copy of one server's storage."""
+    return restart_from(
+        directory,
+        directory.name,
+        PROTOCOLS[scenario.protocol].spec,
+        scenario.topology.servers(),
+        scenario.topology.storage.build(),
+    )
+
+
+def test_a_record_retired_before_the_crash_is_not_counted_as_recovered(tmp_path):
+    """``blocks_recovered`` counts the blocks recovery inserts from the
+    WAL.  A record retired before the crash but not yet compacted away
+    is replayed again; its skeleton was inserted first, so recovery
+    skips the block and does not count it.  The restart ends where one
+    from a log of the live records alone ends.  (It used to count every
+    record replayed.)"""
+    import shutil
+
+    from repro.storage.wal import WriteAheadLog
+
+    cluster = crash_cluster(tmp_path / "run", interval=4)
+    labels = workload(cluster)
+    wal = cluster.shim("s2").storage.wal
+    cluster.run_until(
+        lambda c: all(c.all_delivered(lbl) for lbl in labels)
+        and wal.size_bytes() > wal.live_bytes(),
+        max_rounds=60,
+    )
+    live = [payload for _, payload in wal.replay()]
+    cluster.crash("s2")
+    directory = tmp_path / "run" / "s2"
+    retained, compacted = tmp_path / "retained", tmp_path / "compacted"
+    shutil.copytree(directory, retained)
+    shutil.copytree(directory / "checkpoints", compacted / "checkpoints")
+    log = WriteAheadLog(compacted / "wal")
+    for payload in live:
+        log.append(payload)
+    log.close()
+    replayed = WriteAheadLog(retained / "wal")
+    assert replayed.record_count() > len(live)
+    replayed.close()
+
+    config = StorageConfig(checkpoint_interval=4, prune=True)
+    kept, clean = (
+        restart_from(d, "s2", brb_protocol, cluster.servers, config)
+        for d in (retained, compacted)
+    )
+    assert kept.recovery.skeletons_inserted > 0
+    assert kept.recovery.refs_trimmed == clean.recovery.refs_trimmed == 0
+    assert kept.dag.refs == clean.dag.refs
+    assert kept.indications == clean.indications
+    assert kept.recovery.blocks_recovered == clean.recovery.blocks_recovered
+    assert kept.recovery.blocks_recovered == len(kept.dag) - kept.recovery.skeletons_inserted
 
 
 def test_a_newest_root_that_does_not_load_falls_back_with_every_block(tmp_path):

@@ -32,8 +32,15 @@ from repro.storage.checkpoint import (
     install_checkpoint,
     root_name,
 )
-from repro.storage.state_codec import annotation_fingerprint, restore_process, thaw
+from repro.storage.state_codec import (
+    ObjectWriter,
+    annotation_fingerprint,
+    restore_process,
+    thaw,
+)
+from repro.protocols.brb import ReliableBroadcast
 from repro.types import Label
+from reference_writer import ReferenceWriter
 
 L = Label("l")
 
@@ -81,6 +88,76 @@ class TestStateCodec:
         snapshot, load = stored_instance(interpreter.state_of(ref).pis[L])
         with pytest.raises(CheckpointError):
             restore_process(counter_protocol, builder.servers, snapshot, load)
+
+
+class _Marked(ReliableBroadcast):
+    """A protocol class that keeps part of its state in a slot."""
+
+    __slots__ = ("mark",)
+
+
+def reference_bytes(value) -> bytes:
+    """``value``'s frozen form as the reference writer writes it."""
+    out = bytearray()
+    ReferenceWriter()._write(value, out)
+    return bytes(out)
+
+
+class TestObjectNames:
+    """The writer names by identity, by typed content and by per-class
+    prefixes; every name and byte must be what the reference writer
+    (``tests/reference_writer.py``) gives the same value."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ({1}, {True}),
+            ([1], ["1"]),
+            (set(), frozenset(), []),
+            ([1, True], [True, 1]),
+            ({1, False}, {True, 0}),
+            (frozenset({1}), frozenset({True})),
+            ({"s": {1}, "t": [1]}, {"s": {True}, "t": [True]}),
+        ],
+    )
+    def test_values_equal_as_dict_keys_get_distinct_names(self, values):
+        # One writer for the whole group, in both orders: whichever is
+        # named first must not hand its name to the others.
+        for group in (values, values[::-1]):
+            writer = ObjectWriter()
+            written = []
+            for value in group:
+                out = bytearray()
+                writer._write(value, out)
+                written.append(bytes(out))
+            assert len(set(written)) == len(group)
+            assert written == [reference_bytes(value) for value in group]
+
+    def test_instances_that_differ_only_in_attribute_names_get_distinct_names(self):
+        builder, interpreter = interpreted_dag()
+        instance = interpreter.state_of(builder.dag.tip(builder.servers[1]).ref).pis[L]
+        first, second = instance.fork(), instance.fork()
+        first.extra = 1
+        second.other = 1
+        writer = ObjectWriter()
+        names = [writer.instance(first), writer.instance(second), writer.instance(instance)]
+        assert len(set(names)) == 3
+        for value, name in zip((first, second, instance), names):
+            reference = ReferenceWriter()
+            assert reference.instance(value) == name
+            assert reference.built[name] == writer.built[name]
+
+    def test_state_kept_in_slots_is_written_as_the_reference_writes_it(self):
+        builder, interpreter = interpreted_dag()
+        instance = interpreter.state_of(builder.dag.tip(builder.servers[1]).ref).pis[L]
+        marked, unmarked = _Marked(instance.ctx), _Marked(instance.ctx)
+        marked.mark = {"a", "b"}
+        writer = ObjectWriter()
+        for value in (marked, unmarked):
+            name = writer.instance(value)
+            reference = ReferenceWriter()
+            assert reference.instance(value) == name
+            assert reference.built == {n: writer.built[n] for n in reference.built}
 
 
 class TestCaptureInstall:

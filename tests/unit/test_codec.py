@@ -56,31 +56,35 @@ class TestEncodeBasics:
 
 
 class TestCallerWrittenItems:
-    """A tuple or tagged pair whose items the caller writes encodes as
-    the value it stands for, so the caller never writes a frame."""
+    """A tuple, tagged pair or dataclass value whose items the caller
+    writes behind the codec's head encodes as the value it stands for,
+    so the caller never writes a frame."""
 
     ITEMS = [1, "x", (2, [3]), None, Point(1, 2)]
 
     @staticmethod
-    def write_item(item, out):
-        out += codec.encode(item)
+    def items(items):
+        out = bytearray()
+        for item in items:
+            codec.write_value(item, out)
+        return bytes(out)
 
     def test_tuple(self):
-        out = bytearray(b"?")
-        codec.write_tuple(self.ITEMS, self.write_item, out)
-        assert bytes(out) == b"?" + codec.encode(tuple(self.ITEMS))
+        data = codec.tuple_head(len(self.ITEMS)) + self.items(self.ITEMS)
+        assert data == codec.encode(tuple(self.ITEMS))
 
     @pytest.mark.parametrize("items", [[], ITEMS])
     def test_tagged_tuple(self, items):
-        out = bytearray()
-        codec.tagged_tuple_writer("l")(items, self.write_item, out)
-        assert bytes(out) == codec.encode(("l", tuple(items)))
+        data = codec.tuple_head(2) + self.items(["l"]) + codec.tuple_head(len(items))
+        assert data + self.items(items) == codec.encode(("l", tuple(items)))
 
     @pytest.mark.parametrize("value", [0, "a", b"b", (1,), {"k": [1]}, Point(3, 4)])
     def test_pair(self, value):
-        out = bytearray()
-        codec.pair_writer("a")(value, out)
-        assert bytes(out) == codec.encode(("a", value))
+        data = codec.tuple_head(2) + self.items(["a", value])
+        assert data == codec.encode(("a", value))
+
+    def test_dataclass(self):
+        assert codec.dataclass_head(Point) + self.items([3, 4]) == codec.encode(Point(3, 4))
 
 
 class TestDataclassEncoding:

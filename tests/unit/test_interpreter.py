@@ -373,10 +373,10 @@ class TestRunsAreOrderedWhereEmitted:
         inside = []
         hashed_outside = []
 
-        def ordered(messages):
+        def ordered(messages, *args):
             inside.append(True)
             try:
-                result = real_ordered(messages)
+                result = real_ordered(messages, *args)
             finally:
                 inside.pop()
             sorted_runs.append(len(result))

@@ -4,6 +4,7 @@ from itertools import permutations
 
 from repro.dag import codec
 from repro.interpret.buffers import MessageBuffers
+from repro.interpret import order
 from repro.interpret.order import ordered
 from repro.protocols.base import Message
 from repro.protocols.brb import Echo, Ready
@@ -82,6 +83,35 @@ class TestMessageOrder:
 
     def test_ordered_accepts_any_iterable(self):
         assert ordered(iter([msg(value=2), msg(value=1)]))[0].payload.value == 1
+
+
+class TestServerKeys:
+    def test_a_second_sort_encodes_no_server_id(self, monkeypatch):
+        """Once each id is keyed, sorting again — a run by ``<_M``, a
+        block's receivers for ``runs()`` — encodes no server id."""
+        servers = [ServerId(f"s{i}") for i in (1, 2, 10)]
+        messages = [
+            msg(sender=sender, receiver=receiver)
+            for sender in servers for receiver in servers
+        ]
+        buffers = MessageBuffers()
+        buffers.add_out(L, [m for m in messages if m.sender == S1], {})
+        keys: dict = {}
+        first = (ordered(messages, keys), buffers.runs(keys)["out"])
+        encoded = []
+        real_encode = order.encode
+
+        def encode(value):
+            encoded.append(value)
+            return real_encode(value)
+
+        monkeypatch.setattr(order, "encode", encode)
+        assert (ordered(messages, keys), buffers.runs(keys)["out"]) == first
+        assert first[0] == sorted(messages, key=codec.encode)
+        assert not [value for value in encoded if value in servers]
+        # Without kept keys, each call keys every id it sorts by again.
+        ordered(messages)
+        assert {value for value in encoded if value in servers} == set(servers)
 
 
 class TestMessageBuffers:
