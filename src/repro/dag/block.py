@@ -88,6 +88,19 @@ class Block:
         if self.k < 0:
             raise ValueError(f"sequence number must be in N0, got {self.k}")
 
+    @classmethod
+    def stub(
+        cls, ref: BlockRef, n: ServerId, k: SeqNum, preds: tuple[BlockRef, ...],
+        sigma: bytes, hz: HorizonClaim,
+    ) -> "Block":
+        """The payload-pruned stub of block ``ref``: every field but
+        ``rs``, which is gone.  ``ref(B)`` covers the dropped ``rs``, so
+        the original is pinned — the stub keeps its identity, and its
+        signature (over ``ref(B)``) stays verifiable."""
+        stub = cls(n=n, k=k, preds=preds, rs=(), sigma=Signature(sigma), hz=hz)
+        stub.__dict__["ref"] = ref
+        return stub
+
     @cached_property
     def ref(self) -> BlockRef:
         """``ref(B)`` — content hash over ``(n, k, preds, rs, hz)``, not ``σ``."""

@@ -265,15 +265,12 @@ class BlockDag:
         return ref in self._pruned_payloads
 
     def drop_payload(self, ref: BlockRef) -> int | None:
-        """Replace the stored block with a payload-free stub.
-
-        The stub keeps ``n``, ``k``, ``preds``, ``sigma`` and — pinned
-        explicitly, since ``ref(B)`` covers the dropped ``rs`` — the
-        original reference, so graph structure, parent relations and
-        signature verification (``sign`` covers ``ref(B)``) all still
-        hold.  Only the request payload is gone; the GC layer
-        guarantees nothing will read it again.  Returns the estimated
-        bytes freed, or ``None`` if already pruned.  Idempotent.
+        """Replace the stored block with its payload-free stub
+        (:meth:`Block.stub`), so graph structure, parent relations and
+        signature verification all still hold.  Only the request payload
+        is gone; the GC layer guarantees nothing will read it again.
+        Returns the estimated bytes freed, or ``None`` if already
+        pruned.  Idempotent.
         """
         if ref in self._pruned_payloads:
             return None
@@ -284,11 +281,7 @@ class BlockDag:
         if block.rs:
             # ``hz`` survives: the claim is the input to horizon
             # agreement, which must stay recomputable from the DAG.
-            stub = Block(
-                n=block.n, k=block.k, preds=block.preds, rs=(),
-                sigma=block.sigma, hz=block.hz,
-            )
-            stub.__dict__["ref"] = ref
+            stub = Block.stub(ref, block.n, block.k, block.preds, block.sigma, block.hz)
             freed = block.wire_size() - stub.wire_size()
             self._store[ref] = stub
         self._pruned_payloads.add(ref)

@@ -21,7 +21,7 @@ block signature covers ``ref(B)``.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from repro.dag.block import HorizonClaim
 from repro.dag.blockdag import BlockDag
@@ -31,7 +31,7 @@ from repro.types import BlockRef, SeqNum, ServerId
 def durable_frontier(
     dag: BlockDag,
     servers: Iterable[ServerId],
-    covered: frozenset[BlockRef],
+    covered: AbstractSet[BlockRef],
 ) -> HorizonClaim:
     """The frontier a checkpoint covering ``covered`` lets us claim.
 

@@ -143,10 +143,10 @@ class Interpreter:
         #: tracing is off, so the per-block emission site costs one
         #: attribute check.
         self.tracer = tracer if tracer is not None else NULL_RECORDER
+        #: ``I`` of Algorithm 2: every ref interpreted.  One is
+        #: *resident* while its annotation is held in memory and
+        #: *released* once pruning dropped it (:meth:`release_state`).
         self.interpreted: set[BlockRef] = set()
-        #: Refs whose states were pruned below the stable frontier; they
-        #: stay in ``interpreted`` but their annotations are gone.
-        self.released: set[BlockRef] = set()
         self.events: list[IndicationEvent] = []
         #: Optional hook reconstructing a released predecessor's
         #: annotation from the covering checkpoint (set by the shim when
@@ -154,13 +154,14 @@ class Interpreter:
         #: a locally-pruned block *rehydrates* instead of stalling.
         self.rehydrator: RehydrateFn | None = None
         self._states: dict[BlockRef, BlockState] = {}
-        # Scheduler state: per-uninterpreted-block count of uninterpreted distinct preds,
-        # the ready set plus a canonical-order heap over it (stale heap
-        # entries are skipped lazily), and the refs known to either side.
+        # Scheduler state: per-uninterpreted-block count of uninterpreted
+        # distinct preds, and the ready set plus a canonical-order heap
+        # over it (stale heap entries are skipped lazily).  A ref is
+        # known to the scheduler iff it is interpreted, pending, ready or
+        # below the horizon.
         self._pending: dict[BlockRef, int] = {}
         self._ready: set[BlockRef] = set()
         self._ready_heap: list[BlockRef] = []
-        self._tracked: set[BlockRef] = set()
         #: Blocks permanently uninterpretable because a direct
         #: predecessor's state was pruned (see :meth:`eligible`).
         self._horizon: set[BlockRef] = set()
@@ -169,7 +170,6 @@ class Interpreter:
         # mark): a protocol step raising mid-block leaves every counter
         # exactly where it was, so counters never include work of a
         # block that was not marked interpreted.
-        self.blocks_interpreted = 0
         self.messages_delivered = 0
         self.messages_materialized = 0
         self.request_steps = 0
@@ -199,6 +199,17 @@ class Interpreter:
         return ref in self.interpreted
 
     @property
+    def blocks_interpreted(self) -> int:
+        """Blocks interpreted so far: the size of ``I``."""
+        return len(self.interpreted)
+
+    @property
+    def released(self) -> frozenset[BlockRef]:
+        """The interpreted refs not resident, built when asked (for tests
+        and reports: no interpreter path walks ``I`` for them)."""
+        return frozenset(ref for ref in self.interpreted if ref not in self._states)
+
+    @property
     def below_horizon(self) -> int:
         """Distinct blocks permanently uninterpretable because a direct
         predecessor's annotation was pruned below the stable frontier.
@@ -215,15 +226,15 @@ class Interpreter:
         return len(self._states)
 
     def resident(self) -> KeysView[BlockRef]:
-        """Refs whose annotations are held in memory: the interpreted
-        blocks not released (a live view)."""
+        """Refs whose annotations are held in memory (a live view): the
+        interpreted blocks not released."""
         return self._states.keys()
 
     def state_of(self, ref: BlockRef) -> BlockState:
         """The ``PIs``/``Ms`` annotation of an interpreted block."""
         state = self._states.get(ref)
         if state is None:
-            if ref in self.released:
+            if ref in self.interpreted:
                 raise PrunedStateError(
                     f"annotation pruned below the stable frontier: {ref[:8]}…"
                 )
@@ -261,7 +272,6 @@ class Interpreter:
         self._pending.clear()
         self._ready.clear()
         self._ready_heap.clear()
-        self._tracked.clear()
         self._horizon.clear()
         for block in self.dag:
             self._track(block)
@@ -274,15 +284,15 @@ class Interpreter:
         queue (or to the below-horizon set if a predecessor's state was
         already pruned)."""
         ref = block.ref
-        if ref in self._tracked:
-            return
-        self._tracked.add(ref)
-        if ref in self.interpreted:
-            return
+        interpreted = self.interpreted
+        if (
+            ref in interpreted or ref in self._pending or ref in self._ready
+            or ref in self._horizon
+        ):
+            return  # already known to the scheduler
         # Count *distinct* uninterpreted predecessors without building a
         # set of all of them — runs once per insertion, and the missing
         # set is almost always empty or tiny.
-        interpreted = self.interpreted
         missing: set[BlockRef] | None = None
         for p in block.preds:
             if p not in interpreted:
@@ -324,33 +334,32 @@ class Interpreter:
         annotation back in memory; ``True`` when interpretation can
         proceed.  Rehydration is per-predecessor: partially restored
         states are harmless (the block is diverted anyway and the
-        restored prefix can be re-released by the next pruning pass)."""
-        if not self.released:
-            return True  # nothing is ever released on the fast path
-        released = [p for p in set(block.preds) if p in self.released]
-        if not released:
-            return True
+        restored prefix can be re-released by the next pruning pass).
+        Every predecessor is interpreted here, so one not resident is
+        released."""
+        states = self._states
+        if all(p in states for p in block.preds):
+            return True  # every input in memory
         if self.rehydrator is None:
             return False
+        released = [p for p in dict.fromkeys(block.preds) if p not in states]
         return all(self._rehydrate(ref) for ref in released)
 
     def _rehydrate(self, ref: BlockRef) -> bool:
         """Pull one released annotation back from the covering
-        checkpoint.  The ref leaves ``released`` — it is a first-class
-        resident annotation again, and a later pruning pass may release
-        it anew once the usual rules hold."""
+        checkpoint.  The ref is resident again — a first-class
+        annotation, which a later pruning pass may release anew once the
+        usual rules hold."""
         assert self.rehydrator is not None
         restored = self.rehydrator(ref)
         if restored is None:
             return False
         self._states[ref] = restored
-        self.released.discard(ref)
         self.rehydrated += 1
         return True
 
     def _on_interpreted(self, ref: BlockRef) -> None:
         """Propagate one interpretation to the ready queue: O(out-degree)."""
-        self._tracked.add(ref)
         self._ready.discard(ref)
         self._pending.pop(ref, None)
         for succ_ref in self.dag.graph.successors_view(ref):
@@ -376,11 +385,10 @@ class Interpreter:
                 f"cannot release a block that was never interpreted: {ref[:8]}…"
             )
         self._states.pop(ref, None)
-        self.released.add(ref)
         # Any already-ready successor lost an input it would read;
         # divert it below the horizon (its stale heap entry is
-        # skipped lazily).  Pending successors are checked against
-        # ``released`` when they become ready.
+        # skipped lazily).  A pending successor finds the input gone
+        # when it becomes ready.
         for succ_ref in self.dag.graph.successors(ref):
             if succ_ref in self._ready:
                 self._ready.discard(succ_ref)
@@ -463,7 +471,7 @@ class Interpreter:
                 f"block not eligible, uninterpreted predecessors: {missing!r}"
             )
         if not self._restore_released_preds(block):
-            pruned = [p for p in preds if p.ref in self.released]
+            pruned = [p for p in preds if p.ref not in self._states]
             raise PrunedStateError(
                 f"cannot interpret {block!r}: predecessor annotations "
                 f"pruned below the stable frontier: "
@@ -570,7 +578,6 @@ class Interpreter:
         # commit together (nothing above this point mutated them).
         states[block.ref] = state
         self.interpreted.add(block.ref)
-        self.blocks_interpreted += 1
         self.request_steps += request_steps
         self.messages_delivered += delivered
         self.messages_materialized += materialized

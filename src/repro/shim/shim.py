@@ -173,16 +173,12 @@ class Shim:
             self._interpreted_at_checkpoint = self.interpreter.blocks_interpreted
             self._last_checkpoint = self.recovery.checkpoint
             if self._last_checkpoint is not None:
-                self._recent_frontiers.append(
-                    frozenset(self._last_checkpoint.refs)
-                )
+                covered = self._last_checkpoint.refs
+                self._recent_frontiers.append(covered)
                 # Resume claiming where the previous incarnation left
                 # off: the recovered checkpoint is our durable frontier.
                 self.gossip.builder.set_claim(
-                    durable_frontier(
-                        self.dag, self.keyring.servers,
-                        self._last_checkpoint.refs,
-                    )
+                    durable_frontier(self.dag, self.keyring.servers, covered)
                 )
 
     # -- the interface of P (lines 6–9) ------------------------------------------
@@ -328,17 +324,19 @@ class Shim:
             previous=self._last_checkpoint,
         )
         self.storage.write_checkpoint(checkpoint)
+        # The checkpoint covers exactly what is interpreted now.
+        interpreted = self.interpreter.interpreted
         if self.tracer.enabled:
             self.tracer.emit(  # type: ignore[attr-defined]
                 "checkpoint",
                 seq=int(checkpoint.seq),
-                refs=len(checkpoint.refs),
+                refs=len(interpreted),
             )
         self._last_checkpoint = checkpoint
-        self._recent_frontiers.append(frozenset(checkpoint.refs))
-        self._interpreted_at_checkpoint = self.interpreter.blocks_interpreted
+        self._recent_frontiers.append(frozenset(interpreted))
+        self._interpreted_at_checkpoint = len(interpreted)
         self.gossip.builder.set_claim(
-            durable_frontier(self.dag, self.keyring.servers, checkpoint.refs)
+            durable_frontier(self.dag, self.keyring.servers, interpreted)
         )
 
     def _pinned_recent(self) -> frozenset[BlockRef]:

@@ -3,13 +3,14 @@
 Interpretation is a pure function of the DAG (Lemma 4.2), so a crashed
 server could re-interpret from genesis; a checkpoint lets it restore
 the interpreted prefix and replay only the suffix.  A checkpoint holds
-the interpreted set ``refs``; one *row* per block still above the
-agreed GC horizon in ``states`` (resident annotations, plus released
-ones carried so late references can rehydrate them); the ``released``
-refs; a ``skeleton`` per payload-pruned block (``n, k, preds, sigma,
-hz``: the vertex, its signature still verifiable, after its WAL
-record is retired); the indication ``events``; and the interpreter
-``counters``.
+one *row* per block still above the agreed GC horizon in ``states`` —
+a *live* row per resident annotation, and a *carried* row per released
+one, kept so late references can rehydrate it; a *skeleton* per
+payload-pruned block — the DAG's own stub (``n, k, preds, sigma, hz``:
+the vertex, its signature still verifiable, after its WAL record is
+retired); the indication ``events``; and the interpreter ``counters``.
+Nothing else: the interpreted refs are the rows and the skeletons, and
+the released ones the carried rows and the skeletons.
 
 State is stored the way blocks are: each process instance, mutable
 state container and ``Ms`` run is an *object*, its canonical bytes
@@ -19,11 +20,11 @@ of the labels its block stepped — the labels of its ``Ms[out]``, which
 lines 6 and 11 fill for every stepped label — with a ``base`` pointer
 to its parent's row (Algorithm 2 copies ``PIs`` from the parent,
 copy-on-write), and its runs; a row whose parent has no row names
-every label.  The history sections — ``refs``, ``released``,
-``skeletons``, ``events`` — are *chains* of chunk objects, each chunk
-naming the one before it and holding what its checkpoint added; a
-section that lost something starts a new chain.  A checkpoint on disk
-is one *root*: ``seq``, the counters, its row names and chain heads.
+every label.  The history sections — ``skeletons`` and ``events`` —
+are *chains* of chunk objects, each chunk naming the one before it and
+holding what its checkpoint added; a section that lost something
+starts a new chain.  A checkpoint on disk is one *root*: ``seq``, the
+counters, its live and carried row names and the two chain heads.
 
 A capture costs what changed: it takes over every row whose base
 stands, names every object the previous capture met without encoding
@@ -81,38 +82,10 @@ _PREFIX = "ckpt-"
 _SUFFIX = ".bin"
 
 #: The history sections, each kept as a chain of chunks.
-SECTIONS = ("refs", "released", "skeletons", "events")
+SECTIONS = ("skeletons", "events")
 
 #: What a bad object or root raises while it is decoded and walked.
 _SHAPE_ERRORS = (CodecError, AttributeError, LookupError, TypeError, ValueError)
-
-
-@dataclass(frozen=True)
-class BlockSkeleton:
-    """Payload-free reconstruction info for a pruned block.
-
-    ``hz`` (the horizon claim) survives skeletonization: claims are the
-    input to horizon agreement, which must stay recomputable from a
-    recovered DAG."""
-
-    n: ServerId
-    k: int
-    preds: tuple[BlockRef, ...]
-    sigma: bytes
-    hz: tuple[tuple[ServerId, int], ...] = ()
-
-    def to_block(self, ref: BlockRef) -> Block:
-        """Rebuild the payload-pruned stub carrying its original ref."""
-        from repro.crypto.signatures import Signature
-
-        stub = Block(
-            n=self.n, k=self.k, preds=self.preds, rs=(),
-            sigma=Signature(self.sigma), hz=self.hz,
-        )
-        # ``ref(B)`` covers the dropped ``rs``; pin the original so the
-        # stub keeps its identity (and its signature stays verifiable).
-        stub.__dict__["ref"] = ref
-        return stub
 
 
 @dataclass
@@ -139,10 +112,7 @@ class CaptureMemo:
 #: The interpreter counters a checkpoint carries.  Install restores
 #: these by name and ignores any other key, such as a counter an older
 #: version wrote and this one no longer keeps.
-COUNTERS = (
-    "blocks_interpreted", "messages_delivered", "messages_materialized",
-    "request_steps", "rehydrated",
-)
+COUNTERS = ("messages_delivered", "messages_materialized", "request_steps", "rehydrated")
 
 
 @dataclass
@@ -168,10 +138,13 @@ class Checkpoint:
     """One durable snapshot of a server's interpretation progress."""
 
     seq: int
-    refs: frozenset[BlockRef]
+    #: Every row's entry: live and carried.
     states: dict[BlockRef, dict[str, Any]]
-    released: frozenset[BlockRef] = frozenset()
-    skeletons: dict[BlockRef, BlockSkeleton] = field(default_factory=dict)
+    #: The rows of released blocks, carried for rehydration.
+    carried: frozenset[BlockRef] = frozenset()
+    #: The payload-pruned stub of every block below the rows
+    #: (:meth:`Block.stub`).
+    skeletons: dict[BlockRef, Block] = field(default_factory=dict)
     events: tuple["IndicationEvent", ...] = ()
     counters: dict[str, int] = field(default_factory=dict)
     #: Each row's object name, and each history section's chain head
@@ -190,6 +163,17 @@ class Checkpoint:
     #: takes them as they are (an interpreted block's are never written
     #: again) instead of reading the store.
     values: dict[bytes, Any] = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def refs(self) -> frozenset[BlockRef]:
+        """The refs interpreted at capture: every row and skeleton."""
+        return frozenset(self.states).union(self.skeletons)
+
+    @property
+    def released(self) -> frozenset[BlockRef]:
+        """The refs released at capture: every carried row and
+        skeleton."""
+        return self.carried.union(self.skeletons)
 
 
 def _parent_ref(dag: "BlockDag", ref: BlockRef) -> BlockRef | None:
@@ -234,14 +218,16 @@ def capture_checkpoint(
     # Copies: a capture that fails part way leaves the memo it read
     # as it was.
     writer = ObjectWriter(*(() if memo is None else (memo.names, dict(memo.messages))))
-    released = interpreter.released
-    live = list(interpreter.resident())
+    resident = interpreter.resident()
+    live = list(resident)
     kept: dict[BlockRef, dict[str, Any]] = {}
     carried = []
     if previous is not None:
         kept = previous.states
+        # A kept row is an interpreted block's: released when it is not
+        # resident, and carried while its payload stands.
         carried = [
-            ref for ref in kept if ref in released and not dag.payload_pruned(ref)
+            ref for ref in kept if ref not in resident and not dag.payload_pruned(ref)
         ]
     planned = set(live)
     planned.update(carried)
@@ -259,7 +245,7 @@ def capture_checkpoint(
         parent = parents[ref]
         base = parent if parent in planned else None
         entry = kept.get(ref)
-        if entry is not None and (base is None or entry["base"] == base or ref in released):
+        if entry is not None and (base is None or entry["base"] == base or ref not in resident):
             if entry["base"] in (base, None):
                 # Interpreted once, annotated for good.
                 rows[ref] = previous.rows[ref]  # type: ignore[union-attr]
@@ -315,9 +301,8 @@ def capture_checkpoint(
         fresh = events[memo.events_seen :]
     checkpoint = Checkpoint(
         seq=seq,
-        refs=frozenset(interpreter.interpreted),
         states=states,
-        released=frozenset(released),
+        carried=frozenset(carried),
         skeletons=_capture_skeletons(dag, previous),
         events=tuple(events) if fresh is None else previous.events + tuple(fresh),  # type: ignore[union-attr]
         counters={name: getattr(interpreter, name) for name in COUNTERS},
@@ -339,18 +324,14 @@ def capture_checkpoint(
 
 def _capture_skeletons(
     dag: "BlockDag", previous: "Checkpoint | None"
-) -> dict[BlockRef, BlockSkeleton]:
-    """A skeleton per payload-pruned block: ``previous``'s, and a new
-    one for each block pruned since."""
+) -> dict[BlockRef, Block]:
+    """The stub of every payload-pruned block: ``previous``'s, and the
+    DAG's own for each block pruned since."""
     pruned = dag.pruned_payloads
     kept = {} if previous is None else previous.skeletons
     skeletons = {ref: s for ref, s in kept.items() if ref in pruned}
     for ref in pruned.difference(kept):
-        block = dag.require(ref)
-        skeletons[ref] = BlockSkeleton(
-            n=block.n, k=block.k, preds=block.preds,
-            sigma=bytes(block.sigma), hz=block.hz,
-        )
+        skeletons[ref] = dag.require(ref)
     return skeletons
 
 
@@ -378,35 +359,25 @@ def _chains(
     fresh_events: Any = None,
 ) -> dict[str, bytes | None]:
     """Each history section's chain head: ``previous``'s extended by a
-    chunk of what was added, or — when it has no chain or the section
-    lost something since — a new chain of one chunk."""
-    heads = {} if previous is None else previous.chains
+    chunk of what was added, or — when it has no chain, the section
+    lost something since, or the new events are not given — a new
+    chain of one chunk."""
+    heads, before = ({}, {}) if previous is None else (previous.chains, previous.skeletons)
+
+    def extend(head: bytes | None, wires: list[Any]) -> bytes | None:
+        if not wires:
+            return head
+        return writer.put(codec.encode((head, tuple(wires))), () if head is None else (head,))
+
     skeletons = checkpoint.skeletons
-    chains: dict[str, bytes | None] = {}
-    for section, now, before, wire in (
-        ("refs", checkpoint.refs, previous and previous.refs, sorted),
-        ("released", checkpoint.released, previous and previous.released, sorted),
-        (
-            "skeletons", skeletons.keys(), previous and previous.skeletons.keys(),
-            lambda refs: [_skeleton_wire(r, skeletons[r]) for r in sorted(refs)],
-        ),
-        (
-            "events", checkpoint.events, None,
-            lambda events: [_event_wire(e) for e in events],
-        ),
-    ):
-        head, added = None, now
-        if section not in heads:
-            pass
-        elif section == "events":
-            if fresh_events is not None:
-                head, added = heads[section], fresh_events
-        elif before is not None and before <= now:
-            head, added = heads[section], now - before
-        if added:
-            data = codec.encode((head, tuple(wire(added))))
-            head = writer.put(data, () if head is None else (head,))
-        chains[section] = head
+    head, added = None, skeletons.keys()
+    if "skeletons" in heads and before.keys() <= added:
+        head, added = heads["skeletons"], added - before.keys()
+    chains = {"skeletons": extend(head, [_skeleton_wire(r, skeletons[r]) for r in sorted(added)])}
+    head, events = None, checkpoint.events
+    if "events" in heads and fresh_events is not None:
+        head, events = heads["events"], fresh_events
+    chains["events"] = extend(head, [_event_wire(e) for e in events])
     return chains
 
 
@@ -481,21 +452,22 @@ def install_checkpoint(
     WAL first).  Returns the number of block states restored."""
     if interpreter.interpreted:
         raise CheckpointError("refusing to install into a non-fresh interpreter")
-    missing = [ref for ref in checkpoint.refs if ref not in interpreter.dag]
+    refs = checkpoint.refs
+    missing = [ref for ref in refs if ref not in interpreter.dag]
     if missing:
         raise CheckpointError(
             f"checkpoint references {len(missing)} blocks absent from the "
             f"rebuilt DAG (first: {missing[0][:8]}…)"
         )
     # Each builder's chain bottom-up, so a base is restored before its
-    # child.  Released rows are carried for rehydration only: they stay
-    # out of memory, preserving the memory bound across a restart.
+    # child.  Carried rows are for rehydration only: they stay out of
+    # memory, preserving the memory bound across a restart.
     dag = interpreter.dag
     order = sorted(checkpoint.states, key=lambda r: (dag.require(r).n, dag.require(r).k, r))
     restore = _Restorer(checkpoint, protocol, interpreter.servers)
     restored = 0
     for ref in order:
-        if ref in checkpoint.released:
+        if ref in checkpoint.carried:
             continue
         entry = checkpoint.states[ref]
         base = entry["base"]
@@ -506,8 +478,7 @@ def install_checkpoint(
             pis, names = {}, _merged_pis(checkpoint.states, ref)
         interpreter._states[ref] = restore.block(pis, names, entry)
         restored += 1
-    interpreter.interpreted |= set(checkpoint.refs)
-    interpreter.released |= set(checkpoint.released)
+    interpreter.interpreted |= refs
     interpreter.events.extend(checkpoint.events)
     for name in COUNTERS:
         if name in checkpoint.counters:
@@ -659,7 +630,10 @@ class CheckpointManager:
         root = {
             "seq": checkpoint.seq,
             "counters": checkpoint.counters,
-            "rows": tuple(sorted(checkpoint.rows[r] for r in checkpoint.states)),
+            "rows": tuple(sorted(
+                checkpoint.rows[r] for r in checkpoint.states if r not in checkpoint.carried
+            )),
+            "carried": tuple(sorted(checkpoint.rows[r] for r in checkpoint.carried)),
             "chains": {section: checkpoint.chains[section] for section in SECTIONS},
         }
         root_data = codec.encode(root)
@@ -799,7 +773,8 @@ def _root_starts(name: bytes, data: bytes) -> tuple[int, tuple[bytes, ...]] | No
 
 def _starts(root: Any) -> tuple[bytes, ...]:
     """The names a root starts from: its rows and chain heads."""
-    return (*root["rows"], *(head for head in root["chains"].values() if head is not None))
+    heads = (head for head in root["chains"].values() if head is not None)
+    return (*root["rows"], *root["carried"], *heads)
 
 
 class _StoreView(dict):
@@ -886,7 +861,7 @@ def _assemble(root: Any, objects: _StoreView) -> Checkpoint:
             objects[name]
         states: dict[BlockRef, dict[str, Any]] = {}
         rows: dict[BlockRef, bytes] = {}
-        for name in root["rows"]:
+        for name in (*root["rows"], *root["carried"]):
             ref, base, named, *columns = objects[name]
             pis, ins, outs = (
                 {lbl: n for lbl, n in zip(named, column, strict=True) if n is not None}
@@ -898,13 +873,13 @@ def _assemble(root: Any, objects: _StoreView) -> Checkpoint:
                 "pis": pis, "in": ins, "out": outs,
                 "base": None if base is None else BlockRef(base),
             }
+        carried = frozenset(BlockRef(objects[name][0]) for name in root["carried"])
         chains = {section: root["chains"][section] for section in SECTIONS}
         history = {section: _walk(objects, chains[section]) for section in SECTIONS}
         return Checkpoint(
             seq=seq,
-            refs=frozenset(BlockRef(r) for r in history["refs"]),
             states=states,
-            released=frozenset(BlockRef(r) for r in history["released"]),
+            carried=carried,
             skeletons=dict(_skeleton_from_wire(s) for s in history["skeletons"]),
             events=tuple(
                 IndicationEvent(Label(label), indication, ServerId(server), BlockRef(ref))
@@ -928,16 +903,17 @@ def _walk(objects: Any, head: bytes | None) -> list[Any]:
     return [item for items in reversed(chunks) for item in items]
 
 
-def _skeleton_wire(ref: BlockRef, s: BlockSkeleton) -> tuple[Any, ...]:
-    hz = tuple((str(sv), k) for sv, k in s.hz)
-    return (str(ref), str(s.n), s.k, tuple(map(str, s.preds)), s.sigma, hz)
+def _skeleton_wire(ref: BlockRef, stub: Block) -> tuple[Any, ...]:
+    hz = tuple((str(sv), k) for sv, k in stub.hz)
+    return (str(ref), str(stub.n), stub.k, tuple(map(str, stub.preds)), stub.sigma, hz)
 
 
-def _skeleton_from_wire(wire: Any) -> tuple[BlockRef, BlockSkeleton]:
+def _skeleton_from_wire(wire: Any) -> tuple[BlockRef, Block]:
     ref, n, k, preds, sigma, hz = wire
-    return BlockRef(ref), BlockSkeleton(
-        n=ServerId(n), k=k, preds=tuple(BlockRef(p) for p in preds), sigma=sigma,
-        hz=tuple((ServerId(sv), ck) for sv, ck in hz),
+    ref = BlockRef(ref)
+    return ref, Block.stub(
+        ref, ServerId(n), k, tuple(BlockRef(p) for p in preds), sigma,
+        tuple((ServerId(sv), ck) for sv, ck in hz),
     )
 
 

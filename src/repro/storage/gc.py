@@ -89,21 +89,21 @@ def prunable_refs(
     memory benefit.  Pinning only *delays* release, so every safety
     argument is untouched.
 
-    Only the candidates are examined — durable, interpreted, unreleased
-    and unpinned refs, which the shim's ``durable`` (the last
-    checkpoint's entries) bounds to the blocks resident then — never the
-    whole DAG.  Rules 1–3 are a property of each candidate alone; rule 4
-    (down-closure) is the same ``(k, ref)``-sorted fixpoint the payload
-    sweep of :func:`prune` uses: a candidate is accepted once all its
-    predecessors are released or accepted, so acceptance order is
-    prefix-first.
+    Only the candidates are examined — durable, resident and unpinned
+    refs, which the shim's ``durable`` (the last checkpoint's rows)
+    bounds to the blocks resident then — never the whole DAG.  Rules 1–3
+    are a property of each candidate alone; rule 4 (down-closure) is the
+    same ``(k, ref)``-sorted fixpoint the payload sweep of :func:`prune`
+    uses: a candidate is accepted once all its predecessors are released
+    (not resident: they are interpreted) or accepted, so acceptance
+    order is prefix-first.
     """
     servers = set(interpreter.servers)
     interpreted = interpreter.interpreted
-    released = interpreter.released
+    resident = interpreter.resident()
     candidates = []
     for ref in durable:
-        if ref not in interpreted or ref in released or ref in pinned:
+        if ref not in resident or ref in pinned:
             continue
         block = dag.require(ref)
         successors = dag.graph.successors(ref)
@@ -122,7 +122,7 @@ def prunable_refs(
         progress = False
         remaining = []
         for block in candidates:
-            if all(p in released or p in accepted for p in block.preds):
+            if all(p not in resident or p in accepted for p in block.preds):
                 accepted.add(block.ref)
                 result.append(block.ref)
                 progress = True
@@ -198,15 +198,17 @@ def prune(
     if allow_destruction:
         # Payload sweep: earlier passes may have released blocks that
         # only now satisfy the destruction rule.  Candidates are exactly
-        # the released-but-not-yet-destroyed refs (the carried set —
-        # bounded in steady state), NOT the whole DAG: skeletonized
-        # history never needs re-examination.  A k-sorted fixpoint loop
-        # keeps the payload-pruned region a down-closed prefix without
-        # a full topological scan per checkpoint.
+        # the released-but-not-yet-destroyed refs: the durable rows
+        # neither resident nor destroyed (the carried rows and this
+        # pass's releases — bounded in steady state), NOT the whole
+        # DAG: skeletonized history never needs re-examination.  A
+        # k-sorted fixpoint loop keeps the payload-pruned region a
+        # down-closed prefix without a full topological scan per
+        # checkpoint.
         servers = set(interpreter.servers)
-        payload_dropped = set(dag.pruned_payloads)
+        resident = interpreter.resident()
         candidates = sorted(
-            (dag.require(ref) for ref in interpreter.released - payload_dropped),
+            (dag.require(r) for r in durable if not (r in resident or dag.payload_pruned(r))),
             key=lambda b: (b.k, b.ref),
         )
         examined: set[BlockRef] = set()
@@ -251,14 +253,13 @@ def prune(
                     streaks[ref] = streak
                     if streak <= destruction_delay:
                         continue  # eligible, but not for long enough yet
-                if not all(p in payload_dropped for p in set(block.preds)):
+                if not all(dag.payload_pruned(p) for p in block.preds):
                     remaining.append(block)
                     continue
                 freed = dag.drop_payload(ref)
                 if freed is not None:
                     report.payloads_dropped += 1
                     report.payload_bytes_dropped += freed
-                payload_dropped.add(ref)
                 if streaks is not None:
                     streaks.pop(ref, None)
                 progress = True

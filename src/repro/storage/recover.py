@@ -137,31 +137,25 @@ def recover_shim_state(shim: "Shim") -> RecoveryReport:
 def _trim_to_available(
     checkpoint: Checkpoint, available: set[BlockRef]
 ) -> tuple[Checkpoint, int]:
-    """Restrict a checkpoint to refs whose blocks are reconstructible.
+    """Restrict a checkpoint to refs whose blocks are reconstructible:
+    every skeleton is, so only rows are dropped.
 
-    Only ``blocks_interpreted`` can be corrected exactly; the per-block
-    contributions to the message/request counters are not recorded, so
-    after a lossy recovery those metrics over-report by the trimmed
-    blocks' re-interpreted work.  Counters are analysis aids, never
-    inputs to protocol logic.
+    The per-block contributions to the message/request counters are not
+    recorded, so after a lossy recovery those metrics over-report by the
+    trimmed blocks' re-interpreted work.  Counters are analysis aids,
+    never inputs to protocol logic.
     """
-    missing = checkpoint.refs - available
+    missing = checkpoint.states.keys() - available
     if not missing:
         return checkpoint, 0
-    refs = checkpoint.refs & available
     trimmed = Checkpoint(
         seq=checkpoint.seq,
-        refs=frozenset(refs),
-        states={r: v for r, v in checkpoint.states.items() if r in refs},
-        released=checkpoint.released & refs,
+        states={r: v for r, v in checkpoint.states.items() if r not in missing},
+        carried=checkpoint.carried - missing,
         skeletons=checkpoint.skeletons,
-        events=tuple(e for e in checkpoint.events if e.block_ref in refs),
-        counters=dict(
-            checkpoint.counters,
-            blocks_interpreted=checkpoint.counters.get("blocks_interpreted", 0)
-            - len(missing),
-        ),
-        rows={r: name for r, name in checkpoint.rows.items() if r in refs},
+        events=tuple(e for e in checkpoint.events if e.block_ref not in missing),
+        counters=checkpoint.counters,
+        rows={r: name for r, name in checkpoint.rows.items() if r not in missing},
         objects=checkpoint.objects,
     )
     return trimmed, len(missing)
@@ -197,7 +191,7 @@ def _insert_skeletons(shim: "Shim", checkpoint: Checkpoint) -> int:
     inserted = 0
     while ready:
         ref = ready.popleft()
-        shim.dag.insert(skeletons[ref].to_block(ref))
+        shim.dag.insert(skeletons[ref])
         shim.dag.drop_payload(ref)
         inserted += 1
         for waiter in waiters.pop(ref, ()):

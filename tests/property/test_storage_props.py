@@ -15,7 +15,15 @@ from repro.dag.blockdag import BlockDag
 from repro.interpret.interpreter import Interpreter
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.storage.blockstore import ServerStorage, StorageConfig
-from repro.storage.checkpoint import Checkpoint, _chains, _walk
+from repro.dag.block import Block
+from repro.interpret.interpreter import IndicationEvent
+from repro.storage.checkpoint import (
+    Checkpoint,
+    _chains,
+    _event_wire,
+    _skeleton_wire,
+    _walk,
+)
 from repro.storage.state_codec import (
     ObjectWriter,
     annotation_fingerprint,
@@ -24,7 +32,7 @@ from repro.storage.state_codec import (
     thaw,
 )
 from repro.storage.wal import WriteAheadLog
-from repro.types import Label
+from repro.types import BlockRef, Label, ServerId
 
 
 def build_random_dag(draw_rounds, requests, fork_round):
@@ -264,22 +272,42 @@ class TestObjectsPerContainer:
 
 class TestHistoryChains:
     """A chain holds exactly its section, whatever the sections a run
-    goes through — growing, or losing members and starting over."""
+    goes through: skeletons growing, or losing members and starting
+    over; events growing, with or without being told which are new."""
 
     @given(
         st.lists(
-            st.frozensets(st.sampled_from(["r1", "r2", "r3", "r4"])),
+            st.tuples(
+                st.frozensets(st.integers(0, 3)), st.integers(0, 2), st.booleans()
+            ),
             min_size=1,
             max_size=6,
         )
     )
     @settings(max_examples=200, deadline=None)
-    def test_a_chain_walks_to_its_section(self, sections):
+    def test_a_chain_walks_to_its_section(self, steps):
+        refs = [BlockRef(f"r{i}") for i in range(4)]
+        stubs = [Block.stub(ref, ServerId("s1"), i, (), b"sig", ()) for i, ref in enumerate(refs)]
         writer = ObjectWriter()
         previous = None
-        for seq, after in enumerate(sections):
-            checkpoint = Checkpoint(seq=seq, refs=after, states={})
-            checkpoint.chains = _chains(writer, checkpoint, previous)
+        events: tuple[IndicationEvent, ...] = ()
+        for seq, (members, new_events, told) in enumerate(steps):
+            fresh = tuple(
+                IndicationEvent(Label("l"), len(events) + i, ServerId("s1"), refs[0])
+                for i in range(new_events)
+            )
+            events += fresh
+            checkpoint = Checkpoint(
+                seq=seq, states={}, skeletons={refs[i]: stubs[i] for i in members},
+                events=events,
+            )
+            checkpoint.chains = _chains(writer, checkpoint, previous, fresh if told else None)
             objects = {name: object_value(data) for name, data in writer.built.items()}
-            assert sorted(_walk(objects, checkpoint.chains["refs"])) == sorted(after)
+            walked = _walk(objects, checkpoint.chains["skeletons"])
+            assert codec.encode(sorted(walked)) == codec.encode(
+                [_skeleton_wire(refs[i], stubs[i]) for i in sorted(members)]
+            )
+            assert codec.encode(_walk(objects, checkpoint.chains["events"])) == codec.encode(
+                [_event_wire(e) for e in events]
+            )
             previous = checkpoint

@@ -22,8 +22,8 @@ from repro.protocols.brb import Broadcast, brb_protocol
 from repro.protocols.counter import Inc, counter_protocol
 from repro.protocols.ledger import Append, ledger_protocol
 from repro.storage.blockstore import ServerStorage, StorageConfig
+from repro.dag.block import Block
 from repro.storage.checkpoint import (
-    BlockSkeleton,
     Checkpoint,
     CheckpointManager,
     _append_frame,
@@ -45,8 +45,8 @@ from reference_writer import ReferenceWriter
 L = Label("l")
 
 _EMPTY_ROOT = {
-    "seq": 3, "counters": {}, "rows": (),
-    "chains": dict.fromkeys(("refs", "released", "skeletons", "events")),
+    "seq": 3, "counters": {}, "rows": (), "carried": (),
+    "chains": dict.fromkeys(("skeletons", "events")),
 }
 
 
@@ -207,7 +207,7 @@ class TestCaptureInstall:
         # it; a key naming interpreter state must not overwrite that.
         builder, interpreter = interpreted_dag()
         checkpoint = capture_checkpoint(1, interpreter, builder.dag)
-        checkpoint.counters.update(chain_runs=3, interpreted=0)
+        checkpoint.counters.update(chain_runs=3, interpreted=0, blocks_interpreted=0)
         fresh = Interpreter(builder.dag, brb_protocol, builder.servers)
         install_checkpoint(checkpoint, fresh, brb_protocol)
         assert fresh.blocks_interpreted == interpreter.blocks_interpreted
@@ -317,7 +317,7 @@ def bare(seq, *refs):
     """A checkpoint of rows without instances, one per ref."""
     entry = {"pis": {}, "in": {}, "out": {}, "base": None}
     return stored(
-        Checkpoint(seq=seq, refs=frozenset(refs), states=dict.fromkeys(refs, entry))
+        Checkpoint(seq=seq, states=dict.fromkeys(refs, entry))
     )
 
 
@@ -399,7 +399,7 @@ class TestManager:
             {"seq": 3},                                     # KeyError
             ["not", "a", "dict"],                           # TypeError
             {**_EMPTY_ROOT, "rows": (b"x" * 32,)},          # an absent object
-            {**_EMPTY_ROOT, "chains": {"refs": None}},      # a missing chain
+            {**_EMPTY_ROOT, "chains": {"skeletons": None}}, # a missing chain
         ],
     )
     def test_latest_skips_newest_with_a_foreign_shape(self, tmp_path, wire):
@@ -624,16 +624,13 @@ class TestLogCrashSafety:
                 storage.append_block(block)
             storage.flush_wal()
         skeletons = {
-            b.ref: BlockSkeleton(n=b.n, k=b.k, preds=b.preds, sigma=bytes(b.sigma), hz=b.hz)
+            b.ref: Block.stub(b.ref, b.n, b.k, b.preds, b.sigma, b.hz)
             for b in builder.dag.blocks()
         }
 
         def checkpoint(seq, covered):
             return stored(
-                Checkpoint(
-                    seq=seq, refs=frozenset(skeletons), states={},
-                    skeletons=covered,
-                )
+                Checkpoint(seq=seq, states={}, skeletons=covered)
             )
 
         storage.write_checkpoint(checkpoint(1, {}))

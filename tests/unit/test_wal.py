@@ -305,7 +305,7 @@ class TestServerStorageTelemetry:
 
         from helpers import stored
 
-        return stored(Checkpoint(seq=seq, refs=frozenset(), states={}))
+        return stored(Checkpoint(seq=seq, states={}))
 
     def test_registry_sees_one_observation_per_flush_and_checkpoint(self, tmp_path):
         from repro.obs.metrics import MetricsRegistry
@@ -372,12 +372,12 @@ class TestServerStorageTelemetry:
         checkpoints = storage.checkpoints
         entry = {"pis": {}, "in": {}, "out": {}, "base": None}
         storage.write_checkpoint(
-            stored(Checkpoint(seq=1, refs=frozenset(), states={"a": entry, "b": entry}))
+            stored(Checkpoint(seq=1, states={"a": entry, "b": entry}))
         )
         assert (checkpoints.objects_appended, checkpoints.objects_stored) == (2, 0)
         # Row ``a`` is the same object again: stored, not appended.
         storage.write_checkpoint(
-            stored(Checkpoint(seq=2, refs=frozenset(), states={"a": entry, "c": entry}))
+            stored(Checkpoint(seq=2, states={"a": entry, "c": entry}))
         )
         assert (checkpoints.objects_appended, checkpoints.objects_stored) == (3, 1)
 
@@ -390,7 +390,8 @@ class TestRetainedRootsGateRetirement:
     def _filled(self, tmp_path):
         from helpers import ManualDagBuilder, stored
         from repro.storage.blockstore import ServerStorage, StorageConfig
-        from repro.storage.checkpoint import BlockSkeleton, Checkpoint
+        from repro.dag.block import Block
+        from repro.storage.checkpoint import Checkpoint
 
         storage = ServerStorage(tmp_path, StorageConfig())
         builder = ManualDagBuilder(3)
@@ -400,20 +401,12 @@ class TestRetainedRootsGateRetirement:
             storage.flush_wal()
         blocks = builder.dag.blocks()
         skeletons = {
-            b.ref: BlockSkeleton(
-                n=b.n, k=b.k, preds=b.preds, sigma=bytes(b.sigma), hz=b.hz
-            )
-            for b in blocks
+            b.ref: Block.stub(b.ref, b.n, b.k, b.preds, b.sigma, b.hz) for b in blocks
         }
 
         def checkpoint(seq, count=len(blocks)):
             covered = {b.ref: skeletons[b.ref] for b in blocks[:count]}
-            return stored(
-                Checkpoint(
-                    seq=seq, refs=frozenset(skeletons), states={},
-                    skeletons=covered,
-                )
-            )
+            return stored(Checkpoint(seq=seq, states={}, skeletons=covered))
 
         return storage, checkpoint, blocks
 
