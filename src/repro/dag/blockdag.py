@@ -111,7 +111,10 @@ class BlockDag:
         self.graph: Digraph[BlockRef] = Digraph()
         self._store: dict[BlockRef, Block] = {}
         self._by_server: dict[ServerId, dict[SeqNum, list[BlockRef]]] = {}
-        self._pruned_payloads: set[BlockRef] = set()
+        #: Each payload-pruned ref's place in pruning order, and the
+        #: refs in that order: pruning only ever adds to both.
+        self._pruned_payloads: dict[BlockRef, int] = {}
+        self._pruned_order: list[BlockRef] = []
         self._insert_listeners: list[Callable[[Block], None]] = []
 
     # -- queries --------------------------------------------------------------
@@ -260,6 +263,11 @@ class BlockDag:
         """Refs whose stored blocks are payload-free stubs."""
         return frozenset(self._pruned_payloads)
 
+    def pruned_stubs(self) -> "PrunedStubs":
+        """The stub of every payload-pruned block, by ref: a snapshot
+        taken without copying anything."""
+        return PrunedStubs(self, len(self._pruned_order))
+
     def payload_pruned(self, ref: BlockRef) -> bool:
         """Whether ``ref``'s stored block lost its request payload."""
         return ref in self._pruned_payloads
@@ -284,7 +292,8 @@ class BlockDag:
             stub = Block.stub(ref, block.n, block.k, block.preds, block.sigma, block.hz)
             freed = block.wire_size() - stub.wire_size()
             self._store[ref] = stub
-        self._pruned_payloads.add(ref)
+        self._pruned_payloads[ref] = len(self._pruned_order)
+        self._pruned_order.append(ref)
         return freed
 
     # -- relations between DAGs (⩽, ∪, joint DAG) -------------------------------
@@ -335,7 +344,8 @@ class BlockDag:
             server: {seq: list(refs) for seq, refs in chains.items()}
             for server, chains in self._by_server.items()
         }
-        result._pruned_payloads = set(self._pruned_payloads)
+        result._pruned_payloads = dict(self._pruned_payloads)
+        result._pruned_order = list(self._pruned_order)
         return result
 
     def predecessors(self, block: Block) -> list[Block]:
@@ -354,3 +364,42 @@ class BlockDag:
 
     def __repr__(self) -> str:
         return f"BlockDag(|blocks|={len(self._store)}, |edges|={self.graph.edge_count()})"
+
+
+class PrunedStubs(Mapping[BlockRef, Block]):
+    """The stubs of the first ``count`` blocks a DAG payload-pruned, by
+    ref in pruning order.  Pruning only adds to a DAG's pruned blocks
+    and a stub never changes, so this is a snapshot that holds nothing
+    of its own."""
+
+    __slots__ = ("_dag", "_count")
+
+    def __init__(self, dag: BlockDag, count: int) -> None:
+        self._dag = dag
+        self._count = count
+
+    def __getitem__(self, ref: BlockRef) -> Block:
+        if ref not in self:
+            raise KeyError(ref)
+        return self._dag.require(ref)
+
+    def __contains__(self, ref: object) -> bool:
+        return self._dag._pruned_payloads.get(ref, self._count) < self._count  # type: ignore[call-overload]
+
+    def __iter__(self) -> Iterator[BlockRef]:
+        return iter(self._dag._pruned_order[: self._count])
+
+    def __len__(self) -> int:
+        return self._count
+
+    def added_since(self, earlier: Mapping[BlockRef, Block]) -> list[BlockRef] | None:
+        """The refs pruned after ``earlier``, an older snapshot of the
+        same DAG, read without looking at the ones before; ``None`` when
+        ``earlier`` is no such snapshot."""
+        if (
+            isinstance(earlier, PrunedStubs)
+            and earlier._dag is self._dag
+            and earlier._count <= self._count
+        ):
+            return self._dag._pruned_order[earlier._count : self._count]
+        return None

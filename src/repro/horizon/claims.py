@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Iterable, Mapping
 
-from repro.dag.block import HorizonClaim
+from repro.dag.block import Block, HorizonClaim
 from repro.dag.blockdag import BlockDag
 from repro.types import BlockRef, SeqNum, ServerId
 
@@ -44,15 +44,60 @@ def durable_frontier(
     """
     claim: list[tuple[ServerId, SeqNum]] = []
     for server in sorted(servers):
-        k = -1
-        while True:
-            refs = dag.refs_at(server, k + 1)
-            if not refs or not all(r in covered for r in refs):
-                break
-            k += 1
+        k = _walk(dag, server, -1, covered)
         if k >= 0:
             claim.append((server, k))
     return tuple(claim)
+
+
+def _walk(dag: BlockDag, server: ServerId, k: SeqNum, covered: AbstractSet[BlockRef]) -> SeqNum:
+    """How far ``server``'s covered prefix reaches past position ``k``."""
+    while True:
+        refs = dag.refs_at(server, k + 1)
+        if not refs or not all(r in covered for r in refs):
+            return k
+        k += 1
+
+
+class FrontierWalk:
+    """:func:`durable_frontier` at each of one server's checkpoints,
+    every builder's walk resumed from its previous claim.
+
+    ``covered`` only grows from one call to the next (a server's
+    interpreted set does), so every position at or below a builder's
+    previous claim is still covered — unless it gained a block since,
+    an equivocation sibling, which the DAG's insert listener notes.
+    Those positions are checked again, lowest first, and the walk goes
+    on from the previous claim: each claim is the one a walk from
+    sequence 0 gives."""
+
+    def __init__(self, dag: BlockDag, servers: Iterable[ServerId]) -> None:
+        self._dag = dag
+        self._servers = sorted(servers)
+        self._claim: dict[ServerId, SeqNum] = {}
+        #: Positions at or below a builder's claim that gained a block
+        #: since the claim was made.
+        self._gained: dict[ServerId, set[SeqNum]] = {}
+        dag.add_insert_listener(self._inserted)
+
+    def _inserted(self, block: Block) -> None:
+        if block.k <= self._claim.get(block.n, -1):
+            self._gained.setdefault(block.n, set()).add(block.k)
+
+    def __call__(self, covered: AbstractSet[BlockRef]) -> HorizonClaim:
+        """The frontier a checkpoint covering ``covered`` lets us claim."""
+        dag = self._dag
+        claim: list[tuple[ServerId, SeqNum]] = []
+        for server in self._servers:
+            k = self._claim.get(server, -1)
+            for position in sorted(self._gained.pop(server, ())):
+                if not all(r in covered for r in dag.refs_at(server, position)):
+                    k = position - 1
+                    break
+            k = self._claim[server] = _walk(dag, server, k, covered)
+            if k >= 0:
+                claim.append((server, k))
+        return tuple(claim)
 
 
 def merge_claim(

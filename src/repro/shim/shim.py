@@ -19,6 +19,7 @@ test suite checks that literally, by comparing traces against
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Callable, Sequence
 
@@ -26,7 +27,7 @@ from repro.crypto.keys import KeyRing
 from repro.dag.block import Block
 from repro.dag.blockdag import BlockDag
 from repro.gossip.module import Gossip, GossipConfig
-from repro.horizon.claims import durable_frontier
+from repro.horizon.claims import FrontierWalk
 from repro.horizon.tracker import HorizonTracker
 from repro.interpret.instance import BlockState
 from repro.interpret.interpreter import IndicationEvent, Interpreter
@@ -36,7 +37,7 @@ from repro.obs.trace import NULL_RECORDER
 from repro.protocols.base import ProtocolSpec
 from repro.requests import RequestBuffer
 from repro.storage.blockstore import ServerStorage
-from repro.storage.checkpoint import capture_checkpoint, restore_block_state
+from repro.storage.checkpoint import Checkpoint, capture_checkpoint, restore_block_state
 from repro.storage.gc import prune
 from repro.storage.recover import RecoveryReport, recover_shim_state
 from repro.types import BlockRef, Indication, Label, Request, ServerId
@@ -158,28 +159,30 @@ class Shim:
         #: naturally on restart — a recovered server must re-earn every
         #: streak).
         self._destruction_streaks: dict[BlockRef, int] = {}
-        #: Interpreted sets of the last ``pin_recent_checkpoints``
-        #: checkpoints, newest last — the pruner pins everything
-        #: interpreted since the oldest of them (the recent cone),
-        #: damping release→rehydrate thrash near the tip.
-        self._recent_frontiers: "deque[frozenset[BlockRef]]" = deque(
+        #: The refs first interpreted in each checkpoint interval, for
+        #: the last ``pin_recent_checkpoints`` checkpoints, newest last
+        #: (``None`` for an incarnation's first checkpoint, the one
+        #: nothing came before) — the pruner pins everything interpreted
+        #: since the oldest of them (the recent cone), damping
+        #: release→rehydrate thrash near the tip.
+        self._recent_intervals: "deque[frozenset[BlockRef] | None]" = deque(
             maxlen=max(
                 1,
                 storage.config.pin_recent_checkpoints if storage is not None else 1,
             )
         )
+        if storage is not None:
+            #: This server's claims, each walk resumed from the last.
+            self._frontier = FrontierWalk(self.dag, keyring.servers)
         if storage is not None and storage.has_data():
             self.recovery = recover_shim_state(self)
             self._interpreted_at_checkpoint = self.interpreter.blocks_interpreted
             self._last_checkpoint = self.recovery.checkpoint
             if self._last_checkpoint is not None:
-                covered = self._last_checkpoint.refs
-                self._recent_frontiers.append(covered)
+                self._recent_intervals.append(None)
                 # Resume claiming where the previous incarnation left
                 # off: the recovered checkpoint is our durable frontier.
-                self.gossip.builder.set_claim(
-                    durable_frontier(self.dag, self.keyring.servers, covered)
-                )
+                self.gossip.builder.set_claim(self._frontier(self._last_checkpoint.refs))
 
     # -- the interface of P (lines 6–9) ------------------------------------------
 
@@ -332,28 +335,39 @@ class Shim:
                 seq=int(checkpoint.seq),
                 refs=len(interpreted),
             )
-        self._last_checkpoint = checkpoint
-        self._recent_frontiers.append(frozenset(interpreted))
-        self._interpreted_at_checkpoint = len(interpreted)
-        self.gossip.builder.set_claim(
-            durable_frontier(self.dag, self.keyring.servers, interpreted)
+        previous, self._last_checkpoint = self._last_checkpoint, checkpoint
+        self._recent_intervals.append(
+            None if previous is None else self._interpreted_since(previous)
         )
+        self._interpreted_at_checkpoint = len(interpreted)
+        self.gossip.builder.set_claim(self._frontier(interpreted))
 
     def _pinned_recent(self) -> frozenset[BlockRef]:
         """The recent cone the pruner must not release: everything
         interpreted since the ``pin_recent_checkpoints``-th most recent
-        checkpoint.  Until that many checkpoints exist, everything is
+        checkpoint — the intervals after it and what was interpreted
+        since the last.  Until that many checkpoints exist, everything is
         pinned — the window has not opened yet."""
         if self.storage is None:
             return frozenset()
         window = self.storage.config.pin_recent_checkpoints
         if window <= 0:
             return frozenset()
-        if len(self._recent_frontiers) < window:
+        if len(self._recent_intervals) < window:
             return frozenset(self.interpreter.interpreted)
-        return frozenset(
-            self.interpreter.interpreted - self._recent_frontiers[0]
-        )
+        pinned = set(self._interpreted_since(self._last_checkpoint))  # type: ignore[arg-type]
+        for interval in itertools.islice(self._recent_intervals, 1, None):
+            pinned |= interval  # type: ignore[arg-type]
+        return frozenset(pinned)
+
+    def _interpreted_since(self, checkpoint: Checkpoint) -> frozenset[BlockRef]:
+        """The refs interpreted after ``checkpoint``, this server's
+        latest: the resident ones it holds no row for.  Every ref
+        interpreted before it and resident now is its live row, or a
+        carried one rehydrated since; nothing interpreted after it has
+        been released, since only its rows are durable."""
+        states = checkpoint.states
+        return frozenset(ref for ref in self.interpreter.resident() if ref not in states)
 
     def _rehydrate_state(self, ref: BlockRef) -> "BlockState | None":
         """Interpreter rehydration hook: reconstruct a released block's

@@ -12,29 +12,35 @@ retired); the indication ``events``; and the interpreter ``counters``.
 Nothing else: the interpreted refs are the rows and the skeletons, and
 the released ones the carried rows and the skeletons.
 
-State is stored the way blocks are: each process instance, mutable
-state container and ``Ms`` run is an *object*, its canonical bytes
-named by their hash (:mod:`repro.storage.state_codec`).  A row is an
-annotation, ``PIs`` and ``Ms`` and nothing else: it names the instances
-of the labels its block stepped — the labels of its ``Ms[out]``, which
-lines 6 and 11 fill for every stepped label — with a ``base`` pointer
-to its parent's row (Algorithm 2 copies ``PIs`` from the parent,
-copy-on-write), and its runs; a row whose parent has no row names
-every label.  The history sections — ``skeletons`` and ``events`` —
-are *chains* of chunk objects, each chunk naming the one before it and
+State is stored the way blocks are, as *objects*, each its canonical
+bytes named by their hash (:mod:`repro.storage.state_codec`), of four
+kinds: process instances, mutable state containers, rows and chain
+chunks.  A row is an annotation, ``PIs`` and ``Ms`` and nothing else:
+``(ref, base, labels, pis, in, out)``.  It names the instances of the
+labels its block stepped — the labels of its ``Ms[out]``, which lines 6
+and 11 fill for every stepped label — with a ``base`` pointer to its
+parent's row (Algorithm 2 copies ``PIs`` from the parent,
+copy-on-write); a row whose parent has no row names every label.  Its
+``Ms`` runs it holds itself: under each label, the messages in ``<_M``
+order, or ``None``.  A run belongs to its one block, so it is no object
+of its own.  The history sections — ``skeletons`` and ``events`` — are
+*chains* of chunk objects, each chunk naming the one before it and
 holding what its checkpoint added; a section that lost something
 starts a new chain.  A checkpoint on disk is one *root*: ``seq``, the
 counters, its live and carried row names and the two chain heads.
 
 A capture costs what changed: it takes over every row whose base
 stands, names every object the previous capture met without encoding
-it (the write barrier is the only place state changes), and the store
-appends only objects it lacks (:class:`CheckpointManager`).  What it
-does encode, it encodes once (:class:`ObjectWriter`): a container of
-scalars equal to one met in the capture takes that one's name, an
-instance's class and attribute names come from bytes built once per
-layout, and a message's bytes are kept — :class:`CaptureMemo` — until
-the rows whose runs hold it leave, so each server encodes it once.
+it (the write barrier is the only place state changes), reads the
+skeletons off the DAG without copying them and extends each chain by
+what its section gained, and the store appends only objects it lacks
+(:class:`CheckpointManager`).  What it does encode, it encodes once
+(:class:`ObjectWriter`): a container of scalars equal to one met in the
+capture takes that one's name, an instance's class and attribute names
+come from bytes built once per layout, and the bytes of a message and
+of a run are kept — :class:`CaptureMemo` — until the row that wrote
+them first leaves, so each server encodes each once, and a row
+rewritten when its base leaves joins bytes already held.
 """
 
 from __future__ import annotations
@@ -45,13 +51,15 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.crypto.hashing import DIGEST_SIZE, digester
 from repro.dag import codec
 from repro.dag.block import Block, parent_of
+from repro.dag.blockdag import PrunedStubs
 from repro.errors import CheckpointError, CodecError
 from repro.interpret.order import ServerKeys
+from repro.protocols.base import Message
 from repro.storage.state_codec import (
     ObjectWriter,
     object_links,
@@ -93,13 +101,12 @@ class CaptureMemo:
     """What one capture keeps for the next; a loaded checkpoint has
     none, and the capture after it encodes its new rows afresh once."""
 
-    #: ``id -> (object, name)`` of every instance, container and run
-    #: named.
+    #: ``id -> (object, name)`` of every instance and container named.
     names: dict[int, tuple[Any, bytes]]
-    #: ``id -> bytes`` of every message a capture wrote, and the
-    #: messages each retained row's runs wrote first: held there, so
-    #: their ids are not reused, until that row leaves.
-    messages: dict[int, bytes]
+    #: ``id -> bytes`` of every message and run a capture wrote, and
+    #: the messages and runs each retained row wrote first: held there,
+    #: so their ids are not reused, until that row leaves.
+    encodings: dict[int, bytes]
     first_written: dict[BlockRef, list[Any]]
     #: Each live ref's base candidate (:func:`_parent_ref`).
     parents: dict[BlockRef, BlockRef | None]
@@ -138,13 +145,15 @@ class Checkpoint:
     """One durable snapshot of a server's interpretation progress."""
 
     seq: int
-    #: Every row's entry: live and carried.
+    #: Every row's entry, live and carried: ``pis`` maps each label it
+    #: names to its instance's name, ``in`` and ``out`` each label to
+    #: its run, and ``base`` is the parent whose row it extends.
     states: dict[BlockRef, dict[str, Any]]
     #: The rows of released blocks, carried for rehydration.
     carried: frozenset[BlockRef] = frozenset()
     #: The payload-pruned stub of every block below the rows
     #: (:meth:`Block.stub`).
-    skeletons: dict[BlockRef, Block] = field(default_factory=dict)
+    skeletons: Mapping[BlockRef, Block] = field(default_factory=dict)
     events: tuple["IndicationEvent", ...] = ()
     counters: dict[str, int] = field(default_factory=dict)
     #: Each row's object name, and each history section's chain head
@@ -159,9 +168,9 @@ class Checkpoint:
         default_factory=lambda: _Objects({}, {}), repr=False, compare=False
     )
     memo: CaptureMemo | None = field(default=None, repr=False, compare=False)
-    #: The rows' instances and runs held in memory, by name: rehydration
-    #: takes them as they are (an interpreted block's are never written
-    #: again) instead of reading the store.
+    #: The rows' instances held in memory, by name: rehydration takes
+    #: them as they are (an interpreted block's are never written again)
+    #: instead of reading the store.
     values: dict[bytes, Any] = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -217,7 +226,7 @@ def capture_checkpoint(
     memo = None if previous is None else previous.memo
     # Copies: a capture that fails part way leaves the memo it read
     # as it was.
-    writer = ObjectWriter(*(() if memo is None else (memo.names, dict(memo.messages))))
+    writer = ObjectWriter(*(() if memo is None else (memo.names, dict(memo.encodings))))
     resident = interpreter.resident()
     live = list(resident)
     kept: dict[BlockRef, dict[str, Any]] = {}
@@ -238,7 +247,7 @@ def capture_checkpoint(
     encoded = writer.encoded
     states: dict[BlockRef, dict[str, Any]] = {}
     rows: dict[BlockRef, bytes] = {}
-    instance, run = writer.instance, writer.run
+    instance = writer.instance
     for ref in (*live, *carried):
         if ref not in parents:
             parents[ref] = _parent_ref(dag, ref)
@@ -246,64 +255,63 @@ def capture_checkpoint(
         base = parent if parent in planned else None
         entry = kept.get(ref)
         if entry is not None and (base is None or entry["base"] == base or ref not in resident):
-            if entry["base"] in (base, None):
-                # Interpreted once, annotated for good.
-                rows[ref] = previous.rows[ref]  # type: ignore[union-attr]
-            else:
-                # Its base left: the same instances, every label named.
+            if entry["base"] not in (base, None):
+                # Its base left: the same annotation, every label named.
                 entry = {**entry, "pis": _merged_pis(kept, ref), "base": None}
-                rows[ref] = _row(writer, ref, entry)
-            for name in (*entry["pis"].values(), *entry["in"].values(),
-                         *entry["out"].values()):
+            for name in entry["pis"].values():
                 if name in older:
                     values[name] = older[name]
             states[ref] = entry
-            continue
-        state = interpreter.state_of(ref)
-        # Raw slot read: ``state.ms`` would allocate the lazy buffers.
-        runs = (
-            state._ms.runs(interpreter.server_keys) if state._ms is not None
-            else {"in": {}, "out": {}}
-        )
-        # Line 4 shares the parent's instances: with its row at hand, a
-        # row that names every label takes their names from it, and
-        # names anew only the labels its block stepped — those of its
-        # ``Ms[out]``.
-        pis = {}
-        if base is None and parent in kept:
-            pis = _merged_pis(kept, parent)  # type: ignore[arg-type]
-            values.update((n, older[n]) for n in pis.values() if n in older)
-        labels = runs["out"].keys() if base is not None or pis else state.pis.keys()
-        for lbl in sorted(labels):
-            name = instance(state.pis[lbl])
-            values[name] = state.pis[lbl]
-            pis[str(lbl)] = name
-        entry = {"pis": pis, "in": {}, "out": {}, "base": base}
+            if entry is kept[ref]:
+                # Interpreted once, annotated for good.
+                rows[ref] = previous.rows[ref]  # type: ignore[union-attr]
+                continue
+        else:
+            state = interpreter.state_of(ref)
+            # Raw slot read: ``state.ms`` would allocate the lazy buffers.
+            runs = (
+                state._ms.runs(interpreter.server_keys) if state._ms is not None
+                else {"in": {}, "out": {}}
+            )
+            # Line 4 shares the parent's instances: with its row at hand,
+            # a row that names every label takes their names from it, and
+            # names anew only the labels its block stepped — those of its
+            # ``Ms[out]``.
+            pis = {}
+            if base is None and parent in kept:
+                pis = _merged_pis(kept, parent)  # type: ignore[arg-type]
+                values.update((n, older[n]) for n in pis.values() if n in older)
+            labels = runs["out"].keys() if base is not None or pis else state.pis.keys()
+            for lbl in sorted(labels):
+                name = instance(state.pis[lbl])
+                values[name] = state.pis[lbl]
+                pis[str(lbl)] = name
+            entry = states[ref] = {
+                "pis": pis, "in": dict(runs["in"]), "out": runs["out"], "base": base,
+            }
         start = len(encoded)
-        for side in ("in", "out"):
-            names = entry[side]
-            for lbl, held in runs[side].items():
-                name = names[str(lbl)] = run(held)
-                values[name] = held
-        if len(encoded) > start:
-            first_written[ref] = encoded[start:]
-        states[ref] = entry
         rows[ref] = _row(writer, ref, entry)
+        if len(encoded) > start:
+            first_written[ref] = [*first_written.get(ref, ()), *encoded[start:]]
     # A message's bytes go with the row that wrote it first: the block
     # that emits a message leaves before the blocks that receive it,
-    # and no row written later holds it.
+    # and no row written later holds it.  A run's go with its row.
     for ref in [ref for ref in first_written if ref not in states]:
-        for message in first_written.pop(ref):
-            writer.messages.pop(id(message), None)
+        for value in first_written.pop(ref):
+            writer.encodings.pop(id(value), None)
     events = interpreter.events
     fresh = None
     if memo is not None and memo.event_source is events:
         fresh = events[memo.events_seen :]
+    elif previous is not None and tuple(events[: len(previous.events)]) == previous.events:
+        # A loaded checkpoint's, once per incarnation: recovery put its
+        # events first.
+        fresh = events[len(previous.events) :]
     checkpoint = Checkpoint(
         seq=seq,
         states=states,
         carried=frozenset(carried),
-        skeletons=_capture_skeletons(dag, previous),
+        skeletons=dag.pruned_stubs(),
         events=tuple(events) if fresh is None else previous.events + tuple(fresh),  # type: ignore[union-attr]
         counters={name: getattr(interpreter, name) for name in COUNTERS},
         rows=rows,
@@ -313,7 +321,7 @@ def capture_checkpoint(
     checkpoint.chains = _chains(writer, checkpoint, previous, fresh)
     checkpoint.memo = CaptureMemo(
         names=writer.reached,
-        messages=writer.messages,
+        encodings=writer.encodings,
         first_written=first_written,
         parents={ref: parents[ref] for ref in states},
         event_source=events,
@@ -322,34 +330,26 @@ def capture_checkpoint(
     return checkpoint
 
 
-def _capture_skeletons(
-    dag: "BlockDag", previous: "Checkpoint | None"
-) -> dict[BlockRef, Block]:
-    """The stub of every payload-pruned block: ``previous``'s, and the
-    DAG's own for each block pruned since."""
-    pruned = dag.pruned_payloads
-    kept = {} if previous is None else previous.skeletons
-    skeletons = {ref: s for ref, s in kept.items() if ref in pruned}
-    for ref in pruned.difference(kept):
-        skeletons[ref] = dag.require(ref)
-    return skeletons
-
-
 def _row(writer: ObjectWriter, ref: BlockRef, entry: dict[str, Any]) -> bytes:
-    """Write one row object: ref, base, the labels it names objects for
-    and, per ``pis``/``in``/``out``, the name under each label or
-    ``None``.  The labels are those of the annotation alone, so a
-    row's bytes do not depend on how many labels its past requested."""
-    named = (entry["pis"], entry["in"], entry["out"])
-    labels = tuple(sorted({label for names in named for label in names}))
-    columns = (tuple(names.get(label) for label in labels) for names in named)
-    # The bytes of ``(str(ref), base, labels, *columns)``, every label
-    # and name a scalar the writer keeps.
-    data = b"".join((
+    """Write one row object: ref, base, the labels it holds and, per
+    label, the name of its ``pis`` instance and its ``in`` and ``out``
+    runs (messages in ``<_M`` order), each ``None`` where it has none.
+    The labels are those of the annotation alone, so a row's bytes do
+    not depend on how many labels its past requested.  A row refers to
+    its instances and to nothing else: its runs are its own."""
+    pis = entry["pis"]
+    labels = tuple(sorted({*pis, *entry["in"], *entry["out"]}))
+    none, run = writer.scalar(None), writer.run
+    # The bytes of ``(str(ref), base, labels, pis, in, out)``.
+    parts = [
         codec.tuple_head(6), writer.scalar(str(ref)), writer.scalar(entry["base"]),
-        writer.scalars(labels), *map(writer.scalars, columns),
-    ))
-    return writer.put(data, [name for names in named for name in names.values()])
+        writer.scalars(labels), writer.scalars([pis.get(label) for label in labels]),
+    ]
+    for side in ("in", "out"):
+        runs = entry[side]
+        parts.append(codec.tuple_head(len(labels)))
+        parts.extend(none if label not in runs else run(runs[label]) for label in labels)
+    return writer.put(b"".join(parts), list(pis.values()))
 
 
 def _chains(
@@ -362,7 +362,7 @@ def _chains(
     chunk of what was added, or — when it has no chain, the section
     lost something since, or the new events are not given — a new
     chain of one chunk."""
-    heads, before = ({}, {}) if previous is None else (previous.chains, previous.skeletons)
+    heads = {} if previous is None else previous.chains
 
     def extend(head: bytes | None, wires: list[Any]) -> bytes | None:
         if not wires:
@@ -370,15 +370,33 @@ def _chains(
         return writer.put(codec.encode((head, tuple(wires))), () if head is None else (head,))
 
     skeletons = checkpoint.skeletons
-    head, added = None, skeletons.keys()
-    if "skeletons" in heads and before.keys() <= added:
-        head, added = heads["skeletons"], added - before.keys()
-    chains = {"skeletons": extend(head, [_skeleton_wire(r, skeletons[r]) for r in sorted(added)])}
+    head, added = None, None
+    if "skeletons" in heads:
+        added = _added(skeletons, previous.skeletons)  # type: ignore[union-attr]
+        if added is not None:
+            head = heads["skeletons"]
+    chains = {"skeletons": extend(head, [
+        _skeleton_wire(ref, skeletons[ref]) for ref in sorted(skeletons if added is None else added)
+    ])}
     head, events = None, checkpoint.events
     if "events" in heads and fresh_events is not None:
         head, events = heads["events"], fresh_events
     chains["events"] = extend(head, [_event_wire(e) for e in events])
     return chains
+
+
+def _added(skeletons: Mapping[BlockRef, Block], before: Mapping[BlockRef, Block]) -> list[BlockRef] | None:
+    """The refs of ``skeletons`` that ``before`` lacks, or ``None`` when
+    ``before`` holds one ``skeletons`` lacks: read off the DAG when both
+    are its snapshots (:meth:`BlockDag.pruned_stubs`), else compared —
+    once per incarnation, against the checkpoint it loaded."""
+    if isinstance(skeletons, PrunedStubs):
+        added = skeletons.added_since(before)
+        if added is not None:
+            return added
+    if not all(ref in skeletons for ref in before):
+        return None
+    return [ref for ref in skeletons if ref not in before]
 
 
 def restore_block_state(
@@ -398,12 +416,12 @@ def restore_block_state(
 
 
 class _Restorer:
-    """Rebuilds annotations from a checkpoint: an instance or run it
-    holds in memory is taken as it is, any other is restored from its
-    object once — an interpreted block's instances are never written
-    again, so blocks share them as copy-on-write does.  What it
-    restores enters the checkpoint's memo, so the next capture names it
-    without encoding it."""
+    """Rebuilds annotations from a checkpoint: an instance it holds in
+    memory is taken as it is, any other is restored from its object
+    once — an interpreted block's instances are never written again, so
+    blocks share them as copy-on-write does — and the runs are the
+    row's own.  What it restores enters the checkpoint's memo, so the
+    next capture names it without encoding it."""
 
     def __init__(
         self,
@@ -431,15 +449,11 @@ class _Restorer:
             if self.named is not None:
                 self.named[id(instance)] = (instance, name)
             pis[Label(lbl_str)] = instance
-        for lbl_str, name in entry["in"].items():
-            state.ms.add_in(Label(lbl_str), self._run(name), self.keys)
-        for lbl_str, name in entry["out"].items():
-            state.ms.add_out(Label(lbl_str), self._run(name), self.keys)
+        for lbl_str, run in entry["in"].items():
+            state.ms.add_in(Label(lbl_str), run, self.keys)
+        for lbl_str, run in entry["out"].items():
+            state.ms.add_out(Label(lbl_str), run, self.keys)
         return state
-
-    def _run(self, name: bytes) -> tuple[Any, ...]:
-        run = self.values.get(name)
-        return self.load(name) if run is None else run
 
 
 def install_checkpoint(
@@ -850,7 +864,9 @@ def _assemble(root: Any, objects: _StoreView) -> Checkpoint:
     """The checkpoint a root names, every object it reaches read.
     Intact bytes that do not make a checkpoint in this process — a list
     where a map belongs, a short tuple, a sequence number that is no
-    ``int`` — are a :class:`CheckpointError`."""
+    ``int``, a run cell that is neither ``None`` nor a tuple of
+    messages (such as a row written before rows held their runs, which
+    names a run object there) — are a :class:`CheckpointError`."""
     from repro.interpret.interpreter import IndicationEvent
 
     try:
@@ -862,11 +878,9 @@ def _assemble(root: Any, objects: _StoreView) -> Checkpoint:
         states: dict[BlockRef, dict[str, Any]] = {}
         rows: dict[BlockRef, bytes] = {}
         for name in (*root["rows"], *root["carried"]):
-            ref, base, named, *columns = objects[name]
-            pis, ins, outs = (
-                {lbl: n for lbl, n in zip(named, column, strict=True) if n is not None}
-                for column in columns
-            )
+            ref, base, named, pis, ins, outs = objects[name]
+            pis = {lbl: n for lbl, n in zip(named, pis, strict=True) if n is not None}
+            ins, outs = _runs(named, ins), _runs(named, outs)
             ref = BlockRef(ref)
             rows[ref] = name
             states[ref] = {
@@ -892,6 +906,18 @@ def _assemble(root: Any, objects: _StoreView) -> Checkpoint:
         )
     except _SHAPE_ERRORS as exc:
         raise CheckpointError(f"checkpoint does not decode: {exc}") from exc
+
+
+def _runs(labels: Any, cells: Any) -> dict[str, tuple[Message, ...]]:
+    """A row's runs by label, from its column of cells."""
+    runs = {}
+    for label, cell in zip(labels, cells, strict=True):
+        if cell is None:
+            continue
+        if type(cell) is not tuple or not all(isinstance(m, Message) for m in cell):
+            raise TypeError(f"a run cell holds {type(cell).__name__}, not a run")
+        runs[label] = cell
+    return runs
 
 
 def _walk(objects: Any, head: bytes | None) -> list[Any]:

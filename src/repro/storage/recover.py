@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.errors import StorageError
+from repro.errors import MissingPredecessorError, StorageError
 from repro.storage.checkpoint import Checkpoint, install_checkpoint
 from repro.types import BlockRef
 
@@ -103,7 +103,17 @@ def recover_shim_state(shim: "Shim") -> RecoveryReport:
     # and not counted.
     for block in blocks:
         if block.ref not in shim.dag:
-            shim.dag.insert(block)
+            try:
+                shim.dag.insert(block)
+            except MissingPredecessorError as exc:
+                if checkpoint is not None:
+                    raise
+                # Only a retained root's skeletons stand for the blocks
+                # of retired records.
+                raise StorageError(
+                    "no retained checkpoint loads, and the WAL no longer holds "
+                    f"blocks its records need ({exc})"
+                ) from exc
             report.blocks_recovered += 1
 
     # 2. Restore the interpreted prefix from the checkpoint.

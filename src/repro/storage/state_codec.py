@@ -11,9 +11,12 @@ and is itself canonically encodable; :func:`thaw` inverts it.  Frozen
 dataclasses (messages, payloads, requests, indications) are atoms.
 
 :class:`ObjectWriter` writes state as *objects*: the canonical bytes of
-one process instance, one mutable container (``list``/``dict``/``set``)
-or one ``Ms`` run, named by their domain-separated hash
-(:func:`object_name`), as a block is named by ``ref(B)``.  Inside an
+one process instance or one mutable container (``list``/``dict``/``set``),
+named by their domain-separated hash (:func:`object_name`), as a block
+is named by ``ref(B)``.  A checkpoint adds rows and chain chunks
+(:mod:`repro.storage.checkpoint`); an ``Ms`` run is no object of its
+own but is written inside its block's row, which is all that holds
+it (:meth:`ObjectWriter.run` gives its bytes).  Inside an
 object a mutable container is the pair ``("h", name)``, so equal
 containers are stored once however many instances, blocks and
 checkpoints hold them.  An object's bytes begin with the names it
@@ -41,9 +44,11 @@ once:
   name and end their fixed part with its sorted attribute names; both
   are built once per class and attribute layout, and the attributes
   are read without walking the class's MRO again.
-* **one encode per message per server.**  A message's bytes (its
-  endpoints from the scalar memo) are kept while a retained row's run
-  holds it, so a receiver's row captures later do not encode it again.
+* **one encode per message and per run per server.**  A message's
+  bytes (its endpoints from the scalar memo), and a run's, are kept by
+  identity while the retained row that wrote them first holds them, so
+  a receiver's row, or a row rewritten once its base left, does not
+  encode them again.
 
 An object with the same bytes as one built earlier in the capture is
 not hashed again, and the store takes each new object's links from the
@@ -154,30 +159,31 @@ class ObjectWriter:
 
     ``known`` is what the previous capture reached (``id -> (object,
     name)``) and ``reached`` collects the same for this one.
-    ``messages`` holds the bytes of every message written, by ``id``,
-    and ``encoded`` the messages this capture added; the caller keeps
-    an entry, and the message, across captures while the row that wrote
-    it is retained.  ``built`` holds the bytes of
-    each object built, by name, and ``links`` the names each refers to,
-    so the store appends what it lacks without parsing anything."""
+    ``encodings`` holds the bytes of every message and ``Ms`` run
+    written, by ``id``, and ``encoded`` the messages and runs this
+    capture added; the caller keeps an entry, and its value, across
+    captures while the row that wrote it is retained.  ``built`` holds
+    the bytes of each object built, by name, and ``links`` the names
+    each refers to, so the store appends what it lacks without parsing
+    anything."""
 
     __slots__ = (
-        "known", "reached", "built", "links", "messages", "encoded", "_contents",
+        "known", "reached", "built", "links", "encodings", "encoded", "_contents",
         "_linked", "_blobs", "_scalars", "_writers", "_slotted", "_plans", "_payloads",
     )
 
     def __init__(
         self,
         known: dict[int, tuple[Any, bytes]] | None = None,
-        messages: dict[int, bytes] | None = None,
+        encodings: dict[int, bytes] | None = None,
     ) -> None:
         self.known = {} if known is None else known
         self.reached: dict[int, tuple[Any, bytes]] = {}
         self.built: dict[bytes, bytes] = {}
         self.links: dict[bytes, tuple[bytes, ...]] = {}
-        self.messages = {} if messages is None else messages
-        #: The messages this capture encoded, in order: they hold the
-        #: ids ``messages`` is keyed by.
+        self.encodings = {} if encodings is None else encodings
+        #: The messages and runs this capture encoded, in order: they
+        #: hold the ids ``encodings`` is keyed by.
         self.encoded: list[Any] = []
         #: This capture's content names (a frozenset's: its bytes), by
         #: typed content.
@@ -226,10 +232,6 @@ class ObjectWriter:
         label, attribute names, frozen values)``, in name order."""
         return self._named(instance, self._instance_name)
 
-    def run(self, run: tuple[Any, ...]) -> bytes:
-        """The name of one ``Ms`` run's object: its messages in order."""
-        return self._named(run, self._run_name)
-
     def _instance_name(self, instance: ProcessInstance) -> bytes:
         cls = type(instance)
         slotted = self._slotted.get(cls)
@@ -264,16 +266,23 @@ class ObjectWriter:
         links, self._linked = self._linked, outer
         return self.put(bytes(out), links)
 
-    def _run_name(self, run: tuple[Any, ...]) -> bytes:
-        messages = self.messages
-        parts = [codec.tuple_head(len(run))]
-        for message in run:
-            data = messages.get(id(message))
-            if data is None:
-                data = messages[id(message)] = self._encode_message(message)
-                self.encoded.append(message)
-            parts.append(data)
-        return self.put(b"".join(parts))
+    def run(self, run: tuple[Any, ...]) -> bytes:
+        """One ``Ms`` run's bytes, its messages in order: kept by the
+        run's identity, as each message's are."""
+        encoded = self.encoded
+        kept = self.encodings
+        data = kept.get(id(run))
+        if data is None:
+            parts = [codec.tuple_head(len(run))]
+            for message in run:
+                part = kept.get(id(message))
+                if part is None:
+                    part = kept[id(message)] = self._encode_message(message)
+                    encoded.append(message)
+                parts.append(part)
+            data = kept[id(run)] = b"".join(parts)
+            encoded.append(run)
+        return data
 
     def _encode_message(self, message: Any) -> bytes:
         """A message's bytes: its endpoints' from the scalar memo, and

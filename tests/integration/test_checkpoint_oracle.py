@@ -72,8 +72,8 @@ def reference_capture(seq, interpreter, dag, previous) -> Checkpoint:
         labels = runs["out"].keys() if base is not None else state.pis.keys()
         states[ref] = {
             "pis": {str(l): writer.instance(state.pis[l]) for l in labels},
-            "in": {str(l): writer.run(r) for l, r in runs["in"].items()},
-            "out": {str(l): writer.run(r) for l, r in runs["out"].items()},
+            "in": {str(l): r for l, r in runs["in"].items()},
+            "out": {str(l): r for l, r in runs["out"].items()},
             "base": base,
         }
     for ref in carried:
@@ -270,27 +270,43 @@ def test_every_checkpoint_fold_equals_the_from_scratch_snapshot(
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_every_object_a_capture_builds_is_the_reference_writers(name, monkeypatch):
-    """Each object a capture builds — every instance, run and
-    container of its new rows — has the name and the bytes the
-    reference writer gives the same value from scratch."""
+    """Each object a capture builds — every instance and container of
+    its new rows, and every row it writes — has the name and the bytes
+    the reference writer gives the same value from scratch.  A resident
+    block's row is rebuilt from its annotation: its instances and its
+    runs as the interpreter holds them; a released one's from its entry."""
     from repro.protocols.base import ProcessInstance
     from repro.shim import shim as shim_module
 
     real_capture = shim_module.capture_checkpoint
-    seen = {"captures": 0, "objects": 0}
+    seen = {"captures": 0, "objects": 0, "rows": 0, "annotated": 0}
 
     def capture(seq, interpreter, dag, previous=None):
         checkpoint = real_capture(seq, interpreter, dag, previous=previous)
         built = checkpoint.objects.built
         reference = ReferenceWriter()
         for value_name, value in checkpoint.values.items():
+            assert isinstance(value, ProcessInstance)
             if value_name in built:
-                named = (
-                    reference.instance(value) if isinstance(value, ProcessInstance)
-                    else reference.run(value)
-                )
-                assert named == value_name
-        skip = {*checkpoint.rows.values(), *checkpoint.chains.values()}
+                assert reference.instance(value) == value_name
+        resident = interpreter.resident()
+        for ref, row_name in checkpoint.rows.items():
+            if row_name not in built:
+                continue
+            entry = checkpoint.states[ref]
+            if ref in resident:
+                state = interpreter.state_of(ref)
+                runs = state._ms.runs() if state._ms is not None else {"in": {}, "out": {}}
+                entry = {
+                    "pis": {l: reference.instance(state.pis[Label(l)]) for l in entry["pis"]},
+                    "in": {str(l): r for l, r in runs["in"].items()},
+                    "out": {str(l): r for l, r in runs["out"].items()},
+                    "base": entry["base"],
+                }
+                seen["annotated"] += 1
+            assert reference.row(ref, entry) == row_name
+            seen["rows"] += 1
+        skip = set(checkpoint.chains.values())
         for object_name, data in built.items():
             if object_name not in skip:
                 assert reference.built.get(object_name) == data
@@ -304,6 +320,7 @@ def test_every_object_a_capture_builds_is_the_reference_writers(name, monkeypatc
         scenario = registry.get("mixed-faults", smoke=True)
     run_scenario(scenario)
     assert seen["captures"] >= 8 and seen["objects"] > 100
+    assert seen["annotated"] > 0 and seen["rows"] > seen["annotated"] // 2
 
 
 def test_a_capture_hashes_each_object_and_a_server_encodes_each_message_once(
@@ -391,9 +408,9 @@ def test_work_outside_new_rows_stays_flat_while_the_history_grows(
     monkeypatch, tmp_path
 ):
     """The checkpoint pass costs what changed: per checkpoint on s1, the
-    blocks ``prunable_refs`` examines, the stubs the skeleton pass
-    takes and the ``codec.encode`` calls outside the objects of new rows
-    stay flat while the history grows at least fourfold."""
+    blocks ``prunable_refs`` examines, the stubs the chain pass takes
+    and the ``codec.encode`` calls outside the objects of new rows stay
+    flat while the history grows at least fourfold."""
     import repro.storage.checkpoint as checkpoint_module
     import repro.storage.gc as gc_module
     from repro.dag.blockdag import BlockDag
@@ -419,8 +436,8 @@ def test_work_outside_new_rows_stays_flat_while_the_history_grows(
 
     def require(dag, ref):
         counts["examined"] += "prunable_refs" in inside
-        # The skeleton pass takes each newly pruned block's stub.
-        counts["skeletons"] += "_capture_skeletons" in inside
+        # The chain pass takes each newly pruned block's stub.
+        counts["skeletons"] += "_chains" in inside
         return real_require(dag, ref)
 
     def encode(value):
@@ -453,8 +470,8 @@ def test_work_outside_new_rows_stays_flat_while_the_history_grows(
         checkpoint_module, "_row", counted_within("_row", checkpoint_module._row)
     )
     monkeypatch.setattr(
-        checkpoint_module, "_capture_skeletons",
-        counted_within("_capture_skeletons", checkpoint_module._capture_skeletons),
+        checkpoint_module, "_chains",
+        counted_within("_chains", checkpoint_module._chains),
     )
     monkeypatch.setattr(BlockDag, "require", require)
     monkeypatch.setattr(codec, "encode", encode)
@@ -540,9 +557,7 @@ def test_new_rows_hold_each_label_in_message_order(monkeypatch):
                 state._ms.snapshot() if state._ms is not None else {"in": {}, "out": {}}
             )
             for side in ("in", "out"):
-                runs = {
-                    label: checkpoint.objects[name] for label, name in entry[side].items()
-                }
+                runs = dict(entry[side])
                 assert runs == {
                     str(label): tuple(sorted(messages, key=codec.encode))
                     for label, messages in sets[side].items()
@@ -675,6 +690,48 @@ def test_a_loaded_checkpoint_names_what_the_interpreter_held_at_capture(
         assert seen["installed_released"] > 0
 
 
+def r_to_2r_probe(tmp_path, window=None, rounds=40):
+    """ROADMAP 20(e)'s probe: an n = 4 BRB cluster with one request a
+    round and a checkpoint every 8 blocks, run for two windows of
+    ``rounds`` rounds.  ``window()`` is read before and after each, and
+    the probe returns each window's difference, with the checkpoint
+    bytes and objects its stores appended in front."""
+    from repro.runtime.cluster import Cluster, ClusterConfig
+    from repro.storage.blockstore import StorageConfig
+
+    cluster = Cluster(
+        brb_protocol, n=4,
+        config=ClusterConfig(
+            storage_dir=tmp_path, storage=StorageConfig(checkpoint_interval=8)
+        ),
+    )
+    stores = [shim.storage.checkpoints for shim in cluster.shims.values()]
+
+    def read():
+        extra = () if window is None else tuple(window())
+        return (
+            sum(s.bytes_written for s in stores),
+            sum(s.objects_appended for s in stores),
+            *extra,
+        )
+
+    windows = []
+    sent = 0
+    try:
+        for _ in range(2):
+            before = read()
+            for _ in range(rounds):
+                server = cluster.servers[sent % len(cluster.servers)]
+                cluster.request(server, Label(f"tx-{sent}"), Broadcast(sent))
+                sent += 1
+                cluster.run_rounds(1)
+            windows.append(tuple(b - a for a, b in zip(before, read())))
+    finally:
+        for shim in cluster.shims.values():
+            shim.storage.abandon()
+    return windows
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP 20(b): rows that name every label still grow with the labels requested",
@@ -683,35 +740,95 @@ def test_checkpoint_appends_stay_flat_from_r_to_2r_rounds(tmp_path):
     """ROADMAP 20(e)'s judge: an n = 4 BRB cluster with one request a
     round and a checkpoint every 8 blocks appends, over its second R
     rounds, checkpoint bytes and objects within 1.1x of its first R."""
-    from repro.runtime.cluster import Cluster, ClusterConfig
-    from repro.storage.blockstore import StorageConfig
-
-    rounds = 40
-    cluster = Cluster(
-        brb_protocol, n=4,
-        config=ClusterConfig(
-            storage_dir=tmp_path, storage=StorageConfig(checkpoint_interval=8)
-        ),
-    )
-    stores = [shim.storage.checkpoints for shim in cluster.shims.values()]
-    windows = []
-    sent = 0
-    try:
-        for _ in range(2):
-            before = [(s.bytes_written, s.objects_appended) for s in stores]
-            for _ in range(rounds):
-                server = cluster.servers[sent % len(cluster.servers)]
-                cluster.request(server, Label(f"tx-{sent}"), Broadcast(sent))
-                sent += 1
-                cluster.run_rounds(1)
-            windows.append((
-                sum(s.bytes_written - b for s, (b, _) in zip(stores, before)),
-                sum(s.objects_appended - o for s, (_, o) in zip(stores, before)),
-            ))
-    finally:
-        for shim in cluster.shims.values():
-            shim.storage.abandon()
-    (first_bytes, first_objects), (second_bytes, second_objects) = windows
+    (first_bytes, first_objects), (second_bytes, second_objects) = r_to_2r_probe(tmp_path)
     assert first_bytes > 0 and first_objects > 0
     assert second_objects <= 1.1 * first_objects
     assert second_bytes <= 1.1 * first_bytes, (first_bytes, second_bytes)
+
+
+def test_history_walks_stay_flat_from_r_to_2r_rounds(tmp_path, monkeypatch):
+    """ROADMAP 20(e)'s counts on the same probe, each held within 1.1x
+    from the first R rounds to the second while the history doubles:
+    the chain positions the claim walk examines (``BlockDag.refs_at``)
+    per checkpoint, and the skeleton entries captures touch — the pruned
+    refs they read off ``BlockDag.pruned_payloads`` and the stubs their
+    skeleton and chain passes take (``BlockDag.require``) — per block
+    pruned.  Pruning starts a few rounds into the run, so the first
+    window prunes fewer blocks than the second."""
+    import repro.storage.checkpoint as checkpoint_module
+    from repro.dag.blockdag import BlockDag
+
+    counts = {"checkpoints": 0, "positions": 0, "skeletons": 0}
+    inside: set[str] = set()
+
+    def within(name, real):
+        def wrapper(*args, **kwargs):
+            inside.add(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.discard(name)
+
+        return wrapper
+
+    class Read(frozenset):
+        """A pruned-ref set that counts the refs read from it."""
+
+        def __contains__(self, ref):
+            counts["skeletons"] += 1
+            return super().__contains__(ref)
+
+        def __iter__(self):
+            for ref in super().__iter__():
+                counts["skeletons"] += 1
+                yield ref
+
+    real_refs_at, real_require = BlockDag.refs_at, BlockDag.require
+    real_pruned = BlockDag.pruned_payloads.fget
+    real_now = Shim.checkpoint_now
+
+    def refs_at(dag, server, k):
+        counts["positions"] += "pass" in inside
+        return real_refs_at(dag, server, k)
+
+    def require(dag, ref):
+        counts["skeletons"] += bool(inside & {"_capture_skeletons", "_chains"})
+        return real_require(dag, ref)
+
+    def pruned_payloads(dag):
+        pruned = real_pruned(dag)
+        return Read(pruned) if "pass" in inside else pruned
+
+    def checkpoint_now(shim):
+        counts["checkpoints"] += 1
+        return real_now(shim)
+
+    monkeypatch.setattr(BlockDag, "refs_at", refs_at)
+    monkeypatch.setattr(BlockDag, "require", require)
+    monkeypatch.setattr(BlockDag, "pruned_payloads", property(pruned_payloads))
+    monkeypatch.setattr(Shim, "checkpoint_now", within("pass", checkpoint_now))
+    for name in ("_capture_skeletons", "_chains"):
+        real = getattr(checkpoint_module, name, None)
+        if real is not None:
+            monkeypatch.setattr(checkpoint_module, name, within(name, real))
+    shims = []
+    real_init = Shim.__init__
+
+    def init(shim, *args, **kwargs):
+        real_init(shim, *args, **kwargs)
+        shims.append(shim)
+
+    monkeypatch.setattr(Shim, "__init__", init)
+    windows = r_to_2r_probe(
+        tmp_path,
+        lambda: (
+            counts["checkpoints"], counts["positions"], counts["skeletons"],
+            sum(len(real_pruned(shim.dag)) for shim in shims),
+        ),
+    )
+    (_, _, *first), (_, _, *second) = windows
+    checkpoints, positions, skeletons, pruned = first
+    assert checkpoints > 0 and positions > 0 and skeletons > 0 and pruned > 0
+    assert second[0] == checkpoints
+    assert second[1] <= 1.1 * positions, windows
+    assert second[2] / second[3] <= 1.1 * skeletons / pruned, windows

@@ -606,3 +606,71 @@ def test_a_newest_root_that_does_not_load_falls_back_with_every_block(tmp_path):
         assert fallen_back.recovery.refs_trimmed == 0
         assert fallen_back.indications == reference.indications
         assert fallen_back.dag.refs == reference.dag.refs
+
+
+def damage_every_root(directory):
+    """Flip a byte in every root frame of a server's object log, so no
+    root loads; returns the sequence numbers it held."""
+    from repro.storage.checkpoint import _FRAME, _HEAD, _ROOT
+
+    (log,) = (directory / "checkpoints").glob("ckpt-*.bin")
+    held = CheckpointManager(log.parent)._roots
+    data = bytearray(log.read_bytes())
+    offset = 0
+    while offset < len(data):
+        length, _ = _FRAME.unpack_from(data, offset)
+        if data[offset + _FRAME.size : offset + _FRAME.size + 1] == _ROOT:
+            data[offset + _FRAME.size + _HEAD] ^= 0xFF
+        offset += _FRAME.size + length
+    log.write_bytes(bytes(data))
+    assert CheckpointManager(log.parent).latest() is None
+    return sorted(held)
+
+
+def test_no_loadable_root_after_records_retired_names_the_cause(tmp_path):
+    """With both retained roots damaged and WAL records retired and
+    compacted away, no checkpoint stands for the retired records'
+    blocks: recovery says so with a ``StorageError`` instead of failing
+    to insert a block.  (It used to raise ``MissingPredecessorError``.)
+    The full ``pruning`` run, since the smoke retires records but ends
+    before a compaction drops any."""
+    import shutil
+
+    from repro.errors import StorageError
+
+    scenario = registry.get("pruning")
+    result = run_scenario(scenario, storage_root=tmp_path / "run")
+    assert result.storage.wal_records_retired > 0
+    for server in scenario.topology.servers():
+        shutil.copytree(tmp_path / "run" / server, tmp_path / server)
+        assert len(damage_every_root(tmp_path / server)) >= 2
+        with pytest.raises(StorageError, match="no retained checkpoint loads"):
+            restarted(scenario, tmp_path / server)
+
+
+def test_no_loadable_root_without_retired_records_replays_the_wal(tmp_path):
+    """With every root damaged but no WAL record retired, the WAL alone
+    rebuilds the server: recovery replays it whole and ends with the
+    DAG and indications a restart from the undamaged store ends with."""
+    import dataclasses
+    import shutil
+
+    scenario = registry.get("pruning", smoke=True)
+    storage = dataclasses.replace(scenario.topology.storage, prune=False)
+    scenario = dataclasses.replace(
+        scenario, topology=dataclasses.replace(scenario.topology, storage=storage)
+    )
+    result = run_scenario(scenario, storage_root=tmp_path / "run")
+    assert result.storage.wal_records_retired == 0
+    for server in scenario.topology.servers():
+        intact, damaged = (tmp_path / kind / server for kind in ("intact", "damaged"))
+        shutil.copytree(tmp_path / "run" / server, intact)
+        shutil.copytree(tmp_path / "run" / server, damaged)
+        assert len(damage_every_root(damaged)) >= 2
+        reference, replayed = restarted(scenario, intact), restarted(scenario, damaged)
+        assert reference.recovery.checkpoint_seq is not None
+        assert replayed.recovery.checkpoint_seq is None
+        assert replayed.recovery.blocks_recovered == len(reference.dag)
+        assert replayed.dag.refs == reference.dag.refs
+        assert replayed.indications == reference.indications
+        assert replayed.indications

@@ -2,16 +2,17 @@
 
 ``repro.storage.state_codec.ObjectWriter`` names each capture's objects
 through memos: per-class instance prefixes, content names for
-containers of scalars, one message encode per server.  Every object it
-names must have exactly the name and the bytes this straightforward
-reflective writer gives the same value: one walk of the instance's
-MRO per instance, every prefix and every container encoded where it is
-met.  The code below is that writer, copied verbatim with the memos
-across captures left out (they name an object without encoding it, so
-they add no bytes); ``object_bytes`` and the codec's frame writers it
-used (``write_tuple``, ``pair_writer``, ``tagged_tuple_writer``) are
-copied beside it, each head taken from a whole encoding (``None``
-encodes as one byte).
+containers of scalars, one message and one run encode per server.
+Every object it names must have exactly the name and the bytes this
+straightforward reflective writer gives the same value: one walk of the
+instance's MRO per instance, every prefix and every container encoded
+where it is met.  The code below is that writer, copied verbatim with
+the memos across captures left out (they name an object without
+encoding it, so they add no bytes); ``object_bytes`` and the codec's
+frame writers it used (``write_tuple``, ``pair_writer``,
+``tagged_tuple_writer``) are copied beside it, each head taken from a
+whole encoding (``None`` encodes as one byte).  A row, which holds its
+block's runs, goes through the codec whole (:meth:`ReferenceWriter.row`).
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ class ReferenceWriter:
     def __init__(self) -> None:
         self.reached: dict[int, tuple[Any, bytes]] = {}
         self.built: dict[bytes, bytes] = {}
-        self.messages: dict[int, tuple[Any, bytes]] = {}
         self._linked: list[bytes] = []
         self._kept: dict[tuple[Any, Any], bytes] = {}
 
@@ -123,8 +123,16 @@ class ReferenceWriter:
     def instance(self, instance: ProcessInstance) -> bytes:
         return self._named(instance, self._instance_bytes)
 
-    def run(self, run: tuple[Any, ...]) -> bytes:
-        return self._named(run, self._run_bytes)
+    def row(self, ref: str, entry: dict[str, Any]) -> bytes:
+        """A checkpoint row: ``(ref, base, labels, pis, in, out)``, per
+        label its instance's name and its two runs, each ``None`` where
+        the entry has none.  It refers to its instances alone."""
+        sides = ("pis", "in", "out")
+        labels = sorted({label for side in sides for label in entry[side]})
+        columns = [tuple(entry[side].get(label) for label in labels) for side in sides]
+        out = bytearray()
+        write_tuple((str(ref), entry["base"], tuple(labels), *columns), codec.write_value, out)
+        return self.put(bytes(out), list(entry["pis"].values()))
 
     def _instance_bytes(self, instance: ProcessInstance) -> bytes:
         ctx = instance.ctx
@@ -140,19 +148,6 @@ class ReferenceWriter:
             write_tuple(field, self._write, out)
         else:
             codec.write_value(field, out)
-
-    def _run_bytes(self, run: tuple[Any, ...]) -> bytes:
-        out = bytearray()
-        write_tuple(run, self._write_message, out)
-        return bytes(out)
-
-    def _write_message(self, message: Any, out: bytearray) -> None:
-        key = id(message)
-        held = self.messages.get(key)
-        if held is None:
-            held = (message, codec.encode(message))
-        self.messages[key] = held
-        out += held[1]
 
     def _container_bytes(self, value: Any) -> bytes:
         out = bytearray()

@@ -307,3 +307,28 @@ class TestDagRelations:
         b = dag_builder.block(S2, refs=[a])
         preds = dag_builder.dag.predecessors(b)
         assert preds == [a]
+
+
+def test_pruned_stubs_is_a_snapshot_of_the_blocks_pruned_so_far():
+    """``pruned_stubs()`` holds the stubs pruned when it was taken and
+    no later ones, and tells a later snapshot what was pruned between."""
+    builder = ManualDagBuilder(3)
+    blocks = builder.round_all() + builder.round_all()
+    dag = builder.dag
+    empty = dag.pruned_stubs()
+    for block in blocks[:2]:
+        dag.drop_payload(block.ref)
+    first = dag.pruned_stubs()
+    dag.drop_payload(blocks[2].ref)
+    second = dag.pruned_stubs()
+    assert len(empty) == 0 and list(first) == [b.ref for b in blocks[:2]]
+    assert blocks[2].ref not in first and blocks[2].ref in second
+    assert first[blocks[0].ref] == dag.require(blocks[0].ref)
+    with pytest.raises(KeyError):
+        first[blocks[2].ref]
+    assert dict(second) == {b.ref: dag.require(b.ref) for b in blocks[:3]}
+    assert second.added_since(first) == [blocks[2].ref]
+    assert second.added_since(empty) == [b.ref for b in blocks[:3]]
+    assert first.added_since(second) is None
+    assert second.added_since(dict(first)) is None
+    assert second.added_since(dag.copy().pruned_stubs()) is None

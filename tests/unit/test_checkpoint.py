@@ -27,6 +27,7 @@ from repro.storage.checkpoint import (
     Checkpoint,
     CheckpointManager,
     _append_frame,
+    _OBJECT,
     _ROOT,
     capture_checkpoint,
     install_checkpoint,
@@ -35,6 +36,8 @@ from repro.storage.checkpoint import (
 from repro.storage.state_codec import (
     ObjectWriter,
     annotation_fingerprint,
+    object_bytes,
+    object_name,
     restore_process,
     thaw,
 )
@@ -412,6 +415,43 @@ class TestManager:
             reopened.load(3)
         assert reopened.latest().seq == 1
 
+    def test_a_root_whose_rows_name_run_objects_does_not_load(self, tmp_path):
+        """Before a row held its runs, its ``in`` and ``out`` cells named
+        run objects.  A root of such rows is refused at load, before
+        any install reads a name as a run, and ``latest()`` falls back."""
+        builder, interpreter = interpreted_dag()
+        manager = CheckpointManager(tmp_path, retain=3)
+        checkpoint = capture_checkpoint(1, interpreter, builder.dag)
+        assert manager.write(checkpoint)
+        ref, entry = next((r, e) for r, e in checkpoint.states.items() if e["in"])
+        frames = bytearray()
+        named = {}
+        for side in ("in", "out"):
+            for label, run in entry[side].items():
+                blob = object_bytes((), codec.encode(run))
+                named[side, label] = object_name(blob)
+                _append_frame(frames, _OBJECT, object_name(blob), blob)
+        labels = sorted({*entry["pis"], *entry["in"], *entry["out"]})
+        row = (
+            str(ref), entry["base"], tuple(labels),
+            tuple(entry["pis"].get(label) for label in labels),
+            *(tuple(named.get((side, label)) for label in labels) for side in ("in", "out")),
+        )
+        blob = object_bytes([*entry["pis"].values(), *named.values()], codec.encode(row))
+        _append_frame(frames, _OBJECT, object_name(blob), blob)
+        with open(log_of(tmp_path), "ab") as handle:
+            handle.write(frames)
+        append_root(log_of(tmp_path), {**_EMPTY_ROOT, "rows": (object_name(blob),)})
+        reopened = CheckpointManager(tmp_path, retain=3)
+        assert reopened.sequences() == [1, 3]
+        with pytest.raises(CheckpointError, match="run cell holds bytes"):
+            reopened.load(3)
+        latest = reopened.latest()
+        assert latest.seq == 1
+        fresh = Interpreter(builder.dag, brb_protocol, builder.servers)
+        install_checkpoint(latest, fresh, brb_protocol)
+        assert fresh.interpreted == interpreter.interpreted
+
     def test_latest_none_when_empty(self, tmp_path):
         assert CheckpointManager(tmp_path).latest() is None
 
@@ -751,7 +791,7 @@ class TestNewEntryCost:
         strict=True,
         reason="the outer bucket map is one object naming every bucket, so "
         "each new entry still appends one name per sixteen entries "
-        "(ROADMAP 18(d), open)",
+        "(ROADMAP 20(d), 24)",
     )
     def test_bytes_appended_stay_flat_in_the_ledger_size(self, tmp_path):
         small, _ = self.appended_per_entry(tmp_path / "small", 64)

@@ -10,6 +10,7 @@ and on-demand rehydration of released predecessor states.
 from helpers import ManualDagBuilder, fresh_interpreter
 from repro.dag.block import Block
 from repro.horizon import HorizonTracker, durable_frontier, merge_claim
+from repro.horizon.claims import FrontierWalk
 from repro.invariants import horizon_differences
 from repro.protocols.brb import Broadcast, brb_protocol
 from repro.storage.checkpoint import (
@@ -50,6 +51,37 @@ class TestClaims:
         # The uncovered sibling at (s1, 0) blocks the whole chain claim.
         assert builder.servers[0] not in claim
         assert claim[builder.servers[1]] == 0
+
+    def test_a_resumed_walk_claims_what_a_walk_from_zero_claims(self):
+        """``FrontierWalk`` starts each builder's walk at its previous
+        claim and checks again only the positions that gained a block
+        since: a fork sibling arriving at or below the claim pulls the
+        claim down until it is covered, as a walk from sequence 0 does."""
+        builder = ManualDagBuilder(3)
+        s1 = builder.servers[0]
+        walk = FrontierWalk(builder.dag, builder.servers)
+        builder.round_all()
+        builder.round_all()
+        late = builder.fork(s1, rs=[(L, Broadcast("x"))], insert=False)
+        for _ in range(3):
+            builder.round_all()
+        covered = set(builder.dag.refs)
+        claims = []
+
+        def step():
+            claim = walk(frozenset(covered))
+            assert claim == durable_frontier(builder.dag, builder.servers, covered)
+            claims.append(dict(claim)[s1] if s1 in dict(claim) else -1)
+
+        step()
+        builder.dag.insert(late)  # a sibling at (s1, 1), below the claim
+        step()
+        builder.round_all()
+        covered.update(b.ref for b in builder.dag if b.ref != late.ref)
+        step()
+        covered.add(late.ref)
+        step()
+        assert claims == [4, 0, 0, 5]
 
     def test_merge_claim_is_elementwise_max(self):
         vector = {}

@@ -196,3 +196,49 @@ class TestPruneEffects:
         gossip._on_fwd_request(servers[1], block.ref)
         assert gossip.metrics.fwd_requests_unanswerable == 1
         assert gossip.metrics.fwd_requests_answered == 0
+
+
+@pytest.mark.parametrize("name", ["pruning", "mixed-faults"])
+def test_the_pinned_cone_is_everything_interpreted_since_the_window_opened(
+    name, monkeypatch
+):
+    """The shim keeps the refs first interpreted in each of its last
+    ``pin_recent_checkpoints`` checkpoint intervals, not the interpreted
+    set at each checkpoint; at every pruning pass the cone it pins is
+    still the one the whole sets give: everything interpreted since the
+    oldest checkpoint in the window, or everything until the window
+    opens — a recovered incarnation counting the checkpoint it loaded."""
+    from repro.scenario import registry, run_scenario
+    from repro.shim.shim import Shim
+
+    frontiers: dict[Shim, list[frozenset]] = {}
+    seen = {"passes": 0, "open": 0, "recovered": 0}
+    real_now, real_pinned = Shim.checkpoint_now, Shim._pinned_recent
+
+    def checkpoint_now(shim):
+        if shim not in frontiers:
+            loaded = shim._last_checkpoint
+            frontiers[shim] = [] if loaded is None else [loaded.refs]
+            seen["recovered"] += loaded is not None
+        real_now(shim)
+        frontiers[shim].append(frozenset(shim.interpreter.interpreted))
+
+    def pinned_recent(shim):
+        pinned = real_pinned(shim)
+        window = shim.storage.config.pin_recent_checkpoints
+        interpreted = frozenset(shim.interpreter.interpreted)
+        held = frontiers[shim][-window:]
+        if len(held) < window:
+            assert pinned == interpreted
+        else:
+            assert pinned == interpreted - held[0]
+            seen["open"] += pinned != interpreted
+        seen["passes"] += 1
+        return pinned
+
+    monkeypatch.setattr(Shim, "checkpoint_now", checkpoint_now)
+    monkeypatch.setattr(Shim, "_pinned_recent", pinned_recent)
+    run_scenario(registry.get(name, smoke=True))
+    assert seen["passes"] >= 8 and seen["open"] >= 4
+    if name == "mixed-faults":
+        assert seen["recovered"] >= 1
